@@ -43,8 +43,9 @@ def count_components(pc):
             i = parent[i]
         return i
 
-    for (i, _), j in pc.glue.items():
-        parent[find(i)] = find(j)
+    for i, row in enumerate(pc.glue.tolist()):
+        for j in row:
+            parent[find(i)] = find(j)
     return len({find(i) for i in range(pc.num_cells)})
 
 

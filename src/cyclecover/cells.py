@@ -5,6 +5,9 @@ pairing of their facets.  Facet F_w of a cell is always glued to facet F_w of
 the partner cell by the identity on the permutahedron coordinate, which is
 exactly how both the Tomei manifold and its covers are assembled; the face
 identifications of lower-dimensional faces follow from the facet pairing.
+The pairing is therefore one integer table, ``glue[cell, slot]``, with one
+column per facet label in ``proper_subsets`` order, and every check on it is
+a whole-column gather.
 
 Face classes of codimension k are the orbits of (cell, chain) pairs under the
 gluings along the k facets the face lies in.  Those gluings commute (their
@@ -14,8 +17,13 @@ is consistent; this is checked, not assumed.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
+
+import numpy as np
 
 from .errors import InconsistentGluingError
 from .permutahedron import (
@@ -27,104 +35,181 @@ from .permutahedron import (
 )
 from .pseudomanifold import AbstractComplex, orient
 
+UNGLUED = -1  # a glue entry naming no partner cell
+
 
 class PermutahedralComplex:
-    """Cells 0..num_cells-1 with a facet pairing ``glue[cell][subset]``."""
+    """Cells 0..num_cells-1 with the facet pairing as an int32 table:
+    ``glue[cell, slot]`` is the cell glued to facet F_w of ``cell``, where
+    ``w = subsets[slot]``."""
 
-    def __init__(self, n: int, num_cells: int, glue: dict):
+    def __init__(self, n: int, num_cells: int, glue):
         self.n = n
         self.num_cells = num_cells
         self.subsets = proper_subsets(n)
-        self.glue = dict(glue)
-        self._check()
+        self.slot_of = {w: slot for slot, w in enumerate(self.subsets)}
+        glue = np.asarray(glue)
+        if glue.shape != (num_cells, len(self.subsets)) or glue.dtype.kind not in "iu":
+            raise ValueError(
+                f"glue must be an integer table of shape "
+                f"({num_cells}, {len(self.subsets)}), got {glue.dtype} {glue.shape}")
+        self._check(glue)
+        self.glue = glue.astype(np.int32, copy=False)
 
-    def _check(self):
-        for cell in range(self.num_cells):
-            for w in self.subsets:
-                j = self.glue.get((cell, w))
-                if j is None:
-                    raise InconsistentGluingError(f"cell {cell} facet {mask_elements(w)} unglued")
-                if not 0 <= j < self.num_cells:
-                    raise InconsistentGluingError(f"glue target {j} out of range")
-                if j == cell:
-                    raise InconsistentGluingError(
-                        f"facet {mask_elements(w)} of cell {cell} glued to itself")
-                if self.glue.get((j, w)) != cell:
-                    raise InconsistentGluingError(
-                        f"gluing across {mask_elements(w)} is not an involution at cell {cell}")
+    def _check(self, glue: np.ndarray):
+        def first(bad):
+            cell, slot = np.argwhere(bad)[0]
+            return int(cell), int(slot)
+
+        bad = glue == UNGLUED
+        if bad.any():
+            cell, slot = first(bad)
+            raise InconsistentGluingError(
+                f"cell {cell} facet {mask_elements(self.subsets[slot])} unglued")
+        bad = (glue < 0) | (glue >= self.num_cells)
+        if bad.any():
+            cell, slot = first(bad)
+            raise InconsistentGluingError(f"glue target {glue[cell, slot]} out of range")
+        cells = np.arange(self.num_cells)
+        bad = glue == cells[:, None]
+        if bad.any():
+            cell, slot = first(bad)
+            raise InconsistentGluingError(
+                f"facet {mask_elements(self.subsets[slot])} of cell {cell} glued to itself")
+        for slot, w in enumerate(self.subsets):
+            bad = glue[glue[:, slot], slot] != cells
+            if bad.any():
+                raise InconsistentGluingError(
+                    f"gluing across {mask_elements(w)} is not an involution "
+                    f"at cell {np.flatnonzero(bad)[0]}")
         # identifications around a codimension-2 face must close up
-        for cell in range(self.num_cells):
-            for w1 in self.subsets:
-                for w2 in self.subsets:
-                    if w1 != w2 and (w1 & w2) == w1:
-                        a = self.glue[(self.glue[(cell, w1)], w2)]
-                        b = self.glue[(self.glue[(cell, w2)], w1)]
-                        if a != b:
-                            raise InconsistentGluingError(
-                                f"gluings across nested facets {mask_elements(w1)} "
-                                f"and {mask_elements(w2)} do not commute at cell {cell}")
+        for a, w1 in enumerate(self.subsets):
+            for b, w2 in enumerate(self.subsets):
+                if w1 != w2 and (w1 & w2) == w1:
+                    bad = glue[glue[:, a], b] != glue[glue[:, b], a]
+                    if bad.any():
+                        raise InconsistentGluingError(
+                            f"gluings across nested facets {mask_elements(w1)} "
+                            f"and {mask_elements(w2)} do not commute at cell "
+                            f"{np.flatnonzero(bad)[0]}")
 
     def neighbor(self, cell: int, subset: int) -> int:
-        return self.glue[(cell, subset)]
+        return int(self.glue[cell, self.slot_of[subset]])
 
     def __repr__(self):
         return f"PermutahedralComplex(n={self.n}, cells={self.num_cells})"
 
 
+class ClassMembers(Sequence):
+    """``members[cid]`` lists the (cell, chain) pairs of face class cid,
+    ascending by cell.  Classes are grouped one chain at a time, on first
+    access; the length is known up front."""
+
+    def __init__(self, classes: FaceClasses):
+        self._classes = classes
+        self._groups: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self._classes.num_classes
+
+    def __getitem__(self, cid: int) -> list[tuple[int, Chain]]:
+        if not 0 <= cid < len(self):
+            raise IndexError("face class id out of range")
+        classes = self._classes
+        row = bisect_right(classes.chain_start, cid) - 1
+        chain = classes.chains[row]
+        groups = self._groups.get(row)
+        if groups is None:
+            groups = np.argsort(classes.class_ids[row], kind="stable").reshape(
+                -1, 1 << len(chain))
+            self._groups[row] = groups
+        return [(cell, chain) for cell in groups[cid - classes.chain_start[row]].tolist()]
+
+
 @dataclass
 class FaceClasses:
-    """Orbits of (cell, chain) pairs; class ids grouped by codimension."""
+    """Orbits of (cell, chain) pairs, one id array per chain.
+
+    ``class_ids[r, cell]`` is the class of (cell, chains[r]).  Ids run
+    codimension first, then chain enumeration order, then lowest cell;
+    ``chain_start[r]`` is the first id of chain r and ``chain_start[-1]``
+    the number of classes.
+    """
 
     pc: PermutahedralComplex
-    chains_by_codim: list[list[Chain]]
-    class_of: dict[tuple[int, Chain], int]
-    members: list[list[tuple[int, Chain]]]
-    chain_of_class: list[Chain]
-    codim_start: list[int] = field(default_factory=list)
+    chains: list[Chain]
+    class_ids: np.ndarray
+    chain_start: list[int]
+    codim_start: list[int]
 
-    def codim_of(self, class_id: int) -> int:
-        return len(self.chain_of_class[class_id])
+    @property
+    def num_classes(self) -> int:
+        return self.chain_start[-1]
+
+    @cached_property
+    def row_of(self) -> dict[Chain, int]:
+        return {chain: r for r, chain in enumerate(self.chains)}
+
+    @cached_property
+    def members(self) -> ClassMembers:
+        return ClassMembers(self)
+
+    @cached_property
+    def chain_of_class(self) -> list[Chain]:
+        return [chain for r, chain in enumerate(self.chains)
+                for _ in range(self.chain_start[r + 1] - self.chain_start[r])]
 
     def counts_by_codim(self) -> list[int]:
-        counts = [0] * (self.pc.n + 1)
-        for chain in self.chain_of_class:
-            counts[len(chain)] += 1
-        return counts
+        ends = self.codim_start[1:] + [self.num_classes]
+        return [end - start for start, end in zip(self.codim_start, ends)]
 
 
 def face_classes(pc: PermutahedralComplex) -> FaceClasses:
     """Identify faces across the gluing.  Deterministic: codimension-major,
-    then chain enumeration order, then lowest cell index."""
-    chains_by_codim = [enumerate_faces(pc.n, k) for k in range(pc.n + 1)]
-    class_of: dict[tuple[int, Chain], int] = {}
-    members: list[list[tuple[int, Chain]]] = []
-    chain_of_class: list[Chain] = []
-    codim_start = []
-    for k, chains in enumerate(chains_by_codim):
-        codim_start.append(len(members))
-        for chain in chains:
-            for cell in range(pc.num_cells):
-                if (cell, chain) in class_of:
-                    continue
-                cid = len(members)
-                orbit = [(cell, chain)]
-                class_of[(cell, chain)] = cid
-                queue = deque([cell])
-                while queue:
-                    i = queue.popleft()
-                    for w in chain:
-                        j = pc.neighbor(i, w)
-                        if (j, chain) not in class_of:
-                            class_of[(j, chain)] = cid
-                            orbit.append((j, chain))
-                            queue.append(j)
-                members.append(orbit)
-                chain_of_class.append(chain)
-                if len(orbit) != 1 << len(chain):
-                    raise InconsistentGluingError(
-                        f"face orbit of {chain} at cell {cell} has size {len(orbit)}, "
-                        f"expected {1 << len(chain)}")
-    return FaceClasses(pc, chains_by_codim, class_of, members, chain_of_class, codim_start)
+    then chain enumeration order, then lowest cell index.
+
+    For each chain the 2^k images of every cell under the products of the
+    chain's gluings are stacked, column b holding the image under the
+    gluings in bit set b.  They must be distinct, and closed under each
+    gluing (crossing the j-th facet of the chain takes column b to column
+    b ^ 2^j), so they form the cell's orbit, and the orbit's lowest cell
+    names its class.
+    """
+    chains = [chain for k in range(pc.n + 1) for chain in enumerate_faces(pc.n, k)]
+    cells = np.arange(pc.num_cells, dtype=np.int32)
+    crossing = pc.glue.T.copy()  # crossing[slot] is one contiguous column
+    class_ids = np.empty((len(chains), pc.num_cells), dtype=np.int32)
+    chain_start: list[int] = []
+    codim_start: list[int] = []
+    next_id = 0
+    for r, chain in enumerate(chains):
+        if len(codim_start) == len(chain):
+            codim_start.append(next_id)
+        slots = [pc.slot_of[w] for w in chain]
+        images = cells[:, None]
+        for slot in slots:
+            images = np.concatenate([images, crossing[slot][images]], axis=1)
+        orbit = np.sort(images, axis=1)
+        repeated = orbit[:, 1:] == orbit[:, :-1]
+        if repeated.any():
+            cell = int(np.argwhere(repeated)[0, 0])
+            raise InconsistentGluingError(
+                f"face orbit of {chain} at cell {cell} has size "
+                f"{len(set(images[cell].tolist()))}, expected {1 << len(chain)}")
+        columns = np.arange(1 << len(chain))
+        for j, slot in enumerate(slots):
+            unclosed = crossing[slot][images] != images[:, columns ^ (1 << j)]
+            if unclosed.any():
+                raise InconsistentGluingError(
+                    f"face orbit of {chain} at cell {np.argwhere(unclosed)[0, 0]} "
+                    f"is not closed under crossing {mask_elements(pc.subsets[slot])}")
+        lowest = orbit[:, 0]
+        is_lowest = lowest == cells
+        chain_start.append(next_id)
+        class_ids[r] = next_id + (np.cumsum(is_lowest) - 1)[lowest]
+        next_id += int(is_lowest.sum())
+    chain_start.append(next_id)
+    return FaceClasses(pc, chains, class_ids, chain_start, codim_start)
 
 
 def euler_characteristic(pc: PermutahedralComplex,
@@ -155,18 +240,16 @@ def triangulate(pc: PermutahedralComplex,
                 classes: FaceClasses | None = None) -> Triangulation:
     classes = classes or face_classes(pc)
     flags = triangulation_flags(pc.n)
-    tops = []
-    source = {}
-    for cell in range(pc.num_cells):
-        for flag in flags:
-            ids = tuple(sorted(classes.class_of[(cell, c)] for c in flag))
-            if len(set(ids)) != pc.n + 1:
-                raise InconsistentGluingError("flag vertices collapsed in the quotient")
-            tops.append(ids)
-            source[ids] = (cell, flag)
-    if len(set(tops)) != len(tops):
+    rows = np.array([[classes.row_of[c] for c in flag] for flag in flags])
+    # ids[cell, f] holds the sorted class ids of flag f of the cell
+    ids = np.sort(classes.class_ids[rows].transpose(2, 0, 1), axis=2)
+    if (ids[..., 1:] == ids[..., :-1]).any():
+        raise InconsistentGluingError("flag vertices collapsed in the quotient")
+    tops = list(map(tuple, ids.reshape(-1, pc.n + 1).tolist()))
+    source = dict(zip(tops, product(range(pc.num_cells), flags)))
+    if len(source) != len(tops):
         raise InconsistentGluingError("two flags produced the same simplex")
-    complex_ = AbstractComplex(pc.n, len(classes.members), tops)
+    complex_ = AbstractComplex(pc.n, classes.num_classes, tops)
     return Triangulation(pc, classes, complex_, source)
 
 

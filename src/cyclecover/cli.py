@@ -19,9 +19,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import formats
-from .cells import euler_characteristic, face_classes, orientable, triangulate, verify_surface
+from .cells import euler_characteristic, face_classes, triangulate, verify_surface
 from .covering import DEFAULT_MAX_CELLS, build_component, build_full, verify_covering
-from .errors import CapExceededError, MatchingOverflowError, TopologyError
+from .errors import (
+    CapExceededError,
+    MatchingOverflowError,
+    NonOrientableError,
+    TopologyError,
+)
 from .homology import homology
 from .involutions import (
     DEFAULT_MATCHING_CAP,
@@ -198,8 +203,9 @@ def verify_pipeline(complex, coloring, orientation, max_cells: int,
 
     counts = None
     try:
-        counts = [(w, len(enumerate_compatible_involutions(bundle, w, matching_cap)))
-                  for w in proper_subsets(n)]
+        pools = [enumerate_compatible_involutions(bundle, w, matching_cap)
+                 for w in proper_subsets(n)]
+        counts = [(w, len(pool)) for w, pool in zip(proper_subsets(n), pools)]
         claims.check("compatible involutions counted for every color subset",
                      all(c for _, c in counts),
                      ", ".join(f"{mask_elements(w)}:{c}" for w, c in counts))
@@ -220,7 +226,7 @@ def verify_pipeline(complex, coloring, orientation, max_cells: int,
         full_size = bundle.top_count * (1 << (n - 1)) * _product(
             c for _, c in counts)
     if full_size is not None and full_size <= max_cells:
-        cover = build_full(bundle, max_cells, matching_cap)
+        cover = build_full(bundle, max_cells, pools=pools)
         claims.check("full cover set built and closed under crossings", True,
                      f"{cover.num_cells} cells")
     else:
@@ -235,7 +241,7 @@ def verify_pipeline(complex, coloring, orientation, max_cells: int,
     report["component_cells"] = cover.num_cells
 
     try:
-        covering = verify_covering(cover)
+        covering = verify_covering(cover, base)
         claims.check("projection to the Tomei base is a covering",
                      True, f"degree {covering.degree}")
         report["covering_degree"] = covering.degree
@@ -263,8 +269,14 @@ def verify_pipeline(complex, coloring, orientation, max_cells: int,
         if not claims.check("cover is a closed surface", surf.ok):
             return claims, report
 
+    # a non-orientable cover fails this claim and, through the realization
+    # check's own call to orient, the pushforward claim below
+    cover_orientation = None
     try:
-        claims.check("cover is orientable", orientable(cover.pc, tri))
+        cover_orientation = orient(tri.complex)
+        claims.check("cover is orientable", True)
+    except NonOrientableError:
+        claims.check("cover is orientable", False)
     except TopologyError as e:
         claims.check("cover is orientable", False, str(e))
         return claims, report
@@ -272,14 +284,14 @@ def verify_pipeline(complex, coloring, orientation, max_cells: int,
     try:
         rmap = realization_map(cover, classes, tri)
         claims.check("realization map is well defined on face classes", True,
-                     f"{len(classes.members)} classes checked")
+                     f"{classes.num_classes} classes checked")
     except TopologyError as e:
         claims.check("realization map is well defined on face classes",
                      False, str(e))
         return claims, report
 
     try:
-        real = verify_realization(rmap)
+        real = verify_realization(rmap, cover_orientation)
         claims.check("pushforward of the fundamental cycle is a constant "
                      "positive multiple of the subdivided base cycle", True,
                      f"degree {real.degree} over "
@@ -386,8 +398,7 @@ def _run_tomei(config: RunConfig) -> int:
         print(f"surface checks: {'pass' if surf.ok else 'FAIL'}")
     if config.out:
         # color = face dimension + 1, as in barycentric subdivisions
-        coloring = [config.n + 1 - len(classes.chain_of_class[v])
-                    for v in range(len(classes.members))]
+        coloring = [config.n + 1 - len(chain) for chain in classes.chain_of_class]
         formats.write_json(
             formats.complex_to_dict(tri.complex, coloring=coloring), config.out)
     if config.cells_out:

@@ -11,14 +11,21 @@ where L_w is the tuple's component at w.  This is an involution without fixed
 points, it preserves the parity constraint, and crossings along nested facet
 labels commute, so the glued cells form a permutahedral complex; forgetting
 everything but g projects it onto the Tomei manifold cell by cell.
+
+The new tuple depends only on the old tuple and w, never on sigma or g, so
+the builders compute that part of a crossing once per (tuple, facet) and
+fill the rows of the glue table from the memo.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
+
+import numpy as np
 
 from .cells import FaceClasses, PermutahedralComplex, face_classes
 from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
@@ -127,16 +134,45 @@ def in_cover_set(cp: ColoredPseudomanifold, cell: CoverCell) -> bool:
     return (cp.parts[cell.sigma] == 1) == (parity_sign(cell.g) == 1)
 
 
-def cross_facet(reg: InvolutionRegistry, cell: CoverCell, subset: int) -> CoverCell:
-    """The gluing involution across facet F_subset."""
-    ids = reg.components(cell.tuple_id)
+def tuple_crossing(reg: InvolutionRegistry, tuple_id: int, subset: int) -> tuple[int, int]:
+    """The part of the crossing of F_subset that ignores sigma and g: the id
+    of the crossed component L_w and the id of the conjugated tuple."""
+    ids = reg.components(tuple_id)
     lam_id = ids[reg.slot_of[subset]]
-    new_sigma = reg.involution(lam_id)[cell.sigma]
     new_ids = list(ids)
     for slot, gamma in enumerate(reg.subsets):
         if gamma & ~subset == 0:  # gamma inside the crossed label
             new_ids[slot] = reg.conjugate(lam_id, ids[slot])
-    return CoverCell(new_sigma, reg.intern_tuple(new_ids), cell.g ^ size_generator(subset))
+    return lam_id, reg.intern_tuple(new_ids)
+
+
+def cross_facet(reg: InvolutionRegistry, cell: CoverCell, subset: int) -> CoverCell:
+    """The gluing involution across facet F_subset."""
+    lam_id, tuple_id = tuple_crossing(reg, cell.tuple_id, subset)
+    return CoverCell(reg.involution(lam_id)[cell.sigma], tuple_id,
+                     cell.g ^ size_generator(subset))
+
+
+class _Crossings(dict):
+    """Memo ``tuple_id -> [(L_w, new tuple_id, e_|w|) per facet slot]``:
+    everything a facet crossing needs except sigma, computed once per tuple."""
+
+    def __init__(self, reg: InvolutionRegistry):
+        super().__init__()
+        self.reg = reg
+
+    def __missing__(self, tuple_id: int):
+        moves = []
+        for w in self.reg.subsets:
+            lam_id, new_id = tuple_crossing(self.reg, tuple_id, w)
+            moves.append((self.reg.involution(lam_id), new_id, size_generator(w)))
+        self[tuple_id] = moves
+        return moves
+
+
+def _glue_table(n: int, cells: list, glue: array) -> PermutahedralComplex:
+    return PermutahedralComplex(
+        n, len(cells), np.frombuffer(glue, dtype=np.intc).reshape(len(cells), -1))
 
 
 @dataclass
@@ -174,14 +210,15 @@ def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
     if not in_cover_set(cp, seed):
         raise ValueError(f"seed {seed} violates the parity constraint")
     reg.intern_tuple(reg.components(seed.tuple_id))
+    crossings = _Crossings(reg)
     cells = [seed]
     index = {seed: 0}
-    glue = {}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for w in reg.subsets:
-            neighbor = cross_facet(reg, cells[i], w)
+    glue = array("i")  # the glue table, row by row
+    # ``cells`` doubles as the breadth-first queue: the loop reaches every
+    # cell appended while it runs, in order
+    for sigma, tuple_id, g in cells:
+        for lam, new_id, generator in crossings[tuple_id]:
+            neighbor = CoverCell(lam[sigma], new_id, g ^ generator)
             j = index.get(neighbor)
             if j is None:
                 if len(cells) >= max_cells:
@@ -190,20 +227,23 @@ def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
                 j = len(cells)
                 cells.append(neighbor)
                 index[neighbor] = j
-                queue.append(j)
-            glue[(i, w)] = j
-    pc = PermutahedralComplex(cp.n, len(cells), glue)
-    return CoverComplex(cp, reg, cells, index, pc)
+            glue.append(j)
+    return CoverComplex(cp, reg, cells, index, _glue_table(cp.n, cells, glue))
 
 
 def build_full(cp: ColoredPseudomanifold,
                max_cells: int = DEFAULT_MAX_CELLS,
-               matching_cap: int = DEFAULT_MATCHING_CAP) -> CoverComplex:
+               matching_cap: int = DEFAULT_MATCHING_CAP,
+               pools: list[list[Involution]] | None = None) -> CoverComplex:
     """Every cover cell at once: all top simplices, all tuples from the full
-    product of compatible involutions, all parity-consistent g."""
+    product of compatible involutions, all parity-consistent g.
+
+    ``pools`` may hand in the compatible involutions already enumerated, one
+    list per proper subset in ``proper_subsets`` order."""
     reg = InvolutionRegistry(cp)
-    pools = [enumerate_compatible_involutions(cp, w, matching_cap)
-             for w in reg.subsets]
+    if pools is None:
+        pools = [enumerate_compatible_involutions(cp, w, matching_cap)
+                 for w in reg.subsets]
     total = cp.top_count
     for pool in pools:
         total *= len(pool)
@@ -223,17 +263,16 @@ def build_full(cp: ColoredPseudomanifold,
                     cells.append(cell)
     cells.sort()
     index = {cell: i for i, cell in enumerate(cells)}
-    glue = {}
-    for i, cell in enumerate(cells):
-        for w in reg.subsets:
-            neighbor = cross_facet(reg, cell, w)
-            j = index.get(neighbor)
+    crossings = _Crossings(reg)
+    glue = array("i")
+    for sigma, tuple_id, g in cells:
+        for lam, new_id, generator in crossings[tuple_id]:
+            j = index.get(CoverCell(lam[sigma], new_id, g ^ generator))
             if j is None:
                 raise InconsistentGluingError(
                     "facet crossing left the full cover set; conjugation closure failed")
-            glue[(i, w)] = j
-    pc = PermutahedralComplex(cp.n, len(cells), glue)
-    return CoverComplex(cp, reg, cells, index, pc)
+            glue.append(j)
+    return CoverComplex(cp, reg, cells, index, _glue_table(cp.n, cells, glue))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +284,6 @@ class CoveringReport:
     cell_fibers: dict[int, int]
     class_fibers: dict[int, int]
     cover_class_to_base: list[int]
-
-    @property
-    def ok(self) -> bool:
-        return True  # verify_covering raises on any failure
 
 
 def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
@@ -266,44 +301,55 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
         raise NotACoveringError("base and cover dimensions differ")
     if len(projection) != cover_pc.num_cells:
         raise NotACoveringError("projection must assign a base cell to every cell")
+    proj = np.asarray(projection, dtype=np.int64)
+    if ((proj < 0) | (proj >= base.num_cells)).any():
+        raise NotACoveringError("projection sends a cell outside the base")
 
-    for (i, w), j in cover_pc.glue.items():
-        if projection[j] != base.neighbor(projection[i], w):
-            raise NotACoveringError(
-                f"projection does not commute with crossing {mask_elements(w)} "
-                f"at cell {i}")
+    moved = proj[cover_pc.glue] != base.glue[proj]
+    if moved.any():
+        i, slot = np.argwhere(moved)[0]
+        raise NotACoveringError(
+            f"projection does not commute with crossing "
+            f"{mask_elements(cover_pc.subsets[slot])} at cell {i}")
 
     if cover_pc.num_cells % base.num_cells:
         raise NotACoveringError(
             f"{cover_pc.num_cells} cells cannot evenly cover {base.num_cells}")
     degree = cover_pc.num_cells // base.num_cells
 
-    fibers = Counter(projection)
-    if any(fibers[g] != degree for g in range(base.num_cells)):
-        raise NotACoveringError(f"cell fibers are not constant: {dict(fibers)}")
+    fibers = np.bincount(proj, minlength=base.num_cells)
+    if (fibers != degree).any():
+        raise NotACoveringError(
+            f"cell fibers are not constant: {dict(Counter(proj.tolist()))}")
 
     cover_cls = cover_classes or face_classes(cover_pc)
     base_cls = face_classes(base)
-    cover_to_base: list[int] = []
-    for members in cover_cls.members:
-        images = {base_cls.class_of[(projection[i], chain)] for i, chain in members}
-        if len(images) != 1:
-            raise NotACoveringError(
-                f"face class with chain {members[0][1]} maps to several base classes")
-        bid = images.pop()
-        if len(members) != len(base_cls.members[bid]):
-            raise NotACoveringError(
-                "face class does not map isomorphically onto its image class")
-        cover_to_base.append(bid)
+    # image[cid] is the base class under cover class cid: scatter the image
+    # of every (cell, chain), then check each member agrees with its class
+    wanted = base_cls.class_ids[:, proj]
+    image = np.empty(cover_cls.num_classes, dtype=np.int64)
+    image[cover_cls.class_ids] = wanted
+    split = image[cover_cls.class_ids] != wanted
+    if split.any():
+        cid = int(cover_cls.class_ids[split].min())
+        raise NotACoveringError(
+            f"face class with chain {cover_cls.chain_of_class[cid]} maps to "
+            f"several base classes")
+    cover_sizes = np.bincount(cover_cls.class_ids.ravel())
+    base_sizes = np.bincount(base_cls.class_ids.ravel())
+    if (cover_sizes != base_sizes[image]).any():
+        raise NotACoveringError(
+            "face class does not map isomorphically onto its image class")
 
-    class_fibers = Counter(cover_to_base)
-    for bid in range(len(base_cls.members)):
-        if class_fibers[bid] != degree:
-            raise NotACoveringError(
-                f"face class fiber over base class {bid} has size "
-                f"{class_fibers[bid]}, expected {degree}")
+    class_fibers = np.bincount(image, minlength=base_cls.num_classes)
+    if (class_fibers != degree).any():
+        bid = int(np.flatnonzero(class_fibers != degree)[0])
+        raise NotACoveringError(
+            f"face class fiber over base class {bid} has size "
+            f"{class_fibers[bid]}, expected {degree}")
 
-    return CoveringReport(degree, dict(fibers), dict(class_fibers), cover_to_base)
+    return CoveringReport(degree, dict(enumerate(fibers.tolist())),
+                          dict(enumerate(class_fibers.tolist())), image.tolist())
 
 
 def verify_covering(cover: CoverComplex,
@@ -316,5 +362,5 @@ def verify_covering(cover: CoverComplex,
     for cell in cover.cells:
         if not in_cover_set(cp, cell):
             raise NotACoveringError(f"cell {cell} violates the parity constraint")
-    projection = [cover.base_cell(i) for i in range(cover.num_cells)]
+    projection = [cell.g for cell in cover.cells]
     return verify_cell_projection(cover.pc, projection, base, cover_classes)

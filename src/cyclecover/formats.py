@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .cells import PermutahedralComplex
+import numpy as np
+
+from .cells import UNGLUED, PermutahedralComplex
 from .covering import CoverCell, CoverComplex
-from .permutahedron import mask_elements, mask_of
+from .permutahedron import mask_elements, mask_of, proper_subsets
 from .pseudomanifold import AbstractComplex
 
 
@@ -83,20 +85,41 @@ def load_complex(path):
 # permutahedral complexes and covers
 
 def _glue_to_list(pc: PermutahedralComplex) -> list:
-    return [[i, list(mask_elements(w)), j]
-            for (i, w), j in sorted(pc.glue.items())]
+    """Entries [cell, [colors], cell], sorted by (cell, subset mask)."""
+    order = sorted(range(len(pc.subsets)), key=pc.subsets.__getitem__)
+    labels = [mask_elements(pc.subsets[slot]) for slot in order]
+    return [[i, list(label), j]
+            for i, row in enumerate(pc.glue[:, order].tolist())
+            for label, j in zip(labels, row)]
 
 
 def _glue_from_list(n: int, num_cells: int, data) -> PermutahedralComplex:
+    if not isinstance(n, int) or n < 1 or not isinstance(num_cells, int) or num_cells < 0:
+        raise ValueError("'n' must be a positive integer and 'num_cells' a "
+                         "nonnegative integer")
     if not isinstance(data, list):
         raise ValueError("'glue' must be a list of [cell, [colors], cell]")
-    glue = {}
+    subsets = proper_subsets(n)
+    slot_of = {w: slot for slot, w in enumerate(subsets)}
+    glue = np.full((num_cells, len(subsets)), UNGLUED, dtype=np.int32)
     for entry in data:
         if (not isinstance(entry, list) or len(entry) != 3
                 or not isinstance(entry[0], int) or not isinstance(entry[2], int)
                 or not isinstance(entry[1], list)):
             raise ValueError(f"bad gluing entry {entry!r}")
-        glue[(entry[0], mask_of(entry[1]))] = entry[2]
+        cell, colors, target = entry
+        if not (0 <= cell < num_cells and 0 <= target < num_cells):
+            raise ValueError(f"gluing entry {entry!r} names a cell outside "
+                             f"range(0, {num_cells})")
+        if (not all(isinstance(c, int) and 1 <= c <= n + 1 for c in colors)
+                or len(set(colors)) != len(colors)
+                or mask_of(colors) not in slot_of):
+            raise ValueError(f"gluing entry {entry!r} is not labelled by a proper "
+                             f"nonempty subset of the colors 1..{n + 1}")
+        slot = slot_of[mask_of(colors)]
+        if glue[cell, slot] != UNGLUED:
+            raise ValueError(f"gluing entry {entry!r} repeats a (cell, label) pair")
+        glue[cell, slot] = target
     return PermutahedralComplex(n, num_cells, glue)
 
 

@@ -73,10 +73,6 @@ def enumerate_faces(n: int, codim: int) -> list[Chain]:
     return out
 
 
-def face_codim(chain: Chain) -> int:
-    return len(chain)
-
-
 def contained_faces(chain: Chain, n: int) -> list[Chain]:
     """Faces of the given face: superchains obtained by inserting one more
     nested subset (one codimension deeper)."""

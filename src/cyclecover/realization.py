@@ -19,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .cells import FaceClasses, Triangulation, face_classes, triangulate
 from .covering import CoverComplex
 from .errors import DegreeNotConstantError, NotWellDefinedError
 from .involutions import DEFAULT_MATCHING_CAP, count_compatible_involutions
+from .permutahedron import full_mask, proper_subsets
 from .pseudomanifold import (
     BarycentricSubdivision,
     ColoredPseudomanifold,
@@ -123,27 +126,35 @@ def realization_map(cover: CoverComplex,
     if sd is None:
         sd = barycentric_subdivide(bundle.complex)
 
-    image_faces: list[Simplex] = []
-    for cid, members in enumerate(classes.members):
-        images = set()
-        for cell_index, chain in members:
-            s = bundle.complex.top_simplices[cover.cells[cell_index].sigma]
-            if chain:
-                images.add(face_of_colors(s, chain[0], bundle.coloring))
-            else:
-                images.add(s)
-        if len(images) != 1:
+    # the image of (cell, chain) is the face of the cell's simplex spanned
+    # by the colors of the chain minimum (all colors for the empty chain);
+    # scatter it per class, then check every member agrees with its class
+    sigma = np.array([cell.sigma for cell in cover.cells], dtype=np.int64)
+    image = np.empty(classes.num_classes, dtype=np.int64)
+    face_tables: dict[int, np.ndarray] = {}
+    for row, chain in enumerate(classes.chains):
+        colors = chain[0] if chain else full_mask(bundle.n)
+        if colors not in face_tables:
+            face_tables[colors] = np.array([
+                sd.face_ids[face_of_colors(s, colors, bundle.coloring)]
+                for s in bundle.complex.top_simplices], dtype=np.int64)
+        wanted = face_tables[colors][sigma]
+        ids = classes.class_ids[row]
+        image[ids] = wanted
+        split = image[ids] != wanted
+        if split.any():
+            cid = int(ids[split].min())
             raise NotWellDefinedError(
-                f"face class {cid} with chain {classes.chain_of_class[cid]} "
-                f"has {len(images)} distinct images")
-        image_faces.append(images.pop())
-    vertex_images = [sd.face_ids[f] for f in image_faces]
+                f"face class {cid} with chain {chain} has "
+                f"{len(set(wanted[ids == cid].tolist()))} distinct images")
+    vertex_images = image.tolist()
+    image_faces = [sd.faces[v] for v in vertex_images]
 
     # weak simpliciality: along each flag the images are weakly nested
+    face_sets = [frozenset(f) for f in image_faces]
     for top in tri.complex.top_simplices:
-        faces = [set(image_faces[v]) for v in top]
-        for small, large in zip(faces[1:], faces):
-            if not small <= large:
+        for small, large in zip(top[1:], top):
+            if not face_sets[small] <= face_sets[large]:
                 raise NotWellDefinedError(
                     f"flag {top} has non-nested image faces")
     return RealizationMap(cover, classes, tri, sd, image_faces, vertex_images)
@@ -171,13 +182,16 @@ class RealizationReport:
         return True  # verify_realization raises on any failure
 
 
-def verify_realization(rmap: RealizationMap) -> RealizationReport:
+def verify_realization(rmap: RealizationMap,
+                       orientation: list[int] | None = None) -> RealizationReport:
     """Push the fundamental cycle of K through the map and compare it,
     coefficient by coefficient and component by component, against the
-    subdivided fundamental cycle of the base."""
+    subdivided fundamental cycle of the base.  ``orientation`` may hand in
+    the coherent orientation of K that ``orient`` already returned."""
     tri, sd = rmap.tri, rmap.target
     _, signs = subdivided_cycle(rmap.bundle, sd)
-    orientation = orient(tri.complex)
+    if orientation is None:
+        orientation = orient(tri.complex)
 
     component = _cell_components(rmap.cover)
     num_components = max(component) + 1 if component else 0
@@ -258,27 +272,20 @@ def verify_realization(rmap: RealizationMap) -> RealizationReport:
 
 
 def _cell_components(cover: CoverComplex) -> list[int]:
-    """Connected component index of each cover cell, in first-seen order."""
-    parent = list(range(cover.num_cells))
+    """Connected component index of each cover cell, in first-seen order.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, _), j in cover.pc.glue.items():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    label: dict[int, int] = {}
-    out = []
-    for i in range(cover.num_cells):
-        r = find(i)
-        if r not in label:
-            label[r] = len(label)
-        out.append(label[r])
-    return out
+    Every cell takes the least label among itself and its neighbors, then
+    the label of its label, until nothing moves; each cell is then labelled
+    by the lowest cell of its component."""
+    glue = cover.pc.glue
+    label = np.arange(cover.num_cells)
+    while True:
+        lowest = np.minimum(label, label[glue].min(axis=1))
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    return np.unique(label, return_inverse=True)[1].tolist()
 
 
 def predicted_multiplicity(bundle: ColoredPseudomanifold,
@@ -286,7 +293,6 @@ def predicted_multiplicity(bundle: ColoredPseudomanifold,
     """The multiplicity realized by the full cover: 2^(n-1) times the
     product over proper color subsets of the number of compatible
     involutions."""
-    from .permutahedron import proper_subsets
     q = 1 << (bundle.n - 1)
     for w in proper_subsets(bundle.n):
         q *= count_compatible_involutions(bundle, w, matching_cap)

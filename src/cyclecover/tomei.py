@@ -8,6 +8,8 @@ each cell are matched through just n distinct reflections.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cells import PermutahedralComplex
 from .permutahedron import proper_subsets
 
@@ -20,8 +22,6 @@ def size_generator(subset: int) -> int:
 def build_tomei(n: int) -> PermutahedralComplex:
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    glue = {}
-    for g in range(1 << n):
-        for w in proper_subsets(n):
-            glue[(g, w)] = g ^ size_generator(w)
+    generators = np.array([size_generator(w) for w in proper_subsets(n)])
+    glue = np.arange(1 << n)[:, None] ^ generators
     return PermutahedralComplex(n, 1 << n, glue)

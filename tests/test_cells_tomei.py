@@ -1,8 +1,10 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cyclecover.cells import (
+    UNGLUED,
     PermutahedralComplex,
     euler_characteristic,
     face_classes,
@@ -41,14 +43,11 @@ def test_tomei_glue_is_fixed_point_free_involution():
 
 
 def test_bad_gluings_rejected():
-    subsets = proper_subsets(1)
     with pytest.raises(InconsistentGluingError):
-        PermutahedralComplex(1, 2, {})  # everything unglued
+        PermutahedralComplex(1, 2, np.full((2, 2), UNGLUED))  # everything unglued
     with pytest.raises(InconsistentGluingError):
-        PermutahedralComplex(1, 1, {(0, w): 0 for w in subsets})  # self-glued
-    glue3 = {}
-    for w in subsets:
-        glue3.update({(0, w): 1, (1, w): 2, (2, w): 0})  # a 3-cycle, not an involution
+        PermutahedralComplex(1, 1, np.zeros((1, 2), dtype=int))  # self-glued
+    glue3 = np.array([[1, 1], [2, 2], [0, 0]])  # a 3-cycle, not an involution
     with pytest.raises(InconsistentGluingError):
         PermutahedralComplex(1, 3, glue3)
 
@@ -57,11 +56,8 @@ def test_noncommuting_nested_gluings_rejected():
     a = {0: 1, 1: 0, 2: 4, 4: 2, 3: 5, 5: 3}
     b = {0: 2, 2: 0, 1: 3, 3: 1, 4: 5, 5: 4}
     assert a[b[0]] != b[a[0]]  # the pair genuinely fails to commute
-    glue = {}
-    for w in proper_subsets(2):
-        table = b if w == mask_of([1, 2]) else a
-        for i in range(6):
-            glue[(i, w)] = table[i]
+    glue = np.array([[(b if w == mask_of([1, 2]) else a)[i] for w in proper_subsets(2)]
+                     for i in range(6)])
     with pytest.raises(InconsistentGluingError):
         PermutahedralComplex(2, 6, glue)
 
@@ -90,8 +86,8 @@ def test_known_tomei_face_class_counts():
 def test_face_classes_deterministic():
     a = face_classes(build_tomei(2))
     b = face_classes(build_tomei(2))
-    assert a.class_of == b.class_of
-    assert a.members == b.members
+    assert np.array_equal(a.class_ids, b.class_ids)
+    assert list(a.members) == list(b.members)
 
 
 def test_tomei_one_is_a_circle():
@@ -128,7 +124,8 @@ def test_triangulation_source_roundtrip():
     tri = triangulate(pc)
     for top in tri.complex.top_simplices:
         cell, flag = tri.source[top]
-        ids = tuple(sorted(tri.classes.class_of[(cell, c)] for c in flag))
+        ids = tuple(sorted(int(tri.classes.class_ids[tri.classes.row_of[c], cell])
+                           for c in flag))
         assert ids == top
     cells_hit = Counter(tri.cell_of_top(t) for t in tri.complex.top_simplices)
     assert all(cells_hit[g] == 12 for g in range(4))

@@ -6,8 +6,10 @@ the builders and compared byte for byte, so they cannot drift.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclecover import corpus, formats
@@ -72,7 +74,7 @@ def test_cell_complex_roundtrip():
     pc2 = formats.cell_complex_from_dict(json.loads(formats.dumps(d)))
     assert pc2.n == pc.n
     assert pc2.num_cells == pc.num_cells
-    assert pc2.glue == pc.glue
+    assert np.array_equal(pc2.glue, pc.glue)
 
 
 def test_cover_roundtrip():
@@ -81,9 +83,26 @@ def test_cover_roundtrip():
     d = json.loads(formats.dumps(formats.cover_to_dict(cover)))
     cells = formats.cover_cells_from_dict(d)
     assert cells == cover.cells
-    assert formats.cell_complex_from_dict(
+    assert np.array_equal(formats.cell_complex_from_dict(
         {"n": d["n"], "num_cells": len(cells), "glue": d["glue"]},
-    ).glue == cover.pc.glue
+    ).glue, cover.pc.glue)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ([7, [1], 0], "outside range"),
+    ([-1, [2], 0], "outside range"),
+    ([0, [1], 2], "outside range"),
+    ([0, [1, 2], 1], "not labelled"),
+    ([0, [], 1], "not labelled"),
+    ([0, [3], 1], "not labelled"),
+    ([0, [1, 1], 1], "not labelled"),
+    ([0, [1], 1], "repeats"),
+])
+def test_glue_loader_rejects_malformed_entries(entry, message):
+    d = formats.cell_complex_to_dict(build_tomei(1))  # 2 cells, labels [1], [2]
+    d["glue"].append(entry)
+    with pytest.raises(ValueError, match=message):
+        formats.cell_complex_from_dict(d)
 
 
 def test_dumps_is_deterministic():
@@ -209,7 +228,7 @@ def test_tomei_writes_valid_outputs(tmp_path, capsys):
     assert validate_pseudomanifold(c).ok
     assert check_regular_coloring(c, colors)
     pc = formats.cell_complex_from_dict(json.loads(cells_out.read_text()))
-    assert pc.glue == build_tomei(2).glue
+    assert np.array_equal(pc.glue, build_tomei(2).glue)
     capsys.readouterr()
 
 
@@ -266,6 +285,32 @@ def test_verify_octahedron_full_multiplicity(tmp_path, capsys):
     assert report["covering_degree"] == 256
     assert report["q_component"] == 128
     assert report["q_formula"] == 128
+    capsys.readouterr()
+
+
+def test_report_reuses_base_pools_and_cover_orientation(tmp_path, monkeypatch,
+                                                       capsys):
+    # the octahedron corpus file carries its orientation, so the only orient
+    # call left is the one on the cover triangulation
+    import cyclecover
+
+    calls = Counter()
+
+    def count(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in ("cli", "covering", "cells", "realization", "pseudomanifold"):
+        module = getattr(cyclecover, module)
+        for name in ("build_tomei", "enumerate_compatible_involutions", "orient"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, count(name, getattr(module, name)))
+    assert main(["report", "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"build_tomei": 1, "enumerate_compatible_involutions": 6,
+                     "orient": 1}
     capsys.readouterr()
 
 

@@ -1,0 +1,152 @@
+"""The array glue table against the dict-backed oracle in ``dict_oracle``:
+face classes, cover builds and the class map of the covering check agree
+exactly; corrupted tables are refused; and the memoized breadth-first build
+reaches the 20,000-cell cover of the join C4 * C10."""
+
+import numpy as np
+import pytest
+
+import dict_oracle
+from cyclecover import corpus
+from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
+from cyclecover.covering import build_component, build_full, verify_covering
+from cyclecover.errors import InconsistentGluingError
+from cyclecover.pseudomanifold import (
+    AbstractComplex,
+    ColoredPseudomanifold,
+    colored_from_complex,
+)
+from cyclecover.tomei import build_tomei
+
+
+def cycle_join(first: int, second: int) -> ColoredPseudomanifold:
+    """The join of two even cycles, a 3-sphere: colors 1, 2 alternate along
+    the first cycle and 3, 4 along the second."""
+    tops = [(i, (i + 1) % first, first + j, first + (j + 1) % second)
+            for i in range(first) for j in range(second)]
+    colors = [1 + i % 2 for i in range(first)] + [3 + j % 2 for j in range(second)]
+    return ColoredPseudomanifold(AbstractComplex(3, first + second, tops), colors)
+
+
+@pytest.fixture(scope="module")
+def octa_cp():
+    return ColoredPseudomanifold(*corpus.octahedron())
+
+
+@pytest.fixture(scope="module")
+def sd3_cp():
+    return colored_from_complex(corpus.boundary_delta(3))[0]
+
+
+@pytest.fixture(scope="module")
+def join4x6_cp():
+    return cycle_join(4, 6)
+
+
+@pytest.fixture(scope="module")
+def covers(octa_cp, sd3_cp, join4x6_cp):
+    return {
+        "octahedron full": (build_full(octa_cp), dict_oracle.build_full(octa_cp)),
+        "sd3 component": (build_component(sd3_cp), dict_oracle.build_component(sd3_cp)),
+        "join C4*C6 component": (build_component(join4x6_cp),
+                                 dict_oracle.build_component(join4x6_cp)),
+    }
+
+
+COVERS = ["octahedron full", "sd3 component", "join C4*C6 component"]
+
+
+def assert_classes_match_oracle(pc):
+    classes = face_classes(pc)
+    class_of, members, chain_of_class = dict_oracle.face_classes(pc)
+    expected = np.array([[class_of[(cell, chain)] for cell in range(pc.num_cells)]
+                         for chain in classes.chains])
+    assert np.array_equal(classes.class_ids, expected)
+    assert classes.chain_of_class == chain_of_class
+    assert len(classes.members) == len(members)
+    assert [set(m) for m in classes.members] == [set(m) for m in members]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tomei_face_classes_match_oracle(n):
+    assert_classes_match_oracle(build_tomei(n))
+
+
+@pytest.mark.parametrize("name", COVERS)
+def test_cover_face_classes_match_oracle(covers, name):
+    assert_classes_match_oracle(covers[name][0].pc)
+
+
+@pytest.mark.parametrize("name", COVERS)
+def test_cover_builds_match_oracle(covers, name):
+    cover, (cells, glue) = covers[name]
+    assert cover.cells == cells
+    assert dict_oracle.glue_dict(cover.pc) == glue
+
+
+@pytest.mark.parametrize("name", COVERS)
+def test_cover_to_base_matches_oracle(covers, name):
+    cover = covers[name][0]
+    base = build_tomei(cover.cp.n)
+    report = verify_covering(cover, base)
+    assert report.cover_class_to_base == dict_oracle.cover_to_base(
+        cover.pc, [c.g for c in cover.cells], base)
+
+
+# ---------------------------------------------------------------------------
+# corrupted tables; Tomei n=2 slots are {1} {2} {3} {1,2} {1,3} {2,3}
+
+def corrupted_tomei(cell, slot, value):
+    glue = build_tomei(2).glue.copy()
+    glue[cell, slot] = value
+    return glue
+
+
+@pytest.mark.parametrize("glue, message", [
+    (corrupted_tomei(1, 2, UNGLUED), "cell 1 facet \\(3,\\) unglued"),
+    (corrupted_tomei(1, 2, 4), "target 4 out of range"),
+    (corrupted_tomei(1, 2, -3), "target -3 out of range"),
+    (corrupted_tomei(1, 2, 1), "of cell 1 glued to itself"),
+    (corrupted_tomei(1, 2, 3), "not an involution"),
+])
+def test_corrupted_tables_rejected(glue, message):
+    with pytest.raises(InconsistentGluingError, match=message):
+        PermutahedralComplex(2, 4, glue)
+
+
+def test_noncommuting_nested_table_rejected():
+    # slot 3 = {1,2} glues by b, every other facet by a; a and b are
+    # fixed-point free involutions with a(b(0)) = 4 but b(a(0)) = 3
+    a = [1, 0, 4, 5, 2, 3]
+    b = [2, 3, 0, 1, 5, 4]
+    glue = np.array([[b[i] if slot == 3 else a[i] for slot in range(6)]
+                     for i in range(6)])
+    with pytest.raises(InconsistentGluingError,
+                       match="nested facets \\(1,\\) and \\(1, 2\\) do not commute"):
+        PermutahedralComplex(2, 6, glue)
+
+
+def test_collapsed_orbit_rejected():
+    # every facet glued by the same reflection: each gluing is a fixed-point
+    # free involution and they commute, but a vertex orbit has 2 cells, not 4
+    glue = np.tile(np.array([[1], [0], [3], [2]]), (1, 6))
+    pc = PermutahedralComplex(2, 4, glue)
+    with pytest.raises(InconsistentGluingError, match="has size 2, expected 4"):
+        face_classes(pc)
+
+
+def test_table_shape_and_type_checked():
+    with pytest.raises(ValueError, match="shape"):
+        PermutahedralComplex(2, 4, build_tomei(2).glue[:, :5])
+    with pytest.raises(ValueError, match="integer"):
+        PermutahedralComplex(2, 4, build_tomei(2).glue.astype(float))
+
+
+# ---------------------------------------------------------------------------
+# scale
+
+def test_join_c4_c10_cover_build():
+    cover = build_component(cycle_join(4, 10))
+    assert cover.num_cells == 20000
+    assert cover.registry.tuple_count == 125
+    assert verify_covering(cover).degree == 2500
