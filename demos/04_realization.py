@@ -60,7 +60,7 @@ def main():
     creport = verify_realization(realization_map(component))
     print(f"component cover: {component.num_cells} cells, multiplicity "
           f"{creport.degree}")
-    q = predicted_multiplicity(bundle, matching_cap=24)
+    q = predicted_multiplicity(bundle)
     print(f"full-cover multiplicity from the formula: {q} "
           f"(cover too large to build)")
 

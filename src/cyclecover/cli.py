@@ -16,23 +16,15 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
+from math import prod
 from pathlib import Path
 
 from . import formats
 from .cells import euler_characteristic, face_classes, triangulate, verify_surface
 from .covering import DEFAULT_MAX_CELLS, build_component, build_full, verify_covering
-from .errors import (
-    CapExceededError,
-    MatchingOverflowError,
-    NonOrientableError,
-    TopologyError,
-)
+from .errors import CapExceededError, NonOrientableError, TopologyError
 from .homology import homology
-from .involutions import (
-    DEFAULT_MATCHING_CAP,
-    canonical_involution,
-    enumerate_compatible_involutions,
-)
+from .involutions import canonical_involution, count_compatible_involutions
 from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import (
     ColoredPseudomanifold,
@@ -57,12 +49,10 @@ class RunConfig:
     cells_out: str | None = None
     full: bool = False
     max_cells: int = DEFAULT_MAX_CELLS
-    matching_cap: int = DEFAULT_MATCHING_CAP
-    deterministic: bool = True  # reserved; reports never carry timestamps
 
     def __post_init__(self):
-        if self.max_cells <= 0 or self.matching_cap <= 0:
-            raise ValueError("caps must be positive")
+        if self.max_cells <= 0:
+            raise ValueError(f"max_cells must be positive, got {self.max_cells}")
 
 
 def default_max_cells() -> int:
@@ -95,9 +85,6 @@ class Claims:
         })
         return passed
 
-    def skip(self, claim: str, detail: str) -> None:
-        self.entries.append({"claim": claim, "status": "skipped", "detail": detail})
-
     @property
     def ok(self) -> bool:
         return all(e["status"] != "fail" for e in self.entries)
@@ -126,8 +113,8 @@ def _counts_checksum(image_counts) -> str:
     return f"sha256:{digest}"
 
 
-def verify_pipeline(complex, coloring, orientation, max_cells: int,
-                    matching_cap: int) -> tuple[Claims, dict]:
+def verify_pipeline(complex, coloring, orientation,
+                    max_cells: int) -> tuple[Claims, dict]:
     """Run every check from raw complex to chain identity.
 
     Returns the claims ledger and the report body.  Stops at the first
@@ -201,32 +188,20 @@ def verify_pipeline(complex, coloring, orientation, max_cells: int,
     if not ok:
         return claims, report
 
-    counts = None
-    try:
-        pools = [enumerate_compatible_involutions(bundle, w, matching_cap)
-                 for w in proper_subsets(n)]
-        counts = [(w, len(pool)) for w, pool in zip(proper_subsets(n), pools)]
-        claims.check("compatible involutions counted for every color subset",
-                     all(c for _, c in counts),
-                     ", ".join(f"{mask_elements(w)}:{c}" for w, c in counts))
-        q_formula = 1 << (n - 1)
-        for _, c in counts:
-            q_formula *= c
-        report["q_formula"] = q_formula
-        report["involution_counts"] = [[list(mask_elements(w)), c]
-                                       for w, c in counts]
-    except MatchingOverflowError as e:
-        claims.skip("compatible involutions counted for every color subset",
-                    str(e))
+    counts = [(w, count_compatible_involutions(bundle, w))
+              for w in proper_subsets(n)]
+    claims.check("compatible involutions counted for every color subset",
+                 all(c for _, c in counts),
+                 ", ".join(f"{mask_elements(w)}:{c}" for w, c in counts))
+    report["q_formula"] = (1 << (n - 1)) * prod(c for _, c in counts)
+    report["involution_counts"] = [[list(mask_elements(w)), c]
+                                   for w, c in counts]
 
-    # Build the full cover set when its size is known to fit the cap,
-    # otherwise a single component.
-    full_size = None
-    if counts is not None:
-        full_size = bundle.top_count * (1 << (n - 1)) * _product(
-            c for _, c in counts)
-    if full_size is not None and full_size <= max_cells:
-        cover = build_full(bundle, max_cells, pools=pools)
+    # Build the full cover set when its size fits the cap, otherwise a
+    # single component.
+    full = bundle.top_count * report["q_formula"] <= max_cells
+    if full:
+        cover = build_full(bundle, max_cells)
         claims.check("full cover set built and closed under crossings", True,
                      f"{cover.num_cells} cells")
     else:
@@ -317,20 +292,13 @@ def verify_pipeline(complex, coloring, orientation, max_cells: int,
                  "simplex", set(fibers.values()) == {real.degree},
                  f"fiber {real.degree} over {bundle.top_count} simplices")
 
-    if full_size is not None and cover.num_cells == full_size:
+    if full:
         claims.check("cover is the full cover set and realizes the predicted "
                      "multiplicity 2^(n-1) * prod |P_w|",
                      real.degree == report["q_formula"],
                      f"{real.degree} = {report['q_formula']}")
 
     return claims, report
-
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +380,7 @@ def _run_cover(config: RunConfig) -> int:
         sd = barycentric_subdivide(complex)
         complex, coloring, orientation = sd.complex, sd.coloring, None
     bundle = ColoredPseudomanifold(complex, coloring, orientation)
-    cover = (build_full(bundle, config.max_cells, config.matching_cap)
+    cover = (build_full(bundle, config.max_cells)
              if config.full
              else build_component(bundle, max_cells=config.max_cells))
     covering = verify_covering(cover)
@@ -440,7 +408,7 @@ def _run_homology(config: RunConfig) -> int:
 def _run_verify(config: RunConfig, write_text: bool) -> int:
     complex, coloring, orientation = _load(config)
     claims, report = verify_pipeline(complex, coloring, orientation,
-                                     config.max_cells, config.matching_cap)
+                                     config.max_cells)
     report["claims"] = claims.entries
     report["ok"] = claims.ok
     text = claims.text() + "\n" + (
@@ -490,9 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-cells", type=int, default=None,
                        help=f"cell cap (default {MAX_CELLS_ENV} or "
                             f"{DEFAULT_MAX_CELLS})")
-        p.add_argument("--matching-cap", type=int,
-                       default=DEFAULT_MATCHING_CAP,
-                       help="top-simplex cap for involution enumeration")
 
     add_common(sub.add_parser("validate", help="pseudomanifold checks"))
     add_common(sub.add_parser("subdivide", help="barycentric subdivision"))
@@ -516,7 +481,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        max_cells = (args.max_cells if getattr(args, "max_cells", None)
+        max_cells = (args.max_cells if args.max_cells is not None
                      else default_max_cells())
         config = RunConfig(
             mode=args.mode,
@@ -526,7 +491,6 @@ def main(argv=None) -> int:
             cells_out=getattr(args, "cells_out", None),
             full=getattr(args, "full", False),
             max_cells=max_cells,
-            matching_cap=args.matching_cap,
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

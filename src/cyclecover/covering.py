@@ -23,6 +23,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -30,9 +31,9 @@ import numpy as np
 from .cells import FaceClasses, PermutahedralComplex, face_classes
 from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
 from .involutions import (
-    DEFAULT_MATCHING_CAP,
     Involution,
     canonical_involution,
+    count_compatible_involutions,
     enumerate_compatible_involutions,
     is_compatible_involution,
 )
@@ -232,27 +233,21 @@ def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
 
 
 def build_full(cp: ColoredPseudomanifold,
-               max_cells: int = DEFAULT_MAX_CELLS,
-               matching_cap: int = DEFAULT_MATCHING_CAP,
-               pools: list[list[Involution]] | None = None) -> CoverComplex:
+               max_cells: int = DEFAULT_MAX_CELLS) -> CoverComplex:
     """Every cover cell at once: all top simplices, all tuples from the full
-    product of compatible involutions, all parity-consistent g.
-
-    ``pools`` may hand in the compatible involutions already enumerated, one
-    list per proper subset in ``proper_subsets`` order."""
+    product of compatible involutions, all parity-consistent g.  The size
+    comes from the involution counts and is checked against the cap before
+    any involution is enumerated."""
     reg = InvolutionRegistry(cp)
-    if pools is None:
-        pools = [enumerate_compatible_involutions(cp, w, matching_cap)
-                 for w in reg.subsets]
-    total = cp.top_count
-    for pool in pools:
-        total *= len(pool)
-    total *= 1 << (cp.n - 1)
+    total = cp.top_count * (1 << (cp.n - 1)) * prod(
+        count_compatible_involutions(cp, w) for w in reg.subsets)
     if total > max_cells:
         raise CapExceededError(
             f"full cover set has {total} cells, more than the cap {max_cells}",
             max_cells, total)
-    pool_ids = [[reg.intern_involution(p) for p in pool] for pool in pools]
+    pool_ids = [[reg.intern_involution(p)
+                 for p in enumerate_compatible_involutions(cp, w)]
+                for w in reg.subsets]
     cells = []
     for combo in product(*pool_ids):
         tid = reg.intern_tuple(combo)

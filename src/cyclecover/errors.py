@@ -46,11 +46,6 @@ class CapExceededError(TopologyError):
         self.reached = reached
 
 
-class MatchingOverflowError(TopologyError):
-    """Exact matching enumeration was refused because the complex has more
-    top simplices than the configured cap allows."""
-
-
 class NotACoveringError(TopologyError):
     """The candidate projection is not a covering of cell complexes."""
 

@@ -3,24 +3,24 @@
 For a colored pseudomanifold with top simplices split into parts U+ and U-,
 an involution L on the top simplices is *compatible with the color subset w*
 when it is fixed-point free, swaps the parts, and for every simplex s the
-simplices s and L(s) carry the same vertex in each color of w.  These are
-exactly the perfect matchings of the bipartite graph joining compatible
-opposite-part pairs, so existence is a matching question and the count is
-obtained by exhaustive backtracking.
+simplices s and L(s) carry the same vertex in each color of w.  Carrying the
+same w-colored vertices means lying in the star of the same face F spanned
+by the colors of w, an equivalence relation.  So L is compatible exactly
+when it pairs the plus and minus simplices within each star by a
+bijection: one exists iff every star holds as many plus simplices a_F as
+minus ones, and there are prod_F a_F! of them.
 
 Involutions are stored as permutation tuples over top-simplex indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import permutations, product
+from math import factorial
 
-from .errors import MatchingOverflowError
 from .pseudomanifold import ColoredPseudomanifold
 
 Involution = tuple[int, ...]
-
-DEFAULT_MATCHING_CAP = 16
 
 
 def compatible(cp: ColoredPseudomanifold, i: int, j: int, subset: int) -> bool:
@@ -69,74 +69,42 @@ def is_compatible_involution(cp: ColoredPseudomanifold, perm, subset: int) -> bo
     return True
 
 
-@dataclass
-class CompatibilityGraph:
-    """Bipartite graph of compatible opposite-part pairs for one subset."""
-
-    subset: int
-    plus: list[int]
-    minus: list[int]
-    adjacency: list[list[int]]  # per plus position, positions into minus
-
-    def degree_zero_nodes(self) -> list[int]:
-        return [self.plus[p] for p, nbrs in enumerate(self.adjacency) if not nbrs]
+def _stars(cp: ColoredPseudomanifold, subset: int) -> list[tuple[list[int], list[int]]]:
+    """The (plus, minus) top simplices in the star of each face spanned by
+    the colors of the subset, in order of first appearance."""
+    colors = [c for c in range(cp.n + 1) if subset >> c & 1]
+    stars: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    for i, vertices in enumerate(cp.by_color):
+        plus, minus = stars.setdefault(tuple(vertices[c] for c in colors), ([], []))
+        (plus if cp.parts[i] == 1 else minus).append(i)
+    return list(stars.values())
 
 
-def compatibility_graph(cp: ColoredPseudomanifold, subset: int) -> CompatibilityGraph:
-    adjacency = []
-    for i in cp.plus:
-        adjacency.append([m for m, j in enumerate(cp.minus)
-                          if compatible(cp, i, j, subset)])
-    return CompatibilityGraph(subset, list(cp.plus), list(cp.minus), adjacency)
+def count_compatible_involutions(cp: ColoredPseudomanifold, subset: int) -> int:
+    """The product over the stars of a_F!, where a_F is the star's number of
+    plus-part simplices; 0 if a star has more of one part than the other."""
+    count = 1
+    for plus, minus in _stars(cp, subset):
+        if len(plus) != len(minus):
+            return 0
+        count *= factorial(len(plus))
+    return count
 
 
-def _matchings(graph: CompatibilityGraph):
-    """Yield perfect matchings as tuples ``minus position per plus position``,
-    in lexicographic order."""
-    k = len(graph.plus)
-    if len(graph.minus) != k:
-        return
-    choice = [-1] * k
-    used = [False] * k
-
-    def backtrack(p: int):
-        if p == k:
-            yield tuple(choice)
-            return
-        for m in graph.adjacency[p]:
-            if not used[m]:
-                used[m] = True
-                choice[p] = m
-                yield from backtrack(p + 1)
-                used[m] = False
-        choice[p] = -1
-
-    yield from backtrack(0)
-
-
-def _matching_to_involution(graph: CompatibilityGraph, matching) -> Involution:
-    size = len(graph.plus) + len(graph.minus)
-    perm = [-1] * size
-    for p, m in enumerate(matching):
-        perm[graph.plus[p]] = graph.minus[m]
-        perm[graph.minus[m]] = graph.plus[p]
-    return tuple(perm)
-
-
-def enumerate_compatible_involutions(cp: ColoredPseudomanifold, subset: int,
-                                     cap: int = DEFAULT_MATCHING_CAP) -> list[Involution]:
-    """All involutions compatible with the subset, in a fixed order.
-
-    Exhaustive over perfect matchings; refuses complexes with more than
-    ``cap`` top simplices because the matching count can grow factorially.
-    """
-    if cp.top_count > cap:
-        raise MatchingOverflowError(
-            f"{cp.top_count} top simplices exceed the matching cap {cap}")
-    graph = compatibility_graph(cp, subset)
-    return [_matching_to_involution(graph, m) for m in _matchings(graph)]
-
-
-def count_compatible_involutions(cp: ColoredPseudomanifold, subset: int,
-                                 cap: int = DEFAULT_MATCHING_CAP) -> int:
-    return len(enumerate_compatible_involutions(cp, subset, cap))
+def enumerate_compatible_involutions(cp: ColoredPseudomanifold,
+                                     subset: int) -> list[Involution]:
+    """All involutions compatible with the subset: every combination of one
+    bijection per star.  The ``count_compatible_involutions`` entries are
+    sorted by the partners of the plus-part simplices in index order."""
+    stars = _stars(cp, subset)
+    if any(len(plus) != len(minus) for plus, minus in stars):
+        return []
+    found = []
+    for images in product(*(permutations(minus) for _, minus in stars)):
+        perm = [-1] * cp.top_count
+        for (plus, _), image in zip(stars, images):
+            for i, j in zip(plus, image):
+                perm[i], perm[j] = j, i
+        found.append(tuple(perm))
+    found.sort(key=lambda perm: [perm[i] for i in cp.plus])
+    return found

@@ -188,12 +188,6 @@ def face_of_colors(simplex: Simplex, subset: int, coloring) -> Simplex:
     return face
 
 
-def barycenter_vertex(simplex: Simplex, subset: int, coloring,
-                      sd: BarycentricSubdivision) -> int:
-    """Subdivision vertex sitting at the barycenter of ``face_of_colors``."""
-    return sd.face_ids[face_of_colors(simplex, subset, coloring)]
-
-
 # ---------------------------------------------------------------------------
 # bipartition and orientation
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
 from .cells import FaceClasses, Triangulation, face_classes, triangulate
 from .covering import CoverComplex
 from .errors import DegreeNotConstantError, NotWellDefinedError
-from .involutions import DEFAULT_MATCHING_CAP, count_compatible_involutions
+from .involutions import count_compatible_involutions
 from .permutahedron import full_mask, proper_subsets
 from .pseudomanifold import (
     BarycentricSubdivision,
@@ -177,10 +178,6 @@ class RealizationReport:
     nondegenerate_flags: int
     image_counts: dict[Simplex, int]
 
-    @property
-    def ok(self) -> bool:
-        return True  # verify_realization raises on any failure
-
 
 def verify_realization(rmap: RealizationMap,
                        orientation: list[int] | None = None) -> RealizationReport:
@@ -288,12 +285,9 @@ def _cell_components(cover: CoverComplex) -> list[int]:
     return np.unique(label, return_inverse=True)[1].tolist()
 
 
-def predicted_multiplicity(bundle: ColoredPseudomanifold,
-                           matching_cap: int = DEFAULT_MATCHING_CAP) -> int:
+def predicted_multiplicity(bundle: ColoredPseudomanifold) -> int:
     """The multiplicity realized by the full cover: 2^(n-1) times the
     product over proper color subsets of the number of compatible
     involutions."""
-    q = 1 << (bundle.n - 1)
-    for w in proper_subsets(bundle.n):
-        q *= count_compatible_involutions(bundle, w, matching_cap)
-    return q
+    return (1 << (bundle.n - 1)) * prod(
+        count_compatible_involutions(bundle, w) for w in proper_subsets(bundle.n))

@@ -214,8 +214,8 @@ def test_property_suites():
     # lands back in the compatible set
     cases = 0
     sd_bundle, _ = colored_from_complex(corpus.boundary_delta(3))
-    for bundle, cap in ((octa, 16), (sd_bundle, 24)):
-        pools = {w: enumerate_compatible_involutions(bundle, w, cap)
+    for bundle in (octa, sd_bundle):
+        pools = {w: enumerate_compatible_involutions(bundle, w)
                  for w in proper_subsets(bundle.n)}
         for w, outer_pool in pools.items():
             for g, inner_pool in pools.items():

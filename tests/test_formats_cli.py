@@ -5,16 +5,18 @@ and byte-level determinism.  The shipped corpus files are regenerated from
 the builders and compared byte for byte, so they cannot drift.
 """
 
+import argparse
 import json
 from collections import Counter
+from math import factorial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cyclecover import corpus, formats
+from cyclecover import corpus, covering, formats
 from cyclecover.cells import PermutahedralComplex
-from cyclecover.cli import RunConfig, default_max_cells, main
+from cyclecover.cli import RunConfig, build_parser, default_max_cells, main
 from cyclecover.covering import build_component, build_full
 from cyclecover.homology import homology
 from cyclecover.pseudomanifold import (
@@ -26,6 +28,14 @@ from cyclecover.pseudomanifold import (
 from cyclecover.tomei import build_tomei
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+# q for sd(boundary of the 4-simplex), star by star: the 5 vertices and the
+# 5 tetrahedron centers hold 12 + 12 flags each, the 10 edge and the 10
+# triangle centers 6 + 6, the 60 (vertex, edge), (vertex, tetrahedron) and
+# (triangle, tetrahedron) pairs 3 + 3, the 90 other incident pairs 2 + 2,
+# times 2^(n-1) = 4
+DELTA4_Q = (factorial(12) ** 10 * factorial(6) ** 20 * factorial(3) ** 60
+            * 2 ** 90 * 4)
 
 
 def hexagon_path() -> str:
@@ -143,7 +153,55 @@ def test_run_config_rejects_bad_caps():
     with pytest.raises(ValueError):
         RunConfig(mode="verify", max_cells=0)
     with pytest.raises(ValueError):
-        RunConfig(mode="verify", matching_cap=-1)
+        RunConfig(mode="verify", max_cells=-1)
+    with pytest.raises(TypeError):  # the involution count has no cap
+        RunConfig(mode="verify", matching_cap=16)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_max_cells_flag_exits_two(value, capsys):
+    assert main(["verify", "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--max-cells", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: max_cells must be positive, got {value}\n"
+
+
+def test_cli_surface(capsys):
+    parser = build_parser()
+    modes = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(modes) == {"validate", "subdivide", "tomei", "cover",
+                          "homology", "verify", "report"}
+    for mode in modes:
+        required = ["--n", "2"] if mode == "tomei" else ["--input", "x.json"]
+        args = parser.parse_args([mode, *required, "--max-cells", "7"])
+        assert args.max_cells == 7
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--input", hexagon_path(), "--matching-cap", "24"])
+    assert e.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, cells", [
+    ("boundary_delta3.json", 5_159_780_352),
+    ("boundary_delta4.json", 120 * DELTA4_Q),
+])
+def test_cover_full_over_cap_enumerates_nothing(name, cells, monkeypatch, capsys):
+    calls = Counter()
+    enumerate_pool = covering.enumerate_compatible_involutions
+
+    def counted(*args):
+        calls["enumerate"] += 1
+        return enumerate_pool(*args)
+
+    monkeypatch.setattr(covering, "enumerate_compatible_involutions", counted)
+    assert main(["cover", "--input", str(CORPUS_DIR / name), "--full",
+                 "--max-cells", "1000000"]) == 1
+    assert capsys.readouterr().err == (
+        f"check failed: full cover set has {cells} cells, more than the cap "
+        f"1000000\n")
+    assert not calls
 
 
 def test_default_max_cells_env(monkeypatch):
@@ -324,6 +382,28 @@ def test_verify_nonorientable_fails_with_witness(tmp_path, capsys):
     assert len(failed) == 1
     assert "orientable" in failed[0]["claim"]
     assert "witness" in failed[0]["detail"]
+    capsys.readouterr()
+
+
+def test_verify_counts_involutions_past_sixteen_simplices(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--input", str(CORPUS_DIR / "boundary_delta3.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c for _, c in report["involution_counts"]] \
+        == [1296, 64, 1296, 1, 1, 1]
+    assert report["q_formula"] == 214_990_848
+    # the full set is over the cap, so the component is what gets certified
+    assert (report["component_cells"], report["covering_degree"],
+            report["q_component"]) == (432, 108, 18)
+    assert all(e["status"] == "pass" for e in report["claims"])
+
+    assert main(["verify", "--input", str(CORPUS_DIR / "boundary_delta4.json"),
+                 "--max-cells", "1000", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["q_formula"] == DELTA4_Q and len(str(DELTA4_Q)) == 219
+    failed = [e["claim"] for e in report["claims"] if e["status"] != "pass"]
+    assert failed == ["cover component built and closed under crossings"]
     capsys.readouterr()
 
 

@@ -1,0 +1,61 @@
+"""Property test: the certificate does not depend on vertex labels, on the
+vertex order inside a simplex or on the order of the simplex list."""
+
+import json
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclecover import formats
+from cyclecover.cli import verify_pipeline
+from cyclecover.covering import DEFAULT_MAX_CELLS
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _document(name: str) -> dict:
+    """A corpus document without its orientation, which is indexed by the
+    sorted simplex list and so does not survive a relabelling."""
+    doc = json.loads((CORPUS_DIR / name).read_text())
+    doc.pop("orientation", None)
+    return doc
+
+
+def _outcome(doc: dict):
+    claims, report = verify_pipeline(*formats.complex_from_dict(doc),
+                                     DEFAULT_MAX_CELLS)
+    return ([(e["claim"], e["status"]) for e in claims.entries],
+            {key: report.get(key) for key in (
+                "involution_counts", "q_formula", "component_cells",
+                "covering_degree", "q_component")})
+
+
+@lru_cache(maxsize=None)
+def _expected(name: str):
+    return _outcome(_document(name))
+
+
+@pytest.mark.parametrize("name", ["hexagon.json", "octahedron.json",
+                                  "boundary_delta3.json"])
+@settings(max_examples=4, deadline=None)  # 12 examples over the 3 inputs
+@given(data=st.data())
+def test_report_is_invariant_under_relabelling(name, data):
+    doc = _document(name)
+    label = data.draw(st.permutations(range(doc["num_vertices"])), "label")
+    rng = data.draw(st.randoms(use_true_random=False), "rng")
+    simplices = []
+    for s in doc["simplices"]:
+        s = [label[v] for v in s]
+        rng.shuffle(s)
+        simplices.append(s)
+    rng.shuffle(simplices)
+    scrambled = {"n": doc["n"], "num_vertices": doc["num_vertices"],
+                 "simplices": simplices}
+    if "colors" in doc:
+        scrambled["colors"] = [0] * doc["num_vertices"]
+        for v, c in enumerate(doc["colors"]):
+            scrambled["colors"][label[v]] = c
+    assert _outcome(scrambled) == _expected(name)

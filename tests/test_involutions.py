@@ -1,12 +1,12 @@
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
 from cyclecover.corpus import boundary_delta, hexagon_cycle, octahedron
-from cyclecover.errors import MatchingOverflowError
 from cyclecover.involutions import (
     canonical_involution,
-    compatibility_graph,
     compatible,
     count_compatible_involutions,
     enumerate_compatible_involutions,
@@ -15,6 +15,50 @@ from cyclecover.involutions import (
 )
 from cyclecover.permutahedron import mask_of, proper_subsets
 from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_complex
+
+
+class CompatibilityGraph(NamedTuple):
+    """Bipartite graph of compatible opposite-part pairs for one subset."""
+
+    plus: list[int]
+    minus: list[int]
+    adjacency: list[list[int]]  # per plus position, positions into minus
+
+
+def compatibility_graph(cp, subset: int) -> CompatibilityGraph:
+    adjacency = [[m for m, j in enumerate(cp.minus) if compatible(cp, i, j, subset)]
+                 for i in cp.plus]
+    return CompatibilityGraph(list(cp.plus), list(cp.minus), adjacency)
+
+
+def matching_oracle(cp, subset: int) -> list[tuple[int, ...]]:
+    """Every compatible involution, found as a perfect matching of the
+    compatibility graph by exhaustive backtracking, in lexicographic order
+    of ``minus position per plus position``."""
+    graph = compatibility_graph(cp, subset)
+    k = len(graph.plus)
+    if len(graph.minus) != k:
+        return []
+    found = []
+    choice = [-1] * k
+    used = [False] * k
+
+    def backtrack(p: int):
+        if p == k:
+            perm = [-1] * cp.top_count
+            for i, m in zip(graph.plus, choice):
+                perm[i], perm[graph.minus[m]] = graph.minus[m], i
+            found.append(tuple(perm))
+            return
+        for m in graph.adjacency[p]:
+            if not used[m]:
+                used[m] = True
+                choice[p] = m
+                backtrack(p + 1)
+                used[m] = False
+
+    backtrack(0)
+    return found
 
 
 def permanent_oracle(graph):
@@ -154,12 +198,45 @@ def test_enumeration_is_deterministic(octa_cp):
     assert a == b
 
 
-def test_matching_cap_enforced():
+def test_subdivided_tetrahedron_counts():
     cp, _ = colored_from_complex(boundary_delta(3))  # 24 top simplices
-    with pytest.raises(MatchingOverflowError):
-        count_compatible_involutions(cp, mask_of([1]), cap=16)
-    # raising the cap makes the count reachable
-    assert count_compatible_involutions(cp, mask_of([1, 2]), cap=24) >= 1
+    counts = [count_compatible_involutions(cp, w) for w in proper_subsets(2)]
+    # the stars of the 4 vertices (color 1) and of the 4 triangle centers
+    # (color 3) hold 3 + 3 triangles, those of the 6 edge centers (color 2)
+    # 2 + 2, and an edge of the subdivision lies in one triangle of each part
+    assert counts == [1296, 64, 1296, 1, 1, 1]
+
+
+def _oracle_cases():
+    hexagon_cp = ColoredPseudomanifold(*hexagon_cycle())
+    octa_cp = ColoredPseudomanifold(*octahedron())
+    sd_hexagon, _ = colored_from_complex(hexagon_cycle()[0])
+    sd_tetrahedron, _ = colored_from_complex(boundary_delta(3))
+    return [pytest.param(cp, id=name) for name, cp in (
+        ("hexagon", hexagon_cp), ("octahedron", octa_cp),
+        ("sd_hexagon", sd_hexagon), ("sd_tetrahedron", sd_tetrahedron))]
+
+
+@pytest.mark.parametrize("cp", _oracle_cases())
+def test_enumeration_equals_backtracking_oracle(cp):
+    for subset in proper_subsets(cp.n):
+        found = enumerate_compatible_involutions(cp, subset)
+        assert found == matching_oracle(cp, subset)  # order included
+        assert count_compatible_involutions(cp, subset) == len(found)
+
+
+def test_unbalanced_star_has_no_involution():
+    # two plus simplices and one minus simplex share the color-1 vertex 0;
+    # all four share the color-2 vertex 5
+    cp = SimpleNamespace(n=1, top_count=4, parts=[1, 1, -1, -1],
+                         plus=[0, 1], minus=[2, 3],
+                         by_color=[(0, 5), (0, 5), (0, 5), (4, 5)])
+    assert count_compatible_involutions(cp, mask_of([1])) == 0
+    assert enumerate_compatible_involutions(cp, mask_of([1])) == []
+    assert matching_oracle(cp, mask_of([1])) == []
+    assert count_compatible_involutions(cp, mask_of([2])) == 2
+    assert enumerate_compatible_involutions(cp, mask_of([2])) \
+        == matching_oracle(cp, mask_of([2]))
 
 
 # ---------------------------------------------------------------------------

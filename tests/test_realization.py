@@ -14,11 +14,7 @@ import pytest
 
 from cyclecover import corpus
 from cyclecover.covering import CoverComplex, build_component, build_full
-from cyclecover.errors import (
-    DegreeNotConstantError,
-    MatchingOverflowError,
-    NotWellDefinedError,
-)
+from cyclecover.errors import DegreeNotConstantError, NotWellDefinedError
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
     barycentric_subdivide,
@@ -205,10 +201,9 @@ def test_flag_counts_decompose(octa_cp):
 
 
 def test_predicted_multiplicity_subdivided_tetrahedron(sd3_cp):
-    with pytest.raises(MatchingOverflowError):
-        predicted_multiplicity(sd3_cp)
-    assert predicted_multiplicity(sd3_cp, matching_cap=24) \
-        == 2 * 1296 * 64 * 1296
+    assert predicted_multiplicity(sd3_cp) == 2 * 1296 * 64 * 1296 == 214_990_848
+    sd_octa, _ = colored_from_complex(corpus.octahedron()[0])  # 48 triangles
+    assert predicted_multiplicity(sd_octa) == 2_629_465_015_396_073_472
 
 
 def test_corrupted_images_fail_chain_identity(hex_cp):
