@@ -21,7 +21,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .permutahedron import (
     proper_subsets,
     triangulation_flags,
 )
-from .pseudomanifold import AbstractComplex, orient
+from .pseudomanifold import AbstractComplex, lowest_labels, orient
 
 UNGLUED = -1  # a glue entry naming no partner cell
 
@@ -224,16 +223,14 @@ class Triangulation:
     """Barycentric triangulation of a permutahedral complex.
 
     Vertices of the simplicial complex are face classes; each top simplex is
-    a flag of one cell, recoverable through ``source``.
+    a flag of one cell, and ``cell_of_top[t]`` is the cell of top simplex t
+    of ``complex``.
     """
 
     pc: PermutahedralComplex
     classes: FaceClasses
     complex: AbstractComplex
-    source: dict[tuple[int, ...], tuple[int, tuple[Chain, ...]]]
-
-    def cell_of_top(self, top: tuple[int, ...]) -> int:
-        return self.source[top][0]
+    cell_of_top: np.ndarray
 
 
 def triangulate(pc: PermutahedralComplex,
@@ -245,12 +242,13 @@ def triangulate(pc: PermutahedralComplex,
     ids = np.sort(classes.class_ids[rows].transpose(2, 0, 1), axis=2)
     if (ids[..., 1:] == ids[..., :-1]).any():
         raise InconsistentGluingError("flag vertices collapsed in the quotient")
-    tops = list(map(tuple, ids.reshape(-1, pc.n + 1).tolist()))
-    source = dict(zip(tops, product(range(pc.num_cells), flags)))
-    if len(source) != len(tops):
+    tops = ids.reshape(-1, pc.n + 1)
+    order = np.lexsort(tops.T[::-1])
+    tops = tops[order]
+    if (tops[1:] == tops[:-1]).all(axis=1).any():
         raise InconsistentGluingError("two flags produced the same simplex")
     complex_ = AbstractComplex(pc.n, classes.num_classes, tops)
-    return Triangulation(pc, classes, complex_, source)
+    return Triangulation(pc, classes, complex_, order // len(flags))
 
 
 @dataclass
@@ -263,47 +261,44 @@ class SurfaceReport:
         return not self.bad_edges and not self.bad_vertex_links
 
 
-def verify_surface(tri: Triangulation) -> SurfaceReport:
+def verify_surface(tri: Triangulation | AbstractComplex) -> SurfaceReport:
     """For n = 2: every edge in exactly two triangles and every vertex link
-    a single closed cycle."""
-    if tri.pc.n != 2:
+    a single closed cycle.
+
+    Reads the facet table of the triangulation's complex (or of a bare
+    complex).  Each (triangle, corner) is a node joined to the corners of
+    the same vertex across the two edges at that corner; a vertex's link is
+    one cycle exactly when those edges all lie in two triangles and its
+    corners form one component.
+    """
+    complex_ = tri.complex if isinstance(tri, Triangulation) else tri
+    if complex_.n != 2:
         raise ValueError("surface checks apply to n = 2 only")
+    table = complex_.facet_table
     report = SurfaceReport()
-    link: dict[int, list[tuple[int, int]]] = {}
-    for a, b, c in tri.complex.top_simplices:
-        link.setdefault(a, []).append((b, c))
-        link.setdefault(b, []).append((a, c))
-        link.setdefault(c, []).append((a, b))
-    for facet, cof in tri.complex.facet_cofaces.items():
-        if len(cof) != 2:
-            report.bad_edges.append((facet, len(cof)))
-    for v in range(tri.complex.num_vertices):
-        edges = link.get(v, [])
-        degree: dict[int, int] = {}
-        for a, b in edges:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        if any(d != 2 for d in degree.values()):
-            report.bad_vertex_links.append(v)
-            continue
-        # connectivity of the link graph
-        start = edges[0][0]
-        seen = {start}
-        stack = [start]
-        adj: dict[int, list[int]] = {}
-        for a, b in edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while stack:
-            u = stack.pop()
-            for wv in adj[u]:
-                if wv not in seen:
-                    seen.add(wv)
-                    stack.append(wv)
-        if len(seen) != len(degree):
-            report.bad_vertex_links.append(v)
-    report.bad_edges.sort()
-    report.bad_vertex_links.sort()
+    bad = table.counts != 2
+    report.bad_edges = list(zip(map(tuple, table.facets[bad].tolist()),
+                                table.counts[bad].tolist()))
+
+    tops = np.arange(len(table.tops))
+    corner = np.empty((len(tops), 3, 2), dtype=np.int64)
+    open_corner = np.zeros((len(tops), 3), dtype=bool)
+    for k in range(3):
+        for slot, j in enumerate(x for x in range(3) if x != k):
+            other, dropped = table.neighbor[:, j], table.position[:, j]
+            rank = k - (k > j)  # the corner's place in the shared edge
+            corner[:, k, slot] = np.where(
+                other < 0, 3 * tops + k, 3 * other + rank + (rank >= dropped))
+            open_corner[:, k] |= other < 0
+    label = lowest_labels(corner.reshape(-1, 2))
+    vertex = table.tops.ravel()
+    lowest = np.full(complex_.num_vertices, len(label))
+    highest = np.full(complex_.num_vertices, -1)
+    np.minimum.at(lowest, vertex, label)
+    np.maximum.at(highest, vertex, label)
+    broken = lowest != highest
+    broken[vertex[open_corner.ravel()]] = True
+    report.bad_vertex_links = np.flatnonzero(broken).tolist()
     return report
 
 

@@ -170,7 +170,8 @@ def verify_pipeline(complex, coloring, orientation,
     }
 
     base = build_tomei(n)
-    base_euler = euler_characteristic(base)
+    base_classes = face_classes(base)
+    base_euler = euler_characteristic(base, base_classes)
     claims.check("Tomei base complex built",
                  base.num_cells == 1 << n,
                  f"2^{n} cells, euler characteristic {base_euler}")
@@ -216,7 +217,8 @@ def verify_pipeline(complex, coloring, orientation,
     report["component_cells"] = cover.num_cells
 
     try:
-        covering = verify_covering(cover, base)
+        classes = face_classes(cover.pc)
+        covering = verify_covering(cover, base, classes, base_classes)
         claims.check("projection to the Tomei base is a covering",
                      True, f"degree {covering.degree}")
         report["covering_degree"] = covering.degree
@@ -224,13 +226,12 @@ def verify_pipeline(complex, coloring, orientation,
         claims.check("projection to the Tomei base is a covering", False, str(e))
         return claims, report
 
-    classes = face_classes(cover.pc)
     tri = triangulate(cover.pc, classes)
     tv = validate_pseudomanifold(tri.complex)
     closed = not tv.boundary_faces and not tv.overused_faces
     claims.check("cover triangulation is a closed pseudomanifold in every "
                  "component", closed,
-                 f"{len(tri.complex.top_simplices)} top simplices")
+                 f"{len(tri.complex.tops)} top simplices")
     if not closed:
         return claims, report
 
@@ -357,7 +358,7 @@ def _run_tomei(config: RunConfig) -> int:
     checks = report.ok and is_orientable
     print(f"Tomei n={config.n}: {pc.num_cells} cells, "
           f"face classes {classes.counts_by_codim()}, euler {chi}")
-    print(f"triangulation: {len(tri.complex.top_simplices)} top simplices, "
+    print(f"triangulation: {len(tri.complex.tops)} top simplices, "
           f"{'valid' if report.ok else 'INVALID'}, "
           f"{'orientable' if is_orientable else 'NOT orientable'}")
     if config.n == 2:

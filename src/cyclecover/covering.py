@@ -283,14 +283,16 @@ class CoveringReport:
 
 def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
                            base: PermutahedralComplex,
-                           cover_classes: FaceClasses | None = None) -> CoveringReport:
+                           cover_classes: FaceClasses | None = None,
+                           base_classes: FaceClasses | None = None) -> CoveringReport:
     """Certify that a cell map is a covering of permutahedral complexes.
 
     ``projection[i]`` is the base cell under cover cell i (the permutahedron
     coordinate maps by the identity).  Checks, in order: the projection
     commutes with every facet crossing; fibers over cells are constant with
     integral degree; every face class maps onto a base class of the same
-    size; face class fibers all have that same degree.
+    size; face class fibers all have that same degree.  Face classes
+    already computed for either complex may be handed in.
     """
     if base.n != cover_pc.n:
         raise NotACoveringError("base and cover dimensions differ")
@@ -318,7 +320,7 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
             f"cell fibers are not constant: {dict(Counter(proj.tolist()))}")
 
     cover_cls = cover_classes or face_classes(cover_pc)
-    base_cls = face_classes(base)
+    base_cls = base_classes or face_classes(base)
     # image[cid] is the base class under cover class cid: scatter the image
     # of every (cell, chain), then check each member agrees with its class
     wanted = base_cls.class_ids[:, proj]
@@ -349,7 +351,8 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
 
 def verify_covering(cover: CoverComplex,
                     base: PermutahedralComplex | None = None,
-                    cover_classes: FaceClasses | None = None) -> CoveringReport:
+                    cover_classes: FaceClasses | None = None,
+                    base_classes: FaceClasses | None = None) -> CoveringReport:
     """Certify the parity constraint on the cover cells, then certify that
     forgetting (sigma, tuple) is a covering of the Tomei manifold."""
     cp = cover.cp
@@ -358,4 +361,5 @@ def verify_covering(cover: CoverComplex,
         if not in_cover_set(cp, cell):
             raise NotACoveringError(f"cell {cell} violates the parity constraint")
     projection = [cell.g for cell in cover.cells]
-    return verify_cell_projection(cover.pc, projection, base, cover_classes)
+    return verify_cell_projection(cover.pc, projection, base, cover_classes,
+                                  base_classes)

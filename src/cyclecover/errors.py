@@ -25,11 +25,14 @@ class NonOrientableError(TopologyError):
 
     ``witness`` is a triple (facet, index_a, index_b): the two top simplices
     whose induced orientations on the shared facet cannot be made opposite.
+    ``signs``, when given, are the propagated signs under which the two
+    induce the same sign on that facet.
     """
 
-    def __init__(self, message: str, witness: tuple):
+    def __init__(self, message: str, witness: tuple, signs: list[int] | None = None):
         super().__init__(message)
         self.witness = witness
+        self.signs = signs
 
 
 class InconsistentGluingError(TopologyError):

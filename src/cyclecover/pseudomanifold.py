@@ -1,10 +1,20 @@
 """Closed pseudomanifolds with regularly colored vertices.
 
-A complex is stored by its top simplices only (sorted vertex tuples).  The
-operations here establish the combinatorial backbone used by every other
-module: pseudomanifold validation, barycentric subdivision with its canonical
-coloring by face dimension, the two-coloring of the facet-dual graph, and
-coherent orientation by sign propagation.
+A complex is stored by its top simplices only: ``tops``, a sorted integer
+array with one ascending vertex row per top simplex, and the same rows as
+tuples in ``top_simplices``, built on first use.  The operations here establish the
+combinatorial backbone used by every other module: pseudomanifold
+validation, barycentric subdivision with its canonical coloring by face
+dimension, the two-coloring of the facet-dual graph, and coherent
+orientation by sign propagation.
+
+Adjacency lives in one array table per complex, ``facet_table``: every
+(top, dropped position) pair gets the id of its facet, facets are numbered
+in sorted vertex order by sorting one key per facet, and where a facet lies
+in exactly two top simplices the table names the top across it and the
+position dropped there.  Validation, orientation, the surface check and the
+dual graph all read this table; components come from ``lowest_labels``,
+min-label propagation with pointer jumping.
 
 Conventions.  Vertices are 0-based integers.  Colors are 1-based integers in
 ``{1, ..., n+1}`` and sets of colors are bitmasks with bit ``c - 1`` standing
@@ -20,40 +30,164 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
 
+import numpy as np
+
 Simplex = tuple[int, ...]
 
 
+def lex_order(rows: np.ndarray, bound: int) -> np.ndarray:
+    """Stable lexicographic order of the rows of a nonnegative integer
+    array whose entries are below ``bound``: one mixed-radix key per row
+    when it fits in int64, else a lexsort over the columns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if bound ** rows.shape[1] <= np.iinfo(np.int64).max:
+        key = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            key = key * bound + column
+        return np.argsort(key, kind="stable")
+    return np.lexsort(rows.T[::-1])
+
+
+def lowest_labels(neighbor: np.ndarray, flip: np.ndarray | None = None):
+    """Label every node of a graph by the lowest node of its component.
+
+    ``neighbor[v]`` lists the neighbors of node v, with v itself in an empty
+    slot.  Each round every node adopts the lowest label across its edges,
+    then the label of its label, until nothing moves.  With ``flip`` (one
+    +1/-1 per edge slot) also return each node's sign relative to its label:
+    the product of the flips along a walk from the node to the label.
+    """
+    nodes = np.arange(len(neighbor))
+    label = nodes.copy()
+    sign = np.ones(len(neighbor), dtype=np.int8)
+    while True:
+        seen = label[neighbor]
+        slot = seen.argmin(axis=1)
+        lowest = seen[nodes, slot]
+        moved = lowest < label
+        if flip is not None:
+            across = neighbor[nodes, slot]
+            sign = np.where(moved, flip[nodes, slot] * sign[across], sign)
+        label = np.where(moved, lowest, label)
+        jumped = label[label]
+        if flip is not None:
+            sign = sign * sign[label]
+        if not moved.any() and np.array_equal(jumped, label):
+            break
+        label = jumped
+    return label if flip is None else (label, sign)
+
+
+@dataclass(frozen=True)
+class FacetTable:
+    """Facet adjacency of a complex with T top simplices of n+1 vertices.
+
+    ``facet[t, j]`` is the id of the facet of top t that drops position j;
+    ids follow the sorted order of the facets' vertex rows ``facets``, and
+    ``counts`` holds each facet's number of top cofaces.  Where that count
+    is 2, ``neighbor[t, j]`` is the other top containing the facet and
+    ``position[t, j]`` the position it drops there; elsewhere both are -1.
+    """
+
+    tops: np.ndarray
+    facet: np.ndarray
+    facets: np.ndarray
+    counts: np.ndarray
+    neighbor: np.ndarray
+    position: np.ndarray
+
+
+def group_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a nonnegative integer array (entries
+    below ``bound``) in lexicographic order.  Returns ``(ids, order)``:
+    ``ids[r]`` is the number of row r and ``order`` the stable
+    lexicographic order of the rows."""
+    order = lex_order(rows, bound)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, order
+
+
+def facet_table(tops: np.ndarray, num_vertices: int) -> FacetTable:
+    count, width = tops.shape
+    keep = [[k for k in range(width) if k != j] for j in range(width)]
+    rows = tops[:, keep].reshape(-1, width - 1)  # row t * width + j drops j
+    facet, order = group_rows(rows, num_vertices)
+    counts = np.bincount(facet)
+    facets = np.empty((len(counts), width - 1), dtype=rows.dtype)
+    facets[facet] = rows
+    # the two occurrences of a facet in two tops sit side by side in order
+    pairs = (np.cumsum(counts) - counts)[counts == 2]
+    a, b = order[pairs], order[pairs + 1]
+    neighbor = np.full(len(rows), -1, dtype=np.int64)
+    position = np.full(len(rows), -1, dtype=np.int64)
+    neighbor[a], position[a] = b // width, b % width
+    neighbor[b], position[b] = a // width, a % width
+    shape = (count, width)
+    return FacetTable(tops, facet.reshape(shape), facets, counts,
+                      neighbor.reshape(shape), position.reshape(shape))
+
+
 class AbstractComplex:
-    """A pure n-dimensional simplicial complex given by its top simplices."""
+    """A pure n-dimensional simplicial complex given by its top simplices,
+    as a list of vertex sequences or an integer array with one row each."""
 
     def __init__(self, n: int, num_vertices: int, top_simplices):
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        tops = sorted({tuple(sorted(s)) for s in top_simplices})
-        for s in tops:
-            if len(s) != n + 1 or len(set(s)) != n + 1:
-                raise ValueError(f"top simplex {s} does not have {n + 1} distinct vertices")
-            if s[0] < 0 or s[-1] >= num_vertices:
-                raise ValueError(f"top simplex {s} has a vertex outside range(0, {num_vertices})")
-        if not tops:
+        if isinstance(top_simplices, np.ndarray):
+            rows = top_simplices
+            if rows.ndim != 2 or rows.shape[1] != n + 1 or rows.dtype.kind not in "iu":
+                raise ValueError(f"top simplices must be integer rows of {n + 1} vertices")
+        else:
+            rows = [tuple(sorted(s)) for s in top_simplices]
+            for s in rows:
+                if len(s) != n + 1:
+                    raise ValueError(f"top simplex {s} does not have {n + 1} distinct vertices")
+            try:
+                rows = np.array(rows, dtype=np.int64).reshape(-1, n + 1)
+            except OverflowError:
+                raise ValueError(
+                    f"a top simplex has a vertex outside range(0, {num_vertices})") from None
+        if not len(rows):
             raise ValueError("complex has no top simplices")
+        rows = np.sort(rows.astype(np.int64, copy=False), axis=1)
+
+        def first(bad) -> Simplex:
+            return tuple(rows[np.flatnonzero(bad)[0]].tolist())
+
+        bad = (rows[:, 0] < 0) | (rows[:, -1] >= num_vertices)
+        if bad.any():
+            raise ValueError(f"top simplex {first(bad)} has a vertex outside range(0, {num_vertices})")
+        bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        if bad.any():
+            raise ValueError(f"top simplex {first(bad)} does not have {n + 1} distinct vertices")
+        rows = rows[lex_order(rows, num_vertices)]
+        bad = (rows[1:] == rows[:-1]).all(axis=1)
+        if bad.any():
+            raise ValueError(f"top simplex {first(bad)} is listed more than once")
+        rows.flags.writeable = False
         self.n = n
         self.num_vertices = num_vertices
-        self.top_simplices: tuple[Simplex, ...] = tuple(tops)
+        self.tops = rows
 
     @cached_property
-    def facet_cofaces(self) -> dict[Simplex, tuple[int, ...]]:
-        """Map each (n-1)-face to the indices of its top cofaces."""
-        cofaces: dict[Simplex, list[int]] = {}
-        for i, s in enumerate(self.top_simplices):
-            for j in range(self.n + 1):
-                facet = s[:j] + s[j + 1:]
-                cofaces.setdefault(facet, []).append(i)
-        return {f: tuple(c) for f, c in cofaces.items()}
+    def top_simplices(self) -> tuple[Simplex, ...]:
+        return tuple(map(tuple, self.tops.tolist()))
+
+    @cached_property
+    def facet_table(self) -> FacetTable:
+        return facet_table(self.tops, self.num_vertices)
 
     def dual_edges(self) -> list[tuple[int, int]]:
-        """Pairs of top-simplex indices sharing a facet (facet in exactly 2)."""
-        return [tuple(c) for c in self.facet_cofaces.values() if len(c) == 2]
+        """Pairs (i, j), i < j, of top simplices sharing a facet that lies in
+        exactly those two, ordered by the lower top and its dropped position."""
+        neighbor = self.facet_table.neighbor
+        top, slot = np.nonzero(neighbor > np.arange(len(neighbor))[:, None])
+        return list(zip(top.tolist(), neighbor[top, slot].tolist()))
 
     def all_faces(self) -> list[Simplex]:
         """Every nonempty face, sorted by (dimension, vertex tuple)."""
@@ -97,28 +231,16 @@ class ValidationReport:
 def validate_pseudomanifold(c: AbstractComplex) -> ValidationReport:
     """Check that every (n-1)-face lies in exactly two top simplices and the
     facet-dual graph is connected.  Boundary is a failure, not a warning."""
+    table = c.facet_table
     report = ValidationReport()
-    for facet, cof in c.facet_cofaces.items():
-        if len(cof) == 1:
-            report.boundary_faces.append(facet)
-        elif len(cof) > 2:
-            report.overused_faces.append((facet, len(cof)))
-    report.boundary_faces.sort()
-    report.overused_faces.sort()
-
-    adj: dict[int, list[int]] = {i: [] for i in range(len(c.top_simplices))}
-    for a, b in c.dual_edges():
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    report.connected = len(seen) == len(c.top_simplices)
+    report.boundary_faces = list(map(tuple, table.facets[table.counts == 1].tolist()))
+    over = table.counts > 2
+    report.overused_faces = list(zip(map(tuple, table.facets[over].tolist()),
+                                     table.counts[over].tolist()))
+    # dual graph: a top stands in for its own missing neighbors
+    tops = np.arange(len(table.neighbor))[:, None]
+    report.connected = not lowest_labels(
+        np.where(table.neighbor < 0, tops, table.neighbor)).any()
     return report
 
 
@@ -152,8 +274,6 @@ def barycentric_subdivide(c: AbstractComplex) -> BarycentricSubdivision:
             flag = tuple(face_ids[tuple(sorted(order[:k + 1]))] for k in range(c.n + 1))
             tops.append(tuple(sorted(flag)))
     sd = AbstractComplex(c.n, len(faces), tops)
-    if len(sd.top_simplices) != len(tops):
-        raise AssertionError("flags of distinct simplices must stay distinct")
     return BarycentricSubdivision(sd, coloring, faces, face_ids, c)
 
 
@@ -239,66 +359,50 @@ def _tree_cycle(parent, a, b) -> list[int]:
     return path_a[:-1] + list(reversed(path_b))
 
 
-def induced_facet_sign(simplex: Simplex, sign: int, drop_position: int) -> int:
-    return sign * (-1 if drop_position % 2 else 1)
+def _induced_signs(table: FacetTable, signs: np.ndarray) -> np.ndarray:
+    """``out[t, j]``: the sign top t induces on the facet dropping j."""
+    parity = 1 - 2 * (np.arange(table.tops.shape[1]) % 2)
+    return signs[:, None] * parity
 
 
 def orient(c: AbstractComplex) -> list[int]:
     """Coherent orientation by sign propagation over the dual graph.
 
     Requires a closed pseudomanifold.  Signs are chosen so that the two top
-    simplices at each facet induce opposite signs on it; the simplex of index
-    0 gets +1.  Raises NonOrientableError with the offending facet otherwise.
+    simplices at each facet induce opposite signs on it; the lowest top
+    simplex of each dual component gets +1.  The propagated signs are then
+    checked on every facet; the first facet (in sorted order) on which
+    they agree is the witness of a NonOrientableError.
     """
     from .errors import NonOrientableError
 
-    signs = [0] * len(c.top_simplices)
-    position = {}
-    for facet, cof in c.facet_cofaces.items():
-        if len(cof) != 2:
-            raise ValueError("orient requires every facet in exactly two top simplices")
-    for i, s in enumerate(c.top_simplices):
-        for j in range(c.n + 1):
-            position[(s[:j] + s[j + 1:], i)] = j
-    for start in range(len(c.top_simplices)):
-        if signs[start]:
-            continue
-        signs[start] = 1
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            s = c.top_simplices[i]
-            for j in range(c.n + 1):
-                facet = s[:j] + s[j + 1:]
-                a, b = c.facet_cofaces[facet]
-                other = b if a == i else a
-                needed = -induced_facet_sign(s, signs[i], j)
-                k = position[(facet, other)]
-                wanted = needed * (-1 if k % 2 else 1)
-                if signs[other] == 0:
-                    signs[other] = wanted
-                    queue.append(other)
-                elif signs[other] != wanted:
-                    raise NonOrientableError(
-                        "sign propagation around a dual cycle is inconsistent",
-                        (facet, i, other))
-    return signs
+    table = c.facet_table
+    if (table.counts != 2).any():
+        raise ValueError("orient requires every facet in exactly two top simplices")
+    # opposite induced signs: sign[u] = -(-1)^(j + k) sign[t] across a facet
+    # dropping j in t and k in u
+    flip = -(1 - 2 * ((np.arange(c.n + 1) + table.position) % 2)).astype(np.int8)
+    _, signs = lowest_labels(table.neighbor, flip)
+    induced = _induced_signs(table, signs)
+    agree = induced == induced[table.neighbor, table.position]
+    if agree.any():
+        f = int(table.facet[agree].min())
+        i, other = sorted(np.argwhere(table.facet == f)[:, 0].tolist())
+        raise NonOrientableError(
+            "sign propagation around a dual cycle is inconsistent",
+            (tuple(table.facets[f].tolist()), i, other), signs.tolist())
+    return signs.tolist()
 
 
 def is_coherent_orientation(c: AbstractComplex, signs) -> bool:
     """Check that every facet receives opposite induced signs from its two
     cofaces (i.e. the signed sum of top simplices is a cycle)."""
-    for facet, cof in c.facet_cofaces.items():
-        if len(cof) != 2:
-            return False
-        total = 0
-        for i in cof:
-            s = c.top_simplices[i]
-            j = s.index(*(set(s) - set(facet)))
-            total += induced_facet_sign(s, signs[i], j)
-        if total != 0:
-            return False
-    return True
+    table = c.facet_table
+    signs = np.asarray(signs, dtype=np.int64)
+    if (table.counts != 2).any() or signs.shape != (len(table.tops),):
+        return False
+    induced = _induced_signs(table, signs)
+    return bool((induced + induced[table.neighbor, table.position] == 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +452,8 @@ class ColoredPseudomanifold:
         if missing == 0 or missing & (missing - 1):
             raise ValueError("facet color mask must omit exactly one color")
         drop = self.by_color[i][missing.bit_length() - 1]
-        s = self.complex.top_simplices[i]
-        facet = tuple(v for v in s if v != drop)
-        a, b = self.complex.facet_cofaces[facet]
-        return b if a == i else a
+        j = self.complex.top_simplices[i].index(drop)
+        return int(self.complex.facet_table.neighbor[i, j])
 
 
 def colored_from_complex(complex: AbstractComplex, coloring=None,

@@ -17,7 +17,7 @@ with the degree constant, positive, and realized without cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import numpy as np
@@ -33,7 +33,9 @@ from .pseudomanifold import (
     Simplex,
     barycentric_subdivide,
     face_of_colors,
+    group_rows,
     is_coherent_orientation,
+    lowest_labels,
     orient,
 )
 
@@ -151,13 +153,19 @@ def realization_map(cover: CoverComplex,
     vertex_images = image.tolist()
     image_faces = [sd.faces[v] for v in vertex_images]
 
-    # weak simpliciality: along each flag the images are weakly nested
-    face_sets = [frozenset(f) for f in image_faces]
-    for top in tri.complex.top_simplices:
-        for small, large in zip(top[1:], top):
-            if not face_sets[small] <= face_sets[large]:
-                raise NotWellDefinedError(
-                    f"flag {top} has non-nested image faces")
+    # weak simpliciality: along each flag the images are weakly nested;
+    # each distinct (smaller, larger) pair of image vertices is checked once
+    face_sets = [frozenset(f) for f in sd.faces]
+    tops = tri.complex.tops
+    pairs, pair_of = np.unique(
+        (image[tops[:, 1:]] * len(face_sets) + image[tops[:, :-1]]).ravel(),
+        return_inverse=True)
+    nested = np.array([face_sets[p // len(face_sets)] <= face_sets[p % len(face_sets)]
+                       for p in pairs.tolist()], dtype=bool)
+    if not nested.all():
+        where = int(np.flatnonzero(~nested[pair_of])[0]) // tri.complex.n
+        raise NotWellDefinedError(
+            f"flag {tri.complex.top_simplices[where]} has non-nested image faces")
     return RealizationMap(cover, classes, tri, sd, image_faces, vertex_images)
 
 
@@ -184,76 +192,76 @@ def verify_realization(rmap: RealizationMap,
     """Push the fundamental cycle of K through the map and compare it,
     coefficient by coefficient and component by component, against the
     subdivided fundamental cycle of the base.  ``orientation`` may hand in
-    the coherent orientation of K that ``orient`` already returned."""
-    tri, sd = rmap.tri, rmap.target
-    _, signs = subdivided_cycle(rmap.bundle, sd)
+    the coherent orientation of K that ``orient`` already returned.
+
+    Top simplices of K are whole-array rows: their images, degeneracy and
+    permutation signs are computed at once, and the coefficients and bare
+    counts are summed per (component, image simplex) key.
+    """
+    tri, target = rmap.tri, rmap.target.complex
+    _, signs = subdivided_cycle(rmap.bundle, rmap.target)
     if orientation is None:
         orientation = orient(tri.complex)
+    orientation = np.asarray(orientation, dtype=np.int64)
+    # expected[s]: sign of subdivision top s in the base cycle; the checks
+    # visit the subdivision tops in the cycle's flag order
+    index = {t: k for k, t in enumerate(target.top_simplices)}
+    visit = np.array([index[t] for t in signs])
+    expected = np.empty(len(visit), dtype=np.int64)
+    expected[visit] = list(signs.values())
 
-    component = _cell_components(rmap.cover)
-    num_components = max(component) + 1 if component else 0
-    # coefficients and bare counts per (component, image simplex)
-    coeffs = [dict() for _ in range(num_components)]
-    counts = [dict() for _ in range(num_components)]
-    degenerate = 0
-    for t, top in enumerate(tri.complex.top_simplices):
-        images = [rmap.vertex_images[v] for v in top]
-        if len(set(images)) != len(images):
-            degenerate += 1
-            continue
-        image = tuple(sorted(images))
-        comp = component[tri.cell_of_top(top)]
-        sign = orientation[t] * permutation_sign(images)
-        coeffs[comp][image] = coeffs[comp].get(image, 0) + sign
-        counts[comp][image] = counts[comp].get(image, 0) + 1
+    component = _cell_components(rmap.cover)[tri.cell_of_top]
+    num_components = int(component.max()) + 1
+    images = np.asarray(rmap.vertex_images, dtype=np.int64)[tri.complex.tops]
+    ordered = np.sort(images, axis=1)
+    live = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    degenerate = int(len(live) - live.sum())
+    sign = orientation * permutation_signs(images)
+    simplex = np.full(len(live), -1, dtype=np.int64)
+    simplex[live] = _row_index(target.tops, ordered[live], target.num_vertices)
+    stray = live & (simplex < 0)
 
-    component_degrees = []
-    flip = []
-    for comp in range(num_components):
-        degree = None
-        for image, expected_sign in signs.items():
-            c = coeffs[comp].get(image, 0)
-            value = c * expected_sign
-            if degree is None:
-                degree = value
-            if value != degree:
-                raise DegreeNotConstantError(
-                    f"component {comp} hits {image} with coefficient {c}, "
-                    f"expected {degree * expected_sign}",
-                    witness=(comp, image, c))
-            if abs(c) != counts[comp].get(image, 0):
-                raise DegreeNotConstantError(
-                    f"component {comp} has cancelling flags over {image}",
-                    witness=(comp, image, c))
-        if coeffs[comp].keys() - signs.keys():
-            stray = next(iter(coeffs[comp].keys() - signs.keys()))
-            raise DegreeNotConstantError(
-                f"component {comp} maps onto {stray}, not a subdivision simplex",
-                witness=(comp, stray, coeffs[comp][stray]))
-        if degree == 0:
-            raise DegreeNotConstantError(
-                f"component {comp} pushes forward to zero",
-                witness=(comp, None, 0))
-        flip.append(-1 if degree < 0 else 1)
-        component_degrees.append(abs(degree))
+    # coefficients and bare counts per (component, image simplex) key
+    hit = live & ~stray
+    keys, inverse = np.unique(component[hit] * len(visit) + simplex[hit],
+                              return_inverse=True)
+    coeffs = np.bincount(inverse, weights=sign[hit]).astype(np.int64)
+    counts = np.bincount(inverse)
+    key_comp, key_simplex = np.divmod(keys, len(visit))
 
-    normalized = [orientation[t] * flip[component[tri.cell_of_top(top)]]
-                  for t, top in enumerate(tri.complex.top_simplices)]
+    # each component's degree is its value on the first visited simplex
+    at_first = key_simplex == visit[0]
+    degree = np.bincount(key_comp[at_first], weights=coeffs[at_first],
+                         minlength=num_components).astype(np.int64)
+    degree *= expected[visit[0]]
+    values = coeffs * expected[key_simplex]
+    wrong = (values != degree[key_comp]) | (np.abs(coeffs) != counts)
+    failed = np.bincount(key_comp[wrong], minlength=num_components) > 0
+    missed = np.bincount(key_comp, minlength=num_components) < len(visit)
+    failed |= missed & (degree != 0)
+    failed |= np.bincount(component[stray], minlength=num_components) > 0
+    failed |= degree == 0
+    if failed.any():
+        comp = int(np.flatnonzero(failed)[0])
+        _raise_component_failure(comp, keys, coeffs, counts, expected, visit,
+                                 target, ordered[stray & (component == comp)],
+                                 sign[stray & (component == comp)])
+
+    flip = np.where(degree < 0, -1, 1)
+    component_degrees = np.abs(degree).tolist()
     total = sum(component_degrees)
 
     # the chain identity, restated globally with the normalized orientation
-    pushed: dict[Simplex, int] = {}
-    for comp in range(num_components):
-        for image, c in coeffs[comp].items():
-            pushed[image] = pushed.get(image, 0) + c * flip[comp]
-    if pushed != {image: total * sign for image, sign in signs.items()}:
+    pushed = np.bincount(key_simplex, weights=coeffs * flip[key_comp],
+                         minlength=len(visit))
+    if not np.array_equal(pushed, total * expected):
         raise DegreeNotConstantError("chain identity failed after normalization",
                                      witness=None)
 
-    image_counts: dict[Simplex, int] = {}
-    for comp in range(num_components):
-        for image, k in counts[comp].items():
-            image_counts[image] = image_counts.get(image, 0) + k
+    covered = np.bincount(key_simplex, weights=counts,
+                          minlength=len(visit)).astype(np.int64)
+    image_counts = {target.top_simplices[s]: k
+                    for s, k in enumerate(covered.tolist()) if k}
     if set(image_counts.values()) != ({total} if image_counts else set()):
         raise DegreeNotConstantError("preimage counts are not constant",
                                      witness=None)
@@ -261,28 +269,69 @@ def verify_realization(rmap: RealizationMap,
     return RealizationReport(
         degree=total,
         component_degrees=component_degrees,
-        orientation=normalized,
+        orientation=(orientation * flip[component]).tolist(),
         degenerate_flags=degenerate,
-        nondegenerate_flags=len(tri.complex.top_simplices) - degenerate,
+        nondegenerate_flags=len(tri.complex.tops) - degenerate,
         image_counts=image_counts,
     )
 
 
-def _cell_components(cover: CoverComplex) -> list[int]:
-    """Connected component index of each cover cell, in first-seen order.
+def _raise_component_failure(comp, keys, coeffs, counts, expected, visit,
+                             target, stray_images, stray_signs):
+    """Raise the first failure of one component, checked in the order of
+    the per-simplex loop: every visited simplex (coefficient, then
+    cancellation), then images outside the subdivision, then degree zero."""
+    size = len(visit)
+    mine = keys // size == comp
+    coeff = np.zeros(size, dtype=np.int64)
+    count = np.zeros(size, dtype=np.int64)
+    coeff[keys[mine] % size] = coeffs[mine]
+    count[keys[mine] % size] = counts[mine]
+    values = coeff * expected
+    degree = int(values[visit[0]])
+    for s in visit.tolist():
+        image, c = target.top_simplices[s], int(coeff[s])
+        if values[s] != degree:
+            raise DegreeNotConstantError(
+                f"component {comp} hits {image} with coefficient {c}, "
+                f"expected {degree * int(expected[s])}",
+                witness=(comp, image, c))
+        if abs(c) != count[s]:
+            raise DegreeNotConstantError(
+                f"component {comp} has cancelling flags over {image}",
+                witness=(comp, image, c))
+    if len(stray_images):
+        stray = min(map(tuple, stray_images.tolist()))
+        c = int(stray_signs[(stray_images == stray).all(axis=1)].sum())
+        raise DegreeNotConstantError(
+            f"component {comp} maps onto {stray}, not a subdivision simplex",
+            witness=(comp, stray, c))
+    raise DegreeNotConstantError(
+        f"component {comp} pushes forward to zero",
+        witness=(comp, None, 0))
 
-    Every cell takes the least label among itself and its neighbors, then
-    the label of its label, until nothing moves; each cell is then labelled
-    by the lowest cell of its component."""
-    glue = cover.pc.glue
-    label = np.arange(cover.num_cells)
-    while True:
-        lowest = np.minimum(label, label[glue].min(axis=1))
-        lowest = lowest[lowest]
-        if np.array_equal(lowest, label):
-            break
-        label = lowest
-    return np.unique(label, return_inverse=True)[1].tolist()
+
+def permutation_signs(rows: np.ndarray) -> np.ndarray:
+    """Sign of the permutation sorting each row of distinct integers, from
+    the parity of its inversions over all column pairs."""
+    inversions = np.zeros(len(rows), dtype=np.int64)
+    for i, j in combinations(range(rows.shape[1]), 2):
+        inversions += rows[:, i] > rows[:, j]
+    return 1 - 2 * (inversions % 2)
+
+
+def _row_index(table: np.ndarray, rows: np.ndarray, bound: int) -> np.ndarray:
+    """Index of each row in a table of distinct rows, -1 where absent."""
+    ids, _ = group_rows(np.concatenate([table, rows]), bound)
+    where = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+    where[ids[:len(table)]] = np.arange(len(table))
+    return where[ids[len(table):]]
+
+
+def _cell_components(cover: CoverComplex) -> np.ndarray:
+    """Connected component index of each cover cell, numbered in the order
+    of the components' lowest cells."""
+    return np.unique(lowest_labels(cover.pc.glue), return_inverse=True)[1]
 
 
 def predicted_multiplicity(bundle: ColoredPseudomanifold) -> int:

@@ -1,14 +1,18 @@
-"""The dict-backed gluing code that the array tables replaced, kept as the
-oracle for them.
+"""The dict-backed code that the array tables replaced, kept as the oracle
+for them.
 
 Glue is a dict keyed by (cell, subset mask); face classes are found by
 breadth-first search over it; cover builds call ``cross_facet`` for every
-cell and facet, with no memo of the tuple transitions.
+cell and facet, with no memo of the tuple transitions.  Simplicial
+complexes are validated, oriented and surface-checked through a dict from
+facet tuple to coface indices with breadth-first search, and the
+pushforward is summed top by top into dicts.
 """
 
 from collections import deque
 from itertools import product
 
+from cyclecover.cells import SurfaceReport
 from cyclecover.covering import (
     CoverCell,
     InvolutionRegistry,
@@ -16,8 +20,15 @@ from cyclecover.covering import (
     in_cover_set,
     seed_cell,
 )
+from cyclecover.errors import DegreeNotConstantError, NonOrientableError
 from cyclecover.involutions import enumerate_compatible_involutions
 from cyclecover.permutahedron import enumerate_faces
+from cyclecover.pseudomanifold import ValidationReport
+from cyclecover.realization import (
+    RealizationReport,
+    permutation_sign,
+    subdivided_cycle,
+)
 
 
 def glue_dict(pc) -> dict:
@@ -109,3 +120,227 @@ def build_full(cp):
     glue = {(i, w): index[cross_facet(reg, cell, w)]
             for i, cell in enumerate(cells) for w in reg.subsets}
     return cells, glue
+
+
+# ---------------------------------------------------------------------------
+# the dict/BFS certification of simplicial complexes that the facet table
+# replaced: adjacency as a dict from facet tuple to coface indices
+
+def facet_cofaces(c) -> dict:
+    """Map each (n-1)-face to the indices of its top cofaces."""
+    cofaces: dict = {}
+    for i, s in enumerate(c.top_simplices):
+        for j in range(c.n + 1):
+            cofaces.setdefault(s[:j] + s[j + 1:], []).append(i)
+    return {f: tuple(cof) for f, cof in cofaces.items()}
+
+
+def dual_edges(c) -> list:
+    return [cof for cof in facet_cofaces(c).values() if len(cof) == 2]
+
+
+def validate_pseudomanifold(c) -> ValidationReport:
+    report = ValidationReport()
+    for facet, cof in facet_cofaces(c).items():
+        if len(cof) == 1:
+            report.boundary_faces.append(facet)
+        elif len(cof) > 2:
+            report.overused_faces.append((facet, len(cof)))
+    report.boundary_faces.sort()
+    report.overused_faces.sort()
+    adj: dict = {i: [] for i in range(len(c.top_simplices))}
+    for a, b in dual_edges(c):
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for j in adj[queue.popleft()]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    report.connected = len(seen) == len(c.top_simplices)
+    return report
+
+
+def induced_facet_sign(sign: int, drop_position: int) -> int:
+    return sign * (-1 if drop_position % 2 else 1)
+
+
+def orient(c) -> list:
+    """Breadth-first sign propagation, +1 on the lowest top of each
+    component; NonOrientableError at the first inconsistent facet met."""
+    cofaces = facet_cofaces(c)
+    if any(len(cof) != 2 for cof in cofaces.values()):
+        raise ValueError("orient requires every facet in exactly two top simplices")
+    position = {(s[:j] + s[j + 1:], i): j
+                for i, s in enumerate(c.top_simplices) for j in range(c.n + 1)}
+    signs = [0] * len(c.top_simplices)
+    for start in range(len(c.top_simplices)):
+        if signs[start]:
+            continue
+        signs[start] = 1
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            s = c.top_simplices[i]
+            for j in range(c.n + 1):
+                facet = s[:j] + s[j + 1:]
+                a, b = cofaces[facet]
+                other = b if a == i else a
+                wanted = induced_facet_sign(-induced_facet_sign(signs[i], j),
+                                            position[(facet, other)])
+                if signs[other] == 0:
+                    signs[other] = wanted
+                    queue.append(other)
+                elif signs[other] != wanted:
+                    raise NonOrientableError(
+                        "sign propagation around a dual cycle is inconsistent",
+                        (facet, i, other))
+    return signs
+
+
+def is_coherent_orientation(c, signs) -> bool:
+    for facet, cof in facet_cofaces(c).items():
+        if len(cof) != 2:
+            return False
+        total = 0
+        for i in cof:
+            s = c.top_simplices[i]
+            total += induced_facet_sign(signs[i], s.index(*(set(s) - set(facet))))
+        if total != 0:
+            return False
+    return True
+
+
+def verify_surface(complex_) -> SurfaceReport:
+    """Edges in two triangles; every vertex link one cycle, by degree count
+    and depth-first search over the link graph."""
+    report = SurfaceReport()
+    link: dict = {}
+    for a, b, c in complex_.top_simplices:
+        link.setdefault(a, []).append((b, c))
+        link.setdefault(b, []).append((a, c))
+        link.setdefault(c, []).append((a, b))
+    for facet, cof in facet_cofaces(complex_).items():
+        if len(cof) != 2:
+            report.bad_edges.append((facet, len(cof)))
+    for v in range(complex_.num_vertices):
+        edges = link.get(v, [])
+        degree: dict = {}
+        adj: dict = {}
+        for a, b in edges:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        if not edges or any(d != 2 for d in degree.values()):
+            report.bad_vertex_links.append(v)
+            continue
+        seen = {edges[0][0]}
+        stack = [edges[0][0]]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != len(degree):
+            report.bad_vertex_links.append(v)
+    report.bad_edges.sort()
+    return report
+
+
+def cell_components(pc) -> list:
+    """Component of each cell, numbered by lowest cell, by breadth-first
+    search over the glue table."""
+    component = [-1] * pc.num_cells
+    glue = pc.glue.tolist()
+    count = 0
+    for start in range(pc.num_cells):
+        if component[start] >= 0:
+            continue
+        component[start] = count
+        queue = deque([start])
+        while queue:
+            for j in glue[queue.popleft()]:
+                if component[j] < 0:
+                    component[j] = count
+                    queue.append(j)
+        count += 1
+    return component
+
+
+def verify_realization(rmap, orientation=None) -> RealizationReport:
+    """Per-top Python loop: coefficient and count dicts per (component,
+    image simplex), compared against the subdivided base cycle."""
+    tri, sd = rmap.tri, rmap.target
+    _, signs = subdivided_cycle(rmap.bundle, sd)
+    if orientation is None:
+        orientation = orient(tri.complex)
+    cell_of = tri.cell_of_top.tolist()
+    component = cell_components(rmap.cover.pc)
+    num_components = max(component) + 1
+    coeffs = [dict() for _ in range(num_components)]
+    counts = [dict() for _ in range(num_components)]
+    degenerate = 0
+    for t, top in enumerate(tri.complex.top_simplices):
+        images = [rmap.vertex_images[v] for v in top]
+        if len(set(images)) != len(images):
+            degenerate += 1
+            continue
+        image = tuple(sorted(images))
+        comp = component[cell_of[t]]
+        sign = orientation[t] * permutation_sign(images)
+        coeffs[comp][image] = coeffs[comp].get(image, 0) + sign
+        counts[comp][image] = counts[comp].get(image, 0) + 1
+
+    component_degrees, flip = [], []
+    for comp in range(num_components):
+        degree = None
+        for image, expected_sign in signs.items():
+            c = coeffs[comp].get(image, 0)
+            value = c * expected_sign
+            if degree is None:
+                degree = value
+            if value != degree:
+                raise DegreeNotConstantError(
+                    f"component {comp} hits {image} with coefficient {c}, "
+                    f"expected {degree * expected_sign}",
+                    witness=(comp, image, c))
+            if abs(c) != counts[comp].get(image, 0):
+                raise DegreeNotConstantError(
+                    f"component {comp} has cancelling flags over {image}",
+                    witness=(comp, image, c))
+        stray = sorted(coeffs[comp].keys() - signs.keys())
+        if stray:
+            raise DegreeNotConstantError(
+                f"component {comp} maps onto {stray[0]}, not a subdivision simplex",
+                witness=(comp, stray[0], coeffs[comp][stray[0]]))
+        if degree == 0:
+            raise DegreeNotConstantError(
+                f"component {comp} pushes forward to zero", witness=(comp, None, 0))
+        flip.append(-1 if degree < 0 else 1)
+        component_degrees.append(abs(degree))
+
+    total = sum(component_degrees)
+    pushed: dict = {}
+    image_counts: dict = {}
+    for comp in range(num_components):
+        for image, c in coeffs[comp].items():
+            pushed[image] = pushed.get(image, 0) + c * flip[comp]
+            image_counts[image] = image_counts.get(image, 0) + counts[comp][image]
+    if pushed != {image: total * sign for image, sign in signs.items()}:
+        raise DegreeNotConstantError("chain identity failed after normalization",
+                                     witness=None)
+    if set(image_counts.values()) != {total}:
+        raise DegreeNotConstantError("preimage counts are not constant",
+                                     witness=None)
+    return RealizationReport(
+        degree=total,
+        component_degrees=component_degrees,
+        orientation=[orientation[t] * flip[component[cell_of[t]]]
+                     for t in range(len(cell_of))],
+        degenerate_flags=degenerate,
+        nondegenerate_flags=len(cell_of) - degenerate,
+        image_counts=image_counts,
+    )

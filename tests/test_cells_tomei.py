@@ -13,7 +13,12 @@ from cyclecover.cells import (
     verify_surface,
 )
 from cyclecover.errors import InconsistentGluingError
-from cyclecover.permutahedron import face_counts, mask_of, proper_subsets
+from cyclecover.permutahedron import (
+    face_counts,
+    mask_of,
+    proper_subsets,
+    triangulation_flags,
+)
 from cyclecover.pseudomanifold import orient, validate_pseudomanifold
 from cyclecover.tomei import build_tomei, size_generator
 
@@ -122,12 +127,16 @@ def test_triangulation_size_and_validity(n, tops):
 def test_triangulation_source_roundtrip():
     pc = build_tomei(2)
     tri = triangulate(pc)
-    for top in tri.complex.top_simplices:
-        cell, flag = tri.source[top]
-        ids = tuple(sorted(int(tri.classes.class_ids[tri.classes.row_of[c], cell])
+    classes = tri.classes
+    flags = set(triangulation_flags(2))
+    assert len(tri.cell_of_top) == len(tri.complex.top_simplices)
+    for top, cell in zip(tri.complex.top_simplices, tri.cell_of_top.tolist()):
+        flag = tuple(sorted((classes.chain_of_class[v] for v in top), key=len))
+        assert flag in flags
+        ids = tuple(sorted(int(classes.class_ids[classes.row_of[c], cell])
                            for c in flag))
         assert ids == top
-    cells_hit = Counter(tri.cell_of_top(t) for t in tri.complex.top_simplices)
+    cells_hit = Counter(tri.cell_of_top.tolist())
     assert all(cells_hit[g] == 12 for g in range(4))
 
 

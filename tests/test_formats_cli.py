@@ -232,6 +232,20 @@ def test_missing_and_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_top_simplex_exits_two(tmp_path, capsys):
+    # the octahedron with its first triangle listed again: once deduplicated
+    # silently, so the document passed verify
+    c, colors = corpus.octahedron()
+    doc = formats.complex_to_dict(c, colors)
+    doc["simplices"].append(list(reversed(doc["simplices"][0])))
+    path = tmp_path / "repeated.json"
+    formats.write_json(doc, path)
+    for mode in ("validate", "verify"):
+        assert main([mode, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: top simplex (0, 2, 4) is listed more than once\n"
+
+
 def test_bad_env_value_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REALIZER_MAX_CELLS", "many")
     assert main(["verify", "--input", hexagon_path()]) == 2
@@ -362,13 +376,15 @@ def test_report_reuses_base_pools_and_cover_orientation(tmp_path, monkeypatch,
 
     for module in ("cli", "covering", "cells", "realization", "pseudomanifold"):
         module = getattr(cyclecover, module)
-        for name in ("build_tomei", "enumerate_compatible_involutions", "orient"):
+        for name in ("build_tomei", "enumerate_compatible_involutions", "orient",
+                     "face_classes"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, count(name, getattr(module, name)))
     assert main(["report", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--out", str(tmp_path / "report.json")]) == 0
+    # face classes: once for the Tomei base, once for the cover
     assert calls == {"build_tomei": 1, "enumerate_compatible_involutions": 6,
-                     "orient": 1}
+                     "orient": 1, "face_classes": 2}
     capsys.readouterr()
 
 
