@@ -14,7 +14,7 @@ in sorted vertex order by sorting one key per facet, and where a facet lies
 in exactly two top simplices the table names the top across it and the
 position dropped there.  Validation, orientation, the surface check and the
 dual graph all read this table; components come from ``lowest_labels``,
-min-label propagation with pointer jumping.
+which hooks trees under their lowest neighbors and shortcuts pointers.
 
 Conventions.  Vertices are 0-based integers.  Colors are 1-based integers in
 ``{1, ..., n+1}`` and sets of colors are bitmasks with bit ``c - 1`` standing
@@ -35,7 +35,7 @@ import numpy as np
 Simplex = tuple[int, ...]
 
 
-def lex_order(rows: np.ndarray, bound: int) -> np.ndarray:
+def _lex_order(rows: np.ndarray, bound: int) -> np.ndarray:
     """Stable lexicographic order of the rows of a nonnegative integer
     array whose entries are below ``bound``: one mixed-radix key per row
     when it fits in int64, else a lexsort over the columns."""
@@ -52,30 +52,40 @@ def lowest_labels(neighbor: np.ndarray, flip: np.ndarray | None = None):
     """Label every node of a graph by the lowest node of its component.
 
     ``neighbor[v]`` lists the neighbors of node v, with v itself in an empty
-    slot.  Each round every node adopts the lowest label across its edges,
-    then the label of its label, until nothing moves.  With ``flip`` (one
+    slot.  Nodes hang in trees by parent pointers, each rooted at its lowest
+    node.  Every round shortcuts each pointer to its root, then hooks every
+    root that has an edge to a tree with a lower root under the lowest such
+    root, until no edge joins two trees.  A root that does not hook in one
+    round is hooked under in the next, so the number of trees halves at
+    least every two rounds, whatever the numbering.  With ``flip`` (one
     +1/-1 per edge slot) also return each node's sign relative to its label:
     the product of the flips along a walk from the node to the label.
     """
-    nodes = np.arange(len(neighbor))
-    label = nodes.copy()
-    sign = np.ones(len(neighbor), dtype=np.int8)
+    count, width = neighbor.shape
+    node = np.repeat(np.arange(count), width)
+    across = neighbor.ravel()
+    flips = np.ones(len(across), dtype=np.int8) if flip is None else flip.ravel()
+    parent = np.arange(count)
+    sign = np.ones(count, dtype=np.int8)
+    none = np.iinfo(np.int64).max
     while True:
-        seen = label[neighbor]
-        slot = seen.argmin(axis=1)
-        lowest = seen[nodes, slot]
-        moved = lowest < label
-        if flip is not None:
-            across = neighbor[nodes, slot]
-            sign = np.where(moved, flip[nodes, slot] * sign[across], sign)
-        label = np.where(moved, lowest, label)
-        jumped = label[label]
-        if flip is not None:
-            sign = sign * sign[label]
-        if not moved.any() and np.array_equal(jumped, label):
-            break
-        label = jumped
-    return label if flip is None else (label, sign)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            sign = sign * sign[parent]
+            parent = grand
+        root, other = parent[node], parent[across]
+        joins = np.flatnonzero(other < root)
+        if not len(joins):
+            return parent if flip is None else (parent, sign)
+        # per root, the lowest other root, then the lowest edge slot
+        best = np.full(count, none)
+        np.minimum.at(best, root[joins], other[joins] * len(across) + joins)
+        hooked = np.flatnonzero(best < none)
+        slot = best[hooked] % len(across)
+        sign[hooked] = sign[node[slot]] * flips[slot] * sign[across[slot]]
+        parent[hooked] = other[slot]
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ def group_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     below ``bound``) in lexicographic order.  Returns ``(ids, order)``:
     ``ids[r]`` is the number of row r and ``order`` the stable
     lexicographic order of the rows."""
-    order = lex_order(rows, bound)
+    order = _lex_order(rows, bound)
     ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -112,6 +122,7 @@ def group_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def facet_table(tops: np.ndarray, num_vertices: int) -> FacetTable:
+    """The facet table of top simplices given as ascending vertex rows."""
     count, width = tops.shape
     keep = [[k for k in range(width) if k != j] for j in range(width)]
     rows = tops[:, keep].reshape(-1, width - 1)  # row t * width + j drops j
@@ -165,7 +176,7 @@ class AbstractComplex:
         bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         if bad.any():
             raise ValueError(f"top simplex {first(bad)} does not have {n + 1} distinct vertices")
-        rows = rows[lex_order(rows, num_vertices)]
+        rows = rows[_lex_order(rows, num_vertices)]
         bad = (rows[1:] == rows[:-1]).all(axis=1)
         if bad.any():
             raise ValueError(f"top simplex {first(bad)} is listed more than once")

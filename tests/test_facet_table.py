@@ -9,6 +9,7 @@ complexes.  A vertex pinched between two octahedra is the one surface
 failure reported.
 """
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,25 @@ def test_lowest_labels_on_a_path():
                     dtype=np.int8)
     _, sign = lowest_labels(neighbor, flip)
     assert sign.tolist() == [1, 1, 1, -1, 1, 1]
+
+
+def test_lowest_labels_on_a_randomly_numbered_path():
+    # moving labels one hop per round takes about as many rounds as the path
+    # is long when the numbering is random; hooking roots takes a few dozen
+    rng = np.random.default_rng(7)
+    count = 50_000
+    order = rng.permutation(count)
+    neighbor = np.repeat(np.arange(count)[:, None], 2, axis=1)
+    neighbor[order[1:], 0] = order[:-1]
+    neighbor[order[:-1], 1] = order[1:]
+    flip = rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, 2))
+    flip[order[1:], 0] = flip[order[:-1], 1]
+    start = time.perf_counter()
+    label, sign = lowest_labels(neighbor, flip)
+    assert time.perf_counter() - start < 10
+    assert not label.any()
+    assert sign[0] == 1
+    assert (sign[order[1:]] == flip[order[:-1], 1] * sign[order[:-1]]).all()
 
 
 def test_repeated_top_simplex_rejected():
