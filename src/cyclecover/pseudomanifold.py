@@ -2,11 +2,11 @@
 
 A complex is stored by its top simplices only: ``tops``, a sorted integer
 array with one ascending vertex row per top simplex, and the same rows as
-tuples in ``top_simplices``, built on first use.  The operations here establish the
-combinatorial backbone used by every other module: pseudomanifold
-validation, barycentric subdivision with its canonical coloring by face
-dimension, the two-coloring of the facet-dual graph, and coherent
-orientation by sign propagation.
+tuples in ``top_simplices``, built on first use.  The operations here
+establish the combinatorial backbone used by every other module:
+pseudomanifold validation, barycentric subdivision with its canonical
+coloring by face dimension, the two-coloring of the facet-dual graph, and
+coherent orientation by sign propagation.
 
 Adjacency lives in one array table per complex, ``facet_table``: every
 (top, dropped position) pair gets the id of its facet, facets are numbered

@@ -168,14 +168,8 @@ def test_neighbor_across_equals_oracle():
                                   "suspended10 component"])
 def test_pushforward_equals_oracle(cover_maps, name):
     rmap = cover_maps[name]
-    got = verify_realization(rmap)
-    want = dict_oracle.verify_realization(rmap)
-    assert got == want
-    assert got.degree == want.degree
-    assert got.component_degrees == want.component_degrees
-    assert got.orientation == want.orientation
-    assert got.degenerate_flags == want.degenerate_flags
-    assert got.image_counts == want.image_counts
+    # degree, component degrees, orientation, flag counts and image_counts
+    assert verify_realization(rmap) == dict_oracle.verify_realization(rmap)
 
 
 def test_corrupted_pushforward_fails_like_oracle():
