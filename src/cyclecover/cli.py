@@ -396,7 +396,7 @@ def _run_cover(config: RunConfig) -> int:
 
 def _run_homology(config: RunConfig) -> int:
     complex, _, _ = _load(config)
-    groups = homology(complex)
+    groups = homology(complex, max_entries=config.max_cells)
     for k, g in enumerate(groups):
         print(f"H_{k} = {g}")
     if config.out:
@@ -451,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify realization of cycles by covers of Tomei manifolds")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def add_common(p, needs_input=True):
+    def add_common(p, needs_input=True, cap="cell cap"):
         if needs_input:
             p.add_argument("--input", "-i", required=True,
                            help="input complex JSON")
         p.add_argument("--out", "-o", help="output JSON path")
         p.add_argument("--max-cells", type=int, default=None,
-                       help=f"cell cap (default {MAX_CELLS_ENV} or "
+                       help=f"{cap} (default {MAX_CELLS_ENV} or "
                             f"{DEFAULT_MAX_CELLS})")
 
     add_common(sub.add_parser("validate", help="pseudomanifold checks"))
@@ -472,7 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the full cover set instead of one component")
     cover.add_argument("--cells-out",
                        help="triangulated complex JSON path")
-    add_common(sub.add_parser("homology", help="integral homology groups"))
+    add_common(sub.add_parser("homology", help="integral homology groups"),
+               cap="cap on the entries of the largest dense matrix, the "
+                   "square of the largest number of faces of one dimension, "
+                   "checked before any is allocated")
     add_common(sub.add_parser("verify", help="run the whole verification chain"))
     add_common(sub.add_parser("report", help="verify and write JSON + text reports"))
     return parser

@@ -13,8 +13,9 @@ Adjacency lives in one array table per complex, ``facet_table``: every
 in sorted vertex order by sorting one key per facet, and where a facet lies
 in exactly two top simplices the table names the top across it and the
 position dropped there.  Validation, orientation, the surface check and the
-dual graph all read this table; components come from ``lowest_labels``,
-which hooks trees under their lowest neighbors and shortcuts pointers.
+dual graph all read this table; components and orientation signs come
+from one run of ``lowest_labels`` per table, which hooks trees under their
+lowest neighbors and shortcuts pointers.
 
 Conventions.  Vertices are 0-based integers.  Colors are 1-based integers in
 ``{1, ..., n+1}`` and sets of colors are bitmasks with bit ``c - 1`` standing
@@ -106,6 +107,22 @@ class FacetTable:
     neighbor: np.ndarray
     position: np.ndarray
 
+    @cached_property
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """``lowest_labels`` over the dual graph, run once per table: the
+        lowest top of each top's component, and its sign relative to that
+        top under the rule that the two tops at a facet induce opposite
+        signs on it.  A top stands in for its own missing neighbors; the
+        signs mean an orientation only where every facet is two-sided."""
+        # across a facet dropping j in t and k in u:
+        # sign[u] = -(-1)^(j + k) sign[t]
+        flip = -(1 - 2 * ((np.arange(self.tops.shape[1]) + self.position) % 2))
+        tops = np.arange(len(self.neighbor))[:, None]
+        label, sign = lowest_labels(
+            np.where(self.neighbor < 0, tops, self.neighbor), flip.astype(np.int8))
+        label.flags.writeable = sign.flags.writeable = False
+        return label, sign
+
 
 def group_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of a nonnegative integer array (entries
@@ -193,6 +210,11 @@ class AbstractComplex:
     def facet_table(self) -> FacetTable:
         return facet_table(self.tops, self.num_vertices)
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The report of ``validate_pseudomanifold``, computed once."""
+        return _validate(self)
+
     def dual_edges(self) -> list[tuple[int, int]]:
         """Pairs (i, j), i < j, of top simplices sharing a facet that lies in
         exactly those two, ordered by the lower top and its dropped position."""
@@ -241,17 +263,20 @@ class ValidationReport:
 
 def validate_pseudomanifold(c: AbstractComplex) -> ValidationReport:
     """Check that every (n-1)-face lies in exactly two top simplices and the
-    facet-dual graph is connected.  Boundary is a failure, not a warning."""
+    facet-dual graph is connected.  Boundary is a failure, not a warning.
+    The complex is immutable, so the report is made once per complex and
+    the same report is returned to every later call."""
+    return c.validation
+
+
+def _validate(c: AbstractComplex) -> ValidationReport:
     table = c.facet_table
     report = ValidationReport()
     report.boundary_faces = list(map(tuple, table.facets[table.counts == 1].tolist()))
     over = table.counts > 2
     report.overused_faces = list(zip(map(tuple, table.facets[over].tolist()),
                                      table.counts[over].tolist()))
-    # dual graph: a top stands in for its own missing neighbors
-    tops = np.arange(len(table.neighbor))[:, None]
-    report.connected = not lowest_labels(
-        np.where(table.neighbor < 0, tops, table.neighbor)).any()
+    report.connected = not table.labels[0].any()
     return report
 
 
@@ -390,10 +415,7 @@ def orient(c: AbstractComplex) -> list[int]:
     table = c.facet_table
     if (table.counts != 2).any():
         raise ValueError("orient requires every facet in exactly two top simplices")
-    # opposite induced signs: sign[u] = -(-1)^(j + k) sign[t] across a facet
-    # dropping j in t and k in u
-    flip = -(1 - 2 * ((np.arange(c.n + 1) + table.position) % 2)).astype(np.int8)
-    _, signs = lowest_labels(table.neighbor, flip)
+    _, signs = table.labels
     induced = _induced_signs(table, signs)
     agree = induced == induced[table.neighbor, table.position]
     if agree.any():

@@ -6,7 +6,9 @@ breadth-first search over it; cover builds call ``cross_facet`` for every
 cell and facet, with no memo of the tuple transitions.  Simplicial
 complexes are validated, oriented and surface-checked through a dict from
 facet tuple to coface indices with breadth-first search, and the
-pushforward is summed top by top into dicts.
+pushforward is summed top by top into dicts.  Homology reduces object
+arrays of Python integers entry by entry, on boundary matrices filled
+through a dict from face tuple to index.
 """
 
 from collections import deque
@@ -20,6 +22,8 @@ from cyclecover.covering import (
     in_cover_set,
     seed_cell,
 )
+import numpy as np
+
 from cyclecover.errors import DegreeNotConstantError, NonOrientableError
 from cyclecover.involutions import enumerate_compatible_involutions
 from cyclecover.permutahedron import enumerate_faces
@@ -344,3 +348,101 @@ def verify_realization(rmap, orientation=None) -> RealizationReport:
         nondegenerate_flags=len(cell_of) - degenerate,
         image_counts=image_counts,
     )
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form over numpy object arrays, one entry at a time, and
+# boundary matrices through a dict per face: what the int64 row reduction
+# and the facet-table boundary matrices replaced
+
+def _identity(k: int) -> np.ndarray:
+    m = np.zeros((k, k), dtype=object)
+    for i in range(k):
+        m[i, i] = 1
+    return m
+
+
+def smith_normal_form(matrix):
+    """(D, U, V) with U @ matrix @ V == D; the pivot is the first entry of
+    least nonzero absolute value in row-major order."""
+    m = np.array(matrix, dtype=object)
+    rows, cols = m.shape
+    a = m.copy()
+    u = _identity(rows)
+    v = _identity(cols)
+
+    for t in range(min(rows, cols)):
+        while True:
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    x = a[i, j]
+                    if x and (pivot is None or abs(x) < abs(a[pivot[0], pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            pi, pj = pivot
+            if pi != t:
+                a[[t, pi], :] = a[[pi, t], :]
+                u[[t, pi], :] = u[[pi, t], :]
+            if pj != t:
+                a[:, [t, pj]] = a[:, [pj, t]]
+                v[:, [t, pj]] = v[:, [pj, t]]
+            if a[t, t] < 0:
+                a[t, :] = -a[t, :]
+                u[t, :] = -u[t, :]
+
+            for i in range(t + 1, rows):
+                q = a[i, t] // a[t, t]
+                if q:
+                    a[i, :] -= q * a[t, :]
+                    u[i, :] -= q * u[t, :]
+            if any(a[i, t] for i in range(t + 1, rows)):
+                continue  # remainders are smaller: pick a new pivot
+            for j in range(t + 1, cols):
+                q = a[t, j] // a[t, t]
+                if q:
+                    a[:, j] -= q * a[:, t]
+                    v[:, j] -= q * v[:, t]
+            if any(a[t, j] for j in range(t + 1, cols)):
+                continue
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i, j] % a[t, t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[t, :] += a[offender, :]
+            u[t, :] += u[offender, :]
+        if a[t, t] == 0:
+            break
+    assert np.array_equal(u @ m @ v, a)
+    return a, u, v
+
+
+def faces_by_dimension(c) -> list:
+    by_dim = [[] for _ in range(c.n + 1)]
+    for f in c.all_faces():
+        by_dim[len(f) - 1].append(f)
+    return by_dim
+
+
+def boundary_matrices(c) -> list:
+    """Object boundary matrices, index 0 the empty map, with every nonzero
+    entry placed through a dict from face tuple to row index."""
+    faces = faces_by_dimension(c)
+    index = [{f: i for i, f in enumerate(level)} for level in faces]
+    mats = [np.zeros((0, len(faces[0])), dtype=object)]
+    for k in range(1, c.n + 1):
+        m = np.zeros((len(faces[k - 1]), len(faces[k])), dtype=object)
+        for j, f in enumerate(faces[k]):
+            for i in range(len(f)):
+                m[index[k - 1][f[:i] + f[i + 1:]], j] = (-1) ** i
+        mats.append(m)
+    for k in range(2, c.n + 1):
+        assert not np.count_nonzero(mats[k - 1] @ mats[k])
+    return mats

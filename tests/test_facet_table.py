@@ -10,13 +10,14 @@ failure reported.
 """
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dict_oracle
-from cyclecover import corpus, formats
+from cyclecover import corpus, formats, pseudomanifold
 from cyclecover.cells import triangulate, verify_surface
 from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DegreeNotConstantError, NonOrientableError
@@ -117,6 +118,29 @@ def test_inputs_cover_every_failure(all_complexes):
 def test_validation_equals_oracle(all_complexes):
     for name, c in all_complexes.items():
         assert validate_pseudomanifold(c) == dict_oracle.validate_pseudomanifold(c), name
+
+
+def test_validation_and_orientation_share_one_labelling(monkeypatch):
+    calls = Counter()
+    labels = pseudomanifold.lowest_labels
+    validate = pseudomanifold._validate
+
+    def count(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pseudomanifold, "lowest_labels", count("labels", labels))
+    monkeypatch.setattr(pseudomanifold, "_validate", count("validate", validate))
+    c, coloring = corpus.octahedron()
+    report = validate_pseudomanifold(c)
+    assert report.ok
+    signs = orient(c)
+    assert validate_pseudomanifold(c) is report
+    bundle = ColoredPseudomanifold(c, coloring)
+    assert bundle.orientation == signs
+    assert calls == {"labels": 1, "validate": 1}
 
 
 def test_dual_edges_equal_oracle(all_complexes):

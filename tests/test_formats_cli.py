@@ -6,6 +6,7 @@ the builders and compared byte for byte, so they cannot drift.
 """
 
 import argparse
+import importlib
 import json
 from collections import Counter
 from math import factorial
@@ -18,7 +19,7 @@ from cyclecover import corpus, covering, formats
 from cyclecover.cells import PermutahedralComplex
 from cyclecover.cli import RunConfig, build_parser, default_max_cells, main
 from cyclecover.covering import build_component, build_full
-from cyclecover.homology import homology
+from cyclecover.homology import boundary_matrices, homology
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
     check_regular_coloring,
@@ -28,6 +29,8 @@ from cyclecover.pseudomanifold import (
 from cyclecover.tomei import build_tomei
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+# the package exports the function ``homology`` under the module's name
+homology_module = importlib.import_module("cyclecover.homology")
 
 # q for sd(boundary of the 4-simplex), star by star: the 5 vertices and the
 # 5 tetrahedron centers hold 12 + 12 flags each, the 10 edge and the 10
@@ -329,6 +332,33 @@ def test_homology_output(tmp_path, capsys):
     assert report["groups"] == [
         {"betti": g.betti, "torsion": g.torsion} for g in groups]
     assert "H_2 = Z" in capsys.readouterr().out
+
+
+def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "m3.json"
+    assert main(["tomei", "--n", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    calls = Counter()
+
+    def counted(c):
+        calls["boundary_matrices"] += 1
+        return boundary_matrices(c)
+
+    monkeypatch.setattr(homology_module, "boundary_matrices", counted)
+    assert main(["homology", "--input", str(path), "--max-cells", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "check failed: homology of the 2304 faces of dimension 2 needs a "
+        "2304 x 2304 matrix, 5308416 entries, over the cap of 1000\n")
+    assert not calls
+    # the 288 edges of the octahedron cover component square to 82,944
+    assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--cells-out", str(path)]) == 0
+    assert main(["homology", "--input", str(path), "--max-cells", "82944"]) == 0
+    assert main(["homology", "--input", str(path), "--max-cells", "82943"]) == 1
+    assert calls["boundary_matrices"] == 1
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,24 @@
 """Tests for Smith normal form and integral homology.
 
 The Smith reduction is checked against exact rational-rank and determinant
-oracles and by multiplying out its own transforms; homology values are
-frozen for complexes whose groups are classical.
+oracles, by multiplying out its own transforms, and against the entry by
+entry reduction over Python integers in ``dict_oracle``, which must give the
+same D, U and V on the int64 path, on inputs past 2^31 and when growth
+forces a restart over Python integers.  Boundary matrices equal the
+dict-built ones; homology values are frozen for complexes whose groups are
+classical.
 """
 
 import math
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cyclecover import corpus
+import dict_oracle
+from cyclecover import corpus, formats
 from cyclecover.cells import triangulate
 from cyclecover.covering import build_component
 from cyclecover.errors import NonOrientableError
@@ -30,6 +36,8 @@ from cyclecover.pseudomanifold import (
     barycentric_subdivide,
 )
 from cyclecover.tomei import build_tomei
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +127,92 @@ def test_snf_transforms_are_unimodular():
             [f.d[i, i] for i in range(k)]))
 
 
+def assert_same_as_oracle(m):
+    f = smith_normal_form(m)
+    d, u, v = dict_oracle.smith_normal_form(m)
+    for got, want in ((f.d, d), (f.u, u), (f.v, v)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    return f
+
+
+def test_snf_equals_oracle_dense_and_sparse():
+    rng = np.random.default_rng(11)
+    for trial in range(150):
+        shape = tuple(int(x) for x in rng.integers(1, 9, size=2))
+        m = rng.integers(-9, 10, size=shape)
+        if trial % 2:
+            m = m * (rng.random(shape) < 0.25)
+        assert_same_as_oracle(m)
+
+
+def test_snf_large_entries_take_the_object_path():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        shape = tuple(int(x) for x in rng.integers(1, 6, size=2))
+        m = rng.integers(-2 ** 40, 2 ** 40, size=shape)
+        m[0, 0] = 2 ** 31
+        assert assert_same_as_oracle(m).d.dtype == object
+    huge = [[2 ** 70, 3], [5, -(2 ** 65)]]
+    assert assert_same_as_oracle(huge).d.dtype == object
+    # abs(-2^63) wraps in int64; the bound must still see it
+    assert assert_same_as_oracle(
+        np.array([[-2 ** 63, 1], [1, 0]], dtype=np.int64)).d.dtype == object
+
+
+def test_snf_restarts_when_entries_grow_past_the_bound():
+    # every entry starts below 2^31, but reducing most of these grows an
+    # entry of the matrix or of a transform past it
+    rng = np.random.default_rng(13)
+    restarted = 0
+    for _ in range(20):
+        m = rng.integers(-2 ** 20, 2 ** 20, size=(6, 6))
+        assert np.abs(m).max() < 2 ** 31
+        restarted += assert_same_as_oracle(m).d.dtype == object
+    assert restarted >= 10
+    # the reduction doubles the entry 2^31 - 1
+    m = [[2, 0], [2 ** 31 - 1, 2 ** 31 - 1]]
+    assert assert_same_as_oracle(m).d.dtype == object
+
+
+def test_snf_divisors_are_python_ints():
+    f = smith_normal_form(np.array([[2, 0], [0, 3]], dtype=np.int64))
+    assert f.divisors == [1, 6]
+    assert all(type(x) is int for x in f.divisors)
+    assert type(f.rank) is int
+
+
 # ---------------------------------------------------------------------------
 # boundary matrices
+
+def oracle_complexes():
+    out = {path.stem: formats.load_complex(path)[0]
+           for path in sorted(CORPUS_DIR.glob("*.json"))}
+    out.update({
+        "hexagon cycle": corpus.hexagon_cycle()[0],
+        "sd rp2": barycentric_subdivide(corpus.rp2_minimal()).complex,
+        "disjoint circles": corpus.disjoint_circles(),
+        "two triangles": corpus.two_triangles(),
+        "tomei 1": triangulate(build_tomei(1)).complex,
+        "tomei 2": triangulate(build_tomei(2)).complex,
+        "octahedron cover component": triangulate(build_component(
+            ColoredPseudomanifold(*corpus.octahedron())).pc).complex,
+    })
+    return out
+
+
+@pytest.mark.parametrize("name, c", oracle_complexes().items())
+def test_boundary_matrices_equal_oracle(name, c):
+    faces = faces_by_dimension(c)
+    assert [list(map(tuple, level.tolist())) for level in faces] \
+        == dict_oracle.faces_by_dimension(c)
+    mats = boundary_matrices(c)
+    want = dict_oracle.boundary_matrices(c)
+    assert len(mats) == len(want)
+    for got, expected in zip(mats, want):
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
 
 def test_boundary_composite_vanishes_across_corpus():
     complexes = [
@@ -217,6 +309,14 @@ def test_fundamental_class_rejects_nonorientable():
     sd = barycentric_subdivide(corpus.rp2_minimal()).complex
     with pytest.raises(NonOrientableError):
         fundamental_class(sd)
+
+
+def test_fundamental_class_rejects_a_chain_with_boundary():
+    c = corpus.octahedron()[0]
+    signs = fundamental_class(c).tolist()
+    with pytest.raises(AssertionError, match="nonzero boundary"):
+        fundamental_class(c, [1] * len(signs))
+    assert fundamental_class(c, signs).tolist() == signs
 
 
 def test_fundamental_class_rejects_boundary():
