@@ -172,21 +172,20 @@ def smith_normal_form(matrix, verify: bool = True) -> SmithForm:
 # ---------------------------------------------------------------------------
 # chain complexes of abstract simplicial complexes
 
-def _facet_tables(c: AbstractComplex) -> list[FacetTable | None]:
-    """Entry k (k >= 1) is the facet table of the k-faces: its ``tops`` are
-    the k-faces and its ``facets`` the (k-1)-faces, both as sorted vertex
-    rows, built from the top simplices down.  Entry 0 is None."""
-    tables: list[FacetTable | None] = [None] * (c.n + 1)
-    tables[c.n] = c.facet_table
-    for k in range(c.n - 1, 0, -1):
-        tables[k] = facet_table(tables[k + 1].facets, c.num_vertices)
+def _facet_tables(c: AbstractComplex) -> list[FacetTable]:
+    """The facet tables of the faces of dimensions 1..n, built from the top
+    simplices down: the table of the k-faces holds them as ``tops`` and the
+    (k-1)-faces as ``facets``, both as ascending vertex rows in sorted order."""
+    tables = [c.facet_table]
+    while len(tables) < c.n:
+        tables.insert(0, facet_table(tables[0].facets, c.num_vertices))
     return tables
 
 
 def faces_by_dimension(c: AbstractComplex) -> list[np.ndarray]:
     """The faces of each dimension as ascending vertex rows in sorted order."""
     tables = _facet_tables(c)
-    return [tables[1].facets] + [table.tops for table in tables[1:]]
+    return [tables[0].facets] + [table.tops for table in tables]
 
 
 def boundary_matrices(c: AbstractComplex) -> list[np.ndarray]:
@@ -194,8 +193,8 @@ def boundary_matrices(c: AbstractComplex) -> list[np.ndarray]:
     Index 0 holds the empty map.  The composites of consecutive matrices
     are checked to vanish."""
     tables = _facet_tables(c)
-    mats: list[np.ndarray] = [np.zeros((0, len(tables[1].facets)), dtype=np.int64)]
-    for k, table in enumerate(tables[1:], 1):
+    mats: list[np.ndarray] = [np.zeros((0, len(tables[0].facets)), dtype=np.int64)]
+    for k, table in enumerate(tables, 1):
         m = np.zeros((len(table.facets), len(table.tops)), dtype=np.int64)
         parity = 1 - 2 * (np.arange(k + 1) % 2)
         m[table.facet, np.arange(len(table.tops))[:, None]] = parity

@@ -108,20 +108,23 @@ class FacetTable:
     position: np.ndarray
 
     @cached_property
-    def labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """``lowest_labels`` over the dual graph, run once per table: the
-        lowest top of each top's component, and its sign relative to that
-        top under the rule that the two tops at a facet induce opposite
-        signs on it.  A top stands in for its own missing neighbors; the
-        signs mean an orientation only where every facet is two-sided."""
+    def dual_components(self) -> tuple[bool, np.ndarray]:
+        """One signed ``lowest_labels`` run over the dual graph, shared by
+        validation and orientation: whether the graph is connected, and
+        each top's sign relative to the lowest top of its component under
+        the rule that the two tops at a facet induce opposite signs on it.
+        A top stands in for its own missing neighbors; the signs mean an
+        orientation only where every facet is two-sided."""
         # across a facet dropping j in t and k in u:
         # sign[u] = -(-1)^(j + k) sign[t]
-        flip = -(1 - 2 * ((np.arange(self.tops.shape[1]) + self.position) % 2))
+        width = self.tops.shape[1]
+        flip = 2 * ((self.position.astype(np.int8)
+                     + np.arange(width, dtype=np.int8)) % 2) - 1
         tops = np.arange(len(self.neighbor))[:, None]
         label, sign = lowest_labels(
-            np.where(self.neighbor < 0, tops, self.neighbor), flip.astype(np.int8))
-        label.flags.writeable = sign.flags.writeable = False
-        return label, sign
+            np.where(self.neighbor < 0, tops, self.neighbor), flip)
+        sign.flags.writeable = False
+        return not label.any(), sign
 
 
 def group_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +279,7 @@ def _validate(c: AbstractComplex) -> ValidationReport:
     over = table.counts > 2
     report.overused_faces = list(zip(map(tuple, table.facets[over].tolist()),
                                      table.counts[over].tolist()))
-    report.connected = not table.labels[0].any()
+    report.connected = table.dual_components[0]
     return report
 
 
@@ -415,7 +418,7 @@ def orient(c: AbstractComplex) -> list[int]:
     table = c.facet_table
     if (table.counts != 2).any():
         raise ValueError("orient requires every facet in exactly two top simplices")
-    _, signs = table.labels
+    _, signs = table.dual_components
     induced = _induced_signs(table, signs)
     agree = induced == induced[table.neighbor, table.position]
     if agree.any():

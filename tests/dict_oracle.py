@@ -14,6 +14,8 @@ through a dict from face tuple to index.
 from collections import deque
 from itertools import product
 
+import numpy as np
+
 from cyclecover.cells import SurfaceReport
 from cyclecover.covering import (
     CoverCell,
@@ -22,8 +24,6 @@ from cyclecover.covering import (
     in_cover_set,
     seed_cell,
 )
-import numpy as np
-
 from cyclecover.errors import DegreeNotConstantError, NonOrientableError
 from cyclecover.involutions import enumerate_compatible_involutions
 from cyclecover.permutahedron import enumerate_faces
