@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
 
+import numpy as np
+
 from . import formats
 from .cells import euler_characteristic, face_classes, triangulate, verify_surface
 from .covering import DEFAULT_MAX_CELLS, build_component, build_full, verify_covering
@@ -29,7 +31,6 @@ from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import (
     ColoredPseudomanifold,
     barycentric_subdivide,
-    bipartition,
     check_regular_coloring,
     orient,
     validate_pseudomanifold,
@@ -155,13 +156,12 @@ def verify_pipeline(complex, coloring, orientation,
         return claims, report
 
     try:
-        bipartition(complex, coloring)
+        bundle = ColoredPseudomanifold(complex, coloring, orientation)
         claims.check("facet-dual graph is bipartite", True)
     except TopologyError as e:
         claims.check("facet-dual graph is bipartite", False, _diagnostic(e))
         return claims, report
 
-    bundle = ColoredPseudomanifold(complex, coloring, orientation)
     n = bundle.n
     report["input"] = {
         "n": n,
@@ -286,11 +286,9 @@ def verify_pipeline(complex, coloring, orientation,
                      False, str(e))
         return claims, report
 
-    fibers: dict[int, int] = {}
-    for c in cover.cells:
-        fibers[c.sigma] = fibers.get(c.sigma, 0) + 1
+    fibers = np.bincount(cover.sigma, minlength=bundle.top_count)
     claims.check("realization degree equals the cell fiber over every base "
-                 "simplex", set(fibers.values()) == {real.degree},
+                 "simplex", bool((fibers == real.degree).all()),
                  f"fiber {real.degree} over {bundle.top_count} simplices")
 
     if full:
@@ -506,6 +504,9 @@ def main(argv=None) -> int:
         return 2
     except TopologyError as e:
         print(f"check failed: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory in {config.mode}", file=sys.stderr)
         return 1
 
 

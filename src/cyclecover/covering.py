@@ -12,16 +12,21 @@ points, it preserves the parity constraint, and crossings along nested facet
 labels commute, so the glued cells form a permutahedral complex; forgetting
 everything but g projects it onto the Tomei manifold cell by cell.
 
-The new tuple depends only on the old tuple and w, never on sigma or g, so
-the builders compute that part of a crossing once per (tuple, facet) and
-fill the rows of the glue table from the memo.
+The new tuple depends only on the old tuple and w, never on sigma or g.  So
+the builders first close their tuples under crossings, once per
+(tuple, facet), and lay the result out as gather tables indexed by tuple.
+A whole set of cells then crosses every facet in one array gather, and
+cells are looked up in a dense (tuple, sigma, g) index.  A component is
+numbered level by level from its seed cell, in breadth-first order; the
+full cover set is numbered in (sigma, tuple, g) order.  Cover cells are
+kept as three integer arrays.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import NamedTuple
@@ -47,6 +52,11 @@ DEFAULT_MAX_CELLS = 10 ** 6
 def parity_sign(g: int) -> int:
     """The character of (Z_2)^n taking -1 on every generator."""
     return -1 if g.bit_count() % 2 else 1
+
+
+def _parity_signs(n: int) -> np.ndarray:
+    """``parity_sign(g)`` for every g in range(2^n)."""
+    return np.array([parity_sign(g) for g in range(1 << n)], dtype=np.int64)
 
 
 class CoverCell(NamedTuple):
@@ -154,45 +164,109 @@ def cross_facet(reg: InvolutionRegistry, cell: CoverCell, subset: int) -> CoverC
                      cell.g ^ size_generator(subset))
 
 
-class _Crossings(dict):
-    """Memo ``tuple_id -> [(L_w, new tuple_id, e_|w|) per facet slot]``:
-    everything a facet crossing needs except sigma, computed once per tuple."""
-
-    def __init__(self, reg: InvolutionRegistry):
-        super().__init__()
-        self.reg = reg
-
-    def __missing__(self, tuple_id: int):
-        moves = []
-        for w in self.reg.subsets:
-            lam_id, new_id = tuple_crossing(self.reg, tuple_id, w)
-            moves.append((self.reg.involution(lam_id), new_id, size_generator(w)))
-        self[tuple_id] = moves
-        return moves
-
-
-def _glue_table(n: int, cells: list, glue: array) -> PermutahedralComplex:
-    return PermutahedralComplex(
-        n, len(cells), np.frombuffer(glue, dtype=np.intc).reshape(len(cells), -1))
-
-
 @dataclass
+class _Orbit:
+    """Gather tables over a list of tuples closed under facet crossings.
+
+    Row t stands for the interned tuple ``tuple_ids[t]``: crossing F_w, with
+    w = subsets[slot], sends (t, sigma, g) to
+    (``newt[t, slot]``, ``lam[t, sigma, slot]``, g ^ ``gen[slot]``).
+    """
+
+    n: int
+    tuple_ids: list[int]
+    lam: np.ndarray  # int32 (tuples, top simplices, slots)
+    newt: np.ndarray  # int32 (tuples, slots)
+    gen: np.ndarray  # int32 (slots,)
+
+    @property
+    def size(self) -> int:
+        """Entries of the dense (tuple row, sigma, g) index."""
+        return self.lam.shape[0] * self.lam.shape[1] << self.n
+
+    def key(self, t, sigma, g):
+        """Position of (tuple row, sigma, g) in the dense index."""
+        return (t * self.lam.shape[1] + sigma) << self.n | g
+
+    def split(self, keys: np.ndarray):
+        """The (tuple row, sigma, g) arrays at the given dense positions."""
+        rest, g = np.divmod(keys, 1 << self.n)
+        t, sigma = np.divmod(rest, self.lam.shape[1])
+        return t, sigma, g
+
+    def crossed(self, t: np.ndarray, sigma: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Dense index of the cell across every facet of each given cell, as
+        an int64 (cells, slots) array in slot order."""
+        return self.key(self.newt[t].astype(np.int64), self.lam[t, sigma],
+                        g[:, None] ^ self.gen)
+
+
+_LEFT_FULL_SET = "facet crossing left the full cover set; conjugation closure failed"
+
+
+def _tuple_orbit(reg: InvolutionRegistry, tuple_ids: list[int],
+                 max_tuples: int | None = None) -> _Orbit:
+    """Close ``tuple_ids`` under the tuple part of every facet crossing,
+    visiting the tuples in list order and appending each new one.
+
+    Without ``max_tuples`` the list must need no new tuple (the full cover
+    set).  With it, more than ``max_tuples`` tuples exceed the component
+    cap, since every tuple of the orbit carries a cell of the component.
+    """
+    row = {tid: t for t, tid in enumerate(tuple_ids)}
+    lam_ids, newt = [], []
+    for tid in tuple_ids:  # the list grows while the loop runs
+        for w in reg.subsets:
+            lam_id, new_id = tuple_crossing(reg, tid, w)
+            t = row.get(new_id)
+            if t is None:
+                if max_tuples is None:
+                    raise InconsistentGluingError(_LEFT_FULL_SET)
+                if len(tuple_ids) >= max_tuples:
+                    raise CapExceededError(f"component exceeded {max_tuples} cells",
+                                           max_tuples, max_tuples)
+                t = row[new_id] = len(tuple_ids)
+                tuple_ids.append(new_id)
+            lam_ids.append(lam_id)
+            newt.append(t)
+    shape = (len(tuple_ids), len(reg.subsets))
+    used, which = np.unique(np.array(lam_ids, dtype=np.int64), return_inverse=True)
+    perms = np.array([reg.involution(i) for i in used.tolist()], dtype=np.int32)
+    lam = np.ascontiguousarray(perms.T[:, which.reshape(shape)].transpose(1, 0, 2))
+    gen = np.array([size_generator(w) for w in reg.subsets], dtype=np.int32)
+    return _Orbit(reg.cp.n, tuple_ids, lam,
+                  np.array(newt, dtype=np.int32).reshape(shape), gen)
+
+
+@dataclass(eq=False)
 class CoverComplex:
     """A set of cover cells closed under facet crossings, as a
-    permutahedral complex plus the projection data."""
+    permutahedral complex plus the projection data: cell i is
+    (``sigma[i]``, ``tuple_id[i]``, ``g[i]``)."""
 
     cp: ColoredPseudomanifold
     registry: InvolutionRegistry
-    cells: list[CoverCell]
-    index: dict[CoverCell, int]
+    sigma: np.ndarray
+    tuple_id: np.ndarray
+    g: np.ndarray
     pc: PermutahedralComplex
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return len(self.g)
 
-    def base_cell(self, i: int) -> int:
-        return self.cells[i].g
+    @cached_property
+    def cells(self) -> list[CoverCell]:
+        return list(map(CoverCell, self.sigma.tolist(), self.tuple_id.tolist(),
+                        self.g.tolist()))
+
+
+def _cover(reg: InvolutionRegistry, orbit: _Orbit, t: np.ndarray,
+           sigma: np.ndarray, g: np.ndarray, glue: np.ndarray) -> CoverComplex:
+    """The cover whose cell i is (sigma[i], the tuple of row t[i], g[i])."""
+    tuple_id = np.array(orbit.tuple_ids, dtype=np.int64)[t]
+    return CoverComplex(reg.cp, reg, sigma, tuple_id, g,
+                        PermutahedralComplex(reg.cp.n, len(g), glue))
 
 
 def seed_cell(reg: InvolutionRegistry) -> CoverCell:
@@ -204,40 +278,49 @@ def seed_cell(reg: InvolutionRegistry) -> CoverCell:
 def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
                     max_cells: int = DEFAULT_MAX_CELLS,
                     registry: InvolutionRegistry | None = None) -> CoverComplex:
-    """Breadth-first closure of one cell under all facet crossings."""
+    """The component of one cell under all facet crossings.
+
+    The seed tuple's orbit is closed first, and gives the gather tables.
+    The component is then numbered level by level over the dense
+    (tuple, sigma, g) index: each level gathers its cells' neighbours in
+    (cell, slot) order and numbers those not yet seen in order of first
+    occurrence.  That is breadth-first order, so cell ids and the glue
+    table do not depend on how the work is batched.
+    """
     reg = registry or InvolutionRegistry(cp)
     if seed is None:
         seed = seed_cell(reg)
     if not in_cover_set(cp, seed):
         raise ValueError(f"seed {seed} violates the parity constraint")
     reg.intern_tuple(reg.components(seed.tuple_id))
-    crossings = _Crossings(reg)
-    cells = [seed]
-    index = {seed: 0}
-    glue = array("i")  # the glue table, row by row
-    # ``cells`` doubles as the breadth-first queue: the loop reaches every
-    # cell appended while it runs, in order
-    for sigma, tuple_id, g in cells:
-        for lam, new_id, generator in crossings[tuple_id]:
-            neighbor = CoverCell(lam[sigma], new_id, g ^ generator)
-            j = index.get(neighbor)
-            if j is None:
-                if len(cells) >= max_cells:
-                    raise CapExceededError(
-                        f"component exceeded {max_cells} cells", max_cells, len(cells))
-                j = len(cells)
-                cells.append(neighbor)
-                index[neighbor] = j
-            glue.append(j)
-    return CoverComplex(cp, reg, cells, index, _glue_table(cp.n, cells, glue))
+    orbit = _tuple_orbit(reg, [seed.tuple_id], max_cells)
+    number = np.full(orbit.size, -1, dtype=np.int32)
+    frontier = np.array([orbit.key(0, seed.sigma, seed.g)], dtype=np.int64)
+    number[frontier] = 0
+    count = 1
+    levels, rows = [frontier], []
+    while frontier.size:
+        crossed = orbit.crossed(*orbit.split(frontier))
+        unseen = crossed[number[crossed] < 0]  # (cell, slot) order
+        _, first = np.unique(unseen, return_index=True)
+        frontier = unseen[np.sort(first)]
+        if count + frontier.size > max_cells:
+            raise CapExceededError(
+                f"component exceeded {max_cells} cells", max_cells, max_cells)
+        number[frontier] = np.arange(count, count + frontier.size, dtype=np.int32)
+        count += frontier.size
+        levels.append(frontier)
+        rows.append(number[crossed])
+    return _cover(reg, orbit, *orbit.split(np.concatenate(levels)),
+                  np.concatenate(rows))
 
 
 def build_full(cp: ColoredPseudomanifold,
                max_cells: int = DEFAULT_MAX_CELLS) -> CoverComplex:
     """Every cover cell at once: all top simplices, all tuples from the full
-    product of compatible involutions, all parity-consistent g.  The size
-    comes from the involution counts and is checked against the cap before
-    any involution is enumerated."""
+    product of compatible involutions, all parity-consistent g, numbered in
+    (sigma, tuple, g) order.  The size comes from the involution counts and
+    is checked against the cap before any involution is enumerated."""
     reg = InvolutionRegistry(cp)
     total = cp.top_count * (1 << (cp.n - 1)) * prod(
         count_compatible_involutions(cp, w) for w in reg.subsets)
@@ -248,26 +331,20 @@ def build_full(cp: ColoredPseudomanifold,
     pool_ids = [[reg.intern_involution(p)
                  for p in enumerate_compatible_involutions(cp, w)]
                 for w in reg.subsets]
-    cells = []
-    for combo in product(*pool_ids):
-        tid = reg.intern_tuple(combo)
-        for sigma in range(cp.top_count):
-            for g in range(1 << cp.n):
-                cell = CoverCell(sigma, tid, g)
-                if in_cover_set(cp, cell):
-                    cells.append(cell)
-    cells.sort()
-    index = {cell: i for i, cell in enumerate(cells)}
-    crossings = _Crossings(reg)
-    glue = array("i")
-    for sigma, tuple_id, g in cells:
-        for lam, new_id, generator in crossings[tuple_id]:
-            j = index.get(CoverCell(lam[sigma], new_id, g ^ generator))
-            if j is None:
-                raise InconsistentGluingError(
-                    "facet crossing left the full cover set; conjugation closure failed")
-            glue.append(j)
-    return CoverComplex(cp, reg, cells, index, _glue_table(cp.n, cells, glue))
+    tuple_ids = [reg.intern_tuple(combo) for combo in product(*pool_ids)]
+    orbit = _tuple_orbit(reg, tuple_ids)
+    # valid[sigma, t, g]: the parity constraint, numbered in C order
+    valid = np.asarray(cp.parts)[:, None] == _parity_signs(cp.n)
+    valid = np.broadcast_to(valid[:, None, :],
+                            (cp.top_count, len(tuple_ids), 1 << cp.n))
+    sigma, t, g = np.nonzero(valid)
+    number = np.full(valid.shape, -1, dtype=np.int32)
+    number[sigma, t, g] = np.arange(len(sigma), dtype=np.int32)
+    number = number.transpose(1, 0, 2).ravel()  # dense (t, sigma, g) order
+    glue = number[orbit.crossed(t, sigma, g)]
+    if (glue < 0).any():
+        raise InconsistentGluingError(_LEFT_FULL_SET)
+    return _cover(reg, orbit, t, sigma, g, glue)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +434,11 @@ def verify_covering(cover: CoverComplex,
     forgetting (sigma, tuple) is a covering of the Tomei manifold."""
     cp = cover.cp
     base = base or build_tomei(cp.n)
-    for cell in cover.cells:
-        if not in_cover_set(cp, cell):
-            raise NotACoveringError(f"cell {cell} violates the parity constraint")
-    projection = [cell.g for cell in cover.cells]
-    return verify_cell_projection(cover.pc, projection, base, cover_classes,
+    in_range = (cover.g >= 0) & (cover.g < 1 << cp.n)
+    sign = _parity_signs(cp.n)[np.where(in_range, cover.g, 0)]
+    bad = ~in_range | (sign != np.asarray(cp.parts)[cover.sigma])
+    if bad.any():
+        raise NotACoveringError(
+            f"cell {cover.cells[int(np.argmax(bad))]} violates the parity constraint")
+    return verify_cell_projection(cover.pc, cover.g, base, cover_classes,
                                   base_classes)

@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from .cells import UNGLUED, PermutahedralComplex
-from .covering import CoverCell, CoverComplex
-from .permutahedron import mask_elements, mask_of, proper_subsets
+from .cells import PermutahedralComplex
+from .covering import CoverComplex
+from .permutahedron import mask_elements
 from .pseudomanifold import AbstractComplex
 
 
@@ -93,45 +91,8 @@ def _glue_to_list(pc: PermutahedralComplex) -> list:
             for label, j in zip(labels, row)]
 
 
-def _glue_from_list(n: int, num_cells: int, data) -> PermutahedralComplex:
-    if not isinstance(n, int) or n < 1 or not isinstance(num_cells, int) or num_cells < 0:
-        raise ValueError("'n' must be a positive integer and 'num_cells' a "
-                         "nonnegative integer")
-    if not isinstance(data, list):
-        raise ValueError("'glue' must be a list of [cell, [colors], cell]")
-    subsets = proper_subsets(n)
-    slot_of = {w: slot for slot, w in enumerate(subsets)}
-    glue = np.full((num_cells, len(subsets)), UNGLUED, dtype=np.int32)
-    for entry in data:
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not isinstance(entry[0], int) or not isinstance(entry[2], int)
-                or not isinstance(entry[1], list)):
-            raise ValueError(f"bad gluing entry {entry!r}")
-        cell, colors, target = entry
-        if not (0 <= cell < num_cells and 0 <= target < num_cells):
-            raise ValueError(f"gluing entry {entry!r} names a cell outside "
-                             f"range(0, {num_cells})")
-        if (not all(isinstance(c, int) and 1 <= c <= n + 1 for c in colors)
-                or len(set(colors)) != len(colors)
-                or mask_of(colors) not in slot_of):
-            raise ValueError(f"gluing entry {entry!r} is not labelled by a proper "
-                             f"nonempty subset of the colors 1..{n + 1}")
-        slot = slot_of[mask_of(colors)]
-        if glue[cell, slot] != UNGLUED:
-            raise ValueError(f"gluing entry {entry!r} repeats a (cell, label) pair")
-        glue[cell, slot] = target
-    return PermutahedralComplex(n, num_cells, glue)
-
-
 def cell_complex_to_dict(pc: PermutahedralComplex) -> dict:
     return {"n": pc.n, "num_cells": pc.num_cells, "glue": _glue_to_list(pc)}
-
-
-def cell_complex_from_dict(d) -> PermutahedralComplex:
-    for key in ("n", "num_cells", "glue"):
-        if key not in d:
-            raise ValueError(f"cell complex document is missing {key!r}")
-    return _glue_from_list(d["n"], d["num_cells"], d["glue"])
 
 
 def cover_to_dict(cover: CoverComplex) -> dict:
@@ -141,28 +102,3 @@ def cover_to_dict(cover: CoverComplex) -> dict:
                   for c in cover.cells],
         "glue": _glue_to_list(cover.pc),
     }
-
-
-def cover_cells_from_dict(d) -> list[CoverCell]:
-    if "cells" not in d or not isinstance(d["cells"], list):
-        raise ValueError("cover document needs a 'cells' list")
-    out = []
-    for cell in d["cells"]:
-        try:
-            out.append(CoverCell(cell["sigma"], cell["tuple_id"], cell["g"]))
-        except (TypeError, KeyError) as e:
-            raise ValueError(f"bad cover cell {cell!r}") from e
-    return out
-
-
-# ---------------------------------------------------------------------------
-# optional DOT export of facet-dual graphs
-
-def dot_dual_graph(c: AbstractComplex, name: str = "dual") -> str:
-    lines = [f"graph {name} {{"]
-    for i in range(len(c.top_simplices)):
-        lines.append(f"  t{i};")
-    for i, j in c.dual_edges():
-        lines.append(f"  t{i} -- t{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

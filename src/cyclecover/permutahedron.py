@@ -42,12 +42,6 @@ def proper_subsets(n: int) -> list[int]:
     return subsets
 
 
-def facets_intersect(a: int, b: int) -> bool:
-    """Two facets of the permutahedron meet iff their subsets are nested."""
-    common = a & b
-    return common == a or common == b
-
-
 def is_chain(masks) -> bool:
     return all(a != b and a & b == a for a, b in zip(masks, masks[1:]))
 
@@ -73,41 +67,10 @@ def enumerate_faces(n: int, codim: int) -> list[Chain]:
     return out
 
 
-def contained_faces(chain: Chain, n: int) -> list[Chain]:
-    """Faces of the given face: superchains obtained by inserting one more
-    nested subset (one codimension deeper)."""
-    subsets = proper_subsets(n)
-    present = set(chain)
-    out = []
-    for m in subsets:
-        if m in present:
-            continue
-        extended = tuple(sorted(chain + (m,), key=lambda x: (x.bit_count(), mask_elements(x))))
-        if is_chain(extended):
-            out.append(extended)
-    return out
-
-
-def containing_faces(chain: Chain) -> list[Chain]:
-    """Faces this face lies in: subchains dropping one subset."""
-    return [chain[:i] + chain[i + 1:] for i in range(len(chain))]
-
-
 def vertex_chains(n: int) -> list[Chain]:
     """Complete chains (codimension n); one per ordering of {1, ..., n+1}
     with the last element dropped."""
     return enumerate_faces(n, n)
-
-
-def chain_as_order(chain: Chain, n: int) -> tuple[int, ...]:
-    """Read a complete chain as the ordering of colors it adds."""
-    order = []
-    prev = 0
-    for m in chain + (full_mask(n),):
-        added = mask_elements(m & ~prev)
-        order.extend(added)
-        prev = m
-    return tuple(order)
 
 
 def face_counts(n: int) -> list[int]:
@@ -136,19 +99,3 @@ def triangulation_flags(n: int) -> list[tuple[Chain, ...]]:
                 chains.append(tuple(held))
             flags.append(tuple(chains))
     return flags
-
-
-def barycentric_triangulation(n: int):
-    """Triangulate one permutahedron: vertices are its faces (chains,
-    including the empty chain for the whole cell), top simplices are flags.
-
-    Returns (complex, chain_ids) with chains indexed by (codim, chain) order.
-    """
-    from .pseudomanifold import AbstractComplex
-
-    chains: list[Chain] = []
-    for k in range(n + 1):
-        chains.extend(enumerate_faces(n, k))
-    chain_ids = {c: i for i, c in enumerate(chains)}
-    tops = [tuple(sorted(chain_ids[c] for c in flag)) for flag in triangulation_flags(n)]
-    return AbstractComplex(n, len(chains), tops), chain_ids

@@ -132,7 +132,7 @@ def realization_map(cover: CoverComplex,
     # the image of (cell, chain) is the face of the cell's simplex spanned
     # by the colors of the chain minimum (all colors for the empty chain);
     # scatter it per class, then check every member agrees with its class
-    sigma = np.array([cell.sigma for cell in cover.cells], dtype=np.int64)
+    sigma = cover.sigma
     image = np.empty(classes.num_classes, dtype=np.int64)
     face_tables: dict[int, np.ndarray] = {}
     for row, chain in enumerate(classes.chains):

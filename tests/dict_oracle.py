@@ -84,7 +84,8 @@ def cover_to_base(cover_pc, projection, base) -> list[int]:
 
 
 def build_component(cp):
-    """(cells, glue dict) of the component of the seed cell, breadth first."""
+    """(cells, glue dict, registry) of the component of the seed cell,
+    breadth first."""
     reg = InvolutionRegistry(cp)
     seed = seed_cell(reg)
     cells = [seed]
@@ -102,11 +103,11 @@ def build_component(cp):
                 index[neighbor] = j
                 queue.append(j)
             glue[(i, w)] = j
-    return cells, glue
+    return cells, glue, reg
 
 
 def build_full(cp):
-    """(cells, glue dict) of the full cover set, cells sorted."""
+    """(cells, glue dict, registry) of the full cover set, cells sorted."""
     reg = InvolutionRegistry(cp)
     pools = [[reg.intern_involution(p)
               for p in enumerate_compatible_involutions(cp, w)]
@@ -123,7 +124,7 @@ def build_full(cp):
     index = {cell: i for i, cell in enumerate(cells)}
     glue = {(i, w): index[cross_facet(reg, cell, w)]
             for i, cell in enumerate(cells) for w in reg.subsets}
-    return cells, glue
+    return cells, glue, reg
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,143 @@
+"""Helpers that only the tests use: walks of one permutahedron's face
+lattice, its barycentric triangulation, loaders for cell-complex and cover
+documents, a DOT export of the facet-dual graph, and the suspended cycle."""
+
+import numpy as np
+
+from cyclecover.cells import UNGLUED, PermutahedralComplex
+from cyclecover.covering import CoverCell
+from cyclecover.permutahedron import (
+    Chain,
+    enumerate_faces,
+    full_mask,
+    is_chain,
+    mask_elements,
+    mask_of,
+    proper_subsets,
+    triangulation_flags,
+)
+from cyclecover.pseudomanifold import AbstractComplex
+
+# ---------------------------------------------------------------------------
+# the face lattice of one permutahedron
+
+
+def facets_intersect(a: int, b: int) -> bool:
+    """Two facets of the permutahedron meet iff their subsets are nested."""
+    common = a & b
+    return common == a or common == b
+
+
+def contained_faces(chain: Chain, n: int) -> list[Chain]:
+    """Faces of the given face: superchains obtained by inserting one more
+    nested subset (one codimension deeper)."""
+    subsets = proper_subsets(n)
+    present = set(chain)
+    out = []
+    for m in subsets:
+        if m in present:
+            continue
+        extended = tuple(sorted(chain + (m,), key=lambda x: (x.bit_count(), mask_elements(x))))
+        if is_chain(extended):
+            out.append(extended)
+    return out
+
+
+def containing_faces(chain: Chain) -> list[Chain]:
+    """Faces this face lies in: subchains dropping one subset."""
+    return [chain[:i] + chain[i + 1:] for i in range(len(chain))]
+
+
+def chain_as_order(chain: Chain, n: int) -> tuple[int, ...]:
+    """Read a complete chain as the ordering of colors it adds."""
+    order = []
+    prev = 0
+    for m in chain + (full_mask(n),):
+        added = mask_elements(m & ~prev)
+        order.extend(added)
+        prev = m
+    return tuple(order)
+
+
+def barycentric_triangulation(n: int):
+    """Triangulate one permutahedron: vertices are its faces (chains,
+    including the empty chain for the whole cell), top simplices are flags.
+
+    Returns (complex, chain_ids) with chains indexed by (codim, chain) order.
+    """
+    chains: list[Chain] = []
+    for k in range(n + 1):
+        chains.extend(enumerate_faces(n, k))
+    chain_ids = {c: i for i, c in enumerate(chains)}
+    tops = [tuple(sorted(chain_ids[c] for c in flag)) for flag in triangulation_flags(n)]
+    return AbstractComplex(n, len(chains), tops), chain_ids
+
+
+# ---------------------------------------------------------------------------
+# documents and exports
+
+def glue_from_list(n: int, num_cells: int, data) -> PermutahedralComplex:
+    if not isinstance(n, int) or n < 1 or not isinstance(num_cells, int) or num_cells < 0:
+        raise ValueError("'n' must be a positive integer and 'num_cells' a "
+                         "nonnegative integer")
+    if not isinstance(data, list):
+        raise ValueError("'glue' must be a list of [cell, [colors], cell]")
+    subsets = proper_subsets(n)
+    slot_of = {w: slot for slot, w in enumerate(subsets)}
+    glue = np.full((num_cells, len(subsets)), UNGLUED, dtype=np.int32)
+    for entry in data:
+        if (not isinstance(entry, list) or len(entry) != 3
+                or not isinstance(entry[0], int) or not isinstance(entry[2], int)
+                or not isinstance(entry[1], list)):
+            raise ValueError(f"bad gluing entry {entry!r}")
+        cell, colors, target = entry
+        if not (0 <= cell < num_cells and 0 <= target < num_cells):
+            raise ValueError(f"gluing entry {entry!r} names a cell outside "
+                             f"range(0, {num_cells})")
+        if (not all(isinstance(c, int) and 1 <= c <= n + 1 for c in colors)
+                or len(set(colors)) != len(colors)
+                or mask_of(colors) not in slot_of):
+            raise ValueError(f"gluing entry {entry!r} is not labelled by a proper "
+                             f"nonempty subset of the colors 1..{n + 1}")
+        slot = slot_of[mask_of(colors)]
+        if glue[cell, slot] != UNGLUED:
+            raise ValueError(f"gluing entry {entry!r} repeats a (cell, label) pair")
+        glue[cell, slot] = target
+    return PermutahedralComplex(n, num_cells, glue)
+
+
+def cell_complex_from_dict(d) -> PermutahedralComplex:
+    for key in ("n", "num_cells", "glue"):
+        if key not in d:
+            raise ValueError(f"cell complex document is missing {key!r}")
+    return glue_from_list(d["n"], d["num_cells"], d["glue"])
+
+
+def cover_cells_from_dict(d) -> list[CoverCell]:
+    if "cells" not in d or not isinstance(d["cells"], list):
+        raise ValueError("cover document needs a 'cells' list")
+    out = []
+    for cell in d["cells"]:
+        try:
+            out.append(CoverCell(cell["sigma"], cell["tuple_id"], cell["g"]))
+        except (TypeError, KeyError) as e:
+            raise ValueError(f"bad cover cell {cell!r}") from e
+    return out
+
+
+def dot_dual_graph(c: AbstractComplex, name: str = "dual") -> str:
+    lines = [f"graph {name} {{"]
+    for i in range(len(c.top_simplices)):
+        lines.append(f"  t{i};")
+    for i, j in c.dual_edges():
+        lines.append(f"  t{i} -- t{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def suspended_cycle(k: int) -> AbstractComplex:
+    """The suspension of the 2k-cycle: a 2-sphere with 4k triangles."""
+    length = 2 * k
+    return AbstractComplex(2, length + 2, [(i, (i + 1) % length, apex)
+                                           for apex in (length, length + 1)
+                                           for i in range(length)])

@@ -8,6 +8,7 @@ fails, with a FAIL line, if the math or the clock is off.
 import functools
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -289,10 +290,9 @@ def test_negative_inputs():
 
     octa = ColoredPseudomanifold(*corpus.octahedron())
     component = build_component(octa)
-    broken = component.cells.copy()
-    broken[0] = broken[0]._replace(g=broken[0].g ^ 1)
-    corrupt = type(component)(component.cp, component.registry,
-                              broken, component.index, component.pc)
+    g = component.g.copy()
+    g[0] ^= 1
+    corrupt = replace(component, g=g)
     try:
         verify_covering(corrupt)
         raise AssertionError("corrupt cover verified")

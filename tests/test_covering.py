@@ -6,6 +6,8 @@ comments, and the octahedron component is checked against an independent
 GF(2)-span oracle (all its crossings act by XOR on (triangle, g) pairs).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from cyclecover.cells import (
 )
 from cyclecover.covering import (
     CoverCell,
-    CoverComplex,
     InvolutionRegistry,
     build_component,
     build_full,
@@ -296,6 +297,14 @@ def test_component_cap(octa_cp):
     assert e.value.cap == 8
 
 
+def test_component_cap_counts_orbit_tuples(sd3_cp):
+    # the sd(boundary delta3) orbit has 9 tuples, each carried by a cell of
+    # the component, so a cap of 5 is refused before any cell is numbered
+    with pytest.raises(CapExceededError, match="component exceeded 5 cells") as e:
+        build_component(sd3_cp, max_cells=5)
+    assert (e.value.cap, e.value.reached) == (5, 5)
+
+
 def test_subdivided_boundary_delta4_exceeds_cap():
     bundle, _ = colored_from_complex(corpus.boundary_delta(4))
     with pytest.raises(CapExceededError) as e:
@@ -376,10 +385,9 @@ def test_identity_and_deck_projection_verify():
 
 
 def test_verify_covering_rejects_parity_violation(hex_cover):
-    cells = list(hex_cover.cells)
-    cells[0] = cells[0]._replace(g=cells[0].g ^ 1)
-    broken = CoverComplex(hex_cover.cp, hex_cover.registry, cells,
-                          hex_cover.index, hex_cover.pc)
+    g = hex_cover.g.copy()
+    g[0] ^= 1
+    broken = replace(hex_cover, g=g)
     with pytest.raises(NotACoveringError, match="parity"):
         verify_covering(broken)
 
@@ -387,12 +395,10 @@ def test_verify_covering_rejects_parity_violation(hex_cover):
 def test_verify_covering_rejects_noncommuting_projection(octa_component):
     # Swap the g labels of a g=0 cell and a g=3 cell: parity still holds,
     # but crossings no longer project to crossings.
-    cells = list(octa_component.cells)
-    i = next(k for k, c in enumerate(cells) if c.g == 0)
-    j = next(k for k, c in enumerate(cells) if c.g == 3)
-    cells[i], cells[j] = cells[i]._replace(g=3), cells[j]._replace(g=0)
-    broken = CoverComplex(octa_component.cp, octa_component.registry, cells,
-                          octa_component.index, octa_component.pc)
+    g = octa_component.g.copy()
+    i, j = np.flatnonzero(g == 0)[0], np.flatnonzero(g == 3)[0]
+    g[i], g[j] = 3, 0
+    broken = replace(octa_component, g=g)
     with pytest.raises(NotACoveringError, match="commute"):
         verify_covering(broken)
 

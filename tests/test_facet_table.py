@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
+from extra_api import suspended_cycle
 from cyclecover import corpus, formats, pseudomanifold
 from cyclecover.cells import triangulate, verify_surface
 from cyclecover.covering import build_component, build_full
@@ -36,14 +37,6 @@ from cyclecover.realization import realization_map, verify_realization
 from cyclecover.tomei import build_tomei
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def suspended_cycle(k: int) -> AbstractComplex:
-    """The suspension of the 2k-cycle: a 2-sphere with 4k triangles."""
-    length = 2 * k
-    return AbstractComplex(2, length + 2, [(i, (i + 1) % length, apex)
-                                           for apex in (length, length + 1)
-                                           for i in range(length)])
 
 
 def covers():

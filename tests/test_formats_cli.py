@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclecover import corpus, covering, formats
+import extra_api
+from cyclecover import cli, corpus, covering, formats
 from cyclecover.cells import PermutahedralComplex
 from cyclecover.cli import RunConfig, build_parser, default_max_cells, main
 from cyclecover.covering import build_component, build_full
@@ -84,7 +85,7 @@ def test_complex_from_dict_rejects_non_object():
 def test_cell_complex_roundtrip():
     pc = build_tomei(2)
     d = formats.cell_complex_to_dict(pc)
-    pc2 = formats.cell_complex_from_dict(json.loads(formats.dumps(d)))
+    pc2 = extra_api.cell_complex_from_dict(json.loads(formats.dumps(d)))
     assert pc2.n == pc.n
     assert pc2.num_cells == pc.num_cells
     assert np.array_equal(pc2.glue, pc.glue)
@@ -94,9 +95,9 @@ def test_cover_roundtrip():
     cp = ColoredPseudomanifold(*corpus.octahedron())
     cover = build_component(cp)
     d = json.loads(formats.dumps(formats.cover_to_dict(cover)))
-    cells = formats.cover_cells_from_dict(d)
+    cells = extra_api.cover_cells_from_dict(d)
     assert cells == cover.cells
-    assert np.array_equal(formats.cell_complex_from_dict(
+    assert np.array_equal(extra_api.cell_complex_from_dict(
         {"n": d["n"], "num_cells": len(cells), "glue": d["glue"]},
     ).glue, cover.pc.glue)
 
@@ -115,7 +116,7 @@ def test_glue_loader_rejects_malformed_entries(entry, message):
     d = formats.cell_complex_to_dict(build_tomei(1))  # 2 cells, labels [1], [2]
     d["glue"].append(entry)
     with pytest.raises(ValueError, match=message):
-        formats.cell_complex_from_dict(d)
+        extra_api.cell_complex_from_dict(d)
 
 
 def test_dumps_is_deterministic():
@@ -127,7 +128,7 @@ def test_dumps_is_deterministic():
 
 def test_dot_export():
     c, _ = corpus.hexagon_cycle()
-    dot = formats.dot_dual_graph(c)
+    dot = extra_api.dot_dual_graph(c)
     assert dot.count(" -- ") == 6
     assert dot.startswith("graph dual {")
 
@@ -205,6 +206,17 @@ def test_cover_full_over_cap_enumerates_nothing(name, cells, monkeypatch, capsys
         f"check failed: full cover set has {cells} cells, more than the cap "
         f"1000000\n")
     assert not calls
+
+
+@pytest.mark.parametrize("mode", ["cover", "verify"])
+def test_out_of_memory_is_one_line(mode, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_covering", exhausted)
+    assert main([mode, "--input", str(CORPUS_DIR / "octahedron.json")]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: out of memory in {mode}\n"
 
 
 def test_default_max_cells_env(monkeypatch):
@@ -302,7 +314,7 @@ def test_tomei_writes_valid_outputs(tmp_path, capsys):
     c, colors, _ = formats.load_complex(out)
     assert validate_pseudomanifold(c).ok
     assert check_regular_coloring(c, colors)
-    pc = formats.cell_complex_from_dict(json.loads(cells_out.read_text()))
+    pc = extra_api.cell_complex_from_dict(json.loads(cells_out.read_text()))
     assert np.array_equal(pc.glue, build_tomei(2).glue)
     capsys.readouterr()
 

@@ -1,13 +1,16 @@
 """The array glue table against the dict-backed oracle in ``dict_oracle``:
 face classes, cover builds and the class map of the covering check agree
-exactly; corrupted tables are refused; and the memoized breadth-first build
-reaches the 20,000-cell cover of the join C4 * C10."""
+exactly; corrupted tables are refused; and the orbit-gather build reaches
+the 20,000-cell cover of the join C4 * C10."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dict_oracle
-from cyclecover import corpus
+from extra_api import suspended_cycle
+from cyclecover import corpus, formats
 from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
 from cyclecover.covering import build_component, build_full, verify_covering
 from cyclecover.errors import InconsistentGluingError
@@ -17,6 +20,8 @@ from cyclecover.pseudomanifold import (
     colored_from_complex,
 )
 from cyclecover.tomei import build_tomei
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def cycle_join(first: int, second: int) -> ColoredPseudomanifold:
@@ -77,11 +82,43 @@ def test_cover_face_classes_match_oracle(covers, name):
     assert_classes_match_oracle(covers[name][0].pc)
 
 
-@pytest.mark.parametrize("name", COVERS)
-def test_cover_builds_match_oracle(covers, name):
-    cover, (cells, glue) = covers[name]
+def assert_build_matches_oracle(cover, oracle):
+    """Same cells in the same order, same glue, and the same tuple and
+    involution ids in the registry."""
+    cells, glue, reg = oracle
     assert cover.cells == cells
     assert dict_oracle.glue_dict(cover.pc) == glue
+    assert cover.registry._tuples == reg._tuples
+    assert cover.registry._involutions == reg._involutions
+
+
+@pytest.mark.parametrize("name", COVERS)
+def test_cover_builds_match_oracle(covers, name):
+    cover, oracle = covers[name]
+    assert_build_matches_oracle(cover, oracle)
+
+
+# every corpus input with a cover: rp2_minimal is not orientable, and the
+# sd(boundary delta4) component has 1,399,680 cells, too many for the oracle;
+# the full set of sd(boundary delta3) has 5,159,780,352 cells
+@pytest.mark.parametrize("name, full", [("hexagon", True), ("octahedron", True),
+                                        ("boundary_delta3", False)])
+def test_corpus_builds_match_oracle(name, full):
+    complex_, coloring, orientation = formats.load_complex(CORPUS_DIR / f"{name}.json")
+    cp = colored_from_complex(complex_, coloring, orientation)[0]
+    assert_build_matches_oracle(build_component(cp), dict_oracle.build_component(cp))
+    if full:
+        assert_build_matches_oracle(build_full(cp), dict_oracle.build_full(cp))
+
+
+def test_suspended_cycle_build_picks_out_the_component():
+    # the seed tuple's orbit carries 7200 parity-consistent cells, of which
+    # the seed's component holds a third
+    cp = colored_from_complex(suspended_cycle(5))[0]
+    cover = build_component(cp)
+    assert cover.registry.tuple_count * cp.top_count * (1 << (cp.n - 1)) == 7200
+    assert cover.num_cells == 2400
+    assert_build_matches_oracle(cover, dict_oracle.build_component(cp))
 
 
 @pytest.mark.parametrize("name", COVERS)
@@ -146,7 +183,9 @@ def test_table_shape_and_type_checked():
 # scale
 
 def test_join_c4_c10_cover_build():
-    cover = build_component(cycle_join(4, 10))
+    cp = cycle_join(4, 10)
+    cover = build_component(cp)
     assert cover.num_cells == 20000
     assert cover.registry.tuple_count == 125
     assert verify_covering(cover).degree == 2500
+    assert_build_matches_oracle(cover, dict_oracle.build_component(cp))

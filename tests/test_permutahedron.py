@@ -4,13 +4,8 @@ from functools import lru_cache
 import pytest
 
 from cyclecover.permutahedron import (
-    barycentric_triangulation,
-    chain_as_order,
-    contained_faces,
-    containing_faces,
     enumerate_faces,
     face_counts,
-    facets_intersect,
     full_mask,
     is_chain,
     mask_elements,
@@ -20,6 +15,13 @@ from cyclecover.permutahedron import (
     vertex_chains,
 )
 from cyclecover.pseudomanifold import validate_pseudomanifold
+from extra_api import (
+    barycentric_triangulation,
+    chain_as_order,
+    contained_faces,
+    containing_faces,
+    facets_intersect,
+)
 
 
 # ---------------------------------------------------------------------------

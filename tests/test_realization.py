@@ -8,12 +8,13 @@ cover cells over each base simplex, and for the full cover it equals
 """
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from cyclecover import corpus
-from cyclecover.covering import CoverComplex, build_component, build_full
+from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DegreeNotConstantError, NotWellDefinedError
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
@@ -128,12 +129,11 @@ def test_vertex_images_hexagon(hex_cp):
 
 def test_vertex_map_rejects_inconsistent_cells(octa_cp):
     cover = build_component(octa_cp)
-    cells = list(cover.cells)
     # relabel one cell's base simplex with the antipodal triangle: facet
     # classes then straddle cells that share no vertex
-    i = 0
-    cells[i] = cells[i]._replace(sigma=cells[i].sigma ^ 0b111)
-    broken = CoverComplex(cover.cp, cover.registry, cells, cover.index, cover.pc)
+    sigma = cover.sigma.copy()
+    sigma[0] ^= 0b111
+    broken = replace(cover, sigma=sigma)
     with pytest.raises(NotWellDefinedError, match="distinct images"):
         realization_map(broken)
 
