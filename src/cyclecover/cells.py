@@ -10,9 +10,12 @@ column per facet label in ``proper_subsets`` order, and every check on it is
 a whole-column gather.
 
 Face classes of codimension k are the orbits of (cell, chain) pairs under the
-gluings along the k facets the face lies in.  Those gluings commute (their
-labels are nested), so each orbit has size exactly 2^k whenever the gluing
-is consistent; this is checked, not assumed.
+gluings along the k facets the face lies in.  The constructor checks that
+every gluing is an involution and that gluings across nested facets commute,
+so a chain's gluings generate a quotient of (Z/2)^k and its orbits are
+closed by construction.  Their size, exactly 2^k, is checked, not assumed:
+a chain's classes are built from those of the chain without its last
+facet, and each class must join two different classes of that prefix.
 """
 
 from __future__ import annotations
@@ -167,47 +170,41 @@ def face_classes(pc: PermutahedralComplex) -> FaceClasses:
     """Identify faces across the gluing.  Deterministic: codimension-major,
     then chain enumeration order, then lowest cell index.
 
-    For each chain the 2^k images of every cell under the products of the
-    chain's gluings are stacked, column b holding the image under the
-    gluings in bit set b.  They must be distinct, and closed under each
-    gluing (crossing the j-th facet of the chain takes column b to column
-    b ^ 2^j), so they form the cell's orbit, and the orbit's lowest cell
-    names its class.
+    Each chain c = (w_1 < ... < w_k) takes its ids from those of its prefix
+    c' = c[:-1], which is enumerated earlier.  Since the gluings are
+    involutions and those across nested facets commute (both checked when
+    the complex is built), the orbit of a cell x under c is its c'-orbit
+    together with the c'-orbit of t(x), t the gluing across w_k.  Two
+    c'-orbits are equal or disjoint, so the c-orbit has 2^k cells exactly
+    when x and t(x) have different c'-ids; otherwise it has 2^(k-1).  The
+    lower of the two c'-ids belongs to the orbit's lowest cell, so ranking
+    the lower ids that occur numbers the classes by lowest cell.
     """
     chains = [chain for k in range(pc.n + 1) for chain in enumerate_faces(pc.n, k)]
-    cells = np.arange(pc.num_cells, dtype=np.int32)
+    row_of = {chain: r for r, chain in enumerate(chains)}
     crossing = pc.glue.T.copy()  # crossing[slot] is one contiguous column
     class_ids = np.empty((len(chains), pc.num_cells), dtype=np.int32)
-    chain_start: list[int] = []
-    codim_start: list[int] = []
-    next_id = 0
-    for r, chain in enumerate(chains):
+    class_ids[0] = np.arange(pc.num_cells)  # codimension 0: one class per cell
+    chain_start = [0, pc.num_cells]
+    codim_start = [0]
+    for r, chain in enumerate(chains[1:], start=1):
+        next_id = chain_start[-1]
         if len(codim_start) == len(chain):
             codim_start.append(next_id)
-        slots = [pc.slot_of[w] for w in chain]
-        images = cells[:, None]
-        for slot in slots:
-            images = np.concatenate([images, crossing[slot][images]], axis=1)
-        orbit = np.sort(images, axis=1)
-        repeated = orbit[:, 1:] == orbit[:, :-1]
-        if repeated.any():
-            cell = int(np.argwhere(repeated)[0, 0])
+        prefix = row_of[chain[:-1]]
+        ids = class_ids[prefix]
+        across = ids[crossing[pc.slot_of[chain[-1]]]]
+        collapsed = across == ids
+        if collapsed.any():
             raise InconsistentGluingError(
-                f"face orbit of {chain} at cell {cell} has size "
-                f"{len(set(images[cell].tolist()))}, expected {1 << len(chain)}")
-        columns = np.arange(1 << len(chain))
-        for j, slot in enumerate(slots):
-            unclosed = crossing[slot][images] != images[:, columns ^ (1 << j)]
-            if unclosed.any():
-                raise InconsistentGluingError(
-                    f"face orbit of {chain} at cell {np.argwhere(unclosed)[0, 0]} "
-                    f"is not closed under crossing {mask_elements(pc.subsets[slot])}")
-        lowest = orbit[:, 0]
-        is_lowest = lowest == cells
-        chain_start.append(next_id)
-        class_ids[r] = next_id + (np.cumsum(is_lowest) - 1)[lowest]
-        next_id += int(is_lowest.sum())
-    chain_start.append(next_id)
+                f"face orbit of {chain} at cell {int(np.argmax(collapsed))} has "
+                f"size {1 << (len(chain) - 1)}, expected {1 << len(chain)}")
+        lower = np.minimum(ids, across, out=across) - chain_start[prefix]
+        present = np.zeros(chain_start[prefix + 1] - chain_start[prefix], dtype=bool)
+        present[lower] = True
+        rank = np.cumsum(present, dtype=np.int32)
+        class_ids[r] = rank[lower] + (next_id - 1)
+        chain_start.append(next_id + len(present) // 2)  # two prefix classes each
     return FaceClasses(pc, chains, class_ids, chain_start, codim_start)
 
 

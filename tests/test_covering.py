@@ -13,6 +13,7 @@ import pytest
 
 from cyclecover import corpus
 from cyclecover.cells import (
+    PermutahedralComplex,
     euler_characteristic,
     face_classes,
     orientable,
@@ -412,6 +413,36 @@ def test_verify_cell_projection_rejects_wrong_length():
     m2 = build_tomei(2)
     with pytest.raises(NotACoveringError, match="every cell"):
         verify_cell_projection(m2, [0, 1, 2], m2)
+
+
+def copies_of_m2(k: int) -> PermutahedralComplex:
+    """k disjoint copies of the Tomei surface, copy i on cells 4i..4i+3."""
+    glue = build_tomei(2).glue
+    return PermutahedralComplex(2, 4 * k, np.concatenate([glue + 4 * i for i in range(k)]))
+
+
+def copy_projection(copy_of: list[int]) -> list[int]:
+    """Send copy i cell by cell onto copy ``copy_of[i]``; this commutes with
+    every crossing, so only the later checks can fail."""
+    return [4 * target + g for target in copy_of for g in range(4)]
+
+
+def test_verify_cell_projection_rejects_cell_outside_base():
+    m2 = build_tomei(2)
+    with pytest.raises(NotACoveringError, match="outside the base"):
+        verify_cell_projection(m2, [0, 1, 2, 4], m2)
+
+
+def test_verify_cell_projection_rejects_uneven_cell_count():
+    with pytest.raises(NotACoveringError, match="12 cells cannot evenly cover 8"):
+        verify_cell_projection(copies_of_m2(3), copy_projection([0, 1, 0]),
+                               copies_of_m2(2))
+
+
+def test_verify_cell_projection_rejects_uneven_fibers():
+    with pytest.raises(NotACoveringError, match="cell fibers are not constant"):
+        verify_cell_projection(copies_of_m2(4), copy_projection([0, 0, 0, 1]),
+                               copies_of_m2(2))
 
 
 def test_class_map_is_surjective(octa_component):

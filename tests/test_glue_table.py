@@ -14,6 +14,7 @@ from cyclecover import corpus, formats
 from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
 from cyclecover.covering import build_component, build_full, verify_covering
 from cyclecover.errors import InconsistentGluingError
+from cyclecover.permutahedron import proper_subsets
 from cyclecover.pseudomanifold import (
     AbstractComplex,
     ColoredPseudomanifold,
@@ -170,6 +171,36 @@ def test_collapsed_orbit_rejected():
     pc = PermutahedralComplex(2, 4, glue)
     with pytest.raises(InconsistentGluingError, match="has size 2, expected 4"):
         face_classes(pc)
+
+
+def test_collapsed_codim3_orbit_rejected():
+    # n = 3 on the four cells of (Z/2)^2: crossing F_w adds the element
+    # numbered |w|, so nested labels add different elements and every
+    # orbit of codimension 1 or 2 is full, but a codimension-3 orbit can
+    # only be the whole group of 4 cells
+    glue = np.array([[cell ^ w.bit_count() for w in proper_subsets(3)]
+                     for cell in range(4)])
+    pc = PermutahedralComplex(3, 4, glue)
+    with pytest.raises(InconsistentGluingError, match="has size 4, expected 8"):
+        face_classes(pc)
+
+
+def test_face_classes_follow_cell_relabelling(covers):
+    pc = covers["join C4*C6 component"][0].pc
+    perm = np.random.default_rng(7).permutation(pc.num_cells)  # cell i -> perm[i]
+    glue = np.empty_like(pc.glue)
+    glue[perm] = perm[pc.glue]
+    old = face_classes(pc)
+    new = face_classes(PermutahedralComplex(pc.n, pc.num_cells, glue))
+    assert (new.chain_start, new.codim_start) == (old.chain_start, old.codim_start)
+    for r, start in enumerate(old.chain_start[:-1]):
+        # the old class of each relabelled cell, keyed by its lowest new cell
+        moved = np.empty_like(old.class_ids[r])
+        moved[perm] = old.class_ids[r]
+        lowest = np.full(old.num_classes, pc.num_cells)
+        np.minimum.at(lowest, moved, np.arange(pc.num_cells))
+        rank = np.unique(lowest[moved], return_inverse=True)[1]
+        assert np.array_equal(new.class_ids[r], start + rank)
 
 
 def test_table_shape_and_type_checked():
