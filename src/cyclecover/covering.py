@@ -352,10 +352,13 @@ def build_full(cp: ColoredPseudomanifold,
 
 @dataclass
 class CoveringReport:
+    """The covering degree, the fibre size over every base cell and base
+    class, and the base class under each cover class (``int32``)."""
+
     degree: int
     cell_fibers: dict[int, int]
     class_fibers: dict[int, int]
-    cover_class_to_base: list[int]
+    cover_class_to_base: np.ndarray
 
 
 def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
@@ -423,7 +426,7 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
             f"{class_fibers[bid]}, expected {degree}")
 
     return CoveringReport(degree, dict(enumerate(fibers.tolist())),
-                          dict(enumerate(class_fibers.tolist())), image.tolist())
+                          dict(enumerate(class_fibers.tolist())), image)
 
 
 def verify_covering(cover: CoverComplex,

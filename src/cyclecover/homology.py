@@ -1,20 +1,42 @@
-"""Integral simplicial homology via Smith normal form.
+"""Integral simplicial homology via unit-pivot elimination and Smith form.
 
 Boundary matrices are dense ``int64`` arrays filled from the facet tables
-of the complex's face levels, and the composite of consecutive ones is
-checked to vanish.  The Smith reduction works on whole rows and columns of
-``int64`` arrays while every entry of the matrix and of its row and column
-transforms stays below 2^31 in absolute value: under that bound no single
-update can wrap, and the bound is checked after every update.  When it
-breaks, or the input already exceeds it, the same reduction restarts on
-numpy ``object`` arrays of Python integers, which cannot overflow.  Both
-give the same D, U and V.  The factorization U M V = D is checked by
-multiplication instead of trusted, in ``int64`` when a bound on the entries
-of the product allows it and over Python integers otherwise.
+of the complex's face levels.  That ∂∂ = 0 is checked on the tables
+themselves: the signed (k-2)-faces reached from each k-face through its
+facets are summed per face and must cancel.
+
+``homology`` reads ranks and divisors only, so it first eliminates unit
+pivots.  Peeling, as in a collapse, pairs a row that has a single nonzero
+±1 among the active columns with that column, and sets the lowest active
+column aside when no such row is left.  A row paired at step i has no
+nonzero in the columns paired after it, so the pivot block P = M[R, C] is
+lower triangular with a ±1 diagonal, which is checked; P is then
+invertible over Z.  With X = P^-1 A by forward substitution (P X = A is
+checked by multiplication) and S = E - B X for the blocks
+M = [[P, A], [B, E]], the integral row and column operations
+[[1, 0], [-B P^-1, 1]] and [[1, -X], [0, 1]] take M to diag(P, S), and P to
+the identity, so M and diag(I_p, S) have the same Smith form: rank p plus
+the rank of S, and divisors p ones followed by those of S.  The peeling
+runs on M and on its transpose, which has the same Smith form, and the
+side with more pivots is kept.  The Schur complement S, with its zero rows
+and columns dropped, goes to ``smith_normal_form``; it is never larger
+than M.  X and the products keep the int64 discipline below, with exact
+Python integers past their bounds.
+
+The Smith reduction works on whole rows and columns of ``int64`` arrays
+while every entry of the matrix and of its row and column transforms stays
+below 2^31 in absolute value: under that bound no single update can wrap,
+and the bound is checked after every update.  When it breaks, or the input
+already exceeds it, the same reduction restarts on numpy ``object`` arrays
+of Python integers, which cannot overflow.  Both give the same D, U and V.
+The factorization U M V = D is checked by multiplication instead of
+trusted, in ``int64`` when a bound on the entries of the product allows it
+and over Python integers otherwise.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +160,17 @@ def _product(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u.astype(dtype) @ m.astype(dtype) @ v.astype(dtype)
 
 
+def _integer_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a 2-dimensional numpy integer array, or ``object``
+    array of Python integers when it is not already integer-typed."""
+    m = np.asarray(matrix)
+    if m.dtype.kind not in "iu":
+        m = np.array(matrix, dtype=object)
+    if m.ndim != 2:
+        raise ValueError("need a 2-dimensional matrix")
+    return m
+
+
 def smith_normal_form(matrix, verify: bool = True) -> SmithForm:
     """Reduce an integer matrix to Smith normal form.
 
@@ -146,11 +179,7 @@ def smith_normal_form(matrix, verify: bool = True) -> SmithForm:
     same either way.  With ``verify`` the factorization is recomputed by
     multiplication and the divisibility chain of the diagonal is checked.
     """
-    m = np.asarray(matrix)
-    if m.dtype.kind not in "iu":
-        m = np.array(matrix, dtype=object)
-    if m.ndim != 2:
-        raise ValueError("need a 2-dimensional matrix")
+    m = _integer_matrix(matrix)
     try:
         if _max_abs(m) >= _BOUND:
             raise _Overflow
@@ -167,6 +196,183 @@ def smith_normal_form(matrix, verify: bool = True) -> SmithForm:
             if large % small:
                 raise AssertionError("Smith divisibility chain broken")
     return result
+
+
+# ---------------------------------------------------------------------------
+# unit-pivot elimination
+
+def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pivot rows and columns of ``m``, paired by peeling, in pivot order.
+
+    A row whose only nonzero among the active columns is ±1 pairs with that
+    column, which then leaves the active set; when no such row is left,
+    the lowest active column is set aside.  Each row keeps its number of
+    active nonzeros and the XOR of their column ids, so the partner of a
+    row with one is read off directly.  A row paired at step i has no
+    nonzero in the columns paired after it, so M[rows, cols] is lower
+    triangular with a ±1 diagonal.
+    """
+    rows, cols = m.shape
+    r, c = np.nonzero(m)
+    degree = np.bincount(r, minlength=rows).tolist()
+    xor = np.zeros(rows, dtype=np.int64)
+    np.bitwise_xor.at(xor, r, c)
+    xor = xor.tolist()
+    start = [0] + np.cumsum(np.bincount(c, minlength=cols)).tolist()
+    in_column = r[np.argsort(c, kind="stable")].tolist()
+    active = [True] * cols
+    ready = deque(i for i in range(rows) if degree[i] == 1)
+
+    def drop(j: int) -> None:
+        active[j] = False
+        for i in in_column[start[j]:start[j + 1]]:
+            degree[i] -= 1
+            xor[i] ^= j
+            if degree[i] == 1:
+                ready.append(i)
+
+    pivot_rows, pivot_cols, lowest = [], [], 0
+    while True:
+        while ready:
+            i = ready.popleft()
+            if degree[i] == 1 and m[i, xor[i]] in (1, -1):
+                pivot_rows.append(i)
+                pivot_cols.append(xor[i])
+                drop(xor[i])
+        while lowest < cols and not active[lowest]:
+            lowest += 1
+        if lowest == cols:
+            return pivot_rows, pivot_cols
+        drop(lowest)
+
+
+def _forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
+                        diag: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """X with P X = A, for P lower triangular with the ±1 diagonal ``diag``
+    and the strictly lower entries (row, col, value).  Rows are solved in
+    order; on int64, a row whose partial sums could reach 2^63 (bounded by
+    max|A[i]| + sum |P[i, j]| max|X[j]|) raises _Overflow."""
+    p, q = a.shape
+    x = np.zeros_like(a)
+    if not q:
+        return x
+    ends = np.cumsum(np.bincount(row, minlength=p)).tolist()
+    order = np.argsort(row, kind="stable")
+    col, value = col[order].tolist(), value[order].tolist()
+    exact = a.dtype == object
+    a_max, x_max = np.abs(a).max(axis=1).tolist(), [0] * p
+    start = 0
+    for i, end in enumerate(ends):
+        js, vs = col[start:end], value[start:end]
+        start = end
+        if not exact and a_max[i] + sum(
+                abs(v) * x_max[j] for j, v in zip(js, vs)) >= 1 << 63:
+            raise _Overflow
+        acc = a[i] - np.array(vs, dtype=a.dtype) @ x[js] if js else a[i]
+        x[i] = acc if diag[i] == 1 else -acc
+        if not exact:
+            x_max[i] = int(np.abs(x[i]).max())
+    return x
+
+
+def _minus_product(base: np.ndarray, row: np.ndarray, col: np.ndarray,
+                   value: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """base - Y @ x for the sparse Y with entries (row, col, value), in int64
+    when max|base| + (entries per row) * max|Y| * max|x|, a bound on every
+    partial sum, is below 2^63, else over Python integers."""
+    per_row = int(np.bincount(row).max(initial=0))
+    bound = _max_abs(base) + per_row * _max_abs(value) * _max_abs(x)
+    dtype = np.int64 if bound < 1 << 63 else object
+    out = base.astype(dtype)
+    np.subtract.at(out, row, value.astype(dtype)[:, None] * x.astype(dtype)[col])
+    return out
+
+
+def _schur(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+           verify: bool) -> np.ndarray:
+    p = len(rows)
+    row_at = np.full(m.shape[0], -1)
+    row_at[rows] = np.arange(p)
+    col_at = np.full(m.shape[1], -1)
+    col_at[cols] = np.arange(p)
+    if np.count_nonzero(row_at >= 0) != p or np.count_nonzero(col_at >= 0) != p:
+        raise AssertionError("pivot rows or columns repeat")
+    other_rows, other_cols = np.flatnonzero(row_at < 0), np.flatnonzero(col_at < 0)
+
+    r, c = np.nonzero(m)
+    in_cols = col_at[c] >= 0  # entries of P and B
+    r, c = r[in_cols], col_at[c[in_cols]]
+    v = m[r, cols[c]]
+    i = row_at[r]
+    in_p = i >= 0
+    pi, pj, pv = i[in_p], c[in_p], v[in_p]
+    if (pj > pi).any():
+        raise AssertionError("pivot block is not lower triangular")
+    on_diag = pi == pj
+    diag = np.zeros(p, dtype=m.dtype)
+    diag[pi[on_diag]] = pv[on_diag]
+    if not ((diag == 1) | (diag == -1)).all():
+        raise AssertionError("pivot block has a diagonal entry other than ±1")
+
+    a = m[np.ix_(rows, other_cols)]
+    x = _forward_substitute(pi[~on_diag], pj[~on_diag], pv[~on_diag], diag, a)
+    if verify and np.count_nonzero(_minus_product(a, pi, pj, pv, x)):
+        raise AssertionError("pivot solve verification failed: P X != A")
+    e = m[np.ix_(other_rows, other_cols)]
+    b_row = np.searchsorted(other_rows, r[~in_p])
+    return _minus_product(e, b_row, c[~in_p], v[~in_p], x)
+
+
+def schur_complement(m: np.ndarray, rows, cols, verify: bool = True) -> np.ndarray:
+    """The Schur complement S = E - B P^-1 A of the pivot block
+    P = M[rows, cols], in the block form M = [[P, A], [B, E]] whose other
+    rows and columns keep their order.  P must be lower triangular with a
+    ±1 diagonal, which is checked, so that M and diag(I_p, S) have the same
+    Smith form.  The work runs on int64 while the bounds allow and restarts
+    over Python integers when one does not; with ``verify`` the solve
+    X = P^-1 A is checked by multiplication.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    try:
+        if _max_abs(m) >= _BOUND:
+            raise _Overflow
+        return _schur(m.astype(np.int64, copy=False), rows, cols, verify)
+    except _Overflow:
+        return _schur(m.astype(object), rows, cols, verify)
+
+
+@dataclass
+class ReducedSmithForm:
+    """The Smith invariants of M = diag(I_p, S) over Z: the number p of unit
+    pivots and the Smith form of the Schur complement S, with the zero rows
+    and columns of S dropped."""
+
+    pivots: int
+    schur: SmithForm
+
+    @property
+    def rank(self) -> int:
+        return self.pivots + self.schur.rank
+
+    @property
+    def divisors(self) -> list[int]:
+        return [1] * self.pivots + self.schur.divisors
+
+
+def reduced_smith_form(matrix, verify: bool = True) -> ReducedSmithForm:
+    """Rank and divisors of an integer matrix by unit-pivot elimination and
+    the Smith form of what is left.  The pivots are peeled from the matrix
+    and from its transpose, whose Smith form is the same, and the side with
+    more of them is kept."""
+    m = _integer_matrix(matrix)
+    rows, cols = unit_pivots(m)
+    t_rows, t_cols = unit_pivots(m.T)
+    if len(t_rows) > len(rows):
+        m, rows, cols = m.T, t_rows, t_cols
+    s = schur_complement(m, rows, cols, verify)
+    s = s[np.ix_(np.count_nonzero(s, axis=1) > 0, np.count_nonzero(s, axis=0) > 0)]
+    return ReducedSmithForm(len(rows), smith_normal_form(s, verify))
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +394,26 @@ def faces_by_dimension(c: AbstractComplex) -> list[np.ndarray]:
     return [tables[0].facets] + [table.tops for table in tables]
 
 
+def _check_composite(lower: FacetTable, upper: FacetTable, k: int) -> None:
+    """Check that ∂_(k-1) ∂_k vanishes, given the facet tables of the
+    (k-1)-faces and of the k-faces: for each k-face, the (k-2)-faces
+    reached by dropping position j and then position l, with sign
+    (-1)^(j + l), must cancel face by face."""
+    faces = lower.facet[upper.facet]  # (k-faces, k + 1, k)
+    key = np.arange(len(faces))[:, None, None] * len(lower.facets) + faces
+    parity = 1 - 2 * (np.arange(k + 1) % 2)
+    sign = np.broadcast_to(parity[:, None] * parity[:k], faces.shape)
+    keys, inverse = np.unique(key.ravel(), return_inverse=True)
+    total = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(total, inverse, sign.ravel())
+    if np.count_nonzero(total):
+        raise AssertionError(f"boundary composite at dimension {k} is nonzero")
+
+
 def boundary_matrices(c: AbstractComplex) -> list[np.ndarray]:
     """Signed boundary matrices: entry k maps k-chains to (k-1)-chains.
     Index 0 holds the empty map.  The composites of consecutive matrices
-    are checked to vanish."""
+    are checked to vanish on the facet tables."""
     tables = _facet_tables(c)
     mats: list[np.ndarray] = [np.zeros((0, len(tables[0].facets)), dtype=np.int64)]
     for k, table in enumerate(tables, 1):
@@ -200,8 +422,7 @@ def boundary_matrices(c: AbstractComplex) -> list[np.ndarray]:
         m[table.facet, np.arange(len(table.tops))[:, None]] = parity
         mats.append(m)
     for k in range(2, c.n + 1):
-        if np.count_nonzero(mats[k - 1] @ mats[k]):
-            raise AssertionError(f"boundary composite at dimension {k} is nonzero")
+        _check_composite(tables[k - 2], tables[k - 1], k)
     return mats
 
 
@@ -224,8 +445,9 @@ def homology(c: AbstractComplex, verify: bool = True,
              max_entries: int | None = None) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
-    Reducing the k-th boundary matrix, |(k-1)-faces| x |k-faces|, also
-    holds a square transform on each side, so the largest dense array has
+    Each boundary matrix, |(k-1)-faces| x |k-faces|, is held densely, and
+    the Smith form of its Schur complement, which is never larger, holds a
+    square transform on each side, so the largest dense array has at most
     F^2 entries, F the largest number of faces of one dimension.  With
     ``max_entries``, a larger F^2 raises CapExceededError before any matrix
     is allocated.
@@ -239,7 +461,7 @@ def homology(c: AbstractComplex, verify: bool = True,
                 f"{counts[k]} x {counts[k]} matrix, {counts[k] ** 2} entries, "
                 f"over the cap of {max_entries}", max_entries, counts[k] ** 2)
     mats = boundary_matrices(c)
-    forms = [smith_normal_form(m, verify) for m in mats]
+    forms = [reduced_smith_form(m, verify) for m in mats]
     groups = []
     for k in range(c.n + 1):
         rank_in = forms[k].rank

@@ -448,5 +448,5 @@ def test_verify_cell_projection_rejects_uneven_fibers():
 def test_class_map_is_surjective(octa_component):
     report = verify_covering(octa_component)
     base_classes = face_classes(build_tomei(2))
-    assert set(report.cover_class_to_base) == set(range(len(base_classes.members)))
-    assert len(report.cover_class_to_base) == 4 * len(base_classes.members)
+    assert set(report.cover_class_to_base.tolist()) == set(range(len(base_classes.members)))
+    assert len(report.cover_class_to_base.tolist()) == 4 * len(base_classes.members)

@@ -127,7 +127,7 @@ def test_cover_to_base_matches_oracle(covers, name):
     cover = covers[name][0]
     base = build_tomei(cover.cp.n)
     report = verify_covering(cover, base)
-    assert report.cover_class_to_base == dict_oracle.cover_to_base(
+    assert report.cover_class_to_base.tolist() == dict_oracle.cover_to_base(
         cover.pc, [c.g for c in cover.cells], base)
 
 

@@ -4,11 +4,15 @@ The Smith reduction is checked against exact rational-rank and determinant
 oracles, by multiplying out its own transforms, and against the entry by
 entry reduction over Python integers in ``dict_oracle``, which must give the
 same D, U and V on the int64 path, on inputs past 2^31 and when growth
-forces a restart over Python integers.  Boundary matrices equal the
-dict-built ones; homology values are frozen for complexes whose groups are
-classical.
+forces a restart over Python integers.  The unit-pivot reduction that
+``homology`` runs gives the rank and divisors of the full Smith form, and
+its certificate rejects a tampered pivot block or solve.  Boundary matrices
+equal the dict-built ones; homology values are frozen for complexes whose
+groups are classical.
 """
 
+import dataclasses
+import importlib
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -24,12 +28,17 @@ from cyclecover.covering import build_component
 from cyclecover.errors import NonOrientableError
 from cyclecover.homology import (
     HomologyGroup,
+    _check_composite,
+    _facet_tables,
     betti_numbers,
     boundary_matrices,
     faces_by_dimension,
     fundamental_class,
     homology,
+    reduced_smith_form,
+    schur_complement,
     smith_normal_form,
+    unit_pivots,
 )
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
@@ -37,6 +46,7 @@ from cyclecover.pseudomanifold import (
 )
 from cyclecover.tomei import build_tomei
 
+homology_module = importlib.import_module("cyclecover.homology")
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -234,6 +244,18 @@ def test_boundary_composite_vanishes_across_corpus():
     assert entries >= 1000
 
 
+def test_boundary_composite_check_rejects_swapped_facets():
+    tables = _facet_tables(triangulate(build_tomei(3)).complex)
+    for k in (2, 3):
+        lower, upper = tables[k - 2], tables[k - 1]
+        _check_composite(lower, upper, k)
+        facet = upper.facet.copy()
+        facet[5, [0, 1]] = facet[5, [1, 0]]
+        with pytest.raises(AssertionError,
+                           match=f"boundary composite at dimension {k} is nonzero"):
+            _check_composite(lower, dataclasses.replace(upper, facet=facet), k)
+
+
 def test_boundary_matrix_shapes():
     c = corpus.octahedron()[0]
     faces = faces_by_dimension(c)
@@ -244,6 +266,92 @@ def test_boundary_matrix_shapes():
     # each edge has one positive and one negative endpoint
     col_sums = {tuple(sorted(mats[1][:, j].tolist())) for j in range(12)}
     assert col_sums == {(-1,) + (0,) * 4 + (1,)}
+
+
+# ---------------------------------------------------------------------------
+# unit-pivot reduction
+
+def assert_reduction_matches(m):
+    got, want = reduced_smith_form(m), smith_normal_form(m)
+    assert got.rank == want.rank
+    assert got.divisors == want.divisors
+    return got
+
+
+@pytest.mark.parametrize("c", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
+def test_reduction_equals_smith_form_on_boundary_matrices(c):
+    for m in boundary_matrices(c):
+        assert_reduction_matches(m)
+
+
+def planted_unit_pivots(rng):
+    """A sparse random matrix [[P, A], [B, E]] with P lower triangular with
+    a ±1 diagonal, its rows and columns shuffled."""
+    p, extra_rows, extra_cols = (int(x) for x in rng.integers(0, 7, size=3))
+    rows, cols = p + extra_rows, p + extra_cols
+    m = rng.integers(-4, 5, size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+    m[:p, :p] = np.tril(m[:p, :p], -1)
+    m[np.arange(p), np.arange(p)] = rng.choice([-1, 1], size=p)
+    return m[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+def test_reduction_on_planted_unit_pivots():
+    rng = np.random.default_rng(14)
+    pivots = 0
+    for _ in range(300):
+        m = planted_unit_pivots(rng)
+        rows, cols = unit_pivots(m)
+        block = m[np.ix_(rows, cols)]
+        assert np.array_equal(block, np.tril(block))
+        assert set(np.abs(np.diagonal(block)).tolist()) <= {1}
+        pivots += assert_reduction_matches(m).pivots
+    assert pivots >= 500
+
+
+def test_reduction_schur_complement_past_2_31_takes_the_object_path():
+    k = 2 ** 20
+    m = np.array([[k, 1], [3, k]])
+    got = assert_reduction_matches(m)
+    assert got.pivots == 1
+    assert got.schur.d.dtype == object
+    assert got.divisors == [1, k * k - 3]
+
+
+def test_schur_complement_restarts_over_python_integers():
+    k = 2 ** 30
+    # X grows to k^3 in the solve, past what int64 can hold
+    m = np.array([[1, 0, 0, k], [k, 1, 0, 0], [0, k, 1, 0], [0, 0, 1, 0]])
+    s = schur_complement(m, [0, 1, 2], [0, 1, 2])
+    assert s.dtype == object and s.tolist() == [[-k ** 3]]
+    assert_reduction_matches(m)
+    # input entries past 2^31 start over Python integers
+    big = np.array([[2 ** 40, 1], [3, 2 ** 40]])
+    assert schur_complement(big, [0], [1]).tolist() == [[3 - 2 ** 80]]
+    assert assert_reduction_matches(big).divisors == [1, 2 ** 80 - 3]
+
+
+def test_schur_complement_rejects_a_pivot_block_that_is_not_triangular():
+    m = boundary_matrices(corpus.octahedron()[0])[2]
+    rows, cols = unit_pivots(m)
+    assert len(rows) == 7
+    schur_complement(m, rows, cols)
+    with pytest.raises(AssertionError, match="not lower triangular"):
+        schur_complement(m, rows[::-1], cols[::-1])
+    with pytest.raises(AssertionError, match="diagonal entry other than"):
+        schur_complement(np.array([[2, 1]]), [0], [0])
+    with pytest.raises(AssertionError, match="repeat"):
+        schur_complement(m, rows[:1] * 2, cols[:2])
+
+
+def test_schur_complement_rejects_a_wrong_solve(monkeypatch):
+    m = boundary_matrices(corpus.octahedron()[0])[2]
+    rows, cols = unit_pivots(m)
+    solve = homology_module._forward_substitute
+    monkeypatch.setattr(homology_module, "_forward_substitute",
+                        lambda *args: solve(*args) + 1)
+    with pytest.raises(AssertionError, match="P X != A"):
+        schur_complement(m, rows, cols)
+    schur_complement(m, rows, cols, verify=False)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +372,12 @@ def test_homology_tomei_surface():
         HomologyGroup(1, []), HomologyGroup(4, []), HomologyGroup(1, [])]
     m1 = triangulate(build_tomei(1)).complex
     assert betti_numbers(m1) == [1, 1]
+
+
+def test_homology_tomei_three_fold():
+    m3 = triangulate(build_tomei(3)).complex
+    assert homology(m3) == [HomologyGroup(1, []), HomologyGroup(11, []),
+                            HomologyGroup(11, []), HomologyGroup(1, [])]
 
 
 def test_homology_projective_plane_torsion():
