@@ -16,9 +16,9 @@ from cyclecover import corpus
 from cyclecover.cells import triangulate
 from cyclecover.covering import build_component, build_full, verify_covering
 from cyclecover.homology import homology
+from cyclecover.involutions import predicted_multiplicity
 from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_complex
 from cyclecover.realization import (
-    predicted_multiplicity,
     realization_map,
     verify_realization,
 )

@@ -12,11 +12,11 @@ Exit codes: 0 all enabled checks pass, 1 a check failed or a cap was hit,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +26,18 @@ from .cells import euler_characteristic, face_classes, triangulate, verify_surfa
 from .covering import DEFAULT_MAX_CELLS, build_component, build_full, verify_covering
 from .errors import CapExceededError, NonOrientableError, TopologyError
 from .homology import homology
-from .involutions import canonical_involution, count_compatible_involutions
+from .involutions import (
+    canonical_involution,
+    count_compatible_involutions,
+    is_compatible_involution,
+    predicted_multiplicity,
+)
 from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import (
     ColoredPseudomanifold,
     barycentric_subdivide,
     check_regular_coloring,
+    colored_from_complex,
     orient,
     validate_pseudomanifold,
 )
@@ -104,7 +110,7 @@ class Claims:
 
 def _diagnostic(e: TopologyError) -> str:
     """Error message plus the witness data when the error carries one."""
-    witness = getattr(e, "witness", None) or getattr(e, "cycle", None)
+    witness = getattr(e, "witness", None)
     return f"{e}; witness: {witness}" if witness is not None else str(e)
 
 
@@ -177,13 +183,8 @@ def verify_pipeline(complex, coloring, orientation,
                  f"2^{n} cells, euler characteristic {base_euler}")
     report["base"] = {"cells": base.num_cells, "euler": base_euler}
 
-    ok = True
-    for w in proper_subsets(n):
-        try:
-            canonical_involution(bundle, w)
-        except TopologyError:
-            ok = False
-            break
+    ok = all(is_compatible_involution(bundle, canonical_involution(bundle, w), w)
+             for w in proper_subsets(n))
     claims.check("canonical compatible involution exists for every color subset",
                  ok)
     if not ok:
@@ -194,7 +195,7 @@ def verify_pipeline(complex, coloring, orientation,
     claims.check("compatible involutions counted for every color subset",
                  all(c for _, c in counts),
                  ", ".join(f"{mask_elements(w)}:{c}" for w, c in counts))
-    report["q_formula"] = (1 << (n - 1)) * prod(c for _, c in counts)
+    report["q_formula"] = predicted_multiplicity(bundle)
     report["involution_counts"] = [[list(mask_elements(w)), c]
                                    for w, c in counts]
 
@@ -374,11 +375,7 @@ def _run_tomei(config: RunConfig) -> int:
 
 
 def _run_cover(config: RunConfig) -> int:
-    complex, coloring, orientation = _load(config)
-    if coloring is None:
-        sd = barycentric_subdivide(complex)
-        complex, coloring, orientation = sd.complex, sd.coloring, None
-    bundle = ColoredPseudomanifold(complex, coloring, orientation)
+    bundle, _ = colored_from_complex(*_load(config))
     cover = (build_full(bundle, config.max_cells)
              if config.full
              else build_component(bundle, max_cells=config.max_cells))
@@ -443,7 +440,9 @@ def run(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cyclecover",
         description="verify realization of cycles by covers of Tomei manifolds")

@@ -28,7 +28,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +37,9 @@ from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
 from .involutions import (
     Involution,
     canonical_involution,
-    count_compatible_involutions,
     enumerate_compatible_involutions,
     is_compatible_involution,
+    predicted_multiplicity,
 )
 from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import ColoredPseudomanifold
@@ -272,7 +271,7 @@ def _cover(reg: InvolutionRegistry, orbit: _Orbit, t: np.ndarray,
 def seed_cell(reg: InvolutionRegistry) -> CoverCell:
     """Deterministic starting cell: the smallest plus-part simplex, the
     canonical involution tuple, and g = 0."""
-    return CoverCell(min(reg.cp.plus), reg.canonical_tuple(), 0)
+    return CoverCell(int(reg.cp.plus[0]), reg.canonical_tuple(), 0)
 
 
 def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
@@ -322,8 +321,7 @@ def build_full(cp: ColoredPseudomanifold,
     (sigma, tuple, g) order.  The size comes from the involution counts and
     is checked against the cap before any involution is enumerated."""
     reg = InvolutionRegistry(cp)
-    total = cp.top_count * (1 << (cp.n - 1)) * prod(
-        count_compatible_involutions(cp, w) for w in reg.subsets)
+    total = cp.top_count * predicted_multiplicity(cp)
     if total > max_cells:
         raise CapExceededError(
             f"full cover set has {total} cells, more than the cap {max_cells}",
@@ -334,7 +332,7 @@ def build_full(cp: ColoredPseudomanifold,
     tuple_ids = [reg.intern_tuple(combo) for combo in product(*pool_ids)]
     orbit = _tuple_orbit(reg, tuple_ids)
     # valid[sigma, t, g]: the parity constraint, numbered in C order
-    valid = np.asarray(cp.parts)[:, None] == _parity_signs(cp.n)
+    valid = cp.parts[:, None] == _parity_signs(cp.n)
     valid = np.broadcast_to(valid[:, None, :],
                             (cp.top_count, len(tuple_ids), 1 << cp.n))
     sigma, t, g = np.nonzero(valid)
@@ -439,7 +437,7 @@ def verify_covering(cover: CoverComplex,
     base = base or build_tomei(cp.n)
     in_range = (cover.g >= 0) & (cover.g < 1 << cp.n)
     sign = _parity_signs(cp.n)[np.where(in_range, cover.g, 0)]
-    bad = ~in_range | (sign != np.asarray(cp.parts)[cover.sigma])
+    bad = ~in_range | (sign != cp.parts[cover.sigma])
     if bad.any():
         raise NotACoveringError(
             f"cell {cover.cells[int(np.argmax(bad))]} violates the parity constraint")

@@ -9,17 +9,6 @@ class TopologyError(Exception):
     """Base class for all structural failures raised by this package."""
 
 
-class OddCycleError(TopologyError):
-    """The facet-dual graph is not bipartite.
-
-    ``cycle`` is a closed walk (list of top-simplex indices) of odd length.
-    """
-
-    def __init__(self, message: str, cycle: list[int]):
-        super().__init__(message)
-        self.cycle = cycle
-
-
 class NonOrientableError(TopologyError):
     """Coherent sign propagation failed.
 

@@ -8,7 +8,15 @@ same w-colored vertices means lying in the star of the same face F spanned
 by the colors of w, an equivalence relation.  So L is compatible exactly
 when it pairs the plus and minus simplices within each star by a
 bijection: one exists iff every star holds as many plus simplices a_F as
-minus ones, and there are prod_F a_F! of them.
+minus ones, and there are prod_F a_F! of them.  The full cover realizes
+q = 2^(n-1) times the product of these counts over all w.
+
+Everything here reads the bundle's arrays.  The stars of w are the
+distinct rows of ``by_color`` restricted to the colors of w, and a_F is a
+``bincount`` of the plus part over them.  The canonical involution for w
+pairs each top with its neighbor across the facet that drops the vertex
+of the one color missing from a size-n extension of w.  A candidate is
+checked compatible by one test over the whole array.
 
 Involutions are stored as permutation tuples over top-simplex indices.
 """
@@ -16,24 +24,19 @@ Involutions are stored as permutation tuples over top-simplex indices.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
-from .pseudomanifold import ColoredPseudomanifold
+import numpy as np
+
+from .permutahedron import full_mask, mask_elements, proper_subsets
+from .pseudomanifold import ColoredPseudomanifold, group_rows
 
 Involution = tuple[int, ...]
 
 
-def compatible(cp: ColoredPseudomanifold, i: int, j: int, subset: int) -> bool:
-    """Do top simplices i and j share their color-c vertex for every c in
-    the subset?"""
-    bi, bj = cp.by_color[i], cp.by_color[j]
-    m = subset
-    while m:
-        c = m & -m
-        if bi[c.bit_length() - 1] != bj[c.bit_length() - 1]:
-            return False
-        m ^= c
-    return True
+def _colored(cp: ColoredPseudomanifold, subset: int) -> np.ndarray:
+    """The vertices of the subset's colors in every top simplex."""
+    return cp.by_color[:, [c - 1 for c in mask_elements(subset)]]
 
 
 def extend_to_facet_colors(subset: int, n: int) -> int:
@@ -52,43 +55,55 @@ def extend_to_facet_colors(subset: int, n: int) -> int:
 def canonical_involution(cp: ColoredPseudomanifold, subset: int) -> Involution:
     """Pair every top simplex with its neighbor across the facet colored by
     the canonical size-n extension of the subset."""
-    ext = extend_to_facet_colors(subset, cp.n)
-    return tuple(cp.neighbor_across(i, ext) for i in range(cp.top_count))
+    missing = full_mask(cp.n) & ~extend_to_facet_colors(subset, cp.n)
+    table = cp.complex.facet_table
+    dropped = cp.by_color[:, missing.bit_length() - 1]
+    position = np.argmax(table.tops == dropped[:, None], axis=1)
+    return tuple(table.neighbor[np.arange(len(position)), position].tolist())
 
 
 def is_compatible_involution(cp: ColoredPseudomanifold, perm, subset: int) -> bool:
-    if len(perm) != cp.top_count:
+    """Is ``perm`` a fixed-point-free involution of the top simplices that
+    swaps the parts and keeps the vertex of every color of the subset?"""
+    perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (cp.top_count,):
         return False
-    for i, j in enumerate(perm):
-        if j == i or not 0 <= j < cp.top_count:
-            return False
-        if perm[j] != i or cp.parts[i] == cp.parts[j]:
-            return False
-        if not compatible(cp, i, j, subset):
-            return False
-    return True
+    if ((perm < 0) | (perm >= cp.top_count)).any():
+        return False
+    tops = np.arange(cp.top_count)
+    colored = _colored(cp, subset)
+    return bool((perm != tops).all() and (perm[perm] == tops).all()
+                and (cp.parts[perm] != cp.parts).all()
+                and (colored[perm] == colored).all())
 
 
-def _stars(cp: ColoredPseudomanifold, subset: int) -> list[tuple[list[int], list[int]]]:
-    """The (plus, minus) top simplices in the star of each face spanned by
-    the colors of the subset, in order of first appearance."""
-    colors = [c for c in range(cp.n + 1) if subset >> c & 1]
-    stars: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for i, vertices in enumerate(cp.by_color):
-        plus, minus = stars.setdefault(tuple(vertices[c] for c in colors), ([], []))
-        (plus if cp.parts[i] == 1 else minus).append(i)
-    return list(stars.values())
+def _stars(cp: ColoredPseudomanifold, subset: int):
+    """The star of the subset's face that holds each top simplex, numbered
+    in sorted order of the faces, and each star's plus and minus counts."""
+    colored = _colored(cp, subset)
+    star, _ = group_rows(colored, int(colored.max()) + 1)
+    count = int(star.max()) + 1
+    return (star, np.bincount(star[cp.plus], minlength=count),
+            np.bincount(star[cp.minus], minlength=count))
 
 
 def count_compatible_involutions(cp: ColoredPseudomanifold, subset: int) -> int:
     """The product over the stars of a_F!, where a_F is the star's number of
     plus-part simplices; 0 if a star has more of one part than the other."""
-    count = 1
-    for plus, minus in _stars(cp, subset):
-        if len(plus) != len(minus):
-            return 0
-        count *= factorial(len(plus))
-    return count
+    _, plus, minus = _stars(cp, subset)
+    if (plus != minus).any():
+        return 0
+    return prod(factorial(a) ** stars
+                for a, stars in enumerate(np.bincount(plus).tolist()))
+
+
+def predicted_multiplicity(cp: ColoredPseudomanifold) -> int:
+    """q = 2^(n-1) times the product over proper color subsets of the
+    number of compatible involutions: the multiplicity the full cover
+    realizes, and its number of cells over each top simplex."""
+    n = cp.n
+    return (1 << (n - 1)) * prod(
+        count_compatible_involutions(cp, w) for w in proper_subsets(n))
 
 
 def enumerate_compatible_involutions(cp: ColoredPseudomanifold,
@@ -96,9 +111,13 @@ def enumerate_compatible_involutions(cp: ColoredPseudomanifold,
     """All involutions compatible with the subset: every combination of one
     bijection per star.  The ``count_compatible_involutions`` entries are
     sorted by the partners of the plus-part simplices in index order."""
-    stars = _stars(cp, subset)
-    if any(len(plus) != len(minus) for plus, minus in stars):
+    star, plus_count, minus_count = _stars(cp, subset)
+    if (plus_count != minus_count).any():
         return []
+    members = np.split(np.argsort(star, kind="stable"),
+                       np.cumsum(2 * plus_count)[:-1])
+    stars = [(m[cp.parts[m] == 1].tolist(), m[cp.parts[m] == -1].tolist())
+             for m in members]
     found = []
     for images in product(*(permutations(minus) for _, minus in stars)):
         perm = [-1] * cp.top_count
@@ -106,5 +125,6 @@ def enumerate_compatible_involutions(cp: ColoredPseudomanifold,
             for i, j in zip(plus, image):
                 perm[i], perm[j] = j, i
         found.append(tuple(perm))
-    found.sort(key=lambda perm: [perm[i] for i in cp.plus])
+    plus_tops = cp.plus.tolist()
+    found.sort(key=lambda perm: [perm[i] for i in plus_tops])
     return found

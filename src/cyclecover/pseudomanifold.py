@@ -5,8 +5,8 @@ array with one ascending vertex row per top simplex, and the same rows as
 tuples in ``top_simplices``, built on first use.  The operations here
 establish the combinatorial backbone used by every other module:
 pseudomanifold validation, barycentric subdivision with its canonical
-coloring by face dimension, the two-coloring of the facet-dual graph, and
-coherent orientation by sign propagation.
+coloring by face dimension, coherent orientation by sign propagation, and
+the two parts of the top simplices.
 
 Adjacency lives in one array table per complex, ``facet_table``: every
 (top, dropped position) pair gets the id of its facet, facets are numbered
@@ -17,6 +17,15 @@ dual graph all read this table; components and orientation signs come
 from one run of ``lowest_labels`` per table, which hooks trees under their
 lowest neighbors and shortcuts pointers.
 
+The parts need no search of their own.  Read in color order, the
+orientation of a top simplex is its orientation times the sign of the
+permutation that sorts its colors.  Two tops across a facet share every
+color but one, so coherence makes that product opposite on them: it
+two-colors the dual graph, the small-cover sign of Davis and
+Januszkiewicz.  Normalized to +1 on the lowest top of each component, it
+gives the parts, which are checked across every facet.  The colored
+bundle keeps its parts and its vertex of each color per top as arrays.
+
 Conventions.  Vertices are 0-based integers.  Colors are 1-based integers in
 ``{1, ..., n+1}`` and sets of colors are bitmasks with bit ``c - 1`` standing
 for color ``c``.  An orientation assigns ``+1``/``-1`` to every top simplex,
@@ -26,7 +35,6 @@ by dropping position ``i`` is ``(-1) ** i`` times the simplex sign.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
@@ -108,13 +116,13 @@ class FacetTable:
     position: np.ndarray
 
     @cached_property
-    def dual_components(self) -> tuple[bool, np.ndarray]:
+    def dual_components(self) -> tuple[np.ndarray, np.ndarray]:
         """One signed ``lowest_labels`` run over the dual graph, shared by
-        validation and orientation: whether the graph is connected, and
-        each top's sign relative to the lowest top of its component under
-        the rule that the two tops at a facet induce opposite signs on it.
-        A top stands in for its own missing neighbors; the signs mean an
-        orientation only where every facet is two-sided."""
+        validation, orientation and the parts: the lowest top of each top's
+        component, and each top's sign relative to it under the rule that
+        the two tops at a facet induce opposite signs on it.  A top stands
+        in for its own missing neighbors; the signs mean an orientation
+        only where every facet is two-sided."""
         # across a facet dropping j in t and k in u:
         # sign[u] = -(-1)^(j + k) sign[t]
         width = self.tops.shape[1]
@@ -123,8 +131,8 @@ class FacetTable:
         tops = np.arange(len(self.neighbor))[:, None]
         label, sign = lowest_labels(
             np.where(self.neighbor < 0, tops, self.neighbor), flip)
-        sign.flags.writeable = False
-        return not label.any(), sign
+        label.flags.writeable = sign.flags.writeable = False
+        return label, sign
 
 
 def group_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +287,7 @@ def _validate(c: AbstractComplex) -> ValidationReport:
     over = table.counts > 2
     report.overused_faces = list(zip(map(tuple, table.facets[over].tolist()),
                                      table.counts[over].tolist()))
-    report.connected = table.dual_components[0]
+    report.connected = not table.dual_components[0].any()
     return report
 
 
@@ -322,10 +330,11 @@ def check_regular_coloring(c: AbstractComplex, coloring) -> bool:
     The complex is pure, so every edge lies inside some top simplex; the
     per-simplex check therefore already forbids equal colors across any edge.
     """
-    if len(coloring) != c.num_vertices:
+    coloring = np.asarray(coloring)
+    if coloring.shape != (c.num_vertices,) or coloring.dtype.kind not in "iu":
         return False
-    palette = set(range(1, c.n + 2))
-    return all({coloring[v] for v in s} == palette for s in c.top_simplices)
+    colors = np.sort(coloring[c.tops], axis=1)
+    return bool((colors == np.arange(1, c.n + 2)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -349,54 +358,6 @@ def face_of_colors(simplex: Simplex, subset: int, coloring) -> Simplex:
 
 # ---------------------------------------------------------------------------
 # bipartition and orientation
-
-def bipartition(c: AbstractComplex, coloring) -> list[int]:
-    """Two-color the facet-dual graph; +1 on the lexicographically smallest
-    top simplex of each component.  Raises OddCycleError with an explicit odd
-    closed walk when no two-coloring exists."""
-    from .errors import OddCycleError
-
-    if not check_regular_coloring(c, coloring):
-        raise ValueError("bipartition requires a regular coloring")
-    adj: dict[int, list[int]] = {i: [] for i in range(len(c.top_simplices))}
-    for a, b in c.dual_edges():
-        adj[a].append(b)
-        adj[b].append(a)
-    parts = [0] * len(c.top_simplices)
-    parent = [-1] * len(c.top_simplices)
-    for start in range(len(c.top_simplices)):
-        if parts[start]:
-            continue
-        parts[start] = 1
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in sorted(adj[i]):
-                if parts[j] == 0:
-                    parts[j] = -parts[i]
-                    parent[j] = i
-                    queue.append(j)
-                elif parts[j] == parts[i]:
-                    raise OddCycleError(
-                        "facet-dual graph has an odd cycle; a balanced closed "
-                        "pseudomanifold with bipartite dual would be orientable, "
-                        "so this complex is not",
-                        _tree_cycle(parent, i, j))
-    return parts
-
-
-def _tree_cycle(parent, a, b) -> list[int]:
-    path_a, path_b = [a], [b]
-    while parent[path_a[-1]] != -1:
-        path_a.append(parent[path_a[-1]])
-    while parent[path_b[-1]] != -1:
-        path_b.append(parent[path_b[-1]])
-    # trim the common tail above the least common ancestor
-    while len(path_a) > 1 and len(path_b) > 1 and path_a[-2] == path_b[-2]:
-        path_a.pop()
-        path_b.pop()
-    return path_a[:-1] + list(reversed(path_b))
-
 
 def _induced_signs(table: FacetTable, signs: np.ndarray) -> np.ndarray:
     """``out[t, j]``: the sign top t induces on the facet dropping j."""
@@ -430,6 +391,45 @@ def orient(c: AbstractComplex) -> list[int]:
     return signs.tolist()
 
 
+def permutation_signs(rows: np.ndarray) -> np.ndarray:
+    """Sign of the permutation sorting each row of distinct integers, from
+    the parity of its inversions over all column pairs."""
+    inversions = np.zeros(len(rows), dtype=np.int64)
+    for i, j in combinations(range(rows.shape[1]), 2):
+        inversions += rows[:, i] > rows[:, j]
+    return 1 - 2 * (inversions % 2)
+
+
+def _parts(table: FacetTable, orientation, colors: np.ndarray) -> np.ndarray:
+    """The part of every top: its orientation read in color order (``colors``
+    holds each top's vertex colors), times that of the lowest top of its
+    component.  Checked opposite across every facet; the first facet in
+    sorted order where the parts agree names a ``TopologyError``."""
+    from .errors import TopologyError
+
+    sign = np.asarray(orientation, dtype=np.int64) * permutation_signs(colors)
+    parts = sign * sign[table.dual_components[0]]
+    agree = parts[:, None] == parts[table.neighbor]
+    if agree.any():
+        f = int(table.facet[agree].min())
+        i, other = sorted(np.argwhere(table.facet == f)[:, 0].tolist())
+        raise TopologyError(
+            f"top simplices {i} and {other} share the facet "
+            f"{tuple(table.facets[f].tolist())} but lie in the same part")
+    parts.flags.writeable = False
+    return parts
+
+
+def bipartition(c: AbstractComplex, coloring) -> list[int]:
+    """Two-color the facet-dual graph; +1 on the lowest top simplex of each
+    component.  The parts are the coherent orientation read in color order,
+    so a non-orientable complex raises ``NonOrientableError``."""
+    if not check_regular_coloring(c, coloring):
+        raise ValueError("bipartition requires a regular coloring")
+    colors = np.asarray(coloring)[c.tops]
+    return _parts(c.facet_table, orient(c), colors).tolist()
+
+
 def is_coherent_orientation(c: AbstractComplex, signs) -> bool:
     """Check that every facet receives opposite induced signs from its two
     cofaces (i.e. the signed sum of top simplices is a cycle)."""
@@ -445,12 +445,15 @@ def is_coherent_orientation(c: AbstractComplex, signs) -> bool:
 # the working bundle
 
 class ColoredPseudomanifold:
-    """An oriented closed pseudomanifold with a regular vertex coloring,
-    bipartitioned top simplices, and per-color vertex lookups.
+    """An oriented closed pseudomanifold with a regular vertex coloring, as
+    arrays: ``parts`` holds +1/-1 per top simplex, ``plus`` and ``minus``
+    the ascending tops of each part, and ``by_color[t, c - 1]`` the vertex
+    of color c in top t.
 
-    Orientation is computed before the bipartition: for balanced closed
-    pseudomanifolds the dual graph is bipartite exactly when the complex is
-    orientable, and the orientation failure carries the better witness.
+    Orientation is computed before the parts, which are read off it: for
+    balanced closed pseudomanifolds the dual graph is bipartite exactly
+    when the complex is orientable, and the orientation failure carries
+    the witness.
     """
 
     def __init__(self, complex: AbstractComplex, coloring,
@@ -468,28 +471,18 @@ class ColoredPseudomanifold:
         elif not is_coherent_orientation(complex, orientation):
             raise ValueError("supplied orientation is not coherent")
         self.orientation = list(orientation)
-        self.parts = bipartition(complex, coloring)
-        # by_color[i][c-1] = the vertex of color c in top simplex i
-        self.by_color: list[tuple[int, ...]] = []
-        for s in complex.top_simplices:
-            ordered = sorted(s, key=lambda v: self.coloring[v])
-            self.by_color.append(tuple(ordered))
-        self.plus = [i for i, p in enumerate(self.parts) if p == 1]
-        self.minus = [i for i, p in enumerate(self.parts) if p == -1]
+        tops = complex.tops
+        colors = np.asarray(self.coloring)[tops]
+        self.parts = _parts(complex.facet_table, self.orientation, colors)
+        self.by_color = np.empty_like(tops)
+        self.by_color[np.arange(len(tops))[:, None], colors - 1] = tops
+        self.by_color.flags.writeable = False
+        self.plus = np.flatnonzero(self.parts == 1)
+        self.minus = np.flatnonzero(self.parts == -1)
 
     @property
     def top_count(self) -> int:
-        return len(self.complex.top_simplices)
-
-    def neighbor_across(self, i: int, facet_colors: int) -> int:
-        """The other top simplex sharing the facet of i colored by the given
-        size-n color mask."""
-        missing = (~facet_colors) & ((1 << (self.n + 1)) - 1)
-        if missing == 0 or missing & (missing - 1):
-            raise ValueError("facet color mask must omit exactly one color")
-        drop = self.by_color[i][missing.bit_length() - 1]
-        j = self.complex.top_simplices[i].index(drop)
-        return int(self.complex.facet_table.neighbor[i, j])
+        return len(self.complex.tops)
 
 
 def colored_from_complex(complex: AbstractComplex, coloring=None,

@@ -17,16 +17,14 @@ with the degree constant, positive, and realized without cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import prod
+from itertools import permutations
 
 import numpy as np
 
 from .cells import FaceClasses, Triangulation, face_classes, triangulate
 from .covering import CoverComplex
 from .errors import DegreeNotConstantError, NotWellDefinedError
-from .involutions import count_compatible_involutions
-from .permutahedron import full_mask, proper_subsets
+from .permutahedron import full_mask
 from .pseudomanifold import (
     BarycentricSubdivision,
     ColoredPseudomanifold,
@@ -37,6 +35,7 @@ from .pseudomanifold import (
     is_coherent_orientation,
     lowest_labels,
     orient,
+    permutation_signs,
 )
 
 
@@ -311,15 +310,6 @@ def _raise_component_failure(comp, keys, coeffs, counts, expected, visit,
         witness=(comp, None, 0))
 
 
-def permutation_signs(rows: np.ndarray) -> np.ndarray:
-    """Sign of the permutation sorting each row of distinct integers, from
-    the parity of its inversions over all column pairs."""
-    inversions = np.zeros(len(rows), dtype=np.int64)
-    for i, j in combinations(range(rows.shape[1]), 2):
-        inversions += rows[:, i] > rows[:, j]
-    return 1 - 2 * (inversions % 2)
-
-
 def _row_index(table: np.ndarray, rows: np.ndarray, bound: int) -> np.ndarray:
     """Index of each row in a table of distinct rows, -1 where absent."""
     ids, _ = group_rows(np.concatenate([table, rows]), bound)
@@ -332,11 +322,3 @@ def _cell_components(cover: CoverComplex) -> np.ndarray:
     """Connected component index of each cover cell, numbered in the order
     of the components' lowest cells."""
     return np.unique(lowest_labels(cover.pc.glue), return_inverse=True)[1]
-
-
-def predicted_multiplicity(bundle: ColoredPseudomanifold) -> int:
-    """The multiplicity realized by the full cover: 2^(n-1) times the
-    product over proper color subsets of the number of compatible
-    involutions."""
-    return (1 << (bundle.n - 1)) * prod(
-        count_compatible_involutions(bundle, w) for w in proper_subsets(bundle.n))

@@ -8,11 +8,15 @@ complexes are validated, oriented and surface-checked through a dict from
 facet tuple to coface indices with breadth-first search, and the
 pushforward is summed top by top into dicts.  Homology reduces object
 arrays of Python integers entry by entry, on boundary matrices filled
-through a dict from face tuple to index.
+through a dict from face tuple to index.  The parts of a colored bundle
+come from breadth-first two-coloring of the dual graph, with an odd closed
+walk as the witness of failure, and stars, compatibility and canonical
+involutions from per-top loops over the vertex of each color.
 """
 
 from collections import deque
 from itertools import product
+from math import factorial
 
 import numpy as np
 
@@ -24,10 +28,17 @@ from cyclecover.covering import (
     in_cover_set,
     seed_cell,
 )
-from cyclecover.errors import DegreeNotConstantError, NonOrientableError
-from cyclecover.involutions import enumerate_compatible_involutions
+from cyclecover.errors import (
+    DegreeNotConstantError,
+    NonOrientableError,
+    TopologyError,
+)
+from cyclecover.involutions import (
+    enumerate_compatible_involutions,
+    extend_to_facet_colors,
+)
 from cyclecover.permutahedron import enumerate_faces
-from cyclecover.pseudomanifold import ValidationReport
+from cyclecover.pseudomanifold import ValidationReport, check_regular_coloring
 from cyclecover.realization import (
     RealizationReport,
     permutation_sign,
@@ -216,6 +227,133 @@ def is_coherent_orientation(c, signs) -> bool:
         if total != 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first bipartition and the per-top involution code that the
+# closed-form parts and the star tables replaced
+
+class OddCycleError(TopologyError):
+    """The facet-dual graph is not bipartite.
+
+    ``cycle`` is a closed walk (list of top-simplex indices) of odd length.
+    """
+
+    def __init__(self, message: str, cycle: list):
+        super().__init__(message)
+        self.cycle = cycle
+
+
+def bipartition(c, coloring) -> list:
+    """Two-color the facet-dual graph breadth first; +1 on the lowest top
+    simplex of each component.  Raises OddCycleError with an explicit odd
+    closed walk when no two-coloring exists."""
+    if not check_regular_coloring(c, coloring):
+        raise ValueError("bipartition requires a regular coloring")
+    adj: dict = {i: [] for i in range(len(c.top_simplices))}
+    for a, b in dual_edges(c):
+        adj[a].append(b)
+        adj[b].append(a)
+    parts = [0] * len(c.top_simplices)
+    parent = [-1] * len(c.top_simplices)
+    for start in range(len(c.top_simplices)):
+        if parts[start]:
+            continue
+        parts[start] = 1
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            for j in sorted(adj[i]):
+                if parts[j] == 0:
+                    parts[j] = -parts[i]
+                    parent[j] = i
+                    queue.append(j)
+                elif parts[j] == parts[i]:
+                    raise OddCycleError("facet-dual graph has an odd cycle",
+                                        _tree_cycle(parent, i, j))
+    return parts
+
+
+def _tree_cycle(parent, a, b) -> list:
+    path_a, path_b = [a], [b]
+    while parent[path_a[-1]] != -1:
+        path_a.append(parent[path_a[-1]])
+    while parent[path_b[-1]] != -1:
+        path_b.append(parent[path_b[-1]])
+    # trim the common tail above the least common ancestor
+    while len(path_a) > 1 and len(path_b) > 1 and path_a[-2] == path_b[-2]:
+        path_a.pop()
+        path_b.pop()
+    return path_a[:-1] + list(reversed(path_b))
+
+
+def by_color(cp) -> list:
+    """Per top simplex, its vertices sorted by color."""
+    return [tuple(sorted(s, key=lambda v: cp.coloring[v]))
+            for s in cp.complex.top_simplices]
+
+
+def compatible(cp, i: int, j: int, subset: int) -> bool:
+    """Do top simplices i and j share their color-c vertex for every c in
+    the subset?"""
+    bi, bj = cp.by_color[i], cp.by_color[j]
+    m = subset
+    while m:
+        c = m & -m
+        if bi[c.bit_length() - 1] != bj[c.bit_length() - 1]:
+            return False
+        m ^= c
+    return True
+
+
+def neighbor_across(cp, i: int, facet_colors: int) -> int:
+    """The other top simplex sharing the facet of i colored by the given
+    size-n color mask, through the dict of facet cofaces."""
+    missing = (~facet_colors) & ((1 << (cp.n + 1)) - 1)
+    if missing == 0 or missing & (missing - 1):
+        raise ValueError("facet color mask must omit exactly one color")
+    s = cp.complex.top_simplices[i]
+    drop = by_color(cp)[i][missing.bit_length() - 1]
+    a, b = facet_cofaces(cp.complex)[tuple(v for v in s if v != drop)]
+    return b if a == i else a
+
+
+def canonical_involution(cp, subset: int) -> tuple:
+    ext = extend_to_facet_colors(subset, cp.n)
+    return tuple(neighbor_across(cp, i, ext) for i in range(cp.top_count))
+
+
+def is_compatible_involution(cp, perm, subset: int) -> bool:
+    if len(perm) != cp.top_count:
+        return False
+    for i, j in enumerate(perm):
+        if j == i or not 0 <= j < cp.top_count:
+            return False
+        if perm[j] != i or cp.parts[i] == cp.parts[j]:
+            return False
+        if not compatible(cp, i, j, subset):
+            return False
+    return True
+
+
+def stars(cp, subset: int) -> list:
+    """The (plus, minus) top simplices in the star of each face spanned by
+    the colors of the subset, in order of first appearance."""
+    colors = [c for c in range(cp.n + 1) if subset >> c & 1]
+    found: dict = {}
+    for i, vertices in enumerate(by_color(cp)):
+        plus, minus = found.setdefault(tuple(vertices[c] for c in colors), ([], []))
+        (plus if cp.parts[i] == 1 else minus).append(i)
+    return list(found.values())
+
+
+def count_compatible_involutions(cp, subset: int) -> int:
+    count = 1
+    for plus, minus in stars(cp, subset):
+        if len(plus) != len(minus):
+            return 0
+        count *= factorial(len(plus))
+    return count
 
 
 def verify_surface(complex_) -> SurfaceReport:

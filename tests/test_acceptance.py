@@ -34,6 +34,7 @@ from cyclecover.homology import boundary_matrices, homology, smith_normal_form
 from cyclecover.involutions import (
     count_compatible_involutions,
     enumerate_compatible_involutions,
+    predicted_multiplicity,
 )
 from cyclecover.permutahedron import mask_elements, proper_subsets
 from cyclecover.pseudomanifold import (
@@ -45,7 +46,6 @@ from cyclecover.pseudomanifold import (
     validate_pseudomanifold,
 )
 from cyclecover.realization import (
-    predicted_multiplicity,
     realization_map,
     verify_realization,
 )

@@ -22,6 +22,7 @@ from cyclecover import corpus, formats, pseudomanifold
 from cyclecover.cells import triangulate, verify_surface
 from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DegreeNotConstantError, NonOrientableError
+from cyclecover.involutions import canonical_involution
 from cyclecover.pseudomanifold import (
     AbstractComplex,
     ColoredPseudomanifold,
@@ -169,16 +170,17 @@ def test_surface_report_equals_oracle(all_complexes):
 
 
 def test_neighbor_across_equals_oracle():
+    # the canonical involution of a size-n color set reads the facet table
+    # across the facet that drops the vertex of the missing color
     for cp in (ColoredPseudomanifold(*corpus.octahedron()),
                colored_from_complex(corpus.boundary_delta(3))[0],
                colored_from_complex(suspended_cycle(5))[0]):
-        cofaces = dict_oracle.facet_cofaces(cp.complex)
         full = (1 << (cp.n + 1)) - 1
-        for i, s in enumerate(cp.complex.top_simplices):
-            for color in range(cp.n + 1):
-                drop = cp.by_color[i][color]
-                a, b = cofaces[tuple(v for v in s if v != drop)]
-                assert cp.neighbor_across(i, full ^ (1 << color)) == (b if a == i else a)
+        for color in range(cp.n + 1):
+            facet_colors = full ^ (1 << color)
+            assert canonical_involution(cp, facet_colors) == tuple(
+                dict_oracle.neighbor_across(cp, i, facet_colors)
+                for i in range(cp.top_count))
 
 
 @pytest.mark.parametrize("name", ["octahedron full", "sd3 component",

@@ -335,6 +335,17 @@ def test_cover_rejects_nonorientable(capsys):
     assert "check failed" in capsys.readouterr().err
 
 
+def test_cover_with_boundary_names_an_input_facet(tmp_path, capsys):
+    path = tmp_path / "two_triangles.json"
+    formats.write_json(formats.complex_to_dict(corpus.two_triangles()), path)
+    assert main(["cover", "--input", str(path)]) == 2
+    # the facet is one of the input's four boundary edges, not an edge of
+    # its subdivision
+    assert capsys.readouterr().err == (
+        "error: not a closed pseudomanifold: 4 boundary facet(s), "
+        "e.g. (0, 2)\n")
+
+
 def test_homology_output(tmp_path, capsys):
     out = tmp_path / "h.json"
     assert main(["homology", "--input", str(CORPUS_DIR / "octahedron.json"),
@@ -441,6 +452,23 @@ def test_verify_nonorientable_fails_with_witness(tmp_path, capsys):
     assert "orientable" in failed[0]["claim"]
     assert "witness" in failed[0]["detail"]
     capsys.readouterr()
+
+
+def test_verify_checks_the_canonical_involutions(tmp_path, monkeypatch, capsys):
+    # an identity in place of each canonical involution has fixed points
+    monkeypatch.setattr(cli, "canonical_involution",
+                        lambda bundle, w: tuple(range(bundle.top_count)))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    last = report["claims"][-1]
+    assert last["claim"] == ("canonical compatible involution exists for "
+                             "every color subset")
+    assert last["status"] == "fail"
+    assert all(e["status"] == "pass" for e in report["claims"][:-1])
+    assert report["q_formula"] is None and report["component_cells"] is None
+    assert "overall: FAIL" in capsys.readouterr().out
 
 
 def test_verify_counts_involutions_past_sixteen_simplices(tmp_path, capsys):

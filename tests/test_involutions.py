@@ -2,12 +2,16 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
+import dict_oracle
+from dict_oracle import compatible
+from extra_api import suspended_cycle
 from cyclecover.corpus import boundary_delta, hexagon_cycle, octahedron
 from cyclecover.involutions import (
+    _stars,
     canonical_involution,
-    compatible,
     count_compatible_involutions,
     enumerate_compatible_involutions,
     extend_to_facet_colors,
@@ -150,7 +154,18 @@ def test_is_compatible_involution_rejects_bad_candidates(octa_cp):
     subset = mask_of([1])
     assert not is_compatible_involution(cp, tuple(range(8)), subset)  # fixed points
     lam = canonical_involution(cp, subset)
+    assert is_compatible_involution(cp, lam, subset)
     assert not is_compatible_involution(cp, lam[:-1], subset)
+    # an entry out of range, at either end
+    for bad_entry in (cp.top_count, -1):
+        out = list(lam)
+        out[out.index(0)] = bad_entry
+        assert not is_compatible_involution(cp, tuple(out), subset)
+    # the canonical involution of {2, 3} crosses the facet that drops the
+    # color-1 vertex: compatible for {2, 3}, and a color mismatch for {1}
+    other = canonical_involution(cp, mask_of([2, 3]))
+    assert is_compatible_involution(cp, other, mask_of([2, 3]))
+    assert not is_compatible_involution(cp, other, subset)
     # a part-swapping pairing that ignores colors entirely
     bad = [-1] * 8
     for i, j in zip(cp.plus, reversed(cp.minus)):
@@ -225,12 +240,59 @@ def test_enumeration_equals_backtracking_oracle(cp):
         assert count_compatible_involutions(cp, subset) == len(found)
 
 
+def _array_oracle_cases():
+    return _oracle_cases() + [pytest.param(
+        colored_from_complex(suspended_cycle(5))[0], id="sd_suspended10")]
+
+
+@pytest.mark.parametrize("cp", _array_oracle_cases())
+def test_array_stars_and_counts_equal_per_top_oracle(cp):
+    assert cp.by_color.tolist() == list(map(list, dict_oracle.by_color(cp)))
+    for subset in proper_subsets(cp.n):
+        star, plus_count, _ = _stars(cp, subset)
+        # the same partition into stars, each with the same two parts
+        found = {(frozenset(cp.plus[star[cp.plus] == k].tolist()),
+                  frozenset(cp.minus[star[cp.minus] == k].tolist()))
+                 for k in range(len(plus_count))}
+        assert found == {(frozenset(p), frozenset(m))
+                         for p, m in dict_oracle.stars(cp, subset)}
+        assert count_compatible_involutions(cp, subset) \
+            == dict_oracle.count_compatible_involutions(cp, subset)
+
+
+@pytest.mark.parametrize("cp", _array_oracle_cases())
+def test_array_involutions_equal_per_top_oracle(cp):
+    rng = np.random.default_rng(7)
+    for subset in proper_subsets(cp.n):
+        lam = canonical_involution(cp, subset)
+        assert lam == dict_oracle.canonical_involution(cp, subset)
+        # candidates: every compatible involution of this subset and of the
+        # others, the identity, reversals, random permutations and random
+        # part-swapping pairings
+        candidates = [lam, tuple(range(cp.top_count)),
+                      tuple(reversed(range(cp.top_count)))]
+        for other in proper_subsets(cp.n):
+            candidates.append(canonical_involution(cp, other))
+        candidates += [tuple(rng.permutation(cp.top_count).tolist())
+                       for _ in range(5)]
+        for _ in range(5):
+            perm = np.empty(cp.top_count, dtype=np.int64)
+            perm[cp.plus] = rng.permutation(cp.minus)
+            perm[perm[cp.plus]] = cp.plus
+            candidates.append(tuple(perm.tolist()))
+        if count_compatible_involutions(cp, subset) <= 64:
+            candidates += enumerate_compatible_involutions(cp, subset)
+        for perm in candidates:
+            assert is_compatible_involution(cp, perm, subset) \
+                == dict_oracle.is_compatible_involution(cp, perm, subset)
+
+
 def test_unbalanced_star_has_no_involution():
     # two plus simplices and one minus simplex share the color-1 vertex 0;
     # all four share the color-2 vertex 5
-    cp = SimpleNamespace(n=1, top_count=4, parts=[1, 1, -1, -1],
-                         plus=[0, 1], minus=[2, 3],
-                         by_color=[(0, 5), (0, 5), (0, 5), (4, 5)])
+    cp = SimpleNamespace(n=1, top_count=4, parts=np.array([1, 1, -1, -1]),
+                         plus=np.array([0, 1]), minus=np.array([2, 3]),
+                         by_color=np.array([(0, 5), (0, 5), (0, 5), (4, 5)]))
     assert count_compatible_involutions(cp, mask_of([1])) == 0
     assert enumerate_compatible_involutions(cp, mask_of([1])) == []
     assert matching_oracle(cp, mask_of([1])) == []

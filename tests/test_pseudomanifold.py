@@ -2,8 +2,10 @@ import math
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import dict_oracle
 from cyclecover.corpus import (
     boundary_delta,
     disjoint_circles,
@@ -12,8 +14,9 @@ from cyclecover.corpus import (
     rp2_minimal,
     two_triangles,
 )
-from cyclecover.errors import NonOrientableError, OddCycleError
+from cyclecover.errors import NonOrientableError, TopologyError
 from cyclecover.pseudomanifold import (
+    _parts,
     AbstractComplex,
     ColoredPseudomanifold,
     barycentric_subdivide,
@@ -264,14 +267,78 @@ def perm_sign(order, sorted_ref):
 
 def test_rp2_subdivision_dual_graph_has_odd_cycle():
     sd = barycentric_subdivide(rp2_minimal())
-    with pytest.raises(OddCycleError) as err:
+    # the parts are read off the orientation, which does not exist
+    with pytest.raises(NonOrientableError):
         bipartition(sd.complex, sd.coloring)
+    with pytest.raises(dict_oracle.OddCycleError) as err:
+        dict_oracle.bipartition(sd.complex, sd.coloring)
     cycle = err.value.cycle
     assert len(cycle) % 2 == 1
     # the witness walk must close up along dual edges
     edges = {frozenset(e) for e in sd.complex.dual_edges()}
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert frozenset((a, b)) in edges
+
+
+def _colored_corpus():
+    """Every corpus complex with a regular coloring, and the subdivision of
+    every closed corpus complex."""
+    colored = {"hexagon": hexagon_cycle(), "octahedron": octahedron(),
+               "disjoint circles": (disjoint_circles(),
+                                    [1 + v % 2 for v in range(12)])}
+    sources = {"hexagon": hexagon_cycle()[0], "octahedron": octahedron()[0],
+               "disjoint circles": disjoint_circles(),
+               "boundary delta3": boundary_delta(3),
+               "boundary delta4": boundary_delta(4), "rp2": rp2_minimal()}
+    for name, c in sources.items():
+        sd = barycentric_subdivide(c)
+        colored[f"sd {name}"] = (sd.complex, sd.coloring)
+    return colored
+
+
+def _relabeled(c, coloring, seed: int):
+    """The same colored complex under a seeded relabeling of its vertices
+    and a shuffle of its top simplices."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(c.num_vertices)
+    tops = label[c.tops][rng.permutation(len(c.tops))]
+    relabeled = np.empty(c.num_vertices, dtype=np.int64)
+    relabeled[label] = coloring
+    return AbstractComplex(c.n, c.num_vertices, tops), relabeled.tolist()
+
+
+def _parts_or_failure(bipartition_of, c, coloring):
+    try:
+        return bipartition_of(c, coloring)
+    except (NonOrientableError, dict_oracle.OddCycleError):
+        return "not two-colorable"
+
+
+@pytest.mark.parametrize("name", sorted(_colored_corpus()))
+def test_closed_form_parts_equal_bfs_oracle(name):
+    source = _colored_corpus()[name]
+    for seed in (None, 0, 1, 2):
+        c, coloring = source if seed is None else _relabeled(*source, seed)
+        parts = _parts_or_failure(bipartition, c, coloring)
+        assert parts == _parts_or_failure(dict_oracle.bipartition, c, coloring)
+        if parts != "not two-colorable" and validate_pseudomanifold(c).ok:
+            # the bundle's parts do not depend on the orientation's sign
+            flipped = [-s for s in orient(c)]
+            cp = ColoredPseudomanifold(c, coloring, orientation=flipped)
+            assert cp.parts.tolist() == parts
+            assert cp.plus.tolist() == [i for i, p in enumerate(parts) if p == 1]
+            assert cp.minus.tolist() == [i for i, p in enumerate(parts) if p == -1]
+    assert (parts == "not two-colorable") == ("rp2" in name)
+
+
+def test_parts_check_names_the_facet_and_its_tops():
+    # an incoherent orientation puts two tops across a facet in one part
+    c, colors = octahedron()
+    signs = orient(c)
+    signs[3] = -signs[3]
+    with pytest.raises(TopologyError, match="top simplices 2 and 3 share the "
+                                            "facet \\(0, 3\\)"):
+        _parts(c.facet_table, signs, np.asarray(colors)[c.tops])
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +396,13 @@ def test_bundle_construction_and_lookup():
             assert colors[v] == c_idx + 1 and v in s
     for i in range(8):
         for facet_colors in (0b011, 0b101, 0b110):
-            j = cp.neighbor_across(i, facet_colors)
+            j = dict_oracle.neighbor_across(cp, i, facet_colors)
             assert j != i
             assert cp.parts[j] != cp.parts[i]
             for c_idx in range(3):
                 if facet_colors >> c_idx & 1:
                     assert cp.by_color[i][c_idx] == cp.by_color[j][c_idx]
-            assert cp.neighbor_across(j, facet_colors) == i
+            assert dict_oracle.neighbor_across(cp, j, facet_colors) == i
 
 
 def test_bundle_rejects_bad_inputs():

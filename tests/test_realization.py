@@ -16,6 +16,7 @@ import pytest
 from cyclecover import corpus
 from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DegreeNotConstantError, NotWellDefinedError
+from cyclecover.involutions import predicted_multiplicity
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
     barycentric_subdivide,
@@ -25,7 +26,6 @@ from cyclecover.pseudomanifold import (
 )
 from cyclecover.realization import (
     permutation_sign,
-    predicted_multiplicity,
     realization_map,
     subdivided_cycle,
     verify_realization,
