@@ -47,14 +47,20 @@ from .pseudomanifold import (
     orient,
     validate_pseudomanifold,
 )
-from .realization import (
-    RealizationMap,
-    RealizationReport,
-    realization_map,
-    subdivided_cycle,
-    verify_realization,
-)
+from .certificate import RealizationReport
 from .tomei import build_tomei
+
+# The triangulation-based realization map is not on the ``verify`` path,
+# so its module is imported on first use of one of its names.
+_REALIZATION = ("RealizationMap", "realization_map", "subdivided_cycle",
+                "verify_realization")
+
+
+def __getattr__(name):
+    if name in _REALIZATION:
+        from . import realization
+        return getattr(realization, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AbstractComplex",

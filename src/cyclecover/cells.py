@@ -208,6 +208,12 @@ def face_classes(pc: PermutahedralComplex) -> FaceClasses:
     return FaceClasses(pc, chains, class_ids, chain_start, codim_start)
 
 
+def cell_components(pc: PermutahedralComplex) -> np.ndarray:
+    """Connected component index of each cell, numbered in the order of
+    the components' lowest cells."""
+    return np.unique(lowest_labels(pc.glue), return_inverse=True)[1]
+
+
 def euler_characteristic(pc: PermutahedralComplex,
                          classes: FaceClasses | None = None) -> int:
     classes = classes or face_classes(pc)

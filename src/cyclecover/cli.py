@@ -5,6 +5,15 @@ one input complex and reports a claims ledger: one line per mathematical
 statement checked, with pass/fail status and a diagnostic detail.  Reports
 contain no timestamps, so identical runs produce identical bytes.
 
+The chain: validate the input, color it (by barycentric subdivision when it
+carries no coloring), orient it, build the colored bundle and the Tomei
+base, check the canonical involutions and count the compatible ones once,
+build the full cover set or one component, and check that it covers the
+base.  The claims after that (closed pseudomanifold, Euler characteristic,
+surface, orientation, well-definedness, chain identity) are certified on
+the flag template of one permutahedron and the cover's cell arrays
+(``certificate``); the cover itself is never triangulated.
+
 Exit codes: 0 all enabled checks pass, 1 a check failed or a cap was hit,
 2 usage or input errors.
 """
@@ -23,8 +32,17 @@ import numpy as np
 
 from . import formats
 from .cells import euler_characteristic, face_classes, triangulate, verify_surface
+from .certificate import (
+    check_well_defined,
+    cover_is_oriented,
+    flag_template,
+    push_forward,
+    subdivision_vertices,
+    template_is_closed,
+    template_is_surface,
+)
 from .covering import DEFAULT_MAX_CELLS, build_component, build_full, verify_covering
-from .errors import CapExceededError, NonOrientableError, TopologyError
+from .errors import CapExceededError, TopologyError
 from .homology import homology
 from .involutions import (
     canonical_involution,
@@ -41,7 +59,6 @@ from .pseudomanifold import (
     orient,
     validate_pseudomanifold,
 )
-from .realization import realization_map, verify_realization
 from .tomei import build_tomei
 
 MAX_CELLS_ENV = "REALIZER_MAX_CELLS"
@@ -190,20 +207,22 @@ def verify_pipeline(complex, coloring, orientation,
     if not ok:
         return claims, report
 
-    counts = [(w, count_compatible_involutions(bundle, w))
-              for w in proper_subsets(n)]
+    # counted once: the ledger, q and the full build's cap guard share them
+    subsets = proper_subsets(n)
+    counts = [count_compatible_involutions(bundle, w) for w in subsets]
     claims.check("compatible involutions counted for every color subset",
-                 all(c for _, c in counts),
-                 ", ".join(f"{mask_elements(w)}:{c}" for w, c in counts))
-    report["q_formula"] = predicted_multiplicity(bundle)
+                 all(counts),
+                 ", ".join(f"{mask_elements(w)}:{c}"
+                           for w, c in zip(subsets, counts)))
+    report["q_formula"] = predicted_multiplicity(bundle, counts)
     report["involution_counts"] = [[list(mask_elements(w)), c]
-                                   for w, c in counts]
+                                   for w, c in zip(subsets, counts)]
 
     # Build the full cover set when its size fits the cap, otherwise a
     # single component.
     full = bundle.top_count * report["q_formula"] <= max_cells
     if full:
-        cover = build_full(bundle, max_cells)
+        cover = build_full(bundle, max_cells, counts)
         claims.check("full cover set built and closed under crossings", True,
                      f"{cover.num_cells} cells")
     else:
@@ -227,48 +246,53 @@ def verify_pipeline(complex, coloring, orientation,
         claims.check("projection to the Tomei base is a covering", False, str(e))
         return claims, report
 
-    tri = triangulate(cover.pc, classes)
-    tv = validate_pseudomanifold(tri.complex)
-    closed = not tv.boundary_faces and not tv.overused_faces
+    _certify_realization(claims, report, cover, classes, covering.degree,
+                         base_euler, full)
+    return claims, report
+
+
+def _certify_realization(claims: Claims, report: dict, cover, classes,
+                         degree: int, base_euler: int, full: bool) -> None:
+    """The claims after the covering check, each certified on the flag
+    template of one permutahedron and on the cover's cell arrays
+    (``certificate``), never on a triangulation of the cover.  Stops at the
+    first failed claim, except that a non-orientable cover goes on to fail
+    the pushforward claim as well."""
+    bundle = cover.cp
+    n = bundle.n
+    template = flag_template(n)
+    closed = template_is_closed(template)
     claims.check("cover triangulation is a closed pseudomanifold in every "
                  "component", closed,
-                 f"{len(tri.complex.tops)} top simplices")
+                 f"{cover.num_cells * len(template.flags)} top simplices")
     if not closed:
-        return claims, report
+        return
 
     cover_euler = euler_characteristic(cover.pc, classes)
     claims.check("euler characteristic is multiplicative",
-                 cover_euler == covering.degree * base_euler,
-                 f"{cover_euler} = {covering.degree} * {base_euler}")
+                 cover_euler == degree * base_euler,
+                 f"{cover_euler} = {degree} * {base_euler}")
 
     if n == 2:
-        surf = verify_surface(tri)
-        if not claims.check("cover is a closed surface", surf.ok):
-            return claims, report
+        if not claims.check("cover is a closed surface",
+                            template_is_surface(template)):
+            return
 
-    # a non-orientable cover fails this claim and, through the realization
-    # check's own call to orient, the pushforward claim below
-    cover_orientation = None
-    try:
-        cover_orientation = orient(tri.complex)
-        claims.check("cover is orientable", True)
-    except NonOrientableError:
-        claims.check("cover is orientable", False)
-    except TopologyError as e:
-        claims.check("cover is orientable", False, str(e))
-        return claims, report
+    oriented = cover_is_oriented(cover, template)
+    claims.check("cover is orientable", oriented)
 
+    vertex = subdivision_vertices(bundle)
     try:
-        rmap = realization_map(cover, classes, tri)
+        check_well_defined(cover, classes, template, vertex)
         claims.check("realization map is well defined on face classes", True,
                      f"{classes.num_classes} classes checked")
     except TopologyError as e:
         claims.check("realization map is well defined on face classes",
                      False, str(e))
-        return claims, report
+        return
 
     try:
-        real = verify_realization(rmap, cover_orientation)
+        real = push_forward(cover, template, vertex, oriented)
         claims.check("pushforward of the fundamental cycle is a constant "
                      "positive multiple of the subdivided base cycle", True,
                      f"degree {real.degree} over "
@@ -285,7 +309,7 @@ def verify_pipeline(complex, coloring, orientation,
         claims.check("pushforward of the fundamental cycle is a constant "
                      "positive multiple of the subdivided base cycle",
                      False, str(e))
-        return claims, report
+        return
 
     fibers = np.bincount(cover.sigma, minlength=bundle.top_count)
     claims.check("realization degree equals the cell fiber over every base "
@@ -297,8 +321,6 @@ def verify_pipeline(complex, coloring, orientation,
                      "multiplicity 2^(n-1) * prod |P_w|",
                      real.degree == report["q_formula"],
                      f"{real.degree} = {report['q_formula']}")
-
-    return claims, report
 
 
 # ---------------------------------------------------------------------------

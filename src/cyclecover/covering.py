@@ -53,7 +53,7 @@ def parity_sign(g: int) -> int:
     return -1 if g.bit_count() % 2 else 1
 
 
-def _parity_signs(n: int) -> np.ndarray:
+def parity_signs(n: int) -> np.ndarray:
     """``parity_sign(g)`` for every g in range(2^n)."""
     return np.array([parity_sign(g) for g in range(1 << n)], dtype=np.int64)
 
@@ -315,13 +315,15 @@ def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
 
 
 def build_full(cp: ColoredPseudomanifold,
-               max_cells: int = DEFAULT_MAX_CELLS) -> CoverComplex:
+               max_cells: int = DEFAULT_MAX_CELLS,
+               counts: list[int] | None = None) -> CoverComplex:
     """Every cover cell at once: all top simplices, all tuples from the full
     product of compatible involutions, all parity-consistent g, numbered in
     (sigma, tuple, g) order.  The size comes from the involution counts and
-    is checked against the cap before any involution is enumerated."""
+    is checked against the cap before any involution is enumerated;
+    ``counts`` may hand in the counts, one per proper subset in order."""
     reg = InvolutionRegistry(cp)
-    total = cp.top_count * predicted_multiplicity(cp)
+    total = cp.top_count * predicted_multiplicity(cp, counts)
     if total > max_cells:
         raise CapExceededError(
             f"full cover set has {total} cells, more than the cap {max_cells}",
@@ -332,7 +334,7 @@ def build_full(cp: ColoredPseudomanifold,
     tuple_ids = [reg.intern_tuple(combo) for combo in product(*pool_ids)]
     orbit = _tuple_orbit(reg, tuple_ids)
     # valid[sigma, t, g]: the parity constraint, numbered in C order
-    valid = cp.parts[:, None] == _parity_signs(cp.n)
+    valid = cp.parts[:, None] == parity_signs(cp.n)
     valid = np.broadcast_to(valid[:, None, :],
                             (cp.top_count, len(tuple_ids), 1 << cp.n))
     sigma, t, g = np.nonzero(valid)
@@ -436,7 +438,7 @@ def verify_covering(cover: CoverComplex,
     cp = cover.cp
     base = base or build_tomei(cp.n)
     in_range = (cover.g >= 0) & (cover.g < 1 << cp.n)
-    sign = _parity_signs(cp.n)[np.where(in_range, cover.g, 0)]
+    sign = parity_signs(cp.n)[np.where(in_range, cover.g, 0)]
     bad = ~in_range | (sign != cp.parts[cover.sigma])
     if bad.any():
         raise NotACoveringError(

@@ -10,6 +10,7 @@ identical data always produces identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .cells import PermutahedralComplex
@@ -19,7 +20,18 @@ from .pseudomanifold import AbstractComplex
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Key-sorted, indented JSON.  Integers are written in full, however
+    many digits they have (q runs to thousands of digits on small inputs):
+    the interpreter's cap on int-to-string conversion is lifted for this
+    call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the cap
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def write_json(obj, path) -> None:

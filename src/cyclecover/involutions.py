@@ -97,13 +97,17 @@ def count_compatible_involutions(cp: ColoredPseudomanifold, subset: int) -> int:
                 for a, stars in enumerate(np.bincount(plus).tolist()))
 
 
-def predicted_multiplicity(cp: ColoredPseudomanifold) -> int:
+def predicted_multiplicity(cp: ColoredPseudomanifold,
+                           counts: list[int] | None = None) -> int:
     """q = 2^(n-1) times the product over proper color subsets of the
     number of compatible involutions: the multiplicity the full cover
-    realizes, and its number of cells over each top simplex."""
-    n = cp.n
-    return (1 << (n - 1)) * prod(
-        count_compatible_involutions(cp, w) for w in proper_subsets(n))
+    realizes, and its number of cells over each top simplex.  ``counts``
+    may hand in those numbers, one per subset in ``proper_subsets``
+    order, when they are already known."""
+    if counts is None:
+        counts = [count_compatible_involutions(cp, w)
+                  for w in proper_subsets(cp.n)]
+    return (1 << (cp.n - 1)) * prod(counts)
 
 
 def enumerate_compatible_involutions(cp: ColoredPseudomanifold,

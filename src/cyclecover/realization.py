@@ -12,6 +12,12 @@ finally the chain identity
     f_#(fundamental cycle of K) = degree * (subdivided fundamental cycle)
 
 with the degree constant, positive, and realized without cancellation.
+
+These functions work on the triangulation of the cover, which has
+n!(n+1)! top simplices per cell.  ``verify`` certifies the same claims
+without it, on one permutahedron's flag template and the cover's cell
+arrays (``certificate``); the functions here serve library use on small
+covers and are the reference the tests compare that certificate against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from itertools import permutations
 
 import numpy as np
 
-from .cells import FaceClasses, Triangulation, face_classes, triangulate
+from .cells import (
+    FaceClasses,
+    Triangulation,
+    cell_components,
+    face_classes,
+    triangulate,
+)
+from .certificate import RealizationReport
 from .covering import CoverComplex
 from .errors import DegreeNotConstantError, NotWellDefinedError
 from .permutahedron import full_mask
@@ -33,7 +46,6 @@ from .pseudomanifold import (
     face_of_colors,
     group_rows,
     is_coherent_orientation,
-    lowest_labels,
     orient,
     permutation_signs,
 )
@@ -168,24 +180,6 @@ def realization_map(cover: CoverComplex,
     return RealizationMap(cover, classes, tri, sd, image_faces, vertex_images)
 
 
-@dataclass
-class RealizationReport:
-    """Outcome of the chain identity check.
-
-    ``degree`` is the total multiplicity: the image of the fundamental cycle
-    of K equals degree times the subdivided fundamental cycle of the base.
-    ``orientation`` is the coherent orientation of K normalized per
-    component so every component pushes forward positively.
-    """
-
-    degree: int
-    component_degrees: list[int]
-    orientation: list[int]
-    degenerate_flags: int
-    nondegenerate_flags: int
-    image_counts: dict[Simplex, int]
-
-
 def verify_realization(rmap: RealizationMap,
                        orientation: list[int] | None = None) -> RealizationReport:
     """Push the fundamental cycle of K through the map and compare it,
@@ -209,7 +203,7 @@ def verify_realization(rmap: RealizationMap,
     expected = np.empty(len(visit), dtype=np.int64)
     expected[visit] = list(signs.values())
 
-    component = _cell_components(rmap.cover)[tri.cell_of_top]
+    component = cell_components(rmap.cover.pc)[tri.cell_of_top]
     num_components = int(component.max()) + 1
     images = np.asarray(rmap.vertex_images, dtype=np.int64)[tri.complex.tops]
     ordered = np.sort(images, axis=1)
@@ -316,9 +310,3 @@ def _row_index(table: np.ndarray, rows: np.ndarray, bound: int) -> np.ndarray:
     where = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
     where[ids[:len(table)]] = np.arange(len(table))
     return where[ids[len(table):]]
-
-
-def _cell_components(cover: CoverComplex) -> np.ndarray:
-    """Connected component index of each cover cell, numbered in the order
-    of the components' lowest cells."""
-    return np.unique(lowest_labels(cover.pc.glue), return_inverse=True)[1]

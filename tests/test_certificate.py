@@ -1,0 +1,433 @@
+"""The factored realization certificate against the triangulation path.
+
+``verify_pipeline`` certifies the claims after the covering check on the
+flag template of one permutahedron and on the cover's cell arrays
+(``cyclecover.certificate``).  ``triangulation_tail`` below is the tail it
+replaced: it triangulates the cover and runs ``validate_pseudomanifold``,
+``verify_surface``, ``orient``, ``realization_map`` and
+``verify_realization`` on the triangulation.  Swapped into the pipeline, it
+is the oracle: both paths must write the same report bytes, and a planted
+defect must make the same claim the first failure on both.
+"""
+
+import importlib.util
+import json
+from dataclasses import replace
+from functools import partial
+from math import factorial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cyclecover import cli, corpus, formats
+from cyclecover.cells import (
+    cell_components,
+    euler_characteristic,
+    face_classes,
+    triangulate,
+    verify_surface,
+)
+from cyclecover.certificate import (
+    check_well_defined,
+    cover_is_oriented,
+    flag_template,
+    push_forward,
+    subdivision_vertices,
+    template_is_closed,
+    template_is_surface,
+)
+from cyclecover.covering import DEFAULT_MAX_CELLS, build_component, build_full
+from cyclecover.errors import (
+    DegreeNotConstantError,
+    NonOrientableError,
+    NotWellDefinedError,
+    TopologyError,
+)
+from cyclecover.pseudomanifold import (
+    ColoredPseudomanifold,
+    colored_from_complex,
+    is_coherent_orientation,
+    orient,
+    validate_pseudomanifold,
+)
+from cyclecover.realization import realization_map, verify_realization
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_DIR = ROOT / "corpus"
+
+
+def _benchmark_inputs():
+    """The benchmark's seeded input generators (standard library only)."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+INPUTS = _benchmark_inputs()
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the tail of verify_pipeline on the cover triangulation
+
+def triangulation_tail(claims, report, cover, classes, degree, base_euler,
+                       full, orientation_of=lambda tri: orient(tri.complex)):
+    """The claims after the covering check, on the triangulated cover.
+
+    ``orientation_of`` gives the cover orientation whose coherence the
+    orientability claim checks; a planted defect hands in a wrong one.
+    """
+    bundle = cover.cp
+    tri = triangulate(cover.pc, classes)
+    tv = validate_pseudomanifold(tri.complex)
+    closed = not tv.boundary_faces and not tv.overused_faces
+    claims.check("cover triangulation is a closed pseudomanifold in every "
+                 "component", closed, f"{len(tri.complex.tops)} top simplices")
+    if not closed:
+        return
+
+    cover_euler = euler_characteristic(cover.pc, classes)
+    claims.check("euler characteristic is multiplicative",
+                 cover_euler == degree * base_euler,
+                 f"{cover_euler} = {degree} * {base_euler}")
+
+    if bundle.n == 2:
+        if not claims.check("cover is a closed surface", verify_surface(tri).ok):
+            return
+
+    cover_orientation = None
+    try:
+        cover_orientation = orientation_of(tri)
+        if not claims.check("cover is orientable", is_coherent_orientation(
+                tri.complex, cover_orientation)):
+            cover_orientation = None
+    except NonOrientableError:
+        claims.check("cover is orientable", False)
+    except TopologyError as e:
+        claims.check("cover is orientable", False, str(e))
+        return
+
+    try:
+        rmap = realization_map(cover, classes, tri)
+        claims.check("realization map is well defined on face classes", True,
+                     f"{classes.num_classes} classes checked")
+    except TopologyError as e:
+        claims.check("realization map is well defined on face classes",
+                     False, str(e))
+        return
+
+    pushforward = ("pushforward of the fundamental cycle is a constant "
+                   "positive multiple of the subdivided base cycle")
+    try:
+        real = verify_realization(rmap, cover_orientation)
+    except TopologyError as e:
+        claims.check(pushforward, False, str(e))
+        return
+    claims.check(pushforward, True, f"degree {real.degree} over "
+                 f"{len(real.image_counts)} base flags")
+    report["q_component"] = real.degree
+    report["per_simplex_counts_checksum"] = cli._counts_checksum(real.image_counts)
+    report["realization"] = {
+        "degree": real.degree,
+        "component_degrees": real.component_degrees,
+        "degenerate_flags": real.degenerate_flags,
+        "nondegenerate_flags": real.nondegenerate_flags,
+    }
+
+    fibers = np.bincount(cover.sigma, minlength=bundle.top_count)
+    claims.check("realization degree equals the cell fiber over every base "
+                 "simplex", bool((fibers == real.degree).all()),
+                 f"fiber {real.degree} over {bundle.top_count} simplices")
+    if full:
+        claims.check("cover is the full cover set and realizes the predicted "
+                     "multiplicity 2^(n-1) * prod |P_w|",
+                     real.degree == report["q_formula"],
+                     f"{real.degree} = {report['q_formula']}")
+
+
+def run_pipeline(doc, max_cells=DEFAULT_MAX_CELLS):
+    """The report bytes and the text that ``report`` writes, and the
+    claims."""
+    claims, report = cli.verify_pipeline(*formats.complex_from_dict(doc),
+                                         max_cells)
+    report["claims"] = claims.entries
+    report["ok"] = claims.ok
+    text = claims.text() + f"\noverall: {'PASS' if claims.ok else 'FAIL'}\n"
+    return formats.dumps(report), text, claims
+
+
+def both_paths(monkeypatch, doc, max_cells=DEFAULT_MAX_CELLS,
+               plant_factored=None, plant_oracle=None):
+    """Run the pipeline on its own path and with the triangulation tail,
+    each with its planted defect, if any."""
+    with monkeypatch.context() as m:
+        if plant_factored:
+            plant_factored(m)
+        factored = run_pipeline(doc, max_cells)
+    with monkeypatch.context() as m:
+        tail = triangulation_tail
+        if plant_oracle:
+            tail = plant_oracle(m) or tail
+        m.setattr(cli, "_certify_realization", tail)
+        oracle = run_pipeline(doc, max_cells)
+    return factored, oracle
+
+
+def corpus_doc(name):
+    return json.loads((CORPUS_DIR / f"{name}.json").read_text())
+
+
+def benchmark_doc(stem, seed):
+    build = {"octahedron": INPUTS.octahedron,
+             "delta3": INPUTS.boundary_delta3,
+             "suspended10": lambda: INPUTS.suspended_cycle(5)}[stem]
+    return json.loads(INPUTS.seeded_document(stem, build(), seed))
+
+
+# ---------------------------------------------------------------------------
+# byte-identical reports
+
+@pytest.mark.parametrize("name", ["hexagon", "octahedron", "boundary_delta3",
+                                  "rp2_minimal"])
+def test_corpus_reports_match_the_triangulation_path(name, monkeypatch):
+    factored, oracle = both_paths(monkeypatch, corpus_doc(name))
+    assert factored[:2] == oracle[:2]
+
+
+def test_boundary_delta4_report_matches_under_a_small_cap(monkeypatch):
+    # its 201.6M-tetrahedron triangulation does not fit in memory, so the
+    # oracle can only be run up to the component cap
+    factored, oracle = both_paths(monkeypatch, corpus_doc("boundary_delta4"),
+                                  max_cells=100)
+    assert factored[:2] == oracle[:2]
+    assert not factored[2].ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stem", ["octahedron", "delta3", "suspended10"])
+def test_benchmark_reports_match_the_triangulation_path(stem, seed, monkeypatch):
+    factored, oracle = both_paths(monkeypatch, benchmark_doc(stem, seed))
+    assert factored[:2] == oracle[:2]
+    assert factored[2].ok
+
+
+def test_join_c4_c6_report_matches_the_triangulation_path(monkeypatch):
+    factored, oracle = both_paths(monkeypatch, INPUTS.cycle_join(2, 3))
+    assert factored[:2] == oracle[:2]
+    assert factored[2].ok
+    report = json.loads(factored[0])
+    assert (report["component_cells"], report["q_component"]) == (2592, 108)
+
+
+# ---------------------------------------------------------------------------
+# planted defects: the same claim fails first on both paths
+
+def _after_covering(m, tamper):
+    """Let the covering check pass, then tamper with the cover arrays."""
+    genuine = cli.verify_covering
+
+    def covering_then_tamper(cover, *args):
+        report = genuine(cover, *args)
+        tamper(cover)
+        return report
+
+    m.setattr(cli, "verify_covering", covering_then_tamper)
+
+
+def _antipodal_sigma(cover):
+    # the antipodal triangle of the octahedron, as in
+    # test_vertex_map_rejects_inconsistent_cells
+    cover.sigma[0] ^= 0b111
+
+
+def _odd_g(cover):
+    cover.g[0] ^= 1
+
+
+def tamper_sigma(m):
+    _after_covering(m, _antipodal_sigma)
+
+
+def flip_tau(m):
+    template = flag_template(2)
+    sign = template.sign.copy()
+    sign[0] = -sign[0]
+    m.setattr(cli, "flag_template", lambda n: replace(template, sign=sign))
+
+
+def flip_parity(m):
+    _after_covering(m, _odd_g)
+
+
+def _oracle_orientation(flipped):
+    """The oracle tail with ``orient``'s signs flipped on the tops that
+    ``flipped(tri)`` selects."""
+    def orientation_of(tri):
+        signs = np.array(orient(tri.complex))
+        signs[flipped(tri)] *= -1
+        return signs.tolist()
+    return lambda m: partial(triangulation_tail, orientation_of=orientation_of)
+
+
+def template_flag_of_tops(tri):
+    """The template flag of every top of a cover triangulation, from the
+    chain rows of its vertex classes."""
+    template = flag_template(tri.pc.n)
+    rows = np.searchsorted(tri.classes.chain_start, tri.complex.tops,
+                           side="right") - 1
+    index = {tuple(flag): f for f, flag in enumerate(template.flags.tolist())}
+    return np.array([index[tuple(r)] for r in rows.tolist()])
+
+
+DEFECTS = {
+    "sigma": (tamper_sigma, tamper_sigma,
+              "realization map is well defined on face classes"),
+    # flag 0 of every cell has the wrong sign
+    "tau": (flip_tau,
+            _oracle_orientation(lambda tri: template_flag_of_tops(tri) == 0),
+            "cover is orientable"),
+    # every flag of cell 0 has the wrong sign
+    "parity": (flip_parity,
+               _oracle_orientation(lambda tri: tri.cell_of_top == 0),
+               "cover is orientable"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_planted_defect_fails_the_same_claim_first(defect, monkeypatch):
+    plant_factored, plant_oracle, claim = DEFECTS[defect]
+    factored, oracle = both_paths(monkeypatch, corpus_doc("octahedron"),
+                                  plant_factored=plant_factored,
+                                  plant_oracle=plant_oracle)
+    firsts = [next(e for e in claims.entries if e["status"] == "fail")
+              for _, _, claims in (factored, oracle)]
+    assert [e["claim"] for e in firsts] == [claim, claim]
+    if defect == "sigma":  # the same class is named, so the bytes agree
+        assert factored[:2] == oracle[:2]
+
+
+# ---------------------------------------------------------------------------
+# the template and the factored checks, one at a time
+
+@pytest.mark.parametrize("n, flags", [(1, 2), (2, 12), (3, 144), (4, 2880)])
+def test_template_is_a_closed_flag_triangulation(n, flags):
+    template = flag_template(n)
+    assert len(template.flags) == flags == factorial(n) * factorial(n + 1)
+    assert template_is_closed(template)
+    # (n+1)! nondegenerate flags, one per color order
+    assert sorted(template.spells[template.spells >= 0].tolist()) == \
+        list(range(factorial(n + 1)))
+
+
+def test_broken_templates_are_rejected():
+    template = flag_template(2)
+    short = replace(template, flags=template.flags[1:])
+    assert not template_is_closed(short)
+    assert not template_is_surface(short)
+    assert template_is_surface(template)
+
+
+@pytest.fixture(scope="module")
+def covers():
+    octa = ColoredPseudomanifold(*corpus.octahedron())
+    sd3, _ = colored_from_complex(corpus.boundary_delta(3))
+    join = ColoredPseudomanifold(*formats.complex_from_dict(INPUTS.cycle_join(2, 3))[:2])
+    return {
+        "hexagon": build_component(ColoredPseudomanifold(*corpus.hexagon_cycle())),
+        "octahedron": build_component(octa),
+        "octahedron-full": build_full(octa),
+        "sd3": build_component(sd3),
+        "join": build_component(join),
+    }
+
+
+@pytest.mark.parametrize("name", ["hexagon", "octahedron", "octahedron-full",
+                                  "sd3", "join"])
+def test_epsilon_is_orient_up_to_one_sign_per_component(covers, name):
+    cover = covers[name]
+    template = flag_template(cover.cp.n)
+    assert cover_is_oriented(cover, template)
+    tri = triangulate(cover.pc)
+    parity = (-1) ** np.array([bin(g).count("1") for g in cover.g.tolist()])
+    epsilon = parity[tri.cell_of_top] * template.sign[template_flag_of_tops(tri)]
+    ratio = np.array(orient(tri.complex)) * epsilon
+    component = cell_components(cover.pc)[tri.cell_of_top]
+    for c in np.unique(component):
+        assert len(set(ratio[component == c].tolist())) == 1
+
+
+@pytest.mark.parametrize("name", ["hexagon", "octahedron", "octahedron-full",
+                                  "sd3", "join"])
+def test_push_forward_matches_verify_realization(covers, name):
+    cover = covers[name]
+    template = flag_template(cover.cp.n)
+    classes = face_classes(cover.pc)
+    vertex = subdivision_vertices(cover.cp)
+    check_well_defined(cover, classes, template, vertex)
+    got = push_forward(cover, template, vertex, oriented=True)
+    want = verify_realization(realization_map(cover, classes))
+    assert (got.degree, got.component_degrees, got.degenerate_flags,
+            got.nondegenerate_flags, got.image_counts) == \
+        (want.degree, want.component_degrees, want.degenerate_flags,
+         want.nondegenerate_flags, want.image_counts)
+
+
+def test_well_definedness_names_the_class_realization_map_names(covers):
+    cover = covers["octahedron"]
+    sigma = cover.sigma.copy()
+    sigma[0] ^= 0b111
+    broken = replace(cover, sigma=sigma)
+    classes = face_classes(cover.pc)
+    with pytest.raises(NotWellDefinedError, match="distinct images") as oracle:
+        realization_map(broken, classes)
+    with pytest.raises(NotWellDefinedError) as factored:
+        check_well_defined(broken, classes, flag_template(2),
+                           subdivision_vertices(cover.cp))
+    assert str(factored.value) == str(oracle.value)
+
+
+def test_push_forward_rejects_a_fibre_that_varies(covers):
+    # no cell over triangle 3, twice as many over triangle 5 (same part)
+    cover = covers["octahedron"]
+    sigma = cover.sigma.copy()
+    sigma[sigma == 3] = 5
+    with pytest.raises(DegreeNotConstantError, match="component 0 hits"):
+        push_forward(replace(cover, sigma=sigma), flag_template(2),
+                     subdivision_vertices(cover.cp), oriented=True)
+
+
+def test_orientation_check_catches_a_parity_or_template_flip(covers):
+    cover = covers["octahedron"]
+    template = flag_template(2)
+    g = cover.g.copy()
+    g[3] ^= 0b10
+    assert not cover_is_oriented(replace(cover, g=g), template)
+    sign = template.sign.copy()
+    sign[5] = -sign[5]
+    assert not cover_is_oriented(cover, replace(template, sign=sign))
+    with pytest.raises(NonOrientableError):
+        push_forward(cover, template, subdivision_vertices(cover.cp),
+                     oriented=False)
+
+
+def test_factored_path_never_triangulates(monkeypatch):
+    from cyclecover import cells, realization
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cover was triangulated")
+
+    for module, name in ((cli, "triangulate"), (cells, "triangulate"),
+                         (cli, "verify_surface"), (cli, "orient"),
+                         (realization, "realization_map"),
+                         (realization, "verify_realization")):
+        monkeypatch.setattr(module, name, forbidden)
+    validated = []
+    genuine = cli.validate_pseudomanifold
+    monkeypatch.setattr(cli, "validate_pseudomanifold",
+                        lambda c: validated.append(c) or genuine(c))
+    # the corpus octahedron carries its orientation, so nothing is oriented
+    _, _, claims = run_pipeline(corpus_doc("octahedron"))
+    assert claims.ok
+    assert len(validated) == 1  # the input complex only

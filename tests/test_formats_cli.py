@@ -415,10 +415,8 @@ def test_verify_octahedron_full_multiplicity(tmp_path, capsys):
 
 def test_report_reuses_base_pools_and_cover_orientation(tmp_path, monkeypatch,
                                                        capsys):
-    # the octahedron corpus file carries its orientation, so the only orient
-    # call left is the one on the cover triangulation
-    import cyclecover
-
+    # the octahedron corpus file carries its orientation, and the cover's
+    # orientation is read off its cell arrays, so nothing is oriented
     calls = Counter()
 
     def count(name, original):
@@ -427,8 +425,9 @@ def test_report_reuses_base_pools_and_cover_orientation(tmp_path, monkeypatch,
             return original(*args, **kwargs)
         return wrapper
 
-    for module in ("cli", "covering", "cells", "realization", "pseudomanifold"):
-        module = getattr(cyclecover, module)
+    for module in ("cli", "covering", "cells", "realization", "certificate",
+                   "pseudomanifold"):
+        module = importlib.import_module(f"cyclecover.{module}")
         for name in ("build_tomei", "enumerate_compatible_involutions", "orient",
                      "face_classes"):
             if hasattr(module, name):
@@ -436,8 +435,8 @@ def test_report_reuses_base_pools_and_cover_orientation(tmp_path, monkeypatch,
     assert main(["report", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--out", str(tmp_path / "report.json")]) == 0
     # face classes: once for the Tomei base, once for the cover
-    assert calls == {"build_tomei": 1, "enumerate_compatible_involutions": 6,
-                     "orient": 1, "face_classes": 2}
+    assert calls == Counter(build_tomei=1, enumerate_compatible_involutions=6,
+                            orient=0, face_classes=2)
     capsys.readouterr()
 
 
@@ -491,6 +490,53 @@ def test_verify_counts_involutions_past_sixteen_simplices(tmp_path, capsys):
     failed = [e["claim"] for e in report["claims"] if e["status"] != "pass"]
     assert failed == ["cover component built and closed under crossings"]
     capsys.readouterr()
+
+
+def test_full_verify_counts_each_star_once(monkeypatch, capsys):
+    # the ledger, q and the full build's cap guard share one count per
+    # proper color subset: 2^(n+1) - 2 = 6 on the octahedron
+    from cyclecover import involutions
+
+    calls = Counter()
+    genuine = involutions.count_compatible_involutions
+
+    def counted(cp, subset):
+        calls[subset] += 1
+        return genuine(cp, subset)
+
+    monkeypatch.setattr(cli, "count_compatible_involutions", counted)
+    monkeypatch.setattr(involutions, "count_compatible_involutions", counted)
+    assert main(["verify", "--input", str(CORPUS_DIR / "octahedron.json")]) == 0
+    assert "full cover set built" in capsys.readouterr().out
+    assert sum(calls.values()) == 6 and set(calls.values()) == {1}
+
+
+def test_report_writes_a_q_past_the_int_to_string_limit(tmp_path, capsys):
+    # sd(boundary of the 5-simplex) has a q of 4647 digits, past the
+    # interpreter's default 4300-digit cap on int-to-string conversion
+    import sys
+
+    from cyclecover.involutions import predicted_multiplicity
+    from cyclecover.pseudomanifold import colored_from_complex
+
+    source = tmp_path / "delta5.json"
+    formats.write_json(formats.complex_to_dict(corpus.boundary_delta(5)), source)
+    out = tmp_path / "report.json"
+    assert main(["report", "--input", str(source), "--max-cells", "100",
+                 "--out", str(out)]) == 1
+    assert "cover component built" in capsys.readouterr().out
+    bundle, _ = colored_from_complex(corpus.boundary_delta(5))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out.read_text())
+        assert report["q_formula"] == predicted_multiplicity(bundle)
+        assert len(str(report["q_formula"])) == 4647
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["claims"][-1]["status"] == "fail"
+    assert "component exceeded 100 cells" in report["claims"][-1]["detail"]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_cap_exceeded_fails(capsys):

@@ -16,9 +16,21 @@ from cyclecover.covering import DEFAULT_MAX_CELLS
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
+def _join_c4_c6() -> dict:
+    """The join of a 4-cycle colored 1, 2 and a 6-cycle colored 3, 4: a
+    colored 3-sphere with 24 tetrahedra."""
+    simplices = [[i, (i + 1) % 4, 4 + j, 4 + (j + 1) % 6]
+                 for i in range(4) for j in range(6)]
+    colors = [1 + i % 2 for i in range(4)] + [3 + j % 2 for j in range(6)]
+    return {"n": 3, "num_vertices": 10, "simplices": simplices,
+            "colors": colors}
+
+
 def _document(name: str) -> dict:
     """A corpus document without its orientation, which is indexed by the
     sorted simplex list and so does not survive a relabelling."""
+    if name == "join_c4_c6":
+        return _join_c4_c6()
     doc = json.loads((CORPUS_DIR / name).read_text())
     doc.pop("orientation", None)
     return doc
@@ -39,8 +51,8 @@ def _expected(name: str):
 
 
 @pytest.mark.parametrize("name", ["hexagon.json", "octahedron.json",
-                                  "boundary_delta3.json"])
-@settings(max_examples=4, deadline=None)  # 12 examples over the 3 inputs
+                                  "boundary_delta3.json", "join_c4_c6"])
+@settings(max_examples=4, deadline=None)  # 16 examples over the 4 inputs
 @given(data=st.data())
 def test_report_is_invariant_under_relabelling(name, data):
     doc = _document(name)
