@@ -13,12 +13,7 @@ from itertools import combinations
 
 from cyclecover import corpus
 from cyclecover.cells import euler_characteristic, face_classes, triangulate
-from cyclecover.covering import (
-    InvolutionRegistry,
-    build_component,
-    build_full,
-    verify_covering,
-)
+from cyclecover.covering import build_component, build_full, verify_covering
 from cyclecover.involutions import (
     canonical_involution,
     count_compatible_involutions,
@@ -72,8 +67,7 @@ def main():
 
     octa = ColoredPseudomanifold(*corpus.octahedron())
     survey("octahedron", octa)
-    reg = InvolutionRegistry(octa)
-    component = build_component(octa, registry=reg)
+    component = build_component(octa)
     report = verify_covering(component)
     classes = face_classes(component.pc)
     print(f"cover component: {component.num_cells} cells, covering degree "

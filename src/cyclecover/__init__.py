@@ -12,13 +12,11 @@ from .cells import (
     verify_surface,
 )
 from .covering import (
-    CoverCell,
     CoverComplex,
     CoveringReport,
     InvolutionRegistry,
     build_component,
     build_full,
-    cross_facet,
     verify_covering,
 )
 from .homology import (
@@ -66,7 +64,6 @@ __all__ = [
     "AbstractComplex",
     "BarycentricSubdivision",
     "ColoredPseudomanifold",
-    "CoverCell",
     "CoverComplex",
     "CoveringReport",
     "FaceClasses",
@@ -88,7 +85,6 @@ __all__ = [
     "check_regular_coloring",
     "colored_from_complex",
     "count_compatible_involutions",
-    "cross_facet",
     "enumerate_compatible_involutions",
     "euler_characteristic",
     "face_classes",

@@ -78,8 +78,9 @@ class PermutahedralComplex:
             cell, slot = first(bad)
             raise InconsistentGluingError(
                 f"facet {mask_elements(self.subsets[slot])} of cell {cell} glued to itself")
+        columns = glue.T.copy()  # each gather below reads whole columns
         for slot, w in enumerate(self.subsets):
-            bad = glue[glue[:, slot], slot] != cells
+            bad = columns[slot][columns[slot]] != cells
             if bad.any():
                 raise InconsistentGluingError(
                     f"gluing across {mask_elements(w)} is not an involution "
@@ -88,7 +89,7 @@ class PermutahedralComplex:
         for a, w1 in enumerate(self.subsets):
             for b, w2 in enumerate(self.subsets):
                 if w1 != w2 and (w1 & w2) == w1:
-                    bad = glue[glue[:, a], b] != glue[glue[:, b], a]
+                    bad = columns[b][columns[a]] != columns[a][columns[b]]
                     if bad.any():
                         raise InconsistentGluingError(
                             f"gluings across nested facets {mask_elements(w1)} "

@@ -12,30 +12,29 @@ points, it preserves the parity constraint, and crossings along nested facet
 labels commute, so the glued cells form a permutahedral complex; forgetting
 everything but g projects it onto the Tomei manifold cell by cell.
 
-The new tuple depends only on the old tuple and w, never on sigma or g.  So
-the builders first close their tuples under crossings, once per
-(tuple, facet), and lay the result out as gather tables indexed by tuple.
-A whole set of cells then crosses every facet in one array gather, and
-cells are looked up in a dense (tuple, sigma, g) index.  A component is
-numbered level by level from its seed cell, in breadth-first order; the
-full cover set is numbered in (sigma, tuple, g) order.  Cover cells are
-kept as three integer arrays.
+The new tuple depends only on the old tuple and w, never on sigma or g.  The
+registry holds the involutions as rows of one ``int32`` matrix and the tuples
+as rows of involution ids, each numbered by first occurrence.  The builders
+first close their tuples under crossings, a chunk of tuple rows at a time,
+conjugating every distinct pair of involutions in a chunk with one gather,
+and lay the result out as gather tables indexed by tuple.  A whole set of
+cells then crosses every facet in one array gather, and cells are looked up
+in a dense (tuple, sigma, g) index.  A component is numbered level by level
+from its seed cell, in breadth-first order; the full cover set is numbered
+in (sigma, tuple, g) order.  Cover cells are kept as three integer arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
 from .cells import FaceClasses, PermutahedralComplex, face_classes
 from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
 from .involutions import (
-    Involution,
     canonical_involution,
     enumerate_compatible_involutions,
     is_compatible_involution,
@@ -46,6 +45,10 @@ from .pseudomanifold import ColoredPseudomanifold
 from .tomei import build_tomei, size_generator
 
 DEFAULT_MAX_CELLS = 10 ** 6
+
+# tuple rows crossed at once by the orbit closure, which bounds its
+# (rows, slots, slots) array of crossed tuples
+_ORBIT_CHUNK = 4096
 
 
 def parity_sign(g: int) -> int:
@@ -58,122 +61,104 @@ def parity_signs(n: int) -> np.ndarray:
     return np.array([parity_sign(g) for g in range(1 << n)], dtype=np.int64)
 
 
-class CoverCell(NamedTuple):
-    sigma: int
-    tuple_id: int
-    g: int
+class _Rows:
+    """Distinct ``int32`` rows of one width, numbered by first occurrence
+    through a dict keyed on each row's bytes."""
+
+    def __init__(self, width: int):
+        self._ids: dict[bytes, int] = {}
+        self._buf = np.empty((16, width), dtype=np.int32)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._buf[:len(self._ids)]
+
+    def intern(self, rows) -> np.ndarray:
+        """The id of every given row, numbering new rows in row order."""
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
+        data, size = rows.tobytes(), rows.itemsize * rows.shape[1]
+        ids, start = self._ids, len(self._ids)
+        found = np.array([ids.setdefault(data[k:k + size], len(ids))
+                          for k in range(0, len(data), size)], dtype=np.int32)
+        end = len(ids)
+        if end > start:
+            if end > len(self._buf):
+                buf = np.empty((max(end, 2 * len(self._buf)), rows.shape[1]),
+                               dtype=np.int32)
+                buf[:start] = self._buf[:start]
+                self._buf = buf
+            _, first = np.unique(found, return_index=True)
+            self._buf[start:end] = rows[first[start - end:]]
+        return found
 
 
 class InvolutionRegistry:
     """Interning pool for involutions and involution tuples.
 
-    Tuples are validated on first intern: the component in the slot of color
-    subset w must be an involution compatible with w.  Conjugations are
-    memoized, so repeated facet crossings stay cheap.
+    ``perms[i]`` is involution i, one entry per top simplex, and
+    ``tuples[t]`` holds the involution ids of tuple t, one per proper color
+    subset in ``subsets`` order; both are numbered by first occurrence.  A
+    tuple is validated on first intern: the component in the slot of color
+    subset w must be an involution compatible with w, checked once per
+    (involution, slot) pair.
     """
 
     def __init__(self, cp: ColoredPseudomanifold):
         self.cp = cp
         self.subsets = proper_subsets(cp.n)
-        self.slot_of = {w: k for k, w in enumerate(self.subsets)}
-        self._involutions: list[Involution] = []
-        self._inv_ids: dict[Involution, int] = {}
-        self._tuples: list[tuple[int, ...]] = []
-        self._tuple_ids: dict[tuple[int, ...], int] = {}
-        self._conj: dict[tuple[int, int], int] = {}
+        self._perms = _Rows(cp.top_count)
+        self._tuples = _Rows(len(self.subsets))
         self._validated: set[tuple[int, int]] = set()
 
-    def intern_involution(self, perm: Involution) -> int:
-        iid = self._inv_ids.get(perm)
-        if iid is None:
-            iid = len(self._involutions)
-            self._involutions.append(perm)
-            self._inv_ids[perm] = iid
-        return iid
+    @property
+    def perms(self) -> np.ndarray:
+        return self._perms.array
 
-    def involution(self, iid: int) -> Involution:
-        return self._involutions[iid]
-
-    def intern_tuple(self, inv_ids) -> int:
-        key = tuple(inv_ids)
-        tid = self._tuple_ids.get(key)
-        if tid is None:
-            if len(key) != len(self.subsets):
-                raise ValueError("tuple must have one involution per proper subset")
-            for slot, iid in enumerate(key):
-                if (iid, slot) not in self._validated:
-                    if not is_compatible_involution(
-                            self.cp, self._involutions[iid], self.subsets[slot]):
-                        raise ValueError(
-                            f"component for subset {mask_elements(self.subsets[slot])} "
-                            f"is not a compatible involution")
-                    self._validated.add((iid, slot))
-            tid = len(self._tuples)
-            self._tuples.append(key)
-            self._tuple_ids[key] = tid
-        return tid
-
-    def components(self, tid: int) -> tuple[int, ...]:
-        return self._tuples[tid]
-
-    def conjugate(self, outer_id: int, inner_id: int) -> int:
-        key = (outer_id, inner_id)
-        cid = self._conj.get(key)
-        if cid is None:
-            outer = self._involutions[outer_id]
-            inner = self._involutions[inner_id]
-            cid = self.intern_involution(tuple(outer[inner[outer[i]]]
-                                               for i in range(len(outer))))
-            self._conj[key] = cid
-        return cid
-
-    def canonical_tuple(self) -> int:
-        return self.intern_tuple(
-            self.intern_involution(canonical_involution(self.cp, w))
-            for w in self.subsets)
+    @property
+    def tuples(self) -> np.ndarray:
+        return self._tuples.array
 
     @property
     def tuple_count(self) -> int:
         return len(self._tuples)
 
+    def intern_involutions(self, perms) -> np.ndarray:
+        return self._perms.intern(perms)
 
-def in_cover_set(cp: ColoredPseudomanifold, cell: CoverCell) -> bool:
-    """Membership in the cover cell set: g in range and parity matching."""
-    if not 0 <= cell.g < 1 << cp.n:
-        return False
-    return (cp.parts[cell.sigma] == 1) == (parity_sign(cell.g) == 1)
+    def intern_tuples(self, rows) -> np.ndarray:
+        start = self.tuple_count
+        ids = self._tuples.intern(rows)
+        used = np.zeros((len(self._perms), len(self.subsets)), dtype=bool)
+        used[self.tuples[start:], np.arange(len(self.subsets))] = True
+        for iid, slot in np.argwhere(used).tolist():
+            if (iid, slot) not in self._validated:
+                if not is_compatible_involution(self.cp, self.perms[iid],
+                                                self.subsets[slot]):
+                    raise ValueError(
+                        f"component for subset {mask_elements(self.subsets[slot])} "
+                        f"is not a compatible involution")
+                self._validated.add((iid, slot))
+        return ids
 
-
-def tuple_crossing(reg: InvolutionRegistry, tuple_id: int, subset: int) -> tuple[int, int]:
-    """The part of the crossing of F_subset that ignores sigma and g: the id
-    of the crossed component L_w and the id of the conjugated tuple."""
-    ids = reg.components(tuple_id)
-    lam_id = ids[reg.slot_of[subset]]
-    new_ids = list(ids)
-    for slot, gamma in enumerate(reg.subsets):
-        if gamma & ~subset == 0:  # gamma inside the crossed label
-            new_ids[slot] = reg.conjugate(lam_id, ids[slot])
-    return lam_id, reg.intern_tuple(new_ids)
-
-
-def cross_facet(reg: InvolutionRegistry, cell: CoverCell, subset: int) -> CoverCell:
-    """The gluing involution across facet F_subset."""
-    lam_id, tuple_id = tuple_crossing(reg, cell.tuple_id, subset)
-    return CoverCell(reg.involution(lam_id)[cell.sigma], tuple_id,
-                     cell.g ^ size_generator(subset))
+    def canonical_tuple(self) -> int:
+        ids = self.intern_involutions(
+            [canonical_involution(self.cp, w) for w in self.subsets])
+        return int(self.intern_tuples(ids[None])[0])
 
 
 @dataclass
 class _Orbit:
-    """Gather tables over a list of tuples closed under facet crossings.
+    """Gather tables over the registry's tuples, closed under facet crossings.
 
-    Row t stands for the interned tuple ``tuple_ids[t]``: crossing F_w, with
-    w = subsets[slot], sends (t, sigma, g) to
-    (``newt[t, slot]``, ``lam[t, sigma, slot]``, g ^ ``gen[slot]``).
+    Row t stands for tuple t: crossing F_w, with w = subsets[slot], sends
+    (t, sigma, g) to (``newt[t, slot]``, ``lam[t, sigma, slot]``,
+    g ^ ``gen[slot]``).
     """
 
     n: int
-    tuple_ids: list[int]
     lam: np.ndarray  # int32 (tuples, top simplices, slots)
     newt: np.ndarray  # int32 (tuples, slots)
     gen: np.ndarray  # int32 (slots,)
@@ -203,38 +188,52 @@ class _Orbit:
 _LEFT_FULL_SET = "facet crossing left the full cover set; conjugation closure failed"
 
 
-def _tuple_orbit(reg: InvolutionRegistry, tuple_ids: list[int],
-                 max_tuples: int | None = None) -> _Orbit:
-    """Close ``tuple_ids`` under the tuple part of every facet crossing,
-    visiting the tuples in list order and appending each new one.
+def _conjugates(reg: InvolutionRegistry, outer: np.ndarray,
+                inner: np.ndarray) -> np.ndarray:
+    """The id of outer o inner o outer for every pair of involution ids.
+    Each distinct pair is conjugated once, in order of first occurrence."""
+    pairs = outer.astype(np.int64).ravel() * len(reg.perms) + inner.ravel()
+    _, first, back = np.unique(pairs, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    at = first[order]
+    p_o = reg.perms[outer.ravel()[at]]
+    p_i = reg.perms[inner.ravel()[at]]
+    ids = np.empty(len(first), dtype=np.int32)
+    ids[order] = reg.intern_involutions(
+        np.take_along_axis(p_o, np.take_along_axis(p_i, p_o, axis=1), axis=1))
+    return ids[back].reshape(outer.shape)
 
-    Without ``max_tuples`` the list must need no new tuple (the full cover
+
+def _tuple_orbit(reg: InvolutionRegistry, max_tuples: int | None = None) -> _Orbit:
+    """Close the registry's tuples under the tuple part of every facet
+    crossing, crossing the tuple rows in order, a chunk at a time, and
+    interning each new tuple at the end.
+
+    Without ``max_tuples`` the tuples must need no new one (the full cover
     set).  With it, more than ``max_tuples`` tuples exceed the component
     cap, since every tuple of the orbit carries a cell of the component.
     """
-    row = {tid: t for t, tid in enumerate(tuple_ids)}
-    lam_ids, newt = [], []
-    for tid in tuple_ids:  # the list grows while the loop runs
-        for w in reg.subsets:
-            lam_id, new_id = tuple_crossing(reg, tid, w)
-            t = row.get(new_id)
-            if t is None:
-                if max_tuples is None:
-                    raise InconsistentGluingError(_LEFT_FULL_SET)
-                if len(tuple_ids) >= max_tuples:
-                    raise CapExceededError(f"component exceeded {max_tuples} cells",
-                                           max_tuples, max_tuples)
-                t = row[new_id] = len(tuple_ids)
-                tuple_ids.append(new_id)
-            lam_ids.append(lam_id)
-            newt.append(t)
-    shape = (len(tuple_ids), len(reg.subsets))
-    used, which = np.unique(np.array(lam_ids, dtype=np.int64), return_inverse=True)
-    perms = np.array([reg.involution(i) for i in used.tolist()], dtype=np.int32)
-    lam = np.ascontiguousarray(perms.T[:, which.reshape(shape)].transpose(1, 0, 2))
+    slots = len(reg.subsets)
+    # (w, gamma) slot pairs with gamma inside w, in crossing order
+    w_slot, gamma_slot = np.nonzero([[gamma & ~w == 0 for gamma in reg.subsets]
+                                     for w in reg.subsets])
+    known, done, newt = reg.tuple_count, 0, []
+    while done < reg.tuple_count:
+        rows = reg.tuples[done:done + _ORBIT_CHUNK]
+        done += len(rows)
+        crossed = np.repeat(rows[:, None, :], slots, axis=1)
+        crossed[:, w_slot, gamma_slot] = _conjugates(reg, rows[:, w_slot],
+                                                     rows[:, gamma_slot])
+        newt.append(reg.intern_tuples(crossed.reshape(-1, slots)))
+        if max_tuples is None:
+            if reg.tuple_count > known:
+                raise InconsistentGluingError(_LEFT_FULL_SET)
+        elif reg.tuple_count > max_tuples:
+            raise CapExceededError(f"component exceeded {max_tuples} cells",
+                                   max_tuples, max_tuples)
+    lam = np.ascontiguousarray(reg.perms[reg.tuples].transpose(0, 2, 1))
     gen = np.array([size_generator(w) for w in reg.subsets], dtype=np.int32)
-    return _Orbit(reg.cp.n, tuple_ids, lam,
-                  np.array(newt, dtype=np.int32).reshape(shape), gen)
+    return _Orbit(reg.cp.n, lam, np.concatenate(newt).reshape(-1, slots), gen)
 
 
 @dataclass(eq=False)
@@ -254,30 +253,19 @@ class CoverComplex:
     def num_cells(self) -> int:
         return len(self.g)
 
-    @cached_property
-    def cells(self) -> list[CoverCell]:
-        return list(map(CoverCell, self.sigma.tolist(), self.tuple_id.tolist(),
-                        self.g.tolist()))
 
-
-def _cover(reg: InvolutionRegistry, orbit: _Orbit, t: np.ndarray,
-           sigma: np.ndarray, g: np.ndarray, glue: np.ndarray) -> CoverComplex:
-    """The cover whose cell i is (sigma[i], the tuple of row t[i], g[i])."""
-    tuple_id = np.array(orbit.tuple_ids, dtype=np.int64)[t]
-    return CoverComplex(reg.cp, reg, sigma, tuple_id, g,
+def _cover(reg: InvolutionRegistry, t: np.ndarray, sigma: np.ndarray,
+           g: np.ndarray, glue: np.ndarray) -> CoverComplex:
+    """The cover whose cell i is (sigma[i], tuple t[i], g[i])."""
+    return CoverComplex(reg.cp, reg, sigma, t, g,
                         PermutahedralComplex(reg.cp.n, len(g), glue))
 
 
-def seed_cell(reg: InvolutionRegistry) -> CoverCell:
-    """Deterministic starting cell: the smallest plus-part simplex, the
-    canonical involution tuple, and g = 0."""
-    return CoverCell(int(reg.cp.plus[0]), reg.canonical_tuple(), 0)
-
-
-def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
-                    max_cells: int = DEFAULT_MAX_CELLS,
-                    registry: InvolutionRegistry | None = None) -> CoverComplex:
-    """The component of one cell under all facet crossings.
+def build_component(cp: ColoredPseudomanifold,
+                    max_cells: int = DEFAULT_MAX_CELLS) -> CoverComplex:
+    """The component of the seed cell under all facet crossings.  The seed
+    is the smallest plus-part simplex with the canonical involution tuple
+    and g = 0.
 
     The seed tuple's orbit is closed first, and gives the gather tables.
     The component is then numbered level by level over the dense
@@ -286,23 +274,21 @@ def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
     occurrence.  That is breadth-first order, so cell ids and the glue
     table do not depend on how the work is batched.
     """
-    reg = registry or InvolutionRegistry(cp)
-    if seed is None:
-        seed = seed_cell(reg)
-    if not in_cover_set(cp, seed):
-        raise ValueError(f"seed {seed} violates the parity constraint")
-    reg.intern_tuple(reg.components(seed.tuple_id))
-    orbit = _tuple_orbit(reg, [seed.tuple_id], max_cells)
+    reg = InvolutionRegistry(cp)
+    reg.canonical_tuple()
+    orbit = _tuple_orbit(reg, max_cells)
     number = np.full(orbit.size, -1, dtype=np.int32)
-    frontier = np.array([orbit.key(0, seed.sigma, seed.g)], dtype=np.int64)
+    frontier = np.array([orbit.key(0, int(cp.plus[0]), 0)], dtype=np.int64)
     number[frontier] = 0
     count = 1
     levels, rows = [frontier], []
     while frontier.size:
         crossed = orbit.crossed(*orbit.split(frontier))
         unseen = crossed[number[crossed] < 0]  # (cell, slot) order
-        _, first = np.unique(unseen, return_index=True)
-        frontier = unseen[np.sort(first)]
+        # scatter positions in reverse, so each key keeps its first one
+        position = np.arange(unseen.size, dtype=np.int32)
+        number[unseen[::-1]] = position[::-1]
+        frontier = unseen[number[unseen] == position]
         if count + frontier.size > max_cells:
             raise CapExceededError(
                 f"component exceeded {max_cells} cells", max_cells, max_cells)
@@ -310,8 +296,7 @@ def build_component(cp: ColoredPseudomanifold, seed: CoverCell | None = None,
         count += frontier.size
         levels.append(frontier)
         rows.append(number[crossed])
-    return _cover(reg, orbit, *orbit.split(np.concatenate(levels)),
-                  np.concatenate(rows))
+    return _cover(reg, *orbit.split(np.concatenate(levels)), np.concatenate(rows))
 
 
 def build_full(cp: ColoredPseudomanifold,
@@ -328,15 +313,16 @@ def build_full(cp: ColoredPseudomanifold,
         raise CapExceededError(
             f"full cover set has {total} cells, more than the cap {max_cells}",
             max_cells, total)
-    pool_ids = [[reg.intern_involution(p)
-                 for p in enumerate_compatible_involutions(cp, w)]
-                for w in reg.subsets]
-    tuple_ids = [reg.intern_tuple(combo) for combo in product(*pool_ids)]
-    orbit = _tuple_orbit(reg, tuple_ids)
+    pools = []
+    for w in reg.subsets:
+        perms = np.reshape(enumerate_compatible_involutions(cp, w), (-1, cp.top_count))
+        pools.append(reg.intern_involutions(perms).tolist())
+    reg.intern_tuples(np.reshape(list(product(*pools)), (-1, len(pools))))
+    orbit = _tuple_orbit(reg)
     # valid[sigma, t, g]: the parity constraint, numbered in C order
     valid = cp.parts[:, None] == parity_signs(cp.n)
     valid = np.broadcast_to(valid[:, None, :],
-                            (cp.top_count, len(tuple_ids), 1 << cp.n))
+                            (cp.top_count, reg.tuple_count, 1 << cp.n))
     sigma, t, g = np.nonzero(valid)
     number = np.full(valid.shape, -1, dtype=np.int32)
     number[sigma, t, g] = np.arange(len(sigma), dtype=np.int32)
@@ -344,7 +330,7 @@ def build_full(cp: ColoredPseudomanifold,
     glue = number[orbit.crossed(t, sigma, g)]
     if (glue < 0).any():
         raise InconsistentGluingError(_LEFT_FULL_SET)
-    return _cover(reg, orbit, t, sigma, g, glue)
+    return _cover(reg, t, sigma, g, glue)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +427,9 @@ def verify_covering(cover: CoverComplex,
     sign = parity_signs(cp.n)[np.where(in_range, cover.g, 0)]
     bad = ~in_range | (sign != cp.parts[cover.sigma])
     if bad.any():
+        i = int(np.argmax(bad))
         raise NotACoveringError(
-            f"cell {cover.cells[int(np.argmax(bad))]} violates the parity constraint")
+            f"cell {i} (sigma {cover.sigma[i]}, tuple_id {cover.tuple_id[i]}, "
+            f"g {cover.g[i]}) violates the parity constraint")
     return verify_cell_projection(cover.pc, cover.g, base, cover_classes,
                                   base_classes)

@@ -110,7 +110,8 @@ def cell_complex_to_dict(pc: PermutahedralComplex) -> dict:
 def cover_to_dict(cover: CoverComplex) -> dict:
     return {
         "n": cover.pc.n,
-        "cells": [{"sigma": c.sigma, "tuple_id": c.tuple_id, "g": c.g}
-                  for c in cover.cells],
+        "cells": [{"sigma": s, "tuple_id": t, "g": g}
+                  for s, t, g in zip(cover.sigma.tolist(), cover.tuple_id.tolist(),
+                                     cover.g.tolist())],
         "glue": _glue_to_list(cover.pc),
     }

@@ -2,10 +2,11 @@
 for them.
 
 Glue is a dict keyed by (cell, subset mask); face classes are found by
-breadth-first search over it; cover builds call ``cross_facet`` for every
-cell and facet, with no memo of the tuple transitions.  Simplicial
-complexes are validated, oriented and surface-checked through a dict from
-facet tuple to coface indices with breadth-first search, and the
+breadth-first search over it.  Involutions are Python tuples interned one
+at a time, and cover builds call ``cross_facet`` for every cell and facet,
+conjugating the tuple entry by entry with a memo per pair of involutions.
+Simplicial complexes are validated, oriented and surface-checked through a
+dict from facet tuple to coface indices with breadth-first search, and the
 pushforward is summed top by top into dicts.  Homology reduces object
 arrays of Python integers entry by entry, on boundary matrices filled
 through a dict from face tuple to index.  The parts of a colored bundle
@@ -20,14 +21,10 @@ from math import factorial
 
 import numpy as np
 
+from extra_api import CoverCell
+from cyclecover import involutions
 from cyclecover.cells import SurfaceReport
-from cyclecover.covering import (
-    CoverCell,
-    InvolutionRegistry,
-    cross_facet,
-    in_cover_set,
-    seed_cell,
-)
+from cyclecover.covering import parity_sign
 from cyclecover.errors import (
     DegreeNotConstantError,
     NonOrientableError,
@@ -37,13 +34,14 @@ from cyclecover.involutions import (
     enumerate_compatible_involutions,
     extend_to_facet_colors,
 )
-from cyclecover.permutahedron import enumerate_faces
+from cyclecover.permutahedron import enumerate_faces, mask_elements, proper_subsets
 from cyclecover.pseudomanifold import ValidationReport, check_regular_coloring
 from cyclecover.realization import (
     RealizationReport,
     permutation_sign,
     subdivided_cycle,
 )
+from cyclecover.tomei import size_generator
 
 
 def glue_dict(pc) -> dict:
@@ -94,11 +92,125 @@ def cover_to_base(cover_pc, projection, base) -> list[int]:
     return out
 
 
-def build_component(cp):
-    """(cells, glue dict, registry) of the component of the seed cell,
-    breadth first."""
-    reg = InvolutionRegistry(cp)
-    seed = seed_cell(reg)
+# ---------------------------------------------------------------------------
+# cover cells crossed one at a time, with involutions and tuples interned
+# in dicts: what the registry's row arrays and the orbit gathers replaced
+
+class InvolutionRegistry:
+    """Interning pool for involutions and involution tuples.
+
+    Tuples are validated on first intern: the component in the slot of color
+    subset w must be an involution compatible with w.  Conjugations are
+    memoized, so repeated facet crossings stay cheap.
+    """
+
+    def __init__(self, cp):
+        self.cp = cp
+        self.subsets = proper_subsets(cp.n)
+        self.slot_of = {w: k for k, w in enumerate(self.subsets)}
+        self._involutions: list = []
+        self._inv_ids: dict = {}
+        self._tuples: list = []
+        self._tuple_ids: dict = {}
+        self._conj: dict = {}
+        self._validated: set = set()
+
+    def intern_involution(self, perm) -> int:
+        iid = self._inv_ids.get(perm)
+        if iid is None:
+            iid = len(self._involutions)
+            self._involutions.append(perm)
+            self._inv_ids[perm] = iid
+        return iid
+
+    def involution(self, iid: int):
+        return self._involutions[iid]
+
+    def intern_tuple(self, inv_ids) -> int:
+        key = tuple(inv_ids)
+        tid = self._tuple_ids.get(key)
+        if tid is None:
+            if len(key) != len(self.subsets):
+                raise ValueError("tuple must have one involution per proper subset")
+            for slot, iid in enumerate(key):
+                if (iid, slot) not in self._validated:
+                    if not involutions.is_compatible_involution(
+                            self.cp, self._involutions[iid], self.subsets[slot]):
+                        raise ValueError(
+                            f"component for subset {mask_elements(self.subsets[slot])} "
+                            f"is not a compatible involution")
+                    self._validated.add((iid, slot))
+            tid = len(self._tuples)
+            self._tuples.append(key)
+            self._tuple_ids[key] = tid
+        return tid
+
+    def components(self, tid: int) -> tuple:
+        return self._tuples[tid]
+
+    def conjugate(self, outer_id: int, inner_id: int) -> int:
+        key = (outer_id, inner_id)
+        cid = self._conj.get(key)
+        if cid is None:
+            outer = self._involutions[outer_id]
+            inner = self._involutions[inner_id]
+            cid = self.intern_involution(tuple(outer[inner[outer[i]]]
+                                               for i in range(len(outer))))
+            self._conj[key] = cid
+        return cid
+
+    def canonical_tuple(self) -> int:
+        return self.intern_tuple(
+            self.intern_involution(involutions.canonical_involution(self.cp, w))
+            for w in self.subsets)
+
+    @property
+    def tuple_count(self) -> int:
+        return len(self._tuples)
+
+
+def in_cover_set(cp, cell: CoverCell) -> bool:
+    """Membership in the cover cell set: g in range and parity matching."""
+    if not 0 <= cell.g < 1 << cp.n:
+        return False
+    return (cp.parts[cell.sigma] == 1) == (parity_sign(cell.g) == 1)
+
+
+def tuple_crossing(reg: InvolutionRegistry, tuple_id: int, subset: int) -> tuple:
+    """The part of the crossing of F_subset that ignores sigma and g: the id
+    of the crossed component L_w and the id of the conjugated tuple."""
+    ids = reg.components(tuple_id)
+    lam_id = ids[reg.slot_of[subset]]
+    new_ids = list(ids)
+    for slot, gamma in enumerate(reg.subsets):
+        if gamma & ~subset == 0:  # gamma inside the crossed label
+            new_ids[slot] = reg.conjugate(lam_id, ids[slot])
+    return lam_id, reg.intern_tuple(new_ids)
+
+
+def cross_facet(reg: InvolutionRegistry, cell: CoverCell, subset: int) -> CoverCell:
+    """The gluing involution across facet F_subset."""
+    lam_id, tuple_id = tuple_crossing(reg, cell.tuple_id, subset)
+    return CoverCell(reg.involution(lam_id)[cell.sigma], tuple_id,
+                     cell.g ^ size_generator(subset))
+
+
+def seed_cell(reg: InvolutionRegistry) -> CoverCell:
+    """Deterministic starting cell: the smallest plus-part simplex, the
+    canonical involution tuple, and g = 0."""
+    return CoverCell(int(reg.cp.plus[0]), reg.canonical_tuple(), 0)
+
+
+def build_component(cp, seed: CoverCell | None = None,
+                    registry: InvolutionRegistry | None = None):
+    """(cells, glue dict, registry) of the component of a cell, by default
+    the seed cell, breadth first."""
+    reg = registry or InvolutionRegistry(cp)
+    if seed is None:
+        seed = seed_cell(reg)
+    if not in_cover_set(cp, seed):
+        raise ValueError(f"seed {seed} violates the parity constraint")
+    reg.intern_tuple(reg.components(seed.tuple_id))
     cells = [seed]
     index = {seed: 0}
     glue = {}

@@ -1,11 +1,13 @@
 """Helpers that only the tests use: walks of one permutahedron's face
-lattice, its barycentric triangulation, loaders for cell-complex and cover
-documents, a DOT export of the facet-dual graph, and the suspended cycle."""
+lattice, its barycentric triangulation, a cover's cells as triples, loaders
+for cell-complex and cover documents, a DOT export of the facet-dual graph,
+and the suspended cycle."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 from cyclecover.cells import UNGLUED, PermutahedralComplex
-from cyclecover.covering import CoverCell
 from cyclecover.permutahedron import (
     Chain,
     enumerate_faces,
@@ -71,6 +73,22 @@ def barycentric_triangulation(n: int):
     chain_ids = {c: i for i, c in enumerate(chains)}
     tops = [tuple(sorted(chain_ids[c] for c in flag)) for flag in triangulation_flags(n)]
     return AbstractComplex(n, len(chains), tops), chain_ids
+
+
+# ---------------------------------------------------------------------------
+# cover cells as triples
+
+
+class CoverCell(NamedTuple):
+    sigma: int
+    tuple_id: int
+    g: int
+
+
+def cover_cells(cover) -> list[CoverCell]:
+    """Cell i of the cover as (sigma[i], tuple_id[i], g[i])."""
+    return list(map(CoverCell, cover.sigma.tolist(), cover.tuple_id.tolist(),
+                    cover.g.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from extra_api import cover_cells
 from cyclecover import corpus
 from cyclecover.cells import (
     euler_characteristic,
@@ -26,7 +27,6 @@ from cyclecover.covering import (
     DEFAULT_MAX_CELLS,
     build_component,
     build_full,
-    cross_facet,
     verify_covering,
 )
 from cyclecover.errors import NonOrientableError, NotACoveringError
@@ -105,7 +105,8 @@ def test_hexagon_end_to_end():
     assert count_compatible_involutions(bundle, 0b10) == 1
     component = build_component(bundle)
     full = build_full(bundle)
-    assert sorted(component.cells) == full.cells and full.num_cells == 6
+    assert sorted(cover_cells(component)) == cover_cells(full)
+    assert full.num_cells == 6
     assert verify_covering(component).degree == 3
     report = verify_realization(realization_map(component))
     assert report.degree == 1
@@ -139,7 +140,7 @@ def test_fiber_identity():
         for w in proper_subsets(bundle.n):
             expected *= count_compatible_involutions(bundle, w)
         full = build_full(bundle)
-        fibers = Counter(cell.sigma for cell in full.cells)
+        fibers = Counter(full.sigma.tolist())
         tops = range(len(bundle.complex.top_simplices))
         assert {fibers[s] for s in tops} == {expected}
 
@@ -188,26 +189,23 @@ def test_property_suites():
     full = build_full(octa)
     subsets = proper_subsets(octa.n)
 
-    # facet crossing is an involution on cover cells
+    # facet crossing, read off the glue table, is an involution on cover
+    # cells without fixed points
     cases = 0
-    for cell in full.cells:
-        for w in subsets:
-            assert cross_facet(full.registry, cross_facet(
-                full.registry, cell, w), w) == cell
+    glue = full.pc.glue.tolist()
+    for cell, row in enumerate(glue):
+        for slot, other in enumerate(row):
+            assert other != cell and glue[other][slot] == cell
             cases += 1
     assert cases >= 1000, cases
 
     # crossings along nested color sets commute
     cases = 0
-    nested = [(w1, w2) for w1 in subsets for w2 in subsets
+    nested = [(a, b) for a, w1 in enumerate(subsets) for b, w2 in enumerate(subsets)
               if w1 != w2 and w1 & ~w2 == 0]
-    for cell in full.cells:
-        for w1, w2 in nested:
-            a = cross_facet(full.registry, cross_facet(
-                full.registry, cell, w1), w2)
-            b = cross_facet(full.registry, cross_facet(
-                full.registry, cell, w2), w1)
-            assert a == b
+    for row in glue:
+        for a, b in nested:
+            assert glue[row[a]][b] == glue[row[b]][a]
             cases += 1
     assert cases >= 1000, cases
 
@@ -237,7 +235,7 @@ def test_property_suites():
     every_color = (1 << (octa.n + 1)) - 1
     for members in classes.members:
         images = {
-            face_of_colors(tops[full.cells[i].sigma],
+            face_of_colors(tops[full.sigma[i]],
                            chain[0] if chain else every_color,
                            octa.coloring)
             for i, chain in members}

@@ -4,6 +4,8 @@ Frozen constants were computed from first principles where possible:
 the hexagon trace and its two gluing involutions are derived by hand in
 comments, and the octahedron component is checked against an independent
 GF(2)-span oracle (all its crossings act by XOR on (triangle, g) pairs).
+Seeds other than the default and the cell-at-a-time crossing live in the
+oracle ``dict_oracle``, whose ``build_component`` takes a seed.
 """
 
 from dataclasses import replace
@@ -11,6 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dict_oracle
+from dict_oracle import in_cover_set
+from extra_api import CoverCell, cover_cells
 from cyclecover import corpus
 from cyclecover.cells import (
     PermutahedralComplex,
@@ -21,14 +26,10 @@ from cyclecover.cells import (
     verify_surface,
 )
 from cyclecover.covering import (
-    CoverCell,
     InvolutionRegistry,
     build_component,
     build_full,
-    cross_facet,
-    in_cover_set,
     parity_sign,
-    seed_cell,
     verify_cell_projection,
     verify_covering,
 )
@@ -91,7 +92,7 @@ def test_parity_sign_values():
 
 
 def test_in_cover_set(hex_cp):
-    reg = InvolutionRegistry(hex_cp)
+    reg = dict_oracle.InvolutionRegistry(hex_cp)
     t = reg.canonical_tuple()
     plus, minus = hex_cp.plus[0], hex_cp.minus[0]
     assert in_cover_set(hex_cp, CoverCell(plus, t, 0))
@@ -104,7 +105,7 @@ def test_in_cover_set(hex_cp):
 
 def test_component_cells_satisfy_parity(hex_cover, octa_full):
     for cover in (hex_cover, octa_full):
-        assert all(in_cover_set(cover.cp, c) for c in cover.cells)
+        assert all(in_cover_set(cover.cp, c) for c in cover_cells(cover))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_cross_facet_hexagon_literals(hex_cp, hex_cover):
     assert canonical_involution(hex_cp, 0b10) == (2, 5, 0, 4, 3, 1)
     # Breadth-first closure of (edge 0, canonical tuple, g=0), crossing
     # color-1 facets before color-2 facets, walked by hand:
-    assert hex_cover.cells == [
+    assert cover_cells(hex_cover) == [
         CoverCell(0, 0, 0),
         CoverCell(1, 0, 1),
         CoverCell(2, 0, 1),
@@ -134,42 +135,41 @@ def test_cross_facet_hexagon_literals(hex_cp, hex_cover):
 def test_cross_facet_is_fixed_point_free_involution(hex_cover, octa_full):
     cases = 0
     for cover in (hex_cover, octa_full):
-        reg = cover.registry
-        for cell in cover.cells:
-            for w in reg.subsets:
-                other = cross_facet(reg, cell, w)
+        cells = cover_cells(cover)
+        for i, cell in enumerate(cells):
+            for slot, j in enumerate(cover.pc.glue[i].tolist()):
+                other = cells[j]
                 assert other != cell
                 assert other.g != cell.g
                 assert parity_sign(other.g) == -parity_sign(cell.g)
                 assert cover.cp.parts[other.sigma] != cover.cp.parts[cell.sigma]
-                assert cross_facet(reg, other, w) == cell
+                assert cover.pc.glue[j, slot] == i
                 cases += 1
     assert cases == 6 * 2 + 1024 * 6
 
 
 def test_cross_facet_nested_labels_commute(octa_full):
-    reg = octa_full.registry
-    nested = [(a, b) for a in reg.subsets for b in reg.subsets
-              if a != b and a & ~b == 0]
+    subsets = octa_full.pc.subsets
+    nested = [(a, b) for a, wa in enumerate(subsets) for b, wb in enumerate(subsets)
+              if a != b and wa & ~wb == 0]
     assert len(nested) == 6
+    glue = octa_full.pc.glue
     cases = 0
-    for cell in octa_full.cells:
+    for i in range(octa_full.num_cells):
         for a, b in nested:
-            assert (cross_facet(reg, cross_facet(reg, cell, a), b)
-                    == cross_facet(reg, cross_facet(reg, cell, b), a))
+            assert glue[glue[i, a], b] == glue[glue[i, b], a]
             cases += 1
     assert cases == 1024 * 6
 
 
 def _tuple_value(reg, tid):
-    return tuple(reg.involution(i) for i in reg.components(tid))
+    return tuple(tuple(reg.perms[i].tolist()) for i in reg.tuples[tid])
 
 
 def _cross_direct(reg, cell, w):
     """Reference crossing: compose permutations directly, no interning."""
-    ids = reg.components(cell.tuple_id)
-    invs = [reg.involution(i) for i in ids]
-    lam = invs[reg.slot_of[w]]
+    invs = _tuple_value(reg, cell.tuple_id)
+    lam = invs[reg.subsets.index(w)]
     out = []
     for gamma, inv in zip(reg.subsets, invs):
         if gamma & ~w == 0:
@@ -181,9 +181,10 @@ def _cross_direct(reg, cell, w):
 
 def test_cross_facet_matches_direct_composition(sd3_component):
     reg = sd3_component.registry
-    for cell in sd3_component.cells:
-        for w in reg.subsets:
-            got = cross_facet(reg, cell, w)
+    cells = cover_cells(sd3_component)
+    for i, cell in enumerate(cells):
+        for w, j in zip(reg.subsets, sd3_component.pc.glue[i].tolist()):
+            got = cells[j]
             assert ((got.sigma, _tuple_value(reg, got.tuple_id), got.g)
                     == _cross_direct(reg, cell, w))
 
@@ -191,27 +192,28 @@ def test_cross_facet_matches_direct_composition(sd3_component):
 def test_registry_rejects_incompatible_tuple(octa_cp):
     reg = InvolutionRegistry(octa_cp)
     tid = reg.canonical_tuple()
-    ids = list(reg.components(tid))
-    ids[0] = reg.intern_involution(tuple(range(8)))  # identity: has fixed points
+    row = reg.tuples[tid].copy()
+    row[0] = reg.intern_involutions([range(8)])[0]  # identity: has fixed points
     with pytest.raises(ValueError, match="not a compatible involution"):
-        reg.intern_tuple(ids)
+        reg.intern_tuples(row[None])
 
 
 # ---------------------------------------------------------------------------
 # component closures
 
 def test_seed_cell(hex_cp, hex_cover):
-    seed = seed_cell(hex_cover.registry)
+    seed = dict_oracle.seed_cell(dict_oracle.InvolutionRegistry(hex_cp))
     assert seed == CoverCell(min(hex_cp.plus), 0, 0)
     assert in_cover_set(hex_cp, seed)
+    assert cover_cells(hex_cover)[0] == seed
 
 
 def test_component_rejects_bad_seed(octa_cp):
-    reg = InvolutionRegistry(octa_cp)
+    reg = dict_oracle.InvolutionRegistry(octa_cp)
     t = reg.canonical_tuple()
     with pytest.raises(ValueError, match="parity"):
-        build_component(octa_cp, seed=CoverCell(octa_cp.minus[0], t, 0),
-                        registry=reg)
+        dict_oracle.build_component(
+            octa_cp, seed=CoverCell(octa_cp.minus[0], t, 0), registry=reg)
 
 
 def test_hexagon_component_is_triple_circle(hex_cover):
@@ -255,7 +257,7 @@ def test_octahedron_component_matches_span_oracle(octa_cp, octa_component):
         span |= {s ^ v for s in span}
     assert len(span) == 16
     expected = {CoverCell(s >> 2, 0, s & 3) for s in span}
-    assert set(octa_component.cells) == expected
+    assert set(cover_cells(octa_component)) == expected
 
 
 def test_octahedron_component_topology(octa_component):
@@ -274,11 +276,12 @@ def test_octahedron_component_topology(octa_component):
 
 def test_octahedron_component_translates(octa_cp, octa_component):
     # Seeding at g=3 instead of g=0 yields the deck translate by g ^= 3.
-    reg = InvolutionRegistry(octa_cp)
+    reg = dict_oracle.InvolutionRegistry(octa_cp)
     t = reg.canonical_tuple()
-    shifted = build_component(octa_cp, seed=CoverCell(0, t, 3), registry=reg)
-    assert ({(c.sigma, c.g) for c in shifted.cells}
-            == {(c.sigma, c.g ^ 3) for c in octa_component.cells})
+    shifted, _, _ = dict_oracle.build_component(
+        octa_cp, seed=CoverCell(0, t, 3), registry=reg)
+    assert ({(c.sigma, c.g) for c in shifted}
+            == {(c.sigma, c.g ^ 3) for c in cover_cells(octa_component)})
 
 
 def test_subdivided_tetrahedron_component(sd3_component):
@@ -320,16 +323,13 @@ def test_subdivided_boundary_delta4_exceeds_cap():
 def test_full_hexagon_equals_component(hex_cp, hex_cover):
     full = build_full(hex_cp)
     assert full.num_cells == 6
-    assert set(full.cells) == set(hex_cover.cells)
+    assert set(cover_cells(full)) == set(cover_cells(hex_cover))
 
 
 def test_full_octahedron_counts(octa_cp, octa_full):
     # |V| = 8 tops * (4*4*4*1*1*1) tuples * 2 parity-consistent g values.
     assert octa_full.num_cells == 1024
-    fibers = {}
-    for c in octa_full.cells:
-        fibers[c.sigma] = fibers.get(c.sigma, 0) + 1
-    assert set(fibers.values()) == {128}
+    assert set(np.bincount(octa_full.sigma).tolist()) == {128}
     report = verify_covering(octa_full)
     assert report.degree == 256
     assert euler_characteristic(octa_full.pc) == -512
@@ -367,9 +367,9 @@ def test_full_cover_cap(octa_cp):
 
 def test_builds_are_deterministic(hex_cp, octa_cp):
     a, b = build_component(octa_cp), build_component(octa_cp)
-    assert a.cells == b.cells and np.array_equal(a.pc.glue, b.pc.glue)
+    assert cover_cells(a) == cover_cells(b) and np.array_equal(a.pc.glue, b.pc.glue)
     c, d = build_full(hex_cp), build_full(hex_cp)
-    assert c.cells == d.cells and np.array_equal(c.pc.glue, d.pc.glue)
+    assert cover_cells(c) == cover_cells(d) and np.array_equal(c.pc.glue, d.pc.glue)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +391,20 @@ def test_verify_covering_rejects_parity_violation(hex_cover):
     broken = replace(hex_cover, g=g)
     with pytest.raises(NotACoveringError, match="parity"):
         verify_covering(broken)
+
+
+def test_verify_covering_names_the_cell_with_a_flipped_g(sd3_component):
+    # a planted defect: one flipped g bit breaks the parity constraint at
+    # that cell, and the failure names it with its (sigma, tuple_id, g)
+    g = sd3_component.g.copy()
+    i = 217
+    g[i] ^= 1
+    broken = replace(sd3_component, g=g)
+    sigma, t = sd3_component.sigma[i], sd3_component.tuple_id[i]
+    with pytest.raises(NotACoveringError) as e:
+        verify_covering(broken)
+    assert str(e.value) == (f"cell 217 (sigma {sigma}, tuple_id {t}, g {g[i]}) "
+                            f"violates the parity constraint")
 
 
 def test_verify_covering_rejects_noncommuting_projection(octa_component):

@@ -96,7 +96,7 @@ def test_cover_roundtrip():
     cover = build_component(cp)
     d = json.loads(formats.dumps(formats.cover_to_dict(cover)))
     cells = extra_api.cover_cells_from_dict(d)
-    assert cells == cover.cells
+    assert cells == extra_api.cover_cells(cover)
     assert np.array_equal(extra_api.cell_complex_from_dict(
         {"n": d["n"], "num_cells": len(cells), "glue": d["glue"]},
     ).glue, cover.pc.glue)

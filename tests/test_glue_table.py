@@ -1,7 +1,8 @@
 """The array glue table against the dict-backed oracle in ``dict_oracle``:
-face classes, cover builds and the class map of the covering check agree
-exactly; corrupted tables are refused; and the orbit-gather build reaches
-the 20,000-cell cover of the join C4 * C10."""
+face classes, cover builds (also when the orbit is closed one tuple row at
+a time) and the class map of the covering check agree exactly; corrupted
+tables are refused; and the orbit-gather build reaches the 20,000-cell
+cover of the join C4 * C10."""
 
 from pathlib import Path
 
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import suspended_cycle
-from cyclecover import corpus, formats
+from extra_api import cover_cells, suspended_cycle
+from cyclecover import corpus, covering, formats
 from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
 from cyclecover.covering import build_component, build_full, verify_covering
-from cyclecover.errors import InconsistentGluingError
+from cyclecover.errors import CapExceededError, InconsistentGluingError
 from cyclecover.permutahedron import proper_subsets
 from cyclecover.pseudomanifold import (
     AbstractComplex,
@@ -87,10 +88,10 @@ def assert_build_matches_oracle(cover, oracle):
     """Same cells in the same order, same glue, and the same tuple and
     involution ids in the registry."""
     cells, glue, reg = oracle
-    assert cover.cells == cells
+    assert cover_cells(cover) == cells
     assert dict_oracle.glue_dict(cover.pc) == glue
-    assert cover.registry._tuples == reg._tuples
-    assert cover.registry._involutions == reg._involutions
+    assert list(map(tuple, cover.registry.tuples.tolist())) == reg._tuples
+    assert list(map(tuple, cover.registry.perms.tolist())) == reg._involutions
 
 
 @pytest.mark.parametrize("name", COVERS)
@@ -122,13 +123,25 @@ def test_suspended_cycle_build_picks_out_the_component():
     assert_build_matches_oracle(cover, dict_oracle.build_component(cp))
 
 
+@pytest.mark.parametrize("name", ["sd3 component", "join C4*C6 component",
+                                  "suspended 10-cycle component"])
+def test_row_by_row_orbit_matches_oracle(monkeypatch, sd3_cp, join4x6_cp, name):
+    # closing the orbit one tuple row per chunk numbers every involution,
+    # tuple and cell as the whole-chunk closure does
+    cp = {"sd3 component": sd3_cp, "join C4*C6 component": join4x6_cp,
+          "suspended 10-cycle component":
+              colored_from_complex(suspended_cycle(5))[0]}[name]
+    monkeypatch.setattr(covering, "_ORBIT_CHUNK", 1)
+    assert_build_matches_oracle(build_component(cp), dict_oracle.build_component(cp))
+
+
 @pytest.mark.parametrize("name", COVERS)
 def test_cover_to_base_matches_oracle(covers, name):
     cover = covers[name][0]
     base = build_tomei(cover.cp.n)
     report = verify_covering(cover, base)
     assert report.cover_class_to_base.tolist() == dict_oracle.cover_to_base(
-        cover.pc, [c.g for c in cover.cells], base)
+        cover.pc, cover.g.tolist(), base)
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +233,10 @@ def test_join_c4_c10_cover_build():
     assert cover.registry.tuple_count == 125
     assert verify_covering(cover).degree == 2500
     assert_build_matches_oracle(cover, dict_oracle.build_component(cp))
+
+
+def test_join_c4_c10_orbit_exceeds_a_cap_below_its_tuples():
+    # the orbit has 125 tuples, each carried by a cell of the component
+    with pytest.raises(CapExceededError, match="component exceeded 100 cells") as e:
+        build_component(cycle_join(4, 10), max_cells=100)
+    assert (e.value.cap, e.value.reached) == (100, 100)

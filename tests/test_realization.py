@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from cyclecover import corpus
@@ -117,7 +118,7 @@ def test_vertex_images_hexagon(hex_cp):
     for cid in range(classes.codim_start[1]):
         (cell_index, chain), = classes.members[cid]
         assert chain == ()
-        sigma = cover.cells[cell_index].sigma
+        sigma = cover.sigma[cell_index]
         assert rmap.image_faces[cid] == hex_cp.complex.top_simplices[sigma]
     # codim-1 classes image to the shared vertex of the chain's color
     for cid in range(classes.codim_start[1], len(classes.members)):
@@ -162,10 +163,7 @@ def test_octahedron_component_degree(octa_cp):
     assert report.nondegenerate_flags == 96
     assert is_coherent_orientation(rmap.tri.complex, report.orientation)
     # the degree is the number of cells over each base triangle
-    fibers = {}
-    for c in cover.cells:
-        fibers[c.sigma] = fibers.get(c.sigma, 0) + 1
-    assert set(fibers.values()) == {report.degree}
+    assert set(np.bincount(cover.sigma).tolist()) == {report.degree}
 
 
 def test_octahedron_full_realizes_predicted_multiplicity(octa_cp):
