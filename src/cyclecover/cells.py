@@ -72,15 +72,18 @@ class PermutahedralComplex:
         if bad.any():
             cell, slot = first(bad)
             raise InconsistentGluingError(f"glue target {glue[cell, slot]} out of range")
-        cells = np.arange(self.num_cells)
+        # every entry is now a cell id, so the checks below gather on int32
+        # columns with np.take, which indexes without the slow path that
+        # fancy indexing takes for non-intp indices
+        columns = glue.T.astype(np.int32, order="C")
+        cells = np.arange(self.num_cells, dtype=columns.dtype)
         bad = glue == cells[:, None]
         if bad.any():
             cell, slot = first(bad)
             raise InconsistentGluingError(
                 f"facet {mask_elements(self.subsets[slot])} of cell {cell} glued to itself")
-        columns = glue.T.copy()  # each gather below reads whole columns
         for slot, w in enumerate(self.subsets):
-            bad = columns[slot][columns[slot]] != cells
+            bad = np.take(columns[slot], columns[slot]) != cells
             if bad.any():
                 raise InconsistentGluingError(
                     f"gluing across {mask_elements(w)} is not an involution "
@@ -89,7 +92,8 @@ class PermutahedralComplex:
         for a, w1 in enumerate(self.subsets):
             for b, w2 in enumerate(self.subsets):
                 if w1 != w2 and (w1 & w2) == w1:
-                    bad = columns[b][columns[a]] != columns[a][columns[b]]
+                    bad = (np.take(columns[b], columns[a])
+                           != np.take(columns[a], columns[b]))
                     if bad.any():
                         raise InconsistentGluingError(
                             f"gluings across nested facets {mask_elements(w1)} "
@@ -194,17 +198,19 @@ def face_classes(pc: PermutahedralComplex) -> FaceClasses:
             codim_start.append(next_id)
         prefix = row_of[chain[:-1]]
         ids = class_ids[prefix]
-        across = ids[crossing[pc.slot_of[chain[-1]]]]
+        across = np.take(ids, crossing[pc.slot_of[chain[-1]]])
         collapsed = across == ids
         if collapsed.any():
             raise InconsistentGluingError(
                 f"face orbit of {chain} at cell {int(np.argmax(collapsed))} has "
                 f"size {1 << (len(chain) - 1)}, expected {1 << len(chain)}")
-        lower = np.minimum(ids, across, out=across) - chain_start[prefix]
+        lower = np.minimum(ids, across, out=across).astype(np.intp)
+        lower -= chain_start[prefix]
         present = np.zeros(chain_start[prefix + 1] - chain_start[prefix], dtype=bool)
         present[lower] = True
         rank = np.cumsum(present, dtype=np.int32)
-        class_ids[r] = rank[lower] + (next_id - 1)
+        rank += next_id - 1
+        class_ids[r] = np.take(rank, lower)
         chain_start.append(next_id + len(present) // 2)  # two prefix classes each
     return FaceClasses(pc, chains, class_ids, chain_start, codim_start)
 

@@ -230,7 +230,7 @@ def cover_is_oriented(cover: CoverComplex, t: FlagTemplate) -> bool:
     if turn[interior].any():
         return False
     odd = parity_signs(t.n)[cover.g] < 0
-    return all((odd[column] != odd).all() for column in cover.pc.glue.T)
+    return all((np.take(odd, column) != odd).all() for column in cover.pc.glue.T)
 
 
 def subdivision_vertices(bundle: ColoredPseudomanifold) -> np.ndarray:
@@ -266,7 +266,7 @@ def check_well_defined(cover: CoverComplex, classes: FaceClasses,
     glue = cover.pc.glue
     for slot, w in enumerate(cover.pc.subsets):
         image = vertex[:, w][cover.sigma]
-        split = image[glue[:, slot]] != image
+        split = np.take(image, glue[:, slot]) != image
         if split.any():
             chain = (w,)
             cid = int(classes.class_ids[classes.row_of[chain]][split].min())

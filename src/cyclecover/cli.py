@@ -132,8 +132,20 @@ def _diagnostic(e: TopologyError) -> str:
 
 
 def _counts_checksum(image_counts) -> str:
-    table = sorted([list(simplex), count] for simplex, count in image_counts.items())
-    digest = hashlib.sha256(formats.dumps(table).encode("utf-8")).hexdigest()
+    """sha256 of the table ``[[simplex, count], ...]`` sorted by simplex,
+    in the bytes ``formats.dumps`` gives it.  The simplices all have one
+    length, so the text is written with one row template, without the
+    pure-Python JSON encoder that ``indent`` selects."""
+    text = "[]\n"
+    if image_counts:
+        flags = np.array(list(image_counts), dtype=np.int64)
+        table = np.column_stack([flags, list(image_counts.values())])
+        table = table[np.lexsort(flags.T[::-1])]
+        row = "  [\n    [\n%s\n    ],\n    %%d\n  ]" % ",\n".join(
+            ["      %d"] * flags.shape[1])
+        rows = ",\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+        text = f"[\n{rows}\n]\n"
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return f"sha256:{digest}"
 
 

@@ -220,11 +220,17 @@ def _tuple_orbit(reg: InvolutionRegistry, max_tuples: int | None = None) -> _Orb
     known, done, newt = reg.tuple_count, 0, []
     while done < reg.tuple_count:
         rows = reg.tuples[done:done + _ORBIT_CHUNK]
-        done += len(rows)
         crossed = np.repeat(rows[:, None, :], slots, axis=1)
         crossed[:, w_slot, gamma_slot] = _conjugates(reg, rows[:, w_slot],
                                                      rows[:, gamma_slot])
-        newt.append(reg.intern_tuples(crossed.reshape(-1, slots)))
+        # a crossing that leaves a tuple as it was keeps that tuple's id;
+        # only the changed rows are interned, in the same order as before
+        ids = np.repeat(np.arange(done, done + len(rows), dtype=np.int32),
+                        slots).reshape(len(rows), slots)
+        moved = (crossed != rows[:, None, :]).any(axis=2)
+        ids[moved] = reg.intern_tuples(crossed[moved])
+        newt.append(ids)
+        done += len(rows)
         if max_tuples is None:
             if reg.tuple_count > known:
                 raise InconsistentGluingError(_LEFT_FULL_SET)
@@ -233,7 +239,7 @@ def _tuple_orbit(reg: InvolutionRegistry, max_tuples: int | None = None) -> _Orb
                                    max_tuples, max_tuples)
     lam = np.ascontiguousarray(reg.perms[reg.tuples].transpose(0, 2, 1))
     gen = np.array([size_generator(w) for w in reg.subsets], dtype=np.int32)
-    return _Orbit(reg.cp.n, lam, np.concatenate(newt).reshape(-1, slots), gen)
+    return _Orbit(reg.cp.n, lam, np.concatenate(newt), gen)
 
 
 @dataclass(eq=False)
@@ -371,8 +377,12 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
     proj = np.asarray(projection, dtype=np.int64)
     if ((proj < 0) | (proj >= base.num_cells)).any():
         raise NotACoveringError("projection sends a cell outside the base")
+    # base cell ids fit int32, like the glue tables: np.take of int32 entries
+    # by an int32 table is the fast gather (int64 entries, or fancy indexing
+    # with an int32 index, take a slower path)
+    proj = proj.astype(np.int32)
 
-    moved = proj[cover_pc.glue] != base.glue[proj]
+    moved = np.take(proj, cover_pc.glue) != np.take(base.glue, proj, axis=0)
     if moved.any():
         i, slot = np.argwhere(moved)[0]
         raise NotACoveringError(
@@ -396,8 +406,8 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
     # agrees with its class
     image = np.empty(cover_cls.num_classes, dtype=np.int32)
     for r, chain in enumerate(cover_cls.chains):
-        ids = cover_cls.class_ids[r]
-        wanted = base_cls.class_ids[r][proj]
+        ids = cover_cls.class_ids[r].astype(np.intp)
+        wanted = np.take(base_cls.class_ids[r], proj)
         image[ids] = wanted
         split = image[ids] != wanted
         if split.any():

@@ -10,6 +10,7 @@ is the oracle: both paths must write the same report bytes, and a planted
 defect must make the same claim the first failure on both.
 """
 
+import hashlib
 import importlib.util
 import json
 from dataclasses import replace
@@ -219,6 +220,59 @@ def test_join_c4_c6_report_matches_the_triangulation_path(monkeypatch):
     assert factored[2].ok
     report = json.loads(factored[0])
     assert (report["component_cells"], report["q_component"]) == (2592, 108)
+
+
+# ---------------------------------------------------------------------------
+# the counts checksum against the JSON encoder
+
+def json_counts_checksum(image_counts):
+    """The oracle: sort the table as lists and hash ``formats.dumps`` of it,
+    the route ``cli._counts_checksum`` took before it wrote the text with a
+    row template."""
+    table = sorted([list(simplex), count] for simplex, count in image_counts.items())
+    digest = hashlib.sha256(formats.dumps(table).encode("utf-8")).hexdigest()
+    return f"sha256:{digest}"
+
+
+def pipeline_image_counts(monkeypatch, doc):
+    """The image counts ``push_forward`` hands the report of a passing run."""
+    seen = []
+    genuine = cli.push_forward
+
+    def recording(*args, **kwargs):
+        real = genuine(*args, **kwargs)
+        seen.append(real.image_counts)
+        return real
+
+    monkeypatch.setattr(cli, "push_forward", recording)
+    assert run_pipeline(doc)[2].ok
+    return seen[0]
+
+
+# every corpus file that passes under the default cap: rp2_minimal is not
+# orientable, and the sd(boundary delta4) component exceeds the cap
+@pytest.mark.parametrize("source", [
+    *[("corpus", name) for name in ("hexagon", "octahedron", "boundary_delta3")],
+    *[(stem, seed) for stem in ("octahedron", "delta3", "suspended10")
+      for seed in (0, 1, 2)],
+])
+def test_counts_checksum_matches_the_json_encoder(source, monkeypatch):
+    kind, which = source
+    doc = corpus_doc(which) if kind == "corpus" else benchmark_doc(kind, which)
+    image_counts = pipeline_image_counts(monkeypatch, doc)
+    assert image_counts
+    assert cli._counts_checksum(image_counts) == json_counts_checksum(image_counts)
+
+
+@pytest.mark.parametrize("image_counts", [
+    {},
+    {(7,): 1},
+    {(3, 10, 2): 12, (3, 2, 10): 7, (1, 200, 3000): 123456, (0, 5, 9): 1,
+     (3, 10, 1): 98765432109, (12, 0, 4): 30},
+    {(4, 3, 2, 1, 0): 5, (0, 1, 2, 3, 4): 50, (0, 1, 2, 4, 3): 500},
+])
+def test_counts_checksum_of_hand_made_tables(image_counts):
+    assert cli._counts_checksum(image_counts) == json_counts_checksum(image_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,17 @@ import dict_oracle
 from extra_api import cover_cells, suspended_cycle
 from cyclecover import corpus, covering, formats
 from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
-from cyclecover.covering import build_component, build_full, verify_covering
-from cyclecover.errors import CapExceededError, InconsistentGluingError
+from cyclecover.covering import (
+    build_component,
+    build_full,
+    verify_cell_projection,
+    verify_covering,
+)
+from cyclecover.errors import (
+    CapExceededError,
+    InconsistentGluingError,
+    NotACoveringError,
+)
 from cyclecover.permutahedron import proper_subsets
 from cyclecover.pseudomanifold import (
     AbstractComplex,
@@ -165,23 +174,29 @@ def test_corrupted_tables_rejected(glue, message):
         PermutahedralComplex(2, 4, glue)
 
 
-def test_noncommuting_nested_table_rejected():
+def noncommuting_glue():
     # slot 3 = {1,2} glues by b, every other facet by a; a and b are
     # fixed-point free involutions with a(b(0)) = 4 but b(a(0)) = 3
     a = [1, 0, 4, 5, 2, 3]
     b = [2, 3, 0, 1, 5, 4]
-    glue = np.array([[b[i] if slot == 3 else a[i] for slot in range(6)]
+    return np.array([[b[i] if slot == 3 else a[i] for slot in range(6)]
                      for i in range(6)])
+
+
+def collapsed_glue():
+    # every facet glued by the same reflection: each gluing is a fixed-point
+    # free involution and they commute, but a vertex orbit has 2 cells, not 4
+    return np.tile(np.array([[1], [0], [3], [2]]), (1, 6))
+
+
+def test_noncommuting_nested_table_rejected():
     with pytest.raises(InconsistentGluingError,
                        match="nested facets \\(1,\\) and \\(1, 2\\) do not commute"):
-        PermutahedralComplex(2, 6, glue)
+        PermutahedralComplex(2, 6, noncommuting_glue())
 
 
 def test_collapsed_orbit_rejected():
-    # every facet glued by the same reflection: each gluing is a fixed-point
-    # free involution and they commute, but a vertex orbit has 2 cells, not 4
-    glue = np.tile(np.array([[1], [0], [3], [2]]), (1, 6))
-    pc = PermutahedralComplex(2, 4, glue)
+    pc = PermutahedralComplex(2, 4, collapsed_glue())
     with pytest.raises(InconsistentGluingError, match="has size 2, expected 4"):
         face_classes(pc)
 
@@ -240,3 +255,89 @@ def test_join_c4_c10_orbit_exceeds_a_cap_below_its_tuples():
     with pytest.raises(CapExceededError, match="component exceeded 100 cells") as e:
         build_component(cycle_join(4, 10), max_cells=100)
     assert (e.value.cap, e.value.reached) == (100, 100)
+
+
+# ---------------------------------------------------------------------------
+# the same table in every integer dtype: the kernels gather with np.take on
+# int32 tables, whatever dtype the glue arrives in
+
+GLUE_DTYPES = [np.int32, np.int64, np.uint32]
+
+
+def _rejection(glue, num_cells):
+    """The message of the InconsistentGluingError that building the n = 2
+    complex on ``glue``, or its face classes, raises."""
+    with pytest.raises(InconsistentGluingError) as e:
+        face_classes(PermutahedralComplex(2, num_cells, glue))
+    return str(e.value)
+
+
+DEFECTS = {
+    "out of range": (corrupted_tomei(1, 2, 4), 4, "glue target 4 out of range"),
+    "self-glued": (corrupted_tomei(1, 2, 1), 4, "facet (3,) of cell 1 glued to itself"),
+    "not an involution": (corrupted_tomei(1, 2, 3), 4,
+                          "gluing across (3,) is not an involution at cell 0"),
+    "nested facets": (noncommuting_glue(), 6,
+                      "gluings across nested facets (1,) and (1, 2) do not "
+                      "commute at cell 0"),
+    "collapsed orbit": (collapsed_glue(), 4,
+                        "face orbit of (1, 3) at cell 0 has size 2, expected 4"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("dtype", GLUE_DTYPES)
+def test_planted_gluing_defects_read_the_same_in_every_dtype(defect, dtype):
+    glue, num_cells, message = DEFECTS[defect]
+    assert _rejection(glue.astype(dtype), num_cells) == message
+
+
+@pytest.mark.parametrize("dtype", GLUE_DTYPES)
+def test_unglued_entry_in_every_dtype(dtype):
+    glue = corrupted_tomei(1, 2, UNGLUED)
+    if np.dtype(dtype).kind == "u":
+        # an unsigned table cannot hold UNGLUED: the entry wraps round and
+        # is refused as out of range
+        assert _rejection(glue.astype(dtype), 4) == "glue target 4294967295 out of range"
+    else:
+        assert _rejection(glue.astype(dtype), 4) == "cell 1 facet (3,) unglued"
+
+
+@pytest.mark.parametrize("name", COVERS)
+def test_every_glue_dtype_gives_the_same_int32_complex(covers, name):
+    cover = covers[name][0]
+    pc, base = cover.pc, build_tomei(cover.cp.n)
+    classes = face_classes(pc)
+    image = verify_cell_projection(pc, cover.g, base).cover_class_to_base
+    assert pc.glue.dtype == classes.class_ids.dtype == image.dtype == np.int32
+    for dtype in GLUE_DTYPES:
+        again = PermutahedralComplex(pc.n, pc.num_cells, pc.glue.astype(dtype))
+        assert again.glue.dtype == np.int32
+        assert np.array_equal(again.glue, pc.glue)
+        again_classes = face_classes(again)
+        assert again_classes.class_ids.dtype == np.int32
+        assert np.array_equal(again_classes.class_ids, classes.class_ids)
+        report = verify_cell_projection(again, cover.g.astype(dtype), base)
+        assert report.cover_class_to_base.dtype == np.int32
+        assert np.array_equal(report.cover_class_to_base, image)
+
+
+def _projection_rejection(pc, projection, base):
+    with pytest.raises(NotACoveringError) as e:
+        verify_cell_projection(pc, projection, base)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("dtype", GLUE_DTYPES)
+def test_planted_projection_defects_read_the_same_in_every_dtype(covers, dtype):
+    cover = covers["sd3 component"][0]
+    base = build_tomei(2)
+    pc = PermutahedralComplex(2, cover.num_cells, cover.pc.glue.astype(dtype))
+    outside = cover.g.copy()
+    outside[5] = base.num_cells
+    assert (_projection_rejection(pc, outside.astype(dtype), base)
+            == "projection sends a cell outside the base")
+    moved = cover.g.copy()
+    moved[7] ^= 1  # cell 1 is glued to cell 7 across {1, 2}
+    assert (_projection_rejection(pc, moved.astype(dtype), base)
+            == "projection does not commute with crossing (1, 2) at cell 1")
