@@ -91,11 +91,9 @@ from .permutahedron import (
     Chain,
     enumerate_faces,
     full_mask,
-    mask_elements,
     triangulation_flags,
 )
 from .pseudomanifold import (
-    ColoredPseudomanifold,
     Simplex,
     group_rows,
     permutation_signs,
@@ -233,31 +231,16 @@ def cover_is_oriented(cover: CoverComplex, t: FlagTemplate) -> bool:
     return all((np.take(odd, column) != odd).all() for column in cover.pc.glue.T)
 
 
-def subdivision_vertices(bundle: ColoredPseudomanifold) -> np.ndarray:
-    """``vertex[s, w]``: the vertex of the barycentric subdivision of the
-    bundle's complex at the face of top s spanned by the colors of w,
-    numbered as ``barycentric_subdivide`` numbers the faces, by dimension
-    and then by vertex tuple."""
-    n, count = bundle.n, bundle.top_count
-    vertex = np.zeros((count, 1 << (n + 1)), dtype=np.int64)
-    start = 0
-    for size in range(1, n + 2):
-        masks = [w for w in range(1, 1 << (n + 1)) if w.bit_count() == size]
-        rows = np.concatenate([
-            np.sort(bundle.by_color[:, [c - 1 for c in mask_elements(w)]], axis=1)
-            for w in masks])
-        ids, _ = group_rows(rows, bundle.complex.num_vertices)
-        vertex[:, masks] = ids.reshape(len(masks), count).T + start
-        start += int(ids.max()) + 1
-    return vertex
-
-
 def check_well_defined(cover: CoverComplex, classes: FaceClasses,
                        t: FlagTemplate, vertex: np.ndarray) -> None:
     """Certify that every face class has one image and that the images
-    along every flag are nested faces.  Raises ``NotWellDefinedError``
-    naming the class that ``realization_map`` names: the lowest class of
-    the first chain (w) whose two members image to different faces."""
+    along every flag are nested faces.  ``vertex`` is the ``face_ids``
+    table of the bundle's ``by_color`` rows: ``vertex[s, w]`` is the vertex
+    of the subdivided base at the face of top s spanned by the colors of w,
+    numbered as ``barycentric_subdivide`` numbers it.  Raises
+    ``NotWellDefinedError`` naming the class that ``realization_map``
+    names: the lowest class of the first chain (w) whose two members image
+    to different faces."""
     nested = (t.colors[:, 1:] & ~t.colors[:, :-1]) == 0
     if not nested.all():
         f = int(np.flatnonzero(~nested.all(axis=1))[0])

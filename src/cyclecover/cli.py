@@ -37,7 +37,6 @@ from .certificate import (
     cover_is_oriented,
     flag_template,
     push_forward,
-    subdivision_vertices,
     template_is_closed,
     template_is_surface,
 )
@@ -56,6 +55,7 @@ from .pseudomanifold import (
     barycentric_subdivide,
     check_regular_coloring,
     colored_from_complex,
+    face_ids,
     orient,
     validate_pseudomanifold,
 )
@@ -293,7 +293,7 @@ def _certify_realization(claims: Claims, report: dict, cover, classes,
     oriented = cover_is_oriented(cover, template)
     claims.check("cover is orientable", oriented)
 
-    vertex = subdivision_vertices(bundle)
+    vertex, _ = face_ids(bundle.by_color)
     try:
         check_well_defined(cover, classes, template, vertex)
         claims.check("realization map is well defined on face classes", True,

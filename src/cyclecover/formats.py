@@ -58,17 +58,23 @@ def complex_to_dict(c: AbstractComplex, coloring=None, orientation=None) -> dict
     return out
 
 
+def _is_int(x) -> bool:
+    """Is x an integer of the schema?  JSON ``true`` and ``false`` load as
+    Python bools, which are ints, and are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def complex_from_dict(d) -> tuple[AbstractComplex, list[int] | None, list[int] | None]:
     if not isinstance(d, dict):
         raise ValueError("complex document must be a JSON object")
     for key in ("n", "num_vertices", "simplices"):
         if key not in d:
             raise ValueError(f"complex document is missing {key!r}")
-    if not isinstance(d["n"], int) or not isinstance(d["num_vertices"], int):
+    if not _is_int(d["n"]) or not _is_int(d["num_vertices"]):
         raise ValueError("'n' and 'num_vertices' must be integers")
     simplices = d["simplices"]
     if not isinstance(simplices, list) or not all(
-            isinstance(s, list) and all(isinstance(v, int) for v in s)
+            isinstance(s, list) and all(_is_int(v) for v in s)
             for s in simplices):
         raise ValueError("'simplices' must be a list of lists of integers")
     c = AbstractComplex(d["n"], d["num_vertices"], [tuple(s) for s in simplices])
@@ -76,13 +82,13 @@ def complex_from_dict(d) -> tuple[AbstractComplex, list[int] | None, list[int] |
     coloring = d.get("colors")
     if coloring is not None:
         if (not isinstance(coloring, list) or len(coloring) != c.num_vertices
-                or not all(isinstance(x, int) for x in coloring)):
+                or not all(_is_int(x) for x in coloring)):
             raise ValueError("'colors' must list one integer per vertex")
     orientation = d.get("orientation")
     if orientation is not None:
         if (not isinstance(orientation, list)
                 or len(orientation) != len(c.top_simplices)
-                or not all(x in (1, -1) for x in orientation)):
+                or not all(_is_int(x) and x in (1, -1) for x in orientation)):
             raise ValueError("'orientation' must assign +1 or -1 per simplex")
     return c, coloring, orientation
 

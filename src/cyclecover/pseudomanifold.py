@@ -17,6 +17,10 @@ dual graph all read this table; components and orientation signs come
 from one run of ``lowest_labels`` per table, which hooks trees under their
 lowest neighbors and shortcuts pointers.
 
+The barycentric subdivision is numbered once, by the (top x face mask)
+table of ``face_ids``: the subdivision's flags and the certificate's
+vertices are both read from it.
+
 The parts need no search of their own.  Read in color order, the
 orientation of a top simplex is its orientation times the sign of the
 permutation that sorts its colors.  Two tops across a facet share every
@@ -233,14 +237,6 @@ class AbstractComplex:
         top, slot = np.nonzero(neighbor > np.arange(len(neighbor))[:, None])
         return list(zip(top.tolist(), neighbor[top, slot].tolist()))
 
-    def all_faces(self) -> list[Simplex]:
-        """Every nonempty face, sorted by (dimension, vertex tuple)."""
-        seen: set[Simplex] = set()
-        for s in self.top_simplices:
-            for k in range(1, self.n + 2):
-                seen.update(combinations(s, k))
-        return sorted(seen, key=lambda f: (len(f), f))
-
     def __repr__(self):
         return (f"AbstractComplex(n={self.n}, vertices={self.num_vertices}, "
                 f"top={len(self.top_simplices)})")
@@ -294,34 +290,70 @@ def _validate(c: AbstractComplex) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # barycentric subdivision
 
+def face_ids(columns: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Number the nonempty faces of simplices given as rows of vertices.
+
+    ``ids[t, m]`` is the id of the face spanned by ``columns[t, j]`` for
+    the bits j of the mask m, and -1 for the empty mask.  Faces are
+    numbered by size, then by ascending vertex row: ``faces[k]`` holds the
+    faces of k + 1 vertices in id order, and its ids follow those of
+    ``faces[k - 1]``.  The ids depend only on the set of faces, so the
+    same simplices with their columns in another order get the same ids.
+    """
+    count, width = columns.shape
+    vertices, rank = np.unique(columns, return_inverse=True)
+    bits = np.arange(1, 1 << width)[:, None] >> np.arange(width) & 1
+    # one row per (top, mask): the face's size, then the ranks of its
+    # vertices ascending, then the rank past the last as padding
+    rows = np.empty((count, len(bits), width + 1), dtype=np.int64)
+    rows[:, :, 0] = bits.sum(axis=1)
+    rows[:, :, 1:] = np.sort(np.where(bits, rank.reshape(count, 1, width),
+                                      len(vertices)), axis=2)
+    rows = rows.reshape(-1, width + 1)
+    number, _ = group_rows(rows, len(vertices) + 1)
+    ids = np.full((count, 1 << width), -1, dtype=np.int64)
+    ids[:, 1:] = number.reshape(count, -1)
+    first = np.empty((int(number.max()) + 1, width + 1), dtype=np.int64)
+    first[number] = rows
+    faces = [vertices[first[first[:, 0] == k, 1:k + 1]]
+             for k in range(1, width + 1)]
+    return ids, faces
+
+
 @dataclass
 class BarycentricSubdivision:
     """Subdivision data: one new vertex per nonempty face of the source.
 
     ``coloring`` is the canonical regular coloring (dimension of the source
-    face, plus one).  ``face_ids`` recovers the new vertex id of a face.
+    face, plus one).  ``ids`` and ``faces`` are ``face_ids`` of the
+    source's top simplices: the new vertex at a face is its id.
+    ``flag_top[t, a]`` is the subdivision top of the flag of source top t
+    in the a-th vertex order of ``permutations(range(n + 1))``.
     """
 
     complex: AbstractComplex
     coloring: list[int]
-    faces: list[Simplex]
-    face_ids: dict[Simplex, int]
-    source: AbstractComplex
+    faces: list[np.ndarray]
+    ids: np.ndarray
+    flag_top: np.ndarray
 
 
 def barycentric_subdivide(c: AbstractComplex) -> BarycentricSubdivision:
     """Order complex of the face poset.  Top simplices are the flags
-    F_0 < F_1 < ... < F_n of faces of a common top simplex."""
-    faces = c.all_faces()
-    face_ids = {f: i for i, f in enumerate(faces)}
-    coloring = [len(f) for f in faces]
-    tops = []
-    for s in c.top_simplices:
-        for order in permutations(s):
-            flag = tuple(face_ids[tuple(sorted(order[:k + 1]))] for k in range(c.n + 1))
-            tops.append(tuple(sorted(flag)))
-    sd = AbstractComplex(c.n, len(faces), tops)
-    return BarycentricSubdivision(sd, coloring, faces, face_ids, c)
+    F_0 < F_1 < ... < F_n of faces of a common top simplex: the flag of a
+    vertex order is the faces of its prefixes, one gather of the id table,
+    and ascending since ids grow with face size."""
+    ids, faces = face_ids(c.tops)
+    orders = np.array(list(permutations(range(c.n + 1))))
+    flags = ids[:, np.cumsum(1 << orders, axis=1)].reshape(-1, c.n + 1)
+    num_faces = int(ids.max()) + 1
+    sd = AbstractComplex(c.n, num_faces, flags)
+    # AbstractComplex puts the flags in this order
+    flag_top = np.empty(len(flags), dtype=np.int64)
+    flag_top[_lex_order(flags, num_faces)] = np.arange(len(flags))
+    coloring = np.repeat(np.arange(1, c.n + 2), [len(f) for f in faces])
+    return BarycentricSubdivision(sd, coloring.tolist(), faces, ids,
+                                  flag_top.reshape(len(ids), -1))
 
 
 def check_regular_coloring(c: AbstractComplex, coloring) -> bool:
@@ -335,25 +367,6 @@ def check_regular_coloring(c: AbstractComplex, coloring) -> bool:
         return False
     colors = np.sort(coloring[c.tops], axis=1)
     return bool((colors == np.arange(1, c.n + 2)).all())
-
-
-# ---------------------------------------------------------------------------
-# color-set helpers
-
-def color_set(face: Simplex, coloring) -> int:
-    """Bitmask of the colors present on ``face``."""
-    mask = 0
-    for v in face:
-        mask |= 1 << (coloring[v] - 1)
-    return mask
-
-
-def face_of_colors(simplex: Simplex, subset: int, coloring) -> Simplex:
-    """The face of a regularly colored simplex spanned by the given colors."""
-    face = tuple(v for v in simplex if subset >> (coloring[v] - 1) & 1)
-    if color_set(face, coloring) != subset:
-        raise ValueError(f"simplex {simplex} does not carry every color in mask {subset:b}")
-    return face
 
 
 # ---------------------------------------------------------------------------

@@ -43,19 +43,11 @@ from .pseudomanifold import (
     ColoredPseudomanifold,
     Simplex,
     barycentric_subdivide,
-    face_of_colors,
     group_rows,
     is_coherent_orientation,
     orient,
     permutation_signs,
 )
-
-
-def permutation_sign(seq) -> int:
-    """Sign of the permutation sorting a sequence of distinct comparables."""
-    inversions = sum(1 for i in range(len(seq))
-                     for j in range(i + 1, len(seq)) if seq[i] > seq[j])
-    return -1 if inversions % 2 else 1
 
 
 def subdivided_cycle(bundle: ColoredPseudomanifold,
@@ -64,49 +56,24 @@ def subdivided_cycle(bundle: ColoredPseudomanifold,
     bundle's orientation: the flag through vertex order (u_1, ..., u_{n+1})
     of an oriented top simplex inherits the sign of that order.
 
-    Returns (sd, {top simplex of sd: +1 or -1}); the assignment is verified
-    to be a coherent orientation, so it really is a fundamental cycle.
+    Returns (sd, signs): ``signs[t, a]`` is the sign of the flag of top t in
+    vertex order a, which is subdivision top ``sd.flag_top[t, a]``.  Read
+    per subdivision top, the signs are verified to be a coherent
+    orientation, so they really are a fundamental cycle.
     """
     if sd is None:
         sd = barycentric_subdivide(bundle.complex)
-    signs: dict[Simplex, int] = {}
-    for i, s in enumerate(bundle.complex.top_simplices):
-        rank = {v: r for r, v in enumerate(s)}
-        for top in _flags_of(s, sd):
-            order = _vertex_order(top, sd)
-            signs[top] = bundle.orientation[i] * permutation_sign(
-                [rank[v] for v in order])
-    index = {t: k for k, t in enumerate(sd.complex.top_simplices)}
-    if set(signs) != set(index):
+    orders = np.array(list(permutations(range(bundle.n + 1))))
+    signs = np.asarray(bundle.orientation)[:, None] * permutation_signs(orders)
+    tops = len(sd.complex.tops)
+    if sd.flag_top.shape != signs.shape or (
+            np.bincount(sd.flag_top.ravel(), minlength=tops) != 1).any():
         raise NotWellDefinedError("flag enumeration missed subdivision simplices")
-    as_list = [0] * len(index)
-    for t, sign in signs.items():
-        as_list[index[t]] = sign
-    if not is_coherent_orientation(sd.complex, as_list):
+    per_top = np.empty(tops, dtype=np.int64)
+    per_top[sd.flag_top] = signs
+    if not is_coherent_orientation(sd.complex, per_top):
         raise NotWellDefinedError("induced subdivision cycle is not coherent")
     return sd, signs
-
-
-def _flags_of(s: Simplex, sd: BarycentricSubdivision):
-    """Top simplices of the subdivision lying inside top simplex s, one per
-    vertex order, as ascending face-id tuples."""
-    for order in permutations(s):
-        yield tuple(sd.face_ids[tuple(sorted(order[:k + 1]))]
-                    for k in range(len(s)))
-
-
-def _vertex_order(top: Simplex, sd: BarycentricSubdivision):
-    """Recover the vertex insertion order of a flag simplex."""
-    prev: set[int] = set()
-    order = []
-    for fid in top:
-        face = set(sd.faces[fid])
-        added = face - prev
-        if len(added) != 1:
-            raise NotWellDefinedError(f"simplex {top} is not a flag")
-        order.append(added.pop())
-        prev = face
-    return order
 
 
 @dataclass
@@ -141,18 +108,18 @@ def realization_map(cover: CoverComplex,
         sd = barycentric_subdivide(bundle.complex)
 
     # the image of (cell, chain) is the face of the cell's simplex spanned
-    # by the colors of the chain minimum (all colors for the empty chain);
-    # scatter it per class, then check every member agrees with its class
+    # by the colors of the chain minimum (all colors for the empty chain):
+    # vertex[s, w], read from the id table at the mask of the positions of
+    # the colors of w in top s.  Scatter it per class, then check every
+    # member agrees with its class
+    colors = np.asarray(bundle.coloring)[bundle.complex.tops] - 1
+    masks = np.arange(1 << (bundle.n + 1))[:, None]
+    positions = (masks >> colors[:, None, :] & 1) @ (1 << np.arange(bundle.n + 1))
+    vertex = np.take_along_axis(sd.ids, positions, axis=1)
     sigma = cover.sigma
     image = np.empty(classes.num_classes, dtype=np.int64)
-    face_tables: dict[int, np.ndarray] = {}
     for row, chain in enumerate(classes.chains):
-        colors = chain[0] if chain else full_mask(bundle.n)
-        if colors not in face_tables:
-            face_tables[colors] = np.array([
-                sd.face_ids[face_of_colors(s, colors, bundle.coloring)]
-                for s in bundle.complex.top_simplices], dtype=np.int64)
-        wanted = face_tables[colors][sigma]
+        wanted = vertex[sigma, chain[0] if chain else full_mask(bundle.n)]
         ids = classes.class_ids[row]
         image[ids] = wanted
         split = image[ids] != wanted
@@ -162,11 +129,12 @@ def realization_map(cover: CoverComplex,
                 f"face class {cid} with chain {chain} has "
                 f"{len(set(wanted[ids == cid].tolist()))} distinct images")
     vertex_images = image.tolist()
-    image_faces = [sd.faces[v] for v in vertex_images]
+    faces = [tuple(f) for level in sd.faces for f in level.tolist()]
+    image_faces = [faces[v] for v in vertex_images]
 
     # weak simpliciality: along each flag the images are weakly nested;
     # each distinct (smaller, larger) pair of image vertices is checked once
-    face_sets = [frozenset(f) for f in sd.faces]
+    face_sets = [frozenset(f) for f in faces]
     tops = tri.complex.tops
     pairs, pair_of = np.unique(
         (image[tops[:, 1:]] * len(face_sets) + image[tops[:, :-1]]).ravel(),
@@ -198,10 +166,9 @@ def verify_realization(rmap: RealizationMap,
     orientation = np.asarray(orientation, dtype=np.int64)
     # expected[s]: sign of subdivision top s in the base cycle; the checks
     # visit the subdivision tops in the cycle's flag order
-    index = {t: k for k, t in enumerate(target.top_simplices)}
-    visit = np.array([index[t] for t in signs])
+    visit = rmap.target.flag_top.ravel()
     expected = np.empty(len(visit), dtype=np.int64)
-    expected[visit] = list(signs.values())
+    expected[visit] = signs.ravel()
 
     component = cell_components(rmap.cover.pc)[tri.cell_of_top]
     num_components = int(component.max()) + 1

@@ -12,11 +12,15 @@ arrays of Python integers entry by entry, on boundary matrices filled
 through a dict from face tuple to index.  The parts of a colored bundle
 come from breadth-first two-coloring of the dual graph, with an odd closed
 walk as the witness of failure, and stars, compatibility and canonical
-involutions from per-top loops over the vertex of each color.
+involutions from per-top loops over the vertex of each color.  The
+barycentric subdivision numbers its faces through a dict from face tuple
+to vertex id, and its fundamental cycle is signed flag by flag through
+that dict.
 """
 
 from collections import deque
-from itertools import product
+from dataclasses import dataclass
+from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
@@ -35,11 +39,12 @@ from cyclecover.involutions import (
     extend_to_facet_colors,
 )
 from cyclecover.permutahedron import enumerate_faces, mask_elements, proper_subsets
-from cyclecover.pseudomanifold import ValidationReport, check_regular_coloring
-from cyclecover.realization import (
-    RealizationReport,
-    permutation_sign,
-    subdivided_cycle,
+from cyclecover.certificate import RealizationReport
+from cyclecover.errors import NotWellDefinedError
+from cyclecover.pseudomanifold import (
+    AbstractComplex,
+    ValidationReport,
+    check_regular_coloring,
 )
 from cyclecover.tomei import size_generator
 
@@ -525,11 +530,117 @@ def cell_components(pc) -> list:
     return component
 
 
+# ---------------------------------------------------------------------------
+# the barycentric subdivision through a dict from face tuple to vertex id,
+# and its cycle by walking every flag through that dict: what the face-id
+# table and the closed-form signs replaced
+
+def all_faces(c) -> list:
+    """Every nonempty face, sorted by (dimension, vertex tuple)."""
+    seen: set = set()
+    for s in c.top_simplices:
+        for k in range(1, c.n + 2):
+            seen.update(combinations(s, k))
+    return sorted(seen, key=lambda f: (len(f), f))
+
+
+@dataclass
+class Subdivision:
+    complex: AbstractComplex
+    coloring: list
+    faces: list
+    face_ids: dict
+
+
+def barycentric_subdivide(c) -> Subdivision:
+    """One vertex per face in ``all_faces`` order; one top per vertex order
+    of every top simplex, looked up face by face in the dict."""
+    faces = all_faces(c)
+    face_ids = {f: i for i, f in enumerate(faces)}
+    tops = []
+    for s in c.top_simplices:
+        for order in permutations(s):
+            flag = tuple(face_ids[tuple(sorted(order[:k + 1]))]
+                         for k in range(c.n + 1))
+            tops.append(tuple(sorted(flag)))
+    return Subdivision(AbstractComplex(c.n, len(faces), tops),
+                       [len(f) for f in faces], faces, face_ids)
+
+
+def color_set(face, coloring) -> int:
+    """Bitmask of the colors present on ``face``."""
+    mask = 0
+    for v in face:
+        mask |= 1 << (coloring[v] - 1)
+    return mask
+
+
+def face_of_colors(simplex, subset: int, coloring) -> tuple:
+    """The face of a regularly colored simplex spanned by the given colors."""
+    face = tuple(v for v in simplex if subset >> (coloring[v] - 1) & 1)
+    if color_set(face, coloring) != subset:
+        raise ValueError(f"simplex {simplex} does not carry every color in mask {subset:b}")
+    return face
+
+
+def permutation_sign(seq) -> int:
+    """Sign of the permutation sorting a sequence of distinct comparables."""
+    inversions = sum(1 for i in range(len(seq))
+                     for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def subdivided_cycle(bundle, sd: Subdivision | None = None):
+    """(sd, {top simplex of sd: +1 or -1}), built flag by flag in the order
+    (top, vertex order): each flag's vertex order is recovered by set
+    differences and signed by its inversion count."""
+    if sd is None:
+        sd = barycentric_subdivide(bundle.complex)
+    signs: dict = {}
+    for i, s in enumerate(bundle.complex.top_simplices):
+        rank = {v: r for r, v in enumerate(s)}
+        for top in _flags_of(s, sd):
+            order = _vertex_order(top, sd)
+            signs[top] = bundle.orientation[i] * permutation_sign(
+                [rank[v] for v in order])
+    index = {t: k for k, t in enumerate(sd.complex.top_simplices)}
+    if set(signs) != set(index):
+        raise NotWellDefinedError("flag enumeration missed subdivision simplices")
+    as_list = [0] * len(index)
+    for t, sign in signs.items():
+        as_list[index[t]] = sign
+    if not is_coherent_orientation(sd.complex, as_list):
+        raise NotWellDefinedError("induced subdivision cycle is not coherent")
+    return sd, signs
+
+
+def _flags_of(s, sd: Subdivision):
+    """Top simplices of the subdivision lying inside top simplex s, one per
+    vertex order, as ascending face-id tuples."""
+    for order in permutations(s):
+        yield tuple(sd.face_ids[tuple(sorted(order[:k + 1]))]
+                    for k in range(len(s)))
+
+
+def _vertex_order(top, sd: Subdivision):
+    """Recover the vertex insertion order of a flag simplex."""
+    prev: set = set()
+    order = []
+    for fid in top:
+        face = set(sd.faces[fid])
+        added = face - prev
+        if len(added) != 1:
+            raise NotWellDefinedError(f"simplex {top} is not a flag")
+        order.append(added.pop())
+        prev = face
+    return order
+
+
 def verify_realization(rmap, orientation=None) -> RealizationReport:
     """Per-top Python loop: coefficient and count dicts per (component,
     image simplex), compared against the subdivided base cycle."""
-    tri, sd = rmap.tri, rmap.target
-    _, signs = subdivided_cycle(rmap.bundle, sd)
+    tri = rmap.tri
+    _, signs = subdivided_cycle(rmap.bundle)
     if orientation is None:
         orientation = orient(tri.complex)
     cell_of = tri.cell_of_top.tolist()
@@ -677,7 +788,7 @@ def smith_normal_form(matrix):
 
 def faces_by_dimension(c) -> list:
     by_dim = [[] for _ in range(c.n + 1)]
-    for f in c.all_faces():
+    for f in all_faces(c):
         by_dim[len(f) - 1].append(f)
     return by_dim
 

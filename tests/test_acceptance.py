@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from dict_oracle import face_of_colors
 from extra_api import cover_cells
 from cyclecover import corpus
 from cyclecover.cells import (
@@ -41,7 +42,6 @@ from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
     barycentric_subdivide,
     colored_from_complex,
-    face_of_colors,
     orient,
     validate_pseudomanifold,
 )

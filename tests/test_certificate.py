@@ -13,6 +13,9 @@ defect must make the same claim the first failure on both.
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from math import factorial
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclecover import cli, corpus, formats
+from cyclecover import cli, corpus, formats, realization
 from cyclecover.cells import (
     cell_components,
     euler_characteristic,
@@ -34,7 +37,6 @@ from cyclecover.certificate import (
     cover_is_oriented,
     flag_template,
     push_forward,
-    subdivision_vertices,
     template_is_closed,
     template_is_surface,
 )
@@ -48,6 +50,7 @@ from cyclecover.errors import (
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
     colored_from_complex,
+    face_ids,
     is_coherent_orientation,
     orient,
     validate_pseudomanifold,
@@ -174,6 +177,12 @@ def both_paths(monkeypatch, doc, max_cells=DEFAULT_MAX_CELLS,
         m.setattr(cli, "_certify_realization", tail)
         oracle = run_pipeline(doc, max_cells)
     return factored, oracle
+
+
+def vertex_table(bundle):
+    """The subdivision vertex of every face of every top, by color mask:
+    the table ``verify`` reads."""
+    return face_ids(bundle.by_color)[0]
 
 
 def corpus_doc(name):
@@ -335,9 +344,42 @@ def template_flag_of_tops(tri):
     return np.array([index[tuple(r)] for r in rows.tolist()])
 
 
+def _misnamed_vertex(ids):
+    """The id table with top 0's vertex for the one-color set {1} naming
+    its vertex of color 2 instead.  On the octahedron, top 0 is (0, 2, 4),
+    colored 1, 2, 3, so its masks by color and by vertex position agree."""
+    ids = ids.copy()
+    ids[0, 0b001] = ids[0, 0b010]
+    return ids
+
+
+def tamper_vertex_table(m):
+    """The defect in the table the certificate reads."""
+    genuine = cli.face_ids
+
+    def tampered(columns):
+        ids, faces = genuine(columns)
+        return _misnamed_vertex(ids), faces
+
+    m.setattr(cli, "face_ids", tampered)
+
+
+def tamper_subdivision_table(m):
+    """The same defect in the subdivision ``realization_map`` reads."""
+    genuine = realization.barycentric_subdivide
+
+    def tampered(c):
+        sd = genuine(c)
+        return replace(sd, ids=_misnamed_vertex(sd.ids))
+
+    m.setattr(realization, "barycentric_subdivide", tampered)
+
+
 DEFECTS = {
     "sigma": (tamper_sigma, tamper_sigma,
               "realization map is well defined on face classes"),
+    "vertex": (tamper_vertex_table, tamper_subdivision_table,
+               "realization map is well defined on face classes"),
     # flag 0 of every cell has the wrong sign
     "tau": (flip_tau,
             _oracle_orientation(lambda tri: template_flag_of_tops(tri) == 0),
@@ -358,8 +400,32 @@ def test_planted_defect_fails_the_same_claim_first(defect, monkeypatch):
     firsts = [next(e for e in claims.entries if e["status"] == "fail")
               for _, _, claims in (factored, oracle)]
     assert [e["claim"] for e in firsts] == [claim, claim]
-    if defect == "sigma":  # the same class is named, so the bytes agree
+    if defect in ("sigma", "vertex"):  # the same class is named, so the bytes agree
         assert factored[:2] == oracle[:2]
+
+
+def test_misnamed_vertex_fails_verify_with_deterministic_bytes(monkeypatch, tmp_path):
+    octahedron = CORPUS_DIR / "octahedron.json"
+    assert formats.load_complex(octahedron)[0].top_simplices[0] == (0, 2, 4)
+    outputs = []
+    for run, (plant, oracle) in enumerate([(tamper_vertex_table, False),
+                                           (tamper_vertex_table, False),
+                                           (tamper_subdivision_table, True)]):
+        out = tmp_path / f"run{run}.json"
+        with monkeypatch.context() as m:
+            plant(m)
+            if oracle:
+                m.setattr(cli, "_certify_realization", triangulation_tail)
+            assert cli.main(["report", "--input", str(octahedron),
+                             "--out", str(out)]) == 1
+        outputs.append((out.read_bytes(), out.with_suffix(".txt").read_bytes()))
+        claims = json.loads(outputs[-1][0])["claims"]
+        failed = [e["claim"] for e in claims if e["status"] == "fail"]
+        # the first failure is the last claim: the later ones are absent
+        assert failed == [claims[-1]["claim"]] == \
+            ["realization map is well defined on face classes"]
+        assert "with chain (1,) has 2 distinct images" in claims[-1]["detail"]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +484,7 @@ def test_push_forward_matches_verify_realization(covers, name):
     cover = covers[name]
     template = flag_template(cover.cp.n)
     classes = face_classes(cover.pc)
-    vertex = subdivision_vertices(cover.cp)
+    vertex = vertex_table(cover.cp)
     check_well_defined(cover, classes, template, vertex)
     got = push_forward(cover, template, vertex, oriented=True)
     want = verify_realization(realization_map(cover, classes))
@@ -438,7 +504,7 @@ def test_well_definedness_names_the_class_realization_map_names(covers):
         realization_map(broken, classes)
     with pytest.raises(NotWellDefinedError) as factored:
         check_well_defined(broken, classes, flag_template(2),
-                           subdivision_vertices(cover.cp))
+                           vertex_table(cover.cp))
     assert str(factored.value) == str(oracle.value)
 
 
@@ -449,7 +515,7 @@ def test_push_forward_rejects_a_fibre_that_varies(covers):
     sigma[sigma == 3] = 5
     with pytest.raises(DegreeNotConstantError, match="component 0 hits"):
         push_forward(replace(cover, sigma=sigma), flag_template(2),
-                     subdivision_vertices(cover.cp), oriented=True)
+                     vertex_table(cover.cp), oriented=True)
 
 
 def test_orientation_check_catches_a_parity_or_template_flip(covers):
@@ -462,7 +528,7 @@ def test_orientation_check_catches_a_parity_or_template_flip(covers):
     sign[5] = -sign[5]
     assert not cover_is_oriented(cover, replace(template, sign=sign))
     with pytest.raises(NonOrientableError):
-        push_forward(cover, template, subdivision_vertices(cover.cp),
+        push_forward(cover, template, vertex_table(cover.cp),
                      oriented=False)
 
 
@@ -485,3 +551,24 @@ def test_factored_path_never_triangulates(monkeypatch):
     _, _, claims = run_pipeline(corpus_doc("octahedron"))
     assert claims.ok
     assert len(validated) == 1  # the input complex only
+
+
+@pytest.mark.parametrize("mode", ["verify", "report"])
+def test_verify_path_never_imports_the_realization_module(mode, tmp_path):
+    # realization and the certificate read one face-id table; the
+    # triangulation-based module must still stay off the verify path
+    script = "\n".join([
+        "import sys",
+        "from cyclecover import cli",
+        "codes = [cli.main([sys.argv[1], '--input', path, '--out', out])",
+        "         for path, out in zip(sys.argv[2::2], sys.argv[3::2])]",
+        "print(codes, 'cyclecover.realization' in sys.modules)",
+    ])
+    args = []
+    for name in ("octahedron", "boundary_delta3"):
+        args += [str(CORPUS_DIR / f"{name}.json"), str(tmp_path / f"{name}.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, mode, *args],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"

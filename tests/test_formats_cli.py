@@ -68,10 +68,25 @@ def test_complex_roundtrip():
     (lambda d: d.update(simplices=[[0, "1"]]), "lists of integers"),
     (lambda d: d.update(colors=[1, 2]), "one integer per vertex"),
     (lambda d: d.update(orientation=[2] * 8), "must assign"),
+    # JSON booleans are Python ints, but not integers of the schema
+    pytest.param(lambda d: d.update(n=True), "must be integers", id="n true"),
+    pytest.param(lambda d: d.update(num_vertices=False), "must be integers",
+                 id="num_vertices false"),
+    pytest.param(lambda d: d.update(simplices=[[True if v == 1 else v for v in s]
+                                               for s in d["simplices"]]),
+                 "lists of integers", id="vertex 1 true"),
+    pytest.param(lambda d: d.update(colors=[True if x == 1 else x
+                                            for x in d["colors"]]),
+                 "one integer per vertex", id="color 1 true"),
+    pytest.param(lambda d: d.update(orientation=[True if x == 1 else x
+                                                 for x in d["orientation"]]),
+                 "must assign", id="orientation true"),
+    pytest.param(lambda d: d["orientation"].__setitem__(0, 1.0), "must assign",
+                 id="orientation float"),
 ])
 def test_complex_schema_rejections(mutate, message):
     c, colors = corpus.octahedron()
-    d = formats.complex_to_dict(c, colors)
+    d = formats.complex_to_dict(c, colors, orient(c))
     mutate(d)
     with pytest.raises(ValueError, match=message):
         formats.complex_from_dict(d)

@@ -22,9 +22,8 @@ from cyclecover.pseudomanifold import (
     barycentric_subdivide,
     bipartition,
     check_regular_coloring,
-    color_set,
     colored_from_complex,
-    face_of_colors,
+    face_ids,
     is_coherent_orientation,
     orient,
     validate_pseudomanifold,
@@ -146,13 +145,26 @@ def test_subdivision_vertex_count_matches_face_enumeration(builder):
             faces.update(combinations(s, k))
     assert sd.complex.num_vertices == len(faces)
     assert len(sd.complex.top_simplices) == len(c.top_simplices) * math.factorial(c.n + 1)
-    assert [sd.coloring[sd.face_ids[f]] for f in sorted(faces)] == [len(f) for f in sorted(faces)]
+    vertex_of = {f: v for v, f in enumerate(faces_in_id_order(sd.faces))}
+    assert [sd.coloring[vertex_of[f]] for f in sorted(faces)] == [len(f) for f in sorted(faces)]
+
+
+def faces_in_id_order(levels):
+    """The faces of the per-size rows of ``face_ids``, in id order."""
+    return [tuple(f) for level in levels for f in level.tolist()]
 
 
 def test_subdivision_coloring_is_canonical_dimension_coloring():
-    sd = barycentric_subdivide(boundary_delta(3))
-    for face, vid in sd.face_ids.items():
+    c = boundary_delta(3)
+    sd = barycentric_subdivide(c)
+    faces = faces_in_id_order(sd.faces)
+    for vid, face in enumerate(faces):
         assert sd.coloring[vid] == len(face)
+    # the id table names the face of every top at every vertex mask
+    for t, s in enumerate(c.top_simplices):
+        for m in range(1, 1 << (c.n + 1)):
+            face = tuple(v for j, v in enumerate(s) if m >> j & 1)
+            assert faces[sd.ids[t, m]] == face
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +191,32 @@ def test_color_set_and_face_of_colors():
     c, colors = octahedron()
     tri = c.top_simplices[0]  # (0, 2, 4), colors 1, 2, 3
     assert tri == (0, 2, 4)
-    assert color_set(tri, colors) == 0b111
-    assert face_of_colors(tri, 0b101, colors) == (0, 4)
-    assert face_of_colors(tri, 0b010, colors) == (2,)
+    assert dict_oracle.color_set(tri, colors) == 0b111
+    assert dict_oracle.face_of_colors(tri, 0b101, colors) == (0, 4)
+    assert dict_oracle.face_of_colors(tri, 0b010, colors) == (2,)
     with pytest.raises(ValueError):
-        face_of_colors((0, 1), 0b11, colors)  # both endpoints color 1
+        dict_oracle.face_of_colors((0, 1), 0b11, colors)  # both endpoints color 1
+    # the same faces read from the id table of the rows in color order
+    bundle = ColoredPseudomanifold(c, colors)
+    ids, faces = face_ids(bundle.by_color)
+    assert faces[1][ids[0, 0b101] - len(faces[0])].tolist() == [0, 4]
+    assert ids[0, 0b010] == 2
 
 
 def test_face_of_colors_roundtrip_everywhere():
     c, colors = octahedron()
+    bundle = ColoredPseudomanifold(c, colors)
+    ids, levels = face_ids(bundle.by_color)
+    faces = faces_in_id_order(levels)
     cases = 0
-    for s in c.top_simplices:
-        full = color_set(s, colors)
+    for t, s in enumerate(c.top_simplices):
+        full = dict_oracle.color_set(s, colors)
         for subset in range(1, 8):
             if subset & ~full:
                 continue
-            assert color_set(face_of_colors(s, subset, colors), colors) == subset
+            face = dict_oracle.face_of_colors(s, subset, colors)
+            assert dict_oracle.color_set(face, colors) == subset
+            assert faces[ids[t, subset]] == face
             cases += 1
     assert cases == 8 * 7
 
@@ -244,11 +266,12 @@ def test_subdivision_parts_follow_flag_parity_per_simplex():
     sd = barycentric_subdivide(c)
     parts = bipartition(sd.complex, sd.coloring)
     index = {s: i for i, s in enumerate(sd.complex.top_simplices)}
-    for s in c.top_simplices:
+    for t, s in enumerate(c.top_simplices):
         by_parity = {1: set(), -1: set()}
-        for order in permutations(s):
-            flag = tuple(sorted(sd.face_ids[tuple(sorted(order[:k + 1]))]
-                                for k in range(c.n + 1)))
+        for a, order in enumerate(permutations(s)):
+            masks = np.cumsum([1 << s.index(v) for v in order])
+            flag = tuple(sorted(sd.ids[t, masks].tolist()))
+            assert sd.flag_top[t, a] == index[flag]
             parity = perm_sign(order, s)
             by_parity[parity].add(parts[index[flag]])
         assert by_parity[1] != by_parity[-1]

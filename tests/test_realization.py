@@ -14,6 +14,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import dict_oracle
 from cyclecover import corpus
 from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DegreeNotConstantError, NotWellDefinedError
@@ -24,9 +25,9 @@ from cyclecover.pseudomanifold import (
     colored_from_complex,
     is_coherent_orientation,
     orient,
+    permutation_signs,
 )
 from cyclecover.realization import (
-    permutation_sign,
     realization_map,
     subdivided_cycle,
     verify_realization,
@@ -67,11 +68,16 @@ def reference_sign(seq):
 def test_permutation_sign_matches_reference():
     cases = 0
     for k in range(1, 6):
-        for p in permutations(range(k)):
-            assert permutation_sign(p) == reference_sign(p)
+        orders = list(permutations(range(k)))
+        signs = permutation_signs(np.array(orders)).tolist()
+        for p, sign in zip(orders, signs):
+            assert dict_oracle.permutation_sign(p) == reference_sign(p)
+            assert sign == reference_sign(p)
             cases += 1
     assert cases == sum(math.factorial(k) for k in range(1, 6))
-    assert permutation_sign((10, 3, 7)) == reference_sign((10, 3, 7))
+    assert dict_oracle.permutation_sign((10, 3, 7)) == reference_sign((10, 3, 7))
+    assert permutation_signs(np.array([[10, 3, 7]])).tolist() == \
+        [reference_sign((10, 3, 7))]
 
 
 def boundary_vanishes(complex, signs):
@@ -88,12 +94,11 @@ def boundary_vanishes(complex, signs):
 def test_subdivided_cycle_is_a_cycle(builder):
     bundle = ColoredPseudomanifold(*builder())
     sd, signs = subdivided_cycle(bundle)
-    assert len(signs) == len(sd.complex.top_simplices)
-    assert set(signs.values()) <= {1, -1}
-    index = {t: k for k, t in enumerate(sd.complex.top_simplices)}
-    as_list = [0] * len(index)
-    for t, sign in signs.items():
-        as_list[index[t]] = sign
+    assert signs.size == len(sd.complex.top_simplices)
+    assert set(signs.ravel().tolist()) <= {1, -1}
+    as_list = [0] * signs.size
+    for t, sign in zip(sd.flag_top.ravel().tolist(), signs.ravel().tolist()):
+        as_list[t] = sign
     assert boundary_vanishes(sd.complex, as_list)
     assert is_coherent_orientation(sd.complex, as_list)
 
@@ -104,7 +109,7 @@ def test_subdivided_cycle_flips_with_orientation(hex_cp):
         orientation=[-s for s in hex_cp.orientation])
     _, signs = subdivided_cycle(hex_cp)
     _, flipped_signs = subdivided_cycle(flipped)
-    assert flipped_signs == {t: -s for t, s in signs.items()}
+    assert np.array_equal(flipped_signs, -signs)
 
 
 # ---------------------------------------------------------------------------
