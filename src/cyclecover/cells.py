@@ -28,13 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InconsistentGluingError
-from .permutahedron import (
-    Chain,
-    enumerate_faces,
-    mask_elements,
-    proper_subsets,
-    triangulation_flags,
-)
+from .permutahedron import Chain, flag_template, mask_elements, proper_subsets
 from .pseudomanifold import AbstractComplex, lowest_labels, orient
 
 UNGLUED = -1  # a glue entry naming no partner cell
@@ -175,8 +169,10 @@ def face_classes(pc: PermutahedralComplex) -> FaceClasses:
     """Identify faces across the gluing.  Deterministic: codimension-major,
     then chain enumeration order, then lowest cell index.
 
-    Each chain c = (w_1 < ... < w_k) takes its ids from those of its prefix
-    c' = c[:-1], which is enumerated earlier.  Since the gluings are
+    Chains are the rows of the permutahedron's ``flag_template``.  Each
+    chain c = (w_1 < ... < w_k) takes its ids from those of its prefix
+    c' = c[:-1], the template's ``prefix`` row, which is enumerated
+    earlier, and crosses w_k, its ``last`` slot.  Since the gluings are
     involutions and those across nested facets commute (both checked when
     the complex is built), the orbit of a cell x under c is its c'-orbit
     together with the c'-orbit of t(x), t the gluing across w_k.  Two
@@ -185,20 +181,19 @@ def face_classes(pc: PermutahedralComplex) -> FaceClasses:
     lower of the two c'-ids belongs to the orbit's lowest cell, so ranking
     the lower ids that occur numbers the classes by lowest cell.
     """
-    chains = [chain for k in range(pc.n + 1) for chain in enumerate_faces(pc.n, k)]
-    row_of = {chain: r for r, chain in enumerate(chains)}
+    t = flag_template(pc.n)
     crossing = pc.glue.T.copy()  # crossing[slot] is one contiguous column
-    class_ids = np.empty((len(chains), pc.num_cells), dtype=np.int32)
+    class_ids = np.empty((len(t.chains), pc.num_cells), dtype=np.int32)
     class_ids[0] = np.arange(pc.num_cells)  # codimension 0: one class per cell
     chain_start = [0, pc.num_cells]
     codim_start = [0]
-    for r, chain in enumerate(chains[1:], start=1):
+    rows = zip(t.chains[1:], t.prefix[1:].tolist(), t.last[1:].tolist())
+    for r, (chain, prefix, slot) in enumerate(rows, start=1):
         next_id = chain_start[-1]
         if len(codim_start) == len(chain):
             codim_start.append(next_id)
-        prefix = row_of[chain[:-1]]
         ids = class_ids[prefix]
-        across = np.take(ids, crossing[pc.slot_of[chain[-1]]])
+        across = np.take(ids, crossing[slot])
         collapsed = across == ids
         if collapsed.any():
             raise InconsistentGluingError(
@@ -212,7 +207,7 @@ def face_classes(pc: PermutahedralComplex) -> FaceClasses:
         rank += next_id - 1
         class_ids[r] = np.take(rank, lower)
         chain_start.append(next_id + len(present) // 2)  # two prefix classes each
-    return FaceClasses(pc, chains, class_ids, chain_start, codim_start)
+    return FaceClasses(pc, t.chains, class_ids, chain_start, codim_start)
 
 
 def cell_components(pc: PermutahedralComplex) -> np.ndarray:
@@ -246,10 +241,9 @@ class Triangulation:
 def triangulate(pc: PermutahedralComplex,
                 classes: FaceClasses | None = None) -> Triangulation:
     classes = classes or face_classes(pc)
-    flags = triangulation_flags(pc.n)
-    rows = np.array([[classes.row_of[c] for c in flag] for flag in flags])
+    flags = flag_template(pc.n).flags
     # ids[cell, f] holds the sorted class ids of flag f of the cell
-    ids = np.sort(classes.class_ids[rows].transpose(2, 0, 1), axis=2)
+    ids = np.sort(classes.class_ids[flags].transpose(2, 0, 1), axis=2)
     if (ids[..., 1:] == ids[..., :-1]).any():
         raise InconsistentGluingError("flag vertices collapsed in the quotient")
     tops = ids.reshape(-1, pc.n + 1)

@@ -5,15 +5,15 @@ The cover K is a small cover in the sense of Davis and Januszkiewicz: each
 cell is one permutahedron, glued to its neighbours by the identity on the
 permutahedron coordinate.  Its barycentric triangulation is therefore one
 template, the flag triangulation of one permutahedron
-(``triangulation_flags``, n!(n+1)! flags), repeated over the cells.  A top
-simplex of K is a pair (cell, template flag), and its vertices are the
-face classes of the flag's chains in that cell.  Class ids run codimension
-first, so sorting a top's class ids puts its vertices in flag order, the
-empty chain first; every statement below reads a flag in that order.  Each
-claim that ``realization_map`` and ``verify_realization`` check on K is
-restated here as a check on the template, which is small, and a check on
-the cell arrays (sigma, g) and the glue table, which is one gather per
-facet slot.
+(``permutahedron.flag_template``, n!(n+1)! flags), repeated over the
+cells.  A top simplex of K is a pair (cell, template flag), and its
+vertices are the face classes of the flag's chains in that cell.  Class
+ids run codimension first, so sorting a top's class ids puts its vertices
+in flag order, the empty chain first; every statement below reads a flag
+in that order.  Each claim that ``realization_map`` and
+``verify_realization`` check on K is restated here as a check on the
+template, which is small, and a check on the cell arrays (sigma, g) and
+the glue table, which is one gather per facet slot.
 
 *Closed pseudomanifold.*  An (n-1)-simplex of K is a flag of one cell with
 one chain dropped.  If the dropped chain c_k is not the empty one, every
@@ -75,8 +75,6 @@ taken per (component, sigma) from one ``bincount``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import permutations
 
 import numpy as np
 
@@ -87,78 +85,8 @@ from .errors import (
     NonOrientableError,
     NotWellDefinedError,
 )
-from .permutahedron import (
-    Chain,
-    enumerate_faces,
-    full_mask,
-    triangulation_flags,
-)
-from .pseudomanifold import (
-    Simplex,
-    group_rows,
-    permutation_signs,
-)
-
-
-@dataclass(frozen=True)
-class FlagTemplate:
-    """The flag triangulation of one n-permutahedron.
-
-    ``flags[f, k]`` is the row, in ``chains``, of the k-th chain of flag f;
-    ``chains`` runs codimension first, as ``face_classes`` numbers classes.
-    ``sign[f]`` is tau(f).  ``colors[f, k]`` is the color set W_k of the
-    flag's image, and ``spells[f]`` the index, in ``orders``, of the color
-    order it spells, or -1 for a degenerate flag.
-    """
-
-    n: int
-    chains: list[Chain]
-    flags: np.ndarray
-    sign: np.ndarray
-    colors: np.ndarray
-    orders: np.ndarray
-    spells: np.ndarray
-
-    def facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(facet, counts)``: the id of the face of flag f without its
-        k-th chain at ``facet[f, k]``, and the flags through each face."""
-        width = self.n + 1
-        keep = [[j for j in range(width) if j != k] for k in range(width)]
-        rows = self.flags[:, keep].reshape(-1, self.n)
-        facet, _ = group_rows(rows, len(self.chains))
-        return facet.reshape(-1, width), np.bincount(facet)
-
-
-@cache
-def flag_template(n: int) -> FlagTemplate:
-    """The template of dimension n, made once per process."""
-    chains = [chain for k in range(n + 1) for chain in enumerate_faces(n, k)]
-    row_of = {chain: r for r, chain in enumerate(chains)}
-    orders = list(permutations(range(1, n + 2)))
-    index = {order: a for a, order in enumerate(orders)}
-    full = full_mask(n)
-    rows, added, steps, colors, spells = [], [], [], [], []
-    for flag in triangulation_flags(n):
-        rows.append([row_of[c] for c in flag])
-        # the colors in the order the complete chain adds them, and the
-        # place in the complete chain of the subset each step inserts
-        complete = flag[-1]
-        added.append([(b & ~a).bit_length()
-                      for a, b in zip((0,) + complete, complete + (full,))])
-        steps.append([complete.index(next(w for w in c if w not in p))
-                      for p, c in zip(flag, flag[1:])])
-        w = [full] + [c[0] for c in flag[1:]]
-        colors.append(w)
-        if [x.bit_count() for x in w] == list(range(n + 1, 0, -1)):
-            spelled = [w[n]] + [w[k] & ~w[k + 1] for k in range(n - 1, -1, -1)]
-            spells.append(index[tuple(x.bit_length() for x in spelled)])
-        else:
-            spells.append(-1)
-    sign = permutation_signs(np.array(added)) * permutation_signs(np.array(steps))
-    return FlagTemplate(n, chains, np.array(rows, dtype=np.int64), sign,
-                        np.array(colors, dtype=np.int64),
-                        np.array(orders, dtype=np.int64),
-                        np.array(spells, dtype=np.int64))
+from .permutahedron import FlagTemplate
+from .pseudomanifold import Simplex, permutation_signs
 
 
 def template_is_closed(t: FlagTemplate) -> bool:

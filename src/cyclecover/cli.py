@@ -35,7 +35,6 @@ from .cells import euler_characteristic, face_classes, triangulate, verify_surfa
 from .certificate import (
     check_well_defined,
     cover_is_oriented,
-    flag_template,
     push_forward,
     template_is_closed,
     template_is_surface,
@@ -49,13 +48,14 @@ from .involutions import (
     is_compatible_involution,
     predicted_multiplicity,
 )
-from .permutahedron import mask_elements, proper_subsets
+from .permutahedron import flag_template, mask_elements, proper_subsets
 from .pseudomanifold import (
     ColoredPseudomanifold,
     barycentric_subdivide,
     check_regular_coloring,
     colored_from_complex,
     face_ids,
+    is_coherent_orientation,
     orient,
     validate_pseudomanifold,
 )
@@ -183,7 +183,10 @@ def verify_pipeline(complex, coloring, orientation,
             return claims, report
 
     try:
-        orientation = orientation or orient(complex)
+        if orientation is None:
+            orientation = orient(complex)
+        elif not is_coherent_orientation(complex, orientation):
+            raise TopologyError("supplied orientation is not coherent")
         claims.check("complex is orientable with coherent orientation", True)
     except TopologyError as e:
         claims.check("complex is orientable with coherent orientation",

@@ -15,7 +15,8 @@ walk as the witness of failure, and stars, compatibility and canonical
 involutions from per-top loops over the vertex of each color.  The
 barycentric subdivision numbers its faces through a dict from face tuple
 to vertex id, and its fundamental cycle is signed flag by flag through
-that dict.
+that dict.  The flag template of one permutahedron is walked flag by flag
+over the searched flags, each chain looked up in a dict.
 """
 
 from collections import deque
@@ -25,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from extra_api import CoverCell
+from extra_api import CoverCell, enumerate_faces, triangulation_flags
 from cyclecover import involutions
 from cyclecover.cells import SurfaceReport
 from cyclecover.covering import parity_sign
@@ -38,13 +39,19 @@ from cyclecover.involutions import (
     enumerate_compatible_involutions,
     extend_to_facet_colors,
 )
-from cyclecover.permutahedron import enumerate_faces, mask_elements, proper_subsets
+from cyclecover.permutahedron import (
+    FlagTemplate,
+    full_mask,
+    mask_elements,
+    proper_subsets,
+)
 from cyclecover.certificate import RealizationReport
 from cyclecover.errors import NotWellDefinedError
 from cyclecover.pseudomanifold import (
     AbstractComplex,
     ValidationReport,
     check_regular_coloring,
+    permutation_signs,
 )
 from cyclecover.tomei import size_generator
 
@@ -528,6 +535,46 @@ def cell_components(pc) -> list:
                     queue.append(j)
         count += 1
     return component
+
+
+# ---------------------------------------------------------------------------
+# the flag template walked flag by flag from the searched flags, through
+# dicts from chain to row and from color order to index: what the
+# closed-form template replaced
+
+def flag_template(n: int) -> FlagTemplate:
+    chains = [chain for k in range(n + 1) for chain in enumerate_faces(n, k)]
+    row_of = {chain: r for r, chain in enumerate(chains)}
+    slot_of = {w: slot for slot, w in enumerate(proper_subsets(n))}
+    prefix = [-1] + [row_of[c[:-1]] for c in chains[1:]]
+    last = [-1] + [slot_of[c[-1]] for c in chains[1:]]
+    orders = list(permutations(range(1, n + 2)))
+    index = {order: a for a, order in enumerate(orders)}
+    full = full_mask(n)
+    rows, added, steps, colors, spells = [], [], [], [], []
+    for flag in triangulation_flags(n):
+        rows.append([row_of[c] for c in flag])
+        # the colors in the order the complete chain adds them, and the
+        # place in the complete chain of the subset each step inserts
+        complete = flag[-1]
+        added.append([(b & ~a).bit_length()
+                      for a, b in zip((0,) + complete, complete + (full,))])
+        steps.append([complete.index(next(w for w in c if w not in p))
+                      for p, c in zip(flag, flag[1:])])
+        w = [full] + [c[0] for c in flag[1:]]
+        colors.append(w)
+        if [x.bit_count() for x in w] == list(range(n + 1, 0, -1)):
+            spelled = [w[n]] + [w[k] & ~w[k + 1] for k in range(n - 1, -1, -1)]
+            spells.append(index[tuple(x.bit_length() for x in spelled)])
+        else:
+            spells.append(-1)
+    sign = permutation_signs(np.array(added)) * permutation_signs(np.array(steps))
+    return FlagTemplate(n, chains, np.array(prefix, dtype=np.int64),
+                        np.array(last, dtype=np.int64),
+                        np.array(rows, dtype=np.int64), sign,
+                        np.array(colors, dtype=np.int64),
+                        np.array(orders, dtype=np.int64),
+                        np.array(spells, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,87 @@
-"""Helpers that only the tests use: walks of one permutahedron's face
-lattice, its barycentric triangulation, a cover's cells as triples, loaders
-for cell-complex and cover documents, a DOT export of the facet-dual graph,
-and the suspended cycle."""
+"""Helpers that only the tests use: the search that enumerates one
+permutahedron's faces and flags, kept as the oracle for its closed-form
+flag template, walks of its face lattice, its barycentric triangulation, a
+cover's cells as triples, loaders for cell-complex and cover documents, a
+DOT export of the facet-dual graph, and the suspended cycle."""
 
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from cyclecover.cells import UNGLUED, PermutahedralComplex
-from cyclecover.permutahedron import (
-    Chain,
-    enumerate_faces,
-    full_mask,
-    is_chain,
-    mask_elements,
-    mask_of,
-    proper_subsets,
-    triangulation_flags,
-)
+from cyclecover.permutahedron import Chain, full_mask, mask_elements, proper_subsets
 from cyclecover.pseudomanifold import AbstractComplex
 
 # ---------------------------------------------------------------------------
-# the face lattice of one permutahedron
+# the face lattice of one permutahedron, by search
+
+
+def mask_of(colors) -> int:
+    m = 0
+    for c in colors:
+        m |= 1 << (c - 1)
+    return m
+
+
+def is_chain(masks) -> bool:
+    return all(a != b and a & b == a for a, b in zip(masks, masks[1:]))
+
+
+def enumerate_faces(n: int, codim: int) -> list[Chain]:
+    """All codimension-``codim`` faces as chains of ``codim`` nested subsets,
+    in lexicographic order with respect to ``proper_subsets``."""
+    if codim == 0:
+        return [()]
+    subsets = proper_subsets(n)
+    out: list[Chain] = []
+
+    def grow(chain: Chain):
+        if len(chain) == codim:
+            out.append(chain)
+            return
+        last = chain[-1] if chain else 0
+        for m in subsets:
+            if m != last and (m & last) == last:
+                grow(chain + (m,))
+
+    grow(())
+    return out
+
+
+def vertex_chains(n: int) -> list[Chain]:
+    """Complete chains (codimension n); one per ordering of {1, ..., n+1}
+    with the last element dropped."""
+    return enumerate_faces(n, n)
+
+
+def face_counts(n: int) -> list[int]:
+    """Number of codimension-k faces for k = 0..n."""
+    return [len(enumerate_faces(n, k)) for k in range(n + 1)]
+
+
+def triangulation_flags(n: int) -> list[tuple[Chain, ...]]:
+    """Top simplices of the barycentric triangulation, one per flag of faces.
+
+    A flag is a sequence of chains () = c_0 < c_1 < ... < c_n where each step
+    inserts one subset; equivalently a complete chain together with the order
+    of insertion of its subsets.  There are n! * (n+1)! flags.
+    """
+    flags = []
+    for complete in vertex_chains(n):
+        for insert_order in permutations(range(n)):
+            chains: list[Chain] = [()]
+            held: list[int] = []
+            for pos in insert_order:
+                held.append(complete[pos])
+                held.sort(key=lambda m: (m.bit_count(), mask_elements(m)))
+                chains.append(tuple(held))
+            flags.append(tuple(chains))
+    return flags
+
+
+# ---------------------------------------------------------------------------
+# walks of the face lattice
 
 
 def facets_intersect(a: int, b: int) -> bool:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dict_oracle import all_faces
+from extra_api import face_counts, mask_of, triangulation_flags
 from cyclecover.cells import (
     UNGLUED,
     PermutahedralComplex,
@@ -14,12 +15,7 @@ from cyclecover.cells import (
     verify_surface,
 )
 from cyclecover.errors import InconsistentGluingError
-from cyclecover.permutahedron import (
-    face_counts,
-    mask_of,
-    proper_subsets,
-    triangulation_flags,
-)
+from cyclecover.permutahedron import proper_subsets
 from cyclecover.pseudomanifold import orient, validate_pseudomanifold
 from cyclecover.tomei import build_tomei, size_generator
 

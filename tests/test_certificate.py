@@ -35,7 +35,6 @@ from cyclecover.cells import (
 from cyclecover.certificate import (
     check_well_defined,
     cover_is_oriented,
-    flag_template,
     push_forward,
     template_is_closed,
     template_is_surface,
@@ -47,6 +46,7 @@ from cyclecover.errors import (
     NotWellDefinedError,
     TopologyError,
 )
+from cyclecover.permutahedron import flag_template
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
     colored_from_complex,
@@ -229,6 +229,24 @@ def test_join_c4_c6_report_matches_the_triangulation_path(monkeypatch):
     assert factored[2].ok
     report = json.loads(factored[0])
     assert (report["component_cells"], report["q_component"]) == (2592, 108)
+
+
+def test_join_c4_c6_s0_report_passes_at_n4(tmp_path, capsys):
+    # C4*C6 joined with two points of color 5: an n = 4 sphere, 48 tops
+    doc = INPUTS.cycle_join(2, 3)
+    apex = doc["num_vertices"]
+    doc = {"n": 4, "num_vertices": apex + 2,
+           "simplices": [s + [v] for v in (apex, apex + 1)
+                         for s in doc["simplices"]],
+           "colors": doc["colors"] + [5, 5]}
+    path, out = tmp_path / "c4c6s0.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", "--input", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert all(e["status"] == "pass" for e in report["claims"])
+    assert (report["component_cells"], report["covering_degree"],
+            report["q_component"]) == (10368, 648, 216)
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,30 @@ def test_verify_nonorientable_fails_with_witness(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_fails_an_incoherent_supplied_orientation(tmp_path, capsys):
+    # one sign flipped: the octahedron stays orientable, its orientation not
+    doc = json.loads((CORPUS_DIR / "octahedron.json").read_text())
+    doc["orientation"][0] = -doc["orientation"][0]
+    path = tmp_path / "incoherent.json"
+    path.write_text(json.dumps(doc))
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"report{run}.json"
+        assert main(["report", "--input", str(path), "--out", str(out)]) == 1
+        outputs.append((out.read_bytes(), out.with_suffix(".txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0][0])
+    assert report["claims"][-1] == {
+        "claim": "complex is orientable with coherent orientation",
+        "status": "fail",
+        "detail": "supplied orientation is not coherent",
+    }
+    assert all(e["status"] == "pass" for e in report["claims"][:-1])
+    assert report["ok"] is False and report["component_cells"] is None
+    out, err = capsys.readouterr()
+    assert "overall: FAIL" in out and err == ""
+
+
 def test_verify_checks_the_canonical_involutions(tmp_path, monkeypatch, capsys):
     # an identity in place of each canonical involution has fixed points
     monkeypatch.setattr(cli, "canonical_involution",

@@ -7,7 +7,7 @@ import pytest
 
 import dict_oracle
 from dict_oracle import compatible
-from extra_api import suspended_cycle
+from extra_api import mask_of, suspended_cycle
 from cyclecover.corpus import boundary_delta, hexagon_cycle, octahedron
 from cyclecover.involutions import (
     _stars,
@@ -17,7 +17,7 @@ from cyclecover.involutions import (
     extend_to_facet_colors,
     is_compatible_involution,
 )
-from cyclecover.permutahedron import mask_of, proper_subsets
+from cyclecover.permutahedron import proper_subsets
 from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_complex
 
 

@@ -1,26 +1,24 @@
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from cyclecover.permutahedron import (
-    enumerate_faces,
-    face_counts,
-    full_mask,
-    is_chain,
-    mask_elements,
-    mask_of,
-    proper_subsets,
-    triangulation_flags,
-    vertex_chains,
-)
+import dict_oracle
+from cyclecover.permutahedron import flag_template, mask_elements, proper_subsets
 from cyclecover.pseudomanifold import validate_pseudomanifold
 from extra_api import (
     barycentric_triangulation,
     chain_as_order,
     contained_faces,
     containing_faces,
+    enumerate_faces,
+    face_counts,
     facets_intersect,
+    is_chain,
+    mask_of,
+    triangulation_flags,
+    vertex_chains,
 )
 
 
@@ -207,3 +205,26 @@ def test_triangulated_cell_is_a_ball():
     assert report.connected
     assert all(center not in f for f in report.boundary_faces)
     assert len(report.boundary_faces) == 12  # subdivided hexagon boundary
+
+
+# ---------------------------------------------------------------------------
+# the flag template in closed form against the searched flags
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flag_template_matches_the_searched_flags(n):
+    got, want = flag_template(n), dict_oracle.flag_template(n)
+    assert got.chains == want.chains
+    for name in ("prefix", "last", "flags", "sign", "colors", "orders", "spells"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for a, b in zip(got.facets(), want.facets()):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_template_chain_is_its_prefix_and_last_subset(n):
+    t = flag_template(n)
+    subsets = proper_subsets(n)
+    assert t.prefix[0] == t.last[0] == -1
+    for r in range(1, len(t.chains)):
+        assert t.chains[r] == t.chains[t.prefix[r]] + (subsets[t.last[r]],)
