@@ -219,8 +219,14 @@ def cell_components(pc: PermutahedralComplex) -> np.ndarray:
 def euler_characteristic(pc: PermutahedralComplex,
                          classes: FaceClasses | None = None) -> int:
     classes = classes or face_classes(pc)
-    counts = classes.counts_by_codim()
-    return sum((-1) ** (pc.n - k) * counts[k] for k in range(pc.n + 1))
+    return euler_of_counts(classes.counts_by_codim())
+
+
+def euler_of_counts(counts: list[int]) -> int:
+    """The Euler characteristic from the face counts of codimension
+    0, ..., n."""
+    n = len(counts) - 1
+    return sum((-1) ** (n - k) * count for k, count in enumerate(counts))
 
 
 @dataclass

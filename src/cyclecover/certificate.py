@@ -24,16 +24,19 @@ there.  If the empty chain is dropped, every remaining chain contains the
 subset w of c_1, the facet F_w, so the simplex is also the face of the
 same flag in the cell glued across w, and of no other: the class of
 (cell, c_1) has exactly the two members cell and glue[cell, w].  That class
-size is checked by ``face_classes``; that gluings are fixed-point-free
-involutions which commute across nested facets is checked when the
-complex is built.  So every (n-1)-simplex of K lies in exactly two tops
-once the template's boundary is exactly the flags with the empty chain
-dropped, each once and inside F_{c_1}, and every other template face lies
-in two flags; ``template_is_closed`` checks that.  The two ways
-``triangulate`` can fail cannot occur: the chains of a flag have different
-lengths, so their class ids differ and no flag collapses, and the class
-ids of a top name its cell and its chains, so no two (cell, flag) pairs
-give the same simplex.
+size follows from the covering check, which shows that every class of
+codimension k has 2^k members (``covering.verify_cell_projection``); that
+gluings are fixed-point-free involutions which commute across nested
+facets is checked when the complex is built.  So every (n-1)-simplex of K
+lies in exactly two tops once the template's boundary is exactly the flags
+with the empty chain dropped, each once and inside F_{c_1}, and every other
+template face lies in two flags; ``template_is_closed`` checks that.  The
+two ways ``triangulate`` can fail cannot occur: the chains of a flag have
+different lengths, so their class ids differ and no flag collapses, and
+the class ids of a top name its cell and its chains, so no two (cell,
+flag) pairs give the same simplex.  The class sizes also give the number
+of classes, cells / 2^k for each chain of length k (``class_counts``), and
+with it the Euler characteristic.
 
 *Surface (n = 2).*  A vertex of K is a face class with 2^k members.  Its
 link is 2^k copies of its template link glued end to end, which
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import FaceClasses, cell_components
+from .cells import cell_components
 from .covering import CoverComplex, parity_signs
 from .errors import (
     DegreeNotConstantError,
@@ -94,8 +97,16 @@ def template_is_closed(t: FlagTemplate) -> bool:
     the empty chain, each in one flag and inside the facet F_w of the
     flag's first chain (w)?"""
     facet, counts = t.facets()
-    inside = all(t.chains[flag[1]][0] in t.chains[row]
-                 for flag in t.flags.tolist() for row in flag[1:])
+    # member[r, slot]: chain r holds the subset in that slot; a chain is
+    # its prefix and its last subset, and prefixes are shorter
+    member = np.zeros((len(t.chains), (1 << (t.n + 1)) - 2), dtype=bool)
+    length = np.array([len(chain) for chain in t.chains])
+    for k in range(1, t.n + 1):
+        rows = np.flatnonzero(length == k)
+        member[rows] = member[t.prefix[rows]]
+        member[rows, t.last[rows]] = True
+    first = t.last[t.flags[:, 1]]  # the slot of the first chain's subset
+    inside = (first >= 0).all() and member[t.flags[:, 1:], first[:, None]].all()
     return bool(inside and (counts[facet[:, 0]] == 1).all()
                 and (counts[facet[:, 1:]] == 2).all())
 
@@ -159,8 +170,17 @@ def cover_is_oriented(cover: CoverComplex, t: FlagTemplate) -> bool:
     return all((np.take(odd, column) != odd).all() for column in cover.pc.glue.T)
 
 
-def check_well_defined(cover: CoverComplex, classes: FaceClasses,
-                       t: FlagTemplate, vertex: np.ndarray) -> None:
+def class_counts(t: FlagTemplate, num_cells: int) -> list[int]:
+    """The cover's face classes per codimension.  The covering check shows
+    that every class of a chain of length k has 2^k members
+    (``covering.verify_cell_projection``), so the chain has
+    num_cells / 2^k classes."""
+    faces = np.bincount([len(chain) for chain in t.chains])
+    return [f * (num_cells >> k) for k, f in enumerate(faces.tolist())]
+
+
+def check_well_defined(cover: CoverComplex, t: FlagTemplate,
+                       vertex: np.ndarray) -> None:
     """Certify that every face class has one image and that the images
     along every flag are nested faces.  ``vertex`` is the ``face_ids``
     table of the bundle's ``by_color`` rows: ``vertex[s, w]`` is the vertex
@@ -168,21 +188,30 @@ def check_well_defined(cover: CoverComplex, classes: FaceClasses,
     numbered as ``barycentric_subdivide`` numbers it.  Raises
     ``NotWellDefinedError`` naming the class that ``realization_map``
     names: the lowest class of the first chain (w) whose two members image
-    to different faces."""
+    to different faces.
+
+    That class id is read off the glue column of w, as ``face_classes``
+    numbers it: the cells come first, one class each, then the classes of
+    the chains (w), cells / 2 per chain in slot order, and a chain's
+    classes rank by their lowest cells.  The lowest split cell is the
+    lowest of its class, since its partner is split as well.
+    """
     nested = (t.colors[:, 1:] & ~t.colors[:, :-1]) == 0
     if not nested.all():
         f = int(np.flatnonzero(~nested.all(axis=1))[0])
         raise NotWellDefinedError(
             f"template flag {f} has non-nested image faces")
-    glue = cover.pc.glue
+    cells = cover.num_cells
     for slot, w in enumerate(cover.pc.subsets):
+        column = cover.pc.glue[:, slot]
         image = vertex[:, w][cover.sigma]
-        split = np.take(image, glue[:, slot]) != image
+        split = np.take(image, column) != image
         if split.any():
-            chain = (w,)
-            cid = int(classes.class_ids[classes.row_of[chain]][split].min())
+            low = int(np.argmax(split))
+            rank = np.count_nonzero(column[:low] > np.arange(low))
+            cid = cells + slot * (cells // 2) + rank
             raise NotWellDefinedError(
-                f"face class {cid} with chain {chain} has 2 distinct images")
+                f"face class {cid} with chain {(w,)} has 2 distinct images")
 
 
 @dataclass

@@ -22,6 +22,14 @@ cells then crosses every facet in one array gather, and cells are looked up
 in a dense (tuple, sigma, g) index.  A component is numbered level by level
 from its seed cell, in breadth-first order; the full cover set is numbered
 in (sigma, tuple, g) order.  Cover cells are kept as three integer arrays.
+
+The cover is a small cover in the sense of Davis and Januszkiewicz, so the
+projection is fixed by how it acts on facet crossings, and it is certified
+from the glue table alone: it commutes with every crossing and its cell
+fibres are constant.  That each face class of the cover maps bijectively
+onto a base class, and every class fibre is the degree, follows from the
+base's class sizes (``verify_cell_projection``); the cover's face classes
+are never built.
 """
 
 from __future__ import annotations
@@ -344,31 +352,36 @@ def build_full(cp: ColoredPseudomanifold,
 
 @dataclass
 class CoveringReport:
-    """The covering degree, the fibre size over every base cell and base
-    class, and the base class under each cover class (``int32``)."""
+    """The covering degree and the fibre size over every base cell."""
 
     degree: int
     cell_fibers: dict[int, int]
-    class_fibers: dict[int, int]
-    cover_class_to_base: np.ndarray
 
 
 def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
                            base: PermutahedralComplex,
-                           cover_classes: FaceClasses | None = None,
                            base_classes: FaceClasses | None = None) -> CoveringReport:
     """Certify that a cell map is a covering of permutahedral complexes.
 
     ``projection[i]`` is the base cell under cover cell i (the permutahedron
     coordinate maps by the identity).  Checks, in order: the projection
     commutes with every facet crossing; fibers over cells are constant with
-    integral degree; every face class maps into a single base class; face
-    class fibers all have that same degree.  Face classes already computed
-    for either complex may be handed in.
+    integral degree.  The base's face classes are built, or handed in,
+    which checks that each of codimension k has 2^k members.
 
-    A class of codimension k has 2^k members in either complex, which
-    ``face_classes`` checks for each, so a class mapped into one base
-    class maps onto it, bijectively, without comparing class sizes.
+    Face classes then need no check on the cover.  Both complexes passed
+    the constructor's check: their gluings are fixed-point-free involutions
+    and gluings across nested facets commute.  The facets of a chain c of
+    length k are nested, so on either complex c's gluings generate an
+    action of (Z/2)^k, and the classes of c are its orbits.  The
+    projection commutes with each gluing, so it is equivariant and maps
+    the orbit of a cover cell x onto the orbit of its image.  On the base,
+    (Z/2)^k acts freely on each orbit, since the orbit has 2^k members.  An
+    element fixing x fixes the image of x, so it is the identity: the
+    orbit of x has 2^k members too, and it maps bijectively onto one base
+    class.  A base class of codimension k then has 2^k * degree cells over
+    it, which split into exactly degree cover classes: every class fibre
+    is the degree.
     """
     if base.n != cover_pc.n:
         raise NotACoveringError("base and cover dimensions differ")
@@ -399,35 +412,13 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
         raise NotACoveringError(
             f"cell fibers are not constant: {dict(Counter(proj.tolist()))}")
 
-    cover_cls = cover_classes or face_classes(cover_pc)
-    base_cls = base_classes or face_classes(base)
-    # image[cid] is the base class under cover class cid: one chain at a
-    # time, scatter the image of every (cell, chain), then check each member
-    # agrees with its class
-    image = np.empty(cover_cls.num_classes, dtype=np.int32)
-    for r, chain in enumerate(cover_cls.chains):
-        ids = cover_cls.class_ids[r].astype(np.intp)
-        wanted = np.take(base_cls.class_ids[r], proj)
-        image[ids] = wanted
-        split = image[ids] != wanted
-        if split.any():
-            raise NotACoveringError(
-                f"face class with chain {chain} maps to several base classes")
-
-    class_fibers = np.bincount(image, minlength=base_cls.num_classes)
-    if (class_fibers != degree).any():
-        bid = int(np.flatnonzero(class_fibers != degree)[0])
-        raise NotACoveringError(
-            f"face class fiber over base class {bid} has size "
-            f"{class_fibers[bid]}, expected {degree}")
-
-    return CoveringReport(degree, dict(enumerate(fibers.tolist())),
-                          dict(enumerate(class_fibers.tolist())), image)
+    if base_classes is None:
+        face_classes(base)  # raises unless every class has 2^k members
+    return CoveringReport(degree, dict(enumerate(fibers.tolist())))
 
 
 def verify_covering(cover: CoverComplex,
                     base: PermutahedralComplex | None = None,
-                    cover_classes: FaceClasses | None = None,
                     base_classes: FaceClasses | None = None) -> CoveringReport:
     """Certify the parity constraint on the cover cells, then certify that
     forgetting (sigma, tuple) is a covering of the Tomei manifold."""
@@ -441,5 +432,4 @@ def verify_covering(cover: CoverComplex,
         raise NotACoveringError(
             f"cell {i} (sigma {cover.sigma[i]}, tuple_id {cover.tuple_id[i]}, "
             f"g {cover.g[i]}) violates the parity constraint")
-    return verify_cell_projection(cover.pc, cover.g, base, cover_classes,
-                                  base_classes)
+    return verify_cell_projection(cover.pc, cover.g, base, base_classes)

@@ -16,10 +16,13 @@ involutions from per-top loops over the vertex of each color.  The
 barycentric subdivision numbers its faces through a dict from face tuple
 to vertex id, and its fundamental cycle is signed flag by flag through
 that dict.  The flag template of one permutahedron is walked flag by flag
-over the searched flags, each chain looked up in a dict.
+over the searched flags, each chain looked up in a dict, and checked closed
+with a generator over every (flag, chain) pair.  The covering check that
+built the cover's face classes and mapped them class by class onto the
+base's is kept as it was, beside the dict search that checks it.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
@@ -27,12 +30,13 @@ from math import factorial
 import numpy as np
 
 from extra_api import CoverCell, enumerate_faces, triangulation_flags
-from cyclecover import involutions
+from cyclecover import cells, involutions
 from cyclecover.cells import SurfaceReport
-from cyclecover.covering import parity_sign
+from cyclecover.covering import parity_sign, parity_signs
 from cyclecover.errors import (
     DegreeNotConstantError,
     NonOrientableError,
+    NotACoveringError,
     TopologyError,
 )
 from cyclecover.involutions import (
@@ -53,7 +57,7 @@ from cyclecover.pseudomanifold import (
     check_regular_coloring,
     permutation_signs,
 )
-from cyclecover.tomei import size_generator
+from cyclecover.tomei import build_tomei, size_generator
 
 
 def glue_dict(pc) -> dict:
@@ -102,6 +106,107 @@ def cover_to_base(cover_pc, projection, base) -> list[int]:
         assert len(images) == 1
         out.append(images.pop())
     return out
+
+
+# ---------------------------------------------------------------------------
+# the covering check that built the cover's face classes and compared them
+# class by class with the base's: what the check on the glue table alone
+# replaced
+
+@dataclass
+class CoveringReport:
+    """The covering degree, the fibre size over every base cell and base
+    class, and the base class under each cover class (``int32``)."""
+
+    degree: int
+    cell_fibers: dict[int, int]
+    class_fibers: dict[int, int]
+    cover_class_to_base: np.ndarray
+
+
+def verify_cell_projection(cover_pc, projection, base, cover_classes=None,
+                           base_classes=None) -> CoveringReport:
+    """Certify that a cell map is a covering of permutahedral complexes.
+
+    ``projection[i]`` is the base cell under cover cell i (the permutahedron
+    coordinate maps by the identity).  Checks, in order: the projection
+    commutes with every facet crossing; fibers over cells are constant with
+    integral degree; every face class maps into a single base class; face
+    class fibers all have that same degree.  Face classes already computed
+    for either complex may be handed in.
+
+    A class of codimension k has 2^k members in either complex, which
+    ``face_classes`` checks for each, so a class mapped into one base
+    class maps onto it, bijectively, without comparing class sizes.
+    """
+    if base.n != cover_pc.n:
+        raise NotACoveringError("base and cover dimensions differ")
+    if len(projection) != cover_pc.num_cells:
+        raise NotACoveringError("projection must assign a base cell to every cell")
+    proj = np.asarray(projection, dtype=np.int64)
+    if ((proj < 0) | (proj >= base.num_cells)).any():
+        raise NotACoveringError("projection sends a cell outside the base")
+    proj = proj.astype(np.int32)
+
+    moved = np.take(proj, cover_pc.glue) != np.take(base.glue, proj, axis=0)
+    if moved.any():
+        i, slot = np.argwhere(moved)[0]
+        raise NotACoveringError(
+            f"projection does not commute with crossing "
+            f"{mask_elements(cover_pc.subsets[slot])} at cell {i}")
+
+    if cover_pc.num_cells % base.num_cells:
+        raise NotACoveringError(
+            f"{cover_pc.num_cells} cells cannot evenly cover {base.num_cells}")
+    degree = cover_pc.num_cells // base.num_cells
+
+    fibers = np.bincount(proj, minlength=base.num_cells)
+    if (fibers != degree).any():
+        raise NotACoveringError(
+            f"cell fibers are not constant: {dict(Counter(proj.tolist()))}")
+
+    cover_cls = cover_classes or cells.face_classes(cover_pc)
+    base_cls = base_classes or cells.face_classes(base)
+    # image[cid] is the base class under cover class cid: one chain at a
+    # time, scatter the image of every (cell, chain), then check each member
+    # agrees with its class
+    image = np.empty(cover_cls.num_classes, dtype=np.int32)
+    for r, chain in enumerate(cover_cls.chains):
+        ids = cover_cls.class_ids[r].astype(np.intp)
+        wanted = np.take(base_cls.class_ids[r], proj)
+        image[ids] = wanted
+        split = image[ids] != wanted
+        if split.any():
+            raise NotACoveringError(
+                f"face class with chain {chain} maps to several base classes")
+
+    class_fibers = np.bincount(image, minlength=base_cls.num_classes)
+    if (class_fibers != degree).any():
+        bid = int(np.flatnonzero(class_fibers != degree)[0])
+        raise NotACoveringError(
+            f"face class fiber over base class {bid} has size "
+            f"{class_fibers[bid]}, expected {degree}")
+
+    return CoveringReport(degree, dict(enumerate(fibers.tolist())),
+                          dict(enumerate(class_fibers.tolist())), image)
+
+
+def verify_covering(cover, base=None, cover_classes=None,
+                    base_classes=None) -> CoveringReport:
+    """Certify the parity constraint on the cover cells, then certify that
+    forgetting (sigma, tuple) is a covering of the Tomei manifold."""
+    cp = cover.cp
+    base = base or build_tomei(cp.n)
+    in_range = (cover.g >= 0) & (cover.g < 1 << cp.n)
+    sign = parity_signs(cp.n)[np.where(in_range, cover.g, 0)]
+    bad = ~in_range | (sign != cp.parts[cover.sigma])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotACoveringError(
+            f"cell {i} (sigma {cover.sigma[i]}, tuple_id {cover.tuple_id[i]}, "
+            f"g {cover.g[i]}) violates the parity constraint")
+    return verify_cell_projection(cover.pc, cover.g, base, cover_classes,
+                                  base_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +680,16 @@ def flag_template(n: int) -> FlagTemplate:
                         np.array(colors, dtype=np.int64),
                         np.array(orders, dtype=np.int64),
                         np.array(spells, dtype=np.int64))
+
+
+def template_is_closed(t: FlagTemplate) -> bool:
+    """``certificate.template_is_closed`` with the containment test walked
+    over every (flag, chain) pair by a generator."""
+    facet, counts = t.facets()
+    inside = all(t.chains[flag[1]][0] in t.chains[row]
+                 for flag in t.flags.tolist() for row in flag[1:])
+    return bool(inside and (counts[facet[:, 0]] == 1).all()
+                and (counts[facet[:, 1:]] == 2).all())
 
 
 # ---------------------------------------------------------------------------

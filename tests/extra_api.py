@@ -2,9 +2,12 @@
 permutahedron's faces and flags, kept as the oracle for its closed-form
 flag template, walks of its face lattice, its barycentric triangulation, a
 cover's cells as triples, loaders for cell-complex and cover documents, a
-DOT export of the facet-dual graph, and the suspended cycle."""
+DOT export of the facet-dual graph, the suspended cycle, and the
+benchmark's input generators."""
 
+import importlib.util
 from itertools import permutations
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -219,3 +222,14 @@ def suspended_cycle(k: int) -> AbstractComplex:
     return AbstractComplex(2, length + 2, [(i, (i + 1) % length, apex)
                                            for apex in (length, length + 1)
                                            for i in range(length)])
+
+
+def benchmark_inputs():
+    """The benchmark's seeded input generators, ``perfbench/inputs.py``
+    (standard library only)."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs",
+        Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

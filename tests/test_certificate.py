@@ -11,7 +11,6 @@ defect must make the same claim the first failure on both.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -24,6 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dict_oracle
+from extra_api import benchmark_inputs
 from cyclecover import cli, corpus, formats, realization
 from cyclecover.cells import (
     cell_components,
@@ -61,29 +62,22 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "corpus"
 
 
-def _benchmark_inputs():
-    """The benchmark's seeded input generators (standard library only)."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_inputs", ROOT / "perfbench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-INPUTS = _benchmark_inputs()
+INPUTS = benchmark_inputs()
 
 
 # ---------------------------------------------------------------------------
 # the oracle: the tail of verify_pipeline on the cover triangulation
 
-def triangulation_tail(claims, report, cover, classes, degree, base_euler,
-                       full, orientation_of=lambda tri: orient(tri.complex)):
-    """The claims after the covering check, on the triangulated cover.
+def triangulation_tail(claims, report, cover, degree, base_euler, full,
+                       orientation_of=lambda tri: orient(tri.complex)):
+    """The claims after the covering check, on the triangulated cover and
+    its face classes.
 
     ``orientation_of`` gives the cover orientation whose coherence the
     orientability claim checks; a planted defect hands in a wrong one.
     """
     bundle = cover.cp
+    classes = face_classes(cover.pc)
     tri = triangulate(cover.pc, classes)
     tv = validate_pseudomanifold(tri.complex)
     closed = not tv.boundary_faces and not tv.overused_faces
@@ -459,6 +453,22 @@ def test_template_is_a_closed_flag_triangulation(n, flags):
         list(range(factorial(n + 1)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_template_is_closed_matches_the_generator(n):
+    template = flag_template(n)
+    assert template_is_closed(template) == dict_oracle.template_is_closed(template)
+    # two chains of length one swapped in every flag: the faces keep their
+    # flag counts, so only the containment test can tell
+    swap = np.arange(len(template.chains))
+    swap[[1, 2]] = [2, 1]
+    swapped = replace(template, flags=swap[template.flags])
+    assert template_is_closed(swapped) == dict_oracle.template_is_closed(swapped)
+    assert template_is_closed(swapped) == (n == 1)
+    short = replace(template, flags=template.flags[1:])
+    assert not template_is_closed(short)
+    assert not dict_oracle.template_is_closed(short)
+
+
 def test_broken_templates_are_rejected():
     template = flag_template(2)
     short = replace(template, flags=template.flags[1:])
@@ -503,7 +513,7 @@ def test_push_forward_matches_verify_realization(covers, name):
     template = flag_template(cover.cp.n)
     classes = face_classes(cover.pc)
     vertex = vertex_table(cover.cp)
-    check_well_defined(cover, classes, template, vertex)
+    check_well_defined(cover, template, vertex)
     got = push_forward(cover, template, vertex, oriented=True)
     want = verify_realization(realization_map(cover, classes))
     assert (got.degree, got.component_degrees, got.degenerate_flags,
@@ -521,8 +531,7 @@ def test_well_definedness_names_the_class_realization_map_names(covers):
     with pytest.raises(NotWellDefinedError, match="distinct images") as oracle:
         realization_map(broken, classes)
     with pytest.raises(NotWellDefinedError) as factored:
-        check_well_defined(broken, classes, flag_template(2),
-                           vertex_table(cover.cp))
+        check_well_defined(broken, flag_template(2), vertex_table(cover.cp))
     assert str(factored.value) == str(oracle.value)
 
 

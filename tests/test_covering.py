@@ -5,18 +5,23 @@ the hexagon trace and its two gluing involutions are derived by hand in
 comments, and the octahedron component is checked against an independent
 GF(2)-span oracle (all its crossings act by XOR on (triangle, g) pairs).
 Seeds other than the default and the cell-at-a-time crossing live in the
-oracle ``dict_oracle``, whose ``build_component`` takes a seed.
+oracle ``dict_oracle``, whose ``build_component`` takes a seed.  The
+covering check on the glue table is held to the check that built the
+cover's face classes, ``dict_oracle.verify_covering``, on every corpus
+cover, the benchmark inputs and planted defects.
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dict_oracle
 from dict_oracle import in_cover_set
-from extra_api import CoverCell, cover_cells
-from cyclecover import corpus
+from extra_api import CoverCell, benchmark_inputs, cover_cells
+from cyclecover import corpus, covering, formats
 from cyclecover.cells import (
     PermutahedralComplex,
     euler_characteristic,
@@ -26,6 +31,7 @@ from cyclecover.cells import (
     verify_surface,
 )
 from cyclecover.covering import (
+    DEFAULT_MAX_CELLS,
     InvolutionRegistry,
     build_component,
     build_full,
@@ -33,7 +39,13 @@ from cyclecover.covering import (
     verify_cell_projection,
     verify_covering,
 )
-from cyclecover.errors import CapExceededError, NotACoveringError
+from cyclecover.errors import (
+    CapExceededError,
+    InconsistentGluingError,
+    NonOrientableError,
+    NotACoveringError,
+    TopologyError,
+)
 from cyclecover.involutions import canonical_involution, extend_to_facet_colors
 from cyclecover.permutahedron import full_mask, proper_subsets
 from cyclecover.pseudomanifold import (
@@ -42,6 +54,9 @@ from cyclecover.pseudomanifold import (
     validate_pseudomanifold,
 )
 from cyclecover.tomei import build_tomei, size_generator
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+INPUTS = benchmark_inputs()
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +237,7 @@ def test_hexagon_component_is_triple_circle(hex_cover):
     report = verify_covering(hex_cover)
     assert report.degree == 3
     assert report.cell_fibers == {0: 3, 1: 3}
-    assert set(report.class_fibers.values()) == {3}
+    assert set(dict_oracle.verify_covering(hex_cover).class_fibers.values()) == {3}
 
 
 def test_octahedron_coordinates_and_flips(octa_cp):
@@ -265,7 +280,7 @@ def test_octahedron_component_topology(octa_component):
     report = verify_covering(octa_component)
     assert report.degree == 4
     assert set(report.cell_fibers.values()) == {4}
-    assert set(report.class_fibers.values()) == {4}
+    assert set(dict_oracle.verify_covering(octa_component).class_fibers.values()) == {4}
     classes = face_classes(octa_component.pc)
     assert classes.counts_by_codim() == [16, 48, 24]
     assert euler_characteristic(octa_component.pc) == -8  # 4 * chi(M^2)
@@ -379,7 +394,8 @@ def test_identity_and_deck_projection_verify():
     m2 = build_tomei(2)
     report = verify_cell_projection(m2, list(range(4)), m2)
     assert report.degree == 1
-    assert set(report.class_fibers.values()) == {1}
+    assert set(dict_oracle.verify_cell_projection(
+        m2, list(range(4)), m2).class_fibers.values()) == {1}
     # XOR by a fixed generator is a deck transformation, hence also a covering.
     report = verify_cell_projection(m2, [g ^ 1 for g in range(4)], m2)
     assert report.degree == 1
@@ -460,7 +476,133 @@ def test_verify_cell_projection_rejects_uneven_fibers():
 
 
 def test_class_map_is_surjective(octa_component):
-    report = verify_covering(octa_component)
+    report = dict_oracle.verify_covering(octa_component)
     base_classes = face_classes(build_tomei(2))
     assert set(report.cover_class_to_base.tolist()) == set(range(len(base_classes.members)))
     assert len(report.cover_class_to_base.tolist()) == 4 * len(base_classes.members)
+
+
+# ---------------------------------------------------------------------------
+# the glue-table check against the face-class oracle: the same degree and
+# cell fibres, or the same error
+
+
+def outcome(run):
+    """(degree, cell fibres) of a check that passes, or (error class,
+    message) of one that fails."""
+    try:
+        report = run()
+    except TopologyError as e:
+        return type(e), str(e)
+    return report.degree, report.cell_fibers
+
+
+def assert_checks_agree(run):
+    """``run(module)`` runs a covering check from ``module``: the library's
+    check on the glue table, then the oracle that builds the cover's face
+    classes.  Returns the outcome both give."""
+    new, old = outcome(lambda: run(covering)), outcome(lambda: run(dict_oracle))
+    assert new == old
+    return new
+
+
+def assert_covers_agree(cp, max_cells=DEFAULT_MAX_CELLS, full=False):
+    covers = [build_component(cp, max_cells=max_cells)]
+    if full:
+        covers.append(build_full(cp, max_cells))
+    for cover in covers:
+        degree, fibers = assert_checks_agree(lambda m: m.verify_covering(cover))
+        assert degree * len(fibers) == cover.num_cells
+
+
+# every corpus file but rp2_minimal, which is not orientable and so has no
+# colored bundle to cover; the sd(boundary delta4) component has 1,399,680
+# cells, over the default cap
+@pytest.mark.parametrize("name, full, max_cells", [
+    ("hexagon", True, DEFAULT_MAX_CELLS),
+    ("octahedron", True, DEFAULT_MAX_CELLS),
+    ("boundary_delta3", False, DEFAULT_MAX_CELLS),
+    ("boundary_delta4", False, 2 * 10 ** 6),
+])
+def test_glue_check_agrees_with_oracle_on_corpus(name, full, max_cells):
+    cp, _ = colored_from_complex(*formats.load_complex(CORPUS_DIR / f"{name}.json"))
+    assert_covers_agree(cp, max_cells, full)
+
+
+def test_rp2_has_no_cover_to_check():
+    with pytest.raises(NonOrientableError):
+        colored_from_complex(*formats.load_complex(CORPUS_DIR / "rp2_minimal.json"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stem, build, full", [
+    ("octahedron", INPUTS.octahedron, True),
+    ("delta3", INPUTS.boundary_delta3, False),
+    ("suspended10", lambda: INPUTS.suspended_cycle(5), False),
+])
+def test_glue_check_agrees_with_oracle_on_benchmark_inputs(stem, build, full, seed):
+    doc = json.loads(INPUTS.seeded_document(stem, build(), seed))
+    cp, _ = colored_from_complex(*formats.complex_from_dict(doc))
+    assert_covers_agree(cp, full=full)
+
+
+def test_glue_check_agrees_with_oracle_on_join_c4_c6():
+    cp, _ = colored_from_complex(*formats.complex_from_dict(INPUTS.cycle_join(2, 3)))
+    assert_covers_agree(cp)
+
+
+@pytest.mark.parametrize("cover_copies, projection, base_copies, passes", [
+    (1, copy_projection([0]), 1, True),
+    (1, [g ^ 1 for g in range(4)], 1, True),
+    (2, copy_projection([1, 0]), 2, True),
+    (4, copy_projection([0, 1, 1, 0]), 2, True),
+    (3, copy_projection([0, 1, 0]), 2, False),
+    (4, copy_projection([0, 0, 0, 1]), 2, False),
+    (1, [0, 1, 2, 4], 1, False),
+    (1, [0, 1, 2], 1, False),
+])
+def test_glue_check_agrees_with_oracle_on_copies_of_m2(cover_copies, projection,
+                                                       base_copies, passes):
+    cover_pc, base = copies_of_m2(cover_copies), copies_of_m2(base_copies)
+    got = assert_checks_agree(
+        lambda m: m.verify_cell_projection(cover_pc, projection, base))
+    assert (got[0] is not NotACoveringError) == passes
+
+
+def test_glue_check_agrees_with_oracle_on_swapped_g_labels(octa_component):
+    g = octa_component.g.copy()
+    i, j = np.flatnonzero(g == 0)[0], np.flatnonzero(g == 3)[0]
+    g[i], g[j] = 3, 0
+    broken = replace(octa_component, g=g)
+    got = assert_checks_agree(lambda m: m.verify_covering(broken))
+    assert got[0] is NotACoveringError and "commute" in got[1]
+
+
+def test_glue_check_agrees_with_oracle_on_a_flipped_g_bit(sd3_component):
+    g = sd3_component.g.copy()
+    g[217] ^= 1
+    broken = replace(sd3_component, g=g)
+    got = assert_checks_agree(lambda m: m.verify_covering(broken))
+    assert got[0] is NotACoveringError and "parity" in got[1]
+
+
+def test_glue_check_agrees_with_oracle_on_redirected_glue(sd3_component):
+    cover, base = sd3_component, build_tomei(2)
+    # one entry sent to a wrong cell over the same base cell
+    glue = cover.pc.glue.copy()
+    i, j = 0, int(glue[0, 0])
+    over_j = np.flatnonzero(cover.g == cover.g[j])
+    glue[i, 0] = over_j[over_j != j][0]
+    got = assert_checks_agree(lambda m: m.verify_cell_projection(
+        PermutahedralComplex(2, cover.num_cells, glue), cover.g, base))
+    assert got[0] is InconsistentGluingError
+    # two pairs of one facet slot paired the other way round, over the same
+    # base cells, so the slot stays an involution commuting with the projection
+    glue = cover.pc.glue.copy()
+    over_i = np.flatnonzero(cover.g == cover.g[i])
+    k = int(over_i[over_i != i][0])
+    l = int(glue[k, 0])
+    glue[[i, j, k, l], 0] = [l, k, j, i]
+    got = assert_checks_agree(lambda m: m.verify_cell_projection(
+        PermutahedralComplex(2, cover.num_cells, glue), cover.g, base))
+    assert got[0] is InconsistentGluingError

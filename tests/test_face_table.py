@@ -8,7 +8,6 @@ dict, the flags walked vertex order by vertex order, and the signs counted
 inversion by inversion.
 """
 
-import importlib.util
 import json
 from functools import cache
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
+from extra_api import benchmark_inputs
 from cyclecover import corpus, formats
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
@@ -31,15 +31,7 @@ CORPUS = ["hexagon", "octahedron", "boundary_delta3", "boundary_delta4",
           "rp2_minimal"]
 
 
-def _benchmark_inputs():
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_inputs", ROOT / "perfbench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-INPUTS = _benchmark_inputs()
+INPUTS = benchmark_inputs()
 BENCHMARK = {"octahedron": INPUTS.octahedron, "delta3": INPUTS.boundary_delta3,
              "suspended10": lambda: INPUTS.suspended_cycle(5),
              "join4x10": lambda: INPUTS.cycle_join(2, 5)}

@@ -1,8 +1,8 @@
 """The array glue table against the dict-backed oracle in ``dict_oracle``:
 face classes, cover builds (also when the orbit is closed one tuple row at
-a time) and the class map of the covering check agree exactly; corrupted
-tables are refused; and the orbit-gather build reaches the 20,000-cell
-cover of the join C4 * C10."""
+a time) and the class map of the oracle's face-class covering check agree
+exactly; corrupted tables are refused; and the orbit-gather build reaches
+the 20,000-cell cover of the join C4 * C10."""
 
 from pathlib import Path
 
@@ -148,7 +148,7 @@ def test_row_by_row_orbit_matches_oracle(monkeypatch, sd3_cp, join4x6_cp, name):
 def test_cover_to_base_matches_oracle(covers, name):
     cover = covers[name][0]
     base = build_tomei(cover.cp.n)
-    report = verify_covering(cover, base)
+    report = dict_oracle.verify_covering(cover, base)
     assert report.cover_class_to_base.tolist() == dict_oracle.cover_to_base(
         cover.pc, cover.g.tolist(), base)
 
@@ -308,8 +308,9 @@ def test_every_glue_dtype_gives_the_same_int32_complex(covers, name):
     cover = covers[name][0]
     pc, base = cover.pc, build_tomei(cover.cp.n)
     classes = face_classes(pc)
-    image = verify_cell_projection(pc, cover.g, base).cover_class_to_base
+    image = dict_oracle.verify_cell_projection(pc, cover.g, base).cover_class_to_base
     assert pc.glue.dtype == classes.class_ids.dtype == image.dtype == np.int32
+    fibers = verify_cell_projection(pc, cover.g, base).cell_fibers
     for dtype in GLUE_DTYPES:
         again = PermutahedralComplex(pc.n, pc.num_cells, pc.glue.astype(dtype))
         assert again.glue.dtype == np.int32
@@ -317,7 +318,9 @@ def test_every_glue_dtype_gives_the_same_int32_complex(covers, name):
         again_classes = face_classes(again)
         assert again_classes.class_ids.dtype == np.int32
         assert np.array_equal(again_classes.class_ids, classes.class_ids)
-        report = verify_cell_projection(again, cover.g.astype(dtype), base)
+        assert verify_cell_projection(
+            again, cover.g.astype(dtype), base).cell_fibers == fibers
+        report = dict_oracle.verify_cell_projection(again, cover.g.astype(dtype), base)
         assert report.cover_class_to_base.dtype == np.int32
         assert np.array_equal(report.cover_class_to_base, image)
 
