@@ -81,7 +81,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import cell_components
 from .covering import CoverComplex, parity_signs
 from .errors import (
     DegreeNotConstantError,
@@ -96,7 +95,7 @@ def template_is_closed(t: FlagTemplate) -> bool:
     """Is every face of the template in two flags, except the faces without
     the empty chain, each in one flag and inside the facet F_w of the
     flag's first chain (w)?"""
-    facet, counts = t.facets()
+    facet, counts = t.facets
     # member[r, slot]: chain r holds the subset in that slot; a chain is
     # its prefix and its last subset, and prefixes are shorter
     member = np.zeros((len(t.chains), (1 << (t.n + 1)) - 2), dtype=bool)
@@ -160,7 +159,7 @@ def cover_is_oriented(cover: CoverComplex, t: FlagTemplate) -> bool:
     cover's triangulation?  tau must flip across every interior face of the
     template, and the parity of g across every glue entry, one gather per
     facet slot."""
-    facet, counts = t.facets()
+    facet, counts = t.facets
     interior = facet[:, 1:].ravel()
     turn = np.bincount(interior, weights=np.repeat(t.sign, t.n),
                        minlength=len(counts))
@@ -247,7 +246,9 @@ def push_forward(cover: CoverComplex, t: FlagTemplate, vertex: np.ndarray,
     flag, so a component's coefficient there is the template sign times
     the signed count of its cells over sigma, and its bare count is the
     plain count.  Compared with the base cycle, the coefficient over each
-    flag of sigma must be the component's degree times the base sign.
+    flag of sigma must be the component's degree times the base sign.  The
+    components are the cover's labels (``CoverComplex.components``): one
+    for a built component, searched on the glue table for the full set.
     """
     if not oriented:
         raise NonOrientableError(
@@ -277,7 +278,7 @@ def push_forward(cover: CoverComplex, t: FlagTemplate, vertex: np.ndarray,
     unit_of_top = per_top[:, 0]
 
     # fibres and signed fibres per (component, sigma) key
-    component = cell_components(cover.pc)
+    component = cover.components
     num_components = int(component.max()) + 1
     keys, inverse = np.unique(component * count + cover.sigma,
                               return_inverse=True)

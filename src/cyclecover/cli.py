@@ -9,15 +9,17 @@ The chain: validate the input, color it (by barycentric subdivision when it
 carries no coloring), orient it, build the colored bundle and the Tomei
 base, check the canonical involutions and count the compatible ones once,
 build the full cover set or one component, and check that it covers the
-base.  The covering is certified from the glue table: the projection
-commutes with every crossing and its cell fibres are constant, and the
-base's face classes are built, so every face class of the cover has 2^k
-members in codimension k.  The claims after that (closed pseudomanifold,
-Euler characteristic, surface, orientation, well-definedness, chain
-identity) are certified on the flag template of one permutahedron and the
-cover's cell arrays (``certificate``), with the cover's class counts in
-closed form; the cover's face classes are never built, and the cover
-itself is never triangulated.
+base.  The covering is certified on the cover's monodromy, without making
+a cell: the permutations of the (tuple, simplex) pairs that the facet
+crossings induce, and the holonomy group of g along them
+(``covering.verify_covering``); the base's face classes are built, so
+every face class of the cover has 2^k members in codimension k.  The
+claims after that (closed pseudomanifold, Euler characteristic, surface,
+orientation, well-definedness, chain identity) are certified on the flag
+template of one permutahedron and the cover's cell arrays, expanded in
+closed form (``certificate``), with the cover's class counts in closed
+form; the cover's face classes are never built, and the cover itself is
+never triangulated.
 
 Exit codes: 0 all enabled checks pass, 1 a check failed or a cap was hit,
 2 usage or input errors.

@@ -7,40 +7,46 @@ subset, and an element of (Z_2)^n whose parity must match the part of sigma
 
     (L_w(sigma),  conjugate the components indexed by subsets of w,  g + e_|w|)
 
-where L_w is the tuple's component at w.  This is an involution without fixed
-points, it preserves the parity constraint, and crossings along nested facet
-labels commute, so the glued cells form a permutahedral complex; forgetting
-everything but g projects it onto the Tomei manifold cell by cell.
+where L_w is the tuple's component at w.  The new tuple depends only on the
+old tuple and w, and the new sigma only on the old pair, so crossing F_w is
+a permutation pi_w of the pairs x = (tuple, sigma), and g moves by the fixed
+generator gen[w] = e_|w|.  The cover is the Tomei manifold's covering with
+monodromy pi_w and a (Z_2)^n voltage on each edge: a small cover in the sense
+of Davis and Januszkiewicz.
 
-The new tuple depends only on the old tuple and w, never on sigma or g.  The
-registry holds the involutions as rows of one ``int32`` matrix and the tuples
-as rows of involution ids, each numbered by first occurrence.  The builders
-first close their tuples under crossings, a chunk of tuple rows at a time,
-conjugating every distinct pair of involutions in a chunk with one gather,
-and lay the result out as gather tables indexed by tuple.  A whole set of
-cells then crosses every facet in one array gather, and cells are looked up
-in a dense (tuple, sigma, g) index.  A component is numbered level by level
-from its seed cell, in breadth-first order; the full cover set is numbered
-in (sigma, tuple, g) order.  Cover cells are kept as three integer arrays.
+The registry holds the involutions as rows of one ``int32`` matrix and the
+tuples as rows of involution ids, each numbered by first occurrence.  The
+builders first close their tuples under crossings, a chunk of tuple rows at
+a time, conjugating every distinct pair of involutions in a chunk with one
+gather, and lay the result out as gather tables indexed by tuple.  A whole
+set of pairs then crosses every facet in one array gather.
 
-The cover is a small cover in the sense of Davis and Januszkiewicz, so the
-projection is fixed by how it acts on facet crossings, and it is certified
-from the glue table alone: it commutes with every crossing and its cell
-fibres are constant.  That each face class of the cover maps bijectively
-onto a base class, and every class fibre is the degree, follows from the
-base's class sizes (``verify_cell_projection``); the cover's face classes
-are never built.
+A component is numbered over the dense (tuple, sigma) pair index, level by
+level from its seed pair, in breadth-first order, and each pair x gets the g
+value g0(x) it is first reached with along the search tree.  The holonomy
+g0(x) + gen[w] + g0(pi_w x) of every edge spans a subgroup H of the even
+part of (Z_2)^n, kept as a reduced-echelon basis.  The component is then the
+cells (x, g0(x) + h), h in H, no more and no fewer: its size |X| |H| is
+known before any cell is made.  The full cover set is every pair in
+(sigma, tuple) order, with g0 = 0 on plus simplices and 1 on minus ones; its
+H is the whole even part.
+
+The covering is certified on this monodromy (``verify_covering``), and the
+cell arrays and the cell glue table are expanded in closed form, only when
+something reads them: cell (x, i) of a cover is (x, g0(x) + h_i), with h_i
+the i-th element of H in ascending order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .cells import FaceClasses, PermutahedralComplex, face_classes
+from .cells import FaceClasses, PermutahedralComplex, cell_components, face_classes
 from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
 from .involutions import (
     canonical_involution,
@@ -50,7 +56,7 @@ from .involutions import (
 )
 from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import ColoredPseudomanifold
-from .tomei import build_tomei, size_generator
+from .tomei import build_tomei, generators
 
 DEFAULT_MAX_CELLS = 10 ** 6
 
@@ -162,35 +168,19 @@ class _Orbit:
     """Gather tables over the registry's tuples, closed under facet crossings.
 
     Row t stands for tuple t: crossing F_w, with w = subsets[slot], sends
-    (t, sigma, g) to (``newt[t, slot]``, ``lam[t, sigma, slot]``,
-    g ^ ``gen[slot]``).
+    the pair (t, sigma) to (``newt[t, slot]``, ``lam[t, sigma, slot]``).
     """
 
-    n: int
     lam: np.ndarray  # int32 (tuples, top simplices, slots)
     newt: np.ndarray  # int32 (tuples, slots)
-    gen: np.ndarray  # int32 (slots,)
 
-    @property
-    def size(self) -> int:
-        """Entries of the dense (tuple row, sigma, g) index."""
-        return self.lam.shape[0] * self.lam.shape[1] << self.n
-
-    def key(self, t, sigma, g):
-        """Position of (tuple row, sigma, g) in the dense index."""
-        return (t * self.lam.shape[1] + sigma) << self.n | g
-
-    def split(self, keys: np.ndarray):
-        """The (tuple row, sigma, g) arrays at the given dense positions."""
-        rest, g = np.divmod(keys, 1 << self.n)
-        t, sigma = np.divmod(rest, self.lam.shape[1])
-        return t, sigma, g
-
-    def crossed(self, t: np.ndarray, sigma: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Dense index of the cell across every facet of each given cell, as
-        an int64 (cells, slots) array in slot order."""
-        return self.key(self.newt[t].astype(np.int64), self.lam[t, sigma],
-                        g[:, None] ^ self.gen)
+    def crossed(self, pairs: np.ndarray) -> np.ndarray:
+        """The dense index t * tops + sigma of the pair across every facet
+        of each given pair, as an int64 (pairs, slots) array in slot
+        order."""
+        tops = self.lam.shape[1]
+        t, sigma = np.divmod(pairs, tops)
+        return self.newt[t].astype(np.int64) * tops + self.lam[t, sigma]
 
 
 _LEFT_FULL_SET = "facet crossing left the full cover set; conjugation closure failed"
@@ -246,33 +236,141 @@ def _tuple_orbit(reg: InvolutionRegistry, max_tuples: int | None = None) -> _Orb
             raise CapExceededError(f"component exceeded {max_tuples} cells",
                                    max_tuples, max_tuples)
     lam = np.ascontiguousarray(reg.perms[reg.tuples].transpose(0, 2, 1))
-    gen = np.array([size_generator(w) for w in reg.subsets], dtype=np.int32)
-    return _Orbit(reg.cp.n, lam, np.concatenate(newt), gen)
+    return _Orbit(lam, np.concatenate(newt))
 
+
+# ---------------------------------------------------------------------------
+# subgroups of (Z_2)^n, as reduced-echelon bases of bitmasks
+
+def span_basis(vectors) -> tuple[int, ...]:
+    """The reduced-echelon basis of the GF(2) span of the given bitmasks:
+    one vector per pivot, its highest bit, no pivot set in any other basis
+    vector, sorted by pivot.  Equal spans give equal bases."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            if v >> (b.bit_length() - 1) & 1:
+                v ^= b
+        if v:
+            pivot = v.bit_length() - 1
+            basis = [b ^ v if b >> pivot & 1 else b for b in basis]
+            basis.append(v)
+    return tuple(sorted(basis))
+
+
+def span_elements(basis: tuple[int, ...]) -> np.ndarray:
+    """Every element of the span, as ``int32``: element i is the sum of
+    ``basis[k]`` over the bits k of i.  For a reduced-echelon basis this is
+    ascending order: the highest bit in which i and j differ is some k, and
+    then the elements differ first at the pivot of ``basis[k]``, which only
+    ``basis[k]`` holds."""
+    elements = np.zeros(1, dtype=np.int32)
+    for b in basis:
+        elements = np.concatenate([elements, elements ^ b])
+    return elements
+
+
+def span_split(values, basis: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(coord, rest)`` with ``values = span_elements(basis)[coord] ^ rest``
+    entry by entry, for a reduced-echelon basis: coordinate k is the bit of
+    the value at the pivot of ``basis[k]``, and ``rest`` holds no pivot
+    bit.  So ``rest`` is the least element of the value's coset, and 0
+    exactly on the span."""
+    values = np.asarray(values, dtype=np.int32)
+    coord = np.zeros(values.shape, dtype=np.int32)
+    rest = values.copy()
+    for k, b in enumerate(basis):
+        bit = (values >> (b.bit_length() - 1)) & 1
+        coord |= bit << k
+        rest ^= bit * np.int32(b)
+    return coord, rest
+
+
+def holonomy(g0: np.ndarray, glue: np.ndarray, n: int) -> np.ndarray:
+    """g0(x) + gen[w] + g0(pi_w x) on every edge of the pair complex, as an
+    ``int32`` (pairs, slots) array: what the g value gained along the edge
+    differs from the lift of its far end by."""
+    return np.take(g0, glue) ^ generators(n) ^ g0[:, None]
+
+
+def holonomy_basis(g0: np.ndarray, glue: np.ndarray, n: int) -> tuple[int, ...]:
+    """The reduced-echelon basis of the span of every holonomy."""
+    seen = np.bincount(holonomy(g0, glue, n).ravel(), minlength=1 << n)
+    return span_basis(np.flatnonzero(seen).tolist())
+
+
+# ---------------------------------------------------------------------------
+# covers
 
 @dataclass(eq=False)
 class CoverComplex:
-    """A set of cover cells closed under facet crossings, as a
-    permutahedral complex plus the projection data: cell i is
-    (``sigma[i]``, ``tuple_id[i]``, ``g[i]``)."""
+    """A set of cover cells closed under facet crossings, given by its
+    monodromy: pair x is (``pair_t[x]``, ``pair_sigma[x]``), ``pairs`` glues
+    x to pi_w(x) across F_w, and the cells over x are (x, ``g0[x]`` + h)
+    for h in the span H of ``basis``, a reduced-echelon basis.
+
+    Cell ``x * |H| + i`` is (x, g0[x] + h_i), h_i the i-th element of H in
+    ascending order.  ``sigma``, ``tuple_id``, ``g`` and the permutahedral
+    complex ``pc`` of the cells are expanded in closed form on first use.
+    ``connected`` says the cells are one component, as ``build_component``
+    makes them.
+    """
 
     cp: ColoredPseudomanifold
     registry: InvolutionRegistry
-    sigma: np.ndarray
-    tuple_id: np.ndarray
-    g: np.ndarray
-    pc: PermutahedralComplex
+    pair_t: np.ndarray
+    pair_sigma: np.ndarray
+    g0: np.ndarray
+    pairs: PermutahedralComplex
+    basis: tuple[int, ...]
+    connected: bool
 
     @property
     def num_cells(self) -> int:
-        return len(self.g)
+        return self.pairs.num_cells << len(self.basis)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return np.repeat(self.pair_sigma, 1 << len(self.basis))
+
+    @cached_property
+    def tuple_id(self) -> np.ndarray:
+        return np.repeat(self.pair_t, 1 << len(self.basis))
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return (self.g0[:, None] ^ span_elements(self.basis)).ravel()
+
+    @cached_property
+    def pc(self) -> PermutahedralComplex:
+        """Crossing F_w sends cell (x, i) to the cell over pi_w(x) whose g
+        is g0(x) + h_i + gen[w] = g0(pi_w x) + h_i + hol(x, w), which is
+        (pi_w x, i ^ coord(hol(x, w)))."""
+        size = 1 << len(self.basis)
+        glue = self.pairs.glue
+        coord, _ = span_split(holonomy(self.g0, glue, self.cp.n), self.basis)
+        cells = ((glue * size)[:, None, :]
+                 + (np.arange(size, dtype=np.int32)[:, None] ^ coord[:, None, :]))
+        return PermutahedralComplex(self.cp.n, self.num_cells,
+                                    cells.reshape(self.num_cells, -1))
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """The component of every cell, numbered by lowest cell: all 0 for
+        a component, searched on the glue table otherwise."""
+        if self.connected:
+            return np.zeros(self.num_cells, dtype=np.int64)
+        return cell_components(self.pc)
 
 
 def _cover(reg: InvolutionRegistry, t: np.ndarray, sigma: np.ndarray,
-           g: np.ndarray, glue: np.ndarray) -> CoverComplex:
-    """The cover whose cell i is (sigma[i], tuple t[i], g[i])."""
-    return CoverComplex(reg.cp, reg, sigma, t, g,
-                        PermutahedralComplex(reg.cp.n, len(g), glue))
+           g0: np.ndarray, glue: np.ndarray, connected: bool) -> CoverComplex:
+    """The cover over the pairs (t[x], sigma[x]) glued by ``glue``, with H
+    the span of the holonomies."""
+    pairs = PermutahedralComplex(reg.cp.n, len(g0), glue)
+    basis = holonomy_basis(g0, pairs.glue, reg.cp.n)
+    return CoverComplex(reg.cp, reg, t.astype(np.int32), sigma.astype(np.int32),
+                        g0, pairs, basis, connected)
 
 
 def build_component(cp: ColoredPseudomanifold,
@@ -282,45 +380,67 @@ def build_component(cp: ColoredPseudomanifold,
     and g = 0.
 
     The seed tuple's orbit is closed first, and gives the gather tables.
-    The component is then numbered level by level over the dense
-    (tuple, sigma, g) index: each level gathers its cells' neighbours in
-    (cell, slot) order and numbers those not yet seen in order of first
-    occurrence.  That is breadth-first order, so cell ids and the glue
-    table do not depend on how the work is batched.
+    The pairs are then numbered level by level over the dense
+    (tuple, sigma) index: each level gathers its pairs' neighbours in
+    (pair, slot) order and numbers those not yet seen in order of first
+    occurrence, each with the g value of its first occurrence.  That is
+    breadth-first order, so pair ids, g0 and the glue table do not depend
+    on how the work is batched.  Every pair carries at least one cell, so
+    the cap is checked on the pairs as they are numbered, and on the cells
+    once H is known.
     """
     reg = InvolutionRegistry(cp)
     reg.canonical_tuple()
     orbit = _tuple_orbit(reg, max_cells)
-    number = np.full(orbit.size, -1, dtype=np.int32)
-    frontier = np.array([orbit.key(0, int(cp.plus[0]), 0)], dtype=np.int64)
+    gen = generators(cp.n)
+    number = np.full(orbit.lam.shape[0] * cp.top_count, -1, dtype=np.int32)
+    frontier = np.array([cp.plus[0]], dtype=np.int64)  # tuple 0, g = 0
+    lift = np.zeros(1, dtype=np.int32)
     number[frontier] = 0
     count = 1
-    levels, rows = [frontier], []
+    levels, lifts, rows = [frontier], [lift], []
     while frontier.size:
-        crossed = orbit.crossed(*orbit.split(frontier))
-        unseen = crossed[number[crossed] < 0]  # (cell, slot) order
+        crossed = orbit.crossed(frontier)
+        fresh = number[crossed] < 0
+        unseen = crossed[fresh]  # (pair, slot) order
         # scatter positions in reverse, so each key keeps its first one
         position = np.arange(unseen.size, dtype=np.int32)
         number[unseen[::-1]] = position[::-1]
-        frontier = unseen[number[unseen] == position]
+        first = number[unseen] == position
+        frontier = unseen[first]
+        lift = (lift[:, None] ^ gen)[fresh][first]
         if count + frontier.size > max_cells:
             raise CapExceededError(
                 f"component exceeded {max_cells} cells", max_cells, max_cells)
         number[frontier] = np.arange(count, count + frontier.size, dtype=np.int32)
         count += frontier.size
         levels.append(frontier)
+        lifts.append(lift)
         rows.append(number[crossed])
-    return _cover(reg, *orbit.split(np.concatenate(levels)), np.concatenate(rows))
+    t, sigma = np.divmod(np.concatenate(levels), cp.top_count)
+    cover = _cover(reg, t, sigma, np.concatenate(lifts), np.concatenate(rows), True)
+    if cover.num_cells > max_cells:
+        raise CapExceededError(
+            f"component exceeded {max_cells} cells", max_cells, max_cells)
+    return cover
 
 
 def build_full(cp: ColoredPseudomanifold,
                max_cells: int = DEFAULT_MAX_CELLS,
                counts: list[int] | None = None) -> CoverComplex:
     """Every cover cell at once: all top simplices, all tuples from the full
-    product of compatible involutions, all parity-consistent g, numbered in
-    (sigma, tuple, g) order.  The size comes from the involution counts and
-    is checked against the cap before any involution is enumerated;
-    ``counts`` may hand in the counts, one per proper subset in order."""
+    product of compatible involutions, all parity-consistent g.  The size
+    comes from the involution counts and is checked against the cap before
+    any involution is enumerated; ``counts`` may hand in the counts, one
+    per proper subset in order.
+
+    The pairs are numbered in (sigma, tuple) order with g0 = 0 over plus
+    simplices and 1 over minus ones.  Every crossing flips the part (which
+    ``verify_covering`` checks), so its holonomy is gen[w] + 1: over the
+    generators e_1, ..., e_n of every facet size these span the even part
+    of (Z_2)^n, whose ascending elements, added to g0, run through the
+    parity-consistent g in order.  The cells come out in
+    (sigma, tuple, g) order."""
     reg = InvolutionRegistry(cp)
     total = cp.top_count * predicted_multiplicity(cp, counts)
     if total > max_cells:
@@ -333,22 +453,12 @@ def build_full(cp: ColoredPseudomanifold,
         pools.append(reg.intern_involutions(perms).tolist())
     reg.intern_tuples(np.reshape(list(product(*pools)), (-1, len(pools))))
     orbit = _tuple_orbit(reg)
-    # valid[sigma, t, g]: the parity constraint, numbered in C order
-    valid = cp.parts[:, None] == parity_signs(cp.n)
-    valid = np.broadcast_to(valid[:, None, :],
-                            (cp.top_count, reg.tuple_count, 1 << cp.n))
-    sigma, t, g = np.nonzero(valid)
-    number = np.full(valid.shape, -1, dtype=np.int32)
-    number[sigma, t, g] = np.arange(len(sigma), dtype=np.int32)
-    number = number.transpose(1, 0, 2).ravel()  # dense (t, sigma, g) order
-    glue = number[orbit.crossed(t, sigma, g)]
-    if (glue < 0).any():
-        raise InconsistentGluingError(_LEFT_FULL_SET)
-    return _cover(reg, t, sigma, g, glue)
+    tuples = reg.tuple_count
+    sigma, t = np.divmod(np.arange(cp.top_count * tuples), tuples)
+    glue = orbit.lam[t, sigma] * tuples + orbit.newt[t]
+    g0 = (cp.parts[sigma] < 0).astype(np.int32)
+    return _cover(reg, t, sigma, g0, glue, False)
 
-
-# ---------------------------------------------------------------------------
-# verification
 
 @dataclass
 class CoveringReport:
@@ -420,16 +530,81 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
 def verify_covering(cover: CoverComplex,
                     base: PermutahedralComplex | None = None,
                     base_classes: FaceClasses | None = None) -> CoveringReport:
-    """Certify the parity constraint on the cover cells, then certify that
-    forgetting (sigma, tuple) is a covering of the Tomei manifold."""
+    """Certify that forgetting (sigma, tuple) is a covering of the Tomei
+    manifold, on the cover's monodromy, without making a cell.
+
+    Checks, in order:
+
+    - pi_w is an involution without fixed points on the pairs, and pi_w
+      commute across nested facets: the pair complex checked both when it
+      was built (``PermutahedralComplex``);
+    - the parity of g0(x) is the part of sigma(x), for every pair;
+    - the part of sigma flips across every crossing;
+    - the cell fibres are constant: the cells over base cell g are the pairs
+      x with g0(x) in g + H, one each, counted by one bincount of the
+      least elements of the cosets of H that the g0(x) lie in;
+    - H, given by its basis, is the span of the holonomies
+      hol(x, w) = g0(x) + gen[w] + g0(pi_w x), so the basis is the
+      reduced-echelon one that the fibre count took it to be;
+    - the base glues g to g + gen[w] across F_w;
+    - the base's face classes have 2^k members in codimension k: built
+      here, or handed in.
+
+    These give every claim ``verify_cell_projection`` checks on the cells.
+    Parity: each hol(x, w) is even, since g0 matches the part and the part
+    flips while gen[w] is one bit, so H is even and every cell
+    (x, g0(x) + h) has the parity of sigma(x).  Crossing F_w sends the cell
+    (x, g) to (pi_w x, g + gen[w]), a cell, as g + gen[w] - g0(pi_w x) is
+    (g - g0(x)) + hol(x, w), in H; a cell is fixed by its pair and g.  Since
+    hol(pi_w x, w) = hol(x, w) and pi_w is an involution without fixed
+    points, so is the crossing, and crossings across nested facets commute,
+    since the pi_w do and g moves by gen[w1] + gen[w2] either way.  The
+    projection to g commutes with every crossing, as the base moves g by
+    gen[w] too, and its fibres are the ones counted.  So the cells with their
+    closed-form glue (``CoverComplex.pc``) pass the checks of
+    ``verify_cell_projection``, whose proof then shows that every face class
+    of codimension k has 2^k members and maps bijectively onto one base
+    class, each base class with the degree's worth of classes over it.
+    """
     cp = cover.cp
-    base = base or build_tomei(cp.n)
-    in_range = (cover.g >= 0) & (cover.g < 1 << cp.n)
-    sign = parity_signs(cp.n)[np.where(in_range, cover.g, 0)]
-    bad = ~in_range | (sign != cp.parts[cover.sigma])
+    n = cp.n
+    base = base or build_tomei(n)
+    if base.n != n:
+        raise NotACoveringError("base and cover dimensions differ")
+    g0, glue = cover.g0, cover.pairs.glue
+
+    in_range = (g0 >= 0) & (g0 < 1 << n)
+    part = cp.parts[cover.pair_sigma]
+    bad = ~in_range | (parity_signs(n)[np.where(in_range, g0, 0)] != part)
     if bad.any():
-        i = int(np.argmax(bad))
+        x = int(np.argmax(bad))
         raise NotACoveringError(
-            f"cell {i} (sigma {cover.sigma[i]}, tuple_id {cover.tuple_id[i]}, "
-            f"g {cover.g[i]}) violates the parity constraint")
-    return verify_cell_projection(cover.pc, cover.g, base, base_classes)
+            f"pair {x} (sigma {cover.pair_sigma[x]}, tuple_id {cover.pair_t[x]}, "
+            f"g0 {g0[x]}) violates the parity constraint")
+
+    kept = np.take(part, glue) == part[:, None]
+    if kept.any():
+        x, slot = np.argwhere(kept)[0]
+        raise NotACoveringError(
+            f"crossing {mask_elements(cover.pairs.subsets[slot])} keeps the "
+            f"part of sigma at pair {x}")
+
+    _, rest = span_split(np.arange(1 << n), cover.basis)
+    _, coset = span_split(g0, cover.basis)
+    fibers = np.bincount(coset, minlength=1 << n)[rest]
+    if (fibers != fibers[0]).any():
+        raise NotACoveringError(
+            f"cell fibers are not constant: {dict(enumerate(fibers.tolist()))}")
+
+    if holonomy_basis(g0, glue, n) != tuple(cover.basis):
+        raise NotACoveringError(
+            f"the holonomies do not span the subgroup with basis "
+            f"{list(cover.basis)}")
+
+    if base.num_cells != 1 << n or (
+            base.glue != np.arange(1 << n)[:, None] ^ generators(n)).any():
+        raise NotACoveringError("the base is not glued as the Tomei manifold")
+
+    if base_classes is None:
+        face_classes(base)  # raises unless every class has 2^k members
+    return CoveringReport(int(fibers[0]), dict(enumerate(fibers.tolist())))

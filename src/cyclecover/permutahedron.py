@@ -17,7 +17,7 @@ are the one numbering of faces that face classes and triangulations read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations
 
 import numpy as np
@@ -68,9 +68,11 @@ class FlagTemplate:
     orders: np.ndarray
     spells: np.ndarray
 
+    @cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray]:
         """``(facet, counts)``: the id of the face of flag f without its
-        k-th chain at ``facet[f, k]``, and the flags through each face."""
+        k-th chain at ``facet[f, k]``, and the flags through each face.
+        Grouped on first use and kept with the template."""
         width = self.n + 1
         keep = [[j for j in range(width) if j != k] for k in range(width)]
         rows = self.flags[:, keep].reshape(-1, self.n)

@@ -19,9 +19,13 @@ def size_generator(subset: int) -> int:
     return 1 << (subset.bit_count() - 1)
 
 
+def generators(n: int) -> np.ndarray:
+    """``size_generator`` of every facet label, in slot order, as ``int32``."""
+    return np.array([size_generator(w) for w in proper_subsets(n)], dtype=np.int32)
+
+
 def build_tomei(n: int) -> PermutahedralComplex:
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    generators = np.array([size_generator(w) for w in proper_subsets(n)])
-    glue = np.arange(1 << n)[:, None] ^ generators
+    glue = np.arange(1 << n, dtype=np.int32)[:, None] ^ generators(n)
     return PermutahedralComplex(n, 1 << n, glue)

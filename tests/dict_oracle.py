@@ -685,7 +685,7 @@ def flag_template(n: int) -> FlagTemplate:
 def template_is_closed(t: FlagTemplate) -> bool:
     """``certificate.template_is_closed`` with the containment test walked
     over every (flag, chain) pair by a generator."""
-    facet, counts = t.facets()
+    facet, counts = t.facets
     inside = all(t.chains[flag[1]][0] in t.chains[row]
                  for flag in t.flags.tolist() for row in flag[1:])
     return bool(inside and (counts[facet[:, 0]] == 1).all()

@@ -288,9 +288,9 @@ def test_negative_inputs():
 
     octa = ColoredPseudomanifold(*corpus.octahedron())
     component = build_component(octa)
-    g = component.g.copy()
-    g[0] ^= 1
-    corrupt = replace(component, g=g)
+    g0 = component.g0.copy()
+    g0[0] ^= 1
+    corrupt = replace(component, g0=g0)
     try:
         verify_covering(corrupt)
         raise AssertionError("corrupt cover verified")

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs
+from extra_api import benchmark_inputs, with_cells
 from cyclecover import cli, corpus, formats, realization
 from cyclecover.cells import (
     cell_components,
@@ -526,7 +526,7 @@ def test_well_definedness_names_the_class_realization_map_names(covers):
     cover = covers["octahedron"]
     sigma = cover.sigma.copy()
     sigma[0] ^= 0b111
-    broken = replace(cover, sigma=sigma)
+    broken = with_cells(cover, sigma=sigma)
     classes = face_classes(cover.pc)
     with pytest.raises(NotWellDefinedError, match="distinct images") as oracle:
         realization_map(broken, classes)
@@ -541,7 +541,7 @@ def test_push_forward_rejects_a_fibre_that_varies(covers):
     sigma = cover.sigma.copy()
     sigma[sigma == 3] = 5
     with pytest.raises(DegreeNotConstantError, match="component 0 hits"):
-        push_forward(replace(cover, sigma=sigma), flag_template(2),
+        push_forward(with_cells(cover, sigma=sigma), flag_template(2),
                      vertex_table(cover.cp), oriented=True)
 
 
@@ -550,7 +550,7 @@ def test_orientation_check_catches_a_parity_or_template_flip(covers):
     template = flag_template(2)
     g = cover.g.copy()
     g[3] ^= 0b10
-    assert not cover_is_oriented(replace(cover, g=g), template)
+    assert not cover_is_oriented(with_cells(cover, g=g), template)
     sign = template.sign.copy()
     sign[5] = -sign[5]
     assert not cover_is_oriented(cover, replace(template, sign=sign))

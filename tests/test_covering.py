@@ -6,9 +6,10 @@ comments, and the octahedron component is checked against an independent
 GF(2)-span oracle (all its crossings act by XOR on (triangle, g) pairs).
 Seeds other than the default and the cell-at-a-time crossing live in the
 oracle ``dict_oracle``, whose ``build_component`` takes a seed.  The
-covering check on the glue table is held to the check that built the
-cover's face classes, ``dict_oracle.verify_covering``, on every corpus
-cover, the benchmark inputs and planted defects.
+covering check on the monodromy is held to the check that built the
+expanded cells' face classes, ``dict_oracle.verify_covering``, on every
+corpus cover and the benchmark inputs, and the cell-level check on the glue
+table to it on planted defects.
 """
 
 import json
@@ -402,36 +403,43 @@ def test_identity_and_deck_projection_verify():
 
 
 def test_verify_covering_rejects_parity_violation(hex_cover):
-    g = hex_cover.g.copy()
-    g[0] ^= 1
-    broken = replace(hex_cover, g=g)
+    g0 = hex_cover.g0.copy()
+    g0[0] ^= 1
+    broken = replace(hex_cover, g0=g0)
     with pytest.raises(NotACoveringError, match="parity"):
         verify_covering(broken)
 
 
-def test_verify_covering_names_the_cell_with_a_flipped_g(sd3_component):
-    # a planted defect: one flipped g bit breaks the parity constraint at
-    # that cell, and the failure names it with its (sigma, tuple_id, g)
-    g = sd3_component.g.copy()
-    i = 217
-    g[i] ^= 1
-    broken = replace(sd3_component, g=g)
-    sigma, t = sd3_component.sigma[i], sd3_component.tuple_id[i]
+def test_verify_covering_names_the_pair_with_a_flipped_g0(sd3_component):
+    # a planted defect: one flipped bit of g0 breaks the parity constraint
+    # at that pair, and the failure names it with its (sigma, tuple_id, g0)
+    g0 = sd3_component.g0.copy()
+    x = 107
+    g0[x] ^= 1
+    broken = replace(sd3_component, g0=g0)
+    sigma, t = sd3_component.pair_sigma[x], sd3_component.pair_t[x]
     with pytest.raises(NotACoveringError) as e:
         verify_covering(broken)
-    assert str(e.value) == (f"cell 217 (sigma {sigma}, tuple_id {t}, g {g[i]}) "
+    assert str(e.value) == (f"pair 107 (sigma {sigma}, tuple_id {t}, g0 {g0[x]}) "
                             f"violates the parity constraint")
 
 
 def test_verify_covering_rejects_noncommuting_projection(octa_component):
-    # Swap the g labels of a g=0 cell and a g=3 cell: parity still holds,
-    # but crossings no longer project to crossings.
+    # A base glued by g + e_2 across the singletons and g + e_1 across the
+    # pairs is a permutahedral complex, but crossings of the cover, which
+    # move g by e_|w|, no longer project to its crossings.
+    glue = np.arange(4)[:, None] ^ np.array([3 - size_generator(w)
+                                             for w in proper_subsets(2)])
+    other = PermutahedralComplex(2, 4, glue)
+    with pytest.raises(NotACoveringError,
+                       match="base is not glued as the Tomei manifold"):
+        verify_covering(octa_component, base=other)
+    # at cell level: swap the g labels of a g=0 cell and a g=3 cell
     g = octa_component.g.copy()
     i, j = np.flatnonzero(g == 0)[0], np.flatnonzero(g == 3)[0]
     g[i], g[j] = 3, 0
-    broken = replace(octa_component, g=g)
     with pytest.raises(NotACoveringError, match="commute"):
-        verify_covering(broken)
+        verify_cell_projection(octa_component.pc, g, build_tomei(2))
 
 
 def test_verify_covering_rejects_dimension_mismatch(hex_cover):
@@ -573,17 +581,28 @@ def test_glue_check_agrees_with_oracle_on_swapped_g_labels(octa_component):
     g = octa_component.g.copy()
     i, j = np.flatnonzero(g == 0)[0], np.flatnonzero(g == 3)[0]
     g[i], g[j] = 3, 0
-    broken = replace(octa_component, g=g)
-    got = assert_checks_agree(lambda m: m.verify_covering(broken))
+    base = build_tomei(2)
+    got = assert_checks_agree(
+        lambda m: m.verify_cell_projection(octa_component.pc, g, base))
     assert got[0] is NotACoveringError and "commute" in got[1]
 
 
 def test_glue_check_agrees_with_oracle_on_a_flipped_g_bit(sd3_component):
-    g = sd3_component.g.copy()
-    g[217] ^= 1
-    broken = replace(sd3_component, g=g)
-    got = assert_checks_agree(lambda m: m.verify_covering(broken))
-    assert got[0] is NotACoveringError and "parity" in got[1]
+    # a flipped bit of g0 puts every cell over its pair at the wrong
+    # parity: the check on the pairs names the pair, the oracle on the
+    # expanded cells the pair's first cell
+    g0 = sd3_component.g0.copy()
+    g0[108] ^= 1
+    broken = replace(sd3_component, g0=g0)
+    sigma, t = broken.pair_sigma[108], broken.pair_t[108]
+    with pytest.raises(NotACoveringError) as pair:
+        verify_covering(broken)
+    assert str(pair.value) == (f"pair 108 (sigma {sigma}, tuple_id {t}, "
+                               f"g0 {g0[108]}) violates the parity constraint")
+    with pytest.raises(NotACoveringError) as cell:
+        dict_oracle.verify_covering(broken)  # cell 216 is (pair 108, h = 0)
+    assert str(cell.value) == (f"cell 216 (sigma {sigma}, tuple_id {t}, "
+                               f"g {g0[108]}) violates the parity constraint")
 
 
 def test_glue_check_agrees_with_oracle_on_redirected_glue(sd3_component):

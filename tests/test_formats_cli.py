@@ -608,3 +608,27 @@ def test_report_is_byte_identical(tmp_path, capsys):
     assert a.with_suffix(".txt").read_bytes() == b.with_suffix(".txt").read_bytes()
     assert "overall: PASS" in a.with_suffix(".txt").read_text()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["octahedron", "join C4*C10"])
+def test_cover_never_expands_the_cells(name, monkeypatch, capsys, tmp_path):
+    # ``cover`` without --out or --cells-out certifies and counts the cover
+    # on its pairs: the cell arrays and the cell glue are never made
+    if name == "octahedron":
+        path = CORPUS_DIR / "octahedron.json"
+    else:
+        path = tmp_path / "join.json"
+        path.write_text(json.dumps(extra_api.benchmark_inputs().cycle_join(2, 5)))
+    argv = ["cover", "--input", str(path), "--max-cells", "1000000"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def expanded(cover):
+        raise AssertionError("cell arrays expanded")
+
+    for array in ("sigma", "tuple_id", "g", "pc", "components"):
+        monkeypatch.setattr(covering.CoverComplex, array, property(expanded))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert expected == {"octahedron": "cover: 16 cells, covering degree 4\n",
+                        "join C4*C10": "cover: 20000 cells, covering degree 2500\n"}[name]

@@ -1,16 +1,19 @@
 """The array glue table against the dict-backed oracle in ``dict_oracle``:
 face classes, cover builds (also when the orbit is closed one tuple row at
-a time) and the class map of the oracle's face-class covering check agree
-exactly; corrupted tables are refused; and the orbit-gather build reaches
-the 20,000-cell cover of the join C4 * C10."""
+a time) and the class map of the oracle's face-class covering check agree;
+corrupted tables are refused; and the pair build reaches the 20,000-cell
+cover of the join C4 * C10.  A full build numbers its cells as the oracle
+does; a component numbers them by pair and coset, where the oracle numbers
+them breadth first, so the two are compared up to that renumbering."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import cover_cells, suspended_cycle
+from extra_api import benchmark_inputs, cover_cells, suspended_cycle
 from cyclecover import corpus, covering, formats
 from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
 from cyclecover.covering import (
@@ -33,6 +36,7 @@ from cyclecover.pseudomanifold import (
 from cyclecover.tomei import build_tomei
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+INPUTS = benchmark_inputs()
 
 
 def cycle_join(first: int, second: int) -> ColoredPseudomanifold:
@@ -94,11 +98,18 @@ def test_cover_face_classes_match_oracle(covers, name):
 
 
 def assert_build_matches_oracle(cover, oracle):
-    """Same cells in the same order, same glue, and the same tuple and
-    involution ids in the registry."""
+    """The same cells, glued the same way up to their numbering (in the same
+    order for a full build), and the same tuple and involution ids in the
+    registry."""
     cells, glue, reg = oracle
-    assert cover_cells(cover) == cells
-    assert dict_oracle.glue_dict(cover.pc) == glue
+    got = cover_cells(cover)
+    index = {cell: i for i, cell in enumerate(cells)}
+    renumber = [index[cell] for cell in got]
+    assert sorted(renumber) == list(range(len(cells)))
+    assert {(renumber[i], w): renumber[j]
+            for (i, w), j in dict_oracle.glue_dict(cover.pc).items()} == glue
+    if not cover.connected:
+        assert got == cells
     assert list(map(tuple, cover.registry.tuples.tolist())) == reg._tuples
     assert list(map(tuple, cover.registry.perms.tolist())) == reg._involutions
 
@@ -117,6 +128,22 @@ def test_cover_builds_match_oracle(covers, name):
 def test_corpus_builds_match_oracle(name, full):
     complex_, coloring, orientation = formats.load_complex(CORPUS_DIR / f"{name}.json")
     cp = colored_from_complex(complex_, coloring, orientation)[0]
+    assert_build_matches_oracle(build_component(cp), dict_oracle.build_component(cp))
+    if full:
+        assert_build_matches_oracle(build_full(cp), dict_oracle.build_full(cp))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stem, build, full", [
+    ("octahedron", INPUTS.octahedron, True),
+    ("delta3", INPUTS.boundary_delta3, False),
+    ("suspended10", lambda: INPUTS.suspended_cycle(5), False),
+    ("join4x10", lambda: INPUTS.cycle_join(2, 5), False),
+])
+def test_benchmark_input_builds_match_oracle(stem, build, full, seed):
+    # the verify-n2 and cover-n3 inputs, as the benchmark scrambles them
+    doc = json.loads(INPUTS.seeded_document(stem, build(), seed))
+    cp = colored_from_complex(*formats.complex_from_dict(doc))[0]
     assert_build_matches_oracle(build_component(cp), dict_oracle.build_component(cp))
     if full:
         assert_build_matches_oracle(build_full(cp), dict_oracle.build_full(cp))
@@ -341,6 +368,6 @@ def test_planted_projection_defects_read_the_same_in_every_dtype(covers, dtype):
     assert (_projection_rejection(pc, outside.astype(dtype), base)
             == "projection sends a cell outside the base")
     moved = cover.g.copy()
-    moved[7] ^= 1  # cell 1 is glued to cell 7 across {1, 2}
+    moved[7] ^= 1  # cell 1 is glued to cell 7 across {1, 3}, cell 0 is not
     assert (_projection_rejection(pc, moved.astype(dtype), base)
-            == "projection does not commute with crossing (1, 2) at cell 1")
+            == "projection does not commute with crossing (1, 3) at cell 1")

@@ -1,0 +1,242 @@
+"""The cover as its monodromy: the pair complex, the lifts g0 and the
+holonomy group H.
+
+The GF(2) span helpers are held to brute force; the expanded cells of the
+sd(boundary delta4) component to the crossings of the dict oracle; the
+builder's component labels to ``cell_components``; and every check of
+``verify_covering`` fails on a planted defect with its own error and
+message.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dict_oracle
+from extra_api import CoverCell, cover_cells
+from cyclecover import corpus, formats
+from cyclecover.cells import PermutahedralComplex, cell_components
+from cyclecover.covering import (
+    build_component,
+    build_full,
+    span_basis,
+    span_elements,
+    span_split,
+    verify_covering,
+)
+from cyclecover.errors import InconsistentGluingError, NotACoveringError
+from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_complex
+from cyclecover.tomei import build_tomei
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+# ---------------------------------------------------------------------------
+# the GF(2) span helpers against brute force
+
+def brute_span(vectors) -> set[int]:
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_span_helpers_match_brute_force(n):
+    rng = np.random.default_rng(n)
+    cases = [[], [0], list(range(1 << n))] + [
+        rng.integers(0, 1 << n, size=k).tolist()
+        for k in (1, 2, 3, n, 2 * n) for _ in range(20)]
+    for vectors in cases:
+        basis = span_basis(vectors)
+        span = brute_span(vectors)
+        elements = span_elements(basis).tolist()
+        # ascending coordinates: element i is the i-th smallest of the span
+        assert elements == sorted(span)
+        pivots = [b.bit_length() - 1 for b in basis]
+        assert pivots == sorted(set(pivots))
+        assert all((b >> p & 1) == (a == b)
+                   for a, p in zip(basis, pivots) for b in basis)
+        assert span_basis(elements) == basis == span_basis(basis[::-1])
+        values = np.arange(1 << n)
+        coord, rest = span_split(values, basis)
+        assert (np.asarray(elements)[coord] ^ rest).tolist() == values.tolist()
+        for v, r in zip(values.tolist(), rest.tolist()):
+            assert r == min(v ^ s for s in span)
+            assert (r == 0) == (v in span)
+
+
+def test_even_subgroup_basis():
+    # the full cover set's H: e_1 + e_k for k = 2..n
+    for n in range(1, 6):
+        even = [v for v in range(1 << n) if bin(v).count("1") % 2 == 0]
+        assert span_basis(even) == tuple(1 | 1 << k for k in range(1, n))
+
+
+# ---------------------------------------------------------------------------
+# the expanded cells of the north-star component (the smaller covers meet
+# the breadth-first dict oracle in ``test_glue_table``)
+
+@pytest.fixture(scope="module")
+def delta4_component():
+    cp, _ = colored_from_complex(*formats.load_complex(
+        CORPUS_DIR / "boundary_delta4.json"))
+    return build_component(cp, max_cells=2 * 10 ** 6)
+
+
+def test_boundary_delta4_cells_are_the_crossings(delta4_component):
+    # the dict oracle's glue would hold 19.6M entries, so the 1,399,680
+    # cells are checked whole as arrays, and the glue of a sample of them
+    # against the oracle's cell-by-cell crossing
+    cover = delta4_component
+    assert (cover.pairs.num_cells, cover.basis) == (349920, (3, 5))
+    assert cover.num_cells == 1399680
+    key = (cover.tuple_id.astype(np.int64) * cover.cp.top_count
+           + cover.sigma) << cover.cp.n | cover.g
+    assert len(np.unique(key)) == cover.num_cells
+    parity = np.array([bin(g).count("1") % 2 for g in range(8)])
+    assert (parity[cover.g] == (cover.cp.parts[cover.sigma] < 0)).all()
+    reg = dict_oracle.InvolutionRegistry(cover.cp)
+    for perm in cover.registry.perms.tolist():
+        reg.intern_involution(tuple(perm))
+    for row in cover.registry.tuples.tolist():
+        reg.intern_tuple(row)
+
+    def cell(i):
+        return CoverCell(int(cover.sigma[i]), int(cover.tuple_id[i]),
+                         int(cover.g[i]))
+
+    for i in np.random.default_rng(4).choice(cover.num_cells, 300).tolist():
+        for w, j in zip(reg.subsets, cover.pc.glue[i].tolist()):
+            assert cell(j) == dict_oracle.cross_facet(reg, cell(i), w)
+
+
+# ---------------------------------------------------------------------------
+# component labels
+
+@pytest.mark.parametrize("make", [
+    lambda: build_component(ColoredPseudomanifold(*corpus.hexagon_cycle())),
+    lambda: build_component(ColoredPseudomanifold(*corpus.octahedron())),
+    lambda: build_component(colored_from_complex(corpus.boundary_delta(3))[0]),
+    lambda: build_full(ColoredPseudomanifold(*corpus.octahedron())),
+], ids=["hexagon", "octahedron", "sd3", "octahedron full"])
+def test_component_labels_are_cell_components(make):
+    cover = make()
+    assert np.array_equal(cover.components, cell_components(cover.pc))
+
+
+def test_boundary_delta4_component_labels(delta4_component):
+    assert delta4_component.connected
+    assert not cell_components(delta4_component.pc).any()
+    assert not delta4_component.components.any()
+
+
+# ---------------------------------------------------------------------------
+# planted defects of the monodromy check; octahedron pairs 0..7 are the
+# triangles 0, 1, 2, 4, 3, 5, 6, 7 with g0 = 0, 1, 1, 2, 0, 3, 3, 2, and
+# slots 0..5 the facets {1} {2} {3} {1,2} {1,3} {2,3}
+
+@pytest.fixture(scope="module")
+def octa():
+    return build_component(ColoredPseudomanifold(*corpus.octahedron()))
+
+
+def with_pair_glue(cover, glue):
+    return replace(cover, pairs=PermutahedralComplex(2, len(glue), glue))
+
+
+def not_an_involution(cover):
+    glue = cover.pairs.glue.copy()
+    glue[0, 0] = 2
+    return with_pair_glue(cover, glue)
+
+
+def noncommuting(cover):
+    # {1,2} glued by 0-2 4-3 5-1 6-7: still parts apart, but crossing {1}
+    # (0-1 2-4 3-5 6-7) then {1,2} sends 0 to 4, the other way round to 5
+    glue = cover.pairs.glue.copy()
+    glue[:, 3] = [2, 5, 0, 4, 3, 1, 7, 6]
+    return with_pair_glue(cover, glue)
+
+
+def part_kept(cover):
+    # {1} glued as {1,2} then {1,3}: two commuting crossings, so the
+    # complex passes, but the part of sigma flips twice
+    glue = cover.pairs.glue.copy()
+    glue[:, 0] = glue[glue[:, 4], 3]
+    return with_pair_glue(cover, glue)
+
+
+def flipped_parity(cover):
+    g0 = cover.g0.copy()
+    g0[5] ^= 1
+    return replace(cover, g0=g0)
+
+
+def uneven_fibres(cover):
+    # H = {0} and pair 0 moved from g0 = 0 to 3: same parity, but base
+    # cell 3 now has three cells over it and cell 0 one
+    g0 = cover.g0.copy()
+    g0[0] = 3
+    return replace(cover, g0=g0, basis=())
+
+
+def holonomy_outside(cover):
+    return replace(cover, basis=())
+
+
+PLANTED = {
+    "not an involution": (not_an_involution, InconsistentGluingError,
+                          "gluing across (1,) is not an involution at cell 0"),
+    "nested crossings": (noncommuting, InconsistentGluingError,
+                         "gluings across nested facets (1,) and (1, 2) do not "
+                         "commute at cell 0"),
+    "part kept": (part_kept, NotACoveringError,
+                  "crossing (1,) keeps the part of sigma at pair 0"),
+    "flipped g0 parity": (flipped_parity, NotACoveringError,
+                          "pair 5 (sigma 5, tuple_id 0, g0 2) violates the "
+                          "parity constraint"),
+    "uneven fibres": (uneven_fibres, NotACoveringError,
+                      "cell fibers are not constant: {0: 1, 1: 2, 2: 2, 3: 3}"),
+    "holonomy outside H": (holonomy_outside, NotACoveringError,
+                           "the holonomies do not span the subgroup with "
+                           "basis []"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PLANTED))
+def test_planted_monodromy_defects(octa, defect):
+    plant, error, message = PLANTED[defect]
+    with pytest.raises(error) as e:
+        verify_covering(plant(octa))
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def test_base_not_glued_as_tomei(octa):
+    # two copies of the Tomei surface: a permutahedral complex of the right
+    # dimension, glued by g + gen[w] within each copy, but not the base (a
+    # base glued by the other generators is refused in test_covering)
+    tomei = build_tomei(2).glue
+    base = PermutahedralComplex(2, 8, np.concatenate([tomei, tomei + 4]))
+    with pytest.raises(NotACoveringError) as e:
+        verify_covering(octa, base=base)
+    assert str(e.value) == "the base is not glued as the Tomei manifold"
+
+
+def test_planted_pair_defects_break_the_cells_too(octa):
+    # the oracle, reading the expanded cells, refuses the same covers
+    for plant in (part_kept, flipped_parity):
+        with pytest.raises((NotACoveringError, InconsistentGluingError)):
+            dict_oracle.verify_covering(plant(octa))
+
+
+def test_octahedron_pairs_as_documented(octa):
+    assert octa.pair_sigma.tolist() == [0, 1, 2, 4, 3, 5, 6, 7]
+    assert octa.g0.tolist() == [0, 1, 1, 2, 0, 3, 3, 2]
+    assert octa.basis == (3,)
+    assert set(cover_cells(octa)) == {
+        CoverCell(int(s), 0, int(g0) ^ h)
+        for s, g0 in zip(octa.pair_sigma, octa.g0) for h in (0, 3)}

@@ -1,5 +1,6 @@
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_flag_template_matches_the_searched_flags(n):
     for name in ("prefix", "last", "flags", "sign", "colors", "orders", "spells"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for a, b in zip(got.facets(), want.facets()):
+    for a, b in zip(got.facets, want.facets):
         assert np.array_equal(a, b)
 
 
@@ -228,3 +229,30 @@ def test_template_chain_is_its_prefix_and_last_subset(n):
     assert t.prefix[0] == t.last[0] == -1
     for r in range(1, len(t.chains)):
         assert t.chains[r] == t.chains[t.prefix[r]] + (subsets[t.last[r]],)
+
+
+def test_facets_are_grouped_once_per_n(monkeypatch, tmp_path):
+    # ``report`` reads the facets in ``template_is_closed`` and in
+    # ``cover_is_oriented``; both read one grouping, kept with the template
+    from cyclecover import cli, permutahedron
+
+    calls = []
+    genuine = permutahedron.group_rows
+
+    def counted(*args):
+        calls.append(args)
+        return genuine(*args)
+
+    monkeypatch.setattr(permutahedron, "group_rows", counted)
+    corpus_dir = Path(__file__).resolve().parent.parent / "corpus"
+    flag_template.cache_clear()
+    try:
+        for name in ["octahedron", "hexagon", "octahedron"]:  # n = 2, 1, 2
+            assert cli.main(["report", "--input", str(corpus_dir / f"{name}.json"),
+                             "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert len(calls) == 2
+        t = flag_template(3)
+        assert t.facets is t.facets
+        assert len(calls) == 3
+    finally:
+        flag_template.cache_clear()

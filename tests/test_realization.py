@@ -8,13 +8,13 @@ cover cells over each base simplex, and for the full cover it equals
 """
 
 import math
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 import dict_oracle
+from extra_api import with_cells
 from cyclecover import corpus
 from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DegreeNotConstantError, NotWellDefinedError
@@ -139,7 +139,7 @@ def test_vertex_map_rejects_inconsistent_cells(octa_cp):
     # classes then straddle cells that share no vertex
     sigma = cover.sigma.copy()
     sigma[0] ^= 0b111
-    broken = replace(cover, sigma=sigma)
+    broken = with_cells(cover, sigma=sigma)
     with pytest.raises(NotWellDefinedError, match="distinct images"):
         realization_map(broken)
 
