@@ -9,12 +9,11 @@ homology.  The n = 2 member is the closed orientable surface of genus 2.
 from cyclecover.cells import (
     euler_characteristic,
     face_classes,
-    orientable,
     triangulate,
     verify_surface,
 )
 from cyclecover.homology import fundamental_class, homology
-from cyclecover.pseudomanifold import validate_pseudomanifold
+from cyclecover.pseudomanifold import orient, validate_pseudomanifold
 from cyclecover.tomei import build_tomei
 
 
@@ -36,7 +35,7 @@ def main():
     print(f"closed pseudomanifold: {report.ok}")
     surface = verify_surface(tri)
     print(f"surface checks (edge degrees, vertex links): {surface.ok}")
-    print(f"orientable: {orientable(pc, tri)}")
+    print(f"orientable: {len(orient(tri.complex))} coherently signed triangles")
     groups = homology(tri.complex)
     print("integral homology:",
           ", ".join(f"H_{k} = {g}" for k, g in enumerate(groups)))
@@ -49,7 +48,8 @@ def main():
     tri = triangulate(pc)
     report = validate_pseudomanifold(tri.complex)
     print(f"triangulation: {len(tri.complex.top_simplices)} tetrahedra, "
-          f"closed: {report.ok}, orientable: {orientable(pc, tri)}")
+          f"closed: {report.ok}, coherently oriented: "
+          f"{len(orient(tri.complex))} signs")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from .cells import (
     Triangulation,
     euler_characteristic,
     face_classes,
-    orientable,
     triangulate,
     verify_surface,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "fundamental_class",
     "homology",
     "orient",
-    "orientable",
     "predicted_multiplicity",
     "realization_map",
     "smith_normal_form",

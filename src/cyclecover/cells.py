@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InconsistentGluingError
 from .permutahedron import Chain, flag_template, mask_elements, proper_subsets
-from .pseudomanifold import AbstractComplex, lowest_labels, orient
+from .pseudomanifold import AbstractComplex, lowest_labels
 
 UNGLUED = -1  # a glue entry naming no partner cell
 
@@ -43,7 +43,6 @@ class PermutahedralComplex:
         self.n = n
         self.num_cells = num_cells
         self.subsets = proper_subsets(n)
-        self.slot_of = {w: slot for slot, w in enumerate(self.subsets)}
         glue = np.asarray(glue)
         if glue.shape != (num_cells, len(self.subsets)) or glue.dtype.kind not in "iu":
             raise ValueError(
@@ -94,9 +93,6 @@ class PermutahedralComplex:
                             f"and {mask_elements(w2)} do not commute at cell "
                             f"{np.flatnonzero(bad)[0]}")
 
-    def neighbor(self, cell: int, subset: int) -> int:
-        return int(self.glue[cell, self.slot_of[subset]])
-
     def __repr__(self):
         return f"PermutahedralComplex(n={self.n}, cells={self.num_cells})"
 
@@ -146,10 +142,6 @@ class FaceClasses:
     @property
     def num_classes(self) -> int:
         return self.chain_start[-1]
-
-    @cached_property
-    def row_of(self) -> dict[Chain, int]:
-        return {chain: r for r, chain in enumerate(self.chains)}
 
     @cached_property
     def members(self) -> ClassMembers:
@@ -310,14 +302,3 @@ def verify_surface(tri: Triangulation | AbstractComplex) -> SurfaceReport:
     broken[vertex[open_corner.ravel()]] = True
     report.bad_vertex_links = np.flatnonzero(broken).tolist()
     return report
-
-
-def orientable(pc: PermutahedralComplex, tri: Triangulation | None = None) -> bool:
-    from .errors import NonOrientableError
-
-    tri = tri or triangulate(pc)
-    try:
-        orient(tri.complex)
-    except NonOrientableError:
-        return False
-    return True

@@ -1,5 +1,5 @@
 """The realization certificate, read off one permutahedron and the cover's
-cell arrays, without triangulating the cover.
+monodromy, without triangulating the cover or expanding its cells.
 
 The cover K is a small cover in the sense of Davis and Januszkiewicz: each
 cell is one permutahedron, glued to its neighbours by the identity on the
@@ -12,8 +12,10 @@ ids run codimension first, so sorting a top's class ids puts its vertices
 in flag order, the empty chain first; every statement below reads a flag
 in that order.  Each claim that ``realization_map`` and
 ``verify_realization`` check on K is restated here as a check on the
-template, which is small, and a check on the cell arrays (sigma, g) and
-the glue table, which is one gather per facet slot.
+template, which is small, and a check on the cover's pairs x = (tuple,
+sigma), with their lifts g0 and glue pi_w, one gather per facet slot: the
+cells over x are (x, g0(x) + h), h in the even group H, and cross F_w to
+cells over pi_w x (``CoverComplex``).
 
 *Closed pseudomanifold.*  An (n-1)-simplex of K is a flag of one cell with
 one chain dropped.  If the dropped chain c_k is not the empty one, every
@@ -50,9 +52,9 @@ of the flag's color permutation times that of its insertion order.  Two
 flags across an interior template face drop the same position, so
 epsilon is coherent there when tau flips; across F_w the same flag meets
 itself in the cell glued across w, so epsilon is coherent there when the
-parity of g flips.  ``cover_is_oriented`` checks both.  The second also
-follows from the covering check, whose base gluing changes g by one
-generator.
+parity of g flips, that is the parity of g0 across every pair edge.
+``cover_is_oriented`` checks both.  The second also follows from the
+covering check: the parity of g0 is the part of sigma, which flips.
 
 *Well-definedness.*  A class of (cell, chain) maps to the face of sigma
 spanned by the colors of the chain's least subset w_1 (all colors for the
@@ -60,8 +62,8 @@ empty chain).  Its members are reached by crossings across subsets of the
 chain, all of which contain w_1, so the image is the same on every member
 exactly when crossing any F_w keeps the face of sigma spanned by w:
 ``check_well_defined`` compares those faces, as vertices of the subdivided
-base, across every glue entry.  Along a flag the least subsets shrink, so
-the images are nested faces; that is checked on the template.
+base, across every pair glue entry.  Along a flag the least subsets
+shrink, so the images are nested faces; that is checked on the template.
 
 *Chain identity.*  In color coordinates a flag's image depends on the flag
 alone: the color sets W_0 = all colors, W_k = the least subset of c_k.  The
@@ -72,7 +74,7 @@ subdivided sigma in that order.  The template flags are pushed onto the
 pushforward of K to a flag of sigma is then the template coefficient times
 the signed count of the cells over sigma in each component, so the
 coefficients, the bare counts and the checks of ``verify_realization`` are
-taken per (component, sigma) from one ``bincount``.
+taken per (component, sigma) from one ``bincount`` over the pairs.
 """
 
 from __future__ import annotations
@@ -157,16 +159,17 @@ def template_is_surface(t: FlagTemplate) -> bool:
 def cover_is_oriented(cover: CoverComplex, t: FlagTemplate) -> bool:
     """Is epsilon(cell, f) = (-1)^|g| tau(f) a coherent orientation of the
     cover's triangulation?  tau must flip across every interior face of the
-    template, and the parity of g across every glue entry, one gather per
-    facet slot."""
+    template, and the parity of g0 across every pair glue entry, one
+    gather per facet slot (implied by the parity and part checks of
+    ``verify_covering``)."""
     facet, counts = t.facets
     interior = facet[:, 1:].ravel()
     turn = np.bincount(interior, weights=np.repeat(t.sign, t.n),
                        minlength=len(counts))
     if turn[interior].any():
         return False
-    odd = parity_signs(t.n)[cover.g] < 0
-    return all((np.take(odd, column) != odd).all() for column in cover.pc.glue.T)
+    odd = parity_signs(t.n)[cover.g0] < 0
+    return all((np.take(odd, column) != odd).all() for column in cover.pairs.glue.T)
 
 
 def class_counts(t: FlagTemplate, num_cells: int) -> list[int]:
@@ -189,25 +192,27 @@ def check_well_defined(cover: CoverComplex, t: FlagTemplate,
     names: the lowest class of the first chain (w) whose two members image
     to different faces.
 
-    That class id is read off the glue column of w, as ``face_classes``
-    numbers it: the cells come first, one class each, then the classes of
-    the chains (w), cells / 2 per chain in slot order, and a chain's
-    classes rank by their lowest cells.  The lowest split cell is the
-    lowest of its class, since its partner is split as well.
+    A cell is split when its pair is, so the lowest split cell is x |H|,
+    x the lowest split pair.  Its class id is read off the pair glue column
+    of w, as ``face_classes`` numbers it: the cells come first, one class
+    each, then the classes of the chains (w), cells / 2 per chain in slot
+    order, and a chain's classes rank by their lowest cells.  The lowest
+    split cell is the lowest of its class, since its partner is split as
+    well, and |H| classes rank below it per pair y < x with pi_w y > y.
     """
     nested = (t.colors[:, 1:] & ~t.colors[:, :-1]) == 0
     if not nested.all():
         f = int(np.flatnonzero(~nested.all(axis=1))[0])
         raise NotWellDefinedError(
             f"template flag {f} has non-nested image faces")
-    cells = cover.num_cells
-    for slot, w in enumerate(cover.pc.subsets):
-        column = cover.pc.glue[:, slot]
-        image = vertex[:, w][cover.sigma]
+    cells, size = cover.num_cells, 1 << len(cover.basis)
+    for slot, w in enumerate(cover.pairs.subsets):
+        column = cover.pairs.glue[:, slot]
+        image = vertex[:, w][cover.pair_sigma]
         split = np.take(image, column) != image
         if split.any():
             low = int(np.argmax(split))
-            rank = np.count_nonzero(column[:low] > np.arange(low))
+            rank = size * np.count_nonzero(column[:low] > np.arange(low))
             cid = cells + slot * (cells // 2) + rank
             raise NotWellDefinedError(
                 f"face class {cid} with chain {(w,)} has 2 distinct images")
@@ -246,9 +251,10 @@ def push_forward(cover: CoverComplex, t: FlagTemplate, vertex: np.ndarray,
     flag, so a component's coefficient there is the template sign times
     the signed count of its cells over sigma, and its bare count is the
     plain count.  Compared with the base cycle, the coefficient over each
-    flag of sigma must be the component's degree times the base sign.  The
-    components are the cover's labels (``CoverComplex.components``): one
-    for a built component, searched on the glue table for the full set.
+    flag of sigma must be the component's degree times the base sign.
+    Counted on the pairs: the cells over x have the sign of g0(x), and a
+    pair component C of rank r (``CoverComplex.components``) carries
+    2^(rank H - r) alike cell components with 2^r cells over each pair.
     """
     if not oriented:
         raise NonOrientableError(
@@ -277,14 +283,16 @@ def push_forward(cover: CoverComplex, t: FlagTemplate, vertex: np.ndarray,
             f"simplex {s}", witness=None)
     unit_of_top = per_top[:, 0]
 
-    # fibres and signed fibres per (component, sigma) key
-    component = cover.components
-    num_components = int(component.max()) + 1
-    keys, inverse = np.unique(component * count + cover.sigma,
+    # per (pair component, sigma): the fibres of each cell component over it
+    label, rank = cover.components
+    num_components = len(rank)
+    copies = 1 << (len(cover.basis) - rank)
+    keys, inverse = np.unique(label * count + cover.pair_sigma,
                               return_inverse=True)
-    fiber = np.bincount(inverse)
-    signed = np.bincount(inverse, weights=parity_signs(n)[cover.g]).astype(np.int64)
     key_comp, key_top = np.divmod(keys, count)
+    fiber = np.bincount(inverse) << rank[key_comp]
+    signed = np.bincount(inverse, weights=parity_signs(n)[cover.g0]).astype(
+        np.int64) << rank[key_comp]
     value = signed * unit_of_top[key_top]
     at_first = key_top == 0
     degree = np.bincount(key_comp[at_first], weights=value[at_first],
@@ -296,19 +304,20 @@ def push_forward(cover: CoverComplex, t: FlagTemplate, vertex: np.ndarray,
     if failed.any():
         comp = int(np.flatnonzero(failed)[0])
         mine = key_comp == comp
-        _raise_component_failure(comp, key_top[mine], value[mine],
-                                 signed[mine], fiber[mine], colors, t,
-                                 unit, expected, base_flags)
+        _raise_component_failure(int(copies[:comp].sum()), key_top[mine],
+                                 value[mine], signed[mine], fiber[mine],
+                                 colors, t, unit, expected, base_flags)
 
     flip = np.where(degree < 0, -1, 1)
-    component_degrees = np.abs(degree).tolist()
+    component_degrees = np.repeat(np.abs(degree), copies).tolist()
     total = sum(component_degrees)
-    pushed = np.bincount(key_top, weights=signed * flip[key_comp],
+    pushed = np.bincount(key_top, weights=signed * (flip * copies)[key_comp],
                          minlength=count)
     if not (pushed * unit_of_top == total).all():
         raise DegreeNotConstantError("chain identity failed after normalization",
                                      witness=None)
-    covered = np.bincount(key_top, weights=fiber, minlength=count).astype(np.int64)
+    covered = np.bincount(key_top, weights=fiber * copies[key_comp],
+                          minlength=count).astype(np.int64)
     image_counts = {flag: k for flag, k in zip(
         map(tuple, base_flags.reshape(-1, n + 1).tolist()),
         np.repeat(covered, len(t.orders)).tolist()) if k}

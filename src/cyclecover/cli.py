@@ -9,17 +9,17 @@ The chain: validate the input, color it (by barycentric subdivision when it
 carries no coloring), orient it, build the colored bundle and the Tomei
 base, check the canonical involutions and count the compatible ones once,
 build the full cover set or one component, and check that it covers the
-base.  The covering is certified on the cover's monodromy, without making
-a cell: the permutations of the (tuple, simplex) pairs that the facet
-crossings induce, and the holonomy group of g along them
-(``covering.verify_covering``); the base's face classes are built, so
+base.  Every claim is certified on the cover's monodromy, without making a
+cell: the permutations of the (tuple, simplex) pairs that the facet
+crossings induce, the lift g0 of each pair and the holonomy group H of g
+along them.  The covering check (``covering.verify_covering``) shows that
 every face class of the cover has 2^k members in codimension k.  The
-claims after that (closed pseudomanifold, Euler characteristic, surface,
-orientation, well-definedness, chain identity) are certified on the flag
-template of one permutahedron and the cover's cell arrays, expanded in
-closed form (``certificate``), with the cover's class counts in closed
-form; the cover's face classes are never built, and the cover itself is
-never triangulated.
+claims after it (closed pseudomanifold, Euler characteristic, surface,
+orientation, well-definedness, chain identity, fibres) are certified on
+the flag template of one permutahedron and the pairs (``certificate``),
+with the cover's class counts in closed form.  The cover's cells are
+expanded only for ``cover --out`` and ``cover --cells-out``; its face
+classes are never built, and it is never triangulated.
 
 Exit codes: 0 all enabled checks pass, 1 a check failed or a cap was hit,
 2 usage or input errors.
@@ -222,8 +222,7 @@ def verify_pipeline(complex, coloring, orientation,
     }
 
     base = build_tomei(n)
-    base_classes = face_classes(base)
-    base_euler = euler_characteristic(base, base_classes)
+    base_euler = euler_characteristic(base)
     claims.check("Tomei base complex built",
                  base.num_cells == 1 << n,
                  f"2^{n} cells, euler characteristic {base_euler}")
@@ -266,7 +265,7 @@ def verify_pipeline(complex, coloring, orientation,
     report["component_cells"] = cover.num_cells
 
     try:
-        covering = verify_covering(cover, base, base_classes)
+        covering = verify_covering(cover, base)
         claims.check("projection to the Tomei base is a covering",
                      True, f"degree {covering.degree}")
         report["covering_degree"] = covering.degree
@@ -282,8 +281,8 @@ def verify_pipeline(complex, coloring, orientation,
 def _certify_realization(claims: Claims, report: dict, cover, degree: int,
                          base_euler: int, full: bool) -> None:
     """The claims after the covering check, each certified on the flag
-    template of one permutahedron and on the cover's cell arrays
-    (``certificate``), never on a triangulation of the cover.  Stops at the
+    template of one permutahedron and on the cover's pairs
+    (``certificate``), never on its cells or a triangulation.  Stops at the
     first failed claim, except that a non-orientable cover goes on to fail
     the pushforward claim as well."""
     bundle = cover.cp
@@ -340,7 +339,7 @@ def _certify_realization(claims: Claims, report: dict, cover, degree: int,
                      False, str(e))
         return
 
-    fibers = np.bincount(cover.sigma, minlength=bundle.top_count)
+    fibers = np.bincount(cover.pair_sigma, minlength=bundle.top_count) << len(cover.basis)
     claims.check("realization degree equals the cell fiber over every base "
                  "simplex", bool((fibers == real.degree).all()),
                  f"fiber {real.degree} over {bundle.top_count} simplices")

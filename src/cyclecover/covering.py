@@ -21,32 +21,30 @@ a time, conjugating every distinct pair of involutions in a chunk with one
 gather, and lay the result out as gather tables indexed by tuple.  A whole
 set of pairs then crosses every facet in one array gather.
 
-A component is numbered over the dense (tuple, sigma) pair index, level by
-level from its seed pair, in breadth-first order, and each pair x gets the g
-value g0(x) it is first reached with along the search tree.  The holonomy
-g0(x) + gen[w] + g0(pi_w x) of every edge spans a subgroup H of the even
-part of (Z_2)^n, kept as a reduced-echelon basis.  The component is then the
-cells (x, g0(x) + h), h in H, no more and no fewer: its size |X| |H| is
-known before any cell is made.  The full cover set is every pair in
-(sigma, tuple) order, with g0 = 0 on plus simplices and 1 on minus ones; its
-H is the whole even part.
+A component numbers its pairs X in breadth-first order from its seed, each
+pair x with the g value g0(x) it is first reached with.  The holonomies
+g0(x) + gen[w] + g0(pi_w x) of the edges span a subgroup H of the even part
+of (Z_2)^n, kept as a reduced-echelon basis, and the component is the cells
+(x, g0(x) + h), h in H: |X| |H| cells, known before any is made.  The full
+cover set has every pair, in (sigma, tuple) order, with g0 = 0 on plus
+simplices and 1 on minus ones, and H the whole even part.
 
-The covering is certified on this monodromy (``verify_covering``), and the
-cell arrays and the cell glue table are expanded in closed form, only when
-something reads them: cell (x, i) of a cover is (x, g0(x) + h_i), with h_i
-the i-th element of H in ascending order.
+The covering (``verify_covering``) and the realization (``certificate``)
+are certified on this monodromy.  The cell arrays and the cell glue are
+expanded in closed form for the writers and the test oracles only: cell
+(x, i) is (x, g0(x) + h_i), h_i the i-th element of H in ascending order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
 
-from .cells import FaceClasses, PermutahedralComplex, cell_components, face_classes
+from .cells import PermutahedralComplex, face_classes
 from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
 from .involutions import (
     canonical_involution,
@@ -55,7 +53,7 @@ from .involutions import (
     predicted_multiplicity,
 )
 from .permutahedron import mask_elements, proper_subsets
-from .pseudomanifold import ColoredPseudomanifold
+from .pseudomanifold import ColoredPseudomanifold, lowest_labels
 from .tomei import build_tomei, generators
 
 DEFAULT_MAX_CELLS = 10 ** 6
@@ -311,9 +309,9 @@ class CoverComplex:
 
     Cell ``x * |H| + i`` is (x, g0[x] + h_i), h_i the i-th element of H in
     ascending order.  ``sigma``, ``tuple_id``, ``g`` and the permutahedral
-    complex ``pc`` of the cells are expanded in closed form on first use.
-    ``connected`` says the cells are one component, as ``build_component``
-    makes them.
+    complex ``pc`` of the cells are expanded in closed form on first use,
+    by the writers and the test oracles only.  ``connected`` says the
+    cells are one component, as ``build_component`` makes them.
     """
 
     cp: ColoredPseudomanifold
@@ -355,12 +353,33 @@ class CoverComplex:
                                     cells.reshape(self.num_cells, -1))
 
     @cached_property
-    def components(self) -> np.ndarray:
-        """The component of every cell, numbered by lowest cell: all 0 for
-        a component, searched on the glue table otherwise."""
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(label, rank)``: the component C of every pair, numbered by
+        lowest pair, and the rank of each C's group H_C of the g gained
+        around its loops.  H_C splits the cells over C into |H| / |H_C|
+        components of |H_C| cells over each pair of C, numbered in a row by
+        lowest cell, as each meets the cells over the lowest pair of C.
+
+        For one component H_C is H.  Otherwise g0 is lifted anew along a
+        spanning forest, which ``lowest_labels`` hooks whatever the flips,
+        one sign per bit; an edge's holonomy is then the g gained around the
+        loop that it closes with the forest, and H_C their span.
+        """
         if self.connected:
-            return np.zeros(self.num_cells, dtype=np.int64)
-        return cell_components(self.pc)
+            return (np.zeros(self.pairs.num_cells, dtype=np.int64),
+                    np.array([len(self.basis)]))
+        n, glue = self.cp.n, self.pairs.glue
+        hol = holonomy(self.g0, glue, n)
+        lift = np.zeros(len(glue), dtype=np.int32)
+        for bit in range(n):
+            root, sign = lowest_labels(glue, (1 - 2 * (hol >> bit & 1)).astype(np.int8))
+            lift |= (sign < 0).astype(np.int32) << bit
+        hol ^= lift[:, None] ^ np.take(lift, glue)
+        label = np.unique(root, return_inverse=True)[1]
+        comp, value = np.divmod(np.unique(label[:, None] << n | hol), 1 << n)
+        rank_of = cache(lambda values: len(span_basis(values)))
+        sets = np.split(value, np.flatnonzero(np.diff(comp)) + 1)
+        return label, np.array([rank_of(tuple(s.tolist())) for s in sets])
 
 
 def _cover(reg: InvolutionRegistry, t: np.ndarray, sigma: np.ndarray,
@@ -469,15 +488,14 @@ class CoveringReport:
 
 
 def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
-                           base: PermutahedralComplex,
-                           base_classes: FaceClasses | None = None) -> CoveringReport:
+                           base: PermutahedralComplex) -> CoveringReport:
     """Certify that a cell map is a covering of permutahedral complexes.
 
     ``projection[i]`` is the base cell under cover cell i (the permutahedron
     coordinate maps by the identity).  Checks, in order: the projection
     commutes with every facet crossing; fibers over cells are constant with
-    integral degree.  The base's face classes are built, or handed in,
-    which checks that each of codimension k has 2^k members.
+    integral degree.  The base's face classes are built, which checks that
+    each of codimension k has 2^k members.
 
     Face classes then need no check on the cover.  Both complexes passed
     the constructor's check: their gluings are fixed-point-free involutions
@@ -522,14 +540,12 @@ def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
         raise NotACoveringError(
             f"cell fibers are not constant: {dict(Counter(proj.tolist()))}")
 
-    if base_classes is None:
-        face_classes(base)  # raises unless every class has 2^k members
+    face_classes(base)  # raises unless every class has 2^k members
     return CoveringReport(degree, dict(enumerate(fibers.tolist())))
 
 
 def verify_covering(cover: CoverComplex,
-                    base: PermutahedralComplex | None = None,
-                    base_classes: FaceClasses | None = None) -> CoveringReport:
+                    base: PermutahedralComplex | None = None) -> CoveringReport:
     """Certify that forgetting (sigma, tuple) is a covering of the Tomei
     manifold, on the cover's monodromy, without making a cell.
 
@@ -546,9 +562,11 @@ def verify_covering(cover: CoverComplex,
     - H, given by its basis, is the span of the holonomies
       hol(x, w) = g0(x) + gen[w] + g0(pi_w x), so the basis is the
       reduced-echelon one that the fibre count took it to be;
-    - the base glues g to g + gen[w] across F_w;
-    - the base's face classes have 2^k members in codimension k: built
-      here, or handed in.
+    - the base glues g to g + gen[w] across F_w.
+
+    The last gives the base's classes: that of (g, w_1 < ... < w_k) is
+    g + span{gen[w_i]}, and nested subsets have distinct sizes, so the
+    gen[w_i] = e_|w_i| are distinct generators and the class has 2^k members.
 
     These give every claim ``verify_cell_projection`` checks on the cells.
     Parity: each hol(x, w) is even, since g0 matches the part and the part
@@ -604,7 +622,4 @@ def verify_covering(cover: CoverComplex,
     if base.num_cells != 1 << n or (
             base.glue != np.arange(1 << n)[:, None] ^ generators(n)).any():
         raise NotACoveringError("the base is not glued as the Tomei manifold")
-
-    if base_classes is None:
-        face_classes(base)  # raises unless every class has 2^k members
     return CoveringReport(int(fibers[0]), dict(enumerate(fibers.tolist())))

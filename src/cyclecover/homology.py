@@ -171,12 +171,12 @@ def _integer_matrix(matrix) -> np.ndarray:
     return m
 
 
-def smith_normal_form(matrix, verify: bool = True) -> SmithForm:
+def smith_normal_form(matrix) -> SmithForm:
     """Reduce an integer matrix to Smith normal form.
 
     The reduction runs on int64 while every entry stays below 2^31 and
     restarts over Python integers when one does not; the result is the
-    same either way.  With ``verify`` the factorization is recomputed by
+    same either way.  The factorization is then recomputed by
     multiplication and the divisibility chain of the diagonal is checked.
     """
     m = _integer_matrix(matrix)
@@ -188,13 +188,12 @@ def smith_normal_form(matrix, verify: bool = True) -> SmithForm:
         d, u, v = _reduce(m.astype(object))
 
     result = SmithForm(d, u, v)
-    if verify:
-        if not np.array_equal(_product(u, m, v), d):
-            raise AssertionError("Smith transform verification failed")
-        divisors = result.divisors
-        for small, large in zip(divisors, divisors[1:]):
-            if large % small:
-                raise AssertionError("Smith divisibility chain broken")
+    if not np.array_equal(_product(u, m, v), d):
+        raise AssertionError("Smith transform verification failed")
+    divisors = result.divisors
+    for small, large in zip(divisors, divisors[1:]):
+        if large % small:
+            raise AssertionError("Smith divisibility chain broken")
     return result
 
 
@@ -288,8 +287,7 @@ def _minus_product(base: np.ndarray, row: np.ndarray, col: np.ndarray,
     return out
 
 
-def _schur(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-           verify: bool) -> np.ndarray:
+def _schur(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     p = len(rows)
     row_at = np.full(m.shape[0], -1)
     row_at[rows] = np.arange(p)
@@ -316,30 +314,30 @@ def _schur(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
     a = m[np.ix_(rows, other_cols)]
     x = _forward_substitute(pi[~on_diag], pj[~on_diag], pv[~on_diag], diag, a)
-    if verify and np.count_nonzero(_minus_product(a, pi, pj, pv, x)):
+    if np.count_nonzero(_minus_product(a, pi, pj, pv, x)):
         raise AssertionError("pivot solve verification failed: P X != A")
     e = m[np.ix_(other_rows, other_cols)]
     b_row = np.searchsorted(other_rows, r[~in_p])
     return _minus_product(e, b_row, c[~in_p], v[~in_p], x)
 
 
-def schur_complement(m: np.ndarray, rows, cols, verify: bool = True) -> np.ndarray:
+def schur_complement(m: np.ndarray, rows, cols) -> np.ndarray:
     """The Schur complement S = E - B P^-1 A of the pivot block
     P = M[rows, cols], in the block form M = [[P, A], [B, E]] whose other
     rows and columns keep their order.  P must be lower triangular with a
     ±1 diagonal, which is checked, so that M and diag(I_p, S) have the same
     Smith form.  The work runs on int64 while the bounds allow and restarts
-    over Python integers when one does not; with ``verify`` the solve
-    X = P^-1 A is checked by multiplication.
+    over Python integers when one does not; the solve X = P^-1 A is
+    checked by multiplication.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     try:
         if _max_abs(m) >= _BOUND:
             raise _Overflow
-        return _schur(m.astype(np.int64, copy=False), rows, cols, verify)
+        return _schur(m.astype(np.int64, copy=False), rows, cols)
     except _Overflow:
-        return _schur(m.astype(object), rows, cols, verify)
+        return _schur(m.astype(object), rows, cols)
 
 
 @dataclass
@@ -360,7 +358,7 @@ class ReducedSmithForm:
         return [1] * self.pivots + self.schur.divisors
 
 
-def reduced_smith_form(matrix, verify: bool = True) -> ReducedSmithForm:
+def reduced_smith_form(matrix) -> ReducedSmithForm:
     """Rank and divisors of an integer matrix by unit-pivot elimination and
     the Smith form of what is left.  The pivots are peeled from the matrix
     and from its transpose, whose Smith form is the same, and the side with
@@ -370,9 +368,9 @@ def reduced_smith_form(matrix, verify: bool = True) -> ReducedSmithForm:
     t_rows, t_cols = unit_pivots(m.T)
     if len(t_rows) > len(rows):
         m, rows, cols = m.T, t_rows, t_cols
-    s = schur_complement(m, rows, cols, verify)
+    s = schur_complement(m, rows, cols)
     s = s[np.ix_(np.count_nonzero(s, axis=1) > 0, np.count_nonzero(s, axis=0) > 0)]
-    return ReducedSmithForm(len(rows), smith_normal_form(s, verify))
+    return ReducedSmithForm(len(rows), smith_normal_form(s))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,7 @@ class HomologyGroup:
         return NotImplemented
 
 
-def homology(c: AbstractComplex, verify: bool = True,
+def homology(c: AbstractComplex,
              max_entries: int | None = None) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
@@ -461,7 +459,7 @@ def homology(c: AbstractComplex, verify: bool = True,
                 f"{counts[k]} x {counts[k]} matrix, {counts[k] ** 2} entries, "
                 f"over the cap of {max_entries}", max_entries, counts[k] ** 2)
     mats = boundary_matrices(c)
-    forms = [reduced_smith_form(m, verify) for m in mats]
+    forms = [reduced_smith_form(m) for m in mats]
     groups = []
     for k in range(c.n + 1):
         rank_in = forms[k].rank
@@ -471,8 +469,8 @@ def homology(c: AbstractComplex, verify: bool = True,
     return groups
 
 
-def betti_numbers(c: AbstractComplex, verify: bool = True) -> list[int]:
-    return [g.betti for g in homology(c, verify)]
+def betti_numbers(c: AbstractComplex) -> list[int]:
+    return [g.betti for g in homology(c)]
 
 
 def fundamental_class(c: AbstractComplex,

@@ -1,12 +1,11 @@
 """Helpers that only the tests use: the search that enumerates one
 permutahedron's faces and flags, kept as the oracle for its closed-form
 flag template, walks of its face lattice, its barycentric triangulation, a
-cover's cells as triples and a copy with tampered cells, loaders for
+cover's cells as triples, loaders for
 cell-complex and cover documents, a DOT export of the facet-dual graph,
 the suspended cycle, and the benchmark's input generators."""
 
 import importlib.util
-from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
@@ -147,15 +146,6 @@ class CoverCell(NamedTuple):
     sigma: int
     tuple_id: int
     g: int
-
-
-def with_cells(cover, **arrays):
-    """A copy of the cover whose expanded cell arrays (``sigma``,
-    ``tuple_id``, ``g``, ``pc``) are the given ones where given: the planted
-    defects of the checks that read the cells."""
-    copy = replace(cover)
-    vars(copy).update(arrays)
-    return copy
 
 
 def cover_cells(cover) -> list[CoverCell]:

@@ -1,18 +1,21 @@
 """The factored realization certificate against the triangulation path.
 
 ``verify_pipeline`` certifies the claims after the covering check on the
-flag template of one permutahedron and on the cover's cell arrays
+flag template of one permutahedron and on the cover's pairs
 (``cyclecover.certificate``).  ``triangulation_tail`` below is the tail it
 replaced: it triangulates the cover and runs ``validate_pseudomanifold``,
 ``verify_surface``, ``orient``, ``realization_map`` and
 ``verify_realization`` on the triangulation.  Swapped into the pipeline, it
 is the oracle: both paths must write the same report bytes, and a planted
-defect must make the same claim the first failure on both.
+defect must make the same claim the first failure on both.  Defects are
+planted in the pairs, so the oracle's cells are expanded from the tampered
+pairs.
 """
 
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs, with_cells
+from extra_api import benchmark_inputs
 from cyclecover import cli, corpus, formats, realization
 from cyclecover.cells import (
     cell_components,
@@ -300,7 +303,8 @@ def test_counts_checksum_of_hand_made_tables(image_counts):
 # planted defects: the same claim fails first on both paths
 
 def _after_covering(m, tamper):
-    """Let the covering check pass, then tamper with the cover arrays."""
+    """Let the covering check pass, then tamper with the cover's pair
+    arrays, before anything expands its cells."""
     genuine = cli.verify_covering
 
     def covering_then_tamper(cover, *args):
@@ -312,13 +316,13 @@ def _after_covering(m, tamper):
 
 
 def _antipodal_sigma(cover):
-    # the antipodal triangle of the octahedron, as in
+    # the antipodal triangle of the octahedron under pair 0, as in
     # test_vertex_map_rejects_inconsistent_cells
-    cover.sigma[0] ^= 0b111
+    cover.pair_sigma[0] ^= 0b111
 
 
 def _odd_g(cover):
-    cover.g[0] ^= 1
+    cover.g0[0] ^= 1
 
 
 def tamper_sigma(m):
@@ -396,9 +400,10 @@ DEFECTS = {
     "tau": (flip_tau,
             _oracle_orientation(lambda tri: template_flag_of_tops(tri) == 0),
             "cover is orientable"),
-    # every flag of cell 0 has the wrong sign
+    # every flag of cells 0 and 1, the cells over pair 0 of the full
+    # octahedron cover (|H| = 2), has the wrong sign
     "parity": (flip_parity,
-               _oracle_orientation(lambda tri: tri.cell_of_top == 0),
+               _oracle_orientation(lambda tri: tri.cell_of_top < 2),
                "cover is orientable"),
 }
 
@@ -522,35 +527,65 @@ def test_push_forward_matches_verify_realization(covers, name):
          want.nondegenerate_flags, want.image_counts)
 
 
-def test_well_definedness_names_the_class_realization_map_names(covers):
-    cover = covers["octahedron"]
-    sigma = cover.sigma.copy()
-    sigma[0] ^= 0b111
-    broken = with_cells(cover, sigma=sigma)
+def with_pair_sigma(cover, pair, top):
+    """A copy of the cover with pair ``pair`` over top simplex ``top``:
+    its cells, expanded on first read, lie over ``top`` too."""
+    sigma = cover.pair_sigma.copy()
+    sigma[pair] = top
+    return replace(cover, pair_sigma=sigma)
+
+
+def well_definedness_failures(cover, broken):
+    """The messages of ``realization_map`` on the expanded cells of the
+    broken cover and of ``check_well_defined`` on its pairs."""
     classes = face_classes(cover.pc)
     with pytest.raises(NotWellDefinedError, match="distinct images") as oracle:
         realization_map(broken, classes)
     with pytest.raises(NotWellDefinedError) as factored:
-        check_well_defined(broken, flag_template(2), vertex_table(cover.cp))
-    assert str(factored.value) == str(oracle.value)
+        check_well_defined(broken, flag_template(cover.cp.n),
+                           vertex_table(cover.cp))
+    return str(factored.value), str(oracle.value)
+
+
+def test_well_definedness_names_the_class_realization_map_names(covers):
+    cover = covers["octahedron"]
+    broken = with_pair_sigma(cover, 0, cover.pair_sigma[0] ^ 0b111)
+    factored, oracle = well_definedness_failures(cover, broken)
+    assert factored == oracle
+
+
+def test_well_definedness_names_the_class_above_a_lowest_pair(covers):
+    # C4*C6 has |H| = 4 cells over each pair: the split pair is not pair 0,
+    # so the class rank counts |H| classes per lower pair that is glued up
+    cover = covers["join"]
+    assert len(cover.basis) == 2
+    broken = with_pair_sigma(cover, 100, cover.pair_sigma[7])
+    factored, oracle = well_definedness_failures(cover, broken)
+    assert factored == oracle
+    cid, w = map(int, re.fullmatch(
+        r"face class (\d+) with chain \((\d+),\) has 2 distinct images",
+        factored).groups())
+    cells = cover.num_cells
+    rank = cid - cells - cover.pairs.subsets.index(w) * (cells // 2)
+    assert rank > 0 and rank % 4 == 0
 
 
 def test_push_forward_rejects_a_fibre_that_varies(covers):
     # no cell over triangle 3, twice as many over triangle 5 (same part)
     cover = covers["octahedron"]
-    sigma = cover.sigma.copy()
+    sigma = cover.pair_sigma.copy()
     sigma[sigma == 3] = 5
     with pytest.raises(DegreeNotConstantError, match="component 0 hits"):
-        push_forward(with_cells(cover, sigma=sigma), flag_template(2),
+        push_forward(replace(cover, pair_sigma=sigma), flag_template(2),
                      vertex_table(cover.cp), oriented=True)
 
 
 def test_orientation_check_catches_a_parity_or_template_flip(covers):
     cover = covers["octahedron"]
     template = flag_template(2)
-    g = cover.g.copy()
-    g[3] ^= 0b10
-    assert not cover_is_oriented(with_cells(cover, g=g), template)
+    g0 = cover.g0.copy()
+    g0[1] ^= 0b10  # the cells 2 and 3 over pair 1
+    assert not cover_is_oriented(replace(cover, g0=g0), template)
     sign = template.sign.copy()
     sign[5] = -sign[5]
     assert not cover_is_oriented(cover, replace(template, sign=sign))

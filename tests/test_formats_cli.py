@@ -610,25 +610,68 @@ def test_report_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+CELL_ARRAYS = ("sigma", "tuple_id", "g", "pc")
+
+
+def forbid(monkeypatch, names=CELL_ARRAYS):
+    """Make the named ``CoverComplex`` properties raise when read."""
+    def expanded(cover):
+        raise AssertionError("cell arrays expanded")
+
+    for name in names:
+        monkeypatch.setattr(covering.CoverComplex, name, property(expanded))
+
+
+def join_path(tmp_path, a, b):
+    path = tmp_path / f"join{a}x{b}.json"
+    path.write_text(json.dumps(extra_api.benchmark_inputs().cycle_join(a, b)))
+    return path
+
+
 @pytest.mark.parametrize("name", ["octahedron", "join C4*C10"])
 def test_cover_never_expands_the_cells(name, monkeypatch, capsys, tmp_path):
     # ``cover`` without --out or --cells-out certifies and counts the cover
     # on its pairs: the cell arrays and the cell glue are never made
-    if name == "octahedron":
-        path = CORPUS_DIR / "octahedron.json"
-    else:
-        path = tmp_path / "join.json"
-        path.write_text(json.dumps(extra_api.benchmark_inputs().cycle_join(2, 5)))
+    path = (CORPUS_DIR / "octahedron.json" if name == "octahedron"
+            else join_path(tmp_path, 2, 5))
     argv = ["cover", "--input", str(path), "--max-cells", "1000000"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-
-    def expanded(cover):
-        raise AssertionError("cell arrays expanded")
-
-    for array in ("sigma", "tuple_id", "g", "pc", "components"):
-        monkeypatch.setattr(covering.CoverComplex, array, property(expanded))
+    forbid(monkeypatch, CELL_ARRAYS + ("components",))
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
     assert expected == {"octahedron": "cover: 16 cells, covering degree 4\n",
                         "join C4*C10": "cover: 20000 cells, covering degree 2500\n"}[name]
+
+
+@pytest.mark.parametrize("mode", ["verify", "report"])
+@pytest.mark.parametrize("name", ["octahedron", "boundary_delta3",
+                                  "rp2_minimal", "join C4*C6"])
+def test_verify_never_expands_the_cells(name, mode, monkeypatch, capsys, tmp_path):
+    # every claim is certified on the pairs: the full octahedron set (64
+    # components), a built component, an input that fails before any cover
+    # is built, and a component at n = 3
+    path = (join_path(tmp_path, 2, 3) if name == "join C4*C6"
+            else CORPUS_DIR / f"{name}.json")
+
+    def run(out):
+        code = main([mode, "--input", str(path), "--out", str(out)])
+        texts = [out.with_suffix(".txt").read_bytes()] if mode == "report" else []
+        return code, capsys.readouterr().out, out.read_bytes(), texts
+
+    expected = run(tmp_path / "expanding.json")
+    forbid(monkeypatch)
+    assert run(tmp_path / "pairs.json") == expected
+    assert expected[0] == (1 if name == "rp2_minimal" else 0)
+
+
+def test_north_star_report_never_expands_the_cells(monkeypatch, capsys, tmp_path):
+    # sd(boundary delta4): 1,399,680 cells over 349,920 pairs
+    forbid(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["report", "--input", str(CORPUS_DIR / "boundary_delta4.json"),
+                 "--max-cells", "2000000", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["ok"]
+    assert (report["component_cells"], report["q_component"]) == (1399680, 11664)
+    assert "overall: PASS" in capsys.readouterr().out

@@ -351,7 +351,6 @@ def test_schur_complement_rejects_a_wrong_solve(monkeypatch):
                         lambda *args: solve(*args) + 1)
     with pytest.raises(AssertionError, match="P X != A"):
         schur_complement(m, rows, cols)
-    schur_complement(m, rows, cols, verify=False)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +403,6 @@ def test_homology_group_formatting():
     assert str(HomologyGroup(2, [2, 4])) == "Z + Z + Z/2 + Z/4"
     assert str(HomologyGroup(0, [])) == "0"
     assert str(HomologyGroup(1, [])) == "Z"
-
-
-def test_verify_flag_changes_nothing():
-    c = corpus.octahedron()[0]
-    assert homology(c, verify=False) == homology(c, verify=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ holonomy group H.
 
 The GF(2) span helpers are held to brute force; the expanded cells of the
 sd(boundary delta4) component to the crossings of the dict oracle; the
-builder's component labels to ``cell_components``; and every check of
+pair-level component labels and ranks, and the component numbers that
+``push_forward`` names, to ``cell_components``; and every check of
 ``verify_covering`` fails on a planted defect with its own error and
 message.
 """
@@ -21,13 +22,24 @@ from cyclecover.cells import PermutahedralComplex, cell_components
 from cyclecover.covering import (
     build_component,
     build_full,
+    holonomy,
     span_basis,
     span_elements,
     span_split,
     verify_covering,
 )
-from cyclecover.errors import InconsistentGluingError, NotACoveringError
-from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_complex
+from cyclecover.certificate import push_forward
+from cyclecover.errors import (
+    DegreeNotConstantError,
+    InconsistentGluingError,
+    NotACoveringError,
+)
+from cyclecover.permutahedron import flag_template
+from cyclecover.pseudomanifold import (
+    ColoredPseudomanifold,
+    colored_from_complex,
+    face_ids,
+)
 from cyclecover.tomei import build_tomei
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -116,21 +128,90 @@ def test_boundary_delta4_cells_are_the_crossings(delta4_component):
 # ---------------------------------------------------------------------------
 # component labels
 
+def colored_suspended_six_cycle():
+    """The suspended 6-cycle, colored 1, 2 round the cycle and 3 at the
+    apexes: its full cover set has 55,296 cells over 1,123 pair
+    components."""
+    simplices = [(i, (i + 1) % 6, apex) for apex in (6, 7) for i in range(6)]
+    return ColoredPseudomanifold(*formats.complex_from_dict({
+        "n": 2, "num_vertices": 8, "simplices": [list(s) for s in simplices],
+        "colors": [1, 2, 1, 2, 1, 2, 3, 3]})[:2])
+
+
+def expected_cell_components(cover):
+    """The cell component numbers that the pair-level ``(label, rank)``
+    gives the cells over each pair: a pair component of rank r carries
+    2^(rank H - r) cell components of equal size, numbered in a row after
+    those of the lower pair components."""
+    label, rank = cover.components
+    copies = 1 << (len(cover.basis) - rank)
+    first = np.cumsum(copies) - copies
+    return label, first, copies
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_component(ColoredPseudomanifold(*corpus.hexagon_cycle())),
     lambda: build_component(ColoredPseudomanifold(*corpus.octahedron())),
     lambda: build_component(colored_from_complex(corpus.boundary_delta(3))[0]),
     lambda: build_full(ColoredPseudomanifold(*corpus.octahedron())),
-], ids=["hexagon", "octahedron", "sd3", "octahedron full"])
+    lambda: build_full(colored_suspended_six_cycle()),
+], ids=["hexagon", "octahedron", "sd3", "octahedron full",
+        "suspended 6-cycle full"])
 def test_component_labels_are_cell_components(make):
     cover = make()
-    assert np.array_equal(cover.components, cell_components(cover.pc))
+    label, first, copies = expected_cell_components(cover)
+    size = 1 << len(cover.basis)
+    cells = cell_components(cover.pc)
+    assert cells.max() + 1 == copies.sum()
+    # the cells over pair component C take the numbers first[C], ...,
+    # first[C] + copies[C] - 1, each on |C| |H| / copies[C] cells
+    over = np.repeat(label, size)
+    offset = cells - first[over]
+    assert ((offset >= 0) & (offset < copies[over])).all()
+    sizes = np.bincount(cells)
+    pairs_in = np.bincount(label)
+    assert (sizes == np.repeat(pairs_in * size // copies, copies)).all()
+
+
+def test_suspended_six_cycle_splits_one_pair_component():
+    # the span of the holonomies of g0 over a pair component can be larger
+    # than the g its loops gain: one of the 1,123 pair components of this
+    # cover carries two cell components
+    cover = build_full(colored_suspended_six_cycle())
+    label, rank = cover.components
+    assert (cover.num_cells, len(rank)) == (55296, 1123)
+    split = np.flatnonzero(rank < len(cover.basis))
+    assert len(split) == 1 and rank[split[0]] == len(cover.basis) - 1
+    hol = holonomy(cover.g0, cover.pairs.glue, cover.cp.n)[label == split[0]]
+    assert span_basis(np.unique(hol).tolist()) == cover.basis
+    assert cell_components(cover.pc).max() + 1 == 1124
+
+
+def test_push_forward_names_the_cell_component_after_a_split():
+    # a fibre planted in the last pair component fails under the number of
+    # its first cell component, which counts both cell components of the
+    # split pair component before it
+    cover = build_full(colored_suspended_six_cycle())
+    label, rank = cover.components
+    last = len(rank) - 1
+    assert np.flatnonzero(rank < len(cover.basis))[0] < last
+    x = int(np.flatnonzero(label == last)[0])
+    first = int(cell_components(cover.pc)[x << len(cover.basis)])
+    assert first == last + 1
+    parts, sigma = cover.cp.parts, cover.pair_sigma.copy()
+    sigma[x] = next(s for s in range(cover.cp.top_count)
+                    if s != sigma[x] and parts[s] == parts[sigma[x]])
+    with pytest.raises(DegreeNotConstantError, match=f"^component {first} "):
+        push_forward(replace(cover, pair_sigma=sigma), flag_template(2),
+                     face_ids(cover.cp.by_color)[0], oriented=True)
 
 
 def test_boundary_delta4_component_labels(delta4_component):
     assert delta4_component.connected
     assert not cell_components(delta4_component.pc).any()
-    assert not delta4_component.components.any()
+    label, rank = delta4_component.components
+    assert not label.any()
+    assert rank.tolist() == [len(delta4_component.basis)] == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ cover cells over each base simplex, and for the full cover it equals
 """
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import with_cells
 from cyclecover import corpus
 from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DegreeNotConstantError, NotWellDefinedError
@@ -135,11 +135,12 @@ def test_vertex_images_hexagon(hex_cp):
 
 def test_vertex_map_rejects_inconsistent_cells(octa_cp):
     cover = build_component(octa_cp)
-    # relabel one cell's base simplex with the antipodal triangle: facet
-    # classes then straddle cells that share no vertex
-    sigma = cover.sigma.copy()
+    # relabel the base simplex of pair 0, and so of its cells, with the
+    # antipodal triangle: facet classes then straddle cells that share no
+    # vertex
+    sigma = cover.pair_sigma.copy()
     sigma[0] ^= 0b111
-    broken = with_cells(cover, sigma=sigma)
+    broken = replace(cover, pair_sigma=sigma)
     with pytest.raises(NotWellDefinedError, match="distinct images"):
         realization_map(broken)
 
