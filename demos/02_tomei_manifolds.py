@@ -1,55 +1,54 @@
 """The permutahedral cell structure of the Tomei manifolds.
 
-Builds the n-dimensional Tomei manifold as a cell complex of (n+1)!
-permutahedra glued along color-set facets, counts face classes, checks
-Euler characteristics, triangulates barycentrically, and computes integral
-homology.  The n = 2 member is the closed orientable surface of genus 2.
+M^n is 2^n permutahedra, one per g in (Z_2)^n, with facet F_w of cell g
+glued to facet F_w of cell g + e_|w|.  Its barycentric triangulation is one
+flag template, the flag triangulation of one permutahedron, repeated over
+the cells.  So M^n is certified on that template and the glue table, as the
+``tomei`` command certifies it: face classes counted in closed form, closed
+and connected, orientable, and at n = 2 a surface.  Only the n = 2 member is
+triangulated, to compute its integral homology: it is the closed orientable
+surface of genus 2.
 """
 
-from cyclecover.cells import (
-    euler_characteristic,
-    face_classes,
-    triangulate,
-    verify_surface,
+import numpy as np
+
+from cyclecover.cells import euler_of_counts, triangulate
+from cyclecover.certificate import (
+    class_counts,
+    is_oriented,
+    template_is_closed,
+    template_is_connected,
+    template_is_surface,
 )
 from cyclecover.homology import fundamental_class, homology
-from cyclecover.pseudomanifold import orient, validate_pseudomanifold
-from cyclecover.tomei import build_tomei
+from cyclecover.permutahedron import flag_template
+from cyclecover.tomei import build_tomei, glued_as_tomei
 
 
 def main():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         pc = build_tomei(n)
-        classes = face_classes(pc)
-        counts = classes.counts_by_codim()
-        chi = euler_characteristic(pc, classes)
-        print(f"n={n}: {pc.num_cells} permutahedra, face classes by "
-              f"codimension {counts}, Euler characteristic {chi}")
+        template = flag_template(n)
+        counts = class_counts(template, pc.num_cells)
+        print(f"n={n}: {pc.num_cells} permutahedra of {len(template.flags)} "
+              f"flags each, face classes by codimension {counts}, Euler "
+              f"characteristic {euler_of_counts(counts)}")
+        print(f"  glued as M^n: {glued_as_tomei(pc)}, "
+              f"closed: {template_is_closed(template)}, "
+              f"connected: {template_is_connected(template)}, orientable: "
+              f"{is_oriented(template, np.arange(pc.num_cells), pc.glue)}")
 
     print("\n== the surface member, n = 2 ==")
-    pc = build_tomei(2)
-    tri = triangulate(pc)
+    print(f"every vertex link one cycle: {template_is_surface(flag_template(2))}")
+    tri = triangulate(build_tomei(2))
     print(f"triangulation: {tri.complex.num_vertices} vertices, "
           f"{len(tri.complex.top_simplices)} triangles")
-    report = validate_pseudomanifold(tri.complex)
-    print(f"closed pseudomanifold: {report.ok}")
-    surface = verify_surface(tri)
-    print(f"surface checks (edge degrees, vertex links): {surface.ok}")
-    print(f"orientable: {len(orient(tri.complex))} coherently signed triangles")
     groups = homology(tri.complex)
     print("integral homology:",
           ", ".join(f"H_{k} = {g}" for k, g in enumerate(groups)))
     cycle = fundamental_class(tri.complex)
     print(f"fundamental cycle: {len(cycle)} triangles with signs "
           f"{sorted(set(cycle.tolist()))}")
-
-    print("\n== the 3-dimensional member ==")
-    pc = build_tomei(3)
-    tri = triangulate(pc)
-    report = validate_pseudomanifold(tri.complex)
-    print(f"triangulation: {len(tri.complex.top_simplices)} tetrahedra, "
-          f"closed: {report.ok}, coherently oriented: "
-          f"{len(orient(tri.complex))} signs")
 
 
 if __name__ == "__main__":

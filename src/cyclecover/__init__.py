@@ -8,7 +8,6 @@ from .cells import (
     euler_characteristic,
     face_classes,
     triangulate,
-    verify_surface,
 )
 from .covering import (
     CoverComplex,
@@ -98,5 +97,4 @@ __all__ = [
     "validate_pseudomanifold",
     "verify_covering",
     "verify_realization",
-    "verify_surface",
 ]

@@ -16,13 +16,20 @@ so a chain's gluings generate a quotient of (Z/2)^k and its orbits are
 closed by construction.  Their size, exactly 2^k, is checked, not assumed:
 a chain's classes are built from those of the chain without its last
 facet, and each class must join two different classes of that prefix.
+
+No command certifies a complex from its face classes or its triangulation:
+``verify`` and ``tomei`` read the flag template and the glue table
+(``certificate``), and count classes in closed form.  ``face_classes`` and
+``triangulate`` build them only to write a triangulation
+(``tomei --out``, ``cover --cells-out``), for library use and as the
+oracles of the tests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -251,54 +258,3 @@ def triangulate(pc: PermutahedralComplex,
         raise InconsistentGluingError("two flags produced the same simplex")
     complex_ = AbstractComplex(pc.n, classes.num_classes, tops)
     return Triangulation(pc, classes, complex_, order // len(flags))
-
-
-@dataclass
-class SurfaceReport:
-    bad_edges: list = field(default_factory=list)
-    bad_vertex_links: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.bad_edges and not self.bad_vertex_links
-
-
-def verify_surface(tri: Triangulation | AbstractComplex) -> SurfaceReport:
-    """For n = 2: every edge in exactly two triangles and every vertex link
-    a single closed cycle.
-
-    Reads the facet table of the triangulation's complex (or of a bare
-    complex).  Each (triangle, corner) is a node joined to the corners of
-    the same vertex across the two edges at that corner; a vertex's link is
-    one cycle exactly when those edges all lie in two triangles and its
-    corners form one component.
-    """
-    complex_ = tri.complex if isinstance(tri, Triangulation) else tri
-    if complex_.n != 2:
-        raise ValueError("surface checks apply to n = 2 only")
-    table = complex_.facet_table
-    report = SurfaceReport()
-    bad = table.counts != 2
-    report.bad_edges = list(zip(map(tuple, table.facets[bad].tolist()),
-                                table.counts[bad].tolist()))
-
-    tops = np.arange(len(table.tops))
-    corner = np.empty((len(tops), 3, 2), dtype=np.int64)
-    open_corner = np.zeros((len(tops), 3), dtype=bool)
-    for k in range(3):
-        for slot, j in enumerate(x for x in range(3) if x != k):
-            other, dropped = table.neighbor[:, j], table.position[:, j]
-            rank = k - (k > j)  # the corner's place in the shared edge
-            corner[:, k, slot] = np.where(
-                other < 0, 3 * tops + k, 3 * other + rank + (rank >= dropped))
-            open_corner[:, k] |= other < 0
-    label = lowest_labels(corner.reshape(-1, 2))
-    vertex = table.tops.ravel()
-    lowest = np.full(complex_.num_vertices, len(label))
-    highest = np.full(complex_.num_vertices, -1)
-    np.minimum.at(lowest, vertex, label)
-    np.maximum.at(highest, vertex, label)
-    broken = lowest != highest
-    broken[vertex[open_corner.ravel()]] = True
-    report.bad_vertex_links = np.flatnonzero(broken).tolist()
-    return report

@@ -53,7 +53,7 @@ flags across an interior template face drop the same position, so
 epsilon is coherent there when tau flips; across F_w the same flag meets
 itself in the cell glued across w, so epsilon is coherent there when the
 parity of g flips, that is the parity of g0 across every pair edge.
-``cover_is_oriented`` checks both.  The second also follows from the
+``is_oriented`` checks both.  The second also follows from the
 covering check: the parity of g0 is the part of sigma, which flips.
 
 *Well-definedness.*  A class of (cell, chain) maps to the face of sigma
@@ -64,6 +64,13 @@ exactly when crossing any F_w keeps the face of sigma spanned by w:
 ``check_well_defined`` compares those faces, as vertices of the subdivided
 base, across every pair glue entry.  Along a flag the least subsets
 shrink, so the images are nested faces; that is checked on the template.
+
+*The Tomei manifold.*  M^n covers itself, with its cells g for the pairs
+and g for g0.  ``glued_as_tomei`` checks the glue, g to g + e_|w|, which
+gives the class sizes, so the claims above hold on it.  Its triangulation
+is connected when the template's flags connect through interior faces
+(``template_is_connected``): the e_|w| connect the cells, and a cell's
+flags include one through each facet, which meets the same flag across.
 
 *Chain identity.*  In color coordinates a flag's image depends on the flag
 alone: the color sets W_0 = all colors, W_k = the least subset of c_k.  The
@@ -90,7 +97,7 @@ from .errors import (
     NotWellDefinedError,
 )
 from .permutahedron import FlagTemplate
-from .pseudomanifold import Simplex, permutation_signs
+from .pseudomanifold import Simplex, lowest_labels, permutation_signs
 
 
 def template_is_closed(t: FlagTemplate) -> bool:
@@ -156,20 +163,31 @@ def template_is_surface(t: FlagTemplate) -> bool:
     return True
 
 
-def cover_is_oriented(cover: CoverComplex, t: FlagTemplate) -> bool:
-    """Is epsilon(cell, f) = (-1)^|g| tau(f) a coherent orientation of the
-    cover's triangulation?  tau must flip across every interior face of the
-    template, and the parity of g0 across every pair glue entry, one
-    gather per facet slot (implied by the parity and part checks of
-    ``verify_covering``)."""
+def template_is_connected(t: FlagTemplate) -> bool:
+    """Do the flags of a closed template (``template_is_closed``) connect
+    through its interior faces?  Each interior face is in two flags, which
+    sit side by side once the faces are sorted."""
+    interior = t.facets[0][:, 1:]
+    order = np.argsort(interior, axis=None, kind="stable")
+    across = np.empty(interior.size, dtype=np.int64)
+    across[order[0::2]], across[order[1::2]] = order[1::2], order[0::2]
+    return not lowest_labels((across // t.n).reshape(interior.shape)).any()
+
+
+def is_oriented(t: FlagTemplate, g: np.ndarray, glue: np.ndarray) -> bool:
+    """Is epsilon(cell, f) = (-1)^|g| tau(f) coherent on the triangulation
+    of the rows of ``glue``, with lifts ``g``: the cover's pairs and g0, or
+    the cells g of M^n?  tau must flip across every interior face of the
+    template, and the parity of g across every glue entry (for a cover,
+    implied by the parity and part checks of ``verify_covering``)."""
     facet, counts = t.facets
     interior = facet[:, 1:].ravel()
     turn = np.bincount(interior, weights=np.repeat(t.sign, t.n),
                        minlength=len(counts))
     if turn[interior].any():
         return False
-    odd = parity_signs(t.n)[cover.g0] < 0
-    return all((np.take(odd, column) != odd).all() for column in cover.pairs.glue.T)
+    odd = parity_signs(t.n)[g] < 0
+    return all((np.take(odd, column) != odd).all() for column in glue.T)
 
 
 def class_counts(t: FlagTemplate, num_cells: int) -> list[int]:

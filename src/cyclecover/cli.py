@@ -17,9 +17,13 @@ every face class of the cover has 2^k members in codimension k.  The
 claims after it (closed pseudomanifold, Euler characteristic, surface,
 orientation, well-definedness, chain identity, fibres) are certified on
 the flag template of one permutahedron and the pairs (``certificate``),
-with the cover's class counts in closed form.  The cover's cells are
-expanded only for ``cover --out`` and ``cover --cells-out``; its face
-classes are never built, and it is never triangulated.
+with the class counts of the cover and the base in closed form.  The
+cover's cells are expanded only for ``cover --out`` and
+``cover --cells-out``, and triangulated only for the latter; ``verify``
+builds no face classes.  ``tomei`` certifies M^n the same way, and
+triangulates only to write ``--out``.  Sizes known in closed form (the template's flags, the
+tops that ``tomei --out`` and ``cover --cells-out`` write) are checked
+against ``--max-cells`` before anything of that size is built.
 
 Exit codes: 0 all enabled checks pass, 1 a check failed or a cap was hit,
 2 usage or input errors.
@@ -33,24 +37,20 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
+from math import factorial
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
-from .cells import (
-    euler_characteristic,
-    euler_of_counts,
-    face_classes,
-    triangulate,
-    verify_surface,
-)
+from .cells import euler_of_counts, triangulate
 from .certificate import (
     check_well_defined,
     class_counts,
-    cover_is_oriented,
+    is_oriented,
     push_forward,
     template_is_closed,
+    template_is_connected,
     template_is_surface,
 )
 from .covering import DEFAULT_MAX_CELLS, build_component, build_full, verify_covering
@@ -73,7 +73,7 @@ from .pseudomanifold import (
     orient,
     validate_pseudomanifold,
 )
-from .tomei import build_tomei
+from .tomei import build_tomei, glued_as_tomei
 
 MAX_CELLS_ENV = "REALIZER_MAX_CELLS"
 
@@ -221,10 +221,10 @@ def verify_pipeline(complex, coloring, orientation,
         "subdivided": subdivided,
     }
 
+    # glued as M^n, a base class of a chain of length k has 2^k members
     base = build_tomei(n)
-    base_euler = euler_characteristic(base)
-    claims.check("Tomei base complex built",
-                 base.num_cells == 1 << n,
+    base_euler = euler_of_counts(class_counts(flag_template(n), base.num_cells))
+    claims.check("Tomei base complex built", glued_as_tomei(base),
                  f"2^{n} cells, euler characteristic {base_euler}")
     report["base"] = {"cells": base.num_cells, "euler": base_euler}
 
@@ -306,7 +306,7 @@ def _certify_realization(claims: Claims, report: dict, cover, degree: int,
                             template_is_surface(template)):
             return
 
-    oriented = cover_is_oriented(cover, template)
+    oriented = is_oriented(template, cover.g0, cover.pairs.glue)
     claims.check("cover is orientable", oriented)
 
     vertex, _ = face_ids(bundle.by_color)
@@ -391,32 +391,51 @@ def _run_subdivide(config: RunConfig) -> int:
     return 0
 
 
+def _check_cap(what: str, size: int, unit: str, cap: int) -> None:
+    """Refuse a size over the cap, known in closed form before anything of
+    that size is built."""
+    if size > cap:
+        raise CapExceededError(
+            f"{what} has {size} {unit}, more than the cap {cap}", cap, size)
+
+
 def _run_tomei(config: RunConfig) -> int:
-    if config.n is None:
+    """Build M^n and certify it as ``verify`` certifies a cover, on the
+    flag template and the glue (``certificate``); valid means closed and
+    connected.  The template's n!(n+1)! flags, and with ``--out`` the
+    2^n n!(n+1)! tops, are checked against the cap before anything is
+    built, and the triangulation is built only to write ``--out``."""
+    n = config.n
+    if n is None:
         raise ValueError("tomei requires --n")
-    pc = build_tomei(config.n)
-    classes = face_classes(pc)
-    chi = euler_characteristic(pc, classes)
-    tri = triangulate(pc, classes)
-    report = validate_pseudomanifold(tri.complex)
-    is_orientable = True
-    try:
-        orient(tri.complex)
-    except TopologyError:
-        is_orientable = False
-    checks = report.ok and is_orientable
-    print(f"Tomei n={config.n}: {pc.num_cells} cells, "
-          f"face classes {classes.counts_by_codim()}, euler {chi}")
-    print(f"triangulation: {len(tri.complex.tops)} top simplices, "
-          f"{'valid' if report.ok else 'INVALID'}, "
-          f"{'orientable' if is_orientable else 'NOT orientable'}")
-    if config.n == 2:
-        surf = verify_surface(tri)
-        checks = checks and surf.ok
-        print(f"surface checks: {'pass' if surf.ok else 'FAIL'}")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    flags = factorial(n) * factorial(n + 1)
+    _check_cap(f"the flag template of dimension {n}", flags, "flags",
+               config.max_cells)
     if config.out:
+        _check_cap(f"the triangulation of M^{n}", flags << n, "top simplices",
+                   config.max_cells)
+    pc = build_tomei(n)
+    template = flag_template(n)
+    counts = class_counts(template, pc.num_cells)
+    valid = (glued_as_tomei(pc) and template_is_closed(template)
+             and template_is_connected(template))
+    oriented = is_oriented(template, np.arange(pc.num_cells), pc.glue)
+    checks = valid and oriented
+    print(f"Tomei n={n}: {pc.num_cells} cells, "
+          f"face classes {counts}, euler {euler_of_counts(counts)}")
+    print(f"triangulation: {pc.num_cells * len(template.flags)} top simplices, "
+          f"{'valid' if valid else 'INVALID'}, "
+          f"{'orientable' if oriented else 'NOT orientable'}")
+    if n == 2:
+        surface = template_is_surface(template)
+        checks = checks and surface
+        print(f"surface checks: {'pass' if surface else 'FAIL'}")
+    if config.out:
+        tri = triangulate(pc)
         # color = face dimension + 1, as in barycentric subdivisions
-        coloring = [config.n + 1 - len(chain) for chain in classes.chain_of_class]
+        coloring = [n + 1 - len(chain) for chain in tri.classes.chain_of_class]
         formats.write_json(
             formats.complex_to_dict(tri.complex, coloring=coloring), config.out)
     if config.cells_out:
@@ -429,6 +448,10 @@ def _run_cover(config: RunConfig) -> int:
     cover = (build_full(bundle, config.max_cells)
              if config.full
              else build_component(bundle, max_cells=config.max_cells))
+    if config.cells_out:
+        flags = factorial(bundle.n) * factorial(bundle.n + 1)
+        _check_cap("the triangulated cover", cover.num_cells * flags,
+                   "top simplices", config.max_cells)
     covering = verify_covering(cover)
     print(f"cover: {cover.num_cells} cells, covering degree {covering.degree}")
     if config.out:

@@ -54,7 +54,7 @@ from .involutions import (
 )
 from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import ColoredPseudomanifold, lowest_labels
-from .tomei import build_tomei, generators
+from .tomei import build_tomei, generators, glued_as_tomei
 
 DEFAULT_MAX_CELLS = 10 ** 6
 
@@ -562,11 +562,8 @@ def verify_covering(cover: CoverComplex,
     - H, given by its basis, is the span of the holonomies
       hol(x, w) = g0(x) + gen[w] + g0(pi_w x), so the basis is the
       reduced-echelon one that the fibre count took it to be;
-    - the base glues g to g + gen[w] across F_w.
-
-    The last gives the base's classes: that of (g, w_1 < ... < w_k) is
-    g + span{gen[w_i]}, and nested subsets have distinct sizes, so the
-    gen[w_i] = e_|w_i| are distinct generators and the class has 2^k members.
+    - the base glues g to g + gen[w] across F_w (``glued_as_tomei``), so
+      its class of a chain of length k has 2^k members.
 
     These give every claim ``verify_cell_projection`` checks on the cells.
     Parity: each hol(x, w) is even, since g0 matches the part and the part
@@ -619,7 +616,6 @@ def verify_covering(cover: CoverComplex,
             f"the holonomies do not span the subgroup with basis "
             f"{list(cover.basis)}")
 
-    if base.num_cells != 1 << n or (
-            base.glue != np.arange(1 << n)[:, None] ^ generators(n)).any():
+    if not glued_as_tomei(base):
         raise NotACoveringError("the base is not glued as the Tomei manifold")
     return CoveringReport(int(fibers[0]), dict(enumerate(fibers.tolist())))

@@ -29,3 +29,11 @@ def build_tomei(n: int) -> PermutahedralComplex:
         raise ValueError("dimension must be at least 1")
     glue = np.arange(1 << n, dtype=np.int32)[:, None] ^ generators(n)
     return PermutahedralComplex(n, 1 << n, glue)
+
+
+def glued_as_tomei(pc: PermutahedralComplex) -> bool:
+    """Are 2^n cells g glued to g + e_|w| across F_w?  Then the class of
+    (g, w_1 < ... < w_k) is g + span{e_|w_i|}, with 2^k members, as nested
+    subsets differ in size; and e_1, ..., e_n connect the cells."""
+    n = pc.n
+    return np.array_equal(pc.glue, np.arange(1 << n)[:, None] ^ generators(n))

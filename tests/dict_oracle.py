@@ -7,7 +7,8 @@ at a time, and cover builds call ``cross_facet`` for every cell and facet,
 conjugating the tuple entry by entry with a memo per pair of involutions.
 Simplicial complexes are validated, oriented and surface-checked through a
 dict from facet tuple to coface indices with breadth-first search, and the
-pushforward is summed top by top into dicts.  Homology reduces object
+pushforward is summed top by top into dicts.  The surface check has no
+array version left: the commands certify surfaces on the flag template.  Homology reduces object
 arrays of Python integers entry by entry, on boundary matrices filled
 through a dict from face tuple to index.  The parts of a colored bundle
 come from breadth-first two-coloring of the dual graph, with an odd closed
@@ -23,7 +24,7 @@ base's is kept as it was, beside the dict search that checks it.
 """
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -31,7 +32,6 @@ import numpy as np
 
 from extra_api import CoverCell, enumerate_faces, triangulation_flags
 from cyclecover import cells, involutions
-from cyclecover.cells import SurfaceReport
 from cyclecover.covering import parity_sign, parity_signs
 from cyclecover.errors import (
     DegreeNotConstantError,
@@ -583,6 +583,16 @@ def count_compatible_involutions(cp, subset: int) -> int:
             return 0
         count *= factorial(len(plus))
     return count
+
+
+@dataclass
+class SurfaceReport:
+    bad_edges: list = field(default_factory=list)
+    bad_vertex_links: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.bad_edges and not self.bad_vertex_links
 
 
 def verify_surface(complex_) -> SurfaceReport:

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: the search that enumerates one
 permutahedron's faces and flags, kept as the oracle for its closed-form
-flag template, walks of its face lattice, its barycentric triangulation, a
-cover's cells as triples, loaders for
+flag template, walks of its face lattice, its barycentric triangulation,
+the template flag of each top of a triangulation, a cover's cells as
+triples, loaders for
 cell-complex and cover documents, a DOT export of the facet-dual graph,
 the suspended cycle, and the benchmark's input generators."""
 
@@ -13,7 +14,13 @@ from typing import NamedTuple
 import numpy as np
 
 from cyclecover.cells import UNGLUED, PermutahedralComplex
-from cyclecover.permutahedron import Chain, full_mask, mask_elements, proper_subsets
+from cyclecover.permutahedron import (
+    Chain,
+    flag_template,
+    full_mask,
+    mask_elements,
+    proper_subsets,
+)
 from cyclecover.pseudomanifold import AbstractComplex
 
 # ---------------------------------------------------------------------------
@@ -136,6 +143,16 @@ def barycentric_triangulation(n: int):
     chain_ids = {c: i for i, c in enumerate(chains)}
     tops = [tuple(sorted(chain_ids[c] for c in flag)) for flag in triangulation_flags(n)]
     return AbstractComplex(n, len(chains), tops), chain_ids
+
+
+def template_flag_of_tops(tri):
+    """The template flag of every top of a cover triangulation, from the
+    chain rows of its vertex classes."""
+    template = flag_template(tri.pc.n)
+    rows = np.searchsorted(tri.classes.chain_start, tri.complex.tops,
+                           side="right") - 1
+    index = {tuple(flag): f for f, flag in enumerate(template.flags.tolist())}
+    return np.array([index[tuple(r)] for r in rows.tolist()])
 
 
 # ---------------------------------------------------------------------------

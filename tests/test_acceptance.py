@@ -14,14 +14,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from dict_oracle import face_of_colors
+from dict_oracle import face_of_colors, verify_surface
 from extra_api import cover_cells
 from cyclecover import corpus
 from cyclecover.cells import (
     euler_characteristic,
     face_classes,
     triangulate,
-    verify_surface,
 )
 from cyclecover.covering import (
     DEFAULT_MAX_CELLS,
@@ -79,7 +78,7 @@ def test_tomei_surface():
     assert euler_characteristic(pc, classes) == -2
     tri = triangulate(pc, classes)
     assert validate_pseudomanifold(tri.complex).ok
-    assert verify_surface(tri).ok
+    assert verify_surface(tri.complex).ok
     orient(tri.complex)  # raises unless orientable
     assert [str(g) for g in homology(tri.complex)] \
         == ["Z", "Z + Z + Z + Z", "Z"]
@@ -123,7 +122,7 @@ def test_octahedron_component():
     assert cover_report.degree == degree_p
     classes = face_classes(component.pc)
     tri = triangulate(component.pc, classes)
-    assert verify_surface(tri).ok
+    assert verify_surface(tri.complex).ok
     assert euler_characteristic(component.pc, classes) == degree_p * (-2)
     report = verify_realization(realization_map(component, classes, tri))
     assert len(report.image_counts) == 48

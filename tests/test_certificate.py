@@ -4,7 +4,7 @@
 flag template of one permutahedron and on the cover's pairs
 (``cyclecover.certificate``).  ``triangulation_tail`` below is the tail it
 replaced: it triangulates the cover and runs ``validate_pseudomanifold``,
-``verify_surface``, ``orient``, ``realization_map`` and
+``dict_oracle.verify_surface``, ``orient``, ``realization_map`` and
 ``verify_realization`` on the triangulation.  Swapped into the pipeline, it
 is the oracle: both paths must write the same report bytes, and a planted
 defect must make the same claim the first failure on both.  Defects are
@@ -27,18 +27,17 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs
+from extra_api import benchmark_inputs, template_flag_of_tops
 from cyclecover import cli, corpus, formats, realization
 from cyclecover.cells import (
     cell_components,
     euler_characteristic,
     face_classes,
     triangulate,
-    verify_surface,
 )
 from cyclecover.certificate import (
     check_well_defined,
-    cover_is_oriented,
+    is_oriented,
     push_forward,
     template_is_closed,
     template_is_surface,
@@ -95,7 +94,8 @@ def triangulation_tail(claims, report, cover, degree, base_euler, full,
                  f"{cover_euler} = {degree} * {base_euler}")
 
     if bundle.n == 2:
-        if not claims.check("cover is a closed surface", verify_surface(tri).ok):
+        if not claims.check("cover is a closed surface",
+                            dict_oracle.verify_surface(tri.complex).ok):
             return
 
     cover_orientation = None
@@ -350,16 +350,6 @@ def _oracle_orientation(flipped):
     return lambda m: partial(triangulation_tail, orientation_of=orientation_of)
 
 
-def template_flag_of_tops(tri):
-    """The template flag of every top of a cover triangulation, from the
-    chain rows of its vertex classes."""
-    template = flag_template(tri.pc.n)
-    rows = np.searchsorted(tri.classes.chain_start, tri.complex.tops,
-                           side="right") - 1
-    index = {tuple(flag): f for f, flag in enumerate(template.flags.tolist())}
-    return np.array([index[tuple(r)] for r in rows.tolist()])
-
-
 def _misnamed_vertex(ids):
     """The id table with top 0's vertex for the one-color set {1} naming
     its vertex of color 2 instead.  On the octahedron, top 0 is (0, 2, 4),
@@ -501,7 +491,7 @@ def covers():
 def test_epsilon_is_orient_up_to_one_sign_per_component(covers, name):
     cover = covers[name]
     template = flag_template(cover.cp.n)
-    assert cover_is_oriented(cover, template)
+    assert is_oriented(template, cover.g0, cover.pairs.glue)
     tri = triangulate(cover.pc)
     parity = (-1) ** np.array([bin(g).count("1") for g in cover.g.tolist()])
     epsilon = parity[tri.cell_of_top] * template.sign[template_flag_of_tops(tri)]
@@ -585,23 +575,25 @@ def test_orientation_check_catches_a_parity_or_template_flip(covers):
     template = flag_template(2)
     g0 = cover.g0.copy()
     g0[1] ^= 0b10  # the cells 2 and 3 over pair 1
-    assert not cover_is_oriented(replace(cover, g0=g0), template)
+    assert not is_oriented(template, g0, cover.pairs.glue)
     sign = template.sign.copy()
     sign[5] = -sign[5]
-    assert not cover_is_oriented(cover, replace(template, sign=sign))
+    assert not is_oriented(replace(template, sign=sign), cover.g0,
+                           cover.pairs.glue)
     with pytest.raises(NonOrientableError):
         push_forward(cover, template, vertex_table(cover.cp),
                      oriented=False)
 
 
 def test_factored_path_never_triangulates(monkeypatch):
-    from cyclecover import cells, realization
+    from cyclecover import cells, covering, realization
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the cover was triangulated")
 
     for module, name in ((cli, "triangulate"), (cells, "triangulate"),
-                         (cli, "verify_surface"), (cli, "orient"),
+                         (cells, "face_classes"), (covering, "face_classes"),
+                         (cli, "orient"),
                          (realization, "realization_map"),
                          (realization, "verify_realization")):
         monkeypatch.setattr(module, name, forbidden)

@@ -28,7 +28,6 @@ from cyclecover.cells import (
     euler_characteristic,
     face_classes,
     triangulate,
-    verify_surface,
 )
 from cyclecover.covering import (
     DEFAULT_MAX_CELLS,
@@ -286,7 +285,7 @@ def test_octahedron_component_topology(octa_component):
     assert classes.counts_by_codim() == [16, 48, 24]
     assert euler_characteristic(octa_component.pc) == -8  # 4 * chi(M^2)
     tri = triangulate(octa_component.pc)
-    assert verify_surface(tri).ok
+    assert dict_oracle.verify_surface(tri.complex).ok
     orient(tri.complex)  # raises unless orientable
 
 
@@ -307,7 +306,7 @@ def test_subdivided_tetrahedron_component(sd3_component):
     assert report.degree == 108
     assert euler_characteristic(sd3_component.pc) == -216  # 108 * chi(M^2)
     tri = triangulate(sd3_component.pc)
-    assert verify_surface(tri).ok
+    assert dict_oracle.verify_surface(tri.complex).ok
     orient(tri.complex)  # raises unless orientable
 
 

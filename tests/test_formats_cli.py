@@ -449,10 +449,10 @@ def test_report_reuses_base_pools_and_cover_orientation(tmp_path, monkeypatch,
                 monkeypatch.setattr(module, name, count(name, getattr(module, name)))
     assert main(["report", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--out", str(tmp_path / "report.json")]) == 0
-    # face classes: once for the Tomei base; the cover's class counts are
-    # read off its cell count
+    # no face classes: the class counts of the base and the cover are
+    # read off their cell counts
     assert calls == Counter(build_tomei=1, enumerate_compatible_involutions=6,
-                            orient=0, face_classes=1)
+                            orient=0, face_classes=0)
     capsys.readouterr()
 
 

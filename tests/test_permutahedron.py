@@ -233,7 +233,7 @@ def test_template_chain_is_its_prefix_and_last_subset(n):
 
 def test_facets_are_grouped_once_per_n(monkeypatch, tmp_path):
     # ``report`` reads the facets in ``template_is_closed`` and in
-    # ``cover_is_oriented``; both read one grouping, kept with the template
+    # ``is_oriented``; both read one grouping, kept with the template
     from cyclecover import cli, permutahedron
 
     calls = []
