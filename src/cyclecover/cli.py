@@ -249,19 +249,15 @@ def verify_pipeline(complex, coloring, orientation,
     # Build the full cover set when its size fits the cap, otherwise a
     # single component.
     full = bundle.top_count * report["q_formula"] <= max_cells
-    if full:
-        cover = build_full(bundle, max_cells, counts)
-        claims.check("full cover set built and closed under crossings", True,
-                     f"{cover.num_cells} cells")
-    else:
-        try:
-            cover = build_component(bundle, max_cells=max_cells)
-            claims.check("cover component built and closed under crossings",
-                         True, f"{cover.num_cells} cells")
-        except CapExceededError as e:
-            claims.check("cover component built and closed under crossings",
-                         False, str(e))
-            return claims, report
+    built = (f"{'full cover set' if full else 'cover component'} built and "
+             f"closed under crossings")
+    try:
+        cover = (build_full(bundle, max_cells, counts) if full
+                 else build_component(bundle, max_cells=max_cells))
+        claims.check(built, True, f"{cover.num_cells} cells")
+    except TopologyError as e:
+        claims.check(built, False, str(e))
+        return claims, report
     report["component_cells"] = cover.num_cells
 
     try:

@@ -1,7 +1,7 @@
 """Finite covers of the Tomei manifold from tuples of involutions.
 
 A cover cell is a triple (sigma, tuple_id, g): a top simplex of the colored
-pseudomanifold, an interned tuple holding one compatible involution per color
+pseudomanifold, a numbered tuple holding one compatible involution per color
 subset, and an element of (Z_2)^n whose parity must match the part of sigma
 (plus part iff evenly many bits).  Crossing facet F_w sends the triple to
 
@@ -14,12 +14,12 @@ generator gen[w] = e_|w|.  The cover is the Tomei manifold's covering with
 monodromy pi_w and a (Z_2)^n voltage on each edge: a small cover in the sense
 of Davis and Januszkiewicz.
 
-The registry holds the involutions as rows of one ``int32`` matrix and the
-tuples as rows of involution ids, each numbered by first occurrence.  The
-builders first close their tuples under crossings, a chunk of tuple rows at
-a time, conjugating every distinct pair of involutions in a chunk with one
-gather, and lay the result out as gather tables indexed by tuple.  A whole
-set of pairs then crosses every facet in one array gather.
+The builders close each slot's involutions under conjugation by the
+closures of the slots above it and code a tuple as a mixed-radix integer
+over the closures, so a set of tuples crosses every facet in one gather
+(``_tuple_codes``); the registry holds the involutions and the tuples as
+rows, numbered by first occurrence.  A whole set of pairs then crosses
+every facet in one array gather.
 
 A component numbers its pairs X in breadth-first order from its seed, each
 pair x with the g value g0(x) it is first reached with.  The holonomies
@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -58,10 +58,6 @@ from .tomei import build_tomei, generators, glued_as_tomei
 
 DEFAULT_MAX_CELLS = 10 ** 6
 
-# tuple rows crossed at once by the orbit closure, which bounds its
-# (rows, slots, slots) array of crossed tuples
-_ORBIT_CHUNK = 4096
-
 
 def parity_sign(g: int) -> int:
     """The character of (Z_2)^n taking -1 on every generator."""
@@ -73,168 +69,174 @@ def parity_signs(n: int) -> np.ndarray:
     return np.array([parity_sign(g) for g in range(1 << n)], dtype=np.int64)
 
 
-class _Rows:
-    """Distinct ``int32`` rows of one width, numbered by first occurrence
-    through a dict keyed on each row's bytes."""
-
-    def __init__(self, width: int):
-        self._ids: dict[bytes, int] = {}
-        self._buf = np.empty((16, width), dtype=np.int32)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._buf[:len(self._ids)]
-
-    def intern(self, rows) -> np.ndarray:
-        """The id of every given row, numbering new rows in row order."""
-        rows = np.ascontiguousarray(rows, dtype=np.int32)
-        data, size = rows.tobytes(), rows.itemsize * rows.shape[1]
-        ids, start = self._ids, len(self._ids)
-        found = np.array([ids.setdefault(data[k:k + size], len(ids))
-                          for k in range(0, len(data), size)], dtype=np.int32)
-        end = len(ids)
-        if end > start:
-            if end > len(self._buf):
-                buf = np.empty((max(end, 2 * len(self._buf)), rows.shape[1]),
-                               dtype=np.int32)
-                buf[:start] = self._buf[:start]
-                self._buf = buf
-            _, first = np.unique(found, return_index=True)
-            self._buf[start:end] = rows[first[start - end:]]
-        return found
-
-
+@dataclass(frozen=True)
 class InvolutionRegistry:
-    """Interning pool for involutions and involution tuples.
-
+    """The involutions and involution tuples of a cover, read only:
     ``perms[i]`` is involution i, one entry per top simplex, and
-    ``tuples[t]`` holds the involution ids of tuple t, one per proper color
-    subset in ``subsets`` order; both are numbered by first occurrence.  A
-    tuple is validated on first intern: the component in the slot of color
-    subset w must be an involution compatible with w, checked once per
-    (involution, slot) pair.
-    """
+    ``tuples[t]`` the involution ids of tuple t, one per proper color subset
+    in ``subsets`` order, both numbered by ``_tuple_codes``."""
 
-    def __init__(self, cp: ColoredPseudomanifold):
-        self.cp = cp
-        self.subsets = proper_subsets(cp.n)
-        self._perms = _Rows(cp.top_count)
-        self._tuples = _Rows(len(self.subsets))
-        self._validated: set[tuple[int, int]] = set()
+    cp: ColoredPseudomanifold
+    perms: np.ndarray  # int32 (involutions, tops)
+    tuples: np.ndarray  # int32 (tuples, slots)
 
     @property
-    def perms(self) -> np.ndarray:
-        return self._perms.array
-
-    @property
-    def tuples(self) -> np.ndarray:
-        return self._tuples.array
+    def subsets(self) -> list[int]:
+        return proper_subsets(self.cp.n)
 
     @property
     def tuple_count(self) -> int:
-        return len(self._tuples)
+        return len(self.tuples)
 
-    def intern_involutions(self, perms) -> np.ndarray:
-        return self._perms.intern(perms)
 
-    def intern_tuples(self, rows) -> np.ndarray:
-        start = self.tuple_count
-        ids = self._tuples.intern(rows)
-        used = np.zeros((len(self._perms), len(self.subsets)), dtype=bool)
-        used[self.tuples[start:], np.arange(len(self.subsets))] = True
-        for iid, slot in np.argwhere(used).tolist():
-            if (iid, slot) not in self._validated:
-                if not is_compatible_involution(self.cp, self.perms[iid],
-                                                self.subsets[slot]):
-                    raise ValueError(
-                        f"component for subset {mask_elements(self.subsets[slot])} "
-                        f"is not a compatible involution")
-                self._validated.add((iid, slot))
-        return ids
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one opaque value, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
-    def canonical_tuple(self) -> int:
-        ids = self.intern_involutions(
-            [canonical_involution(self.cp, w) for w in self.subsets])
-        return int(self.intern_tuples(ids[None])[0])
+
+def _first_seen(known: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the values of ``found`` after the distinct ``known``, which
+    are numbered by position, new values in order of first occurrence.
+    Return where in ``found`` each new value first occurs, ascending, and
+    the number of every entry of ``found``."""
+    values, first = np.unique(np.concatenate([known, found]), return_index=True)
+    fresh = np.sort(first[first >= len(known)])
+    number = np.where(first < len(known), first,
+                      len(known) + np.searchsorted(fresh, first))
+    return fresh - len(known), number[np.searchsorted(values, found)]
+
+
+def _close_slot(outer: np.ndarray, rows: np.ndarray,
+                closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Close the distinct ``rows`` under conjugation by every row of
+    ``outer``, new rows in order of first occurrence, and return the
+    closure and the closure index of o x o for each outer row o and
+    closure row x.  ``closed`` rows may gain none."""
+    tops = rows.shape[1]
+    shift = (np.arange(len(outer)) * tops)[:, None, None]
+    while len(outer):
+        # o x o at [o, x, i] is outer[o, rows[x, outer[o, i]]]
+        conj = np.take(outer, rows[:, outer].transpose(1, 0, 2) + shift).reshape(-1, tops)
+        fresh, index = _first_seen(_row_keys(rows), _row_keys(conj))
+        if not fresh.size:
+            return rows, index.reshape(len(outer), len(rows))
+        if closed:
+            raise InconsistentGluingError(
+                "facet crossing left the full cover set; conjugation closure failed")
+        rows = np.concatenate([rows, conj[fresh]])
+    return rows, np.empty((0, len(rows)), dtype=np.int64)
 
 
 @dataclass
-class _Orbit:
-    """Gather tables over the registry's tuples, closed under facet crossings.
+class _TupleCodes:
+    """The tuples of a cover and their crossings.  ``closures[s]`` holds
+    the involutions that slot s takes, and ``images`` all of them stacked
+    and raveled.  Crossing F_w, with w = subsets[slot], sends the pair
+    (t, sigma) to (``newt[t, slot]``, ``images[rows[t, slot] + sigma]``)."""
 
-    Row t stands for tuple t: crossing F_w, with w = subsets[slot], sends
-    the pair (t, sigma) to (``newt[t, slot]``, ``lam[t, sigma, slot]``).
-    """
-
-    lam: np.ndarray  # int32 (tuples, top simplices, slots)
+    registry: InvolutionRegistry
+    closures: list[np.ndarray]  # int32 (closure size, tops) per slot
+    images: np.ndarray  # int32 (stacked closure rows * tops,)
     newt: np.ndarray  # int32 (tuples, slots)
+    rows: np.ndarray  # int64 (tuples, slots)
 
-    def crossed(self, pairs: np.ndarray) -> np.ndarray:
-        """The dense index t * tops + sigma of the pair across every facet
-        of each given pair, as an int64 (pairs, slots) array in slot
-        order."""
-        tops = self.lam.shape[1]
-        t, sigma = np.divmod(pairs, tops)
-        return self.newt[t].astype(np.int64) * tops + self.lam[t, sigma]
+    def moved(self, t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """The simplex across every facet of each pair (t, sigma), as an
+        ``int32`` (pairs, slots) array."""
+        return np.take(self.images, np.take(self.rows, t, axis=0) + sigma[:, None])
 
 
-_LEFT_FULL_SET = "facet crossing left the full cover set; conjugation closure failed"
+def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
+                 max_tuples: int | None = None) -> _TupleCodes:
+    """Close the involutions of every slot, then the tuples under crossings.
 
-
-def _conjugates(reg: InvolutionRegistry, outer: np.ndarray,
-                inner: np.ndarray) -> np.ndarray:
-    """The id of outer o inner o outer for every pair of involution ids.
-    Each distinct pair is conjugated once, in order of first occurrence."""
-    pairs = outer.astype(np.int64).ravel() * len(reg.perms) + inner.ravel()
-    _, first, back = np.unique(pairs, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    at = first[order]
-    p_o = reg.perms[outer.ravel()[at]]
-    p_i = reg.perms[inner.ravel()[at]]
-    ids = np.empty(len(first), dtype=np.int32)
-    ids[order] = reg.intern_involutions(
-        np.take_along_axis(p_o, np.take_along_axis(p_i, p_o, axis=1), axis=1))
-    return ids[back].reshape(outer.shape)
-
-
-def _tuple_orbit(reg: InvolutionRegistry, max_tuples: int | None = None) -> _Orbit:
-    """Close the registry's tuples under the tuple part of every facet
-    crossing, crossing the tuple rows in order, a chunk at a time, and
-    interning each new tuple at the end.
-
-    Without ``max_tuples`` the tuples must need no new one (the full cover
-    set).  With it, more than ``max_tuples`` tuples exceed the component
-    cap, since every tuple of the orbit carries a cell of the component.
+    Crossing F_w conjugates the components at the subsets gamma inside w by
+    the one at w, so slot gamma only takes values in the closure C_gamma of
+    ``pools[gamma]`` under conjugation by the closures of the slots above
+    it, which are closed first, each w giving a |C_w| x |C_gamma| table of
+    closure indices.  A tuple's code is its closure indices in mixed radix,
+    the last slot least significant, and crossing F_w adds one table entry
+    per gamma inside w.  The product of the closure sizes must fit
+    ``int64``; then each closure element is checked compatible.  Without
+    ``max_tuples`` the pools must come out closed (the full cover set) and
+    the tuples are every code, in ``product`` order.  With it they are the
+    crossings' closure of code 0, the first rows of the pools, breadth
+    first, at most ``max_tuples`` since each carries a cell of the
+    component; the product holds them, but whether it is all of them is
+    open.  Involutions are numbered by first occurrence: the pools in slot
+    order, then the tuples' components in (tuple, slot) order.
     """
-    slots = len(reg.subsets)
-    # (w, gamma) slot pairs with gamma inside w, in crossing order
-    w_slot, gamma_slot = np.nonzero([[gamma & ~w == 0 for gamma in reg.subsets]
-                                     for w in reg.subsets])
-    known, done, newt = reg.tuple_count, 0, []
-    while done < reg.tuple_count:
-        rows = reg.tuples[done:done + _ORBIT_CHUNK]
-        crossed = np.repeat(rows[:, None, :], slots, axis=1)
-        crossed[:, w_slot, gamma_slot] = _conjugates(reg, rows[:, w_slot],
-                                                     rows[:, gamma_slot])
-        # a crossing that leaves a tuple as it was keeps that tuple's id;
-        # only the changed rows are interned, in the same order as before
-        ids = np.repeat(np.arange(done, done + len(rows), dtype=np.int32),
-                        slots).reshape(len(rows), slots)
-        moved = (crossed != rows[:, None, :]).any(axis=2)
-        ids[moved] = reg.intern_tuples(crossed[moved])
-        newt.append(ids)
-        done += len(rows)
-        if max_tuples is None:
-            if reg.tuple_count > known:
-                raise InconsistentGluingError(_LEFT_FULL_SET)
-        elif reg.tuple_count > max_tuples:
+    subsets = proper_subsets(cp.n)
+    slots, tops = len(subsets), cp.top_count
+    closures, conj = list(pools), {}
+    for gamma in reversed(range(slots)):
+        above = [w for w in range(gamma + 1, slots) if subsets[gamma] & ~subsets[w] == 0]
+        outer = np.concatenate([closures[w] for w in above]
+                               + [np.empty((0, tops), dtype=np.int32)])
+        closures[gamma], index = _close_slot(outer, closures[gamma], max_tuples is None)
+        stops = np.cumsum([0] + [len(closures[w]) for w in above])
+        conj.update(((w, gamma), index[a:b]) for w, a, b in zip(above, stops, stops[1:]))
+    sizes = [len(c) for c in closures]
+    total = prod(sizes)
+    if total > np.iinfo(np.int64).max:
+        raise CapExceededError(
+            f"tuple codes need {total} values, the product of the slot closure "
+            f"sizes, more than int64 holds", np.iinfo(np.int64).max, total)
+    for w, closure in zip(subsets, closures):
+        if not is_compatible_involution(cp, closure, w):
+            raise ValueError(f"component for subset {mask_elements(w)} "
+                             f"is not a compatible involution")
+    size = np.array(sizes, dtype=np.int64)
+    radix = np.append(np.cumprod(size[:0:-1])[::-1], 1)
+
+    # crossing F_w adds to a code, for each gamma inside w, the entry of
+    # ``step`` at block + digit_w |C_gamma| + digit_gamma of the pair
+    # (w, gamma): (conj[w, gamma][digit_w, digit_gamma] - digit_gamma) *
+    # radix[gamma].  Pairs whose entries are all 0 are left out; int32
+    # indices, which fancy indexing reads as they are, halve the memory of
+    # the gather
+    steps = {pair: (conj[pair] - np.arange(sizes[pair[1]])) * radix[pair[1]]
+             for pair in sorted(conj)}
+    pairs = [pair for pair, table in steps.items() if table.any()]
+    step = np.concatenate([steps[pair].ravel() for pair in pairs] + [radix[:0]])
+    length = np.array([steps[pair].size for pair in pairs], dtype=np.int32)
+    block = np.cumsum(length, dtype=np.int32) - length
+    pair_w, pair_gamma = [w for w, _ in pairs], [gamma for _, gamma in pairs]
+    stride = size[pair_gamma].astype(np.int32)
+    moving, starts = np.unique(np.array(pair_w, dtype=np.int64), return_index=True)
+
+    def cross(codes: np.ndarray) -> np.ndarray:
+        digits = (codes[:, None] // radix % size).astype(np.int32)
+        at = digits[:, pair_w] * stride + block
+        at += digits[:, pair_gamma]
+        moves = np.add.reduceat(step[at], starts, axis=1)
+        crossed = np.repeat(codes[:, None], slots, axis=1)
+        crossed[:, moving] += moves
+        return crossed
+
+    # every code for the full set, else the closure of code 0, level by level
+    codes = np.arange(total if max_tuples is None else 1, dtype=np.int64)
+    newt, done = [np.empty((0, slots), dtype=np.int64)], 0
+    while done < len(codes):
+        crossed = cross(codes[done:])
+        fresh, number = _first_seen(codes, crossed.ravel())
+        if max_tuples is not None and len(codes) + len(fresh) > max_tuples:
             raise CapExceededError(f"component exceeded {max_tuples} cells",
                                    max_tuples, max_tuples)
-    lam = np.ascontiguousarray(reg.perms[reg.tuples].transpose(0, 2, 1))
-    return _Orbit(lam, np.concatenate(newt))
+        newt.append(number.reshape(crossed.shape))
+        done, codes = len(codes), np.concatenate([codes, crossed.ravel()[fresh]])
+    offset = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    held = offset + codes[:, None] // radix % size  # rows of the stacked closures
+    stacked = np.concatenate(closures)
+    order = np.concatenate([offset[s] + np.arange(len(p)) for s, p in enumerate(pools)]
+                           + [held.ravel()])
+    content = np.unique(_row_keys(stacked), return_inverse=True)[1][order]
+    first, perm_id = _first_seen(content[:0], content)
+    tuples = perm_id[order.size - held.size:].reshape(held.shape).astype(np.int32)
+    registry = InvolutionRegistry(cp, stacked[order[first]], tuples)
+    return _TupleCodes(registry, closures, stacked.ravel(),
+                       np.concatenate(newt).astype(np.int32), held * tops)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +410,19 @@ def build_component(cp: ColoredPseudomanifold,
     the cap is checked on the pairs as they are numbered, and on the cells
     once H is known.
     """
-    reg = InvolutionRegistry(cp)
-    reg.canonical_tuple()
-    orbit = _tuple_orbit(reg, max_cells)
+    codes = _tuple_codes(cp, [np.array([canonical_involution(cp, w)], dtype=np.int32)
+                              for w in proper_subsets(cp.n)], max_cells)
     gen = generators(cp.n)
-    number = np.full(orbit.lam.shape[0] * cp.top_count, -1, dtype=np.int32)
+    number = np.full(codes.registry.tuple_count * cp.top_count, -1, dtype=np.int32)
     frontier = np.array([cp.plus[0]], dtype=np.int64)  # tuple 0, g = 0
     lift = np.zeros(1, dtype=np.int32)
     number[frontier] = 0
     count = 1
     levels, lifts, rows = [frontier], [lift], []
     while frontier.size:
-        crossed = orbit.crossed(frontier)
+        t, sigma = np.divmod(frontier, cp.top_count)
+        crossed = (np.take(codes.newt, t, axis=0).astype(np.int64) * cp.top_count
+                   + codes.moved(t, sigma))
         fresh = number[crossed] < 0
         unseen = crossed[fresh]  # (pair, slot) order
         # scatter positions in reverse, so each key keeps its first one
@@ -437,7 +440,8 @@ def build_component(cp: ColoredPseudomanifold,
         lifts.append(lift)
         rows.append(number[crossed])
     t, sigma = np.divmod(np.concatenate(levels), cp.top_count)
-    cover = _cover(reg, t, sigma, np.concatenate(lifts), np.concatenate(rows), True)
+    cover = _cover(codes.registry, t, sigma, np.concatenate(lifts),
+                   np.concatenate(rows), True)
     if cover.num_cells > max_cells:
         raise CapExceededError(
             f"component exceeded {max_cells} cells", max_cells, max_cells)
@@ -460,23 +464,20 @@ def build_full(cp: ColoredPseudomanifold,
     of (Z_2)^n, whose ascending elements, added to g0, run through the
     parity-consistent g in order.  The cells come out in
     (sigma, tuple, g) order."""
-    reg = InvolutionRegistry(cp)
     total = cp.top_count * predicted_multiplicity(cp, counts)
     if total > max_cells:
         raise CapExceededError(
             f"full cover set has {total} cells, more than the cap {max_cells}",
             max_cells, total)
-    pools = []
-    for w in reg.subsets:
-        perms = np.reshape(enumerate_compatible_involutions(cp, w), (-1, cp.top_count))
-        pools.append(reg.intern_involutions(perms).tolist())
-    reg.intern_tuples(np.reshape(list(product(*pools)), (-1, len(pools))))
-    orbit = _tuple_orbit(reg)
-    tuples = reg.tuple_count
+    codes = _tuple_codes(cp, [
+        np.reshape(enumerate_compatible_involutions(cp, w),
+                   (-1, cp.top_count)).astype(np.int32)
+        for w in proper_subsets(cp.n)])
+    tuples = codes.registry.tuple_count
     sigma, t = np.divmod(np.arange(cp.top_count * tuples), tuples)
-    glue = orbit.lam[t, sigma] * tuples + orbit.newt[t]
+    glue = codes.moved(t, sigma) * tuples + codes.newt[t]
     g0 = (cp.parts[sigma] < 0).astype(np.int32)
-    return _cover(reg, t, sigma, g0, glue, False)
+    return _cover(codes.registry, t, sigma, g0, glue, False)
 
 
 @dataclass

@@ -64,15 +64,17 @@ def canonical_involution(cp: ColoredPseudomanifold, subset: int) -> Involution:
 
 def is_compatible_involution(cp: ColoredPseudomanifold, perm, subset: int) -> bool:
     """Is ``perm`` a fixed-point-free involution of the top simplices that
-    swaps the parts and keeps the vertex of every color of the subset?"""
+    swaps the parts and keeps the vertex of every color of the subset?  A
+    2-D ``perm`` asks it of every row."""
     perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (cp.top_count,):
+    if perm.ndim not in (1, 2) or perm.shape[-1] != cp.top_count:
         return False
     if ((perm < 0) | (perm >= cp.top_count)).any():
         return False
     tops = np.arange(cp.top_count)
     colored = _colored(cp, subset)
-    return bool((perm != tops).all() and (perm[perm] == tops).all()
+    return bool((perm != tops).all()
+                and (np.take_along_axis(perm, perm, axis=-1) == tops).all()
                 and (cp.parts[perm] != cp.parts).all()
                 and (colored[perm] == colored).all())
 

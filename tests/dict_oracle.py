@@ -4,7 +4,8 @@ for them.
 Glue is a dict keyed by (cell, subset mask); face classes are found by
 breadth-first search over it.  Involutions are Python tuples interned one
 at a time, and cover builds call ``cross_facet`` for every cell and facet,
-conjugating the tuple entry by entry with a memo per pair of involutions.
+conjugating the tuple entry by entry with a memo per pair of involutions;
+``tuple_orbit`` searches the tuples alone the same way.
 Simplicial complexes are validated, oriented and surface-checked through a
 dict from facet tuple to coface indices with breadth-first search, and the
 pushforward is summed top by top into dicts.  The surface check has no
@@ -211,7 +212,7 @@ def verify_covering(cover, base=None, cover_classes=None,
 
 # ---------------------------------------------------------------------------
 # cover cells crossed one at a time, with involutions and tuples interned
-# in dicts: what the registry's row arrays and the orbit gathers replaced
+# in dicts: what the slot closures and the tuple codes replaced
 
 class InvolutionRegistry:
     """Interning pool for involutions and involution tuples.
@@ -303,6 +304,19 @@ def tuple_crossing(reg: InvolutionRegistry, tuple_id: int, subset: int) -> tuple
         if gamma & ~subset == 0:  # gamma inside the crossed label
             new_ids[slot] = reg.conjugate(lam_id, ids[slot])
     return lam_id, reg.intern_tuple(new_ids)
+
+
+def tuple_orbit(cp):
+    """(registry, crossing table) of the canonical tuple's orbit, searched
+    breadth first over tuples alone: tuple t crossed over each facet in
+    slot order gives row t of the table, and new tuples are numbered as
+    they are met."""
+    reg = InvolutionRegistry(cp)
+    reg.canonical_tuple()
+    newt: list = []
+    while len(newt) < reg.tuple_count:
+        newt.append([tuple_crossing(reg, len(newt), w)[1] for w in reg.subsets])
+    return reg, newt
 
 
 def cross_facet(reg: InvolutionRegistry, cell: CoverCell, subset: int) -> CoverCell:

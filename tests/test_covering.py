@@ -31,7 +31,6 @@ from cyclecover.cells import (
 )
 from cyclecover.covering import (
     DEFAULT_MAX_CELLS,
-    InvolutionRegistry,
     build_component,
     build_full,
     parity_sign,
@@ -204,13 +203,15 @@ def test_cross_facet_matches_direct_composition(sd3_component):
                     == _cross_direct(reg, cell, w))
 
 
-def test_registry_rejects_incompatible_tuple(octa_cp):
-    reg = InvolutionRegistry(octa_cp)
-    tid = reg.canonical_tuple()
-    row = reg.tuples[tid].copy()
-    row[0] = reg.intern_involutions([range(8)])[0]  # identity: has fixed points
-    with pytest.raises(ValueError, match="not a compatible involution"):
-        reg.intern_tuples(row[None])
+def test_registry_rejects_incompatible_tuple(monkeypatch, octa_cp):
+    # the identity has fixed points: planted as the canonical involution of
+    # subset {1}, it is refused when the closure of its slot is checked
+    canonical = covering.canonical_involution
+    monkeypatch.setattr(covering, "canonical_involution", lambda cp, w: (
+        tuple(range(cp.top_count)) if w == 0b1 else canonical(cp, w)))
+    with pytest.raises(ValueError, match="component for subset \\(1,\\) is not "
+                                         "a compatible involution"):
+        build_component(octa_cp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The array glue table against the dict-backed oracle in ``dict_oracle``:
-face classes, cover builds (also when the orbit is closed one tuple row at
-a time) and the class map of the oracle's face-class covering check agree;
-corrupted tables are refused; and the pair build reaches the 20,000-cell
-cover of the join C4 * C10.  A full build numbers its cells as the oracle
-does; a component numbers them by pair and coset, where the oracle numbers
-them breadth first, so the two are compared up to that renumbering."""
+face classes, cover builds and the class map of the oracle's face-class
+covering check agree; corrupted tables are refused; and the pair build
+reaches the 20,000-cell cover of the join C4 * C10.  A full build numbers
+its cells as the oracle does; a component numbers them by pair and coset,
+where the oracle numbers them breadth first, so the two are compared up to
+that renumbering."""
 
 import json
 from pathlib import Path
@@ -14,7 +14,7 @@ import pytest
 
 import dict_oracle
 from extra_api import benchmark_inputs, cover_cells, suspended_cycle
-from cyclecover import corpus, covering, formats
+from cyclecover import corpus, formats
 from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
 from cyclecover.covering import (
     build_component,
@@ -157,18 +157,6 @@ def test_suspended_cycle_build_picks_out_the_component():
     assert cover.registry.tuple_count * cp.top_count * (1 << (cp.n - 1)) == 7200
     assert cover.num_cells == 2400
     assert_build_matches_oracle(cover, dict_oracle.build_component(cp))
-
-
-@pytest.mark.parametrize("name", ["sd3 component", "join C4*C6 component",
-                                  "suspended 10-cycle component"])
-def test_row_by_row_orbit_matches_oracle(monkeypatch, sd3_cp, join4x6_cp, name):
-    # closing the orbit one tuple row per chunk numbers every involution,
-    # tuple and cell as the whole-chunk closure does
-    cp = {"sd3 component": sd3_cp, "join C4*C6 component": join4x6_cp,
-          "suspended 10-cycle component":
-              colored_from_complex(suspended_cycle(5))[0]}[name]
-    monkeypatch.setattr(covering, "_ORBIT_CHUNK", 1)
-    assert_build_matches_oracle(build_component(cp), dict_oracle.build_component(cp))
 
 
 @pytest.mark.parametrize("name", COVERS)

@@ -1,0 +1,173 @@
+"""The tuple orbit from per-slot closures and integer tuple codes, against
+the tuple-only breadth-first search of ``dict_oracle`` at scale; the
+refusals before and during the orbit; the ledger when the full build's
+closure check fails; and the bytes of ``cover --out``, which writes the
+orbit's tuple ids."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dict_oracle
+from cyclecover import corpus, covering
+from cyclecover.cli import main
+from cyclecover.covering import DEFAULT_MAX_CELLS, build_component
+from cyclecover.errors import CapExceededError
+from cyclecover.involutions import canonical_involution
+from cyclecover.permutahedron import proper_subsets
+from cyclecover.pseudomanifold import (
+    AbstractComplex,
+    ColoredPseudomanifold,
+    colored_from_complex,
+)
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def sphere_join(*factors: int) -> ColoredPseudomanifold:
+    """The join of spheres, each an even cycle of the given length whose
+    vertices alternate two new colors, or for 0 two points of one new
+    color."""
+    tops, colors = [()], []
+    for length in factors:
+        first, color = len(colors), max(colors, default=0) + 1
+        if length:
+            simplices = [(i, (i + 1) % length) for i in range(length)]
+            colors += [color + i % 2 for i in range(length)]
+        else:
+            simplices = [(0,), (1,)]
+            colors += [color, color]
+        tops = [top + tuple(first + v for v in s) for top in tops for s in simplices]
+    return ColoredPseudomanifold(
+        AbstractComplex(len(tops[0]) - 1, len(colors), tops), colors)
+
+
+def seed_codes(cp, max_tuples: int = DEFAULT_MAX_CELLS):
+    """The canonical tuple's orbit, as ``build_component`` closes it."""
+    pools = [np.array([canonical_involution(cp, w)], dtype=np.int32)
+             for w in proper_subsets(cp.n)]
+    return covering._tuple_codes(cp, pools, max_tuples)
+
+
+# n = 3, 4 and 5 (48 and 96 tops for the joins), and the orbit's size
+ORBITS = {
+    "sd(boundary delta4)": (lambda: colored_from_complex(corpus.boundary_delta(4))[0],
+                            2916),
+    "C4*C6*S0": (lambda: sphere_join(4, 6, 0), 81),
+    "C4*C6*C4": (lambda: sphere_join(4, 6, 4), 81),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORBITS))
+def orbit(request):
+    build, size = ORBITS[request.param]
+    cp = build()
+    return seed_codes(cp), dict_oracle.tuple_orbit(cp), size
+
+
+def test_orbit_matches_the_tuple_search(orbit):
+    codes, (reg, newt), size = orbit
+    assert codes.registry.tuple_count == size
+    assert list(map(tuple, codes.registry.tuples.tolist())) == reg._tuples
+    assert list(map(tuple, codes.registry.perms.tolist())) == reg._involutions
+    assert codes.newt.tolist() == newt
+
+
+def test_closures_are_the_values_each_slot_takes(orbit):
+    codes, _, _ = orbit
+    reg = codes.registry
+    for slot, closure in enumerate(codes.closures):
+        taken = reg.perms[np.unique(reg.tuples[:, slot])]
+        assert len(closure) == len(taken)
+        assert set(map(tuple, closure.tolist())) == set(map(tuple, taken.tolist()))
+
+
+def test_boundary_delta5_orbit_stops_at_the_cap():
+    cp = colored_from_complex(corpus.boundary_delta(5))[0]
+    with pytest.raises(CapExceededError, match="component exceeded 100000 cells") as e:
+        build_component(cp, max_cells=100000)
+    assert (e.value.cap, e.value.reached) == (100000, 100000)
+
+
+def widen_one_color_slots(monkeypatch, cp, rows: int) -> None:
+    """Give each one-color slot's closure ``rows`` rows, as a broadcast view.
+    The closures are made largest subsets first, so the last n + 1 close
+    the one-color slots, which no other slot is conjugated by."""
+    close = covering._close_slot
+    calls = []
+
+    def widened(outer, pool, closed):
+        calls.append(None)
+        closure, index = close(outer, pool, closed)
+        if len(calls) > len(proper_subsets(cp.n)) - (cp.n + 1):
+            closure = np.broadcast_to(closure[:1], (rows, closure.shape[1]))
+        return closure, index
+
+    monkeypatch.setattr(covering, "_close_slot", widened)
+
+
+@pytest.mark.parametrize("mode", ["cover", "verify"])
+def test_tuple_codes_past_int64_are_refused(mode, monkeypatch, capsys):
+    # the octahedron's closures have one row each; three of 2^31 rows make
+    # 2^93 codes, refused before any is made
+    cp = ColoredPseudomanifold(*corpus.octahedron())
+    widen_one_color_slots(monkeypatch, cp, 1 << 31)
+    message = (f"tuple codes need {2 ** 93} values, the product of the slot "
+               f"closure sizes, more than int64 holds")
+    assert main([mode, "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--max-cells", "1000"]) == 1
+    out, err = capsys.readouterr()
+    if mode == "cover":
+        assert (out, err) == ("", f"check failed: {message}\n")
+    else:
+        claim, overall = out.splitlines()[-2:]
+        assert claim.startswith("[   FAIL] cover component built and closed "
+                                "under crossings")
+        assert claim.endswith(f"  ({message})")
+        assert overall == "overall: FAIL"
+    assert "exceeded" not in out + err
+
+
+def test_full_build_closure_failure_is_the_failed_claim(monkeypatch, tmp_path,
+                                                         capsys):
+    # the octahedron's pool for {1, 2} is given an involution that keeps the
+    # color-1 vertex only: conjugating the pool of {2} by it leaves that pool
+    enumerate_pool = covering.enumerate_compatible_involutions
+    monkeypatch.setattr(covering, "enumerate_compatible_involutions", lambda cp, w: (
+        enumerate_pool(cp, 0b001)[1:2] if w == 0b011 else enumerate_pool(cp, w)))
+    out = tmp_path / "report.json"
+    assert main(["report", "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--out", str(out)]) == 1
+    claims = json.loads(out.read_text())["claims"]
+    assert claims[-1] == {
+        "claim": "full cover set built and closed under crossings",
+        "status": "fail",
+        "detail": "facet crossing left the full cover set; conjugation "
+                  "closure failed"}
+    assert all(e["status"] == "pass" for e in claims[:-1])
+    assert out.with_suffix(".txt").read_text().endswith("overall: FAIL\n")
+
+
+# digests of what the row-interning orbit closure wrote before the tuple
+# codes replaced it
+COVER_OUT_SHA256 = {
+    ("hexagon", False):
+        "a392f6d5fdbcbb6a4808f14ea0b2f8dea01e2ac4a4f9c0ddc449936be1d0faed",
+    ("octahedron", False):
+        "7017c9baca30a6d6cc8fe97976643f5b62bfc996baa1aac69df44c29d56f328d",
+    ("octahedron", True):
+        "f7b990b7c15c504d7db94819742cbead8d029d4a210b43ec4781257eea9c2878",
+    ("boundary_delta3", False):
+        "96cd6684489df62321f1289f7a4f5216dbe8c8f2539674fcfe9b6b9df62fb003",
+}
+
+
+@pytest.mark.parametrize("name, full", list(COVER_OUT_SHA256))
+def test_cover_out_bytes_are_pinned(name, full, tmp_path, capsys):
+    out = tmp_path / "cover.json"
+    assert main(["cover", "--input", str(CORPUS_DIR / f"{name}.json"),
+                 "--out", str(out)] + ["--full"] * full) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COVER_OUT_SHA256[name, full]
