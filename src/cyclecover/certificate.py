@@ -27,7 +27,7 @@ subset w of c_1, the facet F_w, so the simplex is also the face of the
 same flag in the cell glued across w, and of no other: the class of
 (cell, c_1) has exactly the two members cell and glue[cell, w].  That class
 size follows from the covering check, which shows that every class of
-codimension k has 2^k members (``covering.verify_cell_projection``); that
+codimension k has 2^k members (``covering.verify_covering``); that
 gluings are fixed-point-free involutions which commute across nested
 facets is checked when the complex is built.  So every (n-1)-simplex of K
 lies in exactly two tops once the template's boundary is exactly the flags
@@ -193,7 +193,7 @@ def is_oriented(t: FlagTemplate, g: np.ndarray, glue: np.ndarray) -> bool:
 def class_counts(t: FlagTemplate, num_cells: int) -> list[int]:
     """The cover's face classes per codimension.  The covering check shows
     that every class of a chain of length k has 2^k members
-    (``covering.verify_cell_projection``), so the chain has
+    (``covering.verify_covering``), so the chain has
     num_cells / 2^k classes."""
     faces = np.bincount([len(chain) for chain in t.chains])
     return [f * (num_cells >> k) for k, f in enumerate(faces.tolist())]

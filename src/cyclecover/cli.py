@@ -21,9 +21,10 @@ with the class counts of the cover and the base in closed form.  The
 cover's cells are expanded only for ``cover --out`` and
 ``cover --cells-out``, and triangulated only for the latter; ``verify``
 builds no face classes.  ``tomei`` certifies M^n the same way, and
-triangulates only to write ``--out``.  Sizes known in closed form (the template's flags, the
-tops that ``tomei --out`` and ``cover --cells-out`` write) are checked
-against ``--max-cells`` before anything of that size is built.
+triangulates only to write ``--out``.  Sizes known in closed form (the
+template's flags and their faces, the tops that ``tomei --out`` and
+``cover --cells-out`` write) are checked against ``--max-cells`` before
+anything of that size is built.
 
 Exit codes: 0 all enabled checks pass, 1 a check failed or a cap was hit,
 2 usage or input errors.
@@ -398,7 +399,8 @@ def _check_cap(what: str, size: int, unit: str, cap: int) -> None:
 def _run_tomei(config: RunConfig) -> int:
     """Build M^n and certify it as ``verify`` certifies a cover, on the
     flag template and the glue (``certificate``); valid means closed and
-    connected.  The template's n!(n+1)! flags, and with ``--out`` the
+    connected.  The template's n!(n+1)! flags, the (n+1) n!(n+1)! flag
+    faces that its closedness check groups, and with ``--out`` the
     2^n n!(n+1)! tops, are checked against the cap before anything is
     built, and the triangulation is built only to write ``--out``."""
     n = config.n
@@ -409,6 +411,8 @@ def _run_tomei(config: RunConfig) -> int:
     flags = factorial(n) * factorial(n + 1)
     _check_cap(f"the flag template of dimension {n}", flags, "flags",
                config.max_cells)
+    _check_cap(f"the flag template of dimension {n}", (n + 1) * flags,
+               "flag faces", config.max_cells)
     if config.out:
         _check_cap(f"the triangulation of M^{n}", flags << n, "top simplices",
                    config.max_cells)
@@ -539,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--cells-out",
                        help="triangulated complex JSON path")
     add_common(sub.add_parser("homology", help="integral homology groups"),
-               cap="cap on the entries of the largest dense matrix, the "
-                   "square of the largest number of faces of one dimension, "
-                   "checked before any is allocated")
+               cap="cap on the entries of each dense matrix: every boundary "
+                   "matrix, checked before any is allocated, and the Smith "
+                   "transforms of what unit-pivot peeling leaves of it")
     add_common(sub.add_parser("verify", help="run the whole verification chain"))
     add_common(sub.add_parser("report", help="verify and write JSON + text reports"))
     return parser

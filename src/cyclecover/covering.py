@@ -17,9 +17,10 @@ of Davis and Januszkiewicz.
 The builders close each slot's involutions under conjugation by the
 closures of the slots above it and code a tuple as a mixed-radix integer
 over the closures, so a set of tuples crosses every facet in one gather
-(``_tuple_codes``); the registry holds the involutions and the tuples as
-rows, numbered by first occurrence.  A whole set of pairs then crosses
-every facet in one array gather.
+(``_tuple_codes``).  The registry is the one tuple table: each slot's
+closure, each tuple's closure index in every slot and the tuple each
+crossing leads to.  A whole set of pairs then crosses every facet in one
+array gather.
 
 A component numbers its pairs X in breadth-first order from its seed, each
 pair x with the g value g0(x) it is first reached with.  The holonomies
@@ -30,21 +31,22 @@ cover set has every pair, in (sigma, tuple) order, with g0 = 0 on plus
 simplices and 1 on minus ones, and H the whole even part.
 
 The covering (``verify_covering``) and the realization (``certificate``)
-are certified on this monodromy.  The cell arrays and the cell glue are
-expanded in closed form for the writers and the test oracles only: cell
-(x, i) is (x, g0(x) + h_i), h_i the i-th element of H in ascending order.
+are certified on this monodromy; ``verify_covering`` proves there that the
+face classes of the cells cover the base's class by class.  The cell
+arrays and the cell glue are expanded in closed form for the writers and
+the test oracles only: cell (x, i) is (x, g0(x) + h_i), h_i the i-th
+element of H in ascending order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
 
 import numpy as np
 
-from .cells import PermutahedralComplex, face_classes
+from .cells import PermutahedralComplex
 from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
 from .involutions import (
     canonical_involution,
@@ -71,14 +73,16 @@ def parity_signs(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InvolutionRegistry:
-    """The involutions and involution tuples of a cover, read only:
-    ``perms[i]`` is involution i, one entry per top simplex, and
-    ``tuples[t]`` the involution ids of tuple t, one per proper color subset
-    in ``subsets`` order, both numbered by ``_tuple_codes``."""
+    """The tuples of a cover and their crossings, read only.  ``closures[s]``
+    holds the involutions that slot s takes, one entry per top simplex, and
+    tuple t holds ``closures[s][digits[t, s]]`` in slot s, one slot per
+    proper color subset in ``subsets`` order.  Crossing F_w, with
+    w = subsets[slot], sends tuple t to ``newt[t, slot]``."""
 
     cp: ColoredPseudomanifold
-    perms: np.ndarray  # int32 (involutions, tops)
-    tuples: np.ndarray  # int32 (tuples, slots)
+    closures: list[np.ndarray]  # int32 (closure size, tops) per slot
+    digits: np.ndarray  # int32 (tuples, slots)
+    newt: np.ndarray  # int32 (tuples, slots)
 
     @property
     def subsets(self) -> list[int]:
@@ -86,7 +90,21 @@ class InvolutionRegistry:
 
     @property
     def tuple_count(self) -> int:
-        return len(self.tuples)
+        return len(self.digits)
+
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closures stacked and raveled, and where each slot of each
+        tuple starts in them, as ``int64`` (tuples, slots)."""
+        offset = np.cumsum([0] + [len(c) for c in self.closures[:-1]], dtype=np.int64)
+        return (np.concatenate(self.closures).ravel(),
+                (offset + self.digits) * self.cp.top_count)
+
+    def moved(self, t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """The simplex across every facet of each pair (t, sigma), as an
+        ``int32`` (pairs, slots) array."""
+        images, rows = self._gather
+        return np.take(images, np.take(rows, t, axis=0) + sigma[:, None])
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -128,27 +146,8 @@ def _close_slot(outer: np.ndarray, rows: np.ndarray,
     return rows, np.empty((0, len(rows)), dtype=np.int64)
 
 
-@dataclass
-class _TupleCodes:
-    """The tuples of a cover and their crossings.  ``closures[s]`` holds
-    the involutions that slot s takes, and ``images`` all of them stacked
-    and raveled.  Crossing F_w, with w = subsets[slot], sends the pair
-    (t, sigma) to (``newt[t, slot]``, ``images[rows[t, slot] + sigma]``)."""
-
-    registry: InvolutionRegistry
-    closures: list[np.ndarray]  # int32 (closure size, tops) per slot
-    images: np.ndarray  # int32 (stacked closure rows * tops,)
-    newt: np.ndarray  # int32 (tuples, slots)
-    rows: np.ndarray  # int64 (tuples, slots)
-
-    def moved(self, t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """The simplex across every facet of each pair (t, sigma), as an
-        ``int32`` (pairs, slots) array."""
-        return np.take(self.images, np.take(self.rows, t, axis=0) + sigma[:, None])
-
-
 def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
-                 max_tuples: int | None = None) -> _TupleCodes:
+                 max_tuples: int | None = None) -> InvolutionRegistry:
     """Close the involutions of every slot, then the tuples under crossings.
 
     Crossing F_w conjugates the components at the subsets gamma inside w by
@@ -158,14 +157,15 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     closure indices.  A tuple's code is its closure indices in mixed radix,
     the last slot least significant, and crossing F_w adds one table entry
     per gamma inside w.  The product of the closure sizes must fit
-    ``int64``; then each closure element is checked compatible.  Without
+    ``int64``; then each closure element is checked compatible, and an
+    incompatible one is a gluing error.  Without
     ``max_tuples`` the pools must come out closed (the full cover set) and
     the tuples are every code, in ``product`` order.  With it they are the
     crossings' closure of code 0, the first rows of the pools, breadth
     first, at most ``max_tuples`` since each carries a cell of the
     component; the product holds them, but whether it is all of them is
-    open.  Involutions are numbered by first occurrence: the pools in slot
-    order, then the tuples' components in (tuple, slot) order.
+    open.  The registry returned holds the closures, each tuple's closure
+    indices and the crossing table.
     """
     subsets = proper_subsets(cp.n)
     slots, tops = len(subsets), cp.top_count
@@ -185,8 +185,9 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
             f"sizes, more than int64 holds", np.iinfo(np.int64).max, total)
     for w, closure in zip(subsets, closures):
         if not is_compatible_involution(cp, closure, w):
-            raise ValueError(f"component for subset {mask_elements(w)} "
-                             f"is not a compatible involution")
+            raise InconsistentGluingError(
+                f"component for subset {mask_elements(w)} is not a compatible "
+                f"involution")
     size = np.array(sizes, dtype=np.int64)
     radix = np.append(np.cumprod(size[:0:-1])[::-1], 1)
 
@@ -206,10 +207,13 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     stride = size[pair_gamma].astype(np.int32)
     moving, starts = np.unique(np.array(pair_w, dtype=np.int64), return_index=True)
 
+    def digits(codes: np.ndarray) -> np.ndarray:
+        return (codes[:, None] // radix % size).astype(np.int32)
+
     def cross(codes: np.ndarray) -> np.ndarray:
-        digits = (codes[:, None] // radix % size).astype(np.int32)
-        at = digits[:, pair_w] * stride + block
-        at += digits[:, pair_gamma]
+        held = digits(codes)
+        at = held[:, pair_w] * stride + block
+        at += held[:, pair_gamma]
         moves = np.add.reduceat(step[at], starts, axis=1)
         crossed = np.repeat(codes[:, None], slots, axis=1)
         crossed[:, moving] += moves
@@ -226,17 +230,8 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
                                    max_tuples, max_tuples)
         newt.append(number.reshape(crossed.shape))
         done, codes = len(codes), np.concatenate([codes, crossed.ravel()[fresh]])
-    offset = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-    held = offset + codes[:, None] // radix % size  # rows of the stacked closures
-    stacked = np.concatenate(closures)
-    order = np.concatenate([offset[s] + np.arange(len(p)) for s, p in enumerate(pools)]
-                           + [held.ravel()])
-    content = np.unique(_row_keys(stacked), return_inverse=True)[1][order]
-    first, perm_id = _first_seen(content[:0], content)
-    tuples = perm_id[order.size - held.size:].reshape(held.shape).astype(np.int32)
-    registry = InvolutionRegistry(cp, stacked[order[first]], tuples)
-    return _TupleCodes(registry, closures, stacked.ravel(),
-                       np.concatenate(newt).astype(np.int32), held * tops)
+    return InvolutionRegistry(cp, closures, digits(codes),
+                              np.concatenate(newt).astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +405,10 @@ def build_component(cp: ColoredPseudomanifold,
     the cap is checked on the pairs as they are numbered, and on the cells
     once H is known.
     """
-    codes = _tuple_codes(cp, [np.array([canonical_involution(cp, w)], dtype=np.int32)
-                              for w in proper_subsets(cp.n)], max_cells)
+    reg = _tuple_codes(cp, [np.array([canonical_involution(cp, w)], dtype=np.int32)
+                            for w in proper_subsets(cp.n)], max_cells)
     gen = generators(cp.n)
-    number = np.full(codes.registry.tuple_count * cp.top_count, -1, dtype=np.int32)
+    number = np.full(reg.tuple_count * cp.top_count, -1, dtype=np.int32)
     frontier = np.array([cp.plus[0]], dtype=np.int64)  # tuple 0, g = 0
     lift = np.zeros(1, dtype=np.int32)
     number[frontier] = 0
@@ -421,8 +416,8 @@ def build_component(cp: ColoredPseudomanifold,
     levels, lifts, rows = [frontier], [lift], []
     while frontier.size:
         t, sigma = np.divmod(frontier, cp.top_count)
-        crossed = (np.take(codes.newt, t, axis=0).astype(np.int64) * cp.top_count
-                   + codes.moved(t, sigma))
+        crossed = (np.take(reg.newt, t, axis=0).astype(np.int64) * cp.top_count
+                   + reg.moved(t, sigma))
         fresh = number[crossed] < 0
         unseen = crossed[fresh]  # (pair, slot) order
         # scatter positions in reverse, so each key keeps its first one
@@ -440,7 +435,7 @@ def build_component(cp: ColoredPseudomanifold,
         lifts.append(lift)
         rows.append(number[crossed])
     t, sigma = np.divmod(np.concatenate(levels), cp.top_count)
-    cover = _cover(codes.registry, t, sigma, np.concatenate(lifts),
+    cover = _cover(reg, t, sigma, np.concatenate(lifts),
                    np.concatenate(rows), True)
     if cover.num_cells > max_cells:
         raise CapExceededError(
@@ -469,15 +464,15 @@ def build_full(cp: ColoredPseudomanifold,
         raise CapExceededError(
             f"full cover set has {total} cells, more than the cap {max_cells}",
             max_cells, total)
-    codes = _tuple_codes(cp, [
+    reg = _tuple_codes(cp, [
         np.reshape(enumerate_compatible_involutions(cp, w),
                    (-1, cp.top_count)).astype(np.int32)
         for w in proper_subsets(cp.n)])
-    tuples = codes.registry.tuple_count
+    tuples = reg.tuple_count
     sigma, t = np.divmod(np.arange(cp.top_count * tuples), tuples)
-    glue = codes.moved(t, sigma) * tuples + codes.newt[t]
+    glue = reg.moved(t, sigma) * tuples + reg.newt[t]
     g0 = (cp.parts[sigma] < 0).astype(np.int32)
-    return _cover(codes.registry, t, sigma, g0, glue, False)
+    return _cover(reg, t, sigma, g0, glue, False)
 
 
 @dataclass
@@ -486,63 +481,6 @@ class CoveringReport:
 
     degree: int
     cell_fibers: dict[int, int]
-
-
-def verify_cell_projection(cover_pc: PermutahedralComplex, projection,
-                           base: PermutahedralComplex) -> CoveringReport:
-    """Certify that a cell map is a covering of permutahedral complexes.
-
-    ``projection[i]`` is the base cell under cover cell i (the permutahedron
-    coordinate maps by the identity).  Checks, in order: the projection
-    commutes with every facet crossing; fibers over cells are constant with
-    integral degree.  The base's face classes are built, which checks that
-    each of codimension k has 2^k members.
-
-    Face classes then need no check on the cover.  Both complexes passed
-    the constructor's check: their gluings are fixed-point-free involutions
-    and gluings across nested facets commute.  The facets of a chain c of
-    length k are nested, so on either complex c's gluings generate an
-    action of (Z/2)^k, and the classes of c are its orbits.  The
-    projection commutes with each gluing, so it is equivariant and maps
-    the orbit of a cover cell x onto the orbit of its image.  On the base,
-    (Z/2)^k acts freely on each orbit, since the orbit has 2^k members.  An
-    element fixing x fixes the image of x, so it is the identity: the
-    orbit of x has 2^k members too, and it maps bijectively onto one base
-    class.  A base class of codimension k then has 2^k * degree cells over
-    it, which split into exactly degree cover classes: every class fibre
-    is the degree.
-    """
-    if base.n != cover_pc.n:
-        raise NotACoveringError("base and cover dimensions differ")
-    if len(projection) != cover_pc.num_cells:
-        raise NotACoveringError("projection must assign a base cell to every cell")
-    proj = np.asarray(projection, dtype=np.int64)
-    if ((proj < 0) | (proj >= base.num_cells)).any():
-        raise NotACoveringError("projection sends a cell outside the base")
-    # base cell ids fit int32, like the glue tables: np.take of int32 entries
-    # by an int32 table is the fast gather (int64 entries, or fancy indexing
-    # with an int32 index, take a slower path)
-    proj = proj.astype(np.int32)
-
-    moved = np.take(proj, cover_pc.glue) != np.take(base.glue, proj, axis=0)
-    if moved.any():
-        i, slot = np.argwhere(moved)[0]
-        raise NotACoveringError(
-            f"projection does not commute with crossing "
-            f"{mask_elements(cover_pc.subsets[slot])} at cell {i}")
-
-    if cover_pc.num_cells % base.num_cells:
-        raise NotACoveringError(
-            f"{cover_pc.num_cells} cells cannot evenly cover {base.num_cells}")
-    degree = cover_pc.num_cells // base.num_cells
-
-    fibers = np.bincount(proj, minlength=base.num_cells)
-    if (fibers != degree).any():
-        raise NotACoveringError(
-            f"cell fibers are not constant: {dict(Counter(proj.tolist()))}")
-
-    face_classes(base)  # raises unless every class has 2^k members
-    return CoveringReport(degree, dict(enumerate(fibers.tolist())))
 
 
 def verify_covering(cover: CoverComplex,
@@ -566,21 +504,30 @@ def verify_covering(cover: CoverComplex,
     - the base glues g to g + gen[w] across F_w (``glued_as_tomei``), so
       its class of a chain of length k has 2^k members.
 
-    These give every claim ``verify_cell_projection`` checks on the cells.
-    Parity: each hol(x, w) is even, since g0 matches the part and the part
-    flips while gen[w] is one bit, so H is even and every cell
-    (x, g0(x) + h) has the parity of sigma(x).  Crossing F_w sends the cell
-    (x, g) to (pi_w x, g + gen[w]), a cell, as g + gen[w] - g0(pi_w x) is
-    (g - g0(x)) + hol(x, w), in H; a cell is fixed by its pair and g.  Since
-    hol(pi_w x, w) = hol(x, w) and pi_w is an involution without fixed
-    points, so is the crossing, and crossings across nested facets commute,
-    since the pi_w do and g moves by gen[w1] + gen[w2] either way.  The
-    projection to g commutes with every crossing, as the base moves g by
-    gen[w] too, and its fibres are the ones counted.  So the cells with their
-    closed-form glue (``CoverComplex.pc``) pass the checks of
-    ``verify_cell_projection``, whose proof then shows that every face class
-    of codimension k has 2^k members and maps bijectively onto one base
-    class, each base class with the degree's worth of classes over it.
+    So the cells with their closed-form glue (``CoverComplex.pc``) form a
+    covering of the base.  Parity: each hol(x, w) is even, since g0 matches
+    the part and the part flips while gen[w] is one bit, so H is even and
+    every cell (x, g0(x) + h) has the parity of sigma(x).  Crossing F_w
+    sends the cell (x, g) to (pi_w x, g + gen[w]), a cell, as
+    g + gen[w] - g0(pi_w x) is (g - g0(x)) + hol(x, w), in H; a cell is
+    fixed by its pair and g.  Since hol(pi_w x, w) = hol(x, w) and pi_w is
+    an involution without fixed points, so is the crossing, and crossings
+    across nested facets commute, since the pi_w do and g moves by
+    gen[w1] + gen[w2] either way.  The projection to g commutes with every
+    crossing, as the base moves g by gen[w] too, and its fibres are the
+    ones counted, so they are constant with the degree as their size.
+
+    Face classes then need no check on the cells.  The facets of a chain c
+    of length k are nested, so on either complex c's gluings generate an
+    action of (Z/2)^k, and the classes of c are its orbits.  The projection
+    commutes with each gluing, so it is equivariant and maps the orbit of a
+    cover cell onto the orbit of its image.  On the base, (Z/2)^k acts
+    freely on each orbit, since the orbit has 2^k members.  An element
+    fixing a cover cell fixes its image, so it is the identity: the orbit
+    of the cell has 2^k members too, and it maps bijectively onto one base
+    class.  A base class of codimension k then has 2^k * degree cells over
+    it, which split into exactly degree cover classes: every class fibre
+    is the degree.
     """
     cp = cover.cp
     n = cp.n

@@ -358,19 +358,26 @@ class ReducedSmithForm:
         return [1] * self.pivots + self.schur.divisors
 
 
-def reduced_smith_form(matrix) -> ReducedSmithForm:
-    """Rank and divisors of an integer matrix by unit-pivot elimination and
-    the Smith form of what is left.  The pivots are peeled from the matrix
-    and from its transpose, whose Smith form is the same, and the side with
-    more of them is kept."""
+def _peeled(matrix) -> tuple[int, np.ndarray]:
+    """The number p of unit pivots peeled from an integer matrix and the
+    Schur complement S left, with its zero rows and columns dropped.  The
+    pivots are peeled from the matrix and from its transpose, whose Smith
+    form is the same, and the side with more of them is kept."""
     m = _integer_matrix(matrix)
     rows, cols = unit_pivots(m)
     t_rows, t_cols = unit_pivots(m.T)
     if len(t_rows) > len(rows):
         m, rows, cols = m.T, t_rows, t_cols
     s = schur_complement(m, rows, cols)
-    s = s[np.ix_(np.count_nonzero(s, axis=1) > 0, np.count_nonzero(s, axis=0) > 0)]
-    return ReducedSmithForm(len(rows), smith_normal_form(s))
+    return len(rows), s[np.ix_(np.count_nonzero(s, axis=1) > 0,
+                               np.count_nonzero(s, axis=0) > 0)]
+
+
+def reduced_smith_form(matrix) -> ReducedSmithForm:
+    """Rank and divisors of an integer matrix by unit-pivot elimination and
+    the Smith form of what is left (``_peeled``)."""
+    pivots, s = _peeled(matrix)
+    return ReducedSmithForm(pivots, smith_normal_form(s))
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +446,39 @@ class HomologyGroup:
         return NotImplemented
 
 
+def _check_entries(what: str, rows: int, cols: int, cap: int | None) -> None:
+    """Refuse a dense rows x cols array of more than ``cap`` entries."""
+    if cap is not None and rows * cols > cap:
+        raise CapExceededError(
+            f"homology needs {what}, {rows} x {cols}, {rows * cols} entries, "
+            f"over the cap of {cap}", cap, rows * cols)
+
+
 def homology(c: AbstractComplex,
              max_entries: int | None = None) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
-    Each boundary matrix, |(k-1)-faces| x |k-faces|, is held densely, and
-    the Smith form of its Schur complement, which is never larger, holds a
-    square transform on each side, so the largest dense array has at most
-    F^2 entries, F the largest number of faces of one dimension.  With
-    ``max_entries``, a larger F^2 raises CapExceededError before any matrix
-    is allocated.
+    Each boundary matrix ∂_k, |(k-1)-faces| x |k-faces|, is held densely.
+    The blocks A and E that peeling cuts from it are parts of it, and the
+    solve X has the shape of A, so none is larger.  The Smith form of the
+    Schur complement S then holds S and a square transform on each side of
+    it.  With ``max_entries``, a ∂_k with more entries raises
+    CapExceededError before any matrix is allocated, and so does the larger
+    transform of S before its Smith form is begun.
     """
     if max_entries is not None:
         counts = [len(level) for level in faces_by_dimension(c)]
-        k = int(np.argmax(counts))
-        if counts[k] ** 2 > max_entries:
-            raise CapExceededError(
-                f"homology of the {counts[k]} faces of dimension {k} needs a "
-                f"{counts[k]} x {counts[k]} matrix, {counts[k] ** 2} entries, "
-                f"over the cap of {max_entries}", max_entries, counts[k] ** 2)
+        for k in range(1, c.n + 1):
+            _check_entries(f"the boundary matrix ∂_{k}", counts[k - 1],
+                           counts[k], max_entries)
     mats = boundary_matrices(c)
-    forms = [reduced_smith_form(m) for m in mats]
+    forms = []
+    for k, m in enumerate(mats):
+        pivots, s = _peeled(m)
+        side = max(s.shape)
+        _check_entries(f"a Smith transform of the {s.shape[0]} x {s.shape[1]} "
+                       f"Schur complement of ∂_{k}", side, side, max_entries)
+        forms.append(ReducedSmithForm(pivots, smith_normal_form(s)))
     groups = []
     for k in range(c.n + 1):
         rank_in = forms[k].rank

@@ -286,6 +286,10 @@ class InvolutionRegistry:
     def tuple_count(self) -> int:
         return len(self._tuples)
 
+    def tuple_values(self) -> list[tuple]:
+        """Every tuple as its involutions, in tuple id order."""
+        return [tuple(self._involutions[i] for i in key) for key in self._tuples]
+
 
 def in_cover_set(cp, cell: CoverCell) -> bool:
     """Membership in the cover cell set: g in range and parity matching."""

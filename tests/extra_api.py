@@ -2,7 +2,7 @@
 permutahedron's faces and flags, kept as the oracle for its closed-form
 flag template, walks of its face lattice, its barycentric triangulation,
 the template flag of each top of a triangulation, a cover's cells as
-triples, loaders for
+triples and its tuples as involutions, loaders for
 cell-complex and cover documents, a DOT export of the facet-dual graph,
 the suspended cycle, and the benchmark's input generators."""
 
@@ -169,6 +169,14 @@ def cover_cells(cover) -> list[CoverCell]:
     """Cell i of the cover as (sigma[i], tuple_id[i], g[i])."""
     return list(map(CoverCell, cover.sigma.tolist(), cover.tuple_id.tolist(),
                     cover.g.tolist()))
+
+
+def tuple_values(registry) -> list[tuple]:
+    """Tuple t of a cover's registry as its involutions, one tuple of image
+    indices per slot."""
+    held = np.stack([closure[registry.digits[:, s]]
+                     for s, closure in enumerate(registry.closures)], axis=1)
+    return [tuple(map(tuple, row)) for row in held.tolist()]
 
 
 # ---------------------------------------------------------------------------

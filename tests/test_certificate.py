@@ -586,13 +586,13 @@ def test_orientation_check_catches_a_parity_or_template_flip(covers):
 
 
 def test_factored_path_never_triangulates(monkeypatch):
-    from cyclecover import cells, covering, realization
+    from cyclecover import cells, realization
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the cover was triangulated")
 
     for module, name in ((cli, "triangulate"), (cells, "triangulate"),
-                         (cells, "face_classes"), (covering, "face_classes"),
+                         (cells, "face_classes"),
                          (cli, "orient"),
                          (realization, "realization_map"),
                          (realization, "verify_realization")):

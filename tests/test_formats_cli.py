@@ -387,16 +387,62 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "check failed: homology of the 2304 faces of dimension 2 needs a "
-        "2304 x 2304 matrix, 5308416 entries, over the cap of 1000\n")
+        "check failed: homology needs the boundary matrix ∂_1, 160 x 1312, "
+        "209920 entries, over the cap of 1000\n")
     assert not calls
-    # the 288 edges of the octahedron cover component square to 82,944
+    # the octahedron cover component triangulates into 88 vertices, 288
+    # edges and 192 triangles: its largest boundary matrix is 288 x 192
     assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--cells-out", str(path)]) == 0
-    assert main(["homology", "--input", str(path), "--max-cells", "82944"]) == 0
-    assert main(["homology", "--input", str(path), "--max-cells", "82943"]) == 1
+    assert main(["homology", "--input", str(path), "--max-cells", "55296"]) == 0
+    assert main(["homology", "--input", str(path), "--max-cells", "55295"]) == 1
     assert calls["boundary_matrices"] == 1
     capsys.readouterr()
+
+
+# the groups of M^3 that homology printed when the cap was the square of
+# the most faces of one dimension, 2304^2 = 5,308,416 entries
+M3_HOMOLOGY = "".join(f"H_{k} = {group}\n" for k, group in enumerate(
+    ["Z", " + ".join(["Z"] * 11), " + ".join(["Z"] * 11), "Z"]))
+
+
+def test_homology_cap_is_the_largest_boundary_matrix(tmp_path, capsys):
+    # M^3 triangulates into 160, 1312, 2304 and 1152 faces; peeling leaves
+    # nothing of any boundary matrix, so the 1312 x 2304 matrix of ∂_2 is
+    # the largest array that homology makes
+    path = tmp_path / "m3.json"
+    assert main(["tomei", "--n", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["homology", "--input", str(path), "--max-cells", "3022848"]) == 0
+    assert capsys.readouterr() == (M3_HOMOLOGY, "")
+    assert main(["homology", "--input", str(path), "--max-cells", "3022847"]) == 1
+    assert capsys.readouterr() == ("", (
+        "check failed: homology needs the boundary matrix ∂_2, 1312 x 2304, "
+        "3022848 entries, over the cap of 3022847\n"))
+
+
+def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
+                                                         capsys):
+    # with no unit pivot peeled, the Schur complement of ∂_1 is all of the
+    # 88 x 288 matrix, and its column transform has 288^2 entries, more
+    # than any boundary matrix of the octahedron cover
+    path = tmp_path / "cover.json"
+    assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--cells-out", str(path)]) == 0
+    capsys.readouterr()
+
+    genuine = homology_module.smith_normal_form
+
+    def empty_only(s):
+        assert not s.size, "a Smith form was begun"
+        return genuine(s)
+
+    monkeypatch.setattr(homology_module, "unit_pivots", lambda m: ([], []))
+    monkeypatch.setattr(homology_module, "smith_normal_form", empty_only)
+    assert main(["homology", "--input", str(path), "--max-cells", "55296"]) == 1
+    assert capsys.readouterr() == ("", (
+        "check failed: homology needs a Smith transform of the 88 x 288 Schur "
+        "complement of ∂_1, 288 x 288, 82944 entries, over the cap of 55296\n"))
 
 
 # ---------------------------------------------------------------------------

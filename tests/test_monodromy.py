@@ -6,9 +6,10 @@ sd(boundary delta4) component to the crossings of the dict oracle; the
 pair-level component labels and ranks, and the component numbers that
 ``push_forward`` names, to ``cell_components``; and every check of
 ``verify_covering`` fails on a planted defect with its own error and
-message.
+message, which ``report`` then gives as the failed covering claim.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import CoverCell, cover_cells
-from cyclecover import corpus, formats
+from extra_api import CoverCell, cover_cells, tuple_values
+from cyclecover import cli, corpus, formats
 from cyclecover.cells import PermutahedralComplex, cell_components
 from cyclecover.covering import (
     build_component,
@@ -111,10 +112,8 @@ def test_boundary_delta4_cells_are_the_crossings(delta4_component):
     parity = np.array([bin(g).count("1") % 2 for g in range(8)])
     assert (parity[cover.g] == (cover.cp.parts[cover.sigma] < 0)).all()
     reg = dict_oracle.InvolutionRegistry(cover.cp)
-    for perm in cover.registry.perms.tolist():
-        reg.intern_involution(tuple(perm))
-    for row in cover.registry.tuples.tolist():
-        reg.intern_tuple(row)
+    for value in tuple_values(cover.registry):
+        reg.intern_tuple([reg.intern_involution(perm) for perm in value])
 
     def cell(i):
         return CoverCell(int(cover.sigma[i]), int(cover.tuple_id[i]),
@@ -294,6 +293,30 @@ def test_planted_monodromy_defects(octa, defect):
         verify_covering(plant(octa))
     assert type(e.value) is error
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("defect", ["part kept", "flipped g0 parity",
+                                    "uneven fibres", "holonomy outside H"])
+def test_planted_monodromy_defects_fail_the_covering_claim(octa, defect,
+                                                            monkeypatch, tmp_path,
+                                                            capsys):
+    # the octahedron's full cover set fits the cap, so ``report`` builds it
+    # with ``build_full``, which hands over the planted cover instead
+    plant, _, message = PLANTED[defect]
+    monkeypatch.setattr(cli, "build_full", lambda *args: plant(octa))
+    written = []
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.json"
+        assert cli.main(["report", "--input", str(CORPUS_DIR / "octahedron.json"),
+                         "--out", str(out)]) == 1
+        written.append((out.read_bytes(), out.with_suffix(".txt").read_bytes()))
+    capsys.readouterr()
+    assert written[0] == written[1]
+    claims = json.loads(written[0][0])["claims"]
+    assert claims[-1] == {"claim": "projection to the Tomei base is a covering",
+                          "status": "fail", "detail": message}
+    assert all(e["status"] == "pass" for e in claims[:-1])
+    assert written[0][1].decode().endswith("overall: FAIL\n")
 
 
 def test_base_not_glued_as_tomei(octa):

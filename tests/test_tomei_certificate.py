@@ -20,7 +20,7 @@ import pytest
 
 import dict_oracle
 from extra_api import template_flag_of_tops
-from cyclecover import cells, cli, covering, formats, pseudomanifold, tomei
+from cyclecover import cells, cli, formats, pseudomanifold, tomei
 from cyclecover.cells import (
     PermutahedralComplex,
     euler_characteristic,
@@ -182,7 +182,7 @@ def test_tomei_never_triangulates_without_out(monkeypatch, capsys):
         raise AssertionError("M^n was triangulated")
 
     for module, name in ((cli, "triangulate"), (cells, "triangulate"),
-                         (cells, "face_classes"), (covering, "face_classes"),
+                         (cells, "face_classes"),
                          (cli, "validate_pseudomanifold"), (cli, "orient"),
                          (pseudomanifold, "validate_pseudomanifold"),
                          (pseudomanifold, "orient")):
@@ -214,6 +214,8 @@ def flags(n):
      144, "flags", 143),
     (["--n", "3", "--max-cells", "1151", "--out", "{tmp}/m3.json"],
      "the triangulation of M^3", 1152, "top simplices", 1151),
+    (["--n", "6", "--max-cells", "4000000"], "the flag template of dimension 6",
+     7 * flags(6), "flag faces", 4000000),
 ])
 def test_tomei_over_the_cap_builds_nothing(argv, what, size, unit, cap,
                                            tmp_path, monkeypatch, capsys):

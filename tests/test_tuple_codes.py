@@ -1,8 +1,8 @@
 """The tuple orbit from per-slot closures and integer tuple codes, against
 the tuple-only breadth-first search of ``dict_oracle`` at scale; the
 refusals before and during the orbit; the ledger when the full build's
-closure check fails; and the bytes of ``cover --out``, which writes the
-orbit's tuple ids."""
+closure check fails or a closure element is not compatible; and the bytes
+of ``cover --out``, which writes the orbit's tuple ids."""
 
 import hashlib
 import json
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
+from extra_api import tuple_values
 from cyclecover import corpus, covering
 from cyclecover.cli import main
 from cyclecover.covering import DEFAULT_MAX_CELLS, build_component
@@ -69,20 +70,19 @@ def orbit(request):
 
 
 def test_orbit_matches_the_tuple_search(orbit):
-    codes, (reg, newt), size = orbit
-    assert codes.registry.tuple_count == size
-    assert list(map(tuple, codes.registry.tuples.tolist())) == reg._tuples
-    assert list(map(tuple, codes.registry.perms.tolist())) == reg._involutions
-    assert codes.newt.tolist() == newt
+    registry, (reg, newt), size = orbit
+    assert registry.tuple_count == size
+    assert tuple_values(registry) == reg.tuple_values()
+    assert registry.newt.tolist() == newt
 
 
 def test_closures_are_the_values_each_slot_takes(orbit):
-    codes, _, _ = orbit
-    reg = codes.registry
-    for slot, closure in enumerate(codes.closures):
-        taken = reg.perms[np.unique(reg.tuples[:, slot])]
-        assert len(closure) == len(taken)
-        assert set(map(tuple, closure.tolist())) == set(map(tuple, taken.tolist()))
+    # the rows of each closure are distinct, and the orbit's tuples hold
+    # every one of them in that slot
+    registry, _, _ = orbit
+    for slot, closure in enumerate(registry.closures):
+        assert len(np.unique(closure, axis=0)) == len(closure)
+        assert np.unique(registry.digits[:, slot]).tolist() == list(range(len(closure)))
 
 
 def test_boundary_delta5_orbit_stops_at_the_cap():
@@ -147,6 +147,32 @@ def test_full_build_closure_failure_is_the_failed_claim(monkeypatch, tmp_path,
         "status": "fail",
         "detail": "facet crossing left the full cover set; conjugation "
                   "closure failed"}
+    assert all(e["status"] == "pass" for e in claims[:-1])
+    assert out.with_suffix(".txt").read_text().endswith("overall: FAIL\n")
+
+
+@pytest.mark.parametrize("mode", ["report", "cover"])
+def test_incompatible_closure_element_is_the_failed_claim(mode, monkeypatch,
+                                                          tmp_path, capsys):
+    # every closure element of {1, 2} is refused as incompatible: the full
+    # build of ``report`` and the component of ``cover`` both stop there
+    compatible = covering.is_compatible_involution
+    monkeypatch.setattr(covering, "is_compatible_involution", lambda cp, perm, w: (
+        w != 0b011 and compatible(cp, perm, w)))
+    message = "component for subset (1, 2) is not a compatible involution"
+    out = tmp_path / "out.json"
+    assert main([mode, "--input", str(CORPUS_DIR / "octahedron.json"),
+                 "--out", str(out)]) == 1
+    printed, err = capsys.readouterr()
+    if mode == "cover":
+        assert (printed, err) == ("", f"check failed: {message}\n")
+        assert not out.exists()
+        return
+    assert err == ""
+    claims = json.loads(out.read_text())["claims"]
+    assert claims[-1] == {
+        "claim": "full cover set built and closed under crossings",
+        "status": "fail", "detail": message}
     assert all(e["status"] == "pass" for e in claims[:-1])
     assert out.with_suffix(".txt").read_text().endswith("overall: FAIL\n")
 
