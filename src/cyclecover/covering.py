@@ -47,7 +47,7 @@ from math import prod
 import numpy as np
 
 from .cells import PermutahedralComplex
-from .errors import CapExceededError, InconsistentGluingError, NotACoveringError
+from .errors import CapExceededError, InconsistentGluingError, NotACoveringError, check_cap
 from .involutions import (
     canonical_involution,
     enumerate_compatible_involutions,
@@ -459,11 +459,8 @@ def build_full(cp: ColoredPseudomanifold,
     of (Z_2)^n, whose ascending elements, added to g0, run through the
     parity-consistent g in order.  The cells come out in
     (sigma, tuple, g) order."""
-    total = cp.top_count * predicted_multiplicity(cp, counts)
-    if total > max_cells:
-        raise CapExceededError(
-            f"full cover set has {total} cells, more than the cap {max_cells}",
-            max_cells, total)
+    check_cap("full cover set", cp.top_count * predicted_multiplicity(cp, counts),
+              "cells", max_cells)
     reg = _tuple_codes(cp, [
         np.reshape(enumerate_compatible_involutions(cp, w),
                    (-1, cp.top_count)).astype(np.int32)

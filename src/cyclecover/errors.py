@@ -38,6 +38,13 @@ class CapExceededError(TopologyError):
         self.reached = reached
 
 
+def check_cap(what: str, size: int, unit: str, cap: int) -> None:
+    """Refuse a size over the cap, known before anything of that size is built."""
+    if size > cap:
+        raise CapExceededError(
+            f"{what} has {size} {unit}, more than the cap {cap}", cap, size)
+
+
 class NotACoveringError(TopologyError):
     """The candidate projection is not a covering of cell complexes."""
 

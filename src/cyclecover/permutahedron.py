@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
+from .errors import check_cap
 from .pseudomanifold import face_ids, group_rows, permutation_signs
 
 Chain = tuple[int, ...]
@@ -78,6 +80,15 @@ class FlagTemplate:
         rows = self.flags[:, keep].reshape(-1, self.n)
         facet, _ = group_rows(rows, len(self.chains))
         return facet.reshape(-1, width), np.bincount(facet)
+
+
+def check_template_size(n: int, cap: int) -> None:
+    """Refuse the template of dimension n over the cap before it is built:
+    its n!(n+1)! flags and the (n+1) n!(n+1)! flag faces ``facets`` groups."""
+    flags = factorial(n) * factorial(n + 1)
+    check_cap(f"the flag template of dimension {n}", flags, "flags", cap)
+    check_cap(f"the flag template of dimension {n}", (n + 1) * flags,
+              "flag faces", cap)
 
 
 @cache

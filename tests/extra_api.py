@@ -4,7 +4,8 @@ flag template, walks of its face lattice, its barycentric triangulation,
 the template flag of each top of a triangulation, a cover's cells as
 triples and its tuples as involutions, loaders for
 cell-complex and cover documents, a DOT export of the facet-dual graph,
-the suspended cycle, and the benchmark's input generators."""
+the suspended cycle, joins of spheres, and the benchmark's input
+generators."""
 
 import importlib.util
 from itertools import permutations
@@ -21,7 +22,7 @@ from cyclecover.permutahedron import (
     mask_elements,
     proper_subsets,
 )
-from cyclecover.pseudomanifold import AbstractComplex
+from cyclecover.pseudomanifold import AbstractComplex, ColoredPseudomanifold
 
 # ---------------------------------------------------------------------------
 # the face lattice of one permutahedron, by search
@@ -247,6 +248,24 @@ def suspended_cycle(k: int) -> AbstractComplex:
     return AbstractComplex(2, length + 2, [(i, (i + 1) % length, apex)
                                            for apex in (length, length + 1)
                                            for i in range(length)])
+
+
+def sphere_join(*factors: int) -> ColoredPseudomanifold:
+    """The join of spheres, each an even cycle of the given length whose
+    vertices alternate two new colors, or for 0 two points of one new
+    color."""
+    tops, colors = [()], []
+    for length in factors:
+        first, color = len(colors), max(colors, default=0) + 1
+        if length:
+            simplices = [(i, (i + 1) % length) for i in range(length)]
+            colors += [color + i % 2 for i in range(length)]
+        else:
+            simplices = [(0,), (1,)]
+            colors += [color, color]
+        tops = [top + tuple(first + v for v in s) for top in tops for s in simplices]
+    return ColoredPseudomanifold(
+        AbstractComplex(len(tops[0]) - 1, len(colors), tops), colors)
 
 
 def benchmark_inputs():

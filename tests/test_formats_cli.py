@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import extra_api
-from cyclecover import cli, corpus, covering, formats
+from cyclecover import cli, corpus, covering, formats, ledger
 from cyclecover.cells import PermutahedralComplex
 from cyclecover.cli import RunConfig, build_parser, default_max_cells, main
 from cyclecover.covering import build_component, build_full
@@ -229,6 +229,7 @@ def test_out_of_memory_is_one_line(mode, monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(cli, "verify_covering", exhausted)
+    monkeypatch.setattr(ledger, "verify_covering", exhausted)
     assert main([mode, "--input", str(CORPUS_DIR / "octahedron.json")]) == 1
     out, err = capsys.readouterr()
     assert err == f"error: out of memory in {mode}\n"
@@ -486,8 +487,8 @@ def test_report_reuses_base_pools_and_cover_orientation(tmp_path, monkeypatch,
             return original(*args, **kwargs)
         return wrapper
 
-    for module in ("cli", "covering", "cells", "realization", "certificate",
-                   "pseudomanifold"):
+    for module in ("cli", "ledger", "covering", "cells", "realization",
+                   "certificate", "pseudomanifold"):
         module = importlib.import_module(f"cyclecover.{module}")
         for name in ("build_tomei", "enumerate_compatible_involutions", "orient",
                      "face_classes"):
@@ -541,7 +542,7 @@ def test_report_fails_an_incoherent_supplied_orientation(tmp_path, capsys):
 
 def test_verify_checks_the_canonical_involutions(tmp_path, monkeypatch, capsys):
     # an identity in place of each canonical involution has fixed points
-    monkeypatch.setattr(cli, "canonical_involution",
+    monkeypatch.setattr(ledger, "canonical_involution",
                         lambda bundle, w: tuple(range(bundle.top_count)))
     out = tmp_path / "report.json"
     assert main(["verify", "--input", str(CORPUS_DIR / "octahedron.json"),
@@ -590,7 +591,7 @@ def test_full_verify_counts_each_star_once(monkeypatch, capsys):
         calls[subset] += 1
         return genuine(cp, subset)
 
-    monkeypatch.setattr(cli, "count_compatible_involutions", counted)
+    monkeypatch.setattr(ledger, "count_compatible_involutions", counted)
     monkeypatch.setattr(involutions, "count_compatible_involutions", counted)
     assert main(["verify", "--input", str(CORPUS_DIR / "octahedron.json")]) == 0
     assert "full cover set built" in capsys.readouterr().out
@@ -608,7 +609,9 @@ def test_report_writes_a_q_past_the_int_to_string_limit(tmp_path, capsys):
     source = tmp_path / "delta5.json"
     formats.write_json(formats.complex_to_dict(corpus.boundary_delta(5)), source)
     out = tmp_path / "report.json"
-    assert main(["report", "--input", str(source), "--max-cells", "100",
+    # the cap holds the n = 4 flag template (14400 flag faces), so the run
+    # gets past the base to the component
+    assert main(["report", "--input", str(source), "--max-cells", "20000",
                  "--out", str(out)]) == 1
     assert "cover component built" in capsys.readouterr().out
     bundle, _ = colored_from_complex(corpus.boundary_delta(5))
@@ -621,7 +624,7 @@ def test_report_writes_a_q_past_the_int_to_string_limit(tmp_path, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert report["claims"][-1]["status"] == "fail"
-    assert "component exceeded 100 cells" in report["claims"][-1]["detail"]
+    assert "component exceeded 20000 cells" in report["claims"][-1]["detail"]
     assert sys.get_int_max_str_digits() == limit
 
 

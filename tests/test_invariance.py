@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecover import formats
-from cyclecover.cli import verify_pipeline
+from cyclecover.ledger import verify_pipeline
 from cyclecover.covering import DEFAULT_MAX_CELLS
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"

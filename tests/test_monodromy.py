@@ -18,7 +18,7 @@ import pytest
 
 import dict_oracle
 from extra_api import CoverCell, cover_cells, tuple_values
-from cyclecover import cli, corpus, formats
+from cyclecover import cli, corpus, formats, ledger
 from cyclecover.cells import PermutahedralComplex, cell_components
 from cyclecover.covering import (
     build_component,
@@ -303,7 +303,7 @@ def test_planted_monodromy_defects_fail_the_covering_claim(octa, defect,
     # the octahedron's full cover set fits the cap, so ``report`` builds it
     # with ``build_full``, which hands over the planted cover instead
     plant, _, message = PLANTED[defect]
-    monkeypatch.setattr(cli, "build_full", lambda *args: plant(octa))
+    monkeypatch.setattr(ledger, "build_full", lambda *args: plant(octa))
     written = []
     for run in ("first", "second"):
         out = tmp_path / f"{run}.json"

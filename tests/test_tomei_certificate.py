@@ -20,7 +20,15 @@ import pytest
 
 import dict_oracle
 from extra_api import template_flag_of_tops
-from cyclecover import cells, cli, formats, pseudomanifold, tomei
+from cyclecover import (
+    cells,
+    cli,
+    formats,
+    ledger,
+    permutahedron,
+    pseudomanifold,
+    tomei,
+)
 from cyclecover.cells import (
     PermutahedralComplex,
     euler_characteristic,
@@ -183,7 +191,7 @@ def test_tomei_never_triangulates_without_out(monkeypatch, capsys):
 
     for module, name in ((cli, "triangulate"), (cells, "triangulate"),
                          (cells, "face_classes"),
-                         (cli, "validate_pseudomanifold"), (cli, "orient"),
+                         (cli, "validate_pseudomanifold"), (ledger, "orient"),
                          (pseudomanifold, "validate_pseudomanifold"),
                          (pseudomanifold, "orient")):
         monkeypatch.setattr(module, name, forbidden)
@@ -223,7 +231,7 @@ def test_tomei_over_the_cap_builds_nothing(argv, what, size, unit, cap,
         raise AssertionError("built over the cap")
 
     for module, name in ((cli, "build_tomei"), (cli, "flag_template"),
-                         (cells, "flag_template"), (cli, "proper_subsets"),
+                         (cells, "flag_template"), (permutahedron, "proper_subsets"),
                          (tomei, "proper_subsets"), (cells, "proper_subsets")):
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.delenv(cli.MAX_CELLS_ENV, raising=False)

@@ -12,38 +12,16 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import tuple_values
+from extra_api import sphere_join, tuple_values
 from cyclecover import corpus, covering
 from cyclecover.cli import main
 from cyclecover.covering import DEFAULT_MAX_CELLS, build_component
 from cyclecover.errors import CapExceededError
 from cyclecover.involutions import canonical_involution
 from cyclecover.permutahedron import proper_subsets
-from cyclecover.pseudomanifold import (
-    AbstractComplex,
-    ColoredPseudomanifold,
-    colored_from_complex,
-)
+from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_complex
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def sphere_join(*factors: int) -> ColoredPseudomanifold:
-    """The join of spheres, each an even cycle of the given length whose
-    vertices alternate two new colors, or for 0 two points of one new
-    color."""
-    tops, colors = [()], []
-    for length in factors:
-        first, color = len(colors), max(colors, default=0) + 1
-        if length:
-            simplices = [(i, (i + 1) % length) for i in range(length)]
-            colors += [color + i % 2 for i in range(length)]
-        else:
-            simplices = [(0,), (1,)]
-            colors += [color, color]
-        tops = [top + tuple(first + v for v in s) for top in tops for s in simplices]
-    return ColoredPseudomanifold(
-        AbstractComplex(len(tops[0]) - 1, len(colors), tops), colors)
 
 
 def seed_codes(cp, max_tuples: int = DEFAULT_MAX_CELLS):
