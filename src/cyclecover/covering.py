@@ -28,7 +28,11 @@ g0(x) + gen[w] + g0(pi_w x) of the edges span a subgroup H of the even part
 of (Z_2)^n, kept as a reduced-echelon basis, and the component is the cells
 (x, g0(x) + h), h in H: |X| |H| cells, known before any is made.  The full
 cover set has every pair, in (sigma, tuple) order, with g0 = 0 on plus
-simplices and 1 on minus ones, and H the whole even part.
+simplices and 1 on minus ones, and H the whole even part.  The holonomies
+are computed once per cover, from its own g0 and pair glue, and cached with
+it (``CoverComplex.holonomy_table``).  So a cover's pair arrays and glue are
+read-only, and a changed g0 or glue needs a new cover, made with
+``dataclasses.replace``, as every planted defect in the tests is.
 
 The covering (``verify_covering``) and the realization (``certificate``)
 are certified on this monodromy; ``verify_covering`` proves there that the
@@ -50,8 +54,8 @@ from .cells import PermutahedralComplex
 from .errors import CapExceededError, InconsistentGluingError, NotACoveringError, check_cap
 from .involutions import (
     canonical_involution,
+    compatible_rows,
     enumerate_compatible_involutions,
-    is_compatible_involution,
     predicted_multiplicity,
 )
 from .permutahedron import mask_elements, proper_subsets
@@ -146,6 +150,18 @@ def _close_slot(outer: np.ndarray, rows: np.ndarray,
     return rows, np.empty((0, len(rows)), dtype=np.int64)
 
 
+def _check_compatible(cp: ColoredPseudomanifold, closures: list[np.ndarray]) -> None:
+    """Refuse the first slot whose closure holds an involution that is not
+    compatible with the slot's subset, by one test over the stacked
+    closures (``compatible_rows``)."""
+    subsets = np.repeat(proper_subsets(cp.n), [len(c) for c in closures])
+    ok = compatible_rows(cp, np.concatenate(closures), subsets)
+    if not ok.all():
+        raise InconsistentGluingError(
+            f"component for subset {mask_elements(int(subsets[np.argmin(ok)]))} "
+            f"is not a compatible involution")
+
+
 def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
                  max_tuples: int | None = None) -> InvolutionRegistry:
     """Close the involutions of every slot, then the tuples under crossings.
@@ -183,11 +199,7 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
         raise CapExceededError(
             f"tuple codes need {total} values, the product of the slot closure "
             f"sizes, more than int64 holds", np.iinfo(np.int64).max, total)
-    for w, closure in zip(subsets, closures):
-        if not is_compatible_involution(cp, closure, w):
-            raise InconsistentGluingError(
-                f"component for subset {mask_elements(w)} is not a compatible "
-                f"involution")
+    _check_compatible(cp, closures)
     size = np.array(sizes, dtype=np.int64)
     radix = np.append(np.cumprod(size[:0:-1])[::-1], 1)
 
@@ -285,13 +297,10 @@ def holonomy(g0: np.ndarray, glue: np.ndarray, n: int) -> np.ndarray:
     """g0(x) + gen[w] + g0(pi_w x) on every edge of the pair complex, as an
     ``int32`` (pairs, slots) array: what the g value gained along the edge
     differs from the lift of its far end by."""
-    return np.take(g0, glue) ^ generators(n) ^ g0[:, None]
-
-
-def holonomy_basis(g0: np.ndarray, glue: np.ndarray, n: int) -> tuple[int, ...]:
-    """The reduced-echelon basis of the span of every holonomy."""
-    seen = np.bincount(holonomy(g0, glue, n).ravel(), minlength=1 << n)
-    return span_basis(np.flatnonzero(seen).tolist())
+    hol = np.take(g0, glue)
+    hol ^= generators(n)
+    hol ^= g0[:, None]
+    return hol
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +329,26 @@ class CoverComplex:
     basis: tuple[int, ...]
     connected: bool
 
+    def __post_init__(self):
+        # the holonomies are cached from these arrays
+        for array in (self.pair_t, self.pair_sigma, self.g0, self.pairs.glue):
+            array.flags.writeable = False
+
+    @cached_property
+    def holonomy_table(self) -> np.ndarray:
+        """``holonomy`` of every edge, read-only: the one pass over the
+        pair glue that every reader of the holonomies shares."""
+        hol = holonomy(self.g0, self.pairs.glue, self.cp.n)
+        hol.flags.writeable = False
+        return hol
+
+    @cached_property
+    def holonomies(self) -> np.ndarray:
+        """The distinct holonomies, ascending: ``_cover`` takes H as their
+        span, and ``verify_covering`` checks H and the part flips on them."""
+        return np.flatnonzero(np.bincount(self.holonomy_table.ravel(),
+                                          minlength=1 << self.cp.n))
+
     @property
     def num_cells(self) -> int:
         return self.pairs.num_cells << len(self.basis)
@@ -343,7 +372,7 @@ class CoverComplex:
         (pi_w x, i ^ coord(hol(x, w)))."""
         size = 1 << len(self.basis)
         glue = self.pairs.glue
-        coord, _ = span_split(holonomy(self.g0, glue, self.cp.n), self.basis)
+        coord, _ = span_split(self.holonomy_table, self.basis)
         cells = ((glue * size)[:, None, :]
                  + (np.arange(size, dtype=np.int32)[:, None] ^ coord[:, None, :]))
         return PermutahedralComplex(self.cp.n, self.num_cells,
@@ -366,12 +395,12 @@ class CoverComplex:
             return (np.zeros(self.pairs.num_cells, dtype=np.int64),
                     np.array([len(self.basis)]))
         n, glue = self.cp.n, self.pairs.glue
-        hol = holonomy(self.g0, glue, n)
+        hol = self.holonomy_table
         lift = np.zeros(len(glue), dtype=np.int32)
         for bit in range(n):
             root, sign = lowest_labels(glue, (1 - 2 * (hol >> bit & 1)).astype(np.int8))
             lift |= (sign < 0).astype(np.int32) << bit
-        hol ^= lift[:, None] ^ np.take(lift, glue)
+        hol = hol ^ lift[:, None] ^ np.take(lift, glue)
         label = np.unique(root, return_inverse=True)[1]
         comp, value = np.divmod(np.unique(label[:, None] << n | hol), 1 << n)
         rank_of = cache(lambda values: len(span_basis(values)))
@@ -384,9 +413,10 @@ def _cover(reg: InvolutionRegistry, t: np.ndarray, sigma: np.ndarray,
     """The cover over the pairs (t[x], sigma[x]) glued by ``glue``, with H
     the span of the holonomies."""
     pairs = PermutahedralComplex(reg.cp.n, len(g0), glue)
-    basis = holonomy_basis(g0, pairs.glue, reg.cp.n)
-    return CoverComplex(reg.cp, reg, t.astype(np.int32), sigma.astype(np.int32),
-                        g0, pairs, basis, connected)
+    cover = CoverComplex(reg.cp, reg, t.astype(np.int32), sigma.astype(np.int32),
+                         g0, pairs, (), connected)
+    cover.basis = span_basis(cover.holonomies.tolist())
+    return cover
 
 
 def build_component(cp: ColoredPseudomanifold,
@@ -491,7 +521,8 @@ def verify_covering(cover: CoverComplex,
       commute across nested facets: the pair complex checked both when it
       was built (``PermutahedralComplex``);
     - the parity of g0(x) is the part of sigma(x), for every pair;
-    - the part of sigma flips across every crossing;
+    - the part of sigma flips across every crossing, read off the distinct
+      holonomies (below);
     - the cell fibres are constant: the cells over base cell g are the pairs
       x with g0(x) in g + H, one each, counted by one bincount of the
       least elements of the cosets of H that the g0(x) lie in;
@@ -500,6 +531,16 @@ def verify_covering(cover: CoverComplex,
       reduced-echelon one that the fibre count took it to be;
     - the base glues g to g + gen[w] across F_w (``glued_as_tomei``), so
       its class of a chain of length k has 2^k members.
+
+    The part check reads no glue entry: given the parity check, the part
+    of sigma flips across F_w at x exactly when hol(x, w) is even.  The
+    parity of hol(x, w) is parity(g0(x)) + parity(gen[w]) +
+    parity(g0(pi_w x)); the outer terms are the parts of sigma(x) and
+    sigma(pi_w x), and gen[w] is one bit, so hol(x, w) is even exactly when
+    the two parts differ.  Only when some distinct holonomy is odd is the
+    glue scanned, to name the first (pair, slot) that keeps the part.  The
+    distinct holonomies are those cached with the cover
+    (``CoverComplex.holonomies``), from its read-only g0 and glue.
 
     So the cells with their closed-form glue (``CoverComplex.pc``) form a
     covering of the base.  Parity: each hol(x, w) is even, since g0 matches
@@ -542,8 +583,8 @@ def verify_covering(cover: CoverComplex,
             f"pair {x} (sigma {cover.pair_sigma[x]}, tuple_id {cover.pair_t[x]}, "
             f"g0 {g0[x]}) violates the parity constraint")
 
-    kept = np.take(part, glue) == part[:, None]
-    if kept.any():
+    if (parity_signs(n)[cover.holonomies] < 0).any():
+        kept = np.take(part, glue) == part[:, None]
         x, slot = np.argwhere(kept)[0]
         raise NotACoveringError(
             f"crossing {mask_elements(cover.pairs.subsets[slot])} keeps the "
@@ -556,7 +597,7 @@ def verify_covering(cover: CoverComplex,
         raise NotACoveringError(
             f"cell fibers are not constant: {dict(enumerate(fibers.tolist()))}")
 
-    if holonomy_basis(g0, glue, n) != tuple(cover.basis):
+    if span_basis(cover.holonomies.tolist()) != tuple(cover.basis):
         raise NotACoveringError(
             f"the holonomies do not span the subgroup with basis "
             f"{list(cover.basis)}")

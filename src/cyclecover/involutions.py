@@ -66,17 +66,30 @@ def is_compatible_involution(cp: ColoredPseudomanifold, perm, subset: int) -> bo
     """Is ``perm`` a fixed-point-free involution of the top simplices that
     swaps the parts and keeps the vertex of every color of the subset?  A
     2-D ``perm`` asks it of every row."""
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = np.asarray(perm)
     if perm.ndim not in (1, 2) or perm.shape[-1] != cp.top_count:
         return False
-    if ((perm < 0) | (perm >= cp.top_count)).any():
-        return False
+    rows = np.atleast_2d(perm)
+    return bool(compatible_rows(cp, rows, np.full(len(rows), subset)).all())
+
+
+def compatible_rows(cp: ColoredPseudomanifold, perms: np.ndarray,
+                    subsets: np.ndarray) -> np.ndarray:
+    """``is_compatible_involution`` of each row of the 2-D ``perms`` with
+    the subset of the same index in ``subsets``, as one boolean per row,
+    from one test over all the rows.  A row with an entry out of range
+    fails, and is read as the identity by the other tests."""
+    perms = np.asarray(perms, dtype=np.int64)
     tops = np.arange(cp.top_count)
-    colored = _colored(cp, subset)
-    return bool((perm != tops).all()
-                and (np.take_along_axis(perm, perm, axis=-1) == tops).all()
-                and (cp.parts[perm] != cp.parts).all()
-                and (colored[perm] == colored).all())
+    ok = ((perms >= 0) & (perms < cp.top_count)).all(axis=1)
+    perms = np.where(ok[:, None], perms, tops)
+    ok &= (np.take_along_axis(perms, perms, axis=1) == tops).all(axis=1)
+    # a fixed point keeps its part, so the part swap rules fixed points out
+    ok &= (cp.parts[perms] != cp.parts).all(axis=1)
+    # kept[r, c]: row r keeps the vertex of color c + 1 in every simplex
+    kept = (cp.by_color[perms] == cp.by_color).all(axis=1)
+    colors = np.asarray(subsets, dtype=np.int64)[:, None] >> np.arange(cp.n + 1) & 1
+    return ok & (kept | (colors == 0)).all(axis=1)
 
 
 def _stars(cp: ColoredPseudomanifold, subset: int):

@@ -40,10 +40,16 @@ def mask_elements(mask: int) -> tuple[int, ...]:
 
 def proper_subsets(n: int) -> list[int]:
     """The 2^(n+1) - 2 facet labels, sorted by size then lexicographically
-    by element tuple.  This order fixes tuple slots and traversal order."""
-    subsets = [m for m in range(1, full_mask(n))]
-    subsets.sort(key=lambda m: (m.bit_count(), mask_elements(m)))
-    return subsets
+    by element tuple.  This order fixes tuple slots and traversal order.
+    Sorted once per n and process (``_subset_order``); each call gets its
+    own list."""
+    return list(_subset_order(n))
+
+
+@cache
+def _subset_order(n: int) -> tuple[int, ...]:
+    return tuple(sorted(range(1, full_mask(n)),
+                        key=lambda m: (m.bit_count(), mask_elements(m))))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ each cell are matched through just n distinct reflections.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .cells import PermutahedralComplex
@@ -19,9 +21,13 @@ def size_generator(subset: int) -> int:
     return 1 << (subset.bit_count() - 1)
 
 
+@cache
 def generators(n: int) -> np.ndarray:
-    """``size_generator`` of every facet label, in slot order, as ``int32``."""
-    return np.array([size_generator(w) for w in proper_subsets(n)], dtype=np.int32)
+    """``size_generator`` of every facet label, in slot order, as a
+    read-only ``int32`` array made once per n and process."""
+    gen = np.array([size_generator(w) for w in proper_subsets(n)], dtype=np.int32)
+    gen.flags.writeable = False
+    return gen
 
 
 def build_tomei(n: int) -> PermutahedralComplex:

@@ -277,30 +277,31 @@ def test_counts_checksum_of_hand_made_tables(image_counts):
 # planted defects: the same claim fails first on both paths
 
 def _after_covering(m, tamper):
-    """Let the covering check pass, then tamper with the cover's pair
-    arrays, before anything expands its cells."""
-    genuine = ledger.verify_covering
-
-    def covering_then_tamper(cover, *args):
-        report = genuine(cover, *args)
-        tamper(cover)
-        return report
-
-    m.setattr(ledger, "verify_covering", covering_then_tamper)
+    """Let the covering check pass, then hand the certificate, and the
+    triangulation tail that ``both_paths`` puts in its place, the cover
+    with tampered pair arrays, before anything expands its cells."""
+    genuine = ledger._certify_realization
+    m.setattr(ledger, "_certify_realization",
+              lambda cover, *args: genuine(tamper(cover), *args))
+    return lambda cover, *args: triangulation_tail(tamper(cover), *args)
 
 
 def _antipodal_sigma(cover):
     # the antipodal triangle of the octahedron under pair 0, as in
     # test_vertex_map_rejects_inconsistent_cells
-    cover.pair_sigma[0] ^= 0b111
+    sigma = cover.pair_sigma.copy()
+    sigma[0] ^= 0b111
+    return replace(cover, pair_sigma=sigma)
 
 
 def _odd_g(cover):
-    cover.g0[0] ^= 1
+    g0 = cover.g0.copy()
+    g0[0] ^= 1
+    return replace(cover, g0=g0)
 
 
 def tamper_sigma(m):
-    _after_covering(m, _antipodal_sigma)
+    return _after_covering(m, _antipodal_sigma)
 
 
 def flip_tau(m):

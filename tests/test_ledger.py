@@ -161,14 +161,14 @@ def flipped_tau(m, doc):
 
 def antipodal_sigma(m, doc):
     # pair 0 over the antipodal triangle, after the covering check
-    def covering(genuine):
-        def tampered(cover, base):
-            report = genuine(cover, base)
-            cover.pair_sigma[0] ^= 0b111
-            return report
+    def certify(genuine):
+        def tampered(cover, *args):
+            sigma = cover.pair_sigma.copy()
+            sigma[0] ^= 0b111
+            return genuine(replace(cover, pair_sigma=sigma), *args)
         return tampered
 
-    wrap(m, "verify_covering", covering)
+    wrap(m, "_certify_realization", certify)
     return doc
 
 
@@ -187,14 +187,24 @@ def moved_fibre(m, doc):
 
 
 def fibre_moved_after_push(m, doc):
-    def push(genuine):
-        def then_move(cover, *args):
-            real = genuine(cover, *args)
-            cover.pair_sigma[cover.pair_sigma == 3] = 5
-            return real
-        return then_move
+    # the fibres read on a cover with no pair over triangle 3 and twice as
+    # many over triangle 5, after the realization has been checked and
+    # pushed forward on the genuine cover
+    genuine_cover = []
 
-    wrap(m, "push_forward", push)
+    def certify(genuine):
+        def moved(cover, *args):
+            genuine_cover.append(cover)
+            sigma = np.where(cover.pair_sigma == 3, 5, cover.pair_sigma)
+            return genuine(replace(cover, pair_sigma=sigma), *args)
+        return moved
+
+    def on_genuine_cover(genuine):
+        return lambda cover, *args: genuine(genuine_cover[-1], *args)
+
+    wrap(m, "_certify_realization", certify)
+    wrap(m, "check_well_defined", on_genuine_cover)
+    wrap(m, "push_forward", on_genuine_cover)
     return doc
 
 

@@ -18,7 +18,7 @@ import pytest
 
 import dict_oracle
 from extra_api import CoverCell, cover_cells, tuple_values
-from cyclecover import cli, corpus, formats, ledger
+from cyclecover import cli, corpus, covering, formats, ledger
 from cyclecover.cells import PermutahedralComplex, cell_components
 from cyclecover.covering import (
     build_component,
@@ -35,7 +35,7 @@ from cyclecover.errors import (
     InconsistentGluingError,
     NotACoveringError,
 )
-from cyclecover.permutahedron import flag_template
+from cyclecover.permutahedron import flag_template, mask_elements
 from cyclecover.pseudomanifold import (
     ColoredPseudomanifold,
     colored_from_complex,
@@ -344,3 +344,168 @@ def test_octahedron_pairs_as_documented(octa):
     assert set(cover_cells(octa)) == {
         CoverCell(int(s), 0, int(g0) ^ h)
         for s, g0 in zip(octa.pair_sigma, octa.g0) for h in (0, 3)}
+
+
+# ---------------------------------------------------------------------------
+# a component's defects: sd(boundary delta3), whose 216 pairs are one
+# component, takes the component path of ``report``
+
+@pytest.fixture(scope="module")
+def sd3():
+    return build_component(colored_from_complex(corpus.boundary_delta(3))[0])
+
+
+def part_kept_at(cover, x):
+    # pair x moved to a simplex of the other part and its g0 to the other
+    # parity: the parity check passes and the glue is untouched, but every
+    # crossing at x keeps the part
+    parts = cover.cp.parts
+    sigma, g0 = cover.pair_sigma.copy(), cover.g0.copy()
+    sigma[x] = np.flatnonzero(parts != parts[sigma[x]])[0]
+    g0[x] ^= 1
+    return replace(cover, pair_sigma=sigma, g0=g0)
+
+
+def first_kept(cover) -> str:
+    """The message of the part scan, found pair by pair, slot by slot."""
+    part = cover.cp.parts[cover.pair_sigma]
+    for x, row in enumerate(cover.pairs.glue.tolist()):
+        for slot, y in enumerate(row):
+            if part[y] == part[x]:
+                return (f"crossing {mask_elements(cover.pairs.subsets[slot])} "
+                        f"keeps the part of sigma at pair {x}")
+    raise AssertionError("no crossing keeps the part")
+
+
+@pytest.mark.parametrize("x", [0, 100, 215])
+def test_part_kept_on_a_component_is_the_scan_witness(sd3, x):
+    # the holonomies at x turn odd, and the scan then names the first
+    # (pair, slot) keeping the part: pair x itself, or a pair before it
+    planted = part_kept_at(sd3, x)
+    assert planted.connected
+    def odd(cover):
+        return [h for h in cover.holonomies.tolist() if h.bit_count() % 2]
+
+    assert odd(planted) and not odd(sd3)
+    with pytest.raises(NotACoveringError) as e:
+        verify_covering(planted)
+    assert type(e.value) is NotACoveringError
+    assert str(e.value) == first_kept(planted)
+    assert int(str(e.value).rsplit(" ", 1)[1]) <= x
+
+
+def test_part_kept_on_a_component_fails_the_covering_claim(sd3, monkeypatch,
+                                                           tmp_path, capsys):
+    planted = part_kept_at(sd3, 100)
+    monkeypatch.setattr(ledger, "build_component", lambda *args, **kwargs: planted)
+    written = []
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.json"
+        assert cli.main(["report", "--input", str(CORPUS_DIR / "boundary_delta3.json"),
+                         "--out", str(out)]) == 1
+        written.append((out.read_bytes(), out.with_suffix(".txt").read_bytes()))
+    capsys.readouterr()
+    assert written[0] == written[1]
+    claims = json.loads(written[0][0])["claims"]
+    assert claims[-1] == {"claim": "projection to the Tomei base is a covering",
+                          "status": "fail", "detail": first_kept(planted)}
+    assert all(e["status"] == "pass" for e in claims[:-1])
+
+
+def test_swapped_plus_and_minus_pairs_need_a_new_cover(sd3):
+    # sigma and g0 of a plus pair and a minus pair swapped keep the parity,
+    # the fibres and the glue.  In place the swap is refused, since the
+    # cover's holonomies are cached from its arrays; on a new cover the
+    # part check sees the crossings at the two pairs keep the part.
+    part = sd3.cp.parts[sd3.pair_sigma]
+    x = 0
+    y = next(y for y in np.flatnonzero(part != part[x])
+             if y not in sd3.pairs.glue[x])
+    for array in (sd3.pair_sigma, sd3.g0, sd3.pair_t, sd3.pairs.glue):
+        with pytest.raises(ValueError, match="read-only"):
+            array[[x, y]] = array[[y, x]]
+    assert verify_covering(sd3).degree == 108
+    sigma, g0 = sd3.pair_sigma.copy(), sd3.g0.copy()
+    sigma[[x, y]], g0[[x, y]] = sigma[[y, x]], g0[[y, x]]
+    swapped = replace(sd3, pair_sigma=sigma, g0=g0)
+    with pytest.raises(NotACoveringError) as e:
+        verify_covering(swapped)
+    assert str(e.value) == first_kept(swapped)
+
+
+def glue_not_an_involution(glue):
+    # crossing {1} from pair 0 leads where crossing {3} does (pair 2),
+    # and crossing {1} from there does not lead back
+    glue[0, 0] = glue[0, 2]
+    return glue
+
+
+def glue_noncommuting(glue):
+    # {1,2} re-pairs 0-a and b-c as 0-b and a-c, with b the pair across
+    # {1,3} from 0: still an involution without fixed points, but no longer
+    # commuting with crossing {1} at pair 0
+    a, b = glue[0, 3], glue[0, 4]
+    c = glue[b, 3]
+    glue[[0, a, b, c], 3] = [b, c, 0, a]
+    return glue
+
+
+@pytest.mark.parametrize("plant, start", [
+    (glue_not_an_involution, "gluing across (1,) is not an involution at cell 0"),
+    (glue_noncommuting, "gluings across nested facets "),
+])
+def test_gluing_defects_fail_the_component_claim(plant, start, monkeypatch,
+                                                 tmp_path, capsys):
+    # the builder hands the planted pair glue to the pair complex, whose
+    # message is the failed claim's detail
+    genuine, planted = covering._cover, []
+
+    def wrapped(reg, t, sigma, g0, glue, connected):
+        planted.append(plant(glue.copy()))
+        return genuine(reg, t, sigma, g0, planted[-1], connected)
+
+    monkeypatch.setattr(covering, "_cover", wrapped)
+    written = []
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.json"
+        assert cli.main(["report", "--input", str(CORPUS_DIR / "boundary_delta3.json"),
+                         "--out", str(out)]) == 1
+        written.append((out.read_bytes(), out.with_suffix(".txt").read_bytes()))
+    capsys.readouterr()
+    assert written[0] == written[1]
+    assert len(planted) == 2 and np.array_equal(*planted)
+    with pytest.raises(InconsistentGluingError) as e:
+        PermutahedralComplex(2, len(planted[0]), planted[0])
+    message = str(e.value)
+    assert message.startswith(start)
+    claims = json.loads(written[0][0])["claims"]
+    failed = [e for e in claims if e["status"] == "fail"]
+    assert failed == [claims[-1]] == [{
+        "claim": "cover component built and closed under crossings",
+        "status": "fail", "detail": message}]
+    assert written[0][1].decode().endswith("overall: FAIL\n")
+
+
+@pytest.mark.parametrize("mode, name", [
+    ("cover", "boundary_delta3"), ("report", "boundary_delta3"),
+    ("cover --full", "octahedron"), ("report", "octahedron"),
+])
+def test_one_run_computes_the_holonomies_once(mode, name, monkeypatch,
+                                              tmp_path, capsys):
+    # sd(boundary delta3) takes the component path and the octahedron the
+    # full one: the build, the covering check and, on the full set, the
+    # pushforward's component labels read one holonomy table
+    calls = []
+    genuine = covering.holonomy
+
+    def counted(*args):
+        calls.append(None)
+        return genuine(*args)
+
+    monkeypatch.setattr(covering, "holonomy", counted)
+    argv = [*mode.split(), "--input", str(CORPUS_DIR / f"{name}.json")]
+    if mode == "report":
+        argv += ["--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -1,8 +1,10 @@
 """The tuple orbit from per-slot closures and integer tuple codes, against
 the tuple-only breadth-first search of ``dict_oracle`` at scale; the
-refusals before and during the orbit; the ledger when the full build's
-closure check fails or a closure element is not compatible; and the bytes
-of ``cover --out``, which writes the orbit's tuple ids."""
+refusals before and during the orbit; the one compatibility test over all
+closures, row by row against ``dict_oracle``; the ledger when
+the full build's closure check fails or a closure element is not
+compatible; and the bytes of ``cover --out``, which writes the orbit's
+tuple ids."""
 
 import hashlib
 import json
@@ -15,9 +17,13 @@ import dict_oracle
 from extra_api import sphere_join, tuple_values
 from cyclecover import corpus, covering
 from cyclecover.cli import main
-from cyclecover.covering import DEFAULT_MAX_CELLS, build_component
-from cyclecover.errors import CapExceededError
-from cyclecover.involutions import canonical_involution
+from cyclecover.covering import DEFAULT_MAX_CELLS, build_component, build_full
+from cyclecover.errors import CapExceededError, InconsistentGluingError
+from cyclecover.involutions import (
+    canonical_involution,
+    compatible_rows,
+    is_compatible_involution,
+)
 from cyclecover.permutahedron import proper_subsets
 from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_complex
 
@@ -129,14 +135,70 @@ def test_full_build_closure_failure_is_the_failed_claim(monkeypatch, tmp_path,
     assert out.with_suffix(".txt").read_text().endswith("overall: FAIL\n")
 
 
+# one row of slot 2, {3}, of the octahedron's full set, each failing one
+# condition of compatibility (a fixed point also keeps its part, and a row
+# out of range is read as the identity).  Triangle s carries the vertices 0|1, 2|3 and
+# 4|5 of colors 1, 2 and 3 by the bits of s, high bit first; the parts are
+# + - - + - + + -, so the color-3 stars are 0 2 4 6 (+ - - +) and 1 3 5 7
+# (- + + -), and 0-2 4-6 1-3 5-7 is compatible.
+PLANTED_ROWS = {
+    "fixed point": [0, 3, 2, 1, 6, 7, 4, 5],
+    "not an involution": [2, 3, 6, 1, 0, 7, 4, 5],  # 0 -> 2 -> 6 -> 4 -> 0
+    "part kept": [6, 7, 4, 5, 2, 3, 0, 1],
+    "color-3 vertex moved": [1, 0, 3, 2, 5, 4, 7, 6],
+    "entry past the tops": [8, 3, 0, 1, 6, 7, 4, 5],
+    "negative entry": [-1, 3, 0, 1, 6, 7, 4, 5],
+}
+
+
+@pytest.fixture(scope="module")
+def octahedron_closures():
+    cp = ColoredPseudomanifold(*corpus.octahedron())
+    return cp, build_full(cp).registry.closures
+
+
+def rows_and_subsets(cp, closures):
+    subsets = proper_subsets(cp.n)
+    return (np.concatenate(closures),
+            np.repeat(subsets, [len(c) for c in closures]))
+
+
+def test_compatible_closures_pass_the_one_test(octahedron_closures):
+    cp, closures = octahedron_closures
+    assert [len(c) for c in closures] == [4, 4, 4, 1, 1, 1]
+    assert compatible_rows(cp, *rows_and_subsets(cp, closures)).all()
+    assert is_compatible_involution(cp, [2, 3, 0, 1, 6, 7, 4, 5], 0b100)
+    covering._check_compatible(cp, closures)
+
+
+@pytest.mark.parametrize("defect", list(PLANTED_ROWS))
+def test_one_compatibility_test_names_the_planted_slot(octahedron_closures,
+                                                       defect):
+    cp, closures = octahedron_closures
+    closures = [c.copy() for c in closures]
+    closures[2][1] = PLANTED_ROWS[defect]
+    rows, subsets = rows_and_subsets(cp, closures)
+    # row by row as the dict oracle, and slot by slot as
+    # ``is_compatible_involution``
+    assert compatible_rows(cp, rows, subsets).tolist() == [
+        dict_oracle.is_compatible_involution(cp, row.tolist(), int(w))
+        for row, w in zip(rows, subsets)]
+    assert [is_compatible_involution(cp, c, w) for w, c in
+            zip(proper_subsets(cp.n), closures)] == [True] * 2 + [False] + [True] * 3
+    with pytest.raises(InconsistentGluingError) as e:
+        covering._check_compatible(cp, closures)
+    assert str(e.value) == ("component for subset (3,) is not a compatible "
+                            "involution")
+
+
 @pytest.mark.parametrize("mode", ["report", "cover"])
 def test_incompatible_closure_element_is_the_failed_claim(mode, monkeypatch,
                                                           tmp_path, capsys):
     # every closure element of {1, 2} is refused as incompatible: the full
     # build of ``report`` and the component of ``cover`` both stop there
-    compatible = covering.is_compatible_involution
-    monkeypatch.setattr(covering, "is_compatible_involution", lambda cp, perm, w: (
-        w != 0b011 and compatible(cp, perm, w)))
+    compatible = covering.compatible_rows
+    monkeypatch.setattr(covering, "compatible_rows", lambda cp, perms, subsets: (
+        compatible(cp, perms, subsets) & (subsets != 0b011)))
     message = "component for subset (1, 2) is not a compatible involution"
     out = tmp_path / "out.json"
     assert main([mode, "--input", str(CORPUS_DIR / "octahedron.json"),
