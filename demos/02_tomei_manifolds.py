@@ -5,7 +5,8 @@ glued to facet F_w of cell g + e_|w|.  Its barycentric triangulation is one
 flag template, the flag triangulation of one permutahedron, repeated over
 the cells.  So M^n is certified on that template and the glue table, as the
 ``tomei`` command certifies it: face classes counted in closed form, closed
-and connected, orientable, and at n = 2 a surface.  Only the n = 2 member is
+and connected, orientable (its holonomies, read off the glue, are all even),
+and at n = 2 a surface.  Only the n = 2 member is
 triangulated, to compute its integral homology: it is the closed orientable
 surface of genus 2.
 """
@@ -20,6 +21,7 @@ from cyclecover.certificate import (
     template_is_connected,
     template_is_surface,
 )
+from cyclecover.covering import holonomy
 from cyclecover.homology import fundamental_class, homology
 from cyclecover.permutahedron import flag_template
 from cyclecover.tomei import build_tomei, glued_as_tomei
@@ -30,13 +32,14 @@ def main():
         pc = build_tomei(n)
         template = flag_template(n)
         counts = class_counts(template, pc.num_cells)
+        hol = holonomy(np.arange(pc.num_cells), pc.glue, n)
         print(f"n={n}: {pc.num_cells} permutahedra of {len(template.flags)} "
               f"flags each, face classes by codimension {counts}, Euler "
               f"characteristic {euler_of_counts(counts)}")
         print(f"  glued as M^n: {glued_as_tomei(pc)}, "
               f"closed: {template_is_closed(template)}, "
               f"connected: {template_is_connected(template)}, orientable: "
-              f"{is_oriented(template, np.arange(pc.num_cells), pc.glue)}")
+              f"{is_oriented(template, hol)}")
 
     print("\n== the surface member, n = 2 ==")
     print(f"every vertex link one cycle: {template_is_surface(flag_template(2))}")

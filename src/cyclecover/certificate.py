@@ -52,9 +52,11 @@ of the flag's color permutation times that of its insertion order.  Two
 flags across an interior template face drop the same position, so
 epsilon is coherent there when tau flips; across F_w the same flag meets
 itself in the cell glued across w, so epsilon is coherent there when the
-parity of g flips, that is the parity of g0 across every pair edge.
-``is_oriented`` checks both.  The second also follows from the
-covering check: the parity of g0 is the part of sigma, which flips.
+parity of g flips: on the pairs, when that of g0 flips across the edge
+(x, w), that is when its holonomy g0(x) + e_|w| + g0(pi_w x) is even,
+e_|w| being one bit.  ``is_oriented`` checks tau and the holonomies cached
+with the cover.  The second also follows from the covering check: the
+parity of g0 is the part of sigma, which flips.
 
 *Well-definedness.*  A class of (cell, chain) maps to the face of sigma
 spanned by the colors of the chain's least subset w_1 (all colors for the
@@ -67,10 +69,11 @@ shrink, so the images are nested faces; that is checked on the template.
 
 *The Tomei manifold.*  M^n covers itself, with its cells g for the pairs
 and g for g0.  ``glued_as_tomei`` checks the glue, g to g + e_|w|, which
-gives the class sizes, so the claims above hold on it.  Its triangulation
-is connected when the template's flags connect through interior faces
-(``template_is_connected``): the e_|w| connect the cells, and a cell's
-flags include one through each facet, which meets the same flag across.
+gives the class sizes and holonomies 0, so the claims above hold on it.
+Its triangulation is connected when the template's flags connect through
+interior faces (``template_is_connected``): the e_|w| connect the cells,
+and a cell's flags include one through each facet, which meets the same
+flag across.
 
 *Chain identity.*  In color coordinates a flag's image depends on the flag
 alone: the color sets W_0 = all colors, W_k = the least subset of c_k.  The
@@ -174,20 +177,19 @@ def template_is_connected(t: FlagTemplate) -> bool:
     return not lowest_labels((across // t.n).reshape(interior.shape)).any()
 
 
-def is_oriented(t: FlagTemplate, g: np.ndarray, glue: np.ndarray) -> bool:
+def is_oriented(t: FlagTemplate, holonomies: np.ndarray) -> bool:
     """Is epsilon(cell, f) = (-1)^|g| tau(f) coherent on the triangulation
-    of the rows of ``glue``, with lifts ``g``: the cover's pairs and g0, or
-    the cells g of M^n?  tau must flip across every interior face of the
-    template, and the parity of g across every glue entry (for a cover,
-    implied by the parity and part checks of ``verify_covering``)."""
+    of a cover, or of M^n, with these holonomies (``covering.holonomy``)?
+    tau must flip across every interior face of the template, and every
+    holonomy must be even (for a cover, implied by the parity and part
+    checks of ``verify_covering``)."""
     facet, counts = t.facets
     interior = facet[:, 1:].ravel()
     turn = np.bincount(interior, weights=np.repeat(t.sign, t.n),
                        minlength=len(counts))
     if turn[interior].any():
         return False
-    odd = parity_signs(t.n)[g] < 0
-    return all((np.take(odd, column) != odd).all() for column in glue.T)
+    return bool((parity_signs(t.n)[holonomies] > 0).all())
 
 
 def class_counts(t: FlagTemplate, num_cells: int) -> list[int]:

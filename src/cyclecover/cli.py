@@ -33,7 +33,8 @@ from .certificate import (
     template_is_connected,
     template_is_surface,
 )
-from .covering import DEFAULT_MAX_CELLS, build_component, build_full, verify_covering
+from .covering import (DEFAULT_MAX_CELLS, build_component, build_full, holonomy,
+                       verify_covering)
 from .errors import TopologyError, check_cap
 from .homology import homology
 from .permutahedron import check_template_size, flag_template
@@ -137,7 +138,7 @@ def _run_tomei(config: RunConfig) -> int:
     counts = class_counts(template, pc.num_cells)
     valid = (glued_as_tomei(pc) and template_is_closed(template)
              and template_is_connected(template))
-    oriented = is_oriented(template, np.arange(pc.num_cells), pc.glue)
+    oriented = is_oriented(template, holonomy(np.arange(pc.num_cells), pc.glue, n))
     checks = valid and oriented
     print(f"Tomei n={n}: {pc.num_cells} cells, "
           f"face classes {counts}, euler {euler_of_counts(counts)}")

@@ -16,11 +16,11 @@ of Davis and Januszkiewicz.
 
 The builders close each slot's involutions under conjugation by the
 closures of the slots above it and code a tuple as a mixed-radix integer
-over the closures, so a set of tuples crosses every facet in one gather
-(``_tuple_codes``).  The registry is the one tuple table: each slot's
-closure, each tuple's closure index in every slot and the tuple each
-crossing leads to.  A whole set of pairs then crosses every facet in one
-array gather.
+over the closures, so a set of tuples crosses facet F_w by adding one
+step-table entry per slot nested in w (``_tuple_codes``).  The registry is
+the one tuple table: each slot's closure, each tuple's closure index in
+every slot and the tuple each crossing leads to.  A whole set of pairs
+then crosses every facet in one array gather.
 
 A component numbers its pairs X in breadth-first order from its seed, each
 pair x with the g value g0(x) it is first reached with.  The holonomies
@@ -60,7 +60,7 @@ from .involutions import (
 )
 from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import ColoredPseudomanifold, lowest_labels
-from .tomei import build_tomei, generators, glued_as_tomei
+from .tomei import generators
 
 DEFAULT_MAX_CELLS = 10 ** 6
 
@@ -171,10 +171,11 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     ``pools[gamma]`` under conjugation by the closures of the slots above
     it, which are closed first, each w giving a |C_w| x |C_gamma| table of
     closure indices.  A tuple's code is its closure indices in mixed radix,
-    the last slot least significant, and crossing F_w adds one table entry
-    per gamma inside w.  The product of the closure sizes must fit
-    ``int64``; then each closure element is checked compatible, and an
-    incompatible one is a gluing error.  Without
+    the last slot least significant, and crossing F_w adds to it, for each
+    gamma inside w, the entry at its digits (w, gamma) of the step table
+    (conj[w, gamma] - arange(|C_gamma|)) * radix[gamma].  The product of
+    the closure sizes must fit ``int64``; then each closure element is
+    checked compatible, and an incompatible one is a gluing error.  Without
     ``max_tuples`` the pools must come out closed (the full cover set) and
     the tuples are every code, in ``product`` order.  With it they are the
     crossings' closure of code 0, the first rows of the pools, breadth
@@ -203,32 +204,19 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     size = np.array(sizes, dtype=np.int64)
     radix = np.append(np.cumprod(size[:0:-1])[::-1], 1)
 
-    # crossing F_w adds to a code, for each gamma inside w, the entry of
-    # ``step`` at block + digit_w |C_gamma| + digit_gamma of the pair
-    # (w, gamma): (conj[w, gamma][digit_w, digit_gamma] - digit_gamma) *
-    # radix[gamma].  Pairs whose entries are all 0 are left out; int32
-    # indices, which fancy indexing reads as they are, halve the memory of
-    # the gather
-    steps = {pair: (conj[pair] - np.arange(sizes[pair[1]])) * radix[pair[1]]
-             for pair in sorted(conj)}
-    pairs = [pair for pair, table in steps.items() if table.any()]
-    step = np.concatenate([steps[pair].ravel() for pair in pairs] + [radix[:0]])
-    length = np.array([steps[pair].size for pair in pairs], dtype=np.int32)
-    block = np.cumsum(length, dtype=np.int32) - length
-    pair_w, pair_gamma = [w for w, _ in pairs], [gamma for _, gamma in pairs]
-    stride = size[pair_gamma].astype(np.int32)
-    moving, starts = np.unique(np.array(pair_w, dtype=np.int64), return_index=True)
+    # step tables that are all 0 are left out
+    steps = [(w, gamma, (index - np.arange(sizes[gamma])) * radix[gamma])
+             for (w, gamma), index in conj.items()]
+    steps = [step for step in steps if step[2].any()]
 
     def digits(codes: np.ndarray) -> np.ndarray:
         return (codes[:, None] // radix % size).astype(np.int32)
 
     def cross(codes: np.ndarray) -> np.ndarray:
         held = digits(codes)
-        at = held[:, pair_w] * stride + block
-        at += held[:, pair_gamma]
-        moves = np.add.reduceat(step[at], starts, axis=1)
         crossed = np.repeat(codes[:, None], slots, axis=1)
-        crossed[:, moving] += moves
+        for w, gamma, table in steps:
+            crossed[:, w] += table[held[:, w], held[:, gamma]]
         return crossed
 
     # every code for the full set, else the closure of code 0, level by level
@@ -510,8 +498,7 @@ class CoveringReport:
     cell_fibers: dict[int, int]
 
 
-def verify_covering(cover: CoverComplex,
-                    base: PermutahedralComplex | None = None) -> CoveringReport:
+def verify_covering(cover: CoverComplex) -> CoveringReport:
     """Certify that forgetting (sigma, tuple) is a covering of the Tomei
     manifold, on the cover's monodromy, without making a cell.
 
@@ -528,9 +515,11 @@ def verify_covering(cover: CoverComplex,
       least elements of the cosets of H that the g0(x) lie in;
     - H, given by its basis, is the span of the holonomies
       hol(x, w) = g0(x) + gen[w] + g0(pi_w x), so the basis is the
-      reduced-echelon one that the fibre count took it to be;
-    - the base glues g to g + gen[w] across F_w (``glued_as_tomei``), so
-      its class of a chain of length k has 2^k members.
+      reduced-echelon one that the fibre count took it to be.
+
+    The base is M^n glued by ``generators(n)``, g to g + gen[w] across F_w,
+    so its class of a chain of length k has 2^k members; the ledger and
+    ``tomei`` check a built M^n against it (``glued_as_tomei``).
 
     The part check reads no glue entry: given the parity check, the part
     of sigma flips across F_w at x exactly when hol(x, w) is even.  The
@@ -569,9 +558,6 @@ def verify_covering(cover: CoverComplex,
     """
     cp = cover.cp
     n = cp.n
-    base = base or build_tomei(n)
-    if base.n != n:
-        raise NotACoveringError("base and cover dimensions differ")
     g0, glue = cover.g0, cover.pairs.glue
 
     in_range = (g0 >= 0) & (g0 < 1 << n)
@@ -601,7 +587,4 @@ def verify_covering(cover: CoverComplex,
         raise NotACoveringError(
             f"the holonomies do not span the subgroup with basis "
             f"{list(cover.basis)}")
-
-    if not glued_as_tomei(base):
-        raise NotACoveringError("the base is not glued as the Tomei manifold")
     return CoveringReport(int(fibers[0]), dict(enumerate(fibers.tolist())))

@@ -41,8 +41,8 @@ from .covering import build_component, build_full, verify_covering
 from .errors import TopologyError
 from .involutions import (
     canonical_involution,
+    compatible_rows,
     count_compatible_involutions,
-    is_compatible_involution,
     predicted_multiplicity,
 )
 from .permutahedron import check_template_size, flag_template, mask_elements, proper_subsets
@@ -170,12 +170,12 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
     report["base"] = {"cells": base.num_cells, "euler": base_euler}
     yield glued_as_tomei(base), f"2^{n} cells, euler characteristic {base_euler}"
 
-    yield all(is_compatible_involution(bundle, canonical_involution(bundle, w), w)
-              for w in proper_subsets(n)), ""
+    subsets = proper_subsets(n)
+    canonical = np.array([canonical_involution(bundle, w) for w in subsets])
+    yield bool(compatible_rows(bundle, canonical, subsets).all()), ""
 
     # implied by the canonical involutions, one in each count; counted once,
     # as the ledger, q and the full build's cap guard share them
-    subsets = proper_subsets(n)
     counts = [count_compatible_involutions(bundle, w) for w in subsets]
     report["q_formula"] = predicted_multiplicity(bundle, counts)
     report["involution_counts"] = [[list(mask_elements(w)), c]
@@ -194,7 +194,7 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
     if full:
         yield None
 
-    degree = report["covering_degree"] = verify_covering(cover, base).degree
+    degree = report["covering_degree"] = verify_covering(cover).degree
     yield True, f"degree {degree}"
     yield from _certify_realization(cover, degree, base_euler, full, report)
 
@@ -215,7 +215,7 @@ def _certify_realization(cover, degree: int, base_euler: int, full: bool,
            f"{cover_euler} = {degree} * {base_euler}")
     yield (template_is_surface(template), "") if bundle.n == 2 else None
 
-    oriented = is_oriented(template, cover.g0, cover.pairs.glue)
+    oriented = is_oriented(template, cover.holonomies)
     yield oriented, ""
 
     vertex, _ = face_ids(bundle.by_color)

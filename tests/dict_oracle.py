@@ -19,7 +19,9 @@ barycentric subdivision numbers its faces through a dict from face tuple
 to vertex id, and its fundamental cycle is signed flag by flag through
 that dict.  The flag template of one permutahedron is walked flag by flag
 over the searched flags, each chain looked up in a dict, and checked closed
-with a generator over every (flag, chain) pair.  The covering check that
+with a generator over every (flag, chain) pair, and the orientation check
+compares the parity of the lifts across every glue column, where the
+certificate reads the parity of the holonomies.  The covering check that
 built the cover's face classes and mapped them class by class onto the
 base's is kept as it was, beside the dict search that checks it.
 """
@@ -708,6 +710,21 @@ def flag_template(n: int) -> FlagTemplate:
                         np.array(colors, dtype=np.int64),
                         np.array(orders, dtype=np.int64),
                         np.array(spells, dtype=np.int64))
+
+
+def is_oriented(t: FlagTemplate, g, glue) -> bool:
+    """``certificate.is_oriented`` on the rows of ``glue`` with lifts
+    ``g``, as it was before it read the holonomies: tau flips across every
+    interior face of the template, and the parity of g is compared across
+    every glue column."""
+    facet, counts = t.facets
+    interior = facet[:, 1:].ravel()
+    turn = np.bincount(interior, weights=np.repeat(t.sign, t.n),
+                       minlength=len(counts))
+    if turn[interior].any():
+        return False
+    odd = parity_signs(t.n)[g] < 0
+    return all((np.take(odd, column) != odd).all() for column in glue.T)
 
 
 def template_is_closed(t: FlagTemplate) -> bool:

@@ -43,7 +43,12 @@ from cyclecover.certificate import (
     template_is_closed,
     template_is_surface,
 )
-from cyclecover.covering import DEFAULT_MAX_CELLS, build_component, build_full
+from cyclecover.covering import (
+    DEFAULT_MAX_CELLS,
+    build_component,
+    build_full,
+    holonomy,
+)
 from cyclecover.errors import (
     DegreeNotConstantError,
     NonOrientableError,
@@ -59,6 +64,7 @@ from cyclecover.pseudomanifold import (
     validate_pseudomanifold,
 )
 from cyclecover.realization import realization_map, verify_realization
+from cyclecover.tomei import build_tomei
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "corpus"
@@ -466,7 +472,7 @@ def covers():
 def test_epsilon_is_orient_up_to_one_sign_per_component(covers, name):
     cover = covers[name]
     template = flag_template(cover.cp.n)
-    assert is_oriented(template, cover.g0, cover.pairs.glue)
+    assert is_oriented(template, cover.holonomies)
     tri = triangulate(cover.pc)
     parity = (-1) ** np.array([bin(g).count("1") for g in cover.g.tolist()])
     epsilon = parity[tri.cell_of_top] * template.sign[template_flag_of_tops(tri)]
@@ -550,14 +556,56 @@ def test_orientation_check_catches_a_parity_or_template_flip(covers):
     template = flag_template(2)
     g0 = cover.g0.copy()
     g0[1] ^= 0b10  # the cells 2 and 3 over pair 1
-    assert not is_oriented(template, g0, cover.pairs.glue)
+    assert not is_oriented(template, replace(cover, g0=g0).holonomies)
     sign = template.sign.copy()
     sign[5] = -sign[5]
-    assert not is_oriented(replace(template, sign=sign), cover.g0,
-                           cover.pairs.glue)
+    assert not is_oriented(replace(template, sign=sign), cover.holonomies)
     with pytest.raises(NonOrientableError):
         push_forward(cover, template, vertex_table(cover.cp),
                      oriented=False)
+
+
+@pytest.fixture(scope="module")
+def corpus_covers():
+    """The component of every orientable corpus input and the full cover
+    set of those whose full set fits the default cap."""
+    out = {}
+    for name in ("hexagon", "octahedron", "boundary_delta3", "boundary_delta4"):
+        bundle, _ = colored_from_complex(
+            *formats.load_complex(CORPUS_DIR / f"{name}.json"))
+        out[name] = build_component(bundle, max_cells=2 * 10 ** 6)
+        if name in ("hexagon", "octahedron"):
+            out[f"{name}-full"] = build_full(bundle)
+    return out
+
+
+@pytest.mark.parametrize("name", ["hexagon", "hexagon-full", "octahedron",
+                                  "octahedron-full", "boundary_delta3",
+                                  "boundary_delta4"])
+def test_holonomy_orientation_agrees_with_the_glue_scan(corpus_covers, name):
+    # the holonomies' parity against the glue scan it replaced, on the cover
+    # and on copies with the g0 parity flipped at one pair, first or last
+    cover = corpus_covers[name]
+    template = flag_template(cover.cp.n)
+    assert is_oriented(template, cover.holonomies)
+    assert dict_oracle.is_oriented(template, cover.g0, cover.pairs.glue)
+    for x in (0, cover.pairs.num_cells - 1):
+        g0 = cover.g0.copy()
+        g0[x] ^= 1
+        flipped = replace(cover, g0=g0)
+        assert not is_oriented(template, flipped.holonomies)
+        assert not dict_oracle.is_oriented(template, flipped.g0,
+                                           flipped.pairs.glue)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tomei_holonomy_orientation_agrees_with_the_glue_scan(n):
+    pc, template = build_tomei(n), flag_template(n)
+    g = np.arange(pc.num_cells)
+    hol = holonomy(g, pc.glue, n)
+    assert not hol.any()
+    assert is_oriented(template, hol)
+    assert dict_oracle.is_oriented(template, g, pc.glue)
 
 
 def test_factored_path_never_triangulates(monkeypatch):

@@ -136,8 +136,8 @@ def first_flag_dropped(name):
 
 def doubled_degree(m, doc):
     def covering(genuine):
-        def doubled(cover, base):
-            report = genuine(cover, base)
+        def doubled(cover):
+            report = genuine(cover)
             return replace(report, degree=2 * report.degree)
         return doubled
 

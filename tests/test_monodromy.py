@@ -10,6 +10,7 @@ message, which ``report`` then gives as the failed covering claim.
 """
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 
 import dict_oracle
 from extra_api import CoverCell, cover_cells, tuple_values
-from cyclecover import cli, corpus, covering, formats, ledger
+from cyclecover import cli, corpus, covering, formats, ledger, tomei
 from cyclecover.cells import PermutahedralComplex, cell_components
 from cyclecover.covering import (
     build_component,
@@ -41,7 +42,6 @@ from cyclecover.pseudomanifold import (
     colored_from_complex,
     face_ids,
 )
-from cyclecover.tomei import build_tomei
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -319,17 +319,6 @@ def test_planted_monodromy_defects_fail_the_covering_claim(octa, defect,
     assert written[0][1].decode().endswith("overall: FAIL\n")
 
 
-def test_base_not_glued_as_tomei(octa):
-    # two copies of the Tomei surface: a permutahedral complex of the right
-    # dimension, glued by g + gen[w] within each copy, but not the base (a
-    # base glued by the other generators is refused in test_covering)
-    tomei = build_tomei(2).glue
-    base = PermutahedralComplex(2, 8, np.concatenate([tomei, tomei + 4]))
-    with pytest.raises(NotACoveringError) as e:
-        verify_covering(octa, base=base)
-    assert str(e.value) == "the base is not glued as the Tomei manifold"
-
-
 def test_planted_pair_defects_break_the_cells_too(octa):
     # the oracle, reading the expanded cells, refuses the same covers
     for plant in (part_kept, flipped_parity):
@@ -494,18 +483,26 @@ def test_one_run_computes_the_holonomies_once(mode, name, monkeypatch,
                                               tmp_path, capsys):
     # sd(boundary delta3) takes the component path and the octahedron the
     # full one: the build, the covering check and, on the full set, the
-    # pushforward's component labels read one holonomy table
-    calls = []
-    genuine = covering.holonomy
+    # pushforward's component labels read one holonomy table.  The covering
+    # check reads M^n through ``generators(n)`` alone, so only the ledger's
+    # claim on the base builds it
+    calls = {"holonomy": 0, "build_tomei": 0}
 
-    def counted(*args):
-        calls.append(None)
-        return genuine(*args)
+    def counted(label, genuine):
+        def call(*args):
+            calls[label] += 1
+            return genuine(*args)
+        return call
 
-    monkeypatch.setattr(covering, "holonomy", counted)
+    monkeypatch.setattr(covering, "holonomy", counted("holonomy", covering.holonomy))
+    build = counted("build_tomei", tomei.build_tomei)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "cyclecover" and hasattr(module, "build_tomei"):
+            monkeypatch.setattr(module, "build_tomei", build)
     argv = [*mode.split(), "--input", str(CORPUS_DIR / f"{name}.json")]
     if mode == "report":
         argv += ["--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert calls == {"holonomy": 1, "build_tomei": int(mode == "report")}
+
