@@ -180,9 +180,11 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     the tuples are every code, in ``product`` order.  With it they are the
     crossings' closure of code 0, the first rows of the pools, breadth
     first, at most ``max_tuples`` since each carries a cell of the
-    component; the product holds them, but whether it is all of them is
-    open.  The registry returned holds the closures, each tuple's closure
-    indices and the crossing table.
+    component; the product holds them but need not be all of them (on the
+    subdivided suspended octahedron, slots {1} and {1, 4} take 6 of their 9
+    joint values, and the orbit has 432 of the 648 codes).  The registry
+    returned holds the closures, each tuple's closure indices and the
+    crossing table.
     """
     subsets = proper_subsets(cp.n)
     slots, tops = len(subsets), cp.top_count

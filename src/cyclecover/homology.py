@@ -20,18 +20,14 @@ the rank of S, and divisors p ones followed by those of S.  The peeling
 runs on M and on its transpose, which has the same Smith form, and the
 side with more pivots is kept.  The Schur complement S, with its zero rows
 and columns dropped, goes to ``smith_normal_form``; it is never larger
-than M.  X and the products keep the int64 discipline below, with exact
-Python integers past their bounds.
+than M.  The blocks are cut from M itself, so X and the products run in
+``int64`` while a bound on every partial sum allows it, and the Schur
+complement is redone over Python integers when one does not.
 
-The Smith reduction works on whole rows and columns of ``int64`` arrays
-while every entry of the matrix and of its row and column transforms stays
-below 2^31 in absolute value: under that bound no single update can wrap,
-and the bound is checked after every update.  When it breaks, or the input
-already exceeds it, the same reduction restarts on numpy ``object`` arrays
-of Python integers, which cannot overflow.  Both give the same D, U and V.
-The factorization U M V = D is checked by multiplication instead of
-trusted, in ``int64`` when a bound on the entries of the product allows it
-and over Python integers otherwise.
+The Smith reduction works on whole rows and columns of numpy ``object``
+arrays of Python integers, which cannot overflow, so it runs once and
+needs no bounds.  The factorization U M V = D is checked by multiplication
+on those arrays instead of trusted.
 """
 
 from __future__ import annotations
@@ -44,21 +40,18 @@ import numpy as np
 from .errors import CapExceededError
 from .pseudomanifold import AbstractComplex, FacetTable, facet_table, orient
 
-# entries below this bound keep every single update inside int64
+# a Schur complement of a matrix with entries below this bound starts in int64
 _BOUND = 1 << 31
 
 
 class _Overflow(Exception):
-    """An int64 entry reached the bound; reduce over Python integers."""
+    """An int64 bound broke; redo the Schur complement over Python integers."""
 
 
 @dataclass
 class SmithForm:
-    """Diagonal form D with unimodular transforms: U @ matrix @ V == D.
-
-    The arrays are ``int64`` when the reduction stayed under 2^31 and
-    ``object`` (Python integers) otherwise.
-    """
+    """Diagonal form D with unimodular transforms: U @ matrix @ V == D,
+    as ``object`` arrays of Python integers."""
 
     d: np.ndarray
     u: np.ndarray
@@ -73,17 +66,9 @@ class SmithForm:
         return [int(x) for x in np.diagonal(self.d) if x]
 
 
-def _check_bound(*blocks: np.ndarray) -> None:
-    """Raise _Overflow when an int64 block has an entry of 2^31 or more in
-    absolute value; object blocks are exact and pass."""
-    for block in blocks:
-        if block.dtype != object and block.size and (
-                block.max() >= _BOUND or block.min() <= -_BOUND):
-            raise _Overflow
-
-
 def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce ``a`` in place to Smith normal form; return (D, U, V).
+    """Reduce the ``object`` array ``a`` in place to Smith normal form;
+    return (D, U, V).
 
     At step t the pivot is the first entry of least nonzero absolute value
     in row-major order of the trailing submatrix.  It clears its column,
@@ -123,7 +108,6 @@ def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 q, hit = q[hit, None], hit + t + 1
                 a[hit] -= q * a[t]
                 u[hit] -= q * u[t]
-                _check_bound(a[hit], u[hit])
             if np.count_nonzero(a[t + 1:, t]):
                 continue  # remainders are smaller: pick a new pivot
             q = a[t, t + 1:] // p
@@ -132,7 +116,6 @@ def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 q, hit = q[hit], hit + t + 1
                 a[:, hit] -= a[:, t, None] * q
                 v[:, hit] -= v[:, t, None] * q
-                _check_bound(a[:, hit], v[:, hit])
             if np.count_nonzero(a[t, t + 1:]):
                 continue
             offenders = np.flatnonzero((a[t + 1:, t + 1:] % p != 0).any(axis=1))
@@ -141,7 +124,6 @@ def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             offender = offenders[0] + t + 1
             a[t] += a[offender]
             u[t] += u[offender]
-            _check_bound(a[t], u[t])
         if a[t, t] == 0:
             break
     return a, u, v
@@ -149,15 +131,6 @@ def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _max_abs(m: np.ndarray) -> int:
     return max(int(m.max(initial=0)), -int(m.min(initial=0)))
-
-
-def _product(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """U @ M @ V, in int64 when rows * cols * max|U| * max|M| * max|V|
-    (a bound on every partial sum) is below 2^63, else over Python ints."""
-    rows, cols = m.shape
-    bound = rows * cols * _max_abs(u) * _max_abs(m) * _max_abs(v)
-    dtype = np.int64 if bound < 1 << 63 else object
-    return u.astype(dtype) @ m.astype(dtype) @ v.astype(dtype)
 
 
 def _integer_matrix(matrix) -> np.ndarray:
@@ -172,23 +145,16 @@ def _integer_matrix(matrix) -> np.ndarray:
 
 
 def smith_normal_form(matrix) -> SmithForm:
-    """Reduce an integer matrix to Smith normal form.
+    """Reduce an integer matrix to Smith normal form over Python integers.
 
-    The reduction runs on int64 while every entry stays below 2^31 and
-    restarts over Python integers when one does not; the result is the
-    same either way.  The factorization is then recomputed by
-    multiplication and the divisibility chain of the diagonal is checked.
+    The factorization is then recomputed by multiplication and the
+    divisibility chain of the diagonal is checked.
     """
-    m = _integer_matrix(matrix)
-    try:
-        if _max_abs(m) >= _BOUND:
-            raise _Overflow
-        d, u, v = _reduce(m.astype(np.int64))
-    except _Overflow:
-        d, u, v = _reduce(m.astype(object))
+    m = _integer_matrix(matrix).astype(object)
+    d, u, v = _reduce(m.copy())
 
     result = SmithForm(d, u, v)
-    if not np.array_equal(_product(u, m, v), d):
+    if not np.array_equal(u @ m @ v, d):
         raise AssertionError("Smith transform verification failed")
     divisors = result.divisors
     for small, large in zip(divisors, divisors[1:]):

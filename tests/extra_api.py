@@ -4,8 +4,8 @@ flag template, walks of its face lattice, its barycentric triangulation,
 the template flag of each top of a triangulation, a cover's cells as
 triples and its tuples as involutions, loaders for
 cell-complex and cover documents, a DOT export of the facet-dual graph,
-the suspended cycle, joins of spheres, and the benchmark's input
-generators."""
+the suspended cycle, suspensions, joins of spheres, the pinched torus,
+and the benchmark's input generators."""
 
 import importlib.util
 from itertools import permutations
@@ -248,6 +248,26 @@ def suspended_cycle(k: int) -> AbstractComplex:
     return AbstractComplex(2, length + 2, [(i, (i + 1) % length, apex)
                                            for apex in (length, length + 1)
                                            for i in range(length)])
+
+
+def suspension(c: AbstractComplex) -> AbstractComplex:
+    """The suspension of ``c``: two new vertices, each joined to every top."""
+    apexes = (c.num_vertices, c.num_vertices + 1)
+    return AbstractComplex(c.n + 1, c.num_vertices + 2,
+                           [top + (apex,) for apex in apexes for top in c.top_simplices])
+
+
+def pinched_torus() -> AbstractComplex:
+    """The icosahedron with its antipodal vertices 0 and 11 identified: 11
+    vertices and 20 triangles, singular at vertex 0, whose link is two
+    pentagons.  The two caps share no vertex but 0, so it stays a
+    simplicial complex."""
+    upper = [1 + i % 5 for i in range(6)]
+    lower = [6 + i % 5 for i in range(6)]
+    tops = [t for i in range(5) for t in (
+        (0, upper[i], upper[i + 1]), (upper[i], upper[i + 1], lower[i]),
+        (upper[i + 1], lower[i], lower[i + 1]), (lower[i], lower[i + 1], 0))]
+    return AbstractComplex(2, 11, tops)
 
 
 def sphere_join(*factors: int) -> ColoredPseudomanifold:

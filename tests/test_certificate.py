@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs, template_flag_of_tops
+from extra_api import benchmark_inputs, pinched_torus, template_flag_of_tops
 from cyclecover import cli, corpus, formats, ledger, realization
 from cyclecover.cells import (
     cell_components,
@@ -206,6 +206,26 @@ def test_join_c4_c6_report_matches_the_triangulation_path(monkeypatch):
     assert factored[2].ok
     report = json.loads(factored[0])
     assert (report["component_cells"], report["q_component"]) == (2592, 108)
+
+
+def test_pinched_torus_passes_on_both_paths(tmp_path, monkeypatch, capsys):
+    # a closed pseudomanifold that is not a manifold: its fundamental class
+    # is the generator of H_2 = Z, and the cover realizes 30 times it
+    doc = formats.complex_to_dict(pinched_torus())
+    factored, oracle = both_paths(monkeypatch, doc)
+    assert factored[:2] == oracle[:2]
+    path, out = tmp_path / "pinched.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", "--input", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == factored[0]
+    report = json.loads(factored[0])
+    assert all(e["status"] == "pass" for e in report["claims"])
+    assert (report["component_cells"], report["covering_degree"],
+            report["q_component"]) == (3600, 900, 30)
+    capsys.readouterr()
+    assert cli.main(["homology", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "H_0 = Z", "H_1 = Z", "H_2 = Z"]
 
 
 def test_join_c4_c6_s0_report_passes_at_n4(tmp_path, capsys):

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs, cover_cells, suspended_cycle, tuple_values
+from extra_api import (
+    benchmark_inputs,
+    cover_cells,
+    pinched_torus,
+    suspended_cycle,
+    tuple_values,
+)
 from cyclecover import corpus, formats
 from cyclecover.cells import UNGLUED, PermutahedralComplex, face_classes
 from cyclecover.covering import build_component, build_full, verify_covering
@@ -140,6 +146,13 @@ def test_benchmark_input_builds_match_oracle(stem, build, full, seed):
     assert_build_matches_oracle(build_component(cp), dict_oracle.build_component(cp))
     if full:
         assert_build_matches_oracle(build_full(cp), dict_oracle.build_full(cp))
+
+
+def test_pinched_torus_build_matches_oracle():
+    # a singular pseudomanifold: the link of vertex 0 is two pentagons
+    cover = build_component(colored_from_complex(pinched_torus())[0])
+    assert_build_matches_oracle(cover, dict_oracle.build_component(cover.cp))
+    assert cover.num_cells == 3600
 
 
 def test_suspended_cycle_build_picks_out_the_component():

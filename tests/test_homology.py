@@ -1,12 +1,14 @@
 """Tests for Smith normal form and integral homology.
 
-The Smith reduction is checked against exact rational-rank and determinant
-oracles, by multiplying out its own transforms, and against the entry by
-entry reduction over Python integers in ``dict_oracle``, which must give the
-same D, U and V on the int64 path, on inputs past 2^31 and when growth
-forces a restart over Python integers.  The unit-pivot reduction that
-``homology`` runs gives the rank and divisors of the full Smith form, and
-its certificate rejects a tampered pivot block or solve.  Boundary matrices
+The Smith reduction runs over Python integers and returns them, whatever
+the input's dtype.  It is checked against exact rational-rank and
+determinant oracles, by multiplying out its own transforms, and against the
+entry by entry reduction in ``dict_oracle``, which must give the same D, U
+and V on small entries, on inputs past 2^31 and where the reduction grows
+entries past 2^31.  The unit-pivot reduction that ``homology`` runs gives
+the rank and divisors of the full Smith form; its Schur complement starts
+in int64 and is redone over Python integers past its bounds, and its
+certificate rejects a tampered pivot block or solve.  Boundary matrices
 equal the dict-built ones; homology values are frozen for complexes whose
 groups are classical.
 """
@@ -146,6 +148,10 @@ def assert_same_as_oracle(m):
     return f
 
 
+def largest_entry(f) -> int:
+    return max(abs(x) for a in (f.d, f.u, f.v) for x in a.flat)
+
+
 def test_snf_equals_oracle_dense_and_sparse():
     rng = np.random.default_rng(11)
     for trial in range(150):
@@ -165,24 +171,24 @@ def test_snf_large_entries_take_the_object_path():
         assert assert_same_as_oracle(m).d.dtype == object
     huge = [[2 ** 70, 3], [5, -(2 ** 65)]]
     assert assert_same_as_oracle(huge).d.dtype == object
-    # abs(-2^63) wraps in int64; the bound must still see it
+    # abs(-2^63) wraps in int64; over Python integers it does not
     assert assert_same_as_oracle(
         np.array([[-2 ** 63, 1], [1, 0]], dtype=np.int64)).d.dtype == object
 
 
 def test_snf_restarts_when_entries_grow_past_the_bound():
-    # every entry starts below 2^31, but reducing most of these grows an
-    # entry of the matrix or of a transform past it
+    # every entry starts below 2^31, but most of these end with an entry
+    # of D, U or V past it, which int64 updates could have wrapped on the way
     rng = np.random.default_rng(13)
-    restarted = 0
+    grown = 0
     for _ in range(20):
         m = rng.integers(-2 ** 20, 2 ** 20, size=(6, 6))
         assert np.abs(m).max() < 2 ** 31
-        restarted += assert_same_as_oracle(m).d.dtype == object
-    assert restarted >= 10
+        grown += largest_entry(assert_same_as_oracle(m)) >= 2 ** 31
+    assert grown >= 10
     # the reduction doubles the entry 2^31 - 1
     m = [[2, 0], [2 ** 31 - 1, 2 ** 31 - 1]]
-    assert assert_same_as_oracle(m).d.dtype == object
+    assert largest_entry(assert_same_as_oracle(m)) == 2 ** 32 - 2
 
 
 def test_snf_divisors_are_python_ints():
@@ -190,6 +196,28 @@ def test_snf_divisors_are_python_ints():
     assert f.divisors == [1, 6]
     assert all(type(x) is int for x in f.divisors)
     assert type(f.rank) is int
+    # D, U and V too, although the input is small int64
+    for a in (f.d, f.u, f.v):
+        assert a.dtype == object
+        assert all(type(x) is int for x in a.flat)
+
+
+def test_snf_rejects_a_wrong_factorization_or_divisor_chain(monkeypatch):
+    reduce = homology_module._reduce
+
+    def wrong_transform(a):
+        d, u, v = reduce(a)
+        u[0, 0] += 1
+        return d, u, v
+
+    monkeypatch.setattr(homology_module, "_reduce", wrong_transform)
+    with pytest.raises(AssertionError, match="Smith transform verification failed"):
+        smith_normal_form([[2, 0], [0, 3]])
+    # diag(3, 2) is its own factorization, but 3 does not divide 2
+    monkeypatch.setattr(homology_module, "_reduce", lambda a: (
+        a, np.eye(2, dtype=object), np.eye(2, dtype=object)))
+    with pytest.raises(AssertionError, match="Smith divisibility chain broken"):
+        smith_normal_form([[3, 0], [0, 2]])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import sphere_join, tuple_values
+from extra_api import sphere_join, suspension, tuple_values
 from cyclecover import corpus, covering
 from cyclecover.cli import main
 from cyclecover.covering import DEFAULT_MAX_CELLS, build_component, build_full
@@ -41,6 +41,8 @@ def seed_codes(cp, max_tuples: int = DEFAULT_MAX_CELLS):
 ORBITS = {
     "sd(boundary delta4)": (lambda: colored_from_complex(corpus.boundary_delta(4))[0],
                             2916),
+    "sd(suspended octahedron)": (
+        lambda: colored_from_complex(suspension(corpus.octahedron()[0]))[0], 432),
     "C4*C6*S0": (lambda: sphere_join(4, 6, 0), 81),
     "C4*C6*C4": (lambda: sphere_join(4, 6, 4), 81),
 }
@@ -67,6 +69,20 @@ def test_closures_are_the_values_each_slot_takes(orbit):
     for slot, closure in enumerate(registry.closures):
         assert len(np.unique(closure, axis=0)) == len(closure)
         assert np.unique(registry.digits[:, slot]).tolist() == list(range(len(closure)))
+
+
+def test_orbit_is_not_always_the_product_of_the_slot_closures():
+    # on sd(suspended octahedron) slots {1} and {1, 4} are coupled: they take
+    # 6 of their 9 joint values, and the orbit is 2/3 of the product
+    cp = colored_from_complex(suspension(corpus.octahedron()[0]))[0]
+    registry = seed_codes(cp)
+    sizes = [len(closure) for closure in registry.closures]
+    assert cp.top_count == 384
+    assert sizes == [3, 2, 1, 6, 2, 1, 3, 1, 1, 3, 1, 1, 1, 1]
+    assert (int(np.prod(sizes)), registry.tuple_count) == (648, 432)
+    subsets = proper_subsets(cp.n)
+    coupled = registry.digits[:, [subsets.index(0b1), subsets.index(0b1001)]]
+    assert len(np.unique(coupled, axis=0)) == 6
 
 
 def test_boundary_delta5_orbit_stops_at_the_cap():
