@@ -27,8 +27,6 @@ oracles of the tests.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,32 +102,6 @@ class PermutahedralComplex:
         return f"PermutahedralComplex(n={self.n}, cells={self.num_cells})"
 
 
-class ClassMembers(Sequence):
-    """``members[cid]`` lists the (cell, chain) pairs of face class cid,
-    ascending by cell.  Classes are grouped one chain at a time, on first
-    access; the length is known up front."""
-
-    def __init__(self, classes: FaceClasses):
-        self._classes = classes
-        self._groups: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return self._classes.num_classes
-
-    def __getitem__(self, cid: int) -> list[tuple[int, Chain]]:
-        if not 0 <= cid < len(self):
-            raise IndexError("face class id out of range")
-        classes = self._classes
-        row = bisect_right(classes.chain_start, cid) - 1
-        chain = classes.chains[row]
-        groups = self._groups.get(row)
-        if groups is None:
-            groups = np.argsort(classes.class_ids[row], kind="stable").reshape(
-                -1, 1 << len(chain))
-            self._groups[row] = groups
-        return [(cell, chain) for cell in groups[cid - classes.chain_start[row]].tolist()]
-
-
 @dataclass
 class FaceClasses:
     """Orbits of (cell, chain) pairs, one id array per chain.
@@ -151,8 +123,15 @@ class FaceClasses:
         return self.chain_start[-1]
 
     @cached_property
-    def members(self) -> ClassMembers:
-        return ClassMembers(self)
+    def members(self) -> list[list[tuple[int, Chain]]]:
+        """``members[cid]`` lists the (cell, chain) pairs of face class cid,
+        ascending by cell; classes are in id order.  Built whole on first
+        read, by grouping each chain's cells by class id.  No command reads
+        it: it is for library use and the tests."""
+        return [[(cell, chain) for cell in group]
+                for ids, chain in zip(self.class_ids, self.chains)
+                for group in np.argsort(ids, kind="stable").reshape(
+                    -1, 1 << len(chain)).tolist()]
 
     @cached_property
     def chain_of_class(self) -> list[Chain]:

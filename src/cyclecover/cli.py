@@ -1,5 +1,9 @@
 """Command-line driver: parse the arguments, run one command, print it.
 
+Each subcommand's handler reads the namespace that ``build_parser``
+parses, in which ``main`` has resolved ``--max-cells`` (the flag, else
+``default_max_cells``) and refused a cap that is not positive.
+
 Subcommands run one pipeline stage each; ``verify`` and ``report`` print
 the claims ledger of one input complex (``ledger.verify_pipeline``).
 ``cover --out`` and ``cover --cells-out`` expand the cover's cells, and
@@ -18,7 +22,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from math import factorial
 from pathlib import Path
 
@@ -49,21 +52,6 @@ from .tomei import build_tomei, glued_as_tomei
 MAX_CELLS_ENV = "REALIZER_MAX_CELLS"
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    input: str | None = None
-    n: int | None = None
-    out: str | None = None
-    cells_out: str | None = None
-    full: bool = False
-    max_cells: int = DEFAULT_MAX_CELLS
-
-    def __post_init__(self):
-        if self.max_cells <= 0:
-            raise ValueError(f"max_cells must be positive, got {self.max_cells}")
-
-
 def default_max_cells() -> int:
     raw = os.environ.get(MAX_CELLS_ENV)
     if raw is None:
@@ -80,14 +68,8 @@ def default_max_cells() -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _load(config: RunConfig):
-    if not config.input:
-        raise ValueError(f"mode {config.mode!r} requires --input")
-    return formats.load_complex(config.input)
-
-
-def _run_validate(config: RunConfig) -> int:
-    complex, coloring, _ = _load(config)
+def _run_validate(config: argparse.Namespace) -> int:
+    complex, coloring, _ = formats.load_complex(config.input)
     report = validate_pseudomanifold(complex)
     print(report.summary())
     coloring_ok = True
@@ -105,27 +87,25 @@ def _run_validate(config: RunConfig) -> int:
     return 0 if report.ok and coloring_ok else 1
 
 
-def _run_subdivide(config: RunConfig) -> int:
-    complex, _, _ = _load(config)
+def _run_subdivide(config: argparse.Namespace) -> int:
+    complex, _, _ = formats.load_complex(config.input)
     if not config.out:
         raise ValueError("subdivide requires --out")
     sd = barycentric_subdivide(complex)
     formats.write_json(
         formats.complex_to_dict(sd.complex, coloring=sd.coloring), config.out)
     print(f"subdivision: {sd.complex.num_vertices} vertices, "
-          f"{len(sd.complex.top_simplices)} top simplices -> {config.out}")
+          f"{len(sd.complex.tops)} top simplices -> {config.out}")
     return 0
 
 
-def _run_tomei(config: RunConfig) -> int:
+def _run_tomei(config: argparse.Namespace) -> int:
     """Build M^n and certify it as ``verify`` certifies a cover, on the
     flag template and the glue (``certificate``); valid means closed and
     connected.  The template (``check_template_size``) and with ``--out``
     the 2^n n!(n+1)! tops are checked against the cap before anything is
     built, and the triangulation is built only to write ``--out``."""
     n = config.n
-    if n is None:
-        raise ValueError("tomei requires --n")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     check_template_size(n, config.max_cells)
@@ -160,8 +140,8 @@ def _run_tomei(config: RunConfig) -> int:
     return 0 if checks else 1
 
 
-def _run_cover(config: RunConfig) -> int:
-    bundle, _ = colored_from_complex(*_load(config))
+def _run_cover(config: argparse.Namespace) -> int:
+    bundle, _ = colored_from_complex(*formats.load_complex(config.input))
     cover = (build_full(bundle, config.max_cells)
              if config.full
              else build_component(bundle, max_cells=config.max_cells))
@@ -179,8 +159,8 @@ def _run_cover(config: RunConfig) -> int:
     return 0
 
 
-def _run_homology(config: RunConfig) -> int:
-    complex, _, _ = _load(config)
+def _run_homology(config: argparse.Namespace) -> int:
+    complex, _, _ = formats.load_complex(config.input)
     groups = homology(complex, max_entries=config.max_cells)
     for k, g in enumerate(groups):
         print(f"H_{k} = {g}")
@@ -191,10 +171,10 @@ def _run_homology(config: RunConfig) -> int:
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(config: argparse.Namespace) -> int:
     if config.mode == "report" and not config.out:
         raise ValueError("report requires --out")
-    complex, coloring, orientation = _load(config)
+    complex, coloring, orientation = formats.load_complex(config.input)
     claims, report = ledger.verify_pipeline(complex, coloring, orientation,
                                             config.max_cells)
     report["claims"] = claims.entries
@@ -208,21 +188,6 @@ def _run_verify(config: RunConfig) -> int:
             Path(config.out).with_suffix(".txt").write_text(
                 text, encoding="utf-8")
     return 0 if claims.ok else 1
-
-
-def run(config: RunConfig) -> int:
-    handlers = {
-        "validate": _run_validate,
-        "subdivide": _run_subdivide,
-        "tomei": _run_tomei,
-        "cover": _run_cover,
-        "homology": _run_homology,
-        "verify": _run_verify,
-        "report": _run_verify,
-    }
-    if config.mode not in handlers:
-        raise ValueError(f"unknown mode {config.mode!r}")
-    return handlers[config.mode](config)
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    config = build_parser().parse_args(argv)
+    # looked up per call, so that a handler can be swapped on the module
+    handlers = {
+        "validate": _run_validate,
+        "subdivide": _run_subdivide,
+        "tomei": _run_tomei,
+        "cover": _run_cover,
+        "homology": _run_homology,
+        "verify": _run_verify,
+        "report": _run_verify,
+    }
     try:
-        max_cells = (args.max_cells if args.max_cells is not None
-                     else default_max_cells())
-        config = RunConfig(
-            mode=args.mode,
-            input=getattr(args, "input", None),
-            n=getattr(args, "n", None),
-            out=args.out,
-            cells_out=getattr(args, "cells_out", None),
-            full=getattr(args, "full", False),
-            max_cells=max_cells,
-        )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        if config.max_cells is None:
+            config.max_cells = default_max_cells()
+        if config.max_cells <= 0:
+            raise ValueError(f"max_cells must be positive, got {config.max_cells}")
+        return handlers[config.mode](config)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -61,7 +61,7 @@ def complex_to_dict(c: AbstractComplex, coloring=None, orientation=None) -> dict
 def _is_int(x) -> bool:
     """Is x an integer of the schema?  JSON ``true`` and ``false`` load as
     Python bools, which are ints, and are refused."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int
 
 
 def complex_from_dict(d) -> tuple[AbstractComplex, list[int] | None, list[int] | None]:
@@ -87,7 +87,7 @@ def complex_from_dict(d) -> tuple[AbstractComplex, list[int] | None, list[int] |
     orientation = d.get("orientation")
     if orientation is not None:
         if (not isinstance(orientation, list)
-                or len(orientation) != len(c.top_simplices)
+                or len(orientation) != len(c.tops)
                 or not all(_is_int(x) and x in (1, -1) for x in orientation)):
             raise ValueError("'orientation' must assign +1 or -1 per simplex")
     return c, coloring, orientation

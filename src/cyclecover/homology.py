@@ -20,9 +20,11 @@ the rank of S, and divisors p ones followed by those of S.  The peeling
 runs on M and on its transpose, which has the same Smith form, and the
 side with more pivots is kept.  The Schur complement S, with its zero rows
 and columns dropped, goes to ``smith_normal_form``; it is never larger
-than M.  The blocks are cut from M itself, so X and the products run in
-``int64`` while a bound on every partial sum allows it, and the Schur
-complement is redone over Python integers when one does not.
+than M.  The blocks are cut from M itself, so the Schur complement is
+computed in one pass, in ``int64`` while a bound on every partial sum
+allows it: the solve for X moves to Python integers at the first row whose
+bound could reach 2^63, and each product with X picks its type by its own
+bound.
 
 The Smith reduction works on whole rows and columns of numpy ``object``
 arrays of Python integers, which cannot overflow, so it runs once and
@@ -39,14 +41,6 @@ import numpy as np
 
 from .errors import CapExceededError
 from .pseudomanifold import AbstractComplex, FacetTable, facet_table, orient
-
-# a Schur complement of a matrix with entries below this bound starts in int64
-_BOUND = 1 << 31
-
-
-class _Overflow(Exception):
-    """An int64 bound broke; redo the Schur complement over Python integers."""
-
 
 @dataclass
 class SmithForm:
@@ -215,8 +209,9 @@ def _forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
                         diag: np.ndarray, a: np.ndarray) -> np.ndarray:
     """X with P X = A, for P lower triangular with the ±1 diagonal ``diag``
     and the strictly lower entries (row, col, value).  Rows are solved in
-    order; on int64, a row whose partial sums could reach 2^63 (bounded by
-    max|A[i]| + sum |P[i, j]| max|X[j]|) raises _Overflow."""
+    order, in int64 until a row's partial sums could reach 2^63 (bounded by
+    max|A[i]| + sum |P[i, j]| max|X[j]|); from that row on, X and A are
+    Python integers."""
     p, q = a.shape
     x = np.zeros_like(a)
     if not q:
@@ -232,7 +227,7 @@ def _forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
         start = end
         if not exact and a_max[i] + sum(
                 abs(v) * x_max[j] for j, v in zip(js, vs)) >= 1 << 63:
-            raise _Overflow
+            exact, x, a = True, x.astype(object), a.astype(object)
         acc = a[i] - np.array(vs, dtype=a.dtype) @ x[js] if js else a[i]
         x[i] = acc if diag[i] == 1 else -acc
         if not exact:
@@ -292,18 +287,15 @@ def schur_complement(m: np.ndarray, rows, cols) -> np.ndarray:
     P = M[rows, cols], in the block form M = [[P, A], [B, E]] whose other
     rows and columns keep their order.  P must be lower triangular with a
     ±1 diagonal, which is checked, so that M and diag(I_p, S) have the same
-    Smith form.  The work runs on int64 while the bounds allow and restarts
-    over Python integers when one does not; the solve X = P^-1 A is
-    checked by multiplication.
+    Smith form.  The work runs in one pass: on int64, unless M is an
+    ``object`` array or has an entry that does not fit int64, and each
+    step moves to Python integers where its bound could reach 2^63.  The
+    solve X = P^-1 A is checked by multiplication.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    try:
-        if _max_abs(m) >= _BOUND:
-            raise _Overflow
-        return _schur(m.astype(np.int64, copy=False), rows, cols)
-    except _Overflow:
-        return _schur(m.astype(object), rows, cols)
+    exact = m.dtype == object or _max_abs(m) >= 1 << 63
+    return _schur(m.astype(object if exact else np.int64, copy=False), rows, cols)
 
 
 @dataclass

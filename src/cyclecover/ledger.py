@@ -143,7 +143,7 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
         sd = barycentric_subdivide(complex)
         complex, coloring, orientation = sd.complex, sd.coloring, None
     regular = check_regular_coloring(complex, coloring)
-    yield (regular, f"{len(complex.top_simplices)} top simplices") if subdivided else None
+    yield (regular, f"{len(complex.tops)} top simplices") if subdivided else None
     yield None if subdivided else (regular, "")
 
     if orientation is None:

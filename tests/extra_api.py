@@ -5,7 +5,7 @@ the template flag of each top of a triangulation, a cover's cells as
 triples and its tuples as involutions, loaders for
 cell-complex and cover documents, a DOT export of the facet-dual graph,
 the suspended cycle, suspensions, joins of spheres, the pinched torus,
-and the benchmark's input generators."""
+the 7-vertex torus, cycles, and the benchmark's input generators."""
 
 import importlib.util
 from itertools import permutations
@@ -268,6 +268,18 @@ def pinched_torus() -> AbstractComplex:
         (0, upper[i], upper[i + 1]), (upper[i], upper[i + 1], lower[i]),
         (upper[i + 1], lower[i], lower[i + 1]), (lower[i], lower[i + 1], 0))]
     return AbstractComplex(2, 11, tops)
+
+
+def torus7() -> AbstractComplex:
+    """The 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    return AbstractComplex(2, 7, [(i, (i + a) % 7, (i + 3) % 7)
+                                  for i in range(7) for a in (1, 2)])
+
+
+def cycle(m: int) -> AbstractComplex:
+    """The m-cycle, a 1-sphere with m edges; odd m has no regular
+    coloring, so ``verify`` subdivides it."""
+    return AbstractComplex(1, m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def sphere_join(*factors: int) -> ColoredPseudomanifold:

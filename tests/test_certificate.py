@@ -28,7 +28,14 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs, pinched_torus, template_flag_of_tops
+from extra_api import (
+    benchmark_inputs,
+    cycle,
+    pinched_torus,
+    suspension,
+    template_flag_of_tops,
+    torus7,
+)
 from cyclecover import cli, corpus, formats, ledger, realization
 from cyclecover.cells import (
     cell_components,
@@ -226,6 +233,30 @@ def test_pinched_torus_passes_on_both_paths(tmp_path, monkeypatch, capsys):
     assert cli.main(["homology", "--input", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "H_0 = Z", "H_1 = Z", "H_2 = Z"]
+
+
+@pytest.mark.parametrize("build, counts, groups", [
+    (torus7, (1512, 378, 18), ["Z", "Z + Z", "Z"]),
+    (lambda: suspension(cycle(5)), (2400, 600, 40), ["Z", "0", "Z"]),
+    (lambda: suspension(cycle(3)), (864, 216, 24), ["Z", "0", "Z"]),
+], ids=["torus7", "suspended_c5", "suspended_c3"])
+def test_uncolored_surfaces_pass_on_both_paths(build, counts, groups, tmp_path,
+                                               monkeypatch, capsys):
+    # the 7-vertex torus and suspensions of odd cycles have no regular
+    # coloring, so each is subdivided first
+    doc = formats.complex_to_dict(build())
+    factored, oracle = both_paths(monkeypatch, doc)
+    assert factored[:2] == oracle[:2]
+    report = json.loads(factored[0])
+    assert all(e["status"] == "pass" for e in report["claims"])
+    assert (report["component_cells"], report["covering_degree"],
+            report["q_component"]) == counts
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["homology", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"H_{k} = {g}" for k, g in enumerate(groups)]
 
 
 def test_join_c4_c6_s0_report_passes_at_n4(tmp_path, capsys):
@@ -587,8 +618,8 @@ def test_orientation_check_catches_a_parity_or_template_flip(covers):
 
 @pytest.fixture(scope="module")
 def corpus_covers():
-    """The component of every orientable corpus input and the full cover
-    set of those whose full set fits the default cap."""
+    """The component of every orientable corpus input and of sd(T^2), and
+    the full cover set of those whose full set fits the default cap."""
     out = {}
     for name in ("hexagon", "octahedron", "boundary_delta3", "boundary_delta4"):
         bundle, _ = colored_from_complex(
@@ -596,12 +627,13 @@ def corpus_covers():
         out[name] = build_component(bundle, max_cells=2 * 10 ** 6)
         if name in ("hexagon", "octahedron"):
             out[f"{name}-full"] = build_full(bundle)
+    out["torus7"] = build_component(colored_from_complex(torus7())[0])
     return out
 
 
 @pytest.mark.parametrize("name", ["hexagon", "hexagon-full", "octahedron",
                                   "octahedron-full", "boundary_delta3",
-                                  "boundary_delta4"])
+                                  "boundary_delta4", "torus7"])
 def test_holonomy_orientation_agrees_with_the_glue_scan(corpus_covers, name):
     # the holonomies' parity against the glue scan it replaced, on the cover
     # and on copies with the g0 parity flipped at one pair, first or last

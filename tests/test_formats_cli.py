@@ -18,7 +18,7 @@ import pytest
 import extra_api
 from cyclecover import cli, corpus, covering, formats, ledger
 from cyclecover.cells import PermutahedralComplex
-from cyclecover.cli import RunConfig, build_parser, default_max_cells, main
+from cyclecover.cli import build_parser, default_max_cells, main
 from cyclecover.covering import build_component, build_full
 from cyclecover.homology import boundary_matrices, homology
 from cyclecover.pseudomanifold import (
@@ -168,15 +168,6 @@ def test_shipped_corpus_has_not_drifted():
 # ---------------------------------------------------------------------------
 # CLI plumbing
 
-def test_run_config_rejects_bad_caps():
-    with pytest.raises(ValueError):
-        RunConfig(mode="verify", max_cells=0)
-    with pytest.raises(ValueError):
-        RunConfig(mode="verify", max_cells=-1)
-    with pytest.raises(TypeError):  # the involution count has no cap
-        RunConfig(mode="verify", matching_cap=16)
-
-
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_max_cells_flag_exits_two(value, capsys):
     assert main(["verify", "--input", str(CORPUS_DIR / "octahedron.json"),
@@ -196,7 +187,7 @@ def test_cli_surface(capsys):
         required = ["--n", "2"] if mode == "tomei" else ["--input", "x.json"]
         args = parser.parse_args([mode, *required, "--max-cells", "7"])
         assert args.max_cells == 7
-    with pytest.raises(SystemExit) as e:
+    with pytest.raises(SystemExit) as e:  # the involution count has no cap
         main(["verify", "--input", hexagon_path(), "--matching-cap", "24"])
     assert e.value.code == 2
     capsys.readouterr()

@@ -18,6 +18,7 @@ from extra_api import (
     cover_cells,
     pinched_torus,
     suspended_cycle,
+    torus7,
     tuple_values,
 )
 from cyclecover import corpus, formats
@@ -153,6 +154,13 @@ def test_pinched_torus_build_matches_oracle():
     cover = build_component(colored_from_complex(pinched_torus())[0])
     assert_build_matches_oracle(cover, dict_oracle.build_component(cover.cp))
     assert cover.num_cells == 3600
+
+
+def test_torus7_build_matches_oracle():
+    # sd(T^2), the subdivided 7-vertex torus, whose base has genus one
+    cover = build_component(colored_from_complex(torus7())[0])
+    assert_build_matches_oracle(cover, dict_oracle.build_component(cover.cp))
+    assert cover.num_cells == 1512
 
 
 def test_suspended_cycle_build_picks_out_the_component():

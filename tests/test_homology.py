@@ -6,8 +6,8 @@ determinant oracles, by multiplying out its own transforms, and against the
 entry by entry reduction in ``dict_oracle``, which must give the same D, U
 and V on small entries, on inputs past 2^31 and where the reduction grows
 entries past 2^31.  The unit-pivot reduction that ``homology`` runs gives
-the rank and divisors of the full Smith form; its Schur complement starts
-in int64 and is redone over Python integers past its bounds, and its
+the rank and divisors of the full Smith form; its Schur complement runs in
+int64 and moves to Python integers where a bound reaches 2^63, and its
 certificate rejects a tampered pivot block or solve.  Boundary matrices
 equal the dict-built ones; homology values are frozen for complexes whose
 groups are classical.
@@ -352,10 +352,36 @@ def test_schur_complement_restarts_over_python_integers():
     s = schur_complement(m, [0, 1, 2], [0, 1, 2])
     assert s.dtype == object and s.tolist() == [[-k ** 3]]
     assert_reduction_matches(m)
-    # input entries past 2^31 start over Python integers
+    # input entries past 2^31 solve in int64; the product moves to Python
+    # integers
     big = np.array([[2 ** 40, 1], [3, 2 ** 40]])
     assert schur_complement(big, [0], [1]).tolist() == [[3 - 2 ** 80]]
     assert assert_reduction_matches(big).divisors == [1, 2 ** 80 - 3]
+
+
+def test_schur_complement_moves_to_python_integers_mid_solve():
+    # P has a ±1 diagonal and -2^20 below it, so each row of X is about
+    # 2^20 times the last: rows 0-3 solve in int64 (bounds under 2^62),
+    # and row 4's bound passes 2^63, where X and A become Python integers
+    p, k = 7, 2 ** 20
+    rng = np.random.default_rng(5)
+    m = np.zeros((p + 2, p + 3), dtype=np.int64)
+    m[np.arange(p), np.arange(p)] = [1, -1, 1, 1, -1, 1, -1]
+    m[np.arange(1, p), np.arange(p - 1)] = -k
+    m[:p, p:] = rng.integers(1, 4, size=(p, 3))
+    m[p:] = rng.integers(-3, 4, size=(2, p + 3))
+    # the exact oracle: X = P^-1 A row by row and S = E - B X
+    e = m.tolist()
+    x = []
+    for i in range(p):
+        x.append([e[i][i] * (e[i][p + c] - sum(e[i][j] * x[j][c] for j in range(i)))
+                  for c in range(3)])
+    want = [[e[r][p + c] - sum(e[r][j] * x[j][c] for j in range(p))
+             for c in range(3)] for r in (p, p + 1)]
+    assert max(abs(v) for row in want for v in row) > 2 ** 120
+    s = schur_complement(m, range(p), range(p))
+    assert s.dtype == object and s.tolist() == want
+    assert_reduction_matches(m)
 
 
 def test_schur_complement_rejects_a_pivot_block_that_is_not_triangular():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extra_api import torus7
 from cyclecover import formats
 from cyclecover.ledger import verify_pipeline
 from cyclecover.covering import DEFAULT_MAX_CELLS
@@ -31,6 +32,8 @@ def _document(name: str) -> dict:
     sorted simplex list and so does not survive a relabelling."""
     if name == "join_c4_c6":
         return _join_c4_c6()
+    if name == "torus7":
+        return formats.complex_to_dict(torus7())
     doc = json.loads((CORPUS_DIR / name).read_text())
     doc.pop("orientation", None)
     return doc
@@ -51,8 +54,9 @@ def _expected(name: str):
 
 
 @pytest.mark.parametrize("name", ["hexagon.json", "octahedron.json",
-                                  "boundary_delta3.json", "join_c4_c6"])
-@settings(max_examples=4, deadline=None)  # 16 examples over the 4 inputs
+                                  "boundary_delta3.json", "join_c4_c6",
+                                  "torus7"])
+@settings(max_examples=4, deadline=None)  # 20 examples over the 5 inputs
 @given(data=st.data())
 def test_report_is_invariant_under_relabelling(name, data):
     doc = _document(name)
