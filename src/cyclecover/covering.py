@@ -163,7 +163,7 @@ def _check_compatible(cp: ColoredPseudomanifold, closures: list[np.ndarray]) -> 
 
 
 def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
-                 max_tuples: int | None = None) -> InvolutionRegistry:
+                 max_cells: int | None = None) -> InvolutionRegistry:
     """Close the involutions of every slot, then the tuples under crossings.
 
     Crossing F_w conjugates the components at the subsets gamma inside w by
@@ -176,15 +176,21 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     (conj[w, gamma] - arange(|C_gamma|)) * radix[gamma].  The product of
     the closure sizes must fit ``int64``; then each closure element is
     checked compatible, and an incompatible one is a gluing error.  Without
-    ``max_tuples`` the pools must come out closed (the full cover set) and
+    ``max_cells`` the pools must come out closed (the full cover set) and
     the tuples are every code, in ``product`` order.  With it they are the
     crossings' closure of code 0, the first rows of the pools, breadth
-    first, at most ``max_tuples`` since each carries a cell of the
-    component; the product holds them but need not be all of them (on the
+    first; the product holds them but need not be all of them (on the
     subdivided suspended octahedron, slots {1} and {1, 4} take 6 of their 9
-    joint values, and the orbit has 432 of the 648 codes).  The registry
-    returned holds the closures, each tuple's closure indices and the
-    crossing table.
+    joint values, and the orbit has 432 of the 648 codes).  The orbit is
+    refused as soon as twice its size passes ``max_cells``, for the seed's
+    component has at least 2 |orbit| cells.  A tuple's crossing never reads
+    sigma, so every orbit tuple lies on some pair of the component.
+    Crossing a one-color facet F_{c} changes no slot, since no slot lies
+    strictly inside {c}; it moves sigma by the tuple's involution at {c},
+    which ``_check_compatible`` has checked is fixed-point free.  So the
+    component has at least 2 |orbit| pairs, and pairs * |H| >= 2 |orbit|
+    cells.  The registry returned holds the closures, each tuple's closure
+    indices and the crossing table.
     """
     subsets = proper_subsets(cp.n)
     slots, tops = len(subsets), cp.top_count
@@ -193,7 +199,7 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
         above = [w for w in range(gamma + 1, slots) if subsets[gamma] & ~subsets[w] == 0]
         outer = np.concatenate([closures[w] for w in above]
                                + [np.empty((0, tops), dtype=np.int32)])
-        closures[gamma], index = _close_slot(outer, closures[gamma], max_tuples is None)
+        closures[gamma], index = _close_slot(outer, closures[gamma], max_cells is None)
         stops = np.cumsum([0] + [len(closures[w]) for w in above])
         conj.update(((w, gamma), index[a:b]) for w, a, b in zip(above, stops, stops[1:]))
     sizes = [len(c) for c in closures]
@@ -222,14 +228,14 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
         return crossed
 
     # every code for the full set, else the closure of code 0, level by level
-    codes = np.arange(total if max_tuples is None else 1, dtype=np.int64)
+    codes = np.arange(total if max_cells is None else 1, dtype=np.int64)
     newt, done = [np.empty((0, slots), dtype=np.int64)], 0
     while done < len(codes):
         crossed = cross(codes[done:])
         fresh, number = _first_seen(codes, crossed.ravel())
-        if max_tuples is not None and len(codes) + len(fresh) > max_tuples:
-            raise CapExceededError(f"component exceeded {max_tuples} cells",
-                                   max_tuples, max_tuples)
+        if max_cells is not None and 2 * (len(codes) + len(fresh)) > max_cells:
+            raise CapExceededError(f"component exceeded {max_cells} cells",
+                                   max_cells, max_cells)
         newt.append(number.reshape(crossed.shape))
         done, codes = len(codes), np.concatenate([codes, crossed.ravel()[fresh]])
     return InvolutionRegistry(cp, closures, digits(codes),
@@ -421,9 +427,12 @@ def build_component(cp: ColoredPseudomanifold,
     (pair, slot) order and numbers those not yet seen in order of first
     occurrence, each with the g value of its first occurrence.  That is
     breadth-first order, so pair ids, g0 and the glue table do not depend
-    on how the work is batched.  Every pair carries at least one cell, so
-    the cap is checked on the pairs as they are numbered, and on the cells
-    once H is known.
+    on how the work is batched.  A key's first occurrence is its least
+    position among the level's unseen entries, kept by ``np.minimum.at``,
+    which NumPy defines for repeated indices where a plain assignment
+    leaves the order of the writes open.  Every pair carries at least one
+    cell, so the cap is checked on the pairs as they are numbered, and on
+    the cells once H is known.
     """
     reg = _tuple_codes(cp, [np.array([canonical_involution(cp, w)], dtype=np.int32)
                             for w in proper_subsets(cp.n)], max_cells)
@@ -440,9 +449,9 @@ def build_component(cp: ColoredPseudomanifold,
                    + reg.moved(t, sigma))
         fresh = number[crossed] < 0
         unseen = crossed[fresh]  # (pair, slot) order
-        # scatter positions in reverse, so each key keeps its first one
         position = np.arange(unseen.size, dtype=np.int32)
-        number[unseen[::-1]] = position[::-1]
+        number[unseen] = unseen.size
+        np.minimum.at(number, unseen, position)
         first = number[unseen] == position
         frontier = unseen[first]
         lift = (lift[:, None] ^ gen)[fresh][first]

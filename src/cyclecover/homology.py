@@ -1,7 +1,9 @@
 """Integral simplicial homology via unit-pivot elimination and Smith form.
 
 Boundary matrices are dense ``int64`` arrays filled from the facet tables
-of the complex's face levels.  That ∂∂ = 0 is checked on the tables
+of the complex's face levels, which the complex builds once and keeps
+(``AbstractComplex.facet_tables``): the cap check on the face counts and
+the matrices read the same tables.  That ∂∂ = 0 is checked on the tables
 themselves: the signed (k-2)-faces reached from each k-face through its
 facets are summed per face and must cancel.
 
@@ -16,15 +18,16 @@ checked by multiplication) and S = E - B X for the blocks
 M = [[P, A], [B, E]], the integral row and column operations
 [[1, 0], [-B P^-1, 1]] and [[1, -X], [0, 1]] take M to diag(P, S), and P to
 the identity, so M and diag(I_p, S) have the same Smith form: rank p plus
-the rank of S, and divisors p ones followed by those of S.  The peeling
-runs on M and on its transpose, which has the same Smith form, and the
-side with more pivots is kept.  The Schur complement S, with its zero rows
-and columns dropped, goes to ``smith_normal_form``; it is never larger
-than M.  The blocks are cut from M itself, so the Schur complement is
-computed in one pass, in ``int64`` while a bound on every partial sum
-allows it: the solve for X moves to Python integers at the first row whose
-bound could reach 2^63, and each product with X picks its type by its own
-bound.
+the rank of S, and divisors p ones followed by those of S.  So
+``homology`` reads each ∂_k's rank as p plus the rank of S, and its
+torsion as the divisors of S above 1.  The peeling runs on M and on its
+transpose, which has the same Smith form, and the side with more pivots
+is kept.  The Schur complement S, with its zero rows and columns dropped,
+goes to ``smith_normal_form``; it is never larger than M.  The blocks are
+cut from M itself, so the Schur complement is computed in one pass, in
+``int64`` while a bound on every partial sum allows it: the solve for X
+moves to Python integers at the first row whose bound could reach 2^63,
+and each product with X picks its type by its own bound.
 
 The Smith reduction works on whole rows and columns of numpy ``object``
 arrays of Python integers, which cannot overflow, so it runs once and
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .pseudomanifold import AbstractComplex, FacetTable, facet_table, orient
+from .pseudomanifold import AbstractComplex, FacetTable, orient
 
 @dataclass
 class SmithForm:
@@ -298,24 +301,6 @@ def schur_complement(m: np.ndarray, rows, cols) -> np.ndarray:
     return _schur(m.astype(object if exact else np.int64, copy=False), rows, cols)
 
 
-@dataclass
-class ReducedSmithForm:
-    """The Smith invariants of M = diag(I_p, S) over Z: the number p of unit
-    pivots and the Smith form of the Schur complement S, with the zero rows
-    and columns of S dropped."""
-
-    pivots: int
-    schur: SmithForm
-
-    @property
-    def rank(self) -> int:
-        return self.pivots + self.schur.rank
-
-    @property
-    def divisors(self) -> list[int]:
-        return [1] * self.pivots + self.schur.divisors
-
-
 def _peeled(matrix) -> tuple[int, np.ndarray]:
     """The number p of unit pivots peeled from an integer matrix and the
     Schur complement S left, with its zero rows and columns dropped.  The
@@ -331,29 +316,13 @@ def _peeled(matrix) -> tuple[int, np.ndarray]:
                                np.count_nonzero(s, axis=0) > 0)]
 
 
-def reduced_smith_form(matrix) -> ReducedSmithForm:
-    """Rank and divisors of an integer matrix by unit-pivot elimination and
-    the Smith form of what is left (``_peeled``)."""
-    pivots, s = _peeled(matrix)
-    return ReducedSmithForm(pivots, smith_normal_form(s))
-
-
 # ---------------------------------------------------------------------------
 # chain complexes of abstract simplicial complexes
 
-def _facet_tables(c: AbstractComplex) -> list[FacetTable]:
-    """The facet tables of the faces of dimensions 1..n, built from the top
-    simplices down: the table of the k-faces holds them as ``tops`` and the
-    (k-1)-faces as ``facets``, both as ascending vertex rows in sorted order."""
-    tables = [c.facet_table]
-    while len(tables) < c.n:
-        tables.insert(0, facet_table(tables[0].facets, c.num_vertices))
-    return tables
-
-
 def faces_by_dimension(c: AbstractComplex) -> list[np.ndarray]:
-    """The faces of each dimension as ascending vertex rows in sorted order."""
-    tables = _facet_tables(c)
+    """The faces of each dimension as ascending vertex rows in sorted order,
+    read off the complex's facet tables (``AbstractComplex.facet_tables``)."""
+    tables = c.facet_tables
     return [tables[0].facets] + [table.tops for table in tables]
 
 
@@ -375,9 +344,10 @@ def _check_composite(lower: FacetTable, upper: FacetTable, k: int) -> None:
 
 def boundary_matrices(c: AbstractComplex) -> list[np.ndarray]:
     """Signed boundary matrices: entry k maps k-chains to (k-1)-chains.
-    Index 0 holds the empty map.  The composites of consecutive matrices
-    are checked to vanish on the facet tables."""
-    tables = _facet_tables(c)
+    Index 0 holds the empty map.  The matrices are filled from the
+    complex's facet tables (``AbstractComplex.facet_tables``), and the
+    composites of consecutive matrices are checked to vanish on them."""
+    tables = c.facet_tables
     mats: list[np.ndarray] = [np.zeros((0, len(tables[0].facets)), dtype=np.int64)]
     for k, table in enumerate(tables, 1):
         m = np.zeros((len(table.facets), len(table.tops)), dtype=np.int64)
@@ -397,11 +367,6 @@ class HomologyGroup:
     def __str__(self) -> str:
         parts = ["Z"] * self.betti + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HomologyGroup):
-            return (self.betti, self.torsion) == (other.betti, other.torsion)
-        return NotImplemented
 
 
 def _check_entries(what: str, rows: int, cols: int, cap: int | None) -> None:
@@ -430,20 +395,19 @@ def homology(c: AbstractComplex,
             _check_entries(f"the boundary matrix ∂_{k}", counts[k - 1],
                            counts[k], max_entries)
     mats = boundary_matrices(c)
-    forms = []
+    ranks, torsion = [], []
     for k, m in enumerate(mats):
         pivots, s = _peeled(m)
         side = max(s.shape)
         _check_entries(f"a Smith transform of the {s.shape[0]} x {s.shape[1]} "
                        f"Schur complement of ∂_{k}", side, side, max_entries)
-        forms.append(ReducedSmithForm(pivots, smith_normal_form(s)))
-    groups = []
-    for k in range(c.n + 1):
-        rank_in = forms[k].rank
-        rank_out = forms[k + 1].rank if k < c.n else 0
-        torsion = [d for d in forms[k + 1].divisors if d > 1] if k < c.n else []
-        groups.append(HomologyGroup(mats[k].shape[1] - rank_in - rank_out, torsion))
-    return groups
+        form = smith_normal_form(s)
+        ranks.append(pivots + form.rank)
+        torsion.append([d for d in form.divisors if d > 1])
+    ranks.append(0)
+    torsion.append([])
+    return [HomologyGroup(mats[k].shape[1] - ranks[k] - ranks[k + 1], torsion[k + 1])
+            for k in range(c.n + 1)]
 
 
 def betti_numbers(c: AbstractComplex) -> list[int]:

@@ -15,7 +15,9 @@ in exactly two top simplices the table names the top across it and the
 position dropped there.  Validation, orientation, the surface check and the
 dual graph all read this table; components and orientation signs come
 from one run of ``lowest_labels`` per table, which hooks trees under their
-lowest neighbors and shortcuts pointers.
+lowest neighbors and shortcuts pointers.  The lower face levels, which
+``homology`` reads, get tables of their own, built once per complex
+(``facet_tables``).
 
 The barycentric subdivision is numbered once, by the (top x face mask)
 table of ``face_ids``: the subdivision's flags and the certificate's
@@ -224,6 +226,17 @@ class AbstractComplex:
     @cached_property
     def facet_table(self) -> FacetTable:
         return facet_table(self.tops, self.num_vertices)
+
+    @cached_property
+    def facet_tables(self) -> tuple[FacetTable, ...]:
+        """The facet tables of the faces of dimensions 1..n, built once from
+        the top simplices down: entry k - 1 holds the k-faces as ``tops`` and
+        the (k-1)-faces as ``facets``, both as ascending vertex rows in
+        sorted order.  The last entry is ``facet_table``."""
+        tables = [self.facet_table]
+        while len(tables) < self.n:
+            tables.insert(0, facet_table(tables[0].facets, self.num_vertices))
+        return tuple(tables)
 
     @cached_property
     def validation(self) -> ValidationReport:

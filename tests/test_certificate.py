@@ -504,6 +504,23 @@ def test_broken_templates_are_rejected():
     assert template_is_surface(template)
 
 
+def test_surface_check_rejects_a_bad_vertex_link_or_chain():
+    # the centre's link stays the 12-cycle in both plants, so each fails
+    # on a link of the hexagon's boundary
+    template = flag_template(2)
+    assert template.flags[0].tolist() == [0, 1, 7]
+    # the first flag read as (edge, centre, vertex): the link of its vertex
+    # holds one path end through the centre, not two
+    flags = template.flags.copy()
+    flags[0, [0, 1]] = flags[0, [1, 0]]
+    assert not template_is_surface(replace(template, flags=flags))
+    # the chains of two edges swapped: the link of the edge (1,) now ends in
+    # vertices whose chains neither contain it nor lie in it
+    chains = list(template.chains)
+    chains[1], chains[2] = chains[2], chains[1]
+    assert not template_is_surface(replace(template, chains=chains))
+
+
 @pytest.fixture(scope="module")
 def covers():
     octa = ColoredPseudomanifold(*corpus.octahedron())
@@ -618,8 +635,9 @@ def test_orientation_check_catches_a_parity_or_template_flip(covers):
 
 @pytest.fixture(scope="module")
 def corpus_covers():
-    """The component of every orientable corpus input and of sd(T^2), and
-    the full cover set of those whose full set fits the default cap."""
+    """The component of every orientable corpus input, of sd(T^2), of the
+    pinched torus and of sd(suspended octahedron), and the full cover set
+    of those whose full set fits the default cap."""
     out = {}
     for name in ("hexagon", "octahedron", "boundary_delta3", "boundary_delta4"):
         bundle, _ = colored_from_complex(
@@ -628,12 +646,17 @@ def corpus_covers():
         if name in ("hexagon", "octahedron"):
             out[f"{name}-full"] = build_full(bundle)
     out["torus7"] = build_component(colored_from_complex(torus7())[0])
+    out["pinched_torus"] = build_component(
+        colored_from_complex(pinched_torus())[0])
+    out["suspended_octahedron"] = build_component(
+        colored_from_complex(suspension(corpus.octahedron()[0]))[0])
     return out
 
 
 @pytest.mark.parametrize("name", ["hexagon", "hexagon-full", "octahedron",
                                   "octahedron-full", "boundary_delta3",
-                                  "boundary_delta4", "torus7"])
+                                  "boundary_delta4", "torus7", "pinched_torus",
+                                  "suspended_octahedron"])
 def test_holonomy_orientation_agrees_with_the_glue_scan(corpus_covers, name):
     # the holonomies' parity against the glue scan it replaced, on the cover
     # and on copies with the g0 parity flipped at one pair, first or last

@@ -22,6 +22,7 @@ from cyclecover.cli import build_parser, default_max_cells, main
 from cyclecover.covering import build_component, build_full
 from cyclecover.homology import boundary_matrices, homology
 from cyclecover.pseudomanifold import (
+    AbstractComplex,
     ColoredPseudomanifold,
     check_regular_coloring,
     orient,
@@ -274,6 +275,30 @@ def test_bad_env_value_exits_two(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_nonpositive_env_value_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("REALIZER_MAX_CELLS", "0")
+    assert main(["verify", "--input", hexagon_path()]) == 2
+    assert capsys.readouterr() == (
+        "", "error: REALIZER_MAX_CELLS must be positive, got 0\n")
+
+
+@pytest.mark.parametrize("simplices, message", [
+    ([], "complex has no top simplices"),
+    ([[0, 1, 2], [0, 1]], "top simplex (0, 1) does not have 3 distinct vertices"),
+], ids=["no tops", "short top"])
+def test_malformed_top_simplices_exit_two(simplices, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "num_vertices": 5,
+                                "simplices": simplices}), encoding="utf-8")
+    assert main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_subdivide_without_out_exits_two(capsys):
+    assert main(["subdivide", "--input", hexagon_path()]) == 2
+    assert capsys.readouterr() == ("", "error: subdivide requires --out\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -292,6 +317,21 @@ def test_validate_good_and_bad(tmp_path, capsys):
     assert not report["ok"]
     assert report["boundary_faces"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("complex, summary", [
+    # three triangles on the edge (0, 1): it is in more than two tops, so no
+    # two tops are adjacent
+    (AbstractComplex(2, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+     "6 boundary facet(s), e.g. (0, 2); 1 facet(s) in more than two top "
+     "simplices, e.g. (0, 1) in 3; facet-dual graph is disconnected"),
+    (corpus.disjoint_circles(), "facet-dual graph is disconnected"),
+], ids=["three on an edge", "disjoint circles"])
+def test_validate_names_every_failure(complex, summary, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    formats.write_json(formats.complex_to_dict(complex), path)
+    assert main(["validate", "--input", str(path)]) == 1
+    assert capsys.readouterr() == (summary + "\n", "")
 
 
 def test_validate_flags_irregular_coloring(tmp_path, capsys):

@@ -9,13 +9,15 @@ entries past 2^31.  The unit-pivot reduction that ``homology`` runs gives
 the rank and divisors of the full Smith form; its Schur complement runs in
 int64 and moves to Python integers where a bound reaches 2^63, and its
 certificate rejects a tampered pivot block or solve.  Boundary matrices
-equal the dict-built ones; homology values are frozen for complexes whose
+equal the dict-built ones, and a capped ``homology`` builds the facet table
+of each face level once; homology values are frozen for complexes whose
 groups are classical.
 """
 
 import dataclasses
 import importlib
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -31,20 +33,21 @@ from cyclecover.errors import NonOrientableError
 from cyclecover.homology import (
     HomologyGroup,
     _check_composite,
-    _facet_tables,
+    _peeled,
     betti_numbers,
     boundary_matrices,
     faces_by_dimension,
     fundamental_class,
     homology,
-    reduced_smith_form,
     schur_complement,
     smith_normal_form,
     unit_pivots,
 )
 from cyclecover.pseudomanifold import (
+    AbstractComplex,
     ColoredPseudomanifold,
     barycentric_subdivide,
+    facet_table,
 )
 from cyclecover.tomei import build_tomei
 
@@ -273,7 +276,7 @@ def test_boundary_composite_vanishes_across_corpus():
 
 
 def test_boundary_composite_check_rejects_swapped_facets():
-    tables = _facet_tables(triangulate(build_tomei(3)).complex)
+    tables = triangulate(build_tomei(3)).complex.facet_tables
     for k in (2, 3):
         lower, upper = tables[k - 2], tables[k - 1]
         _check_composite(lower, upper, k)
@@ -282,6 +285,29 @@ def test_boundary_composite_check_rejects_swapped_facets():
         with pytest.raises(AssertionError,
                            match=f"boundary composite at dimension {k} is nonzero"):
             _check_composite(lower, dataclasses.replace(upper, facet=facet), k)
+
+
+def test_capped_homology_builds_each_face_level_once(monkeypatch):
+    # the cap check reads the face counts and ``boundary_matrices`` the
+    # matrices, both off the complex's facet tables: on the octahedron cover
+    # triangulation (n = 2) one table of 192 triangles and one of 288 edges
+    cover = triangulate(build_component(
+        ColoredPseudomanifold(*corpus.octahedron())).pc).complex
+    c = AbstractComplex(cover.n, cover.num_vertices, cover.tops)
+    built = []
+
+    def spy(tops, num_vertices):
+        built.append(tops.shape)
+        return facet_table(tops, num_vertices)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cyclecover") and \
+                getattr(module, "facet_table", None) is facet_table:
+            monkeypatch.setattr(module, "facet_table", spy)
+    assert homology(c, max_entries=10 ** 6) == [
+        HomologyGroup(1, []), HomologyGroup(10, []), HomologyGroup(1, [])]
+    assert built == [(192, 3), (288, 2)]
+    assert c.facet_tables[-1] is c.facet_table
 
 
 def test_boundary_matrix_shapes():
@@ -300,10 +326,14 @@ def test_boundary_matrix_shapes():
 # unit-pivot reduction
 
 def assert_reduction_matches(m):
-    got, want = reduced_smith_form(m), smith_normal_form(m)
-    assert got.rank == want.rank
-    assert got.divisors == want.divisors
-    return got
+    """The rank and divisors of m as ``homology`` reads them, off the p
+    peeled pivots and the Smith form of the Schur complement S, against the
+    Smith form of m itself; returns p and the Smith form of S."""
+    pivots, s = _peeled(m)
+    got, want = smith_normal_form(s), smith_normal_form(m)
+    assert pivots + got.rank == want.rank
+    assert [1] * pivots + got.divisors == want.divisors
+    return pivots, got
 
 
 @pytest.mark.parametrize("c", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
@@ -332,17 +362,17 @@ def test_reduction_on_planted_unit_pivots():
         block = m[np.ix_(rows, cols)]
         assert np.array_equal(block, np.tril(block))
         assert set(np.abs(np.diagonal(block)).tolist()) <= {1}
-        pivots += assert_reduction_matches(m).pivots
+        pivots += assert_reduction_matches(m)[0]
     assert pivots >= 500
 
 
 def test_reduction_schur_complement_past_2_31_takes_the_object_path():
     k = 2 ** 20
     m = np.array([[k, 1], [3, k]])
-    got = assert_reduction_matches(m)
-    assert got.pivots == 1
-    assert got.schur.d.dtype == object
-    assert got.divisors == [1, k * k - 3]
+    pivots, got = assert_reduction_matches(m)
+    assert pivots == 1
+    assert got.d.dtype == object
+    assert [1] * pivots + got.divisors == [1, k * k - 3]
 
 
 def test_schur_complement_restarts_over_python_integers():
@@ -356,7 +386,8 @@ def test_schur_complement_restarts_over_python_integers():
     # integers
     big = np.array([[2 ** 40, 1], [3, 2 ** 40]])
     assert schur_complement(big, [0], [1]).tolist() == [[3 - 2 ** 80]]
-    assert assert_reduction_matches(big).divisors == [1, 2 ** 80 - 3]
+    pivots, got = assert_reduction_matches(big)
+    assert [1] * pivots + got.divisors == [1, 2 ** 80 - 3]
 
 
 def test_schur_complement_moves_to_python_integers_mid_solve():

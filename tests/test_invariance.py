@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extra_api import torus7
+from extra_api import pinched_torus, torus7
 from cyclecover import formats
 from cyclecover.ledger import verify_pipeline
 from cyclecover.covering import DEFAULT_MAX_CELLS
@@ -34,6 +34,8 @@ def _document(name: str) -> dict:
         return _join_c4_c6()
     if name == "torus7":
         return formats.complex_to_dict(torus7())
+    if name == "pinched_torus":
+        return formats.complex_to_dict(pinched_torus())
     doc = json.loads((CORPUS_DIR / name).read_text())
     doc.pop("orientation", None)
     return doc
@@ -55,8 +57,8 @@ def _expected(name: str):
 
 @pytest.mark.parametrize("name", ["hexagon.json", "octahedron.json",
                                   "boundary_delta3.json", "join_c4_c6",
-                                  "torus7"])
-@settings(max_examples=4, deadline=None)  # 20 examples over the 5 inputs
+                                  "torus7", "pinched_torus"])
+@settings(max_examples=3, deadline=None)  # 18 examples over the 6 inputs
 @given(data=st.data())
 def test_report_is_invariant_under_relabelling(name, data):
     doc = _document(name)

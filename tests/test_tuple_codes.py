@@ -1,10 +1,11 @@
 """The tuple orbit from per-slot closures and integer tuple codes, against
 the tuple-only breadth-first search of ``dict_oracle`` at scale; the
-refusals before and during the orbit; the one compatibility test over all
-closures, row by row against ``dict_oracle``; the ledger when
-the full build's closure check fails or a closure element is not
-compatible; and the bytes of ``cover --out``, which writes the orbit's
-tuple ids."""
+refusals before and during the orbit, which is refused once twice its size
+passes the cap, and the two pairs per orbit tuple that bound rests on; the
+one compatibility test over all closures, row by row against
+``dict_oracle``; the ledger when the full build's closure check fails or a
+closure element is not compatible; and the bytes of ``cover --out``, which
+writes the orbit's tuple ids."""
 
 import hashlib
 import json
@@ -30,11 +31,11 @@ from cyclecover.pseudomanifold import ColoredPseudomanifold, colored_from_comple
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def seed_codes(cp, max_tuples: int = DEFAULT_MAX_CELLS):
+def seed_codes(cp, max_cells: int = DEFAULT_MAX_CELLS):
     """The canonical tuple's orbit, as ``build_component`` closes it."""
     pools = [np.array([canonical_involution(cp, w)], dtype=np.int32)
              for w in proper_subsets(cp.n)]
-    return covering._tuple_codes(cp, pools, max_tuples)
+    return covering._tuple_codes(cp, pools, max_cells)
 
 
 # n = 3, 4 and 5 (48 and 96 tops for the joins), and the orbit's size
@@ -90,6 +91,34 @@ def test_boundary_delta5_orbit_stops_at_the_cap():
     with pytest.raises(CapExceededError, match="component exceeded 100000 cells") as e:
         build_component(cp, max_cells=100000)
     assert (e.value.cap, e.value.reached) == (100000, 100000)
+
+
+def test_orbit_is_refused_once_twice_its_size_passes_the_cap():
+    # the component has at least two pairs on every orbit tuple, so the
+    # 2916 tuples of sd(boundary delta4) need a cap of 5832 cells
+    cp = colored_from_complex(corpus.boundary_delta(4))[0]
+    with pytest.raises(CapExceededError, match="component exceeded 5831 cells") as e:
+        seed_codes(cp, 5831)
+    assert (e.value.cap, e.value.reached) == (5831, 5831)
+    assert seed_codes(cp, 5832).tuple_count == 2916
+
+
+@pytest.mark.parametrize("name", ["sd(suspended octahedron)", "C4*C6*S0",
+                                  "C4*C6*C4"])
+def test_component_has_two_pairs_per_orbit_tuple(name):
+    # the bound the orbit's refusal rests on: every orbit tuple lies on a
+    # pair, and crossing a one-color facet moves sigma and keeps the tuple
+    build, size = ORBITS[name]
+    cp = build()
+    cover = build_component(cp)
+    assert cover.registry.tuple_count == size
+    assert cover.pairs.num_cells >= 2 * size
+    assert np.unique(cover.pair_t).tolist() == list(range(size))
+    for c in range(cp.n + 1):
+        slot = proper_subsets(cp.n).index(1 << c)
+        across = cover.pairs.glue[:, slot]
+        assert (cover.pair_t[across] == cover.pair_t).all()
+        assert (cover.pair_sigma[across] != cover.pair_sigma).all()
 
 
 def widen_one_color_slots(monkeypatch, cp, rows: int) -> None:
