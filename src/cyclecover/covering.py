@@ -63,6 +63,7 @@ from .pseudomanifold import ColoredPseudomanifold, lowest_labels
 from .tomei import generators
 
 DEFAULT_MAX_CELLS = 10 ** 6
+_ORBIT_CHUNK = 4096  # frontier tuples crossed at once; the cap is checked after each
 
 
 def parity_sign(g: int) -> int:
@@ -111,22 +112,37 @@ class InvolutionRegistry:
         return np.take(images, np.take(rows, t, axis=0) + sigma[:, None])
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row as one opaque value, equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+def _number_new(index: np.ndarray, ids: np.ndarray, found: np.ndarray,
+                start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Number the values of ``found`` against the known values ``index``,
+    ascending, whose numbers are ``ids``; new values are numbered from
+    ``start`` in order of first occurrence.  Return the index and ids with
+    the new values merged in, the number of every entry of ``found``, and
+    where in ``found`` each new value first occurs, ascending.
 
-
-def _first_seen(known: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the values of ``found`` after the distinct ``known``, which
-    are numbered by position, new values in order of first occurrence.
-    Return where in ``found`` each new value first occurs, ascending, and
-    the number of every entry of ``found``."""
-    values, first = np.unique(np.concatenate([known, found]), return_index=True)
-    fresh = np.sort(first[first >= len(known)])
-    number = np.where(first < len(known), first,
-                      len(known) + np.searchsorted(fresh, first))
-    return fresh - len(known), number[np.searchsorted(values, found)]
+    ``found`` is binary-searched in ``index``, and only the misses are
+    sorted; the new values, sorted, go to their places in the merged index
+    in one scatter, the old ones to the places left."""
+    at = np.searchsorted(index, found)
+    hit = at < len(index)
+    hit[hit] = index[at[hit]] == found[hit]
+    number = np.empty(len(found), dtype=np.int64)
+    number[hit] = ids[at[hit]]
+    miss = np.flatnonzero(~hit)
+    values, first, inverse = np.unique(found[miss], return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)  # the new values by first occurrence
+    new_ids = np.empty(len(values), dtype=np.int64)
+    new_ids[order] = np.arange(start, start + len(values))
+    number[miss] = new_ids[inverse]
+    place = at[miss[first]] + np.arange(len(values))
+    old = np.ones(len(index) + len(values), dtype=bool)
+    old[place] = False
+    merged = np.empty(len(old), dtype=np.int64)
+    merged_ids = np.empty(len(old), dtype=np.int64)
+    merged[place], merged_ids[place] = values, new_ids
+    merged[old], merged_ids[old] = index, ids
+    return merged, merged_ids, number, miss[first[order]]
 
 
 def _close_slot(outer: np.ndarray, rows: np.ndarray,
@@ -134,19 +150,24 @@ def _close_slot(outer: np.ndarray, rows: np.ndarray,
     """Close the distinct ``rows`` under conjugation by every row of
     ``outer``, new rows in order of first occurrence, and return the
     closure and the closure index of o x o for each outer row o and
-    closure row x.  ``closed`` rows may gain none."""
+    closure row x.  ``closed`` rows may gain none.  Rows are numbered by
+    a dict keyed by their bytes, which are equal exactly when the rows are,
+    as both builders hand in ``int32`` pools and closures."""
     tops = rows.shape[1]
     shift = (np.arange(len(outer)) * tops)[:, None, None]
+    number = {row.tobytes(): x for x, row in enumerate(rows)}
     while len(outer):
         # o x o at [o, x, i] is outer[o, rows[x, outer[o, i]]]
         conj = np.take(outer, rows[:, outer].transpose(1, 0, 2) + shift).reshape(-1, tops)
-        fresh, index = _first_seen(_row_keys(rows), _row_keys(conj))
-        if not fresh.size:
+        index = np.array([number.setdefault(row.tobytes(), len(number)) for row in conj])
+        if len(number) == len(rows):
             return rows, index.reshape(len(outer), len(rows))
         if closed:
             raise InconsistentGluingError(
                 "facet crossing left the full cover set; conjugation closure failed")
-        rows = np.concatenate([rows, conj[fresh]])
+        fresh = np.flatnonzero(index >= len(rows))
+        _, first = np.unique(index[fresh], return_index=True)
+        rows = np.concatenate([rows, conj[fresh[first]]])
     return rows, np.empty((0, len(rows)), dtype=np.int64)
 
 
@@ -191,6 +212,21 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     component has at least 2 |orbit| pairs, and pairs * |H| >= 2 |orbit|
     cells.  The registry returned holds the closures, each tuple's closure
     indices and the crossing table.
+
+    Only the moving slots are crossed, those with a step table that is not
+    all 0; crossing any other slot keeps every code, so its column of the
+    crossing table is each tuple's own id.  Each level is crossed in chunks
+    of ``_ORBIT_CHUNK`` frontier tuples, and the cap is checked after each
+    chunk, so a refused orbit stops within one chunk of the cap.  The known
+    codes are kept in an ascending index beside their ids, and each chunk's
+    crossed codes are numbered against it (``_number_new``): only the codes
+    it misses are sorted, and the new ones are merged in.  The ids do not
+    depend on the chunks: a level's crossed codes are numbered in
+    (tuple, slot) order, new codes in order of first occurrence, and the
+    chunks cut that order into consecutive runs, each numbered after the
+    runs before it, so a code new in a chunk is new over the level and is
+    first met there.  The dropped identity columns hold known codes only,
+    and change no first occurrence.
     """
     subsets = proper_subsets(cp.n)
     slots, tops = len(subsets), cp.top_count
@@ -212,34 +248,47 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     size = np.array(sizes, dtype=np.int64)
     radix = np.append(np.cumprod(size[:0:-1])[::-1], 1)
 
-    # step tables that are all 0 are left out
+    # step tables that are all 0 are left out, and a slot with none keeps
+    # every code: its column of the crossing table is the identity
     steps = [(w, gamma, (index - np.arange(sizes[gamma])) * radix[gamma])
              for (w, gamma), index in conj.items()]
     steps = [step for step in steps if step[2].any()]
+    moving = sorted({w for w, _, _ in steps})
+    column = {w: k for k, w in enumerate(moving)}
 
     def digits(codes: np.ndarray) -> np.ndarray:
         return (codes[:, None] // radix % size).astype(np.int32)
 
     def cross(codes: np.ndarray) -> np.ndarray:
         held = digits(codes)
-        crossed = np.repeat(codes[:, None], slots, axis=1)
+        crossed = np.repeat(codes[:, None], len(moving), axis=1)
         for w, gamma, table in steps:
-            crossed[:, w] += table[held[:, w], held[:, gamma]]
+            crossed[:, column[w]] += table[held[:, w], held[:, gamma]]
         return crossed
 
-    # every code for the full set, else the closure of code 0, level by level
-    codes = np.arange(total if max_cells is None else 1, dtype=np.int64)
-    newt, done = [np.empty((0, slots), dtype=np.int64)], 0
-    while done < len(codes):
-        crossed = cross(codes[done:])
-        fresh, number = _first_seen(codes, crossed.ravel())
-        if max_cells is not None and 2 * (len(codes) + len(fresh)) > max_cells:
-            raise CapExceededError(f"component exceeded {max_cells} cells",
-                                   max_cells, max_cells)
-        newt.append(number.reshape(crossed.shape))
-        done, codes = len(codes), np.concatenate([codes, crossed.ravel()[fresh]])
-    return InvolutionRegistry(cp, closures, digits(codes),
-                              np.concatenate(newt).astype(np.int32))
+    # every code for the full set, else the closure of code 0, each code
+    # numbered by itself; then level by level and chunk by chunk
+    frontier = np.arange(total if max_cells is None else 1, dtype=np.int64)
+    index, ids, codes, newt, done = frontier, frontier, [frontier], [], 0
+    while len(frontier):
+        found = []
+        for start in range(0, len(frontier), _ORBIT_CHUNK):
+            crossed = cross(frontier[start:start + _ORBIT_CHUNK])
+            index, ids, number, first = _number_new(index, ids, crossed.ravel(),
+                                                    len(ids))
+            if max_cells is not None and 2 * len(ids) > max_cells:
+                raise CapExceededError(f"component exceeded {max_cells} cells",
+                                       max_cells, max_cells)
+            row = np.empty((len(crossed), slots), dtype=np.int32)
+            row[:] = np.arange(done, done + len(crossed))[:, None]
+            row[:, moving] = number.reshape(crossed.shape)
+            newt.append(row)
+            done += len(crossed)
+            found.append(crossed.ravel()[first])
+        frontier = np.concatenate(found)
+        codes.append(frontier)
+    codes = np.concatenate(codes)
+    return InvolutionRegistry(cp, closures, digits(codes), np.concatenate(newt))
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +472,26 @@ def build_component(cp: ColoredPseudomanifold,
 
     The seed tuple's orbit is closed first, and gives the gather tables.
     The pairs are then numbered level by level over the dense
-    (tuple, sigma) index: each level gathers its pairs' neighbours in
-    (pair, slot) order and numbers those not yet seen in order of first
-    occurrence, each with the g value of its first occurrence.  That is
-    breadth-first order, so pair ids, g0 and the glue table do not depend
-    on how the work is batched.  A key's first occurrence is its least
-    position among the level's unseen entries, kept by ``np.minimum.at``,
-    which NumPy defines for repeated indices where a plain assignment
-    leaves the order of the writes open.  Every pair carries at least one
-    cell, so the cap is checked on the pairs as they are numbered, and on
-    the cells once H is known.
+    (tuple, sigma) index, keyed t * tops + sigma: each level gathers its
+    pairs' neighbours in (pair, slot) order, the tuple part read off
+    newt * tops, made once per build, and numbers those not yet seen in
+    order of first occurrence, each with the g value of its first
+    occurrence.  That is breadth-first order, so pair ids, g0 and the glue
+    table do not depend on how the work is batched.  A key's first
+    occurrence is its least position among the level's unseen entries,
+    kept by ``np.minimum.at``, which NumPy defines for repeated indices
+    where a plain assignment leaves the order of the writes open.  The new
+    pairs are picked by their entry e in the level's (pair, slot) order,
+    and each is first reached from pair e // slots across slot e % slots,
+    so its g value is that pair's plus gen[e % slots].  Every pair carries
+    at least one cell, so the cap is checked on the pairs as they are
+    numbered, and on the cells once H is known.
     """
     reg = _tuple_codes(cp, [np.array([canonical_involution(cp, w)], dtype=np.int32)
                             for w in proper_subsets(cp.n)], max_cells)
     gen = generators(cp.n)
+    slots = len(gen)
+    newt_tops = reg.newt.astype(np.int64) * cp.top_count
     number = np.full(reg.tuple_count * cp.top_count, -1, dtype=np.int32)
     frontier = np.array([cp.plus[0]], dtype=np.int64)  # tuple 0, g = 0
     lift = np.zeros(1, dtype=np.int32)
@@ -445,16 +500,15 @@ def build_component(cp: ColoredPseudomanifold,
     levels, lifts, rows = [frontier], [lift], []
     while frontier.size:
         t, sigma = np.divmod(frontier, cp.top_count)
-        crossed = (np.take(reg.newt, t, axis=0).astype(np.int64) * cp.top_count
-                   + reg.moved(t, sigma))
-        fresh = number[crossed] < 0
-        unseen = crossed[fresh]  # (pair, slot) order
+        crossed = (np.take(newt_tops, t, axis=0) + reg.moved(t, sigma)).ravel()
+        entry = np.flatnonzero(number[crossed] < 0)  # (pair, slot) order
+        unseen = crossed[entry]
         position = np.arange(unseen.size, dtype=np.int32)
         number[unseen] = unseen.size
         np.minimum.at(number, unseen, position)
-        first = number[unseen] == position
-        frontier = unseen[first]
-        lift = (lift[:, None] ^ gen)[fresh][first]
+        entry = entry[number[unseen] == position]
+        frontier = crossed[entry]
+        lift = lift[entry // slots] ^ gen[entry % slots]
         if count + frontier.size > max_cells:
             raise CapExceededError(
                 f"component exceeded {max_cells} cells", max_cells, max_cells)
@@ -462,7 +516,7 @@ def build_component(cp: ColoredPseudomanifold,
         count += frontier.size
         levels.append(frontier)
         lifts.append(lift)
-        rows.append(number[crossed])
+        rows.append(number[crossed].reshape(-1, slots))
     t, sigma = np.divmod(np.concatenate(levels), cp.top_count)
     cover = _cover(reg, t, sigma, np.concatenate(lifts),
                    np.concatenate(rows), True)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_noncommuting_nested_gluings_rejected():
         PermutahedralComplex(2, 6, glue)
 
 
+def test_tomei_needs_a_positive_dimension():
+    with pytest.raises(ValueError) as e:
+        build_tomei(0)
+    assert type(e.value) is ValueError
+    assert str(e.value) == "dimension must be at least 1"
+
+
 # ---------------------------------------------------------------------------
 # face classes
 
@@ -117,6 +125,23 @@ def test_triangulation_size_and_validity(n, tops):
     assert len(tri.complex.top_simplices) == tops
     assert validate_pseudomanifold(tri.complex).ok
     assert simplicial_euler(tri.complex) == euler_characteristic(pc)
+
+
+def test_triangulation_refuses_planted_face_classes():
+    # no glue that face_classes accepts reaches either refusal: class ids run
+    # codimension first and the cell is its own class of codimension 0, so
+    # the defects are planted in the classes handed to triangulate
+    pc = build_tomei(2)
+    classes = face_classes(pc)
+    collapsed = classes.class_ids.copy()
+    collapsed[1] = collapsed[0]  # chain 1 takes the cell's own class
+    twin = classes.class_ids.copy()
+    twin[:, 1] = twin[:, 0]  # cell 1 has every class of cell 0
+    for ids, message in ((collapsed, "flag vertices collapsed in the quotient"),
+                         (twin, "two flags produced the same simplex")):
+        with pytest.raises(InconsistentGluingError) as e:
+            triangulate(pc, replace(classes, class_ids=ids))
+        assert str(e.value) == message
 
 
 def test_triangulation_source_roundtrip():

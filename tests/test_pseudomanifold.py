@@ -112,6 +112,24 @@ def test_complex_rejects_malformed_simplices():
         AbstractComplex(2, 3, [(0, 1, 3)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: AbstractComplex(0, 2, [(0,), (1,)]), "dimension must be at least 1"),
+    (lambda: AbstractComplex(2, 4, np.array([[0, 1], [1, 2]])),
+     "top simplices must be integer rows of 3 vertices"),
+    (lambda: AbstractComplex(2, 4, np.array([[0.0, 1.0, 2.0]])),
+     "top simplices must be integer rows of 3 vertices"),
+    (lambda: AbstractComplex(1, 3, [(0, 2 ** 63)]),
+     "a top simplex has a vertex outside range(0, 3)"),
+    (lambda: bipartition(octahedron()[0], [1, 1, 1, 2, 3, 3]),
+     "bipartition requires a regular coloring"),
+])
+def test_complex_and_bipartition_name_bad_input(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert type(e.value) is ValueError
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # barycentric subdivision
 

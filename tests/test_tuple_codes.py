@@ -1,18 +1,24 @@
 """The tuple orbit from per-slot closures and integer tuple codes, against
-the tuple-only breadth-first search of ``dict_oracle`` at scale; the
-refusals before and during the orbit, which is refused once twice its size
-passes the cap, and the two pairs per orbit tuple that bound rests on; the
-one compatibility test over all closures, row by row against
+the tuple-only breadth-first search of ``dict_oracle`` at scale; the orbit
+crossed chunk by chunk, which numbers every tuple as one pass over each
+level would, and ``_number_new``, which numbers each chunk against the
+sorted index of known codes, against a dict; the refusals before and during
+the orbit, which is refused once twice its size passes the cap, within one
+chunk and in little memory, and the two pairs per orbit tuple that bound
+rests on; the one compatibility test over all closures, row by row against
 ``dict_oracle``; the ledger when the full build's closure check fails or a
 closure element is not compatible; and the bytes of ``cover --out``, which
 writes the orbit's tuple ids."""
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dict_oracle
 from extra_api import sphere_join, suspension, tuple_values
@@ -63,6 +69,76 @@ def test_orbit_matches_the_tuple_search(orbit):
     assert registry.newt.tolist() == newt
 
 
+def assert_same_registry(got, want):
+    assert [c.tolist() for c in got.closures] == [c.tolist() for c in want.closures]
+    assert (got.digits.dtype, got.newt.dtype) == (np.int32, np.int32)
+    assert np.array_equal(got.digits, want.digits)
+    assert np.array_equal(got.newt, want.newt)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_orbit_does_not_depend_on_the_chunk(orbit, chunk, monkeypatch):
+    # first occurrence over a level is first occurrence chunk by chunk
+    registry, _, _ = orbit
+    monkeypatch.setattr(covering, "_ORBIT_CHUNK", chunk)
+    assert_same_registry(seed_codes(registry.cp), registry)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_full_build_does_not_depend_on_the_chunk(chunk, monkeypatch):
+    cp = ColoredPseudomanifold(*corpus.octahedron())
+    want = build_full(cp).registry
+    monkeypatch.setattr(covering, "_ORBIT_CHUNK", chunk)
+    got = build_full(cp).registry
+    assert got.tuple_count == 64
+    assert_same_registry(got, want)
+
+
+def dict_numbering(known, ids, found, start):
+    """``_number_new`` as a dict: the merged values ascending, their ids,
+    the number of each found value and where each new one first occurs."""
+    number = dict(zip(known, ids))
+    first = []
+    for position, value in enumerate(found):
+        if value not in number:
+            number[value] = start + len(first)
+            first.append(position)
+    merged = sorted(number)
+    return merged, [number[v] for v in merged], [number[v] for v in found], first
+
+
+@st.composite
+def known_codes(draw):
+    """Distinct values, unsorted, and their ids, a permutation."""
+    known = draw(st.lists(st.integers(-40, 40), unique=True))
+    return known, draw(st.permutations(range(len(known))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(known=known_codes(), found=st.lists(st.integers(-50, 50), max_size=60))
+@example(known=([3, -7, 12], [2, 0, 1]), found=[12, 3, 3, -7])  # no new value
+@example(known=([], []), found=[5, 5, -1])
+def test_number_new_matches_a_dict_numbering(known, found):
+    known, ids = known
+    order = np.argsort(known, kind="stable")
+    got = covering._number_new(np.array(known, dtype=np.int64)[order],
+                               np.array(ids, dtype=np.int64)[order],
+                               np.array(found, dtype=np.int64), len(known))
+    assert [a.tolist() for a in got] == list(dict_numbering(known, ids, found,
+                                                            len(known)))
+
+
+def test_close_slot_when_no_conjugate_is_a_known_row():
+    # conjugating (0 1)(2 3) by (1 2) gives (0 2)(1 3), and the first round
+    # meets no known row: the new row is still taken, and the second round
+    # closes
+    closure, index = covering._close_slot(np.array([[0, 2, 1, 3]], dtype=np.int32),
+                                          np.array([[1, 0, 3, 2]], dtype=np.int32),
+                                          closed=False)
+    assert closure.tolist() == [[1, 0, 3, 2], [2, 3, 0, 1]]
+    assert index.tolist() == [[1, 0]]
+
+
 def test_closures_are_the_values_each_slot_takes(orbit):
     # the rows of each closure are distinct, and the orbit's tuples hold
     # every one of them in that slot
@@ -91,6 +167,22 @@ def test_boundary_delta5_orbit_stops_at_the_cap():
     with pytest.raises(CapExceededError, match="component exceeded 100000 cells") as e:
         build_component(cp, max_cells=100000)
     assert (e.value.cap, e.value.reached) == (100000, 100000)
+
+
+def test_boundary_delta5_orbit_is_refused_in_little_memory():
+    # each chunk is numbered against the sorted index and merged into it,
+    # and the cap is checked after it: no level is crossed whole
+    cp = colored_from_complex(corpus.boundary_delta(5))[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError,
+                           match="component exceeded 200000 cells") as e:
+            seed_codes(cp, 200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (e.value.cap, e.value.reached) == (200000, 200000)
+    assert peak < 32 << 20
 
 
 def test_orbit_is_refused_once_twice_its_size_passes_the_cap():
