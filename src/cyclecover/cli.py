@@ -223,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--cells-out",
                        help="triangulated complex JSON path")
     add_common(sub.add_parser("homology", help="integral homology groups"),
-               cap="cap on the entries of each dense matrix: every boundary "
-                   "matrix, checked before any is allocated, and the Smith "
-                   "transforms of what unit-pivot peeling leaves of it")
+               cap="cap on the entries homology allocates: the nonzero "
+                   "entries of each boundary matrix, the dense blocks that "
+                   "unit-pivot peeling leaves of it, and the Smith "
+                   "transforms of its Schur complement")
     add_common(sub.add_parser("verify", help="run the whole verification chain"))
     add_common(sub.add_parser("report", help="verify and write JSON + text reports"))
     return parser

@@ -473,8 +473,9 @@ def build_component(cp: ColoredPseudomanifold,
     The seed tuple's orbit is closed first, and gives the gather tables.
     The pairs are then numbered level by level over the dense
     (tuple, sigma) index, keyed t * tops + sigma: each level gathers its
-    pairs' neighbours in (pair, slot) order, the tuple part read off
-    newt * tops, made once per build, and numbers those not yet seen in
+    pairs' neighbours in (pair, slot) order, the tuple part read off the
+    ``int32`` newt rows of the level's tuples and scaled by tops in
+    ``int64`` for that level only, and numbers those not yet seen in
     order of first occurrence, each with the g value of its first
     occurrence.  That is breadth-first order, so pair ids, g0 and the glue
     table do not depend on how the work is batched.  A key's first
@@ -491,7 +492,6 @@ def build_component(cp: ColoredPseudomanifold,
                             for w in proper_subsets(cp.n)], max_cells)
     gen = generators(cp.n)
     slots = len(gen)
-    newt_tops = reg.newt.astype(np.int64) * cp.top_count
     number = np.full(reg.tuple_count * cp.top_count, -1, dtype=np.int32)
     frontier = np.array([cp.plus[0]], dtype=np.int64)  # tuple 0, g = 0
     lift = np.zeros(1, dtype=np.int32)
@@ -500,7 +500,8 @@ def build_component(cp: ColoredPseudomanifold,
     levels, lifts, rows = [frontier], [lift], []
     while frontier.size:
         t, sigma = np.divmod(frontier, cp.top_count)
-        crossed = (np.take(newt_tops, t, axis=0) + reg.moved(t, sigma)).ravel()
+        crossed = (np.take(reg.newt, t, axis=0).astype(np.int64) * cp.top_count
+                   + reg.moved(t, sigma)).ravel()
         entry = np.flatnonzero(number[crossed] < 0)  # (pair, slot) order
         unseen = crossed[entry]
         position = np.arange(unseen.size, dtype=np.int32)

@@ -1,11 +1,12 @@
 """Integral simplicial homology via unit-pivot elimination and Smith form.
 
-Boundary matrices are dense ``int64`` arrays filled from the facet tables
-of the complex's face levels, which the complex builds once and keeps
-(``AbstractComplex.facet_tables``): the cap check on the face counts and
-the matrices read the same tables.  That ∂∂ = 0 is checked on the tables
-themselves: the signed (k-2)-faces reached from each k-face through its
-facets are summed per face and must cancel.
+``homology`` makes no boundary matrix.  Each ∂_k is read as its entries
+(row, column, sign) off the facet table of the k-faces, which the complex
+builds once and keeps (``AbstractComplex.facet_tables``); the dense
+matrices of ``boundary_matrices`` are a scatter of those same entries.
+That ∂∂ = 0 is checked on the tables themselves: the signed (k-2)-faces
+reached from each k-face through its facets are summed per face and must
+cancel.
 
 ``homology`` reads ranks and divisors only, so it first eliminates unit
 pivots.  Peeling, as in a collapse, pairs a row that has a single nonzero
@@ -20,14 +21,15 @@ M = [[P, A], [B, E]], the integral row and column operations
 the identity, so M and diag(I_p, S) have the same Smith form: rank p plus
 the rank of S, and divisors p ones followed by those of S.  So
 ``homology`` reads each ∂_k's rank as p plus the rank of S, and its
-torsion as the divisors of S above 1.  The peeling runs on M and on its
-transpose, which has the same Smith form, and the side with more pivots
-is kept.  The Schur complement S, with its zero rows and columns dropped,
-goes to ``smith_normal_form``; it is never larger than M.  The blocks are
-cut from M itself, so the Schur complement is computed in one pass, in
-``int64`` while a bound on every partial sum allows it: the solve for X
-moves to Python integers at the first row whose bound could reach 2^63,
-and each product with X picks its type by its own bound.
+torsion as the divisors of S above 1.  The peeling runs on the entries of
+M and on the swapped entries, those of its transpose, which has the same
+Smith form, and the side with more pivots is kept.  P and B stay entries;
+only A, X, E and S are dense.  The Schur complement S, with its zero rows
+and columns dropped, goes to ``smith_normal_form``.  The solve for X runs
+level by level, each level one gather and one scatter, in ``int64`` while
+a bound on every partial sum allows it: it moves to Python integers at the
+first level whose bound could reach 2^63, and each product with X picks
+its type by its own bound.
 
 The Smith reduction works on whole rows and columns of numpy ``object``
 arrays of Python integers, which cannot overflow, so it runs once and
@@ -161,35 +163,53 @@ def smith_normal_form(matrix) -> SmithForm:
 
 
 # ---------------------------------------------------------------------------
-# unit-pivot elimination
+# unit-pivot elimination on matrix entries
+#
+# A matrix is handed around as its shape and its nonzero entries
+# (row, column, value), each position at most once, with int64 values, or
+# Python integers in an ``object`` array when one does not fit int64.
 
-def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:
-    """Pivot rows and columns of ``m``, paired by peeling, in pivot order.
+def _entries(matrix) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """The shape and nonzero entries of an integer matrix, row by row."""
+    m = _integer_matrix(matrix)
+    exact = m.dtype == object or _max_abs(m) >= 1 << 63
+    m = m.astype(object if exact else np.int64, copy=False)
+    r, c = np.nonzero(m)
+    return m.shape, r, c, m[r, c]
 
-    A row whose only nonzero among the active columns is ±1 pairs with that
+
+def _peel(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
+          v: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pivot rows and columns of the matrix with entries (r, c, v), paired
+    by peeling, in pivot order.
+
+    A row whose only entry among the active columns is ±1 pairs with that
     column, which then leaves the active set; when no such row is left,
     the lowest active column is set aside.  Each row keeps its number of
-    active nonzeros and the XOR of their column ids, so the partner of a
-    row with one is read off directly.  A row paired at step i has no
-    nonzero in the columns paired after it, so M[rows, cols] is lower
-    triangular with a ±1 diagonal.
+    active entries and the XOR of their entry ids, so a row with one names
+    that entry, and with it the partner column and its value.  A row paired
+    at step i has no entry in the columns paired after it, so the pivot
+    block is lower triangular with a ±1 diagonal.  A dropped column updates
+    its rows in ascending order, so the pivots do not depend on the order
+    of the entries.
     """
-    rows, cols = m.shape
-    r, c = np.nonzero(m)
+    rows, cols = shape
     degree = np.bincount(r, minlength=rows).tolist()
     xor = np.zeros(rows, dtype=np.int64)
-    np.bitwise_xor.at(xor, r, c)
+    np.bitwise_xor.at(xor, r, np.arange(len(r)))
     xor = xor.tolist()
     start = [0] + np.cumsum(np.bincount(c, minlength=cols)).tolist()
-    in_column = r[np.argsort(c, kind="stable")].tolist()
+    in_column = np.argsort(c * rows + r).tolist()  # rows ascending in each
+    row_of, col_of, value = r.tolist(), c.tolist(), v.tolist()
     active = [True] * cols
     ready = deque(i for i in range(rows) if degree[i] == 1)
 
     def drop(j: int) -> None:
         active[j] = False
-        for i in in_column[start[j]:start[j + 1]]:
+        for e in in_column[start[j]:start[j + 1]]:
+            i = row_of[e]
             degree[i] -= 1
-            xor[i] ^= j
+            xor[i] ^= e
             if degree[i] == 1:
                 ready.append(i)
 
@@ -197,10 +217,11 @@ def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:
     while True:
         while ready:
             i = ready.popleft()
-            if degree[i] == 1 and m[i, xor[i]] in (1, -1):
+            if degree[i] == 1 and value[xor[i]] in (1, -1):
+                j = col_of[xor[i]]
                 pivot_rows.append(i)
-                pivot_cols.append(xor[i])
-                drop(xor[i])
+                pivot_cols.append(j)
+                drop(j)
         while lowest < cols and not active[lowest]:
             lowest += 1
         if lowest == cols:
@@ -208,33 +229,63 @@ def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:
         drop(lowest)
 
 
+def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pivot rows and columns of the dense matrix ``m``, paired by peeling
+    its nonzero entries, in pivot order; M[rows, cols] is lower triangular
+    with a ±1 diagonal."""
+    return _peel(*_entries(m))
+
+
 def _forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
                         diag: np.ndarray, a: np.ndarray) -> np.ndarray:
     """X with P X = A, for P lower triangular with the ±1 diagonal ``diag``
-    and the strictly lower entries (row, col, value).  Rows are solved in
-    order, in int64 until a row's partial sums could reach 2^63 (bounded by
-    max|A[i]| + sum |P[i, j]| max|X[j]|); from that row on, X and A are
-    Python integers."""
+    and the strictly lower entries (row, col, value).
+
+    Row i's level is one more than the highest level among the rows that
+    its entries read, or 0 when it reads none, so each level reads only
+    rows of lower levels and is solved at once: one gather of those rows of
+    X and one ``np.subtract.at``.  The levels run in int64 while the bound
+    max|A[i]| + sum |P[i, j]| max|X[j]| on every partial sum of every row
+    of the level, summed in floating point, stays below 2^62, which leaves
+    room for its rounding; from the first level where it does not, X and A
+    are Python integers."""
     p, q = a.shape
     x = np.zeros_like(a)
-    if not q:
+    if not p or not q:
         return x
-    ends = np.cumsum(np.bincount(row, minlength=p)).tolist()
-    order = np.argsort(row, kind="stable")
-    col, value = col[order].tolist(), value[order].tolist()
+    level = [0] * p
+    by_row = np.argsort(row, kind="stable")
+    for i, j in zip(row[by_row].tolist(), col[by_row].tolist()):
+        if level[i] <= level[j]:  # j < i, so level[j] is final
+            level[i] = level[j] + 1
+    level = np.array(level, dtype=np.intp)
+    by_level = np.argsort(level, kind="stable")
+    place = np.empty(p, dtype=np.intp)  # a row's place in level order
+    place[by_level] = np.arange(p)
+    order = np.argsort(level[row], kind="stable")
+    row, col, value = row[order], col[order], value[order].astype(a.dtype)
+    row_ends = np.cumsum(np.bincount(level)).tolist()
+    entry_ends = np.cumsum(np.bincount(level[row], minlength=len(row_ends)))
     exact = a.dtype == object
-    a_max, x_max = np.abs(a).max(axis=1).tolist(), [0] * p
-    start = 0
-    for i, end in enumerate(ends):
-        js, vs = col[start:end], value[start:end]
-        start = end
-        if not exact and a_max[i] + sum(
-                abs(v) * x_max[j] for j, v in zip(js, vs)) >= 1 << 63:
-            exact, x, a = True, x.astype(object), a.astype(object)
-        acc = a[i] - np.array(vs, dtype=a.dtype) @ x[js] if js else a[i]
-        x[i] = acc if diag[i] == 1 else -acc
+    if not exact:
+        a_max = np.abs(a).max(axis=1).astype(float)
+        x_max = np.zeros(p)
+        weight = np.abs(value).astype(float)
+    start = entry_start = 0
+    for end, entry_end in zip(row_ends, entry_ends.tolist()):
+        rows = by_level[start:end]
+        es = slice(entry_start, entry_end)
+        at = place[row[es]] - start
+        if not exact and (a_max[rows] + np.bincount(
+                at, weight[es] * x_max[col[es]], len(rows))).max() >= 2.0 ** 62:
+            exact = True
+            x, a, value = x.astype(object), a.astype(object), value.astype(object)
+        acc = a[rows]
+        np.subtract.at(acc, at, value[es, None] * x[col[es]])
+        x[rows] = acc * diag[rows, None]
         if not exact:
-            x_max[i] = int(np.abs(x[i]).max())
+            x_max[rows] = np.abs(x[rows]).max(axis=1)
+        start, entry_start = end, entry_end
     return x
 
 
@@ -251,38 +302,43 @@ def _minus_product(base: np.ndarray, row: np.ndarray, col: np.ndarray,
     return out
 
 
-def _schur(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _schur(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray,
+           rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The Schur complement of the pivot block P = M[rows, cols] of the
+    matrix M with entries (r, c, v); P, A, B and E are read off those
+    entries, and only A, X, E and S are dense."""
     p = len(rows)
-    row_at = np.full(m.shape[0], -1)
+    row_at = np.full(shape[0], -1)
     row_at[rows] = np.arange(p)
-    col_at = np.full(m.shape[1], -1)
+    col_at = np.full(shape[1], -1)
     col_at[cols] = np.arange(p)
     if np.count_nonzero(row_at >= 0) != p or np.count_nonzero(col_at >= 0) != p:
         raise AssertionError("pivot rows or columns repeat")
     other_rows, other_cols = np.flatnonzero(row_at < 0), np.flatnonzero(col_at < 0)
+    # the other rows and columns are numbered -1, -2, ... in their order
+    row_at[other_rows] = -1 - np.arange(len(other_rows))
+    col_at[other_cols] = -1 - np.arange(len(other_cols))
 
-    r, c = np.nonzero(m)
-    in_cols = col_at[c] >= 0  # entries of P and B
-    r, c = r[in_cols], col_at[c[in_cols]]
-    v = m[r, cols[c]]
-    i = row_at[r]
-    in_p = i >= 0
-    pi, pj, pv = i[in_p], c[in_p], v[in_p]
+    i, j = row_at[r], col_at[c]
+    in_p, in_a, in_b = (i >= 0) & (j >= 0), (i >= 0) & (j < 0), (i < 0) & (j >= 0)
+    in_e = (i < 0) & (j < 0)
+    pi, pj, pv = i[in_p], j[in_p], v[in_p]
     if (pj > pi).any():
         raise AssertionError("pivot block is not lower triangular")
     on_diag = pi == pj
-    diag = np.zeros(p, dtype=m.dtype)
+    diag = np.zeros(p, dtype=v.dtype)
     diag[pi[on_diag]] = pv[on_diag]
     if not ((diag == 1) | (diag == -1)).all():
         raise AssertionError("pivot block has a diagonal entry other than ±1")
 
-    a = m[np.ix_(rows, other_cols)]
+    a = np.zeros((p, len(other_cols)), dtype=v.dtype)
+    a[i[in_a], -1 - j[in_a]] = v[in_a]
     x = _forward_substitute(pi[~on_diag], pj[~on_diag], pv[~on_diag], diag, a)
     if np.count_nonzero(_minus_product(a, pi, pj, pv, x)):
         raise AssertionError("pivot solve verification failed: P X != A")
-    e = m[np.ix_(other_rows, other_cols)]
-    b_row = np.searchsorted(other_rows, r[~in_p])
-    return _minus_product(e, b_row, c[~in_p], v[~in_p], x)
+    e = np.zeros((len(other_rows), len(other_cols)), dtype=v.dtype)
+    e[-1 - i[in_e], -1 - j[in_e]] = v[in_e]
+    return _minus_product(e, -1 - i[in_b], j[in_b], v[in_b], x)
 
 
 def schur_complement(m: np.ndarray, rows, cols) -> np.ndarray:
@@ -290,30 +346,49 @@ def schur_complement(m: np.ndarray, rows, cols) -> np.ndarray:
     P = M[rows, cols], in the block form M = [[P, A], [B, E]] whose other
     rows and columns keep their order.  P must be lower triangular with a
     ±1 diagonal, which is checked, so that M and diag(I_p, S) have the same
-    Smith form.  The work runs in one pass: on int64, unless M is an
-    ``object`` array or has an entry that does not fit int64, and each
-    step moves to Python integers where its bound could reach 2^63.  The
-    solve X = P^-1 A is checked by multiplication.
+    Smith form.  The work runs on the nonzero entries of M: on int64,
+    unless M is an ``object`` array or has an entry that does not fit
+    int64, and each step moves to Python integers where its bound could
+    reach 2^63.  The solve X = P^-1 A is checked by multiplication.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    exact = m.dtype == object or _max_abs(m) >= 1 << 63
-    return _schur(m.astype(object if exact else np.int64, copy=False), rows, cols)
+    return _schur(*_entries(m), np.asarray(rows, dtype=np.intp),
+                  np.asarray(cols, dtype=np.intp))
+
+
+def _check_cap(what: str, count: int, unit: str, cap: int | None) -> None:
+    """Refuse ``count`` entries of ``what`` over ``cap``."""
+    if cap is not None and count > cap:
+        raise CapExceededError(
+            f"homology needs {what}, {count} {unit}, over the cap of {cap}",
+            cap, count)
+
+
+def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
+                    v: np.ndarray, cap: int | None = None,
+                    name: str = "the matrix") -> tuple[int, np.ndarray]:
+    """The number p of unit pivots peeled from the matrix with entries
+    (r, c, v) and the Schur complement S left, with its zero rows and
+    columns dropped.  The pivots are peeled from the matrix and from its
+    transpose, the swapped entries, whose Smith form is the same, and the
+    side with more of them is kept.  Its rows x (columns - p) entries hold
+    the dense blocks A and X (p rows) and E and S (the other rows), and are
+    checked against ``cap`` before any of them is allocated."""
+    rows, cols = _peel(shape, r, c, v)
+    t_rows, t_cols = _peel(shape[::-1], c, r, v)
+    if len(t_rows) > len(rows):
+        shape, r, c, rows, cols = shape[::-1], c, r, t_rows, t_cols
+    p, q = len(rows), shape[1] - len(rows)
+    _check_cap(f"the blocks beside the {p} unit pivots of {name}, "
+               f"{shape[0]} x {q}", shape[0] * q, "entries", cap)
+    s = _schur(shape, r, c, v, np.array(rows, dtype=np.intp),
+               np.array(cols, dtype=np.intp))
+    return p, s[np.ix_(np.count_nonzero(s, axis=1) > 0,
+                       np.count_nonzero(s, axis=0) > 0)]
 
 
 def _peeled(matrix) -> tuple[int, np.ndarray]:
-    """The number p of unit pivots peeled from an integer matrix and the
-    Schur complement S left, with its zero rows and columns dropped.  The
-    pivots are peeled from the matrix and from its transpose, whose Smith
-    form is the same, and the side with more of them is kept."""
-    m = _integer_matrix(matrix)
-    rows, cols = unit_pivots(m)
-    t_rows, t_cols = unit_pivots(m.T)
-    if len(t_rows) > len(rows):
-        m, rows, cols = m.T, t_rows, t_cols
-    s = schur_complement(m, rows, cols)
-    return len(rows), s[np.ix_(np.count_nonzero(s, axis=1) > 0,
-                               np.count_nonzero(s, axis=0) > 0)]
+    """``_peeled_entries`` on the nonzero entries of a dense matrix."""
+    return _peeled_entries(*_entries(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +417,34 @@ def _check_composite(lower: FacetTable, upper: FacetTable, k: int) -> None:
         raise AssertionError(f"boundary composite at dimension {k} is nonzero")
 
 
+def _boundary_entries(tables: list[FacetTable], k: int) -> tuple[
+        tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """∂_k, |(k-1)-faces| x |k-faces|, as its shape and entries, column by
+    column: the k-face in column t has (-1)^i in the row of
+    ``table.facet[t, i]``, its facet without its i-th vertex.  ∂_0 is the
+    empty map."""
+    if not k:
+        none = np.zeros(0, dtype=np.int64)
+        return (0, len(tables[0].facets)), none, none, none
+    table = tables[k - 1]
+    tops = len(table.tops)
+    parity = 1 - 2 * (np.arange(k + 1) % 2)
+    return ((len(table.facets), tops), table.facet.ravel(),
+            np.repeat(np.arange(tops), k + 1), np.tile(parity, tops))
+
+
 def boundary_matrices(c: AbstractComplex) -> list[np.ndarray]:
     """Signed boundary matrices: entry k maps k-chains to (k-1)-chains.
-    Index 0 holds the empty map.  The matrices are filled from the
-    complex's facet tables (``AbstractComplex.facet_tables``), and the
-    composites of consecutive matrices are checked to vanish on them."""
+    Index 0 holds the empty map.  Each is the scatter of the entries that
+    ``homology`` peels, read off the complex's facet tables
+    (``AbstractComplex.facet_tables``), and the composites of consecutive
+    matrices are checked to vanish on those tables."""
     tables = c.facet_tables
-    mats: list[np.ndarray] = [np.zeros((0, len(tables[0].facets)), dtype=np.int64)]
-    for k, table in enumerate(tables, 1):
-        m = np.zeros((len(table.facets), len(table.tops)), dtype=np.int64)
-        parity = 1 - 2 * (np.arange(k + 1) % 2)
-        m[table.facet, np.arange(len(table.tops))[:, None]] = parity
+    mats = []
+    for k in range(c.n + 1):
+        shape, r, col, v = _boundary_entries(tables, k)
+        m = np.zeros(shape, dtype=np.int64)
+        m[r, col] = v
         mats.append(m)
     for k in range(2, c.n + 1):
         _check_composite(tables[k - 2], tables[k - 1], k)
@@ -369,44 +461,44 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _check_entries(what: str, rows: int, cols: int, cap: int | None) -> None:
-    """Refuse a dense rows x cols array of more than ``cap`` entries."""
-    if cap is not None and rows * cols > cap:
-        raise CapExceededError(
-            f"homology needs {what}, {rows} x {cols}, {rows * cols} entries, "
-            f"over the cap of {cap}", cap, rows * cols)
-
-
 def homology(c: AbstractComplex,
              max_entries: int | None = None) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
-    Each boundary matrix ∂_k, |(k-1)-faces| x |k-faces|, is held densely.
-    The blocks A and E that peeling cuts from it are parts of it, and the
-    solve X has the shape of A, so none is larger.  The Smith form of the
-    Schur complement S then holds S and a square transform on each side of
-    it.  With ``max_entries``, a ∂_k with more entries raises
-    CapExceededError before any matrix is allocated, and so does the larger
-    transform of S before its Smith form is begun.
+    No boundary matrix is made: each ∂_k is peeled on its (k + 1) x
+    |k-faces| entries, read off the facet table of the k-faces.  Only the
+    blocks beside the pivots are dense: A and X, p x q for the p pivots and
+    the q unpaired columns, and E and S, (rows - p) x q.  The Smith form of
+    S then holds S and a square transform on each side of it.  With
+    ``max_entries``, CapExceededError is raised when a ∂_k has more
+    nonzero entries, before any entry is made; when the dense blocks of a
+    ∂_k, rows x q entries in all, would, before any is allocated; and when
+    the larger transform of S would, before its Smith form is begun.
+    ∂_(k-1) ∂_k = 0 is checked on the facet tables just before ∂_k is
+    peeled, so a refusal skips the checks of the levels above it.
     """
-    if max_entries is not None:
-        counts = [len(level) for level in faces_by_dimension(c)]
-        for k in range(1, c.n + 1):
-            _check_entries(f"the boundary matrix ∂_{k}", counts[k - 1],
-                           counts[k], max_entries)
-    mats = boundary_matrices(c)
+    tables = c.facet_tables
+    for k, table in enumerate(tables, 1):
+        _check_cap(f"the boundary matrix ∂_{k}, {len(table.facets)} x "
+                   f"{len(table.tops)}", table.facet.size, "nonzero entries",
+                   max_entries)
     ranks, torsion = [], []
-    for k, m in enumerate(mats):
-        pivots, s = _peeled(m)
+    for k in range(c.n + 1):
+        if k >= 2:
+            _check_composite(tables[k - 2], tables[k - 1], k)
+        pivots, s = _peeled_entries(*_boundary_entries(tables, k),
+                                    max_entries, f"∂_{k}")
         side = max(s.shape)
-        _check_entries(f"a Smith transform of the {s.shape[0]} x {s.shape[1]} "
-                       f"Schur complement of ∂_{k}", side, side, max_entries)
+        _check_cap(f"a Smith transform of the {s.shape[0]} x {s.shape[1]} "
+                   f"Schur complement of ∂_{k}, {side} x {side}", side * side,
+                   "entries", max_entries)
         form = smith_normal_form(s)
         ranks.append(pivots + form.rank)
         torsion.append([d for d in form.divisors if d > 1])
     ranks.append(0)
     torsion.append([])
-    return [HomologyGroup(mats[k].shape[1] - ranks[k] - ranks[k + 1], torsion[k + 1])
+    counts = [len(level) for level in faces_by_dimension(c)]
+    return [HomologyGroup(counts[k] - ranks[k] - ranks[k + 1], torsion[k + 1])
             for k in range(c.n + 1)]
 
 

@@ -11,7 +11,8 @@ dict from facet tuple to coface indices with breadth-first search, and the
 pushforward is summed top by top into dicts.  The surface check has no
 array version left: the commands certify surfaces on the flag template.  Homology reduces object
 arrays of Python integers entry by entry, on boundary matrices filled
-through a dict from face tuple to index.  The parts of a colored bundle
+through a dict from face tuple to index; unit pivots are peeled on dense
+matrices, and the pivot block is solved one row at a time.  The parts of a colored bundle
 come from breadth-first two-coloring of the dual graph, with an odd closed
 walk as the witness of failure, and stars, compatibility and canonical
 involutions from per-top loops over the vertex of each color.  The
@@ -1015,3 +1016,76 @@ def boundary_matrices(c) -> list:
     for k in range(2, c.n + 1):
         assert not np.count_nonzero(mats[k - 1] @ mats[k])
     return mats
+
+
+# ---------------------------------------------------------------------------
+# unit-pivot peeling on a dense matrix and the row-by-row forward
+# substitution: what peeling on entries and the level-by-level solve
+# replaced
+
+def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pivot rows and columns of ``m``, paired by peeling, in pivot order:
+    each row keeps its number of active nonzeros and the XOR of their
+    column ids, and a row with one pairs with that column when the dense
+    entry there is ±1."""
+    rows, cols = m.shape
+    r, c = np.nonzero(m)
+    degree = np.bincount(r, minlength=rows).tolist()
+    xor = np.zeros(rows, dtype=np.int64)
+    np.bitwise_xor.at(xor, r, c)
+    xor = xor.tolist()
+    start = [0] + np.cumsum(np.bincount(c, minlength=cols)).tolist()
+    in_column = r[np.argsort(c, kind="stable")].tolist()
+    active = [True] * cols
+    ready = deque(i for i in range(rows) if degree[i] == 1)
+
+    def drop(j: int) -> None:
+        active[j] = False
+        for i in in_column[start[j]:start[j + 1]]:
+            degree[i] -= 1
+            xor[i] ^= j
+            if degree[i] == 1:
+                ready.append(i)
+
+    pivot_rows, pivot_cols, lowest = [], [], 0
+    while True:
+        while ready:
+            i = ready.popleft()
+            if degree[i] == 1 and m[i, xor[i]] in (1, -1):
+                pivot_rows.append(i)
+                pivot_cols.append(xor[i])
+                drop(xor[i])
+        while lowest < cols and not active[lowest]:
+            lowest += 1
+        if lowest == cols:
+            return pivot_rows, pivot_cols
+        drop(lowest)
+
+
+def forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
+                       diag: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """X with P X = A, for P lower triangular with the ±1 diagonal ``diag``
+    and the strictly lower entries (row, col, value), solved one row at a
+    time, in int64 until a row's bound max|A[i]| + sum |P[i, j]| max|X[j]|
+    could reach 2^63 and over Python integers from that row on."""
+    p, q = a.shape
+    x = np.zeros_like(a)
+    if not q:
+        return x
+    ends = np.cumsum(np.bincount(row, minlength=p)).tolist()
+    order = np.argsort(row, kind="stable")
+    col, value = col[order].tolist(), value[order].tolist()
+    exact = a.dtype == object
+    a_max, x_max = np.abs(a).max(axis=1).tolist(), [0] * p
+    start = 0
+    for i, end in enumerate(ends):
+        js, vs = col[start:end], value[start:end]
+        start = end
+        if not exact and a_max[i] + sum(
+                abs(v) * x_max[j] for j, v in zip(js, vs)) >= 1 << 63:
+            exact, x, a = True, x.astype(object), a.astype(object)
+        acc = a[i] - np.array(vs, dtype=a.dtype) @ x[js] if js else a[i]
+        x[i] = acc if diag[i] == 1 else -acc
+        if not exact:
+            x_max[i] = int(np.abs(x[i]).max())
+    return x

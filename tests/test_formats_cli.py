@@ -8,8 +8,12 @@ the builders and compared byte for byte, so they cannot drift.
 import argparse
 import importlib
 import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,8 @@ from cyclecover.pseudomanifold import (
 )
 from cyclecover.tomei import build_tomei
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_DIR = ROOT / "corpus"
 # the package exports the function ``homology`` under the module's name
 homology_module = importlib.import_module("cyclecover.homology")
 
@@ -420,16 +425,20 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "check failed: homology needs the boundary matrix ∂_1, 160 x 1312, "
-        "209920 entries, over the cap of 1000\n")
-    assert not calls
+        "2624 nonzero entries, over the cap of 1000\n")
     # the octahedron cover component triangulates into 88 vertices, 288
-    # edges and 192 triangles: its largest boundary matrix is 288 x 192
+    # edges and 192 triangles: ∂_1 and ∂_2 have 2 x 288 = 3 x 192 = 576
+    # nonzero entries, and peeling leaves 288 x 1 blocks of each
     assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--cells-out", str(path)]) == 0
-    assert main(["homology", "--input", str(path), "--max-cells", "55296"]) == 0
-    assert main(["homology", "--input", str(path), "--max-cells", "55295"]) == 1
-    assert calls["boundary_matrices"] == 1
     capsys.readouterr()
+    assert main(["homology", "--input", str(path), "--max-cells", "576"]) == 0
+    assert main(["homology", "--input", str(path), "--max-cells", "575"]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: homology needs the boundary matrix ∂_1, 88 x 288, "
+        "576 nonzero entries, over the cap of 575\n")
+    # homology makes no dense boundary matrix, on a passing run either
+    assert not calls
 
 
 # the groups of M^3 that homology printed when the cap was the square of
@@ -439,25 +448,69 @@ M3_HOMOLOGY = "".join(f"H_{k} = {group}\n" for k, group in enumerate(
 
 
 def test_homology_cap_is_the_largest_boundary_matrix(tmp_path, capsys):
-    # M^3 triangulates into 160, 1312, 2304 and 1152 faces; peeling leaves
-    # nothing of any boundary matrix, so the 1312 x 2304 matrix of ∂_2 is
-    # the largest array that homology makes
+    # M^3 triangulates into 160, 1312, 2304 and 1152 faces.  Peeling the
+    # transpose of ∂_2 pairs 1142 of its 1312 columns, which leaves dense
+    # blocks of 2304 x 170 entries, the largest array that homology makes;
+    # its boundary matrices have at most 3 x 2304 nonzero entries
     path = tmp_path / "m3.json"
     assert main(["tomei", "--n", "3", "--out", str(path)]) == 0
     capsys.readouterr()
-    assert main(["homology", "--input", str(path), "--max-cells", "3022848"]) == 0
+    assert main(["homology", "--input", str(path), "--max-cells", "391680"]) == 0
     assert capsys.readouterr() == (M3_HOMOLOGY, "")
-    assert main(["homology", "--input", str(path), "--max-cells", "3022847"]) == 1
+    assert main(["homology", "--input", str(path), "--max-cells", "391679"]) == 1
     assert capsys.readouterr() == ("", (
-        "check failed: homology needs the boundary matrix ∂_2, 1312 x 2304, "
-        "3022848 entries, over the cap of 3022847\n"))
+        "check failed: homology needs the blocks beside the 1142 unit pivots "
+        "of ∂_2, 2304 x 170, 391680 entries, over the cap of 391679\n"))
+
+
+def eulerian(n: int, i: int) -> int:
+    """A(n, i): the permutations of n letters with i descents."""
+    return sum((-1) ** j * comb(n + 1, j) * (i + 1 - j) ** n
+               for j in range(i + 1))
+
+
+def test_homology_of_m3_is_the_permutahedron_h_vector(tmp_path, monkeypatch,
+                                                      capsys):
+    # M^n is a small cover over the n-permutahedron (Davis and
+    # Januszkiewicz, 1991), so its Betti numbers are the permutahedron's
+    # h-vector, the Eulerian numbers A(n + 1, i)
+    monkeypatch.delenv(cli.MAX_CELLS_ENV, raising=False)
+    path, out = tmp_path / "m3.json", tmp_path / "h.json"
+    assert main(["tomei", "--n", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["homology", "--input", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (M3_HOMOLOGY, "")
+    groups = json.loads(out.read_text())["groups"]
+    assert [g["betti"] for g in groups] == [eulerian(4, i) for i in range(4)] \
+        == [1, 11, 11, 1]
+    assert all(g["torsion"] == [] for g in groups)
+
+
+def test_homology_refuses_m4_at_once(tmp_path):
+    # the blocks that peeling leaves of M^4's ∂_2 would hold 1.4 x 10^8
+    # entries; the child process refuses them with one line on stderr
+    path = tmp_path / "m4.json"
+    assert main(["tomei", "--n", "4", "--out", str(path)]) == 0
+    env = {k: v for k, v in os.environ.items() if k != cli.MAX_CELLS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "cyclecover", "homology",
+                           "--input", str(path)],
+                          capture_output=True, text=True, env=env)
+    seconds = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", (
+        "check failed: homology needs the blocks beside the 25879 unit pivots "
+        "of ∂_2, 95040 x 1481, 140754240 entries, over the cap of 1000000\n"))
+    assert seconds < 2
 
 
 def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
                                                          capsys):
-    # with no unit pivot peeled, the Schur complement of ∂_1 is all of the
-    # 88 x 288 matrix, and its column transform has 288^2 entries, more
-    # than any boundary matrix of the octahedron cover
+    # with no unit pivot peeled, the 88 x 288 blocks of ∂_1 (25,344 entries)
+    # fit the cap, but its Schur complement is all of them, and the column
+    # transform has 288^2 entries, more than anything else that homology
+    # makes of the octahedron cover
     path = tmp_path / "cover.json"
     assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--cells-out", str(path)]) == 0
@@ -469,7 +522,7 @@ def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
         assert not s.size, "a Smith form was begun"
         return genuine(s)
 
-    monkeypatch.setattr(homology_module, "unit_pivots", lambda m: ([], []))
+    monkeypatch.setattr(homology_module, "_peel", lambda *entries: ([], []))
     monkeypatch.setattr(homology_module, "smith_normal_form", empty_only)
     assert main(["homology", "--input", str(path), "--max-cells", "55296"]) == 1
     assert capsys.readouterr() == ("", (

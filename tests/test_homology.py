@@ -8,9 +8,13 @@ and V on small entries, on inputs past 2^31 and where the reduction grows
 entries past 2^31.  The unit-pivot reduction that ``homology`` runs gives
 the rank and divisors of the full Smith form; its Schur complement runs in
 int64 and moves to Python integers where a bound reaches 2^63, and its
-certificate rejects a tampered pivot block or solve.  Boundary matrices
-equal the dict-built ones, and a capped ``homology`` builds the facet table
-of each face level once; homology values are frozen for complexes whose
+certificate rejects a tampered pivot block or solve.  Peeling the entries
+read off the facet tables pairs the same pivots as the dense peel in
+``dict_oracle``, on both sides of every boundary matrix, and the
+level-by-level solve equals its row-by-row one.  Boundary matrices equal
+the dict-built ones, ``homology`` equals the Smith forms of the dense
+boundary matrices, and a capped ``homology`` builds the facet table of
+each face level once; homology values are frozen for complexes whose
 groups are classical.
 """
 
@@ -32,7 +36,10 @@ from cyclecover.covering import build_component
 from cyclecover.errors import NonOrientableError
 from cyclecover.homology import (
     HomologyGroup,
+    _boundary_entries,
     _check_composite,
+    _forward_substitute,
+    _peel,
     _peeled,
     betti_numbers,
     boundary_matrices,
@@ -288,9 +295,9 @@ def test_boundary_composite_check_rejects_swapped_facets():
 
 
 def test_capped_homology_builds_each_face_level_once(monkeypatch):
-    # the cap check reads the face counts and ``boundary_matrices`` the
-    # matrices, both off the complex's facet tables: on the octahedron cover
-    # triangulation (n = 2) one table of 192 triangles and one of 288 edges
+    # the cap checks and the entries that homology peels all read the
+    # complex's facet tables: on the octahedron cover triangulation (n = 2)
+    # one table of 192 triangles and one of 288 edges
     cover = triangulate(build_component(
         ColoredPseudomanifold(*corpus.octahedron())).pc).complex
     c = AbstractComplex(cover.n, cover.num_vertices, cover.tops)
@@ -308,6 +315,18 @@ def test_capped_homology_builds_each_face_level_once(monkeypatch):
         HomologyGroup(1, []), HomologyGroup(10, []), HomologyGroup(1, [])]
     assert built == [(192, 3), (288, 2)]
     assert c.facet_tables[-1] is c.facet_table
+
+
+@pytest.mark.parametrize("c", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
+def test_homology_equals_smith_form_of_dense_boundaries(c):
+    # no peeling: ranks and torsion off the Smith form of each dense ∂_k
+    forms = [smith_normal_form(m) for m in boundary_matrices(c)]
+    forms.append(smith_normal_form(np.zeros((len(c.facet_table.tops), 0),
+                                            dtype=np.int64)))
+    assert homology(c) == [
+        HomologyGroup(forms[k].d.shape[1] - forms[k].rank - forms[k + 1].rank,
+                      [d for d in forms[k + 1].divisors if d > 1])
+        for k in range(c.n + 1)]
 
 
 def test_boundary_matrix_shapes():
@@ -364,6 +383,87 @@ def test_reduction_on_planted_unit_pivots():
         assert set(np.abs(np.diagonal(block)).tolist()) <= {1}
         pivots += assert_reduction_matches(m)[0]
     assert pivots >= 500
+
+
+@pytest.mark.parametrize("c", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
+def test_entry_peel_equals_dense_peel(c):
+    # the entries homology peels, read off the facet tables, and their
+    # swap pair the same pivots as the dense peel of ∂_k and of its transpose
+    for k, m in enumerate(boundary_matrices(c)):
+        shape, r, col, v = _boundary_entries(c.facet_tables, k)
+        assert _peel(shape, r, col, v) == dict_oracle.unit_pivots(m)
+        assert _peel(shape[::-1], col, r, v) == dict_oracle.unit_pivots(m.T)
+        assert unit_pivots(m) == dict_oracle.unit_pivots(m)
+
+
+def solve_arguments(m, rows, cols):
+    """The arguments of ``_forward_substitute`` for the pivot block
+    P = M[rows, cols] of the dense matrix m: P's strictly lower entries
+    (row, col, value) and diagonal, and the block A of the other columns."""
+    m = np.asarray(m)
+    block = m[np.ix_(rows, cols)]
+    row, col = np.nonzero(np.tril(block, -1))
+    others = np.setdiff1d(np.arange(m.shape[1]), cols)
+    return (row, col, block[row, col], np.diagonal(block).copy(),
+            m[np.ix_(rows, others)])
+
+
+def assert_level_solve_matches(*arguments):
+    got = _forward_substitute(*arguments)
+    want = dict_oracle.forward_substitute(*arguments)
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+    return got
+
+
+def test_level_solve_equals_row_by_row_solve():
+    rng = np.random.default_rng(15)
+    solved = 0
+    for _ in range(300):
+        m = planted_unit_pivots(rng)
+        rows, cols = unit_pivots(m)
+        solved += assert_level_solve_matches(
+            *solve_arguments(m, rows, cols)).size
+    assert solved >= 1000
+
+
+def test_level_solve_on_wide_levels():
+    # 4 levels of 30 rows: each row reads up to 4 rows of the levels below
+    rng = np.random.default_rng(16)
+    width, depth, q = 30, 4, 5
+    p = width * depth
+    row, col = [], []
+    for i in range(width, p):
+        below = i // width * width
+        for j in rng.choice(below, size=min(4, below), replace=False):
+            row.append(i)
+            col.append(int(j))
+    row, col = np.array(row), np.array(col)
+    value = rng.choice([-3, -2, -1, 1, 2, 3], size=len(row))
+    diag = rng.choice([-1, 1], size=p)
+    a = rng.integers(-5, 6, size=(p, q))
+    x = assert_level_solve_matches(row, col, value, diag, a)
+    assert x.dtype == np.int64
+    # P X = A, with P put together densely
+    full = np.zeros((p, p), dtype=np.int64)
+    full[row, col] = value
+    full[np.arange(p), np.arange(p)] = diag
+    assert np.array_equal(full @ x, a)
+
+
+def test_level_solve_past_2_63():
+    # the pivot blocks of the three tests whose Schur complements pass 2^63
+    k = 2 ** 30
+    chain = np.array([[1, 0, 0, k], [k, 1, 0, 0], [0, k, 1, 0], [0, 0, 1, 0]])
+    assert_level_solve_matches(*solve_arguments(chain, [0, 1, 2], [0, 1, 2]))
+    big = np.array([[2 ** 40, 1], [3, 2 ** 40]])
+    assert_level_solve_matches(*solve_arguments(big, [0], [1]))
+    p = 7
+    m = np.zeros((p, p + 3), dtype=np.int64)
+    m[np.arange(p), np.arange(p)] = [1, -1, 1, 1, -1, 1, -1]
+    m[np.arange(1, p), np.arange(p - 1)] = -2 ** 20
+    m[:, p:] = np.random.default_rng(5).integers(1, 4, size=(p, 3))
+    x = assert_level_solve_matches(*solve_arguments(m, range(p), range(p)))
+    assert x.dtype == object and max(abs(v) for v in x.flat) > 2 ** 120
 
 
 def test_reduction_schur_complement_past_2_31_takes_the_object_path():
