@@ -26,15 +26,12 @@ M and on the swapped entries, those of its transpose, which has the same
 Smith form, and the side with more pivots is kept.  P and B stay entries;
 only A, X, E and S are dense.  The Schur complement S, with its zero rows
 and columns dropped, goes to ``smith_normal_form``.  The solve for X runs
-level by level, each level one gather and one scatter, in ``int64`` while
-a bound on every partial sum allows it: it moves to Python integers at the
-first level whose bound could reach 2^63, and each product with X picks
-its type by its own bound.
+level by level, each level one gather and one scatter.
 
-The Smith reduction works on whole rows and columns of numpy ``object``
-arrays of Python integers, which cannot overflow, so it runs once and
-needs no bounds.  The factorization U M V = D is checked by multiplication
-on those arrays instead of trusted.
+From the blocks A and E to the Smith form, every dense array is a numpy
+``object`` array of Python integers, which cannot overflow, so each step
+runs once and needs no bounds.  The factorization U M V = D is checked by
+multiplication on those arrays instead of trusted.
 """
 
 from __future__ import annotations
@@ -128,28 +125,20 @@ def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, u, v
 
 
-def _max_abs(m: np.ndarray) -> int:
-    return max(int(m.max(initial=0)), -int(m.min(initial=0)))
+def smith_normal_form(matrix) -> SmithForm:
+    """Reduce an integer matrix to Smith normal form over Python integers.
 
-
-def _integer_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a 2-dimensional numpy integer array, or ``object``
-    array of Python integers when it is not already integer-typed."""
+    ``matrix`` may be a nested list or an integer or ``object`` array; it
+    is read as an ``object`` array of Python integers.  The factorization
+    is then recomputed by multiplication and the divisibility chain of the
+    diagonal is checked.
+    """
     m = np.asarray(matrix)
     if m.dtype.kind not in "iu":
         m = np.array(matrix, dtype=object)
     if m.ndim != 2:
         raise ValueError("need a 2-dimensional matrix")
-    return m
-
-
-def smith_normal_form(matrix) -> SmithForm:
-    """Reduce an integer matrix to Smith normal form over Python integers.
-
-    The factorization is then recomputed by multiplication and the
-    divisibility chain of the diagonal is checked.
-    """
-    m = _integer_matrix(matrix).astype(object)
+    m = m.astype(object)
     d, u, v = _reduce(m.copy())
 
     result = SmithForm(d, u, v)
@@ -166,17 +155,7 @@ def smith_normal_form(matrix) -> SmithForm:
 # unit-pivot elimination on matrix entries
 #
 # A matrix is handed around as its shape and its nonzero entries
-# (row, column, value), each position at most once, with int64 values, or
-# Python integers in an ``object`` array when one does not fit int64.
-
-def _entries(matrix) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
-    """The shape and nonzero entries of an integer matrix, row by row."""
-    m = _integer_matrix(matrix)
-    exact = m.dtype == object or _max_abs(m) >= 1 << 63
-    m = m.astype(object if exact else np.int64, copy=False)
-    r, c = np.nonzero(m)
-    return m.shape, r, c, m[r, c]
-
+# (row, column, value), each position at most once.
 
 def _peel(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
           v: np.ndarray) -> tuple[list[int], list[int]]:
@@ -229,28 +208,17 @@ def _peel(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
         drop(lowest)
 
 
-def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:
-    """Pivot rows and columns of the dense matrix ``m``, paired by peeling
-    its nonzero entries, in pivot order; M[rows, cols] is lower triangular
-    with a ±1 diagonal."""
-    return _peel(*_entries(m))
-
-
 def _forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
                         diag: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """X with P X = A, for P lower triangular with the ±1 diagonal ``diag``
-    and the strictly lower entries (row, col, value).
+    """X with P X = A over Python integers, for P lower triangular with the
+    ±1 diagonal ``diag`` and the strictly lower entries (row, col, value).
 
     Row i's level is one more than the highest level among the rows that
     its entries read, or 0 when it reads none, so each level reads only
     rows of lower levels and is solved at once: one gather of those rows of
-    X and one ``np.subtract.at``.  The levels run in int64 while the bound
-    max|A[i]| + sum |P[i, j]| max|X[j]| on every partial sum of every row
-    of the level, summed in floating point, stays below 2^62, which leaves
-    room for its rounding; from the first level where it does not, X and A
-    are Python integers."""
+    X and one ``np.subtract.at``."""
     p, q = a.shape
-    x = np.zeros_like(a)
+    x = np.zeros((p, q), dtype=object)
     if not p or not q:
         return x
     level = [0] * p
@@ -263,42 +231,27 @@ def _forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
     place = np.empty(p, dtype=np.intp)  # a row's place in level order
     place[by_level] = np.arange(p)
     order = np.argsort(level[row], kind="stable")
-    row, col, value = row[order], col[order], value[order].astype(a.dtype)
+    row, col, value = row[order], col[order], value[order]
     row_ends = np.cumsum(np.bincount(level)).tolist()
     entry_ends = np.cumsum(np.bincount(level[row], minlength=len(row_ends)))
-    exact = a.dtype == object
-    if not exact:
-        a_max = np.abs(a).max(axis=1).astype(float)
-        x_max = np.zeros(p)
-        weight = np.abs(value).astype(float)
+    a = a.astype(object, copy=False)
     start = entry_start = 0
     for end, entry_end in zip(row_ends, entry_ends.tolist()):
         rows = by_level[start:end]
         es = slice(entry_start, entry_end)
-        at = place[row[es]] - start
-        if not exact and (a_max[rows] + np.bincount(
-                at, weight[es] * x_max[col[es]], len(rows))).max() >= 2.0 ** 62:
-            exact = True
-            x, a, value = x.astype(object), a.astype(object), value.astype(object)
         acc = a[rows]
-        np.subtract.at(acc, at, value[es, None] * x[col[es]])
+        np.subtract.at(acc, place[row[es]] - start, value[es, None] * x[col[es]])
         x[rows] = acc * diag[rows, None]
-        if not exact:
-            x_max[rows] = np.abs(x[rows]).max(axis=1)
         start, entry_start = end, entry_end
     return x
 
 
 def _minus_product(base: np.ndarray, row: np.ndarray, col: np.ndarray,
                    value: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """base - Y @ x for the sparse Y with entries (row, col, value), in int64
-    when max|base| + (entries per row) * max|Y| * max|x|, a bound on every
-    partial sum, is below 2^63, else over Python integers."""
-    per_row = int(np.bincount(row).max(initial=0))
-    bound = _max_abs(base) + per_row * _max_abs(value) * _max_abs(x)
-    dtype = np.int64 if bound < 1 << 63 else object
-    out = base.astype(dtype)
-    np.subtract.at(out, row, value.astype(dtype)[:, None] * x.astype(dtype)[col])
+    """base - Y @ x over Python integers, for the sparse Y with entries
+    (row, col, value)."""
+    out = base.astype(object)
+    np.subtract.at(out, row, value[:, None] * x[col])
     return out
 
 
@@ -306,7 +259,7 @@ def _schur(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray,
            rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The Schur complement of the pivot block P = M[rows, cols] of the
     matrix M with entries (r, c, v); P, A, B and E are read off those
-    entries, and only A, X, E and S are dense."""
+    entries, and only A, X, E and S are dense, as ``object`` arrays."""
     p = len(rows)
     row_at = np.full(shape[0], -1)
     row_at[rows] = np.arange(p)
@@ -331,28 +284,14 @@ def _schur(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray,
     if not ((diag == 1) | (diag == -1)).all():
         raise AssertionError("pivot block has a diagonal entry other than ±1")
 
-    a = np.zeros((p, len(other_cols)), dtype=v.dtype)
+    a = np.zeros((p, len(other_cols)), dtype=object)
     a[i[in_a], -1 - j[in_a]] = v[in_a]
     x = _forward_substitute(pi[~on_diag], pj[~on_diag], pv[~on_diag], diag, a)
     if np.count_nonzero(_minus_product(a, pi, pj, pv, x)):
         raise AssertionError("pivot solve verification failed: P X != A")
-    e = np.zeros((len(other_rows), len(other_cols)), dtype=v.dtype)
+    e = np.zeros((len(other_rows), len(other_cols)), dtype=object)
     e[-1 - i[in_e], -1 - j[in_e]] = v[in_e]
     return _minus_product(e, -1 - i[in_b], j[in_b], v[in_b], x)
-
-
-def schur_complement(m: np.ndarray, rows, cols) -> np.ndarray:
-    """The Schur complement S = E - B P^-1 A of the pivot block
-    P = M[rows, cols], in the block form M = [[P, A], [B, E]] whose other
-    rows and columns keep their order.  P must be lower triangular with a
-    ±1 diagonal, which is checked, so that M and diag(I_p, S) have the same
-    Smith form.  The work runs on the nonzero entries of M: on int64,
-    unless M is an ``object`` array or has an entry that does not fit
-    int64, and each step moves to Python integers where its bound could
-    reach 2^63.  The solve X = P^-1 A is checked by multiplication.
-    """
-    return _schur(*_entries(m), np.asarray(rows, dtype=np.intp),
-                  np.asarray(cols, dtype=np.intp))
 
 
 def _check_cap(what: str, count: int, unit: str, cap: int | None) -> None:
@@ -364,8 +303,8 @@ def _check_cap(what: str, count: int, unit: str, cap: int | None) -> None:
 
 
 def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
-                    v: np.ndarray, cap: int | None = None,
-                    name: str = "the matrix") -> tuple[int, np.ndarray]:
+                    v: np.ndarray, cap: int | None,
+                    name: str) -> tuple[int, np.ndarray]:
     """The number p of unit pivots peeled from the matrix with entries
     (r, c, v) and the Schur complement S left, with its zero rows and
     columns dropped.  The pivots are peeled from the matrix and from its
@@ -384,11 +323,6 @@ def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
                np.array(cols, dtype=np.intp))
     return p, s[np.ix_(np.count_nonzero(s, axis=1) > 0,
                        np.count_nonzero(s, axis=0) > 0)]
-
-
-def _peeled(matrix) -> tuple[int, np.ndarray]:
-    """``_peeled_entries`` on the nonzero entries of a dense matrix."""
-    return _peeled_entries(*_entries(matrix))
 
 
 # ---------------------------------------------------------------------------

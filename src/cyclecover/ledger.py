@@ -136,6 +136,9 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
     v = validate_pseudomanifold(complex)
     yield v.ok, v.summary()
 
+    # a supplied orientation is checked on the input; the subdivision is
+    # oriented afresh
+    coherent = orientation is None or is_coherent_orientation(complex, orientation)
     # one coloring claim applies; the subdivision's is implied, as it is
     # colored by face dimension
     subdivided = coloring is None
@@ -146,10 +149,10 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
     yield (regular, f"{len(complex.tops)} top simplices") if subdivided else None
     yield None if subdivided else (regular, "")
 
+    if not coherent:
+        raise TopologyError("supplied orientation is not coherent")
     if orientation is None:
         orientation = orient(complex)
-    elif not is_coherent_orientation(complex, orientation):
-        raise TopologyError("supplied orientation is not coherent")
     yield True, ""
 
     # implied by the coherent orientation and the regular coloring: the

@@ -243,13 +243,6 @@ class AbstractComplex:
         """The report of ``validate_pseudomanifold``, computed once."""
         return _validate(self)
 
-    def dual_edges(self) -> list[tuple[int, int]]:
-        """Pairs (i, j), i < j, of top simplices sharing a facet that lies in
-        exactly those two, ordered by the lower top and its dropped position."""
-        neighbor = self.facet_table.neighbor
-        top, slot = np.nonzero(neighbor > np.arange(len(neighbor))[:, None])
-        return list(zip(top.tolist(), neighbor[top, slot].tolist()))
-
     def __repr__(self):
         return (f"AbstractComplex(n={self.n}, vertices={self.num_vertices}, "
                 f"top={len(self.top_simplices)})")
@@ -409,12 +402,19 @@ def orient(c: AbstractComplex) -> list[int]:
     induced = _induced_signs(table, signs)
     agree = induced == induced[table.neighbor, table.position]
     if agree.any():
-        f = int(table.facet[agree].min())
-        i, other = sorted(np.argwhere(table.facet == f)[:, 0].tolist())
+        facet, i, other = _witness(table, agree)
         raise NonOrientableError(
             "sign propagation around a dual cycle is inconsistent",
-            (tuple(table.facets[f].tolist()), i, other), signs.tolist())
+            (facet, i, other), signs.tolist())
     return signs.tolist()
+
+
+def _witness(table: FacetTable, agree: np.ndarray) -> tuple[tuple, int, int]:
+    """The first facet, in sorted order, at which ``agree`` (tops x dropped
+    positions) holds, and its two tops, lowest first."""
+    f = int(table.facet[agree].min())
+    i, other = sorted(np.argwhere(table.facet == f)[:, 0].tolist())
+    return tuple(table.facets[f].tolist()), i, other
 
 
 def permutation_signs(rows: np.ndarray) -> np.ndarray:
@@ -437,11 +437,10 @@ def _parts(table: FacetTable, orientation, colors: np.ndarray) -> np.ndarray:
     parts = sign * sign[table.dual_components[0]]
     agree = parts[:, None] == parts[table.neighbor]
     if agree.any():
-        f = int(table.facet[agree].min())
-        i, other = sorted(np.argwhere(table.facet == f)[:, 0].tolist())
+        facet, i, other = _witness(table, agree)
         raise TopologyError(
             f"top simplices {i} and {other} share the facet "
-            f"{tuple(table.facets[f].tolist())} but lie in the same part")
+            f"{facet} but lie in the same part")
     parts.flags.writeable = False
     return parts
 
@@ -514,11 +513,15 @@ class ColoredPseudomanifold:
 def colored_from_complex(complex: AbstractComplex, coloring=None,
                          orientation=None):
     """Build the working bundle, subdividing first when no regular coloring
-    is supplied.  Returns (bundle, subdivision-or-None)."""
+    is supplied; a supplied orientation is then checked on the input and
+    the subdivision is oriented afresh.  Returns (bundle,
+    subdivision-or-None)."""
     if coloring is not None:
         return ColoredPseudomanifold(complex, coloring, orientation), None
     report = validate_pseudomanifold(complex)
     if not report.ok:
         raise ValueError(f"not a closed pseudomanifold: {report.summary()}")
+    if orientation is not None and not is_coherent_orientation(complex, orientation):
+        raise ValueError("supplied orientation is not coherent")
     sd = barycentric_subdivide(complex)
     return ColoredPseudomanifold(sd.complex, sd.coloring), sd

@@ -3,7 +3,7 @@ permutahedron's faces and flags, kept as the oracle for its closed-form
 flag template, walks of its face lattice, its barycentric triangulation,
 the template flag of each top of a triangulation, a cover's cells as
 triples and its tuples as involutions, loaders for
-cell-complex and cover documents, a DOT export of the facet-dual graph,
+cell-complex and cover documents, the facet-dual graph and its DOT export,
 the suspended cycle, suspensions, joins of spheres, the pinched torus,
 the 7-vertex torus, cycles, and the benchmark's input generators."""
 
@@ -232,11 +232,20 @@ def cover_cells_from_dict(d) -> list[CoverCell]:
     return out
 
 
+def dual_edges(c: AbstractComplex) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of top simplices sharing a facet that lies in
+    exactly those two, read off the facet table's neighbors, ordered by the
+    lower top and its dropped position."""
+    neighbor = c.facet_table.neighbor
+    top, slot = np.nonzero(neighbor > np.arange(len(neighbor))[:, None])
+    return list(zip(top.tolist(), neighbor[top, slot].tolist()))
+
+
 def dot_dual_graph(c: AbstractComplex, name: str = "dual") -> str:
     lines = [f"graph {name} {{"]
     for i in range(len(c.top_simplices)):
         lines.append(f"  t{i};")
-    for i, j in c.dual_edges():
+    for i, j in dual_edges(c):
         lines.append(f"  t{i} -- t{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -624,6 +624,62 @@ def test_report_fails_an_incoherent_supplied_orientation(tmp_path, capsys):
     assert "overall: FAIL" in out and err == ""
 
 
+def uncolored_octahedron(path, orientation) -> str:
+    """Write to ``path`` the corpus octahedron without its colors, so that
+    it is subdivided, with ``orientation`` in place of its own (none when
+    None)."""
+    doc = json.loads((CORPUS_DIR / "octahedron.json").read_text())
+    del doc["colors"]
+    if orientation is None:
+        del doc["orientation"]
+    else:
+        doc["orientation"] = orientation
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["verify", "report"])
+def test_incoherent_orientation_fails_before_subdividing(mode, tmp_path, capsys):
+    # all +1 on the octahedron is not coherent; it was once dropped with the
+    # colors, and the subdivision passed every claim
+    path = uncolored_octahedron(tmp_path / "all_plus.json", [1] * 8)
+    out = tmp_path / "report.json"
+    assert main([mode, "--input", path, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["claims"] == [
+        {"claim": "input is a closed connected pseudomanifold", "status": "pass",
+         "detail": "closed pseudomanifold: every facet interior, dual graph "
+                   "connected"},
+        {"claim": "regular coloring obtained by barycentric subdivision",
+         "status": "pass", "detail": "48 top simplices"},
+        {"claim": "complex is orientable with coherent orientation",
+         "status": "fail", "detail": "supplied orientation is not coherent"},
+    ]
+    assert report["ok"] is False and report["component_cells"] is None
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_coherent_orientation_of_an_uncolored_input_keeps_the_report(tmp_path,
+                                                                     capsys):
+    signs = json.loads((CORPUS_DIR / "octahedron.json").read_text())["orientation"]
+    reports = []
+    for run, orientation in enumerate((None, signs, [-s for s in signs])):
+        path = uncolored_octahedron(tmp_path / f"input{run}.json", orientation)
+        out = tmp_path / f"report{run}.json"
+        assert main(["report", "--input", path, "--out", str(out)]) == 0
+        reports.append((out.read_bytes(), out.with_suffix(".txt").read_bytes()))
+    assert reports[0] == reports[1] == reports[2]
+    capsys.readouterr()
+
+
+def test_cover_refuses_an_incoherent_orientation_before_subdividing(tmp_path,
+                                                                   capsys):
+    path = uncolored_octahedron(tmp_path / "all_plus.json", [1] * 8)
+    assert main(["cover", "--input", path]) == 2
+    assert capsys.readouterr() == (
+        "", "error: supplied orientation is not coherent\n")
+
+
 def test_verify_checks_the_canonical_involutions(tmp_path, monkeypatch, capsys):
     # an identity in place of each canonical involution has fixed points
     monkeypatch.setattr(ledger, "canonical_involution",

@@ -6,12 +6,12 @@ determinant oracles, by multiplying out its own transforms, and against the
 entry by entry reduction in ``dict_oracle``, which must give the same D, U
 and V on small entries, on inputs past 2^31 and where the reduction grows
 entries past 2^31.  The unit-pivot reduction that ``homology`` runs gives
-the rank and divisors of the full Smith form; its Schur complement runs in
-int64 and moves to Python integers where a bound reaches 2^63, and its
-certificate rejects a tampered pivot block or solve.  Peeling the entries
-read off the facet tables pairs the same pivots as the dense peel in
-``dict_oracle``, on both sides of every boundary matrix, and the
-level-by-level solve equals its row-by-row one.  Boundary matrices equal
+the rank and divisors of the full Smith form; its Schur complement is exact
+over Python integers past 2^63, and its certificate rejects a tampered
+pivot block or solve.  Peeling the entries read off the facet tables pairs
+the same pivots as the dense peel in ``dict_oracle``, on both sides of
+every boundary matrix, and the level-by-level solve equals its row-by-row
+one.  Boundary matrices equal
 the dict-built ones, ``homology`` equals the Smith forms of the dense
 boundary matrices, and a capped ``homology`` builds the facet table of
 each face level once; homology values are frozen for complexes whose
@@ -40,15 +40,14 @@ from cyclecover.homology import (
     _check_composite,
     _forward_substitute,
     _peel,
-    _peeled,
+    _peeled_entries,
+    _schur,
     betti_numbers,
     boundary_matrices,
     faces_by_dimension,
     fundamental_class,
     homology,
-    schur_complement,
     smith_normal_form,
-    unit_pivots,
 )
 from cyclecover.pseudomanifold import (
     AbstractComplex,
@@ -344,11 +343,25 @@ def test_boundary_matrix_shapes():
 # ---------------------------------------------------------------------------
 # unit-pivot reduction
 
+def entries(m):
+    """The shape and nonzero entries (row, column, value) of the dense
+    matrix m, row by row, with the values as Python integers."""
+    m = np.array(m, dtype=object)
+    r, c = np.nonzero(m)
+    return m.shape, r, c, m[r, c]
+
+
+def schur(m, rows, cols):
+    """``_schur`` of the pivot block m[rows, cols] of the dense matrix m."""
+    return _schur(*entries(m), np.array(rows, dtype=np.intp),
+                  np.array(cols, dtype=np.intp))
+
+
 def assert_reduction_matches(m):
     """The rank and divisors of m as ``homology`` reads them, off the p
     peeled pivots and the Smith form of the Schur complement S, against the
     Smith form of m itself; returns p and the Smith form of S."""
-    pivots, s = _peeled(m)
+    pivots, s = _peeled_entries(*entries(m), None, "the matrix")
     got, want = smith_normal_form(s), smith_normal_form(m)
     assert pivots + got.rank == want.rank
     assert [1] * pivots + got.divisors == want.divisors
@@ -377,7 +390,7 @@ def test_reduction_on_planted_unit_pivots():
     pivots = 0
     for _ in range(300):
         m = planted_unit_pivots(rng)
-        rows, cols = unit_pivots(m)
+        rows, cols = _peel(*entries(m))
         block = m[np.ix_(rows, cols)]
         assert np.array_equal(block, np.tril(block))
         assert set(np.abs(np.diagonal(block)).tolist()) <= {1}
@@ -393,7 +406,7 @@ def test_entry_peel_equals_dense_peel(c):
         shape, r, col, v = _boundary_entries(c.facet_tables, k)
         assert _peel(shape, r, col, v) == dict_oracle.unit_pivots(m)
         assert _peel(shape[::-1], col, r, v) == dict_oracle.unit_pivots(m.T)
-        assert unit_pivots(m) == dict_oracle.unit_pivots(m)
+        assert _peel(*entries(m)) == dict_oracle.unit_pivots(m)
 
 
 def solve_arguments(m, rows, cols):
@@ -420,7 +433,7 @@ def test_level_solve_equals_row_by_row_solve():
     solved = 0
     for _ in range(300):
         m = planted_unit_pivots(rng)
-        rows, cols = unit_pivots(m)
+        rows, cols = _peel(*entries(m))
         solved += assert_level_solve_matches(
             *solve_arguments(m, rows, cols)).size
     assert solved >= 1000
@@ -442,7 +455,6 @@ def test_level_solve_on_wide_levels():
     diag = rng.choice([-1, 1], size=p)
     a = rng.integers(-5, 6, size=(p, q))
     x = assert_level_solve_matches(row, col, value, diag, a)
-    assert x.dtype == np.int64
     # P X = A, with P put together densely
     full = np.zeros((p, p), dtype=np.int64)
     full[row, col] = value
@@ -466,7 +478,7 @@ def test_level_solve_past_2_63():
     assert x.dtype == object and max(abs(v) for v in x.flat) > 2 ** 120
 
 
-def test_reduction_schur_complement_past_2_31_takes_the_object_path():
+def test_reduction_schur_complement_past_2_31_is_exact():
     k = 2 ** 20
     m = np.array([[k, 1], [3, k]])
     pivots, got = assert_reduction_matches(m)
@@ -475,25 +487,23 @@ def test_reduction_schur_complement_past_2_31_takes_the_object_path():
     assert [1] * pivots + got.divisors == [1, k * k - 3]
 
 
-def test_schur_complement_restarts_over_python_integers():
+def test_schur_complement_is_exact_past_2_63():
     k = 2 ** 30
     # X grows to k^3 in the solve, past what int64 can hold
     m = np.array([[1, 0, 0, k], [k, 1, 0, 0], [0, k, 1, 0], [0, 0, 1, 0]])
-    s = schur_complement(m, [0, 1, 2], [0, 1, 2])
+    s = schur(m, [0, 1, 2], [0, 1, 2])
     assert s.dtype == object and s.tolist() == [[-k ** 3]]
     assert_reduction_matches(m)
-    # input entries past 2^31 solve in int64; the product moves to Python
-    # integers
+    # input entries past 2^31 whose product passes 2^63
     big = np.array([[2 ** 40, 1], [3, 2 ** 40]])
-    assert schur_complement(big, [0], [1]).tolist() == [[3 - 2 ** 80]]
+    assert schur(big, [0], [1]).tolist() == [[3 - 2 ** 80]]
     pivots, got = assert_reduction_matches(big)
     assert [1] * pivots + got.divisors == [1, 2 ** 80 - 3]
 
 
-def test_schur_complement_moves_to_python_integers_mid_solve():
+def test_schur_complement_is_exact_on_a_solve_that_grows_past_2_63():
     # P has a ±1 diagonal and -2^20 below it, so each row of X is about
-    # 2^20 times the last: rows 0-3 solve in int64 (bounds under 2^62),
-    # and row 4's bound passes 2^63, where X and A become Python integers
+    # 2^20 times the last: X passes 2^63 at row 4 and S passes 2^120
     p, k = 7, 2 ** 20
     rng = np.random.default_rng(5)
     m = np.zeros((p + 2, p + 3), dtype=np.int64)
@@ -510,32 +520,32 @@ def test_schur_complement_moves_to_python_integers_mid_solve():
     want = [[e[r][p + c] - sum(e[r][j] * x[j][c] for j in range(p))
              for c in range(3)] for r in (p, p + 1)]
     assert max(abs(v) for row in want for v in row) > 2 ** 120
-    s = schur_complement(m, range(p), range(p))
+    s = schur(m, range(p), range(p))
     assert s.dtype == object and s.tolist() == want
     assert_reduction_matches(m)
 
 
 def test_schur_complement_rejects_a_pivot_block_that_is_not_triangular():
     m = boundary_matrices(corpus.octahedron()[0])[2]
-    rows, cols = unit_pivots(m)
+    rows, cols = _peel(*entries(m))
     assert len(rows) == 7
-    schur_complement(m, rows, cols)
+    schur(m, rows, cols)
     with pytest.raises(AssertionError, match="not lower triangular"):
-        schur_complement(m, rows[::-1], cols[::-1])
+        schur(m, rows[::-1], cols[::-1])
     with pytest.raises(AssertionError, match="diagonal entry other than"):
-        schur_complement(np.array([[2, 1]]), [0], [0])
+        schur(np.array([[2, 1]]), [0], [0])
     with pytest.raises(AssertionError, match="repeat"):
-        schur_complement(m, rows[:1] * 2, cols[:2])
+        schur(m, rows[:1] * 2, cols[:2])
 
 
 def test_schur_complement_rejects_a_wrong_solve(monkeypatch):
     m = boundary_matrices(corpus.octahedron()[0])[2]
-    rows, cols = unit_pivots(m)
+    rows, cols = _peel(*entries(m))
     solve = homology_module._forward_substitute
     monkeypatch.setattr(homology_module, "_forward_substitute",
                         lambda *args: solve(*args) + 1)
     with pytest.raises(AssertionError, match="P X != A"):
-        schur_complement(m, rows, cols)
+        schur(m, rows, cols)
 
 
 # ---------------------------------------------------------------------------
