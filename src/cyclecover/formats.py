@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .cells import PermutahedralComplex
@@ -19,19 +20,27 @@ from .permutahedron import mask_elements
 from .pseudomanifold import AbstractComplex
 
 
-def dumps(obj) -> str:
-    """Key-sorted, indented JSON.  Integers are written in full, however
-    many digits they have (q runs to thousands of digits on small inputs):
-    the interpreter's cap on int-to-string conversion is lifted for this
-    call only."""
+@contextmanager
+def all_digits():
+    """Lift the interpreter's cap on int-to-string conversion inside the
+    block, and restore the cap it had when the block ends: q and the
+    involution counts run to thousands of digits on small inputs."""
     if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the cap
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def dumps(obj) -> str:
+    """Key-sorted, indented JSON.  Integers are written in full, however
+    many digits they have (``all_digits``)."""
+    with all_digits():
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(obj, path) -> None:

@@ -21,12 +21,13 @@ M = [[P, A], [B, E]], the integral row and column operations
 the identity, so M and diag(I_p, S) have the same Smith form: rank p plus
 the rank of S, and divisors p ones followed by those of S.  So
 ``homology`` reads each ∂_k's rank as p plus the rank of S, and its
-torsion as the divisors of S above 1.  The peeling runs on the entries of
-M and on the swapped entries, those of its transpose, which has the same
-Smith form, and the side with more pivots is kept.  P and B stay entries;
-only A, X, E and S are dense.  The Schur complement S, with its zero rows
-and columns dropped, goes to ``smith_normal_form``.  The solve for X runs
-level by level, each level one gather and one scatter.
+torsion as the divisors of S above 1.  The peeling runs once, on the
+tall side: on the entries of M when it has at least as many rows as
+columns, and else on the swapped entries, those of its transpose, which
+has the same Smith form.  P and B stay entries; only A, X, E and S are
+dense.  The Schur complement S, with its zero rows and columns dropped,
+goes to ``smith_normal_form``.  The solve for X runs level by level, each
+level one gather and one scatter.
 
 From the blocks A and E to the Smith form, every dense array is a numpy
 ``object`` array of Python integers, which cannot overflow, so each step
@@ -307,15 +308,15 @@ def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
                     name: str) -> tuple[int, np.ndarray]:
     """The number p of unit pivots peeled from the matrix with entries
     (r, c, v) and the Schur complement S left, with its zero rows and
-    columns dropped.  The pivots are peeled from the matrix and from its
-    transpose, the swapped entries, whose Smith form is the same, and the
-    side with more of them is kept.  Its rows x (columns - p) entries hold
-    the dense blocks A and X (p rows) and E and S (the other rows), and are
-    checked against ``cap`` before any of them is allocated."""
+    columns dropped.  The pivots are peeled once, on the tall side: a
+    matrix with fewer rows than columns is read as its transpose, the
+    swapped entries, whose Smith form is the same.  Its rows x (columns - p)
+    entries hold the dense blocks A and X (p rows) and E and S (the other
+    rows), and are checked against ``cap`` before any of them is
+    allocated."""
+    if shape[0] < shape[1]:
+        shape, r, c = shape[::-1], c, r
     rows, cols = _peel(shape, r, c, v)
-    t_rows, t_cols = _peel(shape[::-1], c, r, v)
-    if len(t_rows) > len(rows):
-        shape, r, c, rows, cols = shape[::-1], c, r, t_rows, t_cols
     p, q = len(rows), shape[1] - len(rows)
     _check_cap(f"the blocks beside the {p} unit pivots of {name}, "
                f"{shape[0]} x {q}", shape[0] * q, "entries", cap)
@@ -399,23 +400,26 @@ def homology(c: AbstractComplex,
              max_entries: int | None = None) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
-    No boundary matrix is made: each ∂_k is peeled on its (k + 1) x
-    |k-faces| entries, read off the facet table of the k-faces.  Only the
-    blocks beside the pivots are dense: A and X, p x q for the p pivots and
-    the q unpaired columns, and E and S, (rows - p) x q.  The Smith form of
-    S then holds S and a square transform on each side of it.  With
-    ``max_entries``, CapExceededError is raised when a ∂_k has more
-    nonzero entries, before any entry is made; when the dense blocks of a
-    ∂_k, rows x q entries in all, would, before any is allocated; and when
-    the larger transform of S would, before its Smith form is begun.
-    ∂_(k-1) ∂_k = 0 is checked on the facet tables just before ∂_k is
-    peeled, so a refusal skips the checks of the levels above it.
+    No boundary matrix is made: each ∂_k is peeled once, on its tall side,
+    on its (k + 1) x |k-faces| entries, read off the facet table of the
+    k-faces.  Only the blocks beside the pivots are dense: A and X, p x q
+    for the p pivots and the q unpaired columns, and E and S, (rows - p) x
+    q, on the side peeled.  The Smith form of S then holds S and a square
+    transform on each side of it.  With ``max_entries``, CapExceededError
+    is raised when a ∂_k has more nonzero entries, from ∂_n down, each
+    before the facet table of its k-faces is built, so a refusal builds no
+    level below the refused one; when the dense blocks of a ∂_k, rows x q
+    entries in all, would, before any is allocated; and when the larger
+    transform of S would, before its Smith form is begun.  ∂_(k-1) ∂_k = 0
+    is checked on the facet tables just before ∂_k is peeled, so a refusal
+    skips the checks of the levels above it.
     """
+    levels, faces = c.facet_levels(), len(c.tops)
+    for k in range(c.n, 0, -1):
+        _check_cap(f"the boundary matrix ∂_{k} of the {faces} {k}-faces",
+                   (k + 1) * faces, "nonzero entries", max_entries)
+        faces = len(next(levels).facets)
     tables = c.facet_tables
-    for k, table in enumerate(tables, 1):
-        _check_cap(f"the boundary matrix ∂_{k}, {len(table.facets)} x "
-                   f"{len(table.tops)}", table.facet.size, "nonzero entries",
-                   max_entries)
     ranks, torsion = [], []
     for k in range(c.n + 1):
         if k >= 2:

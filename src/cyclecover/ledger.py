@@ -39,6 +39,7 @@ from .certificate import (
 )
 from .covering import build_component, build_full, verify_covering
 from .errors import TopologyError
+from .formats import all_digits
 from .involutions import (
     canonical_involution,
     compatible_rows,
@@ -183,8 +184,10 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
     report["q_formula"] = predicted_multiplicity(bundle, counts)
     report["involution_counts"] = [[list(mask_elements(w)), c]
                                    for w, c in zip(subsets, counts)]
-    yield all(counts), ", ".join(f"{mask_elements(w)}:{c}"
-                                 for w, c in zip(subsets, counts))
+    with all_digits():  # a count can run to thousands of digits
+        detail = ", ".join(f"{mask_elements(w)}:{c}"
+                           for w, c in zip(subsets, counts))
+    yield all(counts), detail
 
     # the full cover set's claim when it fits the cap, else the component's
     full = bundle.top_count * report["q_formula"] <= max_cells

@@ -16,8 +16,8 @@ position dropped there.  Validation, orientation, the surface check and the
 dual graph all read this table; components and orientation signs come
 from one run of ``lowest_labels`` per table, which hooks trees under their
 lowest neighbors and shortcuts pointers.  The lower face levels, which
-``homology`` reads, get tables of their own, built once per complex
-(``facet_tables``).
+``homology`` reads, get tables of their own, built once per complex and
+from the top down (``facet_levels``, ``facet_tables``).
 
 The barycentric subdivision is numbered once, by the (top x face mask)
 table of ``face_ids``: the subdivision's flags and the certificate's
@@ -41,6 +41,7 @@ by dropping position ``i`` is ``(-1) ** i`` times the simplex sign.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
@@ -218,6 +219,7 @@ class AbstractComplex:
         self.n = n
         self.num_vertices = num_vertices
         self.tops = rows
+        self._levels: list[FacetTable] = []
 
     @cached_property
     def top_simplices(self) -> tuple[Simplex, ...]:
@@ -227,16 +229,27 @@ class AbstractComplex:
     def facet_table(self) -> FacetTable:
         return facet_table(self.tops, self.num_vertices)
 
+    def facet_levels(self) -> Iterator[FacetTable]:
+        """The facet tables of the faces of dimensions n, n - 1, ..., 1, top
+        down: the table of the k-faces holds them as ``tops`` and the
+        (k-1)-faces as ``facets``.  Each is built from the facets of the one
+        before when an iteration first reaches it, and kept, so a caller can
+        weigh the k-faces before their table is built.  The first is
+        ``facet_table``."""
+        levels = self._levels
+        for k in range(self.n):
+            if k == len(levels):
+                levels.append(facet_table(levels[-1].facets, self.num_vertices)
+                              if levels else self.facet_table)
+            yield levels[k]
+
     @cached_property
     def facet_tables(self) -> tuple[FacetTable, ...]:
-        """The facet tables of the faces of dimensions 1..n, built once from
-        the top simplices down: entry k - 1 holds the k-faces as ``tops`` and
-        the (k-1)-faces as ``facets``, both as ascending vertex rows in
-        sorted order.  The last entry is ``facet_table``."""
-        tables = [self.facet_table]
-        while len(tables) < self.n:
-            tables.insert(0, facet_table(tables[0].facets, self.num_vertices))
-        return tuple(tables)
+        """The tables of ``facet_levels`` in ascending dimension: entry k - 1
+        holds the k-faces as ``tops`` and the (k-1)-faces as ``facets``,
+        both as ascending vertex rows in sorted order.  The last entry is
+        ``facet_table``."""
+        return tuple(self.facet_levels())[::-1]
 
     @cached_property
     def validation(self) -> ValidationReport:

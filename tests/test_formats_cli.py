@@ -423,9 +423,10 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
     assert main(["homology", "--input", str(path), "--max-cells", "1000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    # the caps are checked from ∂_3 down: the first refused is the highest
     assert captured.err == (
-        "check failed: homology needs the boundary matrix ∂_1, 160 x 1312, "
-        "2624 nonzero entries, over the cap of 1000\n")
+        "check failed: homology needs the boundary matrix ∂_3 of the 1152 "
+        "3-faces, 4608 nonzero entries, over the cap of 1000\n")
     # the octahedron cover component triangulates into 88 vertices, 288
     # edges and 192 triangles: ∂_1 and ∂_2 have 2 x 288 = 3 x 192 = 576
     # nonzero entries, and peeling leaves 288 x 1 blocks of each
@@ -435,8 +436,8 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
     assert main(["homology", "--input", str(path), "--max-cells", "576"]) == 0
     assert main(["homology", "--input", str(path), "--max-cells", "575"]) == 1
     assert capsys.readouterr().err == (
-        "check failed: homology needs the boundary matrix ∂_1, 88 x 288, "
-        "576 nonzero entries, over the cap of 575\n")
+        "check failed: homology needs the boundary matrix ∂_2 of the 192 "
+        "2-faces, 576 nonzero entries, over the cap of 575\n")
     # homology makes no dense boundary matrix, on a passing run either
     assert not calls
 
@@ -486,11 +487,9 @@ def test_homology_of_m3_is_the_permutahedron_h_vector(tmp_path, monkeypatch,
     assert all(g["torsion"] == [] for g in groups)
 
 
-def test_homology_refuses_m4_at_once(tmp_path):
-    # the blocks that peeling leaves of M^4's ∂_2 would hold 1.4 x 10^8
-    # entries; the child process refuses them with one line on stderr
-    path = tmp_path / "m4.json"
-    assert main(["tomei", "--n", "4", "--out", str(path)]) == 0
+def homology_in_child(path) -> tuple[subprocess.CompletedProcess, float]:
+    """``homology`` on ``path`` in a child process at the default cap, and
+    its wall time in seconds."""
     env = {k: v for k, v in os.environ.items() if k != cli.MAX_CELLS_ENV}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -498,16 +497,37 @@ def test_homology_refuses_m4_at_once(tmp_path):
     done = subprocess.run([sys.executable, "-m", "cyclecover", "homology",
                            "--input", str(path)],
                           capture_output=True, text=True, env=env)
-    seconds = time.perf_counter() - start
+    return done, time.perf_counter() - start
+
+
+def test_homology_refuses_m4_at_once(tmp_path):
+    # the blocks that peeling leaves of M^4's ∂_2 would hold 1.4 x 10^8
+    # entries; the child process refuses them with one line on stderr
+    path = tmp_path / "m4.json"
+    assert main(["tomei", "--n", "4", "--out", str(path)]) == 0
+    done, seconds = homology_in_child(path)
     assert (done.returncode, done.stdout, done.stderr) == (1, "", (
         "check failed: homology needs the blocks beside the 25879 unit pivots "
         "of ∂_2, 95040 x 1481, 140754240 entries, over the cap of 1000000\n"))
     assert seconds < 2
 
 
+def test_homology_refuses_a_high_simplex_boundary_at_once(tmp_path):
+    # ∂Δ23 has C(24, k + 1) k-faces, and ∂_17 is the first boundary matrix
+    # over the cap from the top down; it is refused before any face level
+    # below it is built, where building them all took seconds and gigabytes
+    path = tmp_path / "delta23.json"
+    formats.write_json(formats.complex_to_dict(corpus.boundary_delta(23)), path)
+    done, seconds = homology_in_child(path)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", (
+        "check failed: homology needs the boundary matrix ∂_17 of the 134596 "
+        "17-faces, 2422728 nonzero entries, over the cap of 1000000\n"))
+    assert seconds < 2
+
+
 def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
                                                          capsys):
-    # with no unit pivot peeled, the 88 x 288 blocks of ∂_1 (25,344 entries)
+    # with no unit pivot peeled, the 288 x 88 blocks of ∂_1ᵀ (25,344 entries)
     # fit the cap, but its Schur complement is all of them, and the column
     # transform has 288^2 entries, more than anything else that homology
     # makes of the octahedron cover
@@ -526,7 +546,7 @@ def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
     monkeypatch.setattr(homology_module, "smith_normal_form", empty_only)
     assert main(["homology", "--input", str(path), "--max-cells", "55296"]) == 1
     assert capsys.readouterr() == ("", (
-        "check failed: homology needs a Smith transform of the 88 x 288 Schur "
+        "check failed: homology needs a Smith transform of the 288 x 88 Schur "
         "complement of ∂_1, 288 x 288, 82944 entries, over the cap of 55296\n"))
 
 
@@ -766,6 +786,35 @@ def test_report_writes_a_q_past_the_int_to_string_limit(tmp_path, capsys):
     assert report["claims"][-1]["status"] == "fail"
     assert "component exceeded 20000 cells" in report["claims"][-1]["detail"]
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("mode", ["verify", "report"])
+def test_involution_counts_past_the_int_to_string_limit(tmp_path, capsys, mode):
+    # sd(boundary of the 6-simplex) has involution counts of more than 4300
+    # digits, which the claim's detail writes in full; the run fails later,
+    # on the tuple codes, and the interpreter's cap is back when main returns
+    source = tmp_path / "delta6.json"
+    formats.write_json(formats.complex_to_dict(corpus.boundary_delta(6)), source)
+    out = tmp_path / "report.json"
+    limit = sys.get_int_max_str_digits()
+    assert main([mode, "--input", str(source), "--out", str(out)]) == 1
+    assert sys.get_int_max_str_digits() == limit
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[   PASS] compatible involutions counted" in captured.out
+    assert "more than int64 holds" in captured.out
+    assert captured.out.endswith("overall: FAIL\n")
+    assert out.with_suffix(".txt").exists() == (mode == "report")
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out.read_text())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(c for _, c in report["involution_counts"]) > 10 ** 4300
+    last = report["claims"][-1]
+    assert (last["claim"], last["status"]) == (
+        "cover component built and closed under crossings", "fail")
+    assert "tuple codes need" in last["detail"]
 
 
 def test_verify_cap_exceeded_fails(capsys):

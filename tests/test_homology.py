@@ -10,16 +10,18 @@ the rank and divisors of the full Smith form; its Schur complement is exact
 over Python integers past 2^63, and its certificate rejects a tampered
 pivot block or solve.  Peeling the entries read off the facet tables pairs
 the same pivots as the dense peel in ``dict_oracle``, on both sides of
-every boundary matrix, and the level-by-level solve equals its row-by-row
-one.  Boundary matrices equal
-the dict-built ones, ``homology`` equals the Smith forms of the dense
-boundary matrices, and a capped ``homology`` builds the facet table of
-each face level once; homology values are frozen for complexes whose
-groups are classical.
+every boundary matrix; the one peel on the tall side pairs as many as
+either side; and the level-by-level solve equals its row-by-row one.
+Boundary matrices equal the dict-built ones, ``homology`` equals the Smith
+forms of the dense boundary matrices, a capped ``homology`` builds the
+facet table of each face level once, and a refused one builds none below
+the refused level; homology values are frozen for complexes whose groups
+are classical.
 """
 
 import dataclasses
 import importlib
+import json
 import math
 import sys
 from fractions import Fraction
@@ -30,10 +32,11 @@ import numpy as np
 import pytest
 
 import dict_oracle
+from extra_api import benchmark_inputs
 from cyclecover import corpus, formats
 from cyclecover.cells import triangulate
 from cyclecover.covering import build_component
-from cyclecover.errors import NonOrientableError
+from cyclecover.errors import CapExceededError, NonOrientableError
 from cyclecover.homology import (
     HomologyGroup,
     _boundary_entries,
@@ -53,6 +56,7 @@ from cyclecover.pseudomanifold import (
     AbstractComplex,
     ColoredPseudomanifold,
     barycentric_subdivide,
+    colored_from_complex,
     facet_table,
 )
 from cyclecover.tomei import build_tomei
@@ -293,13 +297,9 @@ def test_boundary_composite_check_rejects_swapped_facets():
             _check_composite(lower, dataclasses.replace(upper, facet=facet), k)
 
 
-def test_capped_homology_builds_each_face_level_once(monkeypatch):
-    # the cap checks and the entries that homology peels all read the
-    # complex's facet tables: on the octahedron cover triangulation (n = 2)
-    # one table of 192 triangles and one of 288 edges
-    cover = triangulate(build_component(
-        ColoredPseudomanifold(*corpus.octahedron())).pc).complex
-    c = AbstractComplex(cover.n, cover.num_vertices, cover.tops)
+def spy_on_facet_tables(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the top simplices of every facet table built from now
+    on, in the order built."""
     built = []
 
     def spy(tops, num_vertices):
@@ -310,10 +310,35 @@ def test_capped_homology_builds_each_face_level_once(monkeypatch):
         if name.startswith("cyclecover") and \
                 getattr(module, "facet_table", None) is facet_table:
             monkeypatch.setattr(module, "facet_table", spy)
+    return built
+
+
+def test_capped_homology_builds_each_face_level_once(monkeypatch):
+    # the cap checks and the entries that homology peels all read the
+    # complex's facet tables: on the octahedron cover triangulation (n = 2)
+    # one table of 192 triangles and one of 288 edges
+    cover = triangulate(build_component(
+        ColoredPseudomanifold(*corpus.octahedron())).pc).complex
+    c = AbstractComplex(cover.n, cover.num_vertices, cover.tops)
+    built = spy_on_facet_tables(monkeypatch)
     assert homology(c, max_entries=10 ** 6) == [
         HomologyGroup(1, []), HomologyGroup(10, []), HomologyGroup(1, [])]
     assert built == [(192, 3), (288, 2)]
     assert c.facet_tables[-1] is c.facet_table
+
+
+def test_refused_homology_builds_no_face_level_below_the_refused_one(monkeypatch):
+    # ∂Δ20 has C(21, k + 1) k-faces, and ∂_k has k + 1 nonzero entries in
+    # each column.  From ∂_19 down, ∂_13 is the first over 10^6 entries,
+    # 14 x 116280, so the tables of the 19- to 14-faces are built and the
+    # 116280 13-faces are counted, but never get a table of their own
+    c = corpus.boundary_delta(20)
+    built = spy_on_facet_tables(monkeypatch)
+    with pytest.raises(CapExceededError, match=(
+            "^homology needs the boundary matrix ∂_13 of the 116280 13-faces, "
+            "1627920 nonzero entries, over the cap of 1000000$")):
+        homology(c, max_entries=10 ** 6)
+    assert built == [(math.comb(21, k + 1), k + 1) for k in range(19, 13, -1)]
 
 
 @pytest.mark.parametrize("c", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
@@ -407,6 +432,43 @@ def test_entry_peel_equals_dense_peel(c):
         assert _peel(shape, r, col, v) == dict_oracle.unit_pivots(m)
         assert _peel(shape[::-1], col, r, v) == dict_oracle.unit_pivots(m.T)
         assert _peel(*entries(m)) == dict_oracle.unit_pivots(m)
+
+
+def shape_rule_complexes():
+    """The oracle complexes, M^3, and the benchmark's octahedron cover as
+    ``cover --cells-out`` triangulates it at seeds 0-2."""
+    out = dict(ORACLE_COMPLEXES)
+    out["tomei 3"] = triangulate(build_tomei(3)).complex
+    inputs = benchmark_inputs()
+    for seed in range(3):
+        doc = json.loads(inputs.seeded_document("octahedron",
+                                                inputs.octahedron(), seed))
+        cp, _ = colored_from_complex(*formats.complex_from_dict(doc))
+        out[f"benchmark octahedron cover {seed}"] = triangulate(
+            build_component(cp).pc).complex
+    return out
+
+
+SHAPE_RULE_COMPLEXES = shape_rule_complexes()
+
+
+@pytest.mark.parametrize("c", SHAPE_RULE_COMPLEXES.values(),
+                         ids=SHAPE_RULE_COMPLEXES.keys())
+def test_tall_side_peels_as_many_pivots_as_either_side(c):
+    # homology peels each ∂_k once, read with at least as many rows as
+    # columns; it pairs as many pivots as peeling both sides and keeping
+    # the one with more did.  Where the sides tie on a wide ∂_k (∂_1 of
+    # most corpus complexes: one pivot short of the vertices each way), the
+    # blocks beside the pivots are read on the transpose, and hold fewer
+    # entries than the wide side's
+    for k in range(c.n + 1):
+        shape, r, col, v = _boundary_entries(c.facet_tables, k)
+        pivots = len(_peel(shape, r, col, v)[0])
+        t_pivots = len(_peel(shape[::-1], col, r, v)[0])
+        p, _ = _peeled_entries(shape, r, col, v, None, f"∂_{k}")
+        assert p == max(pivots, t_pivots)
+        kept = shape[::-1] if t_pivots > pivots else shape
+        assert max(shape) * (min(shape) - p) <= kept[0] * (kept[1] - p)
 
 
 def solve_arguments(m, rows, cols):
