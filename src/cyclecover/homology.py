@@ -1,4 +1,5 @@
-"""Integral simplicial homology via unit-pivot elimination and Smith form.
+"""Integral simplicial homology via signed spanning forests, unit-pivot
+elimination and Smith form.
 
 ``homology`` makes no boundary matrix.  Each ∂_k is read as its entries
 (row, column, sign) off the facet table of the k-faces, which the complex
@@ -8,26 +9,37 @@ That ∂∂ = 0 is checked on the tables themselves: the signed (k-2)-faces
 reached from each k-face through its facets are summed per face and must
 cancel.
 
-``homology`` reads ranks and divisors only, so it first eliminates unit
-pivots.  Peeling, as in a collapse, pairs a row that has a single nonzero
-±1 among the active columns with that column, and sets the lowest active
-column aside when no such row is left.  A row paired at step i has no
-nonzero in the columns paired after it, so the pivot block P = M[R, C] is
-lower triangular with a ±1 diagonal, which is checked; P is then
-invertible over Z.  With X = P^-1 A by forward substitution (P X = A is
-checked by multiplication) and S = E - B X for the blocks
-M = [[P, A], [B, E]], the integral row and column operations
-[[1, 0], [-B P^-1, 1]] and [[1, -X], [0, 1]] take M to diag(P, S), and P to
-the identity, so M and diag(I_p, S) have the same Smith form: rank p plus
-the rank of S, and divisors p ones followed by those of S.  So
-``homology`` reads each ∂_k's rank as p plus the rank of S, and its
-torsion as the divisors of S above 1.  The peeling runs once, on the
-tall side: on the entries of M when it has at least as many rows as
-columns, and else on the swapped entries, those of its transpose, which
-has the same Smith form.  P and B stay entries; only A, X, E and S are
-dense.  The Schur complement S, with its zero rows and columns dropped,
-goes to ``smith_normal_form``.  The solve for X runs level by level, each
-level one gather and one scatter.
+``homology`` reads ranks and divisors only, so it first reduces each ∂_k
+to p unit pivots and a Schur complement S, and ∂_k has the Smith form of
+diag(I_p, S), rank p plus the rank of S, and divisors p ones followed by
+those of S.  So ``homology`` reads each ∂_k's rank as p plus the rank of
+S, and its torsion as the divisors of S above 1.
+
+A ∂_k with at most two nonzeros in each column, or in each row, is the
+incidence matrix of a signed graph, on its rows or on those of its
+transpose, which has the same Smith form: ∂_0 and ∂_1 always, and ∂_n
+wherever each (n-1)-face lies in at most two top simplices, as in every
+pseudomanifold, with or without boundary.  A spanning forest of the graph
+pairs all of its nodes but one per component without a half-edge, and
+the edges off the forest leave a 2 in S for each such component that is
+unbalanced, and nothing else (Zaslavsky, "Signed graphs", 1982): S is
+diag(2, ..., 2), which is how RP^2 gets its Z/2.
+
+Every other ∂_k is peeled.  Peeling, as in a collapse, pairs a row that
+has a single nonzero ±1 among the active columns with that column, and
+sets the lowest active column aside when no such row is left.  A row
+paired at step i has no nonzero in the columns paired after it, so the
+pivot block P = M[R, C] is lower triangular with a ±1 diagonal, which is
+checked; P is then invertible over Z.  With X = P^-1 A by forward
+substitution (P X = A is checked by multiplication) and S = E - B X for
+the blocks M = [[P, A], [B, E]], the integral row and column operations
+[[1, 0], [-B P^-1, 1]] and [[1, -X], [0, 1]] take M to diag(P, S), and P
+to the identity.  The peeling runs once, on the tall side: on the
+entries of M when it has at least as many rows as columns, and else on
+the swapped entries, those of its transpose.  P and B stay entries; only
+A, X, E and S are dense.  The solve for X runs level by level, each level
+one gather and one scatter.  Either way S, with its zero rows and columns
+dropped, goes to ``smith_normal_form``.
 
 From the blocks A and E to the Smith form, every dense array is a numpy
 ``object`` array of Python integers, which cannot overflow, so each step
@@ -43,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .pseudomanifold import AbstractComplex, FacetTable, orient
+from .pseudomanifold import (AbstractComplex, FacetTable, lowest_labels_of_edges,
+                             orient)
 
 @dataclass
 class SmithForm:
@@ -326,6 +339,42 @@ def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
                        np.count_nonzero(s, axis=0) > 0)]
 
 
+def _signed_graph_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
+                          v: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """What ``_peeled_entries`` returns, p and S, for a boundary matrix,
+    every entry ±1, that is the incidence matrix of a signed graph: at most
+    two entries in each column, or in each row, read on the transpose.
+    Else None.
+
+    The rows are the nodes; a column with two entries is an edge, with the
+    flip -1 where they agree, and a column with one is a half-edge.  One
+    signed ``lowest_labels_of_edges`` run numbers the components and signs
+    the nodes along a spanning forest; a component is unbalanced when an
+    edge disagrees with those signs.  Switched by the signs, the forest,
+    rooted at a half-edge where the component has one, pairs each node but
+    the roots of the other components with a unit pivot, and the edges off
+    it leave a 2 at each such root of an unbalanced component."""
+    for rows, cols, r, c in ((*shape, r, c), (*shape[::-1], c, r)):
+        count = np.bincount(c, minlength=cols)
+        if (count <= 2).all():
+            break
+    else:
+        return None
+    order = np.argsort(c, kind="stable")
+    start = np.cumsum(count) - count
+    edge = order[start[count == 2][:, None] + np.arange(2)]  # its two entries
+    a, b = r[edge].T
+    flip = (-v[edge[:, 0]] * v[edge[:, 1]]).astype(np.int8)
+    label, sign = lowest_labels_of_edges(rows, a, b, flip)
+    half = np.zeros(rows, dtype=bool)
+    half[label[r[order[start[count == 1]]]]] = True
+    unbalanced = np.zeros(rows, dtype=bool)
+    unbalanced[label[a[sign[a] * flip != sign[b]]]] = True
+    closed = (label == np.arange(rows)) & ~half
+    return (rows - int(np.count_nonzero(closed)),
+            2 * np.eye(np.count_nonzero(closed & unbalanced), dtype=object))
+
+
 # ---------------------------------------------------------------------------
 # chain complexes of abstract simplicial complexes
 
@@ -371,7 +420,7 @@ def _boundary_entries(tables: list[FacetTable], k: int) -> tuple[
 def boundary_matrices(c: AbstractComplex) -> list[np.ndarray]:
     """Signed boundary matrices: entry k maps k-chains to (k-1)-chains.
     Index 0 holds the empty map.  Each is the scatter of the entries that
-    ``homology`` peels, read off the complex's facet tables
+    ``homology`` reduces, read off the complex's facet tables
     (``AbstractComplex.facet_tables``), and the composites of consecutive
     matrices are checked to vanish on those tables."""
     tables = c.facet_tables
@@ -400,19 +449,21 @@ def homology(c: AbstractComplex,
              max_entries: int | None = None) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
-    No boundary matrix is made: each ∂_k is peeled once, on its tall side,
-    on its (k + 1) x |k-faces| entries, read off the facet table of the
-    k-faces.  Only the blocks beside the pivots are dense: A and X, p x q
-    for the p pivots and the q unpaired columns, and E and S, (rows - p) x
-    q, on the side peeled.  The Smith form of S then holds S and a square
-    transform on each side of it.  With ``max_entries``, CapExceededError
-    is raised when a ∂_k has more nonzero entries, from ∂_n down, each
-    before the facet table of its k-faces is built, so a refusal builds no
-    level below the refused one; when the dense blocks of a ∂_k, rows x q
-    entries in all, would, before any is allocated; and when the larger
-    transform of S would, before its Smith form is begun.  ∂_(k-1) ∂_k = 0
-    is checked on the facet tables just before ∂_k is peeled, so a refusal
-    skips the checks of the levels above it.
+    No boundary matrix is made: each ∂_k is reduced on its (k + 1) x
+    |k-faces| entries, read off the facet table of the k-faces, on a signed
+    spanning forest when it is a signed graph, in arrays of the size of its
+    entries, and else peeled once, on its tall side.  Peeling makes only
+    the blocks beside the pivots dense: A and X, p x q for the p pivots and
+    the q unpaired columns, and E and S, (rows - p) x q, on the side
+    peeled.  The Smith form of S then holds S and a square transform on
+    each side of it.  With ``max_entries``, CapExceededError is raised when
+    a ∂_k has more nonzero entries, from ∂_n down, each before the facet
+    table of its k-faces is built, so a refusal builds no level below the
+    refused one; when the dense blocks of a peeled ∂_k, rows x q entries in
+    all, would, before any is allocated; and when the larger transform of S
+    would, before its Smith form is begun.  ∂_(k-1) ∂_k = 0 is checked on
+    the facet tables just before ∂_k is reduced, so a refusal skips the
+    checks of the levels above it.
     """
     levels, faces = c.facet_levels(), len(c.tops)
     for k in range(c.n, 0, -1):
@@ -424,8 +475,9 @@ def homology(c: AbstractComplex,
     for k in range(c.n + 1):
         if k >= 2:
             _check_composite(tables[k - 2], tables[k - 1], k)
-        pivots, s = _peeled_entries(*_boundary_entries(tables, k),
-                                    max_entries, f"∂_{k}")
+        entries = _boundary_entries(tables, k)
+        pivots, s = (_signed_graph_entries(*entries)
+                     or _peeled_entries(*entries, max_entries, f"∂_{k}"))
         side = max(s.shape)
         _check_cap(f"a Smith transform of the {s.shape[0]} x {s.shape[1]} "
                    f"Schur complement of ∂_{k}, {side} x {side}", side * side,

@@ -673,6 +673,34 @@ def cell_components(pc) -> list:
     return component
 
 
+def signed_components(count: int, edges) -> tuple[list[int], list[int], list[bool]]:
+    """Breadth-first search over the signed edges (a, b, flip) from the
+    lowest unvisited node: per node, the lowest node of its component, the
+    product of the flips along the search tree's path to it, and whether
+    its component is balanced, every edge agreeing with those signs.
+    Loops are skipped."""
+    adj: dict = {i: [] for i in range(count)}
+    for a, b, flip in edges:
+        if a != b:
+            adj[a].append((b, flip))
+            adj[b].append((a, flip))
+    label, sign = [-1] * count, [0] * count
+    for start in range(count):
+        if label[start] >= 0:
+            continue
+        label[start], sign[start] = start, 1
+        queue = deque([start])
+        while queue:
+            a = queue.popleft()
+            for b, flip in adj[a]:
+                if label[b] < 0:
+                    label[b], sign[b] = start, sign[a] * flip
+                    queue.append(b)
+    unbalanced = {label[a] for a, b, flip in edges
+                  if a != b and sign[a] * flip != sign[b]}
+    return label, sign, [x not in unbalanced for x in label]
+
+
 # ---------------------------------------------------------------------------
 # the flag template walked flag by flag from the searched flags, through
 # dicts from chain to row and from color order to index: what the

@@ -6,7 +6,9 @@ exactly on the corpus, the Tomei manifolds n = 1..3, the triangulated
 octahedron full cover, the sd(boundary of the tetrahedron) component and
 the suspended 10-cycle component, and on corrupted complexes.  A vertex
 pinched between two octahedra is the one surface failure that the surface
-oracle reports.
+oracle reports.  ``lowest_labels_of_edges`` labels and signs random signed
+graphs as breadth-first search does, with each edge listed once or from
+both ends.
 """
 
 import time
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dict_oracle
 from extra_api import dual_edges, suspended_cycle
@@ -31,6 +35,7 @@ from cyclecover.pseudomanifold import (
     facet_table,
     is_coherent_orientation,
     lowest_labels,
+    lowest_labels_of_edges,
     orient,
     validate_pseudomanifold,
 )
@@ -297,6 +302,43 @@ def test_lowest_labels_on_a_randomly_numbered_path():
     assert not label.any()
     assert sign[0] == 1
     assert (sign[order[1:]] == flip[order[:-1], 1] * sign[order[:-1]]).all()
+
+
+@st.composite
+def signed_graphs(draw):
+    """A node count and signed edges (a, b, flip) on those nodes, loops
+    and repeated edges included."""
+    count = draw(st.integers(0, 24))
+    if not count:
+        return count, []
+    node = st.integers(0, count - 1)
+    return count, draw(st.lists(st.tuples(node, node, st.sampled_from([-1, 1])),
+                                max_size=3 * count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=signed_graphs(), both_ways=st.booleans())
+def test_lowest_labels_of_edges_equal_breadth_first_search(graph, both_ways):
+    # each edge listed once, as homology lists the columns of a signed
+    # graph, or from both ends, as a neighbor table does
+    count, edges = graph
+    a, b, flip = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    node, across = a, b
+    if both_ways:
+        node, across, flip = (np.concatenate([a, b]), np.concatenate([b, a]),
+                              np.concatenate([flip, flip]))
+    label, sign = lowest_labels_of_edges(count, node, across, flip.astype(np.int8))
+    want_label, want_sign, balanced = dict_oracle.signed_components(count, edges)
+    assert label.tolist() == want_label
+    assert lowest_labels_of_edges(count, node, across).tolist() == want_label
+    # signs are fixed on a balanced component; on any component the edges
+    # that agree with them span it, so they are signs along a spanning tree
+    balanced = np.array(balanced, dtype=bool)
+    assert sign[balanced].tolist() == np.array(want_sign, dtype=np.int64)[balanced].tolist()
+    assert (sign[label] == 1).all()
+    agree = sign[node] * flip == sign[across]
+    assert lowest_labels_of_edges(count, node[agree],
+                                  across[agree]).tolist() == want_label
 
 
 def test_repeated_top_simplex_rejected():

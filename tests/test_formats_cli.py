@@ -429,7 +429,7 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
         "3-faces, 4608 nonzero entries, over the cap of 1000\n")
     # the octahedron cover component triangulates into 88 vertices, 288
     # edges and 192 triangles: ∂_1 and ∂_2 have 2 x 288 = 3 x 192 = 576
-    # nonzero entries, and peeling leaves 288 x 1 blocks of each
+    # nonzero entries, and both are signed graphs, reduced without blocks
     assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--cells-out", str(path)]) == 0
     capsys.readouterr()
@@ -527,14 +527,14 @@ def test_homology_refuses_a_high_simplex_boundary_at_once(tmp_path):
 
 def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
                                                          capsys):
-    # with no unit pivot peeled, the 288 x 88 blocks of ∂_1ᵀ (25,344 entries)
-    # fit the cap, but its Schur complement is all of them, and the column
-    # transform has 288^2 entries, more than anything else that homology
-    # makes of the octahedron cover
-    path = tmp_path / "cover.json"
-    assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
-                 "--cells-out", str(path)]) == 0
-    capsys.readouterr()
+    # ∂Δ5 has 6, 15, 20, 15 and 6 faces.  ∂_1 and ∂_4 are signed graphs,
+    # reduced without peeling; ∂_2 is not, and is peeled on its 20 x 15
+    # transpose.  With no unit pivot peeled, its blocks (300 entries) fit
+    # the cap, but its Schur complement is all of them, and the row
+    # transform has 20^2 entries, more than anything else that homology
+    # makes of ∂Δ5
+    path = tmp_path / "delta5.json"
+    formats.write_json(formats.complex_to_dict(corpus.boundary_delta(5)), path)
 
     genuine = homology_module.smith_normal_form
 
@@ -544,10 +544,10 @@ def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
 
     monkeypatch.setattr(homology_module, "_peel", lambda *entries: ([], []))
     monkeypatch.setattr(homology_module, "smith_normal_form", empty_only)
-    assert main(["homology", "--input", str(path), "--max-cells", "55296"]) == 1
+    assert main(["homology", "--input", str(path), "--max-cells", "399"]) == 1
     assert capsys.readouterr() == ("", (
-        "check failed: homology needs a Smith transform of the 288 x 88 Schur "
-        "complement of ∂_1, 288 x 288, 82944 entries, over the cap of 55296\n"))
+        "check failed: homology needs a Smith transform of the 20 x 15 Schur "
+        "complement of ∂_2, 20 x 20, 400 entries, over the cap of 399\n"))
 
 
 # ---------------------------------------------------------------------------

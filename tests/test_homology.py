@@ -11,7 +11,11 @@ over Python integers past 2^63, and its certificate rejects a tampered
 pivot block or solve.  Peeling the entries read off the facet tables pairs
 the same pivots as the dense peel in ``dict_oracle``, on both sides of
 every boundary matrix; the one peel on the tall side pairs as many as
-either side; and the level-by-level solve equals its row-by-row one.
+either side; and the level-by-level solve equals its row-by-row one.  On
+every signed-graph ∂_k of the corpus, its subdivisions, RP^2, the pinched
+torus, the 7-vertex torus, M^2, M^3, complexes with boundary and a
+disconnected one, the spanning-forest reduction gives the rank and
+divisors that peeling does, and it declines every other ∂_k.
 Boundary matrices equal the dict-built ones, ``homology`` equals the Smith
 forms of the dense boundary matrices, a capped ``homology`` builds the
 facet table of each face level once, and a refused one builds none below
@@ -32,7 +36,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs
+from extra_api import benchmark_inputs, pinched_torus, torus7
 from cyclecover import corpus, formats
 from cyclecover.cells import triangulate
 from cyclecover.covering import build_component
@@ -45,6 +49,7 @@ from cyclecover.homology import (
     _peel,
     _peeled_entries,
     _schur,
+    _signed_graph_entries,
     betti_numbers,
     boundary_matrices,
     faces_by_dimension,
@@ -314,7 +319,7 @@ def spy_on_facet_tables(monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_capped_homology_builds_each_face_level_once(monkeypatch):
-    # the cap checks and the entries that homology peels all read the
+    # the cap checks and the entries that homology reduces all read the
     # complex's facet tables: on the octahedron cover triangulation (n = 2)
     # one table of 192 triangles and one of 288 edges
     cover = triangulate(build_component(
@@ -455,7 +460,7 @@ SHAPE_RULE_COMPLEXES = shape_rule_complexes()
 @pytest.mark.parametrize("c", SHAPE_RULE_COMPLEXES.values(),
                          ids=SHAPE_RULE_COMPLEXES.keys())
 def test_tall_side_peels_as_many_pivots_as_either_side(c):
-    # homology peels each ∂_k once, read with at least as many rows as
+    # _peeled_entries peels each ∂_k once, read with at least as many rows as
     # columns; it pairs as many pivots as peeling both sides and keeping
     # the one with more did.  Where the sides tie on a wide ∂_k (∂_1 of
     # most corpus complexes: one pivot short of the vertices each way), the
@@ -469,6 +474,91 @@ def test_tall_side_peels_as_many_pivots_as_either_side(c):
         assert p == max(pivots, t_pivots)
         kept = shape[::-1] if t_pivots > pivots else shape
         assert max(shape) * (min(shape) - p) <= kept[0] * (kept[1] - p)
+
+
+def moebius_band() -> AbstractComplex:
+    """The 5-vertex Möbius band: triangles {i, i+1, i+2} mod 5, whose
+    edges {i, i+2} are its boundary."""
+    return AbstractComplex(2, 5, [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)])
+
+
+def disjoint_union(*complexes) -> AbstractComplex:
+    """The complexes of one dimension side by side, vertices renumbered."""
+    tops, start = [], 0
+    for c in complexes:
+        tops += (c.tops + start).tolist()
+        start += c.num_vertices
+    return AbstractComplex(complexes[0].n, start, tops)
+
+
+def signed_graph_complexes():
+    """The oracle complexes (RP^2 among them), the subdivided corpus, the
+    pinched torus, the 7-vertex torus, M^3, complexes with boundary, and
+    RP^2, the Möbius band and the octahedron side by side."""
+    out = dict(ORACLE_COMPLEXES)
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        out[f"sd {path.stem}"] = barycentric_subdivide(
+            formats.load_complex(path)[0]).complex
+    out.update({
+        "pinched torus": pinched_torus(),
+        "torus7": torus7(),
+        "tomei 3": triangulate(build_tomei(3)).complex,
+        "moebius band": moebius_band(),
+        "hexagon disk": AbstractComplex(2, 7, [(i, (i + 1) % 6, 6) for i in range(6)]),
+        "tetrahedron": AbstractComplex(3, 4, [(0, 1, 2, 3)]),
+        "rp2, moebius band and octahedron": disjoint_union(
+            corpus.rp2_minimal(), moebius_band(), corpus.octahedron()[0]),
+    })
+    return out
+
+
+SIGNED_GRAPH_COMPLEXES = signed_graph_complexes()
+
+
+@pytest.mark.parametrize("c", SIGNED_GRAPH_COMPLEXES.values(),
+                         ids=SIGNED_GRAPH_COMPLEXES.keys())
+def test_forest_reduction_equals_peeling_on_signed_graphs(c):
+    # a ∂_k with at most two nonzeros in every column, or in every row, is
+    # reduced on a spanning forest; it has the rank and divisors that
+    # peeling it and the Smith form of its Schur complement give
+    for k, m in enumerate(boundary_matrices(c)):
+        entries = _boundary_entries(c.facet_tables, k)
+        got = _signed_graph_entries(*entries)
+        assert (got is not None) == ((np.count_nonzero(m, axis=0) <= 2).all()
+                                     or (np.count_nonzero(m, axis=1) <= 2).all())
+        if got is None:
+            continue
+        p, s = got
+        want_p, want_s = _peeled_entries(*entries, None, f"∂_{k}")
+        form, want = smith_normal_form(s), smith_normal_form(want_s)
+        assert p + form.rank == want_p + want.rank
+        assert [1] * p + form.divisors == [1] * want_p + want.divisors
+
+
+def test_forest_reduction_reads_the_components():
+    # (complex, k): the pivots p, one per node less one per component
+    # without a half-edge, and a 2 per unbalanced such component
+    cases = {
+        "octahedron": (2, 7, []),
+        "rp2_minimal": (2, 9, [2]),
+        "moebius band": (2, 5, []),
+        "hexagon disk": (2, 6, []),
+        "rp2, moebius band and octahedron": (2, 21, [2]),
+        "disjoint circles": (1, 10, []),
+        "tetrahedron": (3, 1, []),
+    }
+    for name, (k, pivots, twos) in cases.items():
+        tables = SIGNED_GRAPH_COMPLEXES[name].facet_tables
+        p, s = _signed_graph_entries(*_boundary_entries(tables, k))
+        assert (p, s.tolist()) == (pivots, np.diag(twos).tolist()), name
+    # a ∂_k that is no signed graph is peeled: an edge in three triangles,
+    # and M^3's ∂_2, whose edges lie in 4 to 12 triangles; M^3's ∂_1 and
+    # ∂_3 are signed graphs
+    branching = AbstractComplex(2, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    assert _signed_graph_entries(*_boundary_entries(branching.facet_tables, 2)) is None
+    m3 = SIGNED_GRAPH_COMPLEXES["tomei 3"].facet_tables
+    assert [_signed_graph_entries(*_boundary_entries(m3, k)) is None
+            for k in range(4)] == [False, False, True, False]
 
 
 def solve_arguments(m, rows, cols):
