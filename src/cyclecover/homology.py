@@ -17,13 +17,16 @@ S, and its torsion as the divisors of S above 1.
 
 A ∂_k with at most two nonzeros in each column, or in each row, is the
 incidence matrix of a signed graph, on its rows or on those of its
-transpose, which has the same Smith form: ∂_0 and ∂_1 always, and ∂_n
-wherever each (n-1)-face lies in at most two top simplices, as in every
-pseudomanifold, with or without boundary.  A spanning forest of the graph
-pairs all of its nodes but one per component without a half-edge, and
-the edges off the forest leave a 2 in S for each such component that is
-unbalanced, and nothing else (Zaslavsky, "Signed graphs", 1982): S is
-diag(2, ..., 2), which is how RP^2 gets its Z/2.
+transpose, which has the same Smith form: ∂_0 and ∂_1 always, and ∂_k
+wherever each (k-1)-face lies in at most two k-faces, as ∂_n does in
+every pseudomanifold, with or without boundary.  ∂_1 is the graph of the
+edges on the vertices; the transpose of such a ∂_k is the signed dual
+graph of the k-faces, whose components and signs the facet table keeps
+(``FacetTable.dual_components``, shared with ``orient``).  A spanning
+forest of the graph pairs all of its nodes but one per component without
+a half-edge, and the edges off the forest leave a 2 in S for each such
+component that is unbalanced, and nothing else (Zaslavsky, "Signed
+graphs", 1982): S is diag(2, ..., 2), which is how RP^2 gets its Z/2.
 
 Every other ∂_k is peeled.  Peeling, as in a collapse, pairs a row that
 has a single nonzero ±1 among the active columns with that column, and
@@ -55,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .pseudomanifold import (AbstractComplex, FacetTable, lowest_labels_of_edges,
-                             orient)
+from .pseudomanifold import (AbstractComplex, FacetTable, _induced_signs,
+                             lowest_labels_of_edges, orient)
 
 @dataclass
 class SmithForm:
@@ -316,6 +319,16 @@ def _check_cap(what: str, count: int, unit: str, cap: int | None) -> None:
             cap, count)
 
 
+def _check_transform(shape: tuple[int, int], cap: int | None,
+                     name: str) -> None:
+    """Refuse a Schur complement of ``shape`` whose larger square Smith
+    transform has more entries than ``cap``."""
+    side = max(shape)
+    _check_cap(f"a Smith transform of the {shape[0]} x {shape[1]} "
+               f"Schur complement of {name}, {side} x {side}", side * side,
+               "entries", cap)
+
+
 def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
                     v: np.ndarray, cap: int | None,
                     name: str) -> tuple[int, np.ndarray]:
@@ -326,7 +339,8 @@ def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
     swapped entries, whose Smith form is the same.  Its rows x (columns - p)
     entries hold the dense blocks A and X (p rows) and E and S (the other
     rows), and are checked against ``cap`` before any of them is
-    allocated."""
+    allocated.  S is then checked against ``cap`` for its Smith transforms
+    (``_check_transform``)."""
     if shape[0] < shape[1]:
         shape, r, c = shape[::-1], c, r
     rows, cols = _peel(shape, r, c, v)
@@ -335,44 +349,56 @@ def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
                f"{shape[0]} x {q}", shape[0] * q, "entries", cap)
     s = _schur(shape, r, c, v, np.array(rows, dtype=np.intp),
                np.array(cols, dtype=np.intp))
-    return p, s[np.ix_(np.count_nonzero(s, axis=1) > 0,
-                       np.count_nonzero(s, axis=0) > 0)]
+    s = s[np.ix_(np.count_nonzero(s, axis=1) > 0,
+                 np.count_nonzero(s, axis=0) > 0)]
+    _check_transform(s.shape, cap, name)
+    return p, s
 
 
-def _signed_graph_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
-                          v: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """What ``_peeled_entries`` returns, p and S, for a boundary matrix,
-    every entry ±1, that is the incidence matrix of a signed graph: at most
-    two entries in each column, or in each row, read on the transpose.
-    Else None.
+def _signed_graph_entries(tables: list[FacetTable], k: int, cap: int | None,
+                          name: str) -> tuple[int, np.ndarray] | None:
+    """What ``_peeled_entries`` returns, p and S, for a ∂_k that is the
+    incidence matrix of a signed graph, read off the facet tables; else
+    None.
 
-    The rows are the nodes; a column with two entries is an edge, with the
-    flip -1 where they agree, and a column with one is a half-edge.  One
-    signed ``lowest_labels_of_edges`` run numbers the components and signs
-    the nodes along a spanning forest; a component is unbalanced when an
-    edge disagrees with those signs.  Switched by the signs, the forest,
-    rooted at a half-edge where the component has one, pairs each node but
-    the roots of the other components with a unit pivot, and the edges off
-    it leave a 2 at each such root of an unbalanced component."""
-    for rows, cols, r, c in ((*shape, r, c), (*shape[::-1], c, r)):
-        count = np.bincount(c, minlength=cols)
-        if (count <= 2).all():
-            break
-    else:
+    ∂_0 has no rows.  ∂_1 is the graph of the edges on the vertices: each
+    column holds a +1 and a -1, so every component is balanced, and its
+    spanning forest pairs every vertex but the lowest of each component.
+    For k >= 2, ∂_k is a signed graph when each (k-1)-face lies in at most
+    two k-faces; read on the transpose, the k-faces are its nodes, the
+    (k-1)-faces in two of them its edges and those in one half-edges, and
+    its components and signs are the facet table's ``dual_components``.  A
+    component is unbalanced when the signs of the two k-faces at an edge
+    induce the same sign on it.  Switched by the signs, the forest, rooted
+    at a half-edge where the component has one, pairs each node but the
+    roots of the other components with a unit pivot, and the edges off it
+    leave a 2 at each such root of an unbalanced component: S is
+    diag(2, ..., 2), checked against ``cap`` before it is made."""
+    none = np.zeros((0, 0), dtype=object)
+    if not k:
+        return 0, none
+    table = tables[k - 1]
+    if k == 1:
+        count = len(table.facets)
+        a, b = table.facet.T
+        label = lowest_labels_of_edges(count, np.concatenate([a, b]),
+                                       np.concatenate([b, a]))
+        return count - int(np.count_nonzero(label == np.arange(count))), none
+    if (table.counts > 2).any():
         return None
-    order = np.argsort(c, kind="stable")
-    start = np.cumsum(count) - count
-    edge = order[start[count == 2][:, None] + np.arange(2)]  # its two entries
-    a, b = r[edge].T
-    flip = (-v[edge[:, 0]] * v[edge[:, 1]]).astype(np.int8)
-    label, sign = lowest_labels_of_edges(rows, a, b, flip)
-    half = np.zeros(rows, dtype=bool)
-    half[label[r[order[start[count == 1]]]]] = True
-    unbalanced = np.zeros(rows, dtype=bool)
-    unbalanced[label[a[sign[a] * flip != sign[b]]]] = True
-    closed = (label == np.arange(rows)) & ~half
-    return (rows - int(np.count_nonzero(closed)),
-            2 * np.eye(np.count_nonzero(closed & unbalanced), dtype=object))
+    label, sign = table.dual_components
+    count = len(table.tops)
+    two = table.neighbor >= 0
+    induced = _induced_signs(table, sign)
+    agree = two & (induced == induced[table.neighbor, table.position])
+    half, unbalanced = np.zeros((2, count), dtype=bool)
+    half[label[~two.all(axis=1)]] = True
+    unbalanced[label[agree.any(axis=1)]] = True
+    closed = (label == np.arange(count)) & ~half
+    twos = int(np.count_nonzero(closed & unbalanced))
+    _check_transform((twos, twos), cap, name)
+    return (count - int(np.count_nonzero(closed)),
+            np.diag(np.full(twos, 2, dtype=object)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +475,23 @@ def homology(c: AbstractComplex,
              max_entries: int | None = None) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
-    No boundary matrix is made: each ∂_k is reduced on its (k + 1) x
-    |k-faces| entries, read off the facet table of the k-faces, on a signed
-    spanning forest when it is a signed graph, in arrays of the size of its
-    entries, and else peeled once, on its tall side.  Peeling makes only
-    the blocks beside the pivots dense: A and X, p x q for the p pivots and
-    the q unpaired columns, and E and S, (rows - p) x q, on the side
-    peeled.  The Smith form of S then holds S and a square transform on
-    each side of it.  With ``max_entries``, CapExceededError is raised when
-    a ∂_k has more nonzero entries, from ∂_n down, each before the facet
-    table of its k-faces is built, so a refusal builds no level below the
-    refused one; when the dense blocks of a peeled ∂_k, rows x q entries in
-    all, would, before any is allocated; and when the larger transform of S
-    would, before its Smith form is begun.  ∂_(k-1) ∂_k = 0 is checked on
-    the facet tables just before ∂_k is reduced, so a refusal skips the
-    checks of the levels above it.
+    No boundary matrix is made.  A ∂_k that is a signed graph is reduced
+    on a spanning forest of it, read off the facet table of the k-faces,
+    in arrays of the size of its entries; its S is diag(2, ..., 2), one 2
+    per unbalanced component without a half-edge.  Every other ∂_k is peeled
+    once, on its tall side, on its (k + 1) x |k-faces| entries.  Peeling
+    makes only the blocks beside the pivots dense: A and X, p x q for the
+    p pivots and the q unpaired columns, and E and S, (rows - p) x q, on
+    the side peeled.  The Smith form of S then holds S and a square
+    transform on each side of it.  With ``max_entries``, CapExceededError
+    is raised when a ∂_k has more nonzero entries, from ∂_n down, each
+    before the facet table of its k-faces is built, so a refusal builds no
+    level below the refused one; when the dense blocks of a peeled ∂_k,
+    rows x q entries in all, would, before any is allocated; and when the
+    larger transform of S would, before the diagonal S of a signed graph
+    is made, and before the Smith form of any S is begun.
+    ∂_(k-1) ∂_k = 0 is checked on the facet tables just before ∂_k is
+    reduced, so a refusal skips the checks of the levels above it.
     """
     levels, faces = c.facet_levels(), len(c.tops)
     for k in range(c.n, 0, -1):
@@ -475,13 +503,10 @@ def homology(c: AbstractComplex,
     for k in range(c.n + 1):
         if k >= 2:
             _check_composite(tables[k - 2], tables[k - 1], k)
-        entries = _boundary_entries(tables, k)
-        pivots, s = (_signed_graph_entries(*entries)
-                     or _peeled_entries(*entries, max_entries, f"∂_{k}"))
-        side = max(s.shape)
-        _check_cap(f"a Smith transform of the {s.shape[0]} x {s.shape[1]} "
-                   f"Schur complement of ∂_{k}, {side} x {side}", side * side,
-                   "entries", max_entries)
+        name = f"∂_{k}"
+        pivots, s = (_signed_graph_entries(tables, k, max_entries, name)
+                     or _peeled_entries(*_boundary_entries(tables, k),
+                                        max_entries, name))
         form = smith_normal_form(s)
         ranks.append(pivots + form.rank)
         torsion.append([d for d in form.divisors if d > 1])

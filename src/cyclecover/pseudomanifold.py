@@ -67,22 +67,20 @@ def _lex_order(rows: np.ndarray, bound: int) -> np.ndarray:
 def lowest_labels_of_edges(count: int, node: np.ndarray, across: np.ndarray,
                            flip: np.ndarray | None = None):
     """Label each of ``count`` nodes by the lowest node of its component,
-    for the edges node[e] - across[e], each listed once or in both
-    directions.
+    for the edges node[e] - across[e], each listed from both ends.
 
     Nodes hang in trees by parent pointers, each rooted at its lowest node.
     Every round shortcuts each pointer to its root, then hooks every root
     that has an edge to a tree with a lower root under the lowest such
-    root, until no edge joins two trees.  A root that does not hook in one
-    round is hooked under in the next, so the number of trees halves at
-    least every two rounds, whatever the numbering.  Of the edges to that
-    root, the lowest listed from the hooked tree's side wins, then the
-    lowest listed the other way.  With ``flip`` (one +1/-1 per edge) also
-    return each node's sign relative to its label: the product of the flips
-    along a walk from the node to the label.
+    root, until no edge joins two trees.  A root hooks only across edges
+    listed from its own side, so an edge listed once may never be taken.
+    A root that does not hook in one round is hooked under in the next, so
+    the number of trees halves at least every two rounds, whatever the
+    numbering.  With ``flip`` (one +1/-1 per edge) also return each node's
+    sign relative to its label: the product of the flips along a walk from
+    the node to the label.
     """
-    edges = len(across)
-    flips = np.ones(edges, dtype=np.int8) if flip is None else flip
+    flips = np.ones(len(across), dtype=np.int8) if flip is None else flip
     parent = np.arange(count)
     sign = np.ones(count, dtype=np.int8)
     none = np.iinfo(np.int64).max
@@ -94,28 +92,22 @@ def lowest_labels_of_edges(count: int, node: np.ndarray, across: np.ndarray,
             sign = sign * sign[parent]
             parent = grand
         root, other = parent[node], parent[across]
-        joins = np.flatnonzero(other != root)
+        joins = np.flatnonzero(other < root)
         if not len(joins):
             return parent if flip is None else (parent, sign)
-        root, other = root[joins], other[joins]
-        up = other < root  # node's tree hooks under across's
-        # per hooked root, the lowest other root, then the lowest edge
-        # listed from its side, then the lowest listed the other way
-        key = np.minimum(root, other) * (2 * edges) + joins + np.where(up, 0, edges)
+        # per root, the lowest other root, then the lowest edge slot
         best = np.full(count, none)
-        np.minimum.at(best, np.maximum(root, other), key)
+        np.minimum.at(best, root[joins], other[joins] * len(across) + joins)
         hooked = np.flatnonzero(best < none)
-        under, slot = np.divmod(best[hooked], 2 * edges)
-        slot %= edges
+        slot = best[hooked] % len(across)
         sign[hooked] = sign[node[slot]] * flips[slot] * sign[across[slot]]
-        parent[hooked] = under
+        parent[hooked] = other[slot]
 
 
 def lowest_labels(neighbor: np.ndarray, flip: np.ndarray | None = None):
     """``lowest_labels_of_edges`` on a neighbor table: ``neighbor[v]`` lists
     the neighbors of node v, with v itself in an empty slot, and ``flip``
-    holds one +1/-1 per slot.  A table lists each edge from both ends, so
-    every hook takes an edge listed from the hooked tree's side."""
+    holds one +1/-1 per slot."""
     count, width = neighbor.shape
     return lowest_labels_of_edges(
         count, np.repeat(np.arange(count), width), neighbor.ravel(),

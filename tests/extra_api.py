@@ -285,6 +285,15 @@ def torus7() -> AbstractComplex:
                                   for i in range(7) for a in (1, 2)])
 
 
+def disjoint_union(*complexes) -> AbstractComplex:
+    """The complexes of one dimension side by side, vertices renumbered."""
+    tops, start = [], 0
+    for c in complexes:
+        tops += (c.tops + start).tolist()
+        start += c.num_vertices
+    return AbstractComplex(complexes[0].n, start, tops)
+
+
 def cycle(m: int) -> AbstractComplex:
     """The m-cycle, a 1-sphere with m edges; odd m has no regular
     coloring, so ``verify`` subdivides it."""

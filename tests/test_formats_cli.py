@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from math import comb, factorial
 from pathlib import Path
@@ -548,6 +549,37 @@ def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
     assert capsys.readouterr() == ("", (
         "check failed: homology needs a Smith transform of the 20 x 15 Schur "
         "complement of ∂_2, 20 x 20, 400 entries, over the cap of 399\n"))
+
+
+def test_homology_refuses_the_diagonal_schur_complement_before_making_it(
+        tmp_path, monkeypatch, capsys):
+    # 3000 disjoint copies of RP^2: ∂_1 and ∂_2 have 2 x 45000 = 3 x 30000
+    # = 90000 nonzero entries, at the cap.  ∂_2 is a signed graph with 3000
+    # unbalanced components, so its Schur complement is diag(2, ..., 2),
+    # 3000 x 3000: that object array alone would take 72 MB, and its Smith
+    # transforms 3000^2 entries each.  It is refused before it is made
+    path = tmp_path / "rp2s.json"
+    rp2s = extra_api.disjoint_union(*[corpus.rp2_minimal()] * 3000)
+    formats.write_json(formats.complex_to_dict(rp2s), path)
+
+    genuine = homology_module.smith_normal_form
+
+    def empty_only(s):
+        assert not s.size, "a Smith form was begun"
+        return genuine(s)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", empty_only)
+    tracemalloc.start()
+    try:
+        assert main(["homology", "--input", str(path), "--max-cells", "90000"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", (
+        "check failed: homology needs a Smith transform of the 3000 x 3000 "
+        "Schur complement of ∂_2, 3000 x 3000, 9000000 entries, over the cap "
+        "of 90000\n"))
+    assert peak < 36_000_000  # half of that array
 
 
 # ---------------------------------------------------------------------------

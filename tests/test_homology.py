@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs, pinched_torus, torus7
+from extra_api import benchmark_inputs, disjoint_union, pinched_torus, torus7
 from cyclecover import corpus, formats
 from cyclecover.cells import triangulate
 from cyclecover.covering import build_component
@@ -482,15 +482,6 @@ def moebius_band() -> AbstractComplex:
     return AbstractComplex(2, 5, [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)])
 
 
-def disjoint_union(*complexes) -> AbstractComplex:
-    """The complexes of one dimension side by side, vertices renumbered."""
-    tops, start = [], 0
-    for c in complexes:
-        tops += (c.tops + start).tolist()
-        start += c.num_vertices
-    return AbstractComplex(complexes[0].n, start, tops)
-
-
 def signed_graph_complexes():
     """The oracle complexes (RP^2 among them), the subdivided corpus, the
     pinched torus, the 7-vertex torus, M^3, complexes with boundary, and
@@ -522,14 +513,14 @@ def test_forest_reduction_equals_peeling_on_signed_graphs(c):
     # reduced on a spanning forest; it has the rank and divisors that
     # peeling it and the Smith form of its Schur complement give
     for k, m in enumerate(boundary_matrices(c)):
-        entries = _boundary_entries(c.facet_tables, k)
-        got = _signed_graph_entries(*entries)
+        got = _signed_graph_entries(c.facet_tables, k, None, f"∂_{k}")
         assert (got is not None) == ((np.count_nonzero(m, axis=0) <= 2).all()
                                      or (np.count_nonzero(m, axis=1) <= 2).all())
         if got is None:
             continue
         p, s = got
-        want_p, want_s = _peeled_entries(*entries, None, f"∂_{k}")
+        want_p, want_s = _peeled_entries(*_boundary_entries(c.facet_tables, k),
+                                         None, f"∂_{k}")
         form, want = smith_normal_form(s), smith_normal_form(want_s)
         assert p + form.rank == want_p + want.rank
         assert [1] * p + form.divisors == [1] * want_p + want.divisors
@@ -549,15 +540,15 @@ def test_forest_reduction_reads_the_components():
     }
     for name, (k, pivots, twos) in cases.items():
         tables = SIGNED_GRAPH_COMPLEXES[name].facet_tables
-        p, s = _signed_graph_entries(*_boundary_entries(tables, k))
+        p, s = _signed_graph_entries(tables, k, None, f"∂_{k}")
         assert (p, s.tolist()) == (pivots, np.diag(twos).tolist()), name
     # a ∂_k that is no signed graph is peeled: an edge in three triangles,
     # and M^3's ∂_2, whose edges lie in 4 to 12 triangles; M^3's ∂_1 and
     # ∂_3 are signed graphs
     branching = AbstractComplex(2, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-    assert _signed_graph_entries(*_boundary_entries(branching.facet_tables, 2)) is None
+    assert _signed_graph_entries(branching.facet_tables, 2, None, "∂_2") is None
     m3 = SIGNED_GRAPH_COMPLEXES["tomei 3"].facet_tables
-    assert [_signed_graph_entries(*_boundary_entries(m3, k)) is None
+    assert [_signed_graph_entries(m3, k, None, f"∂_{k}") is None
             for k in range(4)] == [False, False, True, False]
 
 
