@@ -223,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--cells-out",
                        help="triangulated complex JSON path")
     add_common(sub.add_parser("homology", help="integral homology groups"),
-               cap="cap on the entries homology allocates: the nonzero "
-                   "entries of each boundary matrix, the dense blocks that "
-                   "unit-pivot peeling leaves of it, and the Smith "
-                   "transforms of its Schur complement")
+               cap="cap on the entries homology makes: the nonzero "
+                   "entries of each boundary matrix, of the solve X and the "
+                   "Schur complement S that unit-pivot peeling makes of it, "
+                   "and the Smith transforms of S")
     add_common(sub.add_parser("verify", help="run the whole verification chain"))
     add_common(sub.add_parser("report", help="verify and write JSON + text reports"))
     return parser

@@ -33,25 +33,23 @@ has a single nonzero ±1 among the active columns with that column, and
 sets the lowest active column aside when no such row is left.  A row
 paired at step i has no nonzero in the columns paired after it, so the
 pivot block P = M[R, C] is lower triangular with a ±1 diagonal, which is
-checked; P is then invertible over Z.  With X = P^-1 A by forward
-substitution (P X = A is checked by multiplication) and S = E - B X for
-the blocks M = [[P, A], [B, E]], the integral row and column operations
-[[1, 0], [-B P^-1, 1]] and [[1, -X], [0, 1]] take M to diag(P, S), and P
-to the identity.  The peeling runs once, on the tall side: on the
-entries of M when it has at least as many rows as columns, and else on
-the swapped entries, those of its transpose.  P and B stay entries; only
-A, X, E and S are dense.  The solve for X runs level by level, each level
-one gather and one scatter.  Either way S, with its zero rows and columns
-dropped, goes to ``smith_normal_form``.
-
-From the blocks A and E to the Smith form, every dense array is a numpy
-``object`` array of Python integers, which cannot overflow, so each step
-runs once and needs no bounds.  The factorization U M V = D is checked by
-multiplication on those arrays instead of trusted.
+checked; P is then invertible over Z.  With X = P^-1 A and S = E - B X
+for the blocks M = [[P, A], [B, E]], the integral row and column
+operations [[1, 0], [-B P^-1, 1]] and [[1, -X], [0, 1]] take M to
+diag(P, S), and P to the identity.  Each unpaired column is solved on
+its own, as a dict of Python integers, which leaves that column of S
+below the pivots; P x = A is checked by multiplication.  Each round peels
+the tall side (the transpose, when M has fewer rows than columns) and the
+next round peels S, until a round pairs no pivot.  Only that S, without
+its zero rows and columns, is made dense, as a numpy ``object`` array,
+for ``smith_normal_form``.  Python integers cannot overflow, so no step
+needs bounds, and the factorization U M V = D is checked by
+multiplication instead of trusted.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -225,58 +223,42 @@ def _peel(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
         drop(lowest)
 
 
-def _forward_substitute(row: np.ndarray, col: np.ndarray, value: np.ndarray,
-                        diag: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """X with P X = A over Python integers, for P lower triangular with the
-    ±1 diagonal ``diag`` and the strictly lower entries (row, col, value).
-
-    Row i's level is one more than the highest level among the rows that
-    its entries read, or 0 when it reads none, so each level reads only
-    rows of lower levels and is solved at once: one gather of those rows of
-    X and one ``np.subtract.at``."""
-    p, q = a.shape
-    x = np.zeros((p, q), dtype=object)
-    if not p or not q:
-        return x
-    level = [0] * p
-    by_row = np.argsort(row, kind="stable")
-    for i, j in zip(row[by_row].tolist(), col[by_row].tolist()):
-        if level[i] <= level[j]:  # j < i, so level[j] is final
-            level[i] = level[j] + 1
-    level = np.array(level, dtype=np.intp)
-    by_level = np.argsort(level, kind="stable")
-    place = np.empty(p, dtype=np.intp)  # a row's place in level order
-    place[by_level] = np.arange(p)
-    order = np.argsort(level[row], kind="stable")
-    row, col, value = row[order], col[order], value[order]
-    row_ends = np.cumsum(np.bincount(level)).tolist()
-    entry_ends = np.cumsum(np.bincount(level[row], minlength=len(row_ends)))
-    a = a.astype(object, copy=False)
-    start = entry_start = 0
-    for end, entry_end in zip(row_ends, entry_ends.tolist()):
-        rows = by_level[start:end]
-        es = slice(entry_start, entry_end)
-        acc = a[rows]
-        np.subtract.at(acc, place[row[es]] - start, value[es, None] * x[col[es]])
-        x[rows] = acc * diag[rows, None]
-        start, entry_start = end, entry_end
+def _solve_column(column: dict, p: int, diag: list, below: list) -> dict:
+    """The column x of X with P x = A for the non-pivot column ``column``,
+    keyed as in ``_schur``.  Pivot keys leave a heap in ascending order:
+    each sets x_k = P[k, k] left[k] and subtracts x_k times column k of P
+    and B below k, which leaves ``column`` holding E - B x, that column of
+    S, at its keys >= p."""
+    heap = sorted(k for k in column if k < p)  # a sorted list is a heap
+    x = {}
+    while heap:
+        k = heapq.heappop(heap)
+        left = column.pop(k)
+        if not left:
+            continue
+        x_k = x[k] = diag[k] * left
+        for i, w in zip(*below[k]):
+            if i in column:
+                column[i] -= x_k * w
+            else:
+                column[i] = -x_k * w
+                if i < p:
+                    heapq.heappush(heap, i)
     return x
 
 
-def _minus_product(base: np.ndarray, row: np.ndarray, col: np.ndarray,
-                   value: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """base - Y @ x over Python integers, for the sparse Y with entries
-    (row, col, value)."""
-    out = base.astype(object)
-    np.subtract.at(out, row, value[:, None] * x[col])
-    return out
-
-
 def _schur(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray,
-           rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The Schur complement of the pivot block P = M[rows, cols] of the
-    matrix M with entries (r, c, v); P, A, B and E are read off those
-    entries, and only A, X, E and S are dense, as ``object`` arrays."""
+           rows: np.ndarray, cols: np.ndarray, cap: int | None, name: str,
+           solved: int) -> tuple:
+    """The Schur complement S of the pivot block P = M[rows, cols] of the
+    matrix M with entries (r, c, v), as its shape and entries on its
+    nonzero rows and columns, and ``solved`` plus the nonzeros of X.
+
+    Pivot rows and columns are keyed 0 ... p-1 in pivot order and the
+    others from p on in their order, so M = [[P, A], [B, E]].  Each other
+    column is solved on its own, as a dict of Python integers, and P x = A
+    is checked by multiplication.  The nonzeros of X, counted on from
+    ``solved``, and of S are checked against ``cap`` as they are made."""
     p = len(rows)
     row_at = np.full(shape[0], -1)
     row_at[rows] = np.arange(p)
@@ -284,31 +266,49 @@ def _schur(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray,
     col_at[cols] = np.arange(p)
     if np.count_nonzero(row_at >= 0) != p or np.count_nonzero(col_at >= 0) != p:
         raise AssertionError("pivot rows or columns repeat")
-    other_rows, other_cols = np.flatnonzero(row_at < 0), np.flatnonzero(col_at < 0)
-    # the other rows and columns are numbered -1, -2, ... in their order
-    row_at[other_rows] = -1 - np.arange(len(other_rows))
-    col_at[other_cols] = -1 - np.arange(len(other_cols))
+    row_at[row_at < 0] = np.arange(p, shape[0])
+    col_at[col_at < 0] = np.arange(p, shape[1])
 
     i, j = row_at[r], col_at[c]
-    in_p, in_a, in_b = (i >= 0) & (j >= 0), (i >= 0) & (j < 0), (i < 0) & (j >= 0)
-    in_e = (i < 0) & (j < 0)
-    pi, pj, pv = i[in_p], j[in_p], v[in_p]
-    if (pj > pi).any():
+    order = np.lexsort((i, j))  # column by column, rows ascending in each
+    i, j, v = i[order], j[order], v[order]
+    in_p = (i < p) & (j < p)
+    if (j[in_p] > i[in_p]).any():
         raise AssertionError("pivot block is not lower triangular")
-    on_diag = pi == pj
+    on_diag = in_p & (i == j)
     diag = np.zeros(p, dtype=v.dtype)
-    diag[pi[on_diag]] = pv[on_diag]
+    diag[i[on_diag]] = v[on_diag]
     if not ((diag == 1) | (diag == -1)).all():
         raise AssertionError("pivot block has a diagonal entry other than ±1")
-
-    a = np.zeros((p, len(other_cols)), dtype=object)
-    a[i[in_a], -1 - j[in_a]] = v[in_a]
-    x = _forward_substitute(pi[~on_diag], pj[~on_diag], pv[~on_diag], diag, a)
-    if np.count_nonzero(_minus_product(a, pi, pj, pv, x)):
-        raise AssertionError("pivot solve verification failed: P X != A")
-    e = np.zeros((len(other_rows), len(other_cols)), dtype=object)
-    e[-1 - i[in_e], -1 - j[in_e]] = v[in_e]
-    return _minus_product(e, -1 - i[in_b], j[in_b], v[in_b], x)
+    diag, i, v = diag.tolist(), i.tolist(), v.tolist()
+    ends = np.cumsum(np.bincount(j, minlength=shape[1])).tolist()
+    starts = [0] + ends
+    # column k of P and B below its diagonal entry, the first of column k
+    below = [(i[a + 1:b], v[a + 1:b]) for a, b in zip(starts, ends[:p])]
+    s = []
+    for col, a, b in zip(range(p, shape[1]), starts[p:], ends[p:]):
+        column = dict(zip(i[a:b], v[a:b]))
+        want = {k: value for k, value in column.items() if k < p}
+        x = _solve_column(column, p, diag, below)
+        got = {}
+        for k, x_k in x.items():
+            got[k] = got.get(k, 0) + diag[k] * x_k
+            for row, w in zip(*below[k]):
+                if row >= p:
+                    break
+                got[row] = got.get(row, 0) + w * x_k
+        if {k: value for k, value in got.items() if value} != want:
+            raise AssertionError("pivot solve verification failed: P X != A")
+        solved += len(x)
+        _check_cap(f"X = P^-1 A beside the {p} unit pivots of {name}",
+                   solved, "nonzero entries so far", cap)
+        s += [(row, col, value) for row, value in column.items() if value]
+        _check_cap(f"the Schur complement of {name} beside the {p} unit "
+                   f"pivots", len(s), "nonzero entries so far", cap)
+    r, c, v = zip(*s) if s else ((), (), ())
+    rows, r = np.unique(np.array(r, dtype=np.intp), return_inverse=True)
+    cols, c = np.unique(np.array(c, dtype=np.intp), return_inverse=True)
+    return (len(rows), len(cols)), r, c, np.array(v, dtype=object), solved
 
 
 def _check_cap(what: str, count: int, unit: str, cap: int | None) -> None:
@@ -334,25 +334,26 @@ def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
                     name: str) -> tuple[int, np.ndarray]:
     """The number p of unit pivots peeled from the matrix with entries
     (r, c, v) and the Schur complement S left, with its zero rows and
-    columns dropped.  The pivots are peeled once, on the tall side: a
-    matrix with fewer rows than columns is read as its transpose, the
-    swapped entries, whose Smith form is the same.  Its rows x (columns - p)
-    entries hold the dense blocks A and X (p rows) and E and S (the other
-    rows), and are checked against ``cap`` before any of them is
-    allocated.  S is then checked against ``cap`` for its Smith transforms
-    (``_check_transform``)."""
-    if shape[0] < shape[1]:
-        shape, r, c = shape[::-1], c, r
-    rows, cols = _peel(shape, r, c, v)
-    p, q = len(rows), shape[1] - len(rows)
-    _check_cap(f"the blocks beside the {p} unit pivots of {name}, "
-               f"{shape[0]} x {q}", shape[0] * q, "entries", cap)
-    s = _schur(shape, r, c, v, np.array(rows, dtype=np.intp),
-               np.array(cols, dtype=np.intp))
-    s = s[np.ix_(np.count_nonzero(s, axis=1) > 0,
-                 np.count_nonzero(s, axis=0) > 0)]
-    _check_transform(s.shape, cap, name)
-    return p, s
+    columns dropped.  Each round peels the tall side, the swapped entries
+    when a matrix has fewer rows than columns (its transpose, whose Smith
+    form is the same), and goes on with the entries of its S, until a round
+    pairs no pivot.  Only then is S checked against ``cap`` for its Smith
+    transforms (``_check_transform``) and made dense."""
+    pivots = solved = 0
+    while True:
+        if shape[0] < shape[1]:
+            shape, r, c = shape[::-1], c, r
+        rows, cols = _peel(shape, r, c, v)
+        shape, r, c, v, solved = _schur(
+            shape, r, c, v, np.array(rows, dtype=np.intp),
+            np.array(cols, dtype=np.intp), cap, name, solved)
+        pivots += len(rows)
+        if not rows:
+            break
+    _check_transform(shape, cap, name)
+    s = np.zeros(shape, dtype=object)
+    s[r, c] = v
+    return pivots, s
 
 
 def _signed_graph_entries(tables: list[FacetTable], k: int, cap: int | None,
@@ -478,18 +479,16 @@ def homology(c: AbstractComplex,
     No boundary matrix is made.  A ∂_k that is a signed graph is reduced
     on a spanning forest of it, read off the facet table of the k-faces,
     in arrays of the size of its entries; its S is diag(2, ..., 2), one 2
-    per unbalanced component without a half-edge.  Every other ∂_k is peeled
-    once, on its tall side, on its (k + 1) x |k-faces| entries.  Peeling
-    makes only the blocks beside the pivots dense: A and X, p x q for the
-    p pivots and the q unpaired columns, and E and S, (rows - p) x q, on
-    the side peeled.  The Smith form of S then holds S and a square
-    transform on each side of it.  With ``max_entries``, CapExceededError
-    is raised when a ∂_k has more nonzero entries, from ∂_n down, each
-    before the facet table of its k-faces is built, so a refusal builds no
-    level below the refused one; when the dense blocks of a peeled ∂_k,
-    rows x q entries in all, would, before any is allocated; and when the
-    larger transform of S would, before the diagonal S of a signed graph
-    is made, and before the Smith form of any S is begun.
+    per unbalanced component without a half-edge.  Every other ∂_k is
+    peeled from its (k + 1) x |k-faces| entries, round by round, and only
+    the last S is made dense, for its Smith form.  With ``max_entries``,
+    CapExceededError is raised when a ∂_k has more nonzero entries, from
+    ∂_n down, each before the facet table of its k-faces is built, so a
+    refusal builds no level below the refused one; when the nonzeros of X,
+    over the columns and rounds of a peeled ∂_k, or those of an S would, as
+    they are made; and when the larger square Smith transform of S would,
+    before the diagonal S of a signed graph is made, and before any other
+    S is made dense.
     ∂_(k-1) ∂_k = 0 is checked on the facet tables just before ∂_k is
     reduced, so a refusal skips the checks of the levels above it.
     """

@@ -1048,7 +1048,7 @@ def boundary_matrices(c) -> list:
 
 # ---------------------------------------------------------------------------
 # unit-pivot peeling on a dense matrix and the row-by-row forward
-# substitution: what peeling on entries and the level-by-level solve
+# substitution: what peeling on entries and the column-by-column solve
 # replaced
 
 def unit_pivots(m: np.ndarray) -> tuple[list[int], list[int]]:

@@ -430,7 +430,7 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
         "3-faces, 4608 nonzero entries, over the cap of 1000\n")
     # the octahedron cover component triangulates into 88 vertices, 288
     # edges and 192 triangles: ∂_1 and ∂_2 have 2 x 288 = 3 x 192 = 576
-    # nonzero entries, and both are signed graphs, reduced without blocks
+    # nonzero entries, and both are signed graphs, reduced without peeling
     assert main(["cover", "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--cells-out", str(path)]) == 0
     capsys.readouterr()
@@ -450,19 +450,20 @@ M3_HOMOLOGY = "".join(f"H_{k} = {group}\n" for k, group in enumerate(
 
 
 def test_homology_cap_is_the_largest_boundary_matrix(tmp_path, capsys):
-    # M^3 triangulates into 160, 1312, 2304 and 1152 faces.  Peeling the
-    # transpose of ∂_2 pairs 1142 of its 1312 columns, which leaves dense
-    # blocks of 2304 x 170 entries, the largest array that homology makes;
-    # its boundary matrices have at most 3 x 2304 nonzero entries
+    # M^3 triangulates into 160, 1312, 2304 and 1152 faces, so ∂_2 has the
+    # most nonzero entries, 3 x 2304.  Peeling the transpose of ∂_2 pairs
+    # 1142 of its 1312 columns; X beside the pivots has 5758 nonzero
+    # entries and S none, so every cap that admits the boundary matrices
+    # admits M^3
     path = tmp_path / "m3.json"
     assert main(["tomei", "--n", "3", "--out", str(path)]) == 0
     capsys.readouterr()
-    assert main(["homology", "--input", str(path), "--max-cells", "391680"]) == 0
+    assert main(["homology", "--input", str(path), "--max-cells", "6912"]) == 0
     assert capsys.readouterr() == (M3_HOMOLOGY, "")
-    assert main(["homology", "--input", str(path), "--max-cells", "391679"]) == 1
+    assert main(["homology", "--input", str(path), "--max-cells", "6911"]) == 1
     assert capsys.readouterr() == ("", (
-        "check failed: homology needs the blocks beside the 1142 unit pivots "
-        "of ∂_2, 2304 x 170, 391680 entries, over the cap of 391679\n"))
+        "check failed: homology needs the boundary matrix ∂_2 of the 2304 "
+        "2-faces, 6912 nonzero entries, over the cap of 6911\n"))
 
 
 def eulerian(n: int, i: int) -> int:
@@ -488,29 +489,43 @@ def test_homology_of_m3_is_the_permutahedron_h_vector(tmp_path, monkeypatch,
     assert all(g["torsion"] == [] for g in groups)
 
 
-def homology_in_child(path) -> tuple[subprocess.CompletedProcess, float]:
-    """``homology`` on ``path`` in a child process at the default cap, and
-    its wall time in seconds."""
+def homology_in_child(path, *args) -> tuple[subprocess.CompletedProcess, float]:
+    """``homology`` on ``path`` in a child process, at the default cap
+    unless ``args`` set one, and its wall time in seconds."""
     env = {k: v for k, v in os.environ.items() if k != cli.MAX_CELLS_ENV}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "cyclecover", "homology",
-                           "--input", str(path)],
+                           "--input", str(path), *args],
                           capture_output=True, text=True, env=env)
     return done, time.perf_counter() - start
 
 
-def test_homology_refuses_m4_at_once(tmp_path):
-    # the blocks that peeling leaves of M^4's ∂_2 would hold 1.4 x 10^8
-    # entries; the child process refuses them with one line on stderr
-    path = tmp_path / "m4.json"
+def test_homology_of_m4_is_the_permutahedron_h_vector(tmp_path):
+    # M^4 has 46,080 tops.  Its ∂_2 leaves an empty S; peeling its ∂_3
+    # makes 910,230 nonzero entries of X and a 1010 x 1600 S of ±1 entries,
+    # which a second round peels to nothing.  Both pass the default cap in
+    # a child process (3.4 s on a 2-CPU machine), and its Betti numbers are
+    # the Eulerian numbers A(5, i), with no torsion
+    path, out = tmp_path / "m4.json", tmp_path / "h.json"
     assert main(["tomei", "--n", "4", "--out", str(path)]) == 0
-    done, seconds = homology_in_child(path)
+    done, seconds = homology_in_child(path, "--out", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    groups = json.loads(out.read_text())["groups"]
+    assert [g["betti"] for g in groups] == [eulerian(5, i) for i in range(5)] \
+        == [1, 26, 66, 26, 1]
+    assert all(g["torsion"] == [] for g in groups)
+    assert seconds < 30
+    # every boundary matrix of M^4 has at most 460,800 nonzero entries, so
+    # at a cap of 500,000 the X of ∂_3 is the first to be refused, as it is
+    # made (2.8 s)
+    done, seconds = homology_in_child(path, "--max-cells", "500000")
     assert (done.returncode, done.stdout, done.stderr) == (1, "", (
-        "check failed: homology needs the blocks beside the 25879 unit pivots "
-        "of ∂_2, 95040 x 1481, 140754240 entries, over the cap of 1000000\n"))
-    assert seconds < 2
+        "check failed: homology needs X = P^-1 A beside the 69050 unit "
+        "pivots of ∂_3, 500179 nonzero entries so far, over the cap of "
+        "500000\n"))
+    assert seconds < 30
 
 
 def test_homology_refuses_a_high_simplex_boundary_at_once(tmp_path):
@@ -530,10 +545,9 @@ def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
                                                          capsys):
     # ∂Δ5 has 6, 15, 20, 15 and 6 faces.  ∂_1 and ∂_4 are signed graphs,
     # reduced without peeling; ∂_2 is not, and is peeled on its 20 x 15
-    # transpose.  With no unit pivot peeled, its blocks (300 entries) fit
-    # the cap, but its Schur complement is all of them, and the row
-    # transform has 20^2 entries, more than anything else that homology
-    # makes of ∂Δ5
+    # transpose.  With no unit pivot peeled, its Schur complement is all of
+    # it, 60 nonzero entries, and the row transform has 20^2 entries, more
+    # than anything else that homology makes of ∂Δ5
     path = tmp_path / "delta5.json"
     formats.write_json(formats.complex_to_dict(corpus.boundary_delta(5)), path)
 

@@ -7,11 +7,13 @@ entry by entry reduction in ``dict_oracle``, which must give the same D, U
 and V on small entries, on inputs past 2^31 and where the reduction grows
 entries past 2^31.  The unit-pivot reduction that ``homology`` runs gives
 the rank and divisors of the full Smith form; its Schur complement is exact
-over Python integers past 2^63, and its certificate rejects a tampered
-pivot block or solve.  Peeling the entries read off the facet tables pairs
-the same pivots as the dense peel in ``dict_oracle``, on both sides of
-every boundary matrix; the one peel on the tall side pairs as many as
-either side; and the level-by-level solve equals its row-by-row one.  On
+over Python integers past 2^63, equals E - B X with X from the row-by-row
+solve in ``dict_oracle``, and is peeled again while it holds a unit pivot;
+its certificate rejects a tampered pivot block or solve, and its cap
+counts the nonzeros of X and S as they are made.  Peeling the entries
+read off the facet tables pairs the same pivots as the dense peel in
+``dict_oracle``, on both sides of every boundary matrix, and the peel on
+the tall side pairs as many as either side.  On
 every signed-graph ∂_k of the corpus, its subdivisions, RP^2, the pinched
 torus, the 7-vertex torus, M^2, M^3, complexes with boundary and a
 disconnected one, the spanning-forest reduction gives the rank and
@@ -45,7 +47,6 @@ from cyclecover.homology import (
     HomologyGroup,
     _boundary_entries,
     _check_composite,
-    _forward_substitute,
     _peel,
     _peeled_entries,
     _schur,
@@ -381,10 +382,15 @@ def entries(m):
     return m.shape, r, c, m[r, c]
 
 
-def schur(m, rows, cols):
-    """``_schur`` of the pivot block m[rows, cols] of the dense matrix m."""
-    return _schur(*entries(m), np.array(rows, dtype=np.intp),
-                  np.array(cols, dtype=np.intp))
+def schur(m, rows, cols, cap=None, solved=0):
+    """``_schur`` of the pivot block m[rows, cols] of the dense matrix m, its
+    entries made dense: S on its nonzero rows and columns."""
+    shape, r, c, v, _ = _schur(*entries(m), np.array(rows, dtype=np.intp),
+                               np.array(cols, dtype=np.intp), cap,
+                               "the matrix", solved)
+    s = np.zeros(shape, dtype=object)
+    s[r, c] = v
+    return s
 
 
 def assert_reduction_matches(m):
@@ -552,73 +558,74 @@ def test_forest_reduction_reads_the_components():
             for k in range(4)] == [False, False, True, False]
 
 
-def solve_arguments(m, rows, cols):
-    """The arguments of ``_forward_substitute`` for the pivot block
-    P = M[rows, cols] of the dense matrix m: P's strictly lower entries
-    (row, col, value) and diagonal, and the block A of the other columns."""
+def dense_schur(m, rows, cols):
+    """The oracle S = E - B X for the pivot block P = m[rows, cols] of the
+    dense matrix m, with X = P^-1 A from ``dict_oracle.forward_substitute``,
+    on the nonzero rows and columns of S."""
     m = np.asarray(m)
     block = m[np.ix_(rows, cols)]
     row, col = np.nonzero(np.tril(block, -1))
-    others = np.setdiff1d(np.arange(m.shape[1]), cols)
-    return (row, col, block[row, col], np.diagonal(block).copy(),
-            m[np.ix_(rows, others)])
+    other_rows = np.setdiff1d(np.arange(m.shape[0]), rows)
+    other_cols = np.setdiff1d(np.arange(m.shape[1]), cols)
+    x = dict_oracle.forward_substitute(row, col, block[row, col],
+                                       np.diagonal(block).copy(),
+                                       m[np.ix_(rows, other_cols)])
+    s = (m[np.ix_(other_rows, other_cols)].astype(object)
+         - m[np.ix_(other_rows, cols)].astype(object) @ x.astype(object))
+    return s[np.ix_(np.count_nonzero(s, axis=1) > 0,
+                    np.count_nonzero(s, axis=0) > 0)]
 
 
-def assert_level_solve_matches(*arguments):
-    got = _forward_substitute(*arguments)
-    want = dict_oracle.forward_substitute(*arguments)
+def assert_schur_matches(m, rows, cols):
+    got, want = schur(m, rows, cols), dense_schur(m, rows, cols)
     assert got.shape == want.shape and got.tolist() == want.tolist()
     return got
 
 
-def test_level_solve_equals_row_by_row_solve():
+def test_column_solve_equals_dense_schur_complement():
     rng = np.random.default_rng(15)
-    solved = 0
+    made = 0
     for _ in range(300):
         m = planted_unit_pivots(rng)
         rows, cols = _peel(*entries(m))
-        solved += assert_level_solve_matches(
-            *solve_arguments(m, rows, cols)).size
-    assert solved >= 1000
+        made += assert_schur_matches(m, rows, cols).size
+    assert made >= 1000
 
 
-def test_level_solve_on_wide_levels():
-    # 4 levels of 30 rows: each row reads up to 4 rows of the levels below
+def test_column_solve_on_wide_levels():
+    # 4 levels of 30 pivot rows: each row reads up to 4 rows of the levels
+    # below, beside 5 columns of A and 3 rows of B
     rng = np.random.default_rng(16)
-    width, depth, q = 30, 4, 5
+    width, depth, q, extra = 30, 4, 5, 3
     p = width * depth
-    row, col = [], []
+    m = np.zeros((p + extra, p + q), dtype=np.int64)
     for i in range(width, p):
         below = i // width * width
         for j in rng.choice(below, size=min(4, below), replace=False):
-            row.append(i)
-            col.append(int(j))
-    row, col = np.array(row), np.array(col)
-    value = rng.choice([-3, -2, -1, 1, 2, 3], size=len(row))
-    diag = rng.choice([-1, 1], size=p)
-    a = rng.integers(-5, 6, size=(p, q))
-    x = assert_level_solve_matches(row, col, value, diag, a)
-    # P X = A, with P put together densely
-    full = np.zeros((p, p), dtype=np.int64)
-    full[row, col] = value
-    full[np.arange(p), np.arange(p)] = diag
-    assert np.array_equal(full @ x, a)
+            m[i, j] = rng.choice([-3, -2, -1, 1, 2, 3])
+    m[np.arange(p), np.arange(p)] = rng.choice([-1, 1], size=p)
+    m[:p, p:] = rng.integers(-5, 6, size=(p, q))
+    m[p:] = rng.integers(-2, 3, size=(extra, p + q)) * (
+        rng.random((extra, p + q)) < 0.2)
+    s = assert_schur_matches(m, range(p), range(p))
+    assert s.shape == (extra, q)
 
 
-def test_level_solve_past_2_63():
+def test_column_solve_past_2_63():
     # the pivot blocks of the three tests whose Schur complements pass 2^63
     k = 2 ** 30
     chain = np.array([[1, 0, 0, k], [k, 1, 0, 0], [0, k, 1, 0], [0, 0, 1, 0]])
-    assert_level_solve_matches(*solve_arguments(chain, [0, 1, 2], [0, 1, 2]))
+    assert_schur_matches(chain, [0, 1, 2], [0, 1, 2])
     big = np.array([[2 ** 40, 1], [3, 2 ** 40]])
-    assert_level_solve_matches(*solve_arguments(big, [0], [1]))
+    assert_schur_matches(big, [0], [1])
     p = 7
-    m = np.zeros((p, p + 3), dtype=np.int64)
+    m = np.zeros((p + 1, p + 3), dtype=np.int64)
     m[np.arange(p), np.arange(p)] = [1, -1, 1, 1, -1, 1, -1]
     m[np.arange(1, p), np.arange(p - 1)] = -2 ** 20
-    m[:, p:] = np.random.default_rng(5).integers(1, 4, size=(p, 3))
-    x = assert_level_solve_matches(*solve_arguments(m, range(p), range(p)))
-    assert x.dtype == object and max(abs(v) for v in x.flat) > 2 ** 120
+    m[:p, p:] = np.random.default_rng(5).integers(1, 4, size=(p, 3))
+    m[p, p - 1] = 1
+    s = assert_schur_matches(m, range(p), range(p))
+    assert s.dtype == object and max(abs(v) for v in s.flat) > 2 ** 120
 
 
 def test_reduction_schur_complement_past_2_31_is_exact():
@@ -684,11 +691,56 @@ def test_schur_complement_rejects_a_pivot_block_that_is_not_triangular():
 def test_schur_complement_rejects_a_wrong_solve(monkeypatch):
     m = boundary_matrices(corpus.octahedron()[0])[2]
     rows, cols = _peel(*entries(m))
-    solve = homology_module._forward_substitute
-    monkeypatch.setattr(homology_module, "_forward_substitute",
-                        lambda *args: solve(*args) + 1)
+    solve = homology_module._solve_column
+    monkeypatch.setattr(homology_module, "_solve_column", lambda *args: {
+        k: x_k + 1 for k, x_k in solve(*args).items()})
     with pytest.raises(AssertionError, match="P X != A"):
         schur(m, rows, cols)
+
+
+def test_schur_complement_is_peeled_again_while_it_holds_a_unit_pivot():
+    # one peel pairs row 0 with column 1 and leaves S = [[-1, 0], [0, 3]],
+    # whose -1 a second round pairs: p counts the pivots of both rounds
+    m = np.array([[1, 1, 0], [1, 2, 0], [0, 0, 3]])
+    rows, cols = _peel(*entries(m))
+    assert (rows, cols) == ([0], [1])
+    assert schur(m, rows, cols).tolist() == [[-1, 0], [0, 3]]
+    pivots, got = assert_reduction_matches(m)
+    assert (pivots, got.divisors) == (2, [3])
+
+
+def test_schur_complement_caps_the_nonzeros_of_x_and_s():
+    # three unit pivots beside a column of ones: X is that column, and S
+    # is empty
+    m = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    assert schur(m, range(3), range(3), cap=3).size == 0
+    with pytest.raises(CapExceededError, match=(
+            "X = P\\^-1 A beside the 3 unit pivots of the matrix, 3 nonzero "
+            "entries so far, over the cap of 2")):
+        schur(m, range(3), range(3), cap=2)
+    # a pivot 1 beside a row and a column of q ones: X has q nonzeros, one
+    # per column, and S = -(ones) has q^2; each cap counts as they are made
+    q = 3
+    m = np.ones((q + 1, q + 1), dtype=np.int64)
+    m[1:, 1:] = 0
+    assert schur(m, [0], [0], cap=q * q).tolist() == [[-1] * q] * q
+    with pytest.raises(CapExceededError, match=(
+            "the Schur complement of the matrix beside the 1 unit pivots, 6 "
+            "nonzero entries so far, over the cap of 5")):
+        schur(m, [0], [0], cap=5)
+    # X's nonzeros of earlier rounds count towards the cap
+    schur(m, [0], [0], cap=9, solved=6)
+    with pytest.raises(CapExceededError, match="10 nonzero entries so far"):
+        schur(m, [0], [0], cap=9, solved=7)
+    # peeling this matrix makes 4 nonzeros of X in its first round, beside
+    # an S of 3, and 1 in its second, beside the 1 unit pivot of that S
+    m = np.array([[2, -1, 0, 1], [0, 2, 0, 0], [0, 0, 2, -1], [0, 0, 1, -1]])
+    pivots, s = _peeled_entries(*entries(m), 5, "the matrix")
+    assert (pivots, s.tolist()) == (3, [[4]])
+    with pytest.raises(CapExceededError, match=(
+            "X = P\\^-1 A beside the 1 unit pivots of the matrix, 5 nonzero "
+            "entries so far, over the cap of 4")):
+        _peeled_entries(*entries(m), 4, "the matrix")
 
 
 # ---------------------------------------------------------------------------
