@@ -36,9 +36,8 @@ from .certificate import (
     template_is_connected,
     template_is_surface,
 )
-from .covering import (DEFAULT_MAX_CELLS, build_component, build_full, holonomy,
-                       verify_covering)
-from .errors import TopologyError, check_cap
+from .covering import build_component, build_full, holonomy, verify_covering
+from .errors import DEFAULT_MAX_CELLS, TopologyError, check_cap
 from .homology import homology
 from .permutahedron import check_template_size, flag_template
 from .pseudomanifold import (

@@ -51,7 +51,8 @@ from math import prod
 import numpy as np
 
 from .cells import PermutahedralComplex
-from .errors import CapExceededError, InconsistentGluingError, NotACoveringError, check_cap
+from .errors import (DEFAULT_MAX_CELLS, InconsistentGluingError, NotACoveringError,
+                     check_cap)
 from .involutions import (
     canonical_involution,
     compatible_rows,
@@ -62,7 +63,6 @@ from .permutahedron import mask_elements, proper_subsets
 from .pseudomanifold import ColoredPseudomanifold, lowest_labels
 from .tomei import generators
 
-DEFAULT_MAX_CELLS = 10 ** 6
 _ORBIT_CHUNK = 4096  # frontier tuples crossed at once; the cap is checked after each
 
 
@@ -240,10 +240,8 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
         conj.update(((w, gamma), index[a:b]) for w, a, b in zip(above, stops, stops[1:]))
     sizes = [len(c) for c in closures]
     total = prod(sizes)
-    if total > np.iinfo(np.int64).max:
-        raise CapExceededError(
-            f"tuple codes need {total} values, the product of the slot closure "
-            f"sizes, more than int64 holds", np.iinfo(np.int64).max, total)
+    check_cap("the int64 tuple code range, the product of the slot closure sizes,",
+              total, "codes", int(np.iinfo(np.int64).max))
     _check_compatible(cp, closures)
     size = np.array(sizes, dtype=np.int64)
     radix = np.append(np.cumprod(size[:0:-1])[::-1], 1)
@@ -276,9 +274,9 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
             crossed = cross(frontier[start:start + _ORBIT_CHUNK])
             index, ids, number, first = _number_new(index, ids, crossed.ravel(),
                                                     len(ids))
-            if max_cells is not None and 2 * len(ids) > max_cells:
-                raise CapExceededError(f"component exceeded {max_cells} cells",
-                                       max_cells, max_cells)
+            if max_cells is not None:
+                check_cap("the cover component", 2 * len(ids), "cells at least, two "
+                          "per tuple of the seed's orbit so far", max_cells)
             row = np.empty((len(crossed), slots), dtype=np.int32)
             row[:] = np.arange(done, done + len(crossed))[:, None]
             row[:, moving] = number.reshape(crossed.shape)
@@ -510,9 +508,8 @@ def build_component(cp: ColoredPseudomanifold,
         entry = entry[number[unseen] == position]
         frontier = crossed[entry]
         lift = lift[entry // slots] ^ gen[entry % slots]
-        if count + frontier.size > max_cells:
-            raise CapExceededError(
-                f"component exceeded {max_cells} cells", max_cells, max_cells)
+        check_cap("the cover component", count + frontier.size,
+                  "cells at least, one per pair numbered so far", max_cells)
         number[frontier] = np.arange(count, count + frontier.size, dtype=np.int32)
         count += frontier.size
         levels.append(frontier)
@@ -521,9 +518,7 @@ def build_component(cp: ColoredPseudomanifold,
     t, sigma = np.divmod(np.concatenate(levels), cp.top_count)
     cover = _cover(reg, t, sigma, np.concatenate(lifts),
                    np.concatenate(rows), True)
-    if cover.num_cells > max_cells:
-        raise CapExceededError(
-            f"component exceeded {max_cells} cells", max_cells, max_cells)
+    check_cap("the cover component", cover.num_cells, "cells", max_cells)
     return cover
 
 

@@ -1,8 +1,11 @@
 """Exceptions shared across the package.
 
 Every error that aborts a construction carries a witness: enough data to
-reproduce the failure by hand on small inputs.
+reproduce the failure by hand on small inputs.  A cap refusal carries the
+count it reached: ``check_cap`` is where every one is decided and worded.
 """
+
+DEFAULT_MAX_CELLS = 10 ** 6
 
 
 class TopologyError(Exception):
@@ -30,7 +33,8 @@ class InconsistentGluingError(TopologyError):
 
 
 class CapExceededError(TopologyError):
-    """A cell enumeration grew past the configured cap."""
+    """A count passed its cap: ``reached`` is the count, more than
+    ``cap``, that the message prints."""
 
     def __init__(self, message: str, cap: int, reached: int):
         super().__init__(message)
@@ -39,7 +43,9 @@ class CapExceededError(TopologyError):
 
 
 def check_cap(what: str, size: int, unit: str, cap: int) -> None:
-    """Refuse a size over the cap, known before anything of that size is built."""
+    """Refuse ``size`` ``unit`` of ``what`` over ``cap``, a size known in
+    closed form before anything of it is built or a count reached as it is
+    made."""
     if size > cap:
         raise CapExceededError(
             f"{what} has {size} {unit}, more than the cap {cap}", cap, size)

@@ -55,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError
-from .pseudomanifold import (AbstractComplex, FacetTable, _induced_signs,
-                             lowest_labels_of_edges, orient)
+from .errors import DEFAULT_MAX_CELLS, check_cap
+from .pseudomanifold import (AbstractComplex, FacetTable, lowest_labels_of_edges,
+                             orient)
 
 @dataclass
 class SmithForm:
@@ -248,7 +248,7 @@ def _solve_column(column: dict, p: int, diag: list, below: list) -> dict:
 
 
 def _schur(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray,
-           rows: np.ndarray, cols: np.ndarray, cap: int | None, name: str,
+           rows: np.ndarray, cols: np.ndarray, cap: int, name: str,
            solved: int) -> tuple:
     """The Schur complement S of the pivot block P = M[rows, cols] of the
     matrix M with entries (r, c, v), as its shape and entries on its
@@ -300,38 +300,28 @@ def _schur(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray,
         if {k: value for k, value in got.items() if value} != want:
             raise AssertionError("pivot solve verification failed: P X != A")
         solved += len(x)
-        _check_cap(f"X = P^-1 A beside the {p} unit pivots of {name}",
-                   solved, "nonzero entries so far", cap)
+        check_cap(f"X = P^-1 A beside the {p} unit pivots of {name}",
+                  solved, "nonzero entries so far", cap)
         s += [(row, col, value) for row, value in column.items() if value]
-        _check_cap(f"the Schur complement of {name} beside the {p} unit "
-                   f"pivots", len(s), "nonzero entries so far", cap)
+        check_cap(f"the Schur complement of {name} beside the {p} unit pivots",
+                  len(s), "nonzero entries so far", cap)
     r, c, v = zip(*s) if s else ((), (), ())
     rows, r = np.unique(np.array(r, dtype=np.intp), return_inverse=True)
     cols, c = np.unique(np.array(c, dtype=np.intp), return_inverse=True)
     return (len(rows), len(cols)), r, c, np.array(v, dtype=object), solved
 
 
-def _check_cap(what: str, count: int, unit: str, cap: int | None) -> None:
-    """Refuse ``count`` entries of ``what`` over ``cap``."""
-    if cap is not None and count > cap:
-        raise CapExceededError(
-            f"homology needs {what}, {count} {unit}, over the cap of {cap}",
-            cap, count)
-
-
-def _check_transform(shape: tuple[int, int], cap: int | None,
-                     name: str) -> None:
+def _check_transform(shape: tuple[int, int], cap: int, name: str) -> None:
     """Refuse a Schur complement of ``shape`` whose larger square Smith
     transform has more entries than ``cap``."""
     side = max(shape)
-    _check_cap(f"a Smith transform of the {shape[0]} x {shape[1]} "
-               f"Schur complement of {name}, {side} x {side}", side * side,
-               "entries", cap)
+    check_cap(f"the {side} x {side} Smith transform of the {shape[0]} x "
+              f"{shape[1]} Schur complement of {name}", side * side, "entries",
+              cap)
 
 
 def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
-                    v: np.ndarray, cap: int | None,
-                    name: str) -> tuple[int, np.ndarray]:
+                    v: np.ndarray, cap: int, name: str) -> tuple[int, np.ndarray]:
     """The number p of unit pivots peeled from the matrix with entries
     (r, c, v) and the Schur complement S left, with its zero rows and
     columns dropped.  Each round peels the tall side, the swapped entries
@@ -356,7 +346,7 @@ def _peeled_entries(shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
     return pivots, s
 
 
-def _signed_graph_entries(tables: list[FacetTable], k: int, cap: int | None,
+def _signed_graph_entries(tables: list[FacetTable], k: int, cap: int,
                           name: str) -> tuple[int, np.ndarray] | None:
     """What ``_peeled_entries`` returns, p and S, for a ∂_k that is the
     incidence matrix of a signed graph, read off the facet tables; else
@@ -370,7 +360,7 @@ def _signed_graph_entries(tables: list[FacetTable], k: int, cap: int | None,
     (k-1)-faces in two of them its edges and those in one half-edges, and
     its components and signs are the facet table's ``dual_components``.  A
     component is unbalanced when the signs of the two k-faces at an edge
-    induce the same sign on it.  Switched by the signs, the forest, rooted
+    induce the same sign on it (``FacetTable.agreeing``).  Switched by the signs, the forest, rooted
     at a half-edge where the component has one, pairs each node but the
     roots of the other components with a unit pivot, and the edges off it
     leave a 2 at each such root of an unbalanced component: S is
@@ -389,12 +379,9 @@ def _signed_graph_entries(tables: list[FacetTable], k: int, cap: int | None,
         return None
     label, sign = table.dual_components
     count = len(table.tops)
-    two = table.neighbor >= 0
-    induced = _induced_signs(table, sign)
-    agree = two & (induced == induced[table.neighbor, table.position])
     half, unbalanced = np.zeros((2, count), dtype=bool)
-    half[label[~two.all(axis=1)]] = True
-    unbalanced[label[agree.any(axis=1)]] = True
+    half[label[(table.neighbor < 0).any(axis=1)]] = True
+    unbalanced[label[table.agreeing(sign).any(axis=1)]] = True
     closed = (label == np.arange(count)) & ~half
     twos = int(np.count_nonzero(closed & unbalanced))
     _check_transform((twos, twos), cap, name)
@@ -473,7 +460,7 @@ class HomologyGroup:
 
 
 def homology(c: AbstractComplex,
-             max_entries: int | None = None) -> list[HomologyGroup]:
+             max_entries: int = DEFAULT_MAX_CELLS) -> list[HomologyGroup]:
     """Integral homology groups in dimensions 0..n.
 
     No boundary matrix is made.  A ∂_k that is a signed graph is reduced
@@ -481,12 +468,12 @@ def homology(c: AbstractComplex,
     in arrays of the size of its entries; its S is diag(2, ..., 2), one 2
     per unbalanced component without a half-edge.  Every other ∂_k is
     peeled from its (k + 1) x |k-faces| entries, round by round, and only
-    the last S is made dense, for its Smith form.  With ``max_entries``,
-    CapExceededError is raised when a ∂_k has more nonzero entries, from
-    ∂_n down, each before the facet table of its k-faces is built, so a
-    refusal builds no level below the refused one; when the nonzeros of X,
-    over the columns and rounds of a peeled ∂_k, or those of an S would, as
-    they are made; and when the larger square Smith transform of S would,
+    the last S is made dense, for its Smith form.  ``check_cap`` refuses,
+    with CapExceededError, a ∂_k with more nonzero entries than
+    ``max_entries``, from ∂_n down, each before the facet table of its
+    k-faces is built, so a refusal builds no level below the refused one;
+    the nonzeros of X, over the columns and rounds of a peeled ∂_k, or those
+    of an S, as they are made; and the larger square Smith transform of S,
     before the diagonal S of a signed graph is made, and before any other
     S is made dense.
     ∂_(k-1) ∂_k = 0 is checked on the facet tables just before ∂_k is
@@ -494,8 +481,8 @@ def homology(c: AbstractComplex,
     """
     levels, faces = c.facet_levels(), len(c.tops)
     for k in range(c.n, 0, -1):
-        _check_cap(f"the boundary matrix ∂_{k} of the {faces} {k}-faces",
-                   (k + 1) * faces, "nonzero entries", max_entries)
+        check_cap(f"the boundary matrix ∂_{k} of the {faces} {k}-faces",
+                  (k + 1) * faces, "nonzero entries", max_entries)
         faces = len(next(levels).facets)
     tables = c.facet_tables
     ranks, torsion = [], []

@@ -184,10 +184,13 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
     report["q_formula"] = predicted_multiplicity(bundle, counts)
     report["involution_counts"] = [[list(mask_elements(w)), c]
                                    for w, c in zip(subsets, counts)]
-    with all_digits():  # a count can run to thousands of digits
-        detail = ", ".join(f"{mask_elements(w)}:{c}"
-                           for w, c in zip(subsets, counts))
-    yield all(counts), detail
+    # a count can run to thousands of digits: over 100 it is written as its
+    # digit count, and report.json keeps it in full
+    with all_digits():
+        digits = [str(c) for c in counts]
+    yield all(counts), ", ".join(
+        f"{mask_elements(w)}:" + (d if len(d) <= 100 else f"<{len(d)} digits>")
+        for w, d in zip(subsets, digits))
 
     # the full cover set's claim when it fits the cap, else the component's
     full = bundle.top_count * report["q_formula"] <= max_cells

@@ -151,6 +151,15 @@ class FacetTable:
         label.flags.writeable = sign.flags.writeable = False
         return label, sign
 
+    def agreeing(self, signs: np.ndarray) -> np.ndarray:
+        """``out[t, j]``: the two tops at the facet of t that drops j,
+        signed by ``signs``, fail to induce opposite signs on it; False
+        where the facet lies in one top."""
+        parity = 1 - 2 * (np.arange(self.tops.shape[1]) % 2)
+        induced = signs[:, None] * parity
+        return ((self.neighbor >= 0)
+                & (induced + induced[self.neighbor, self.position] != 0))
+
 
 def group_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of a nonnegative integer array (entries
@@ -401,12 +410,6 @@ def check_regular_coloring(c: AbstractComplex, coloring) -> bool:
 # ---------------------------------------------------------------------------
 # bipartition and orientation
 
-def _induced_signs(table: FacetTable, signs: np.ndarray) -> np.ndarray:
-    """``out[t, j]``: the sign top t induces on the facet dropping j."""
-    parity = 1 - 2 * (np.arange(table.tops.shape[1]) % 2)
-    return signs[:, None] * parity
-
-
 def orient(c: AbstractComplex) -> list[int]:
     """Coherent orientation by sign propagation over the dual graph.
 
@@ -422,8 +425,7 @@ def orient(c: AbstractComplex) -> list[int]:
     if (table.counts != 2).any():
         raise ValueError("orient requires every facet in exactly two top simplices")
     _, signs = table.dual_components
-    induced = _induced_signs(table, signs)
-    agree = induced == induced[table.neighbor, table.position]
+    agree = table.agreeing(signs)
     if agree.any():
         facet, i, other = _witness(table, agree)
         raise NonOrientableError(
@@ -485,8 +487,7 @@ def is_coherent_orientation(c: AbstractComplex, signs) -> bool:
     signs = np.asarray(signs, dtype=np.int64)
     if (table.counts != 2).any() or signs.shape != (len(table.tops),):
         return False
-    induced = _induced_signs(table, signs)
-    return bool((induced + induced[table.neighbor, table.position] == 0).all())
+    return not table.agreeing(signs).any()
 
 
 # ---------------------------------------------------------------------------

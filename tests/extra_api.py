@@ -5,9 +5,11 @@ the template flag of each top of a triangulation, a cover's cells as
 triples and its tuples as involutions, loaders for
 cell-complex and cover documents, the facet-dual graph and its DOT export,
 the suspended cycle, suspensions, joins of spheres, the pinched torus,
-the 7-vertex torus, cycles, and the benchmark's input generators."""
+the 7-vertex torus, cycles, the benchmark's input generators, and the
+reading of a cap refusal."""
 
 import importlib.util
+import re
 from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
@@ -327,3 +329,13 @@ def benchmark_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def refusal(e) -> tuple[int, int]:
+    """The cap and the count reached of a ``CapExceededError``, checked:
+    the count is over the cap, and both are the numbers its message
+    prints."""
+    assert e.reached > e.cap
+    assert re.fullmatch(rf".* has {e.reached} .*, more than the cap {e.cap}",
+                        str(e)), str(e)
+    return e.cap, e.reached

@@ -196,7 +196,8 @@ def test_boundary_delta4_report_matches_under_a_small_cap(monkeypatch):
     assert factored[:2] == oracle[:2]
     assert factored[2].entries[-1] == {
         "claim": "cover component built and closed under crossings",
-        "status": "fail", "detail": "component exceeded 1000 cells"}
+        "status": "fail", "detail": "the cover component has 1484 cells at "
+        "least, two per tuple of the seed's orbit so far, more than the cap 1000"}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -21,7 +21,7 @@ import pytest
 
 import dict_oracle
 from dict_oracle import in_cover_set
-from extra_api import CoverCell, benchmark_inputs, cover_cells
+from extra_api import CoverCell, benchmark_inputs, cover_cells, refusal
 from cyclecover import corpus, covering, formats
 from cyclecover.cells import (
     PermutahedralComplex,
@@ -312,25 +312,46 @@ def test_subdivided_tetrahedron_component(sd3_component):
 
 
 def test_component_cap(octa_cp):
-    with pytest.raises(CapExceededError) as e:
+    # the octahedron's component has 8 pairs, which pass a cap of 8, and 16
+    # cells, which do not: refused once H is known
+    with pytest.raises(CapExceededError, match=(
+            "^the cover component has 16 cells, more than the cap 8$")) as e:
         build_component(octa_cp, max_cells=8)
-    assert e.value.cap == 8
+    assert refusal(e.value) == (8, 16)
 
 
 def test_component_cap_counts_orbit_tuples(sd3_cp):
     # the sd(boundary delta3) orbit has 9 tuples, each carried by a cell of
     # the component, so a cap of 5 is refused before any cell is numbered
-    with pytest.raises(CapExceededError, match="component exceeded 5 cells") as e:
+    with pytest.raises(CapExceededError, match=(
+            "^the cover component has 6 cells at least, two per tuple of the "
+            "seed's orbit so far, more than the cap 5$")) as e:
         build_component(sd3_cp, max_cells=5)
-    assert (e.value.cap, e.value.reached) == (5, 5)
+    assert refusal(e.value) == (5, 6)
 
 
 def test_subdivided_boundary_delta4_exceeds_cap():
+    # its orbit of 2916 tuples passes a cap of 20000; the pairs do not, and
+    # are refused on the level that takes them past it
     bundle, _ = colored_from_complex(corpus.boundary_delta(4))
-    with pytest.raises(CapExceededError) as e:
+    with pytest.raises(CapExceededError, match=(
+            "^the cover component has 25593 cells at least, one per pair "
+            "numbered so far, more than the cap 20000$")) as e:
         build_component(bundle, max_cells=20000)
-    assert e.value.cap == 20000
-    assert e.value.reached == 20000
+    assert refusal(e.value) == (20000, 25593)
+
+
+def test_north_star_component_is_refused_on_its_cells():
+    # sd(boundary delta4): its 349,920 pairs pass the default cap, and its
+    # 1,399,680 cells, four over each pair, are refused once H is known
+    bundle, _ = colored_from_complex(corpus.boundary_delta(4))
+    for cap in (DEFAULT_MAX_CELLS, 1399679):
+        with pytest.raises(CapExceededError, match=(
+                f"^the cover component has 1399680 cells, more than the cap "
+                f"{cap}$")) as e:
+            build_component(bundle, max_cells=cap)
+        assert refusal(e.value) == (cap, 1399680)
+    assert build_component(bundle, max_cells=1399680).num_cells == 1399680
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +398,7 @@ def test_full_octahedron_is_closed_but_disconnected(octa_full):
 def test_full_cover_cap(octa_cp):
     with pytest.raises(CapExceededError) as e:
         build_full(octa_cp, max_cells=500)
-    assert e.value.cap == 500
-    assert e.value.reached == 1024
+    assert refusal(e.value) == (500, 1024)
 
 
 def test_builds_are_deterministic(hex_cp, octa_cp):

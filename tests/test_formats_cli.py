@@ -426,8 +426,8 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     # the caps are checked from ∂_3 down: the first refused is the highest
     assert captured.err == (
-        "check failed: homology needs the boundary matrix ∂_3 of the 1152 "
-        "3-faces, 4608 nonzero entries, over the cap of 1000\n")
+        "check failed: the boundary matrix ∂_3 of the 1152 3-faces has 4608 "
+        "nonzero entries, more than the cap 1000\n")
     # the octahedron cover component triangulates into 88 vertices, 288
     # edges and 192 triangles: ∂_1 and ∂_2 have 2 x 288 = 3 x 192 = 576
     # nonzero entries, and both are signed graphs, reduced without peeling
@@ -437,8 +437,8 @@ def test_homology_over_cap_allocates_no_matrix(tmp_path, monkeypatch, capsys):
     assert main(["homology", "--input", str(path), "--max-cells", "576"]) == 0
     assert main(["homology", "--input", str(path), "--max-cells", "575"]) == 1
     assert capsys.readouterr().err == (
-        "check failed: homology needs the boundary matrix ∂_2 of the 192 "
-        "2-faces, 576 nonzero entries, over the cap of 575\n")
+        "check failed: the boundary matrix ∂_2 of the 192 2-faces has 576 "
+        "nonzero entries, more than the cap 575\n")
     # homology makes no dense boundary matrix, on a passing run either
     assert not calls
 
@@ -462,8 +462,8 @@ def test_homology_cap_is_the_largest_boundary_matrix(tmp_path, capsys):
     assert capsys.readouterr() == (M3_HOMOLOGY, "")
     assert main(["homology", "--input", str(path), "--max-cells", "6911"]) == 1
     assert capsys.readouterr() == ("", (
-        "check failed: homology needs the boundary matrix ∂_2 of the 2304 "
-        "2-faces, 6912 nonzero entries, over the cap of 6911\n"))
+        "check failed: the boundary matrix ∂_2 of the 2304 2-faces has 6912 "
+        "nonzero entries, more than the cap 6911\n"))
 
 
 def eulerian(n: int, i: int) -> int:
@@ -522,9 +522,8 @@ def test_homology_of_m4_is_the_permutahedron_h_vector(tmp_path):
     # made (2.8 s)
     done, seconds = homology_in_child(path, "--max-cells", "500000")
     assert (done.returncode, done.stdout, done.stderr) == (1, "", (
-        "check failed: homology needs X = P^-1 A beside the 69050 unit "
-        "pivots of ∂_3, 500179 nonzero entries so far, over the cap of "
-        "500000\n"))
+        "check failed: X = P^-1 A beside the 69050 unit pivots of ∂_3 has "
+        "500179 nonzero entries so far, more than the cap 500000\n"))
     assert seconds < 30
 
 
@@ -536,8 +535,8 @@ def test_homology_refuses_a_high_simplex_boundary_at_once(tmp_path):
     formats.write_json(formats.complex_to_dict(corpus.boundary_delta(23)), path)
     done, seconds = homology_in_child(path)
     assert (done.returncode, done.stdout, done.stderr) == (1, "", (
-        "check failed: homology needs the boundary matrix ∂_17 of the 134596 "
-        "17-faces, 2422728 nonzero entries, over the cap of 1000000\n"))
+        "check failed: the boundary matrix ∂_17 of the 134596 17-faces has "
+        "2422728 nonzero entries, more than the cap 1000000\n"))
     assert seconds < 2
 
 
@@ -558,11 +557,13 @@ def test_homology_refuses_smith_transforms_over_the_cap(tmp_path, monkeypatch,
         return genuine(s)
 
     monkeypatch.setattr(homology_module, "_peel", lambda *entries: ([], []))
+    assert main(["homology", "--input", str(path), "--max-cells", "400"]) == 0
+    assert capsys.readouterr() == ("H_0 = Z\nH_1 = 0\nH_2 = 0\nH_3 = 0\nH_4 = Z\n", "")
     monkeypatch.setattr(homology_module, "smith_normal_form", empty_only)
     assert main(["homology", "--input", str(path), "--max-cells", "399"]) == 1
     assert capsys.readouterr() == ("", (
-        "check failed: homology needs a Smith transform of the 20 x 15 Schur "
-        "complement of ∂_2, 20 x 20, 400 entries, over the cap of 399\n"))
+        "check failed: the 20 x 20 Smith transform of the 20 x 15 Schur "
+        "complement of ∂_2 has 400 entries, more than the cap 399\n"))
 
 
 def test_homology_refuses_the_diagonal_schur_complement_before_making_it(
@@ -590,9 +591,9 @@ def test_homology_refuses_the_diagonal_schur_complement_before_making_it(
     finally:
         tracemalloc.stop()
     assert capsys.readouterr() == ("", (
-        "check failed: homology needs a Smith transform of the 3000 x 3000 "
-        "Schur complement of ∂_2, 3000 x 3000, 9000000 entries, over the cap "
-        "of 90000\n"))
+        "check failed: the 3000 x 3000 Smith transform of the 3000 x 3000 "
+        "Schur complement of ∂_2 has 9000000 entries, more than the cap "
+        "90000\n"))
     assert peak < 36_000_000  # half of that array
 
 
@@ -830,15 +831,18 @@ def test_report_writes_a_q_past_the_int_to_string_limit(tmp_path, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert report["claims"][-1]["status"] == "fail"
-    assert "component exceeded 20000 cells" in report["claims"][-1]["detail"]
+    assert report["claims"][-1]["detail"] == (
+        "the cover component has 67058 cells at least, two per tuple of the "
+        "seed's orbit so far, more than the cap 20000")
     assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("mode", ["verify", "report"])
 def test_involution_counts_past_the_int_to_string_limit(tmp_path, capsys, mode):
     # sd(boundary of the 6-simplex) has involution counts of more than 4300
-    # digits, which the claim's detail writes in full; the run fails later,
-    # on the tuple codes, and the interpreter's cap is back when main returns
+    # digits, which the claim's detail writes as their digit counts and the
+    # report keeps in full; the run fails later, on the tuple codes, and the
+    # interpreter's cap is back when main returns
     source = tmp_path / "delta6.json"
     formats.write_json(formats.complex_to_dict(corpus.boundary_delta(6)), source)
     out = tmp_path / "report.json"
@@ -847,8 +851,11 @@ def test_involution_counts_past_the_int_to_string_limit(tmp_path, capsys, mode):
     assert sys.get_int_max_str_digits() == limit
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert "[   PASS] compatible involutions counted" in captured.out
-    assert "more than int64 holds" in captured.out
+    counted = next(line for line in captured.out.splitlines()
+                   if "compatible involutions counted" in line)
+    assert counted.startswith("[   PASS]") and len(counted) < 4096
+    assert "(1,):<5360 digits>" in counted
+    assert "more than the cap 9223372036854775807" in captured.out
     assert captured.out.endswith("overall: FAIL\n")
     assert out.with_suffix(".txt").exists() == (mode == "report")
     sys.set_int_max_str_digits(0)
@@ -857,16 +864,19 @@ def test_involution_counts_past_the_int_to_string_limit(tmp_path, capsys, mode):
     finally:
         sys.set_int_max_str_digits(limit)
     assert max(c for _, c in report["involution_counts"]) > 10 ** 4300
+    assert report["claims"][6]["detail"] == counted[counted.index("(") + 1:-1]
     last = report["claims"][-1]
     assert (last["claim"], last["status"]) == (
         "cover component built and closed under crossings", "fail")
-    assert "tuple codes need" in last["detail"]
+    assert last["detail"].startswith("the int64 tuple code range, the product "
+                                     "of the slot closure sizes, has ")
 
 
 def test_verify_cap_exceeded_fails(capsys):
     assert main(["verify", "--input", str(CORPUS_DIR / "boundary_delta4.json"),
                  "--max-cells", "20000"]) == 1
-    assert "exceeded" in capsys.readouterr().out
+    assert ("(the cover component has 25593 cells at least, one per pair "
+            "numbered so far, more than the cap 20000)") in capsys.readouterr().out
 
 
 def test_verify_env_cap(tmp_path, monkeypatch, capsys):

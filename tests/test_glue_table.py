@@ -17,6 +17,7 @@ from extra_api import (
     benchmark_inputs,
     cover_cells,
     pinched_torus,
+    refusal,
     suspended_cycle,
     torus7,
     tuple_values,
@@ -281,9 +282,11 @@ def test_join_c4_c10_cover_build():
 
 def test_join_c4_c10_orbit_exceeds_a_cap_below_its_tuples():
     # the orbit has 125 tuples, each carried by a cell of the component
-    with pytest.raises(CapExceededError, match="component exceeded 100 cells") as e:
+    with pytest.raises(CapExceededError, match=(
+            "^the cover component has 142 cells at least, two per tuple of "
+            "the seed's orbit so far, more than the cap 100$")) as e:
         build_component(cycle_join(4, 10), max_cells=100)
-    assert (e.value.cap, e.value.reached) == (100, 100)
+    assert refusal(e.value) == (100, 142)
 
 
 # ---------------------------------------------------------------------------

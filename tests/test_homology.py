@@ -38,11 +38,11 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs, disjoint_union, pinched_torus, torus7
+from extra_api import benchmark_inputs, disjoint_union, pinched_torus, refusal, torus7
 from cyclecover import corpus, formats
 from cyclecover.cells import triangulate
 from cyclecover.covering import build_component
-from cyclecover.errors import CapExceededError, NonOrientableError
+from cyclecover.errors import DEFAULT_MAX_CELLS, CapExceededError, NonOrientableError
 from cyclecover.homology import (
     HomologyGroup,
     _boundary_entries,
@@ -341,10 +341,22 @@ def test_refused_homology_builds_no_face_level_below_the_refused_one(monkeypatch
     c = corpus.boundary_delta(20)
     built = spy_on_facet_tables(monkeypatch)
     with pytest.raises(CapExceededError, match=(
-            "^homology needs the boundary matrix ∂_13 of the 116280 13-faces, "
-            "1627920 nonzero entries, over the cap of 1000000$")):
+            "^the boundary matrix ∂_13 of the 116280 13-faces has 1627920 "
+            "nonzero entries, more than the cap 1000000$")) as e:
         homology(c, max_entries=10 ** 6)
+    assert refusal(e.value) == (10 ** 6, 1627920)
     assert built == [(math.comb(21, k + 1), k + 1) for k in range(19, 13, -1)]
+
+
+def test_homology_without_a_cap_argument_refuses_at_the_default_cap():
+    # homology has no unbounded mode: its default cap is the command
+    # line's, so ∂Δ20 is refused on the same ∂_13 as at max_entries=10^6
+    with pytest.raises(CapExceededError) as default:
+        homology(corpus.boundary_delta(20))
+    with pytest.raises(CapExceededError) as explicit:
+        homology(corpus.boundary_delta(20), max_entries=10 ** 6)
+    assert str(default.value) == str(explicit.value)
+    assert refusal(default.value) == refusal(explicit.value) == (10 ** 6, 1627920)
 
 
 @pytest.mark.parametrize("c", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
@@ -382,7 +394,7 @@ def entries(m):
     return m.shape, r, c, m[r, c]
 
 
-def schur(m, rows, cols, cap=None, solved=0):
+def schur(m, rows, cols, cap=DEFAULT_MAX_CELLS, solved=0):
     """``_schur`` of the pivot block m[rows, cols] of the dense matrix m, its
     entries made dense: S on its nonzero rows and columns."""
     shape, r, c, v, _ = _schur(*entries(m), np.array(rows, dtype=np.intp),
@@ -397,7 +409,7 @@ def assert_reduction_matches(m):
     """The rank and divisors of m as ``homology`` reads them, off the p
     peeled pivots and the Smith form of the Schur complement S, against the
     Smith form of m itself; returns p and the Smith form of S."""
-    pivots, s = _peeled_entries(*entries(m), None, "the matrix")
+    pivots, s = _peeled_entries(*entries(m), DEFAULT_MAX_CELLS, "the matrix")
     got, want = smith_normal_form(s), smith_normal_form(m)
     assert pivots + got.rank == want.rank
     assert [1] * pivots + got.divisors == want.divisors
@@ -476,7 +488,7 @@ def test_tall_side_peels_as_many_pivots_as_either_side(c):
         shape, r, col, v = _boundary_entries(c.facet_tables, k)
         pivots = len(_peel(shape, r, col, v)[0])
         t_pivots = len(_peel(shape[::-1], col, r, v)[0])
-        p, _ = _peeled_entries(shape, r, col, v, None, f"∂_{k}")
+        p, _ = _peeled_entries(shape, r, col, v, DEFAULT_MAX_CELLS, f"∂_{k}")
         assert p == max(pivots, t_pivots)
         kept = shape[::-1] if t_pivots > pivots else shape
         assert max(shape) * (min(shape) - p) <= kept[0] * (kept[1] - p)
@@ -519,14 +531,14 @@ def test_forest_reduction_equals_peeling_on_signed_graphs(c):
     # reduced on a spanning forest; it has the rank and divisors that
     # peeling it and the Smith form of its Schur complement give
     for k, m in enumerate(boundary_matrices(c)):
-        got = _signed_graph_entries(c.facet_tables, k, None, f"∂_{k}")
+        got = _signed_graph_entries(c.facet_tables, k, DEFAULT_MAX_CELLS, f"∂_{k}")
         assert (got is not None) == ((np.count_nonzero(m, axis=0) <= 2).all()
                                      or (np.count_nonzero(m, axis=1) <= 2).all())
         if got is None:
             continue
         p, s = got
         want_p, want_s = _peeled_entries(*_boundary_entries(c.facet_tables, k),
-                                         None, f"∂_{k}")
+                                         DEFAULT_MAX_CELLS, f"∂_{k}")
         form, want = smith_normal_form(s), smith_normal_form(want_s)
         assert p + form.rank == want_p + want.rank
         assert [1] * p + form.divisors == [1] * want_p + want.divisors
@@ -546,15 +558,15 @@ def test_forest_reduction_reads_the_components():
     }
     for name, (k, pivots, twos) in cases.items():
         tables = SIGNED_GRAPH_COMPLEXES[name].facet_tables
-        p, s = _signed_graph_entries(tables, k, None, f"∂_{k}")
+        p, s = _signed_graph_entries(tables, k, DEFAULT_MAX_CELLS, f"∂_{k}")
         assert (p, s.tolist()) == (pivots, np.diag(twos).tolist()), name
     # a ∂_k that is no signed graph is peeled: an edge in three triangles,
     # and M^3's ∂_2, whose edges lie in 4 to 12 triangles; M^3's ∂_1 and
     # ∂_3 are signed graphs
     branching = AbstractComplex(2, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-    assert _signed_graph_entries(branching.facet_tables, 2, None, "∂_2") is None
+    assert _signed_graph_entries(branching.facet_tables, 2, DEFAULT_MAX_CELLS, "∂_2") is None
     m3 = SIGNED_GRAPH_COMPLEXES["tomei 3"].facet_tables
-    assert [_signed_graph_entries(m3, k, None, f"∂_{k}") is None
+    assert [_signed_graph_entries(m3, k, DEFAULT_MAX_CELLS, f"∂_{k}") is None
             for k in range(4)] == [False, False, True, False]
 
 
@@ -715,9 +727,10 @@ def test_schur_complement_caps_the_nonzeros_of_x_and_s():
     m = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
     assert schur(m, range(3), range(3), cap=3).size == 0
     with pytest.raises(CapExceededError, match=(
-            "X = P\\^-1 A beside the 3 unit pivots of the matrix, 3 nonzero "
-            "entries so far, over the cap of 2")):
+            "^X = P\\^-1 A beside the 3 unit pivots of the matrix has 3 "
+            "nonzero entries so far, more than the cap 2$")) as e:
         schur(m, range(3), range(3), cap=2)
+    assert refusal(e.value) == (2, 3)
     # a pivot 1 beside a row and a column of q ones: X has q nonzeros, one
     # per column, and S = -(ones) has q^2; each cap counts as they are made
     q = 3
@@ -725,22 +738,25 @@ def test_schur_complement_caps_the_nonzeros_of_x_and_s():
     m[1:, 1:] = 0
     assert schur(m, [0], [0], cap=q * q).tolist() == [[-1] * q] * q
     with pytest.raises(CapExceededError, match=(
-            "the Schur complement of the matrix beside the 1 unit pivots, 6 "
-            "nonzero entries so far, over the cap of 5")):
+            "^the Schur complement of the matrix beside the 1 unit pivots has "
+            "6 nonzero entries so far, more than the cap 5$")) as e:
         schur(m, [0], [0], cap=5)
+    assert refusal(e.value) == (5, 6)
     # X's nonzeros of earlier rounds count towards the cap
     schur(m, [0], [0], cap=9, solved=6)
-    with pytest.raises(CapExceededError, match="10 nonzero entries so far"):
+    with pytest.raises(CapExceededError, match="has 10 nonzero entries so far") as e:
         schur(m, [0], [0], cap=9, solved=7)
+    assert refusal(e.value) == (9, 10)
     # peeling this matrix makes 4 nonzeros of X in its first round, beside
     # an S of 3, and 1 in its second, beside the 1 unit pivot of that S
     m = np.array([[2, -1, 0, 1], [0, 2, 0, 0], [0, 0, 2, -1], [0, 0, 1, -1]])
     pivots, s = _peeled_entries(*entries(m), 5, "the matrix")
     assert (pivots, s.tolist()) == (3, [[4]])
     with pytest.raises(CapExceededError, match=(
-            "X = P\\^-1 A beside the 1 unit pivots of the matrix, 5 nonzero "
-            "entries so far, over the cap of 4")):
+            "^X = P\\^-1 A beside the 1 unit pivots of the matrix has 5 "
+            "nonzero entries so far, more than the cap 4$")) as e:
         _peeled_entries(*entries(m), 4, "the matrix")
+    assert refusal(e.value) == (4, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,9 @@ DEFECTS = {
     "full cover set built and closed under crossings":
         ("octahedron", full_build_capped, "1024 cells, more than the cap 100"),
     "cover component built and closed under crossings":
-        ("boundary_delta3", component_capped, "component exceeded 100 cells"),
+        ("boundary_delta3", component_capped,
+         "the cover component has 106 cells at least, one per pair numbered "
+         "so far, more than the cap 100"),
     "projection to the Tomei base is a covering":
         ("octahedron", flipped_g0_parity, "violates the parity constraint"),
     "cover triangulation is a closed pseudomanifold in every component":

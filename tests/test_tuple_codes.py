@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dict_oracle
-from extra_api import sphere_join, suspension, tuple_values
+from extra_api import refusal, sphere_join, suspension, tuple_values
 from cyclecover import corpus, covering
 from cyclecover.cli import main
 from cyclecover.covering import DEFAULT_MAX_CELLS, build_component, build_full
@@ -164,9 +164,11 @@ def test_orbit_is_not_always_the_product_of_the_slot_closures():
 
 def test_boundary_delta5_orbit_stops_at_the_cap():
     cp = colored_from_complex(corpus.boundary_delta(5))[0]
-    with pytest.raises(CapExceededError, match="component exceeded 100000 cells") as e:
+    with pytest.raises(CapExceededError, match=(
+            "^the cover component has 108054 cells at least, two per tuple of "
+            "the seed's orbit so far, more than the cap 100000$")) as e:
         build_component(cp, max_cells=100000)
-    assert (e.value.cap, e.value.reached) == (100000, 100000)
+    assert refusal(e.value) == (100000, 108054)
 
 
 def test_boundary_delta5_orbit_is_refused_in_little_memory():
@@ -176,12 +178,12 @@ def test_boundary_delta5_orbit_is_refused_in_little_memory():
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError,
-                           match="component exceeded 200000 cells") as e:
+                           match="^the cover component has 240422 cells") as e:
             seed_codes(cp, 200000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (e.value.cap, e.value.reached) == (200000, 200000)
+    assert refusal(e.value) == (200000, 240422)
     assert peak < 32 << 20
 
 
@@ -189,9 +191,11 @@ def test_orbit_is_refused_once_twice_its_size_passes_the_cap():
     # the component has at least two pairs on every orbit tuple, so the
     # 2916 tuples of sd(boundary delta4) need a cap of 5832 cells
     cp = colored_from_complex(corpus.boundary_delta(4))[0]
-    with pytest.raises(CapExceededError, match="component exceeded 5831 cells") as e:
+    with pytest.raises(CapExceededError, match=(
+            "^the cover component has 5832 cells at least, two per tuple of "
+            "the seed's orbit so far, more than the cap 5831$")) as e:
         seed_codes(cp, 5831)
-    assert (e.value.cap, e.value.reached) == (5831, 5831)
+    assert refusal(e.value) == (5831, 5832)
     assert seed_codes(cp, 5832).tuple_count == 2916
 
 
@@ -230,14 +234,22 @@ def widen_one_color_slots(monkeypatch, cp, rows: int) -> None:
     monkeypatch.setattr(covering, "_close_slot", widened)
 
 
+def test_tuple_codes_past_int64_reach_the_product_of_the_closures(monkeypatch):
+    cp = ColoredPseudomanifold(*corpus.octahedron())
+    widen_one_color_slots(monkeypatch, cp, 1 << 31)
+    with pytest.raises(CapExceededError) as e:
+        build_component(cp, max_cells=1000)
+    assert refusal(e.value) == (2 ** 63 - 1, 2 ** 93)
+
+
 @pytest.mark.parametrize("mode", ["cover", "verify"])
 def test_tuple_codes_past_int64_are_refused(mode, monkeypatch, capsys):
     # the octahedron's closures have one row each; three of 2^31 rows make
     # 2^93 codes, refused before any is made
     cp = ColoredPseudomanifold(*corpus.octahedron())
     widen_one_color_slots(monkeypatch, cp, 1 << 31)
-    message = (f"tuple codes need {2 ** 93} values, the product of the slot "
-               f"closure sizes, more than int64 holds")
+    message = (f"the int64 tuple code range, the product of the slot closure "
+               f"sizes, has {2 ** 93} codes, more than the cap {2 ** 63 - 1}")
     assert main([mode, "--input", str(CORPUS_DIR / "octahedron.json"),
                  "--max-cells", "1000"]) == 1
     out, err = capsys.readouterr()
@@ -249,7 +261,7 @@ def test_tuple_codes_past_int64_are_refused(mode, monkeypatch, capsys):
                                 "under crossings")
         assert claim.endswith(f"  ({message})")
         assert overall == "overall: FAIL"
-    assert "exceeded" not in out + err
+    assert "the cover component" not in out + err
 
 
 def test_full_build_closure_failure_is_the_failed_claim(monkeypatch, tmp_path,
