@@ -1,8 +1,8 @@
 """Command-line driver: parse the arguments, run one command, print it.
 
 Each subcommand's handler reads the namespace that ``build_parser``
-parses, in which ``main`` has resolved ``--max-cells`` (the flag, else
-``default_max_cells``) and refused a cap that is not positive.
+parses, in which ``main`` has refused a ``--max-cells`` cap that is not
+positive.
 
 Subcommands run one pipeline stage each; ``verify`` and ``report`` print
 the claims ledger of one input complex (``ledger.verify_pipeline``).
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from math import factorial
 from pathlib import Path
@@ -39,7 +38,7 @@ from .certificate import (
 from .covering import build_component, build_full, holonomy, verify_covering
 from .errors import DEFAULT_MAX_CELLS, TopologyError, check_cap
 from .homology import homology
-from .permutahedron import check_template_size, flag_template
+from .permutahedron import check_subdivision_size, check_template_size, flag_template
 from .pseudomanifold import (
     barycentric_subdivide,
     check_regular_coloring,
@@ -47,21 +46,6 @@ from .pseudomanifold import (
     validate_pseudomanifold,
 )
 from .tomei import build_tomei, glued_as_tomei
-
-MAX_CELLS_ENV = "REALIZER_MAX_CELLS"
-
-
-def default_max_cells() -> int:
-    raw = os.environ.get(MAX_CELLS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise ValueError(f"{MAX_CELLS_ENV} must be positive, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +74,7 @@ def _run_subdivide(config: argparse.Namespace) -> int:
     complex, _, _ = formats.load_complex(config.input)
     if not config.out:
         raise ValueError("subdivide requires --out")
+    check_subdivision_size(complex.n, len(complex.tops), config.max_cells)
     sd = barycentric_subdivide(complex)
     formats.write_json(
         formats.complex_to_dict(sd.complex, coloring=sd.coloring), config.out)
@@ -140,7 +125,10 @@ def _run_tomei(config: argparse.Namespace) -> int:
 
 
 def _run_cover(config: argparse.Namespace) -> int:
-    bundle, _ = colored_from_complex(*formats.load_complex(config.input))
+    complex, coloring, orientation = formats.load_complex(config.input)
+    if coloring is None:
+        check_subdivision_size(complex.n, len(complex.tops), config.max_cells)
+    bundle, _ = colored_from_complex(complex, coloring, orientation)
     cover = (build_full(bundle, config.max_cells)
              if config.full
              else build_component(bundle, max_cells=config.max_cells))
@@ -200,14 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify realization of cycles by covers of Tomei manifolds")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def add_common(p, needs_input=True, cap="cell cap"):
+    def add_common(p, needs_input=True, bounds="cell cap"):
         if needs_input:
             p.add_argument("--input", "-i", required=True,
                            help="input complex JSON")
         p.add_argument("--out", "-o", help="output JSON path")
-        p.add_argument("--max-cells", type=int, default=None,
-                       help=f"{cap} (default {MAX_CELLS_ENV} or "
-                            f"{DEFAULT_MAX_CELLS})")
+        p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+                       help=f"{bounds} (default {DEFAULT_MAX_CELLS})")
 
     add_common(sub.add_parser("validate", help="pseudomanifold checks"))
     add_common(sub.add_parser("subdivide", help="barycentric subdivision"))
@@ -222,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--cells-out",
                        help="triangulated complex JSON path")
     add_common(sub.add_parser("homology", help="integral homology groups"),
-               cap="cap on the entries homology makes: the nonzero "
+               bounds="cap on the entries homology makes: the nonzero "
                    "entries of each boundary matrix, of the solve X and the "
                    "Schur complement S that unit-pivot peeling makes of it, "
                    "and the Smith transforms of S")
@@ -244,8 +231,6 @@ def main(argv=None) -> int:
         "report": _run_verify,
     }
     try:
-        if config.max_cells is None:
-            config.max_cells = default_max_cells()
         if config.max_cells <= 0:
             raise ValueError(f"max_cells must be positive, got {config.max_cells}")
         return handlers[config.mode](config)

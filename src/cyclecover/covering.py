@@ -22,15 +22,17 @@ the one tuple table: each slot's closure, each tuple's closure index in
 every slot and the tuple each crossing leads to.  A whole set of pairs
 then crosses every facet in one array gather.
 
-A component numbers its pairs X in breadth-first order from its seed, each
-pair x with the g value g0(x) it is first reached with.  The holonomies
-g0(x) + gen[w] + g0(pi_w x) of the edges span a subgroup H of the even part
-of (Z_2)^n, kept as a reduced-echelon basis, and the component is the cells
-(x, g0(x) + h), h in H: |X| |H| cells, known before any is made.  The full
-cover set has every pair, in (sigma, tuple) order, with g0 = 0 on plus
-simplices and 1 on minus ones, and H the whole even part.  The holonomies
-are computed once per cover, from its own g0 and pair glue, and cached with
-it (``CoverComplex.holonomy_table``).  So a cover's pair arrays and glue are
+A cover is the breadth-first closure under crossings of its seed pairs:
+its pairs X are numbered seeds first, each pair x with the g value g0(x)
+it is given or first reached with.  The holonomies g0(x) + gen[w] +
+g0(pi_w x) of the edges span a subgroup H of the even part of (Z_2)^n,
+kept as a reduced-echelon basis, and the cover is the cells
+(x, g0(x) + h), h in H: |X| |H| cells, known before any is made.  A
+component has one seed; the full cover set has every pair, in
+(sigma, tuple) order, with g0 = 0 on plus simplices and 1 on minus ones,
+and H the whole even part.  The holonomies are computed once per cover,
+from its own g0 and pair glue, and cached with it
+(``CoverComplex.holonomy_table``).  So a cover's pair arrays and glue are
 read-only, and a changed g0 or glue needs a new cover, made with
 ``dataclasses.replace``, as every planted defect in the tests is.
 
@@ -145,14 +147,13 @@ def _number_new(index: np.ndarray, ids: np.ndarray, found: np.ndarray,
     return merged, merged_ids, number, miss[first[order]]
 
 
-def _close_slot(outer: np.ndarray, rows: np.ndarray,
-                closed: bool) -> tuple[np.ndarray, np.ndarray]:
+def _close_slot(outer: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Close the distinct ``rows`` under conjugation by every row of
     ``outer``, new rows in order of first occurrence, and return the
     closure and the closure index of o x o for each outer row o and
-    closure row x.  ``closed`` rows may gain none.  Rows are numbered by
-    a dict keyed by their bytes, which are equal exactly when the rows are,
-    as both builders hand in ``int32`` pools and closures."""
+    closure row x.  Rows are numbered by a dict keyed by their bytes, which
+    are equal exactly when the rows are, as both builders hand in ``int32``
+    pools and closures."""
     tops = rows.shape[1]
     shift = (np.arange(len(outer)) * tops)[:, None, None]
     number = {row.tobytes(): x for x, row in enumerate(rows)}
@@ -162,9 +163,6 @@ def _close_slot(outer: np.ndarray, rows: np.ndarray,
         index = np.array([number.setdefault(row.tobytes(), len(number)) for row in conj])
         if len(number) == len(rows):
             return rows, index.reshape(len(outer), len(rows))
-        if closed:
-            raise InconsistentGluingError(
-                "facet crossing left the full cover set; conjugation closure failed")
         fresh = np.flatnonzero(index >= len(rows))
         _, first = np.unique(index[fresh], return_index=True)
         rows = np.concatenate([rows, conj[fresh[first]]])
@@ -184,8 +182,9 @@ def _check_compatible(cp: ColoredPseudomanifold, closures: list[np.ndarray]) -> 
 
 
 def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
-                 max_cells: int | None = None) -> InvolutionRegistry:
-    """Close the involutions of every slot, then the tuples under crossings.
+                 max_cells: int) -> InvolutionRegistry:
+    """Close the involutions of every slot, then the seed tuples under
+    crossings.
 
     Crossing F_w conjugates the components at the subsets gamma inside w by
     the one at w, so slot gamma only takes values in the closure C_gamma of
@@ -196,22 +195,24 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
     gamma inside w, the entry at its digits (w, gamma) of the step table
     (conj[w, gamma] - arange(|C_gamma|)) * radix[gamma].  The product of
     the closure sizes must fit ``int64``; then each closure element is
-    checked compatible, and an incompatible one is a gluing error.  Without
-    ``max_cells`` the pools must come out closed (the full cover set) and
-    the tuples are every code, in ``product`` order.  With it they are the
-    crossings' closure of code 0, the first rows of the pools, breadth
-    first; the product holds them but need not be all of them (on the
+    checked compatible, and an incompatible one is a gluing error.  The
+    tuples are the crossings' closure of the seeds, the codes of the pools'
+    product, ascending and numbered by their places: each pool comes first
+    in its closure.  A component's pools hold one row each, its one seed
+    is code 0, and its orbit need not be the whole product (on the
     subdivided suspended octahedron, slots {1} and {1, 4} take 6 of their 9
-    joint values, and the orbit has 432 of the 648 codes).  The orbit is
-    refused as soon as twice its size passes ``max_cells``, for the seed's
-    component has at least 2 |orbit| cells.  A tuple's crossing never reads
-    sigma, so every orbit tuple lies on some pair of the component.
-    Crossing a one-color facet F_{c} changes no slot, since no slot lies
-    strictly inside {c}; it moves sigma by the tuple's involution at {c},
-    which ``_check_compatible`` has checked is fixed-point free.  So the
-    component has at least 2 |orbit| pairs, and pairs * |H| >= 2 |orbit|
-    cells.  The registry returned holds the closures, each tuple's closure
-    indices and the crossing table.
+    joint values, and the orbit has 432 of the 648 codes).  The full set's
+    pools hold every compatible involution, so what closing adds to one is
+    refused as not compatible, and its seeds are every code.  The orbit is
+    refused as soon as twice its size passes ``max_cells``, for its cover
+    has at least 2 |orbit| cells.  A tuple's crossing never reads sigma, so
+    every orbit tuple lies on some pair of the cover.  Crossing a one-color
+    facet F_{c} changes no slot, since no slot lies strictly inside {c}; it
+    moves sigma by the tuple's involution at {c}, which
+    ``_check_compatible`` has checked is fixed-point free.  So the cover
+    has at least 2 |orbit| pairs, and pairs * |H| >= 2 |orbit| cells.  The
+    registry returned holds the closures, each tuple's closure indices and
+    the crossing table.
 
     Only the moving slots are crossed, those with a step table that is not
     all 0; crossing any other slot keeps every code, so its column of the
@@ -235,7 +236,7 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
         above = [w for w in range(gamma + 1, slots) if subsets[gamma] & ~subsets[w] == 0]
         outer = np.concatenate([closures[w] for w in above]
                                + [np.empty((0, tops), dtype=np.int32)])
-        closures[gamma], index = _close_slot(outer, closures[gamma], max_cells is None)
+        closures[gamma], index = _close_slot(outer, closures[gamma])
         stops = np.cumsum([0] + [len(closures[w]) for w in above])
         conj.update(((w, gamma), index[a:b]) for w, a, b in zip(above, stops, stops[1:]))
     sizes = [len(c) for c in closures]
@@ -264,19 +265,19 @@ def _tuple_codes(cp: ColoredPseudomanifold, pools: list[np.ndarray],
             crossed[:, column[w]] += table[held[:, w], held[:, gamma]]
         return crossed
 
-    # every code for the full set, else the closure of code 0, each code
-    # numbered by itself; then level by level and chunk by chunk
-    frontier = np.arange(total if max_cells is None else 1, dtype=np.int64)
-    index, ids, codes, newt, done = frontier, frontier, [frontier], [], 0
+    # the seeds, numbered by their places; then level by level, chunk by chunk
+    frontier = np.zeros(1, dtype=np.int64)
+    for pool, step in zip(pools, radix):
+        frontier = (frontier[:, None] + np.arange(len(pool)) * step).ravel()
+    index, ids, codes, newt, done = frontier, np.arange(len(frontier)), [frontier], [], 0
     while len(frontier):
         found = []
         for start in range(0, len(frontier), _ORBIT_CHUNK):
             crossed = cross(frontier[start:start + _ORBIT_CHUNK])
             index, ids, number, first = _number_new(index, ids, crossed.ravel(),
                                                     len(ids))
-            if max_cells is not None:
-                check_cap("the cover component", 2 * len(ids), "cells at least, two "
-                          "per tuple of the seed's orbit so far", max_cells)
+            check_cap("the cover component", 2 * len(ids), "cells at least, two "
+                      "per tuple of the seed's orbit so far", max_cells)
             row = np.empty((len(crossed), slots), dtype=np.int32)
             row[:] = np.arange(done, done + len(crossed))[:, None]
             row[:, moving] = number.reshape(crossed.shape)
@@ -360,7 +361,7 @@ class CoverComplex:
     ascending order.  ``sigma``, ``tuple_id``, ``g`` and the permutahedral
     complex ``pc`` of the cells are expanded in closed form on first use,
     by the writers and the test oracles only.  ``connected`` says the
-    cells are one component, as ``build_component`` makes them.
+    cells are one component, as the closure of one seed is.
     """
 
     cp: ColoredPseudomanifold
@@ -451,32 +452,19 @@ class CoverComplex:
         return label, np.array([rank_of(tuple(s.tolist())) for s in sets])
 
 
-def _cover(reg: InvolutionRegistry, t: np.ndarray, sigma: np.ndarray,
-           g0: np.ndarray, glue: np.ndarray, connected: bool) -> CoverComplex:
-    """The cover over the pairs (t[x], sigma[x]) glued by ``glue``, with H
-    the span of the holonomies."""
-    pairs = PermutahedralComplex(reg.cp.n, len(g0), glue)
-    cover = CoverComplex(reg.cp, reg, t.astype(np.int32), sigma.astype(np.int32),
-                         g0, pairs, (), connected)
-    cover.basis = span_basis(cover.holonomies.tolist())
-    return cover
+def _cover(reg: InvolutionRegistry, seeds: np.ndarray, lift: np.ndarray,
+           max_cells: int) -> CoverComplex:
+    """The breadth-first closure under crossings of the ``seeds``, pairs
+    keyed t * tops + sigma over the dense (tuple, sigma) index, with g
+    values ``lift``, and H the span of its holonomies.
 
-
-def build_component(cp: ColoredPseudomanifold,
-                    max_cells: int = DEFAULT_MAX_CELLS) -> CoverComplex:
-    """The component of the seed cell under all facet crossings.  The seed
-    is the smallest plus-part simplex with the canonical involution tuple
-    and g = 0.
-
-    The seed tuple's orbit is closed first, and gives the gather tables.
-    The pairs are then numbered level by level over the dense
-    (tuple, sigma) index, keyed t * tops + sigma: each level gathers its
-    pairs' neighbours in (pair, slot) order, the tuple part read off the
-    ``int32`` newt rows of the level's tuples and scaled by tops in
-    ``int64`` for that level only, and numbers those not yet seen in
-    order of first occurrence, each with the g value of its first
-    occurrence.  That is breadth-first order, so pair ids, g0 and the glue
-    table do not depend on how the work is batched.  A key's first
+    The seeds are numbered by their places, then the pairs level by level:
+    each level gathers its pairs' neighbours in (pair, slot) order, the
+    tuple part read off the ``int32`` newt rows of the level's tuples and
+    scaled by tops in ``int64`` for that level only, and numbers those not
+    yet seen in order of first occurrence, each with the g value of its
+    first occurrence.  That is breadth-first order, so pair ids, g0 and the
+    glue table do not depend on how the work is batched.  A key's first
     occurrence is its least position among the level's unseen entries,
     kept by ``np.minimum.at``, which NumPy defines for repeated indices
     where a plain assignment leaves the order of the writes open.  The new
@@ -486,16 +474,13 @@ def build_component(cp: ColoredPseudomanifold,
     at least one cell, so the cap is checked on the pairs as they are
     numbered, and on the cells once H is known.
     """
-    reg = _tuple_codes(cp, [np.array([canonical_involution(cp, w)], dtype=np.int32)
-                            for w in proper_subsets(cp.n)], max_cells)
+    cp = reg.cp
     gen = generators(cp.n)
     slots = len(gen)
     number = np.full(reg.tuple_count * cp.top_count, -1, dtype=np.int32)
-    frontier = np.array([cp.plus[0]], dtype=np.int64)  # tuple 0, g = 0
-    lift = np.zeros(1, dtype=np.int32)
-    number[frontier] = 0
-    count = 1
-    levels, lifts, rows = [frontier], [lift], []
+    number[seeds] = np.arange(len(seeds), dtype=np.int32)
+    frontier, count = seeds, len(seeds)
+    levels, lifts, rows = [seeds], [lift], []
     while frontier.size:
         t, sigma = np.divmod(frontier, cp.top_count)
         crossed = (np.take(reg.newt, t, axis=0).astype(np.int64) * cp.top_count
@@ -516,10 +501,23 @@ def build_component(cp: ColoredPseudomanifold,
         lifts.append(lift)
         rows.append(number[crossed].reshape(-1, slots))
     t, sigma = np.divmod(np.concatenate(levels), cp.top_count)
-    cover = _cover(reg, t, sigma, np.concatenate(lifts),
-                   np.concatenate(rows), True)
+    pairs = PermutahedralComplex(cp.n, count, np.concatenate(rows))
+    cover = CoverComplex(cp, reg, t.astype(np.int32), sigma.astype(np.int32),
+                         np.concatenate(lifts), pairs, (), len(seeds) == 1)
+    cover.basis = span_basis(cover.holonomies.tolist())
     check_cap("the cover component", cover.num_cells, "cells", max_cells)
     return cover
+
+
+def build_component(cp: ColoredPseudomanifold,
+                    max_cells: int = DEFAULT_MAX_CELLS) -> CoverComplex:
+    """The component of the seed cell under all facet crossings: the cover
+    of one seed, the smallest plus-part simplex with tuple 0, whose pools
+    are the canonical involutions, and g = 0."""
+    reg = _tuple_codes(cp, [np.array([canonical_involution(cp, w)], dtype=np.int32)
+                            for w in proper_subsets(cp.n)], max_cells)
+    return _cover(reg, np.array([cp.plus[0]], dtype=np.int64),
+                  np.zeros(1, dtype=np.int32), max_cells)
 
 
 def build_full(cp: ColoredPseudomanifold,
@@ -531,8 +529,10 @@ def build_full(cp: ColoredPseudomanifold,
     any involution is enumerated; ``counts`` may hand in the counts, one
     per proper subset in order.
 
-    The pairs are numbered in (sigma, tuple) order with g0 = 0 over plus
-    simplices and 1 over minus ones.  Every crossing flips the part (which
+    Its pools are every compatible involution, and its seeds every pair, in
+    (sigma, tuple) order, with g0 = 0 over plus simplices and 1 over minus
+    ones.  The tuples must be the pools' product, prod |P_w|, or crossing
+    has left the full set.  Every crossing flips the part (which
     ``verify_covering`` checks), so its holonomy is gen[w] + 1: over the
     generators e_1, ..., e_n of every facet size these span the even part
     of (Z_2)^n, whose ascending elements, added to g0, run through the
@@ -540,15 +540,17 @@ def build_full(cp: ColoredPseudomanifold,
     (sigma, tuple, g) order."""
     check_cap("full cover set", cp.top_count * predicted_multiplicity(cp, counts),
               "cells", max_cells)
-    reg = _tuple_codes(cp, [
-        np.reshape(enumerate_compatible_involutions(cp, w),
-                   (-1, cp.top_count)).astype(np.int32)
-        for w in proper_subsets(cp.n)])
+    pools = [np.reshape(enumerate_compatible_involutions(cp, w),
+                        (-1, cp.top_count)).astype(np.int32)
+             for w in proper_subsets(cp.n)]
+    reg = _tuple_codes(cp, pools, max_cells)
     tuples = reg.tuple_count
+    if tuples != prod(len(pool) for pool in pools):
+        raise InconsistentGluingError(
+            "facet crossing left the full cover set; conjugation closure failed")
     sigma, t = np.divmod(np.arange(cp.top_count * tuples), tuples)
-    glue = reg.moved(t, sigma) * tuples + reg.newt[t]
-    g0 = (cp.parts[sigma] < 0).astype(np.int32)
-    return _cover(reg, t, sigma, g0, glue, False)
+    return _cover(reg, t * cp.top_count + sigma,
+                  (cp.parts[sigma] < 0).astype(np.int32), max_cells)
 
 
 @dataclass

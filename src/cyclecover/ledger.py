@@ -46,7 +46,8 @@ from .involutions import (
     count_compatible_involutions,
     predicted_multiplicity,
 )
-from .permutahedron import check_template_size, flag_template, mask_elements, proper_subsets
+from .permutahedron import (check_subdivision_size, check_template_size,
+                            flag_template, mask_elements, proper_subsets)
 from .pseudomanifold import (
     ColoredPseudomanifold,
     barycentric_subdivide,
@@ -144,6 +145,7 @@ def _stages(complex, coloring, orientation, max_cells: int, report: dict):
     # colored by face dimension
     subdivided = coloring is None
     if subdivided:
+        check_subdivision_size(complex.n, len(complex.tops), max_cells)
         sd = barycentric_subdivide(complex)
         complex, coloring, orientation = sd.complex, sd.coloring, None
     regular = check_regular_coloring(complex, coloring)

@@ -97,6 +97,13 @@ def check_template_size(n: int, cap: int) -> None:
               "flag faces", cap)
 
 
+def check_subdivision_size(n: int, tops: int, cap: int) -> None:
+    """Refuse the barycentric subdivision of ``tops`` n-simplices over the
+    cap before it is built: it has tops (n+1)! top simplices."""
+    check_cap(f"the barycentric subdivision of {tops} {n}-simplices",
+              tops * factorial(n + 1), "top simplices", cap)
+
+
 @cache
 def flag_template(n: int) -> FlagTemplate:
     """The template of dimension n, made once per process.

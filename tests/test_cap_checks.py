@@ -1,8 +1,8 @@
 """Every cap refusal is made in one place.  The package's source is parsed
 with ``ast``: ``CapExceededError`` is constructed or raised only inside
 ``errors.check_cap``, ``DEFAULT_MAX_CELLS`` is assigned only in
-``errors``, and no cap parameter of ``homology`` is optional (it has no
-unbounded mode)."""
+``errors``, and no cap parameter of any module is optional (nothing has
+an unbounded mode)."""
 
 import ast
 from pathlib import Path
@@ -89,6 +89,12 @@ def test_homology_caps_are_never_optional():
     seen, optional = optional_caps(parsed("homology.py"))
     assert "homology(max_entries)" in seen and "_schur(cap)" in seen
     assert optional == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_cap_is_optional(name):
+    seen, optional = optional_caps(parsed(name))
+    assert optional == [], f"{name} has optional caps {optional} of {seen}"
 
 
 def test_the_checks_catch_what_they_forbid():

@@ -21,7 +21,7 @@ import pytest
 
 import dict_oracle
 from dict_oracle import in_cover_set
-from extra_api import CoverCell, benchmark_inputs, cover_cells, refusal
+from extra_api import CoverCell, benchmark_inputs, cover_cells, refusal, tuple_values
 from cyclecover import corpus, covering, formats
 from cyclecover.cells import (
     PermutahedralComplex,
@@ -393,6 +393,32 @@ def test_full_octahedron_is_closed_but_disconnected(octa_full):
     from collections import Counter
     sizes = Counter(Counter(find(i) for i in range(octa_full.num_cells)).values())
     assert sizes == {16: 64}
+
+
+@pytest.mark.parametrize("cp, pairs, rank, components", [
+    (ColoredPseudomanifold(*corpus.octahedron()), 8, 1, 64),
+    (ColoredPseudomanifold(*corpus.hexagon_cycle()), 6, 0, 1),
+], ids=["octahedron", "hexagon"])
+def test_full_set_component_through_the_seed_is_the_component(cp, pairs, rank,
+                                                              components):
+    # the two builders are one closure from different seeds: the full set's
+    # pair component through the seed pair, cp.plus[0] with the canonical
+    # tuple, is the component's pairs, with the same rank of H
+    full, component = build_full(cp), build_component(cp)
+    full_values = tuple_values(full.registry)
+    seed_t = full_values.index(tuple_values(component.registry)[0])
+    seed = cp.plus[0] * full.registry.tuple_count + seed_t
+    assert (full.pair_sigma[seed], full.pair_t[seed]) == (cp.plus[0], seed_t)
+    label, ranks = full.components
+    members = np.flatnonzero(label == label[seed])
+
+    def keyed(cover, values, xs):
+        return {(values[cover.pair_t[x]], cover.pair_sigma[x]) for x in xs}
+
+    assert keyed(full, full_values, members) == keyed(
+        component, tuple_values(component.registry), range(component.pairs.num_cells))
+    assert (len(members), ranks[label[seed]], len(component.basis)) == (pairs, rank, rank)
+    assert (len(ranks), (ranks == rank).all()) == (components, True)
 
 
 def test_full_cover_cap(octa_cp):

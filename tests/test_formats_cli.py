@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 import extra_api
-from cyclecover import cli, corpus, covering, formats, ledger
+from cyclecover import cli, corpus, covering, formats, ledger, pseudomanifold
 from cyclecover.cells import PermutahedralComplex
-from cyclecover.cli import build_parser, default_max_cells, main
+from cyclecover.cli import build_parser, main
 from cyclecover.covering import build_component, build_full
 from cyclecover.homology import boundary_matrices, homology
 from cyclecover.pseudomanifold import (
@@ -233,16 +233,6 @@ def test_out_of_memory_is_one_line(mode, monkeypatch, capsys):
     assert err == f"error: out of memory in {mode}\n"
 
 
-def test_default_max_cells_env(monkeypatch):
-    monkeypatch.delenv("REALIZER_MAX_CELLS", raising=False)
-    assert default_max_cells() == 10 ** 6
-    monkeypatch.setenv("REALIZER_MAX_CELLS", "500")
-    assert default_max_cells() == 500
-    monkeypatch.setenv("REALIZER_MAX_CELLS", "zero")
-    with pytest.raises(ValueError):
-        default_max_cells()
-
-
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
@@ -273,19 +263,6 @@ def test_repeated_top_simplex_exits_two(tmp_path, capsys):
         assert main([mode, "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: top simplex (0, 2, 4) is listed more than once\n"
-
-
-def test_bad_env_value_exits_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REALIZER_MAX_CELLS", "many")
-    assert main(["verify", "--input", hexagon_path()]) == 2
-    capsys.readouterr()
-
-
-def test_nonpositive_env_value_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("REALIZER_MAX_CELLS", "0")
-    assert main(["verify", "--input", hexagon_path()]) == 2
-    assert capsys.readouterr() == (
-        "", "error: REALIZER_MAX_CELLS must be positive, got 0\n")
 
 
 @pytest.mark.parametrize("simplices, message", [
@@ -472,12 +449,10 @@ def eulerian(n: int, i: int) -> int:
                for j in range(i + 1))
 
 
-def test_homology_of_m3_is_the_permutahedron_h_vector(tmp_path, monkeypatch,
-                                                      capsys):
+def test_homology_of_m3_is_the_permutahedron_h_vector(tmp_path, capsys):
     # M^n is a small cover over the n-permutahedron (Davis and
     # Januszkiewicz, 1991), so its Betti numbers are the permutahedron's
     # h-vector, the Eulerian numbers A(n + 1, i)
-    monkeypatch.delenv(cli.MAX_CELLS_ENV, raising=False)
     path, out = tmp_path / "m3.json", tmp_path / "h.json"
     assert main(["tomei", "--n", "3", "--out", str(path)]) == 0
     capsys.readouterr()
@@ -492,7 +467,7 @@ def test_homology_of_m3_is_the_permutahedron_h_vector(tmp_path, monkeypatch,
 def homology_in_child(path, *args) -> tuple[subprocess.CompletedProcess, float]:
     """``homology`` on ``path`` in a child process, at the default cap
     unless ``args`` set one, and its wall time in seconds."""
-    env = {k: v for k, v in os.environ.items() if k != cli.MAX_CELLS_ENV}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
@@ -879,11 +854,41 @@ def test_verify_cap_exceeded_fails(capsys):
             "numbered so far, more than the cap 20000)") in capsys.readouterr().out
 
 
-def test_verify_env_cap(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REALIZER_MAX_CELLS", "100")
-    assert main(["verify", "--input",
-                 str(CORPUS_DIR / "boundary_delta3.json")]) == 1
-    # an explicit flag overrides the environment
+@pytest.mark.parametrize("mode", ["subdivide", "verify", "cover"])
+def test_subdivision_over_the_cap_is_refused_before_it_is_built(mode, tmp_path,
+                                                                monkeypatch, capsys):
+    # sd(boundary delta4) has 5 * 4! = 120 tops: at cap 119 it is refused
+    # before any is made, and at cap 120 it is made, where verify and cover
+    # stop at later checks
+    argv = [mode, "--input", str(CORPUS_DIR / "boundary_delta4.json"),
+            "--out", str(tmp_path / "out.json"), "--max-cells"]
+    message = ("the barycentric subdivision of 5 3-simplices has 120 top "
+               "simplices, more than the cap 119")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("subdivided over the cap")
+
+    with monkeypatch.context() as m:
+        for module in (cli, ledger, pseudomanifold):
+            m.setattr(module, "barycentric_subdivide", forbidden)
+        assert main(argv + ["119"]) == 1
+    out, err = capsys.readouterr()
+    if mode == "verify":
+        assert err == ""
+        assert ("[   FAIL] regular coloring obtained by barycentric subdivision"
+                f"  ({message})") in out
+    else:
+        assert (out, err) == ("", f"check failed: {message}\n")
+    assert main(argv + ["120"]) == (0 if mode == "subdivide" else 1)
+    out, err = capsys.readouterr()
+    assert "barycentric subdivision of" not in out + err
+
+
+def test_verify_flag_cap(capsys):
+    # the flag is the cap's one source: sd(boundary delta3) passes at 1000
+    # cells and is refused at 100
+    assert main(["verify", "--input", str(CORPUS_DIR / "boundary_delta3.json"),
+                 "--max-cells", "100"]) == 1
     assert main(["verify", "--input", str(CORPUS_DIR / "boundary_delta3.json"),
                  "--max-cells", "1000"]) == 0
     capsys.readouterr()

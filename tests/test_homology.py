@@ -22,7 +22,8 @@ Boundary matrices equal the dict-built ones, ``homology`` equals the Smith
 forms of the dense boundary matrices, a capped ``homology`` builds the
 facet table of each face level once, and a refused one builds none below
 the refused level; homology values are frozen for complexes whose groups
-are classical.
+are classical, and a triangulated cover with c cell components has
+H_0 = H_n = Z^c.
 """
 
 import dataclasses
@@ -38,10 +39,11 @@ import numpy as np
 import pytest
 
 import dict_oracle
-from extra_api import benchmark_inputs, disjoint_union, pinched_torus, refusal, torus7
+from extra_api import (benchmark_inputs, disjoint_union, pinched_torus, refusal,
+                       sphere_join, suspended_cycle, torus7)
 from cyclecover import corpus, formats
 from cyclecover.cells import triangulate
-from cyclecover.covering import build_component
+from cyclecover.covering import build_component, build_full
 from cyclecover.errors import DEFAULT_MAX_CELLS, CapExceededError, NonOrientableError
 from cyclecover.homology import (
     HomologyGroup,
@@ -795,6 +797,33 @@ def test_homology_projective_plane_torsion():
 
 def test_homology_counts_components():
     assert betti_numbers(corpus.disjoint_circles()) == [2, 2]
+
+
+# covers, each with its number c of cell components: the full set of the
+# octahedron, and the components of the benchmark's verify inputs, the
+# hexagon and the join C4*C4
+TRIANGULATED_COVERS = {
+    "octahedron full": (lambda: build_full(ColoredPseudomanifold(*corpus.octahedron())),
+                        64),
+    "octahedron": (lambda: build_component(ColoredPseudomanifold(*corpus.octahedron())),
+                   1),
+    "sd(boundary delta3)": (lambda: build_component(
+        colored_from_complex(corpus.boundary_delta(3))[0]), 1),
+    "sd(suspended 10-cycle)": (lambda: build_component(
+        colored_from_complex(suspended_cycle(5))[0]), 1),
+    "hexagon": (lambda: build_component(ColoredPseudomanifold(*corpus.hexagon_cycle())),
+                1),
+    "C4*C4": (lambda: build_component(sphere_join(4, 4)), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIANGULATED_COVERS))
+def test_triangulated_cover_has_a_fundamental_class_per_component(name):
+    # a closed oriented n-manifold with c components has H_0 = H_n = Z^c,
+    # read off the triangulation alone, apart from the certificate
+    build, c = TRIANGULATED_COVERS[name]
+    groups = homology(triangulate(build().pc).complex)
+    assert groups[0] == groups[-1] == HomologyGroup(c, [])
 
 
 def test_homology_cover_component_genus_five():

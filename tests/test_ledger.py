@@ -318,7 +318,6 @@ def test_n6_template_is_refused_before_it_is_built(argv, size, unit, cap,
 
     for name in ("flag_template", "build_tomei"):
         monkeypatch.setattr(ledger, name, forbidden)
-    monkeypatch.delenv(cli.MAX_CELLS_ENV, raising=False)
     cp = sphere_join(4, 4, 4, 0)
     source, out = tmp_path / "join.json", tmp_path / "report.json"
     formats.write_json(formats.complex_to_dict(cp.complex, coloring=cp.coloring),

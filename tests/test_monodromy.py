@@ -447,13 +447,13 @@ def test_gluing_defects_fail_the_component_claim(plant, start, monkeypatch,
                                                  tmp_path, capsys):
     # the builder hands the planted pair glue to the pair complex, whose
     # message is the failed claim's detail
-    genuine, planted = covering._cover, []
+    genuine, planted = covering.PermutahedralComplex, []
 
-    def wrapped(reg, t, sigma, g0, glue, connected):
+    def wrapped(n, num_cells, glue):
         planted.append(plant(glue.copy()))
-        return genuine(reg, t, sigma, g0, planted[-1], connected)
+        return genuine(n, num_cells, planted[-1])
 
-    monkeypatch.setattr(covering, "_cover", wrapped)
+    monkeypatch.setattr(covering, "PermutahedralComplex", wrapped)
     written = []
     for run in ("first", "second"):
         out = tmp_path / f"{run}.json"

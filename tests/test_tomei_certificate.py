@@ -234,7 +234,6 @@ def test_tomei_over_the_cap_builds_nothing(argv, what, size, unit, cap,
                          (cells, "flag_template"), (permutahedron, "proper_subsets"),
                          (tomei, "proper_subsets"), (cells, "proper_subsets")):
         monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.delenv(cli.MAX_CELLS_ENV, raising=False)
     assert cli.main(["tomei", *[a.format(tmp=tmp_path) for a in argv]]) == 1
     assert capsys.readouterr() == ("", (
         f"check failed: {what} has {size} {unit}, more than the cap {cap}\n"))

@@ -133,8 +133,7 @@ def test_close_slot_when_no_conjugate_is_a_known_row():
     # meets no known row: the new row is still taken, and the second round
     # closes
     closure, index = covering._close_slot(np.array([[0, 2, 1, 3]], dtype=np.int32),
-                                          np.array([[1, 0, 3, 2]], dtype=np.int32),
-                                          closed=False)
+                                          np.array([[1, 0, 3, 2]], dtype=np.int32))
     assert closure.tolist() == [[1, 0, 3, 2], [2, 3, 0, 1]]
     assert index.tolist() == [[1, 0]]
 
@@ -224,9 +223,9 @@ def widen_one_color_slots(monkeypatch, cp, rows: int) -> None:
     close = covering._close_slot
     calls = []
 
-    def widened(outer, pool, closed):
+    def widened(outer, pool):
         calls.append(None)
-        closure, index = close(outer, pool, closed)
+        closure, index = close(outer, pool)
         if len(calls) > len(proper_subsets(cp.n)) - (cp.n + 1):
             closure = np.broadcast_to(closure[:1], (rows, closure.shape[1]))
         return closure, index
@@ -267,7 +266,8 @@ def test_tuple_codes_past_int64_are_refused(mode, monkeypatch, capsys):
 def test_full_build_closure_failure_is_the_failed_claim(monkeypatch, tmp_path,
                                                          capsys):
     # the octahedron's pool for {1, 2} is given an involution that keeps the
-    # color-1 vertex only: conjugating the pool of {2} by it leaves that pool
+    # color-1 vertex only: conjugating the pool of {2} by it leaves that
+    # pool, and what closing adds there is not compatible with {2}
     enumerate_pool = covering.enumerate_compatible_involutions
     monkeypatch.setattr(covering, "enumerate_compatible_involutions", lambda cp, w: (
         enumerate_pool(cp, 0b001)[1:2] if w == 0b011 else enumerate_pool(cp, w)))
@@ -278,10 +278,24 @@ def test_full_build_closure_failure_is_the_failed_claim(monkeypatch, tmp_path,
     assert claims[-1] == {
         "claim": "full cover set built and closed under crossings",
         "status": "fail",
-        "detail": "facet crossing left the full cover set; conjugation "
-                  "closure failed"}
+        "detail": "component for subset (2,) is not a compatible involution"}
     assert all(e["status"] == "pass" for e in claims[:-1])
     assert out.with_suffix(".txt").read_text().endswith("overall: FAIL\n")
+
+
+def test_full_build_refuses_tuples_past_the_pools_product(monkeypatch):
+    # the pool planted above, with the compatibility test left out: the
+    # closure of {2} grows from 4 rows to 7, the tuples are 112, not the
+    # product 64 of the pools, and the full-set claim still fails
+    enumerate_pool = covering.enumerate_compatible_involutions
+    monkeypatch.setattr(covering, "enumerate_compatible_involutions", lambda cp, w: (
+        enumerate_pool(cp, 0b001)[1:2] if w == 0b011 else enumerate_pool(cp, w)))
+    monkeypatch.setattr(covering, "_check_compatible", lambda cp, closures: None)
+    cp = ColoredPseudomanifold(*corpus.octahedron())
+    with pytest.raises(InconsistentGluingError, match=(
+            "^facet crossing left the full cover set; conjugation closure "
+            "failed$")):
+        build_full(cp)
 
 
 # one row of slot 2, {3}, of the octahedron's full set, each failing one
